@@ -14,9 +14,11 @@ reproducing-kernel norm of f under the averaged kernel over J* is larger:
 the kernel Gram quadratic form recovers.
 
 Lookup tables hold pre-evaluated objectives on a finite point set (one column
-per task) and stand in for environments whose truth is unknown. Coordinates
-are affinely rescaled to the unit box for feature evaluation; raw coordinates
-are kept for user-facing lookups.
+per task) and stand in for environments whose truth is unknown. For feature
+evaluation each coordinate axis is mapped affinely onto the atlas domain
+(the table's smallest value to the domain's lower end, its largest to the
+upper end), so ``legendre1d`` sees all of [-1, 1] and the cosine families
+all of [0, 1]; raw coordinates are kept for user-facing lookups.
 
 All randomness flows through :mod:`.seeding` substreams, so any single task
 can be replayed in isolation.
@@ -331,10 +333,10 @@ class LookupTable:
 class LookupEnvironment:
     """Adapter that runs bandit loops on a lookup table.
 
-    The candidate grid is the table's point set (normalized coordinates for
-    feature evaluation); observations return exact table values unless a
-    noise level is configured. The true support is unknown, so ``support`` is
-    None and recovery flags are not defined.
+    The candidate grid is the table's point set mapped affinely onto the
+    atlas domain for feature evaluation; observations return exact table
+    values unless a noise level is configured. The true support is unknown,
+    so ``support`` is None and recovery flags are not defined.
     """
 
     def __init__(
@@ -356,7 +358,8 @@ class LookupEnvironment:
                 f"atlas expects {self.atlas.dim_in}-d inputs, table has {table.dim_in}"
             )
         self.m = table.n_tasks
-        self.grid = table.normalized_points()
+        lo, hi = self.atlas.domain[:, 0], self.atlas.domain[:, 1]
+        self.grid = lo + (hi - lo) * table.normalized_points()
         self.grid_features = self.atlas.concat_many(self.grid)
         self.support = None
         self.values = table.values

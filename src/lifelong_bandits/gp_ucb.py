@@ -158,8 +158,9 @@ class GpUcb:
     kernel estimate, ``select(candidates)`` returns the index of the chosen
     candidate (ties to the lowest index), ``observe(index, y)`` folds in the
     reward for a candidate. ``observe_point`` accepts an arbitrary in-domain
-    point instead. Candidate features are cached per candidate-array identity,
-    so repeated calls with the same grid cost one feature evaluation total.
+    point instead. Candidate features are cached for the last candidate array
+    passed, which the agent keeps a reference to, so repeated calls with the
+    same grid object cost one feature evaluation total.
     """
 
     def __init__(self, atlas: FeatureAtlas, estimate: KernelEstimate, config: UcbConfig) -> None:
@@ -170,13 +171,15 @@ class GpUcb:
         self.config = config
         self.state = PosteriorState(len(selected_columns(atlas, estimate)), config.lam)
         self.max_gain_slack = -np.inf
-        self._grid_id: int | None = None
+        self._grid: np.ndarray | None = None
         self._grid_features: np.ndarray | None = None
 
     def _features_for(self, candidates: np.ndarray) -> np.ndarray:
-        if self._grid_id != id(candidates):
+        # hold the array itself: an id alone can be reused by a new array
+        # once the old one is freed
+        if self._grid is not candidates:
             self._grid_features = selected_features(self.atlas, self.estimate, candidates)
-            self._grid_id = id(candidates)
+            self._grid = candidates
         return self._grid_features
 
     def select(self, candidates: np.ndarray) -> int:

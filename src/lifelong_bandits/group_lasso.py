@@ -9,11 +9,21 @@ coefficients beta = (beta_1, ..., beta_m) is
 
 so each penalty group gathers coordinate block j across every task. The
 conceptual design matrix is block-diagonal in the tasks; it is never
-materialized. Gradients and objective values run on per-task Gram matrices
-batched over tasks.
+materialized. The solver works on the per-task Gram stack G (m, d, d) and
+crossterms C (m, d).
 
 The solver is an accelerated proximal-gradient iteration with a monotone
-acceptance step and momentum restart on rejection. The fit stops when the
+acceptance step and momentum restart on rejection. It requires scalar groups
+(d_j = 1, as in every feature atlas), so the coefficients are an (m, p)
+matrix B, each penalty group is one column, and the prox shrinks column
+norms. Each iterate carries its product G·B: the gradient is
+(2/N)(G·B - C), the objective is
+
+    (sum B∘(G·B) - 2 sum C∘B + ||y||^2) / N + lam * sum_j ||B[:, j]||,
+
+and the momentum point's product follows from the carried ones by
+linearity. One batched matmul per iteration is the only product, with a
+second one when a rejected step restarts the momentum. The fit stops when the
 prox-gradient mapping norm falls below ``tol``. ``kkt_residuals`` provides an
 optimality certificate computed from raw residuals, independent of the solver
 path.
@@ -194,14 +204,13 @@ def pooled_loss(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> 
     return rss / design.total_rows + lam * float(coeffs.group_norms().sum())
 
 
-def _prox(B: np.ndarray, thresh: float, starts: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """Group soft-threshold: scale each cross-task group block toward zero."""
-    sq = np.add.reduceat((B**2).sum(axis=0), starts)
-    norms = np.sqrt(sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = np.where(norms > 0.0, 1.0 - thresh / norms, 0.0)
-    factors = np.maximum(factors, 0.0)
-    return B * np.repeat(factors, dims)
+def _prox(B: np.ndarray, thresh: float) -> np.ndarray:
+    """Group soft-threshold for scalar groups: shrink each column of the
+    (m, p) matrix toward zero by ``thresh`` in its cross-task norm."""
+    norms = np.sqrt((B * B).sum(axis=0))
+    # a zero column stays zero whatever its factor, so divide by inf there
+    factors = np.maximum(1.0 - thresh / np.where(norms > 0.0, norms, np.inf), 0.0)
+    return B * factors
 
 
 def fit_group_lasso(
@@ -219,7 +228,8 @@ def fit_group_lasso(
     and momentum restart. L is the largest per-task spectral norm of
     (2/N) Phi_s^T Phi_s. Stops when the prox-gradient mapping norm at the
     current iterate is <= ``tol``; on hitting ``max_iter`` first, returns with
-    ``converged=False`` rather than raising.
+    ``converged=False`` rather than raising. Every group must be scalar
+    (d_j = 1); other group dimensions raise ``ValueError``.
 
     Returns
     -------
@@ -229,9 +239,11 @@ def fit_group_lasso(
         raise ValueError("penalty weight must be nonnegative")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    m, d, N = design.m, design.d, design.total_rows
-    dims = np.asarray(design.dims, dtype=np.intp)
-    starts = _group_starts(design.dims)
+    if any(d != 1 for d in design.dims):
+        raise ValueError("the solver requires every group dimension to be 1")
+    if x0 is not None and (x0.m != design.m or x0.dims != design.dims):
+        raise ValueError("warm start does not match the design")
+    m, p, N = design.m, design.p, design.total_rows
     G, C, y_sq = design.grams()
 
     lips = 0.0
@@ -240,69 +252,58 @@ def fit_group_lasso(
         top = float(np.linalg.eigvalsh(G[s])[-1]) if G[s].any() else 0.0
         lips = max(lips, 2.0 * top / N)
     step = 1.0 / lips if lips > 0 else 1.0
+    thresh = lam * step
 
-    def grad(B: np.ndarray) -> np.ndarray:
-        return (2.0 / N) * (np.einsum("sij,sj->si", G, B) - C)
+    # Every iterate B travels with its product G·B, so the gradient and the
+    # objective at B cost no further product.
+    def gram_times(B: np.ndarray) -> np.ndarray:
+        return np.matmul(G, B[:, :, None])[:, :, 0]
 
-    def objective(B: np.ndarray) -> float:
-        quad = float(np.einsum("si,sij,sj->", B, G, B))
-        cross = float(np.einsum("si,si->", C, B))
-        rss = (quad - 2.0 * cross + y_sq) / N
-        sq = np.add.reduceat((B**2).sum(axis=0), starts)
-        return rss + lam * float(np.sqrt(sq).sum())
+    def prox_step(B: np.ndarray, GB: np.ndarray) -> np.ndarray:
+        return _prox(B - step * ((2.0 / N) * (GB - C)), thresh)
 
-    def map_norm_at(B: np.ndarray) -> float:
-        z = _prox(B - step * grad(B), lam * step, starts, dims)
-        return float(np.linalg.norm(B - z)) / step
+    def objective(B: np.ndarray, GB: np.ndarray) -> float:
+        rss = (float(np.vdot(B, GB)) - 2.0 * float(np.vdot(C, B)) + y_sq) / N
+        return rss + lam * float(np.sqrt((B * B).sum(axis=0)).sum())
 
-    if x0 is not None:
-        if x0.m != m or x0.dims != design.dims:
-            raise ValueError("warm start does not match the design")
-        x = x0.matrix.copy()
-    else:
-        x = np.zeros((m, d))
+    def map_norm_at(B: np.ndarray, GB: np.ndarray) -> float:
+        return float(np.linalg.norm(B - prox_step(B, GB))) / step
 
-    history = [objective(x)]
-    gap = map_norm_at(x)
-    if gap <= tol:
-        report = SolverReport(
-            converged=True,
-            iterations=0,
-            map_norm=gap,
-            objective=history[0],
-            step=step,
-            lipschitz=lips,
-            objective_history=np.asarray(history),
-        )
-        return GroupCoefficients(x, design.dims), report
-
-    y_pt = x.copy()
-    t = 1.0
-    f_x = history[0]
+    x = x0.matrix.copy() if x0 is not None else np.zeros((m, p))
+    gx = gram_times(x)
+    f_x = objective(x, gx)
+    history = [f_x]
+    gap = map_norm_at(x, gx)
     iterations = 0
-    converged = False
-    gap = math.inf
-    for k in range(1, max_iter + 1):
-        iterations = k
-        z = _prox(y_pt - step * grad(y_pt), lam * step, starts, dims)
-        f_z = objective(z)
-        if f_z <= f_x:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y_pt = z + ((t - 1.0) / t_next) * (z - x)
-            x, f_x, t = z, f_z, t_next
-        else:
-            # accelerated step overshot: take a plain prox step from x,
-            # which cannot increase the objective at step 1/L, and restart
-            z = _prox(x - step * grad(x), lam * step, starts, dims)
-            f_z = objective(z)
-            y_pt = z.copy()
-            x, f_x, t = z, f_z, 1.0
-        if k % check_every == 0 or k == max_iter:
-            history.append(f_x)
-            gap = map_norm_at(x)
-            if gap <= tol:
-                converged = True
-                break
+    converged = gap <= tol
+    if not converged:
+        y_pt, gy = x, gx
+        t = 1.0
+        for k in range(1, max_iter + 1):
+            iterations = k
+            z = prox_step(y_pt, gy)
+            gz = gram_times(z)
+            f_z = objective(z, gz)
+            if f_z <= f_x:
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                mom = (t - 1.0) / t_next
+                # G is linear, so G·y follows from the products already held
+                y_pt = z + mom * (z - x)
+                gy = gz + mom * (gz - gx)
+                x, gx, f_x, t = z, gz, f_z, t_next
+            else:
+                # accelerated step overshot: take a plain prox step from x,
+                # which cannot increase the objective at step 1/L, and restart
+                z = prox_step(x, gx)
+                gz = gram_times(z)
+                y_pt, gy = z, gz
+                x, gx, f_x, t = z, gz, objective(z, gz), 1.0
+            if k % check_every == 0 or k == max_iter:
+                history.append(f_x)
+                gap = map_norm_at(x, gx)
+                if gap <= tol:
+                    converged = True
+                    break
 
     report = SolverReport(
         converged=converged,

@@ -211,10 +211,22 @@ class TestLookupEnvironment:
         return LookupTable(["x1", "x2"], ["a", "b"], grid, vals)
 
     def test_normalizes_coordinates(self):
-        env = LookupEnvironment(self.build_2d(), master_seed=0, p=9)
+        table = self.build_2d()
+        env = LookupEnvironment(table, master_seed=0, p=9)
         assert env.grid.min() == 0.0
         assert env.grid.max() == 1.0
         assert env.m == 2
+        # the cosine domain is the unit box, so its grid is the plain rescaling
+        np.testing.assert_array_equal(env.grid, table.normalized_points())
+
+    def test_legendre_grid_spans_its_domain(self):
+        x = np.linspace(3.0, 7.0, 9).reshape(-1, 1)
+        table = LookupTable(["x1"], ["a"], x, x**2)
+        env = LookupEnvironment(table, master_seed=0, family=BasisFamily.LEGENDRE_1D, p=4)
+        assert env.grid.min() == -1.0
+        assert env.grid.max() == 1.0
+        np.testing.assert_allclose(env.grid[:, 0], np.linspace(-1.0, 1.0, 9), atol=1e-15)
+        np.testing.assert_array_equal(env.grid_features, env.atlas.concat_many(env.grid))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError):

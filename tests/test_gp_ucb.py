@@ -201,6 +201,22 @@ class TestGpUcb:
         pb = b.state.mean_var(selected_features(atlas, est, [q])[0])
         assert pa == pytest.approx(pb)
 
+    def test_new_candidate_array_gets_its_own_features(self):
+        # Once a candidate array is freed, a new array of the same size
+        # usually takes its address and id (np.empty right after the free
+        # does so on CPython). The agent must still evaluate features at the
+        # new array's points, so it may not key anything on the id.
+        for _ in range(20):
+            atlas, est, _, agent = make_agent(selected=(1,))
+            first = np.full((50, 1), 0.3)
+            agent.select(first)
+            del first
+            fresh = np.empty((50, 1))
+            fresh.fill(0.7)
+            agent.observe(0, 1.0, fresh)
+            expected = selected_features(atlas, est, fresh)[0]
+            np.testing.assert_allclose(agent.state.b, expected, rtol=0, atol=1e-15)
+
     def test_info_gain_never_exceeds_bound(self):
         rng = np.random.default_rng(6)
         atlas, est, grid, agent = make_agent(selected=(1, 3), lam=0.2)

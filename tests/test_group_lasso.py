@@ -278,3 +278,35 @@ def test_kkt_certificate_property(seed, lam, m, p):
     coeffs, report = fit_group_lasso(design, lam)
     if report.converged:
         assert kkt_residuals(design, coeffs, lam).max() <= 1e-6
+
+
+def test_non_scalar_groups_rejected():
+    design = PooledDesign([np.ones((3, 2))], [np.ones(3)], dims=(2,))
+    with pytest.raises(ValueError):
+        fit_group_lasso(design, lam=0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    m=st.integers(min_value=1, max_value=4),
+    p=st.integers(min_value=1, max_value=5),
+    warm=st.booleans(),
+)
+def test_report_objective_and_history_property(seed, lam, m, p, warm):
+    # designs of 1-4 tasks, some of them empty, fitted cold or warm: the
+    # reported objective is the pooled loss at the returned coefficients and
+    # the recorded objective values never increase
+    rng = np.random.default_rng(seed)
+    rows = [int(rng.integers(0, 7)) for _ in range(m)]
+    if sum(rows) == 0:
+        rows[int(rng.integers(m))] = 1
+    blocks = [rng.normal(size=(n, p)) for n in rows]
+    ys = [rng.normal(size=n) for n in rows]
+    design = PooledDesign(blocks, ys, dims=(1,) * p)
+    x0 = GroupCoefficients(rng.normal(size=(m, p)), design.dims) if warm else None
+    coeffs, report = fit_group_lasso(design, lam, x0=x0, max_iter=2_000)
+    y_scale = max(1.0, sum(float(y @ y) for y in ys) / design.total_rows)
+    assert abs(report.objective - pooled_loss(design, coeffs, lam)) <= 1e-10 * y_scale
+    assert np.all(np.diff(report.objective_history) <= 1e-10)
