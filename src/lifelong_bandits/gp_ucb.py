@@ -1,4 +1,4 @@
-"""GP-UCB over a finite feature-space posterior.
+"""GP-UCB over a finite feature-space posterior, updated in place.
 
 The posterior is kept in primal (feature-space) form. With selected features
 phi scaled by sqrt(1/|J|) so that phi(x)^T phi(x') equals the averaged kernel
@@ -6,17 +6,49 @@ value, the state after i observations is
 
     A = lam^2 I + sum phi phi^T,      b = sum phi * y,
 
-giving mean mu(x) = phi(x)^T A^{-1} b and variance
+giving mean mu(x) = phi(x)^T theta with theta = A^{-1} b and variance
 sigma^2(x) = lam^2 * phi(x)^T A^{-1} phi(x). These match the kernel-space
 (dual) posterior formulas exactly; the dual computation lives in the tests as
-the independent oracle. The primal keeps updates at O(d^2) for the small
-post-selection dimension instead of growing with the number of observations.
+the independent oracle.
 
-The realized information gain (1/2) log det(I + lam^-2 K_i) is computed from
-the same Cholesky factor via log det A - 2 d log lam and checked against the
-closed-form cap (1/2) d log(1 + lam^-2 i / d) after every observation; a
-violation beyond 1e-6 raises, and the worst slack seen is kept for run
-records.
+A itself is never stored or factored. The state holds A^{-1}, starting at
+I / lam^2, and folds each observation in with the Sherman-Morrison update
+
+    u = A^{-1} phi,   q = 1 + phi^T u,   w = u / sqrt(q),
+    A^{-1} <- A^{-1} - w w^T,
+
+then sets theta = A^{-1} b. By the matrix determinant lemma
+det(A + phi phi^T) = q det A, so the realized information gain
+(1/2) log det(I + lam^-2 K_i) = (1/2) sum log q is a running sum. The agent
+keeps the variance of every cached candidate beside its features and lowers
+it by lam^2 (Phi w)^2 per observation. A step costs O(G d + d^2) for G
+candidates in d dimensions, against O(d^3 + G d^2) for a Cholesky refactor
+and a solve against every candidate.
+
+There is no periodic refactor from scratch. The update only subtracts
+rank-one terms, and the drift stays at rounding level: on the full
+50-group cosine kernel (d=50, G=500, lam=0.1), with mostly UCB-chosen
+points, a from-scratch Cholesky posterior differs by at most 4e-14 on the
+mean, 1e-15 on the variance and 1e-13 on the gain after 100 observations
+(every reference workload's horizon), and by 2e-13, 1e-15 and 5e-13 after
+2000, when the smallest variance on the grid is 8e-6. Variances are
+clamped at zero where they are read. A property test pins the drift
+against a from-scratch Cholesky posterior.
+
+UCB scores can tie exactly. Cosine features satisfy
+cos(j pi (1 - x)) = (-1)^j cos(j pi x), so under a kernel of even
+frequencies only, a grid point and its mirror image about the middle of the
+domain have the same features in exact arithmetic, and the posterior and
+the UCB score are the same at both. The computed features differ by
+rounding, so which of the two scores higher depends on the order of the
+floating-point operations, and a change in how the posterior is computed
+can swap the choice. When the true support is all even, the objective is
+mirror symmetric too, and the two choices have the same regret up to
+rounding.
+
+The realized information gain is checked against the closed-form cap
+(1/2) d log(1 + lam^-2 i / d) after every observation; a violation beyond
+1e-6 raises, and the worst slack seen is kept for run records.
 """
 
 from __future__ import annotations
@@ -25,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import EmptyKernelError
 from .features import FeatureAtlas, KernelEstimate, selected_columns, selected_features
@@ -63,7 +94,7 @@ class UcbConfig:
 
 
 class PosteriorState:
-    """Primal ridge posterior accumulator in d dimensions."""
+    """Primal ridge posterior in d dimensions, kept as A^{-1}, b and theta."""
 
     def __init__(self, dim: int, lam: float) -> None:
         if dim < 1:
@@ -72,49 +103,47 @@ class PosteriorState:
             raise ValueError("regularizer must be positive")
         self.dim = dim
         self.lam = float(lam)
-        self.A = lam * lam * np.eye(dim)
+        self.inv = np.eye(dim) / (lam * lam)
         self.b = np.zeros(dim)
+        self.theta = np.zeros(dim)
         self.count = 0
-        self._factor = None
+        self._log_det_ratio = 0.0  # log det A - d log lam^2
 
-    def observe(self, phi: np.ndarray, y: float) -> None:
-        """Fold in one observation (phi already sqrt-weight scaled)."""
+    def observe(self, phi: np.ndarray, y: float) -> np.ndarray:
+        """Fold in one observation (phi already sqrt-weight scaled).
+
+        Returns w = A^{-1} phi / sqrt(1 + phi^T A^{-1} phi) with A before the
+        update, the vector the inverse was lowered by: the variance at any
+        feature vector psi drops by lam^2 (psi^T w)^2.
+        """
         phi = np.asarray(phi, dtype=float).reshape(-1)
         if phi.shape[0] != self.dim:
             raise ValueError("feature dimension mismatch")
-        self.A += np.outer(phi, phi)
+        u = self.inv @ phi
+        q = 1.0 + float(phi @ u)
+        w = u / np.sqrt(q)
+        self.inv -= np.outer(w, w)
         self.b += phi * float(y)
+        self.theta = self.inv @ self.b
         self.count += 1
-        self._factor = None
-
-    def _cho(self):
-        if self._factor is None:
-            self._factor = cho_factor(self.A, lower=True)
-        return self._factor
+        self._log_det_ratio += float(np.log(q))
+        return w
 
     def mean_var(self, phi: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at one scaled feature vector."""
         phi = np.asarray(phi, dtype=float).reshape(-1)
-        factor = self._cho()
-        solved = cho_solve(factor, phi)
-        mu = float(solved @ self.b)
-        var = self.lam**2 * float(phi @ solved)
+        mu = float(phi @ self.theta)
+        var = self.lam**2 * float(phi @ self.inv @ phi)
         return mu, max(var, 0.0)
 
     def mean_var_many(self, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior over the rows of a scaled feature matrix."""
-        factor = self._cho()
-        theta = cho_solve(factor, self.b)
-        mu = Phi @ theta
-        solved = cho_solve(factor, Phi.T)
-        var = self.lam**2 * np.einsum("ij,ji->i", Phi, solved)
-        return mu, np.maximum(var, 0.0)
+        var = self.lam**2 * np.einsum("ij,ij->i", Phi @ self.inv, Phi)
+        return Phi @ self.theta, np.maximum(var, 0.0)
 
     def info_gain(self) -> float:
         """Realized information gain of the observations folded in so far."""
-        low = self._cho()[0]
-        logdet = 2.0 * float(np.log(np.diag(low)).sum())
-        return 0.5 * (logdet - 2.0 * self.dim * np.log(self.lam))
+        return 0.5 * self._log_det_ratio
 
 
 def info_gain_bound(d_k: int, n: int, lam: float) -> float:
@@ -158,9 +187,12 @@ class GpUcb:
     kernel estimate, ``select(candidates)`` returns the index of the chosen
     candidate (ties to the lowest index), ``observe(index, y)`` folds in the
     reward for a candidate. ``observe_point`` accepts an arbitrary in-domain
-    point instead. Candidate features are cached for the last candidate array
-    passed, which the agent keeps a reference to, so repeated calls with the
-    same grid object cost one feature evaluation total.
+    point instead. The agent caches the features of the last candidate array
+    passed, which it keeps a reference to, and beside them the posterior
+    variance at every candidate. The variances are computed from the current
+    posterior when the array is first seen and lowered in place by every
+    observation after that, so repeated calls with the same grid object cost
+    one feature evaluation total and no solve.
     """
 
     def __init__(self, atlas: FeatureAtlas, estimate: KernelEstimate, config: UcbConfig) -> None:
@@ -173,34 +205,44 @@ class GpUcb:
         self.max_gain_slack = -np.inf
         self._grid: np.ndarray | None = None
         self._grid_features: np.ndarray | None = None
+        self._grid_var: np.ndarray | None = None
 
     def _features_for(self, candidates: np.ndarray) -> np.ndarray:
         # hold the array itself: an id alone can be reused by a new array
         # once the old one is freed
         if self._grid is not candidates:
             self._grid_features = selected_features(self.atlas, self.estimate, candidates)
+            self._grid_var = self.state.mean_var_many(self._grid_features)[1]
             self._grid = candidates
         return self._grid_features
 
+    def posterior(self, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at the candidate rows, as select sees them."""
+        Phi = self._features_for(candidates)
+        return Phi @ self.state.theta, np.maximum(self._grid_var, 0.0)
+
     def select(self, candidates: np.ndarray) -> int:
         """Index of the UCB argmax over the candidate rows."""
-        Phi = self._features_for(candidates)
-        if Phi.shape[0] == 0:
+        mu, var = self.posterior(candidates)
+        if mu.shape[0] == 0:
             raise ValueError("candidate set is empty")
-        mu, var = self.state.mean_var_many(Phi)
         nu = self.config.nu_at(self.state.count + 1)
         return int(np.argmax(mu + nu * np.sqrt(var)))
 
     def observe(self, index: int, y: float, candidates: np.ndarray) -> None:
         """Fold in the reward observed at candidate ``index``."""
         Phi = self._features_for(candidates)
-        self.state.observe(Phi[index], y)
-        self._check_info_gain()
+        self._fold(Phi[index], y)
 
     def observe_point(self, x, y: float) -> None:
         """Fold in a reward observed at an arbitrary in-domain point."""
         phi = selected_features(self.atlas, self.estimate, np.atleast_2d(np.asarray(x, float)))[0]
-        self.state.observe(phi, y)
+        self._fold(phi, y)
+
+    def _fold(self, phi: np.ndarray, y: float) -> None:
+        w = self.state.observe(phi, y)
+        if self._grid_features is not None:
+            self._grid_var -= self.state.lam**2 * np.square(self._grid_features @ w)
         self._check_info_gain()
 
     def _check_info_gain(self) -> None:

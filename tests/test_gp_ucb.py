@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec, uniform_grid
 from lifelong_bandits.errors import EmptyKernelError
@@ -256,3 +258,68 @@ class TestGpUcb:
             halves.append((first, second))
         better = sum(second < 0.5 * first + 1e-9 for first, second in halves)
         assert better >= 15
+
+
+def scratch_posterior(Phi, y, Q, lam):
+    """Posterior mean and variance at the rows of Q, from a Cholesky factor of
+    A = lam^2 I + Phi^T Phi built from scratch."""
+    low = np.linalg.cholesky(lam * lam * np.eye(Q.shape[1]) + Phi.T @ Phi)
+    half = np.linalg.solve(low, np.column_stack([Phi.T @ y, Q.T]))
+    mean = half[:, 1:].T @ half[:, 0]
+    var = lam * lam * np.einsum("ij,ij->j", half[:, 1:], half[:, 1:])
+    return mean, var
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    d=st.integers(min_value=1, max_value=50),
+    n=st.integers(min_value=0, max_value=200),
+    lam=st.floats(min_value=0.05, max_value=2.0),
+    switch_at=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_incremental_posterior_matches_scratch_property(seed, d, n, lam, switch_at):
+    # observe and observe_point mixed at random, the candidate array replaced
+    # once mid-run: the means and variances select scores, and the running
+    # information gain, agree with a from-scratch posterior
+    rng = np.random.default_rng(seed)
+    p = 50
+    atlas = FeatureAtlas(BasisFamily.COSINE_1D, p)
+    selected = rng.choice(np.arange(1, p + 1), size=d, replace=False)
+    est = KernelEstimate(p=p, selected=tuple(int(j) for j in selected))
+    agent = GpUcb(atlas, est, UcbConfig(nu=1.0, lam=lam))
+
+    def new_grid():
+        return rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 80)), 1))
+
+    def check(cand):
+        Phi = selected_features(atlas, est, np.reshape(points, (-1, 1)))
+        y = np.asarray(rewards)
+        mean, var = scratch_posterior(Phi, y, selected_features(atlas, est, cand), lam)
+        mu, sigma2 = agent.posterior(cand)
+        scale = max(1.0, float(np.abs(y).max(initial=0.0)))
+        np.testing.assert_allclose(mu, mean, rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(sigma2, np.maximum(var, 0.0), rtol=0, atol=1e-9)
+        gain = realized_info_gain(Phi @ Phi.T, lam)
+        assert abs(agent.state.info_gain() - gain) <= 1e-9
+
+    cand = new_grid()
+    agent.select(cand)
+    points, rewards = [], []
+    switch = int(switch_at * n)
+    for i in range(n):
+        if i == switch:
+            cand = new_grid()
+            agent.select(cand)
+            check(cand)
+        y = float(rng.normal())
+        if rng.random() < 0.5:
+            idx = int(rng.integers(len(cand)))
+            agent.observe(idx, y, cand)
+            points.append(cand[idx, 0])
+        else:
+            x = float(rng.uniform(0.0, 1.0))
+            agent.observe_point([x], y)
+            points.append(x)
+        rewards.append(y)
+    check(cand)

@@ -1,6 +1,10 @@
 """Exploration schedules and the sequential task runner."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import lifelong_bandits
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError
 from lifelong_bandits.features import KernelEstimate
@@ -274,3 +279,28 @@ class TestTheoryLambda:
         assert len(a.tasks) == 4
         for ta, tb in zip(a.tasks, b.tasks):
             assert np.array_equal(ta.actions, tb.actions)
+
+
+def test_runtime_does_not_import_scipy():
+    # scipy is a test-only dependency: importing the package and running a
+    # lifelong task loop must leave it unloaded
+    code = (
+        "import sys\n"
+        "from lifelong_bandits import run_lifelong\n"
+        "from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec\n"
+        "spec = SyntheticSpec(p=6, support_size=2, norm_bound=5.0, beta_min=0.5)\n"
+        "env = SyntheticEnvironment(spec, n_tasks=2, master_seed=0, grid_points=30)\n"
+        "record = run_lifelong(env, m=2, n=8, omega=0.25, lam=0.1, seed=0)\n"
+        "assert len(record.tasks) == 2\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(lifelong_bandits.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
