@@ -22,7 +22,7 @@ from .features import (
     kernel_value,
     selected_features,
 )
-from .federated import ClientVote, VoteLedger, client_fit, run_federated, server_vote
+from .federated import ClientVote, VoteLedger, client_fit, run_federated
 from .gp_ucb import (
     GpUcb,
     PosteriorState,
@@ -122,7 +122,6 @@ __all__ = [
     "run_lifelong",
     "schedule_rates",
     "selected_features",
-    "server_vote",
     "substream",
     "summarize",
     "theory_lambda",

@@ -2,15 +2,15 @@
 
 Synthetic tasks share one hidden subset J* of basis groups. Task s's reward
 function is f_s(x) = sum_{j in J*} beta_s^(j) . phi_j(x); observations add
-Gaussian noise. Per task, each true-support block is an independent Gaussian
-direction normalized to unit length times a magnitude drawn uniformly from
+Gaussian noise. Per task, each true-support coefficient is a random sign (of
+a standard Gaussian draw) times a magnitude drawn uniformly from
 [beta_min, norm_bound / sqrt(|J*|)], which guarantees both the beta-min floor
-and sqrt(sum_j ||beta_s^(j)||^2) <= norm_bound.
+and sqrt(sum_j (beta_s^(j))^2) <= norm_bound.
 
 Two norms show up and they differ; both are deliberate. The sampler caps the
-plain coefficient norm sqrt(sum_j ||beta^(j)||^2) at ``norm_bound``. The
+plain coefficient norm sqrt(sum_j (beta^(j))^2) at ``norm_bound``. The
 reproducing-kernel norm of f under the averaged kernel over J* is larger:
-``rkhs_norm_sq`` returns |J*| * sum_j ||beta^(j)||^2, and that value is what
+``rkhs_norm_sq`` returns |J*| * sum_j (beta^(j))^2, and that value is what
 the kernel Gram quadratic form recovers.
 
 Lookup tables hold pre-evaluated objectives on a finite point set (one column
@@ -27,6 +27,7 @@ can be replayed in isolation.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,33 +81,24 @@ def sample_coefficients(
     atlas: FeatureAtlas,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One task's coefficient vector, shape (total_dim,).
+    """One task's coefficient vector, shape (p,).
 
-    Active blocks get a unit Gaussian direction scaled by a magnitude drawn
-    uniformly from [beta_min, norm_bound / sqrt(|J*|)]; inactive blocks are
-    exactly zero.
+    Active groups get the sign of a standard Gaussian draw (the unit
+    direction in one dimension) times a magnitude drawn uniformly from
+    [beta_min, norm_bound / sqrt(|J*|)]; inactive groups are exactly zero.
     """
-    beta = np.zeros(atlas.total_dim)
+    beta = np.zeros(atlas.p)
     hi = spec.norm_bound / np.sqrt(len(support))
     for j in support:
-        sl = atlas.group_slice(j)
-        direction = rng.standard_normal(sl.stop - sl.start)
-        norm = np.linalg.norm(direction)
-        while norm == 0.0:  # probability-zero guard
-            direction = rng.standard_normal(sl.stop - sl.start)
-            norm = np.linalg.norm(direction)
-        beta[sl] = direction / norm * rng.uniform(spec.beta_min, hi)
+        direction = rng.standard_normal()
+        beta[j - 1] = math.copysign(rng.uniform(spec.beta_min, hi), direction)
     return beta
 
 
 def rkhs_norm_sq(beta: np.ndarray, support: tuple[int, ...], atlas: FeatureAtlas) -> float:
-    """Squared norm of f = sum_j beta^(j) . phi_j under the averaged kernel
-    over ``support``: |J*| times the summed squared block norms."""
-    total = 0.0
-    for j in support:
-        sl = atlas.group_slice(j)
-        total += float(beta[sl] @ beta[sl])
-    return len(support) * total
+    """Squared norm of f = sum_j beta^(j) phi_j under the averaged kernel
+    over ``support``: |J*| times the summed squared coefficients."""
+    return len(support) * sum(float(beta[j - 1] * beta[j - 1]) for j in support)
 
 
 def uniform_grid(domain: np.ndarray, points_per_axis: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Finite basis dictionaries and averaged kernels built from them.
 
 A feature atlas is an ordered dictionary of p basis groups over a box domain.
-Group j carries a feature map phi_j with dim(phi_j) = d_j, and the atlas
-evaluates single groups or the full concatenation phi = (phi_1, ..., phi_p).
-Every built-in family uses d_j = 1:
+Every group is scalar: group j is one basis function phi_j, and the atlas
+evaluates single groups or the full feature vector phi = (phi_1, ..., phi_p),
+so group j is column j - 1 of a feature table. The families:
 
 ``cosine1d``
     phi_j(x) = cos(j * pi * x) on [0, 1]. No sqrt(2) normalization.
@@ -67,14 +67,11 @@ class FeatureAtlas:
     ----------
     domain : ndarray of shape (dim_in, 2)
         Per-axis [low, high] bounds of the box the atlas is defined on.
-    dims : tuple of int
-        Per-group feature dimensions d_j (all 1 for the built-in families).
     """
 
     family: BasisFamily
     p: int
     domain: np.ndarray = field(init=False, repr=False, compare=False)
-    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -89,23 +86,11 @@ class FeatureAtlas:
             dom = np.array([[0.0, 1.0]])
         dom.setflags(write=False)
         object.__setattr__(self, "domain", dom)
-        object.__setattr__(self, "dims", (1,) * self.p)
 
     @property
     def dim_in(self) -> int:
         """Dimension of the input space."""
         return self.domain.shape[0]
-
-    @property
-    def total_dim(self) -> int:
-        """Dimension of the full concatenated feature vector."""
-        return sum(self.dims)
-
-    def group_slice(self, j: int) -> slice:
-        """Column slice of group j (1-based) inside the concatenation."""
-        self._check_group(j)
-        start = sum(self.dims[: j - 1])
-        return slice(start, start + self.dims[j - 1])
 
     def _check_group(self, j: int) -> None:
         if not 1 <= j <= self.p:
@@ -142,7 +127,7 @@ class FeatureAtlas:
         return arr, batched
 
     def _table(self, points: np.ndarray) -> np.ndarray:
-        """Full feature matrix, shape (n, total_dim)."""
+        """Full feature matrix, shape (n, p)."""
         if self.family is BasisFamily.COSINE_1D:
             freqs = np.arange(1, self.p + 1)
             return np.cos(np.pi * points[:, :1] * freqs)
@@ -155,12 +140,12 @@ class FeatureAtlas:
         )
 
     def feature(self, j: int, x) -> np.ndarray:
-        """Evaluate group j at a single point; returns a (d_j,) vector."""
+        """Evaluate group j at a single point; returns a (1,) vector."""
         self._check_group(j)
         points, _ = self._as_points(x)
         if points.shape[0] != 1:
             raise ValueError("feature() takes a single point; use concat_many")
-        return self._table(points)[0, self.group_slice(j)].copy()
+        return self._table(points)[0, j - 1 : j].copy()
 
     def concat(self, x) -> np.ndarray:
         """Concatenated features (phi_1(x), ..., phi_p(x)) at a single point."""
@@ -170,7 +155,7 @@ class FeatureAtlas:
         return self._table(points)[0].copy()
 
     def concat_many(self, X) -> np.ndarray:
-        """Concatenated features for a batch of points, shape (n, total_dim).
+        """Concatenated features for a batch of points, shape (n, p).
 
         A flat array is read as a batch of scalar inputs when dim_in == 1 and
         as a single point otherwise.
@@ -220,17 +205,6 @@ class KernelEstimate:
         return None if self.is_empty else 1.0 / len(self.selected)
 
 
-def selected_columns(atlas: FeatureAtlas, estimate: KernelEstimate) -> np.ndarray:
-    """0-based concatenation columns covered by the estimate's groups."""
-    if estimate.p != atlas.p:
-        raise ValueError("estimate and atlas disagree on the number of groups")
-    cols: list[int] = []
-    for j in estimate.selected:
-        sl = atlas.group_slice(j)
-        cols.extend(range(sl.start, sl.stop))
-    return np.asarray(cols, dtype=np.intp)
-
-
 def selected_features(
     atlas: FeatureAtlas,
     estimate: KernelEstimate,
@@ -246,7 +220,9 @@ def selected_features(
     """
     if estimate.is_empty:
         raise EmptyKernelError("kernel estimate selects no groups")
-    table = atlas.concat_many(X)[:, selected_columns(atlas, estimate)]
+    if estimate.p != atlas.p:
+        raise ValueError("estimate and atlas disagree on the number of groups")
+    table = atlas.concat_many(X)[:, np.asarray(estimate.selected, dtype=np.intp) - 1]
     if scaled:
         table = table * math.sqrt(estimate.weight)
     return table

@@ -4,8 +4,14 @@ Each client fits a single-task group lasso on its own exploration data and
 uploads nothing but the surviving group indices. The server keeps per-index
 counters and selects the indices endorsed by at least a fraction alpha of
 the clients seen so far. The counter merge is commutative, so vote order
-never matters, and the aggregation functions accept votes and ledgers only:
-raw observations cannot cross the client boundary by construction.
+never matters, and the ledger accepts votes only: raw observations cannot
+cross the client boundary by construction.
+
+``run_federated`` runs the shared task loop of :mod:`.lifelong` with a
+kernel callback: each client's forced draws are fitted into a vote, the
+vote goes into the ledger, and the server set after it (or the full kernel
+when the set is empty) is the kernel of that client's agent, which is fed
+the forced draws before it selects.
 """
 
 from __future__ import annotations
@@ -16,14 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import FeatureAtlas, KernelEstimate
-from .lifelong import (
-    ExplorationSchedule,
-    LifelongRunRecord,
-    ScheduleMode,
-    TaskRecord,
-    default_solver_factory,
-)
-from .seeding import STREAM_EXPLORE, substream
+from .lifelong import LifelongRunRecord, ScheduleMode, _run_tasks
 from .selection import design_from_tasks, learn_kernel
 
 
@@ -83,10 +82,6 @@ class VoteLedger:
         return tuple(int(j) + 1 for j in np.flatnonzero(keep))
 
 
-def server_vote(ledger: VoteLedger) -> tuple[int, ...]:
-    return ledger.selected()
-
-
 def client_fit(
     atlas: FeatureAtlas,
     X,
@@ -140,81 +135,39 @@ def run_federated(
 
     Every client explores for the constant integerized sqrt(n) prefix, fits
     its own data, and votes. The server set after the client's own vote
-    determines the kernel for that same client's exploitation phase, with
-    the buffered exploration observations replayed into the fresh agent so
-    the posterior sees the full task history.
+    determines the kernel for that same client's exploitation phase, and
+    the fresh agent sees the exploration observations first, so the
+    posterior holds the full task history.
     """
-    if not 1 <= m <= env.m:
-        raise ConfigError("environment has too few tasks")
-    make_agent = solver_factory if solver_factory is not None else default_solver_factory()
     atlas = env.atlas
-    grid = env.grid
-    schedule = ExplorationSchedule.build(ScheduleMode.CONSTANT, n, m)
     ledger = VoteLedger(atlas.p, alpha)
     record = FederatedRunRecord(seed=seed, config_digest=config_digest)
-    for s in range(1, m + 1):
-        view = env.task_view(s)
-        rng = substream(seed, STREAM_EXPLORE, s)
-        explore_count = min(int(schedule.counts[s - 1]), n)
-        drawn = [int(rng.integers(env.grid_size)) for _ in range(explore_count)]
-        drawn_y = [view.observe(idx) for idx in drawn]
-        if explore_count:
-            vote = client_fit(
-                atlas,
-                grid[drawn],
-                drawn_y,
-                lam,
-                omega,
-                client=s,
-                tol=solver_tol,
-                max_iter=solver_max_iter,
-            )
-        else:
-            vote = ClientVote(client=s, indices=(), explore_count=0)
+
+    def vote_kernel(s: int, drawn: list[int], drawn_y: list[float]) -> KernelEstimate:
+        vote = client_fit(
+            atlas,
+            env.grid[drawn],
+            drawn_y,
+            lam,
+            omega,
+            client=s,
+            tol=solver_tol,
+            max_iter=solver_max_iter,
+        )
         if vote.failed:
             record.events.append((s, "solver"))
         ledger.add(vote)
-        selected = server_vote(ledger)
-        if selected:
-            estimate = KernelEstimate(p=atlas.p, selected=selected)
-        else:
-            estimate = KernelEstimate.full(atlas.p)
-            record.events.append((s, "fallback"))
-        agent = make_agent(atlas, estimate)
-        actions = np.empty(n, dtype=int)
-        rewards = np.empty(n)
-        regrets = np.empty(n)
-        explored = np.zeros(n, dtype=bool)
-        for i, (idx, y) in enumerate(zip(drawn, drawn_y)):
-            agent.observe(idx, y, grid)
-            actions[i] = idx
-            rewards[i] = y
-            regrets[i] = view.regret(idx)
-            explored[i] = True
-        for i in range(explore_count, n):
-            idx = agent.select(grid)
-            y = view.observe(idx)
-            agent.observe(idx, y, grid)
-            actions[i] = idx
-            rewards[i] = y
-            regrets[i] = view.regret(idx)
-        record.max_gain_slack = max(record.max_gain_slack, agent.max_gain_slack)
-        recovered = None
-        if env.support is not None:
-            recovered = estimate.selected == env.support
-        record.tasks.append(
-            TaskRecord(
-                task=s,
-                kernel=estimate.selected,
-                explore_count=explore_count,
-                actions=actions,
-                rewards=rewards,
-                regrets=regrets,
-                explored=explored,
-                recovered=recovered,
-            )
-        )
+        selected = ledger.selected()
         record.votes.append(vote)
         record.server_sets.append(selected)
+        if selected:
+            return KernelEstimate(p=atlas.p, selected=selected)
+        record.events.append((s, "fallback"))
+        return KernelEstimate.full(atlas.p)
+
+    _run_tasks(
+        env, m, n, ScheduleMode.CONSTANT, record, vote_kernel,
+        seed=seed, solver_factory=solver_factory,
+    )
     record.final_kernel = record.tasks[-1].kernel
     return record

@@ -54,12 +54,11 @@ The realized information gain is checked against the closed-form cap
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyKernelError
-from .features import FeatureAtlas, KernelEstimate, selected_columns, selected_features
+from .features import FeatureAtlas, KernelEstimate, selected_features
 
 INFO_GAIN_SLACK = 1e-9
 _INFO_GAIN_HARD = 1e-6
@@ -69,28 +68,18 @@ _INFO_GAIN_HARD = 1e-6
 class UcbConfig:
     """Acquisition hyperparameters.
 
-    ``nu`` is the constant exploration coefficient; ``nu_schedule`` optionally
-    overrides it per step (called with the 1-based step about to be selected).
-    ``lam`` is the observation regularizer. ``grid_points`` is the candidate
-    resolution per axis for harness-built grids; None defers to the
-    environment default.
+    ``nu`` is the constant exploration coefficient and ``lam`` the
+    observation regularizer.
     """
 
     nu: float = 10.0
     lam: float = 0.1
-    grid_points: int | None = None
-    nu_schedule: Callable[[int], float] | None = None
 
     def __post_init__(self) -> None:
         if self.nu < 0:
             raise ValueError("exploration coefficient must be nonnegative")
         if self.lam <= 0:
             raise ValueError("regularizer must be positive")
-        if self.grid_points is not None and self.grid_points < 2:
-            raise ValueError("grid resolution must be at least 2")
-
-    def nu_at(self, step: int) -> float:
-        return float(self.nu_schedule(step)) if self.nu_schedule else self.nu
 
 
 class PosteriorState:
@@ -201,7 +190,7 @@ class GpUcb:
         self.atlas = atlas
         self.estimate = estimate
         self.config = config
-        self.state = PosteriorState(len(selected_columns(atlas, estimate)), config.lam)
+        self.state = PosteriorState(estimate.size, config.lam)
         self.max_gain_slack = -np.inf
         self._grid: np.ndarray | None = None
         self._grid_features: np.ndarray | None = None
@@ -226,8 +215,7 @@ class GpUcb:
         mu, var = self.posterior(candidates)
         if mu.shape[0] == 0:
             raise ValueError("candidate set is empty")
-        nu = self.config.nu_at(self.state.count + 1)
-        return int(np.argmax(mu + nu * np.sqrt(var)))
+        return int(np.argmax(mu + self.config.nu * np.sqrt(var)))
 
     def observe(self, index: int, y: float, candidates: np.ndarray) -> None:
         """Fold in the reward observed at candidate ``index``."""

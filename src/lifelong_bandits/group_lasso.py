@@ -1,32 +1,30 @@
 """Pooled multi-task group lasso.
 
-Data from m tasks share one feature dictionary of p groups. With per-task
-design blocks Phi_s (n_s rows) and rewards y_s, the pooled objective over
-coefficients beta = (beta_1, ..., beta_m) is
+Data from m tasks share one feature dictionary of p scalar groups. With
+per-task design blocks Phi_s (n_s rows, p columns) and rewards y_s, the
+pooled objective over the (m, p) coefficient matrix B is
 
-    (1/N) * sum_s ||y_s - Phi_s beta_s||^2
-        + lam * sum_j sqrt( sum_s ||beta_s^(j)||^2 ),          N = sum_s n_s,
+    (1/N) * sum_s ||y_s - Phi_s B[s]||^2 + lam * sum_j ||B[:, j]||,
+                                                            N = sum_s n_s,
 
-so each penalty group gathers coordinate block j across every task. The
+so each penalty group gathers coordinate j across every task. The
 conceptual design matrix is block-diagonal in the tasks; it is never
-materialized. The solver works on the per-task Gram stack G (m, d, d) and
-crossterms C (m, d).
+materialized. The solver works on the per-task Gram stack G (m, p, p) and
+crossterms C (m, p).
 
 The solver is an accelerated proximal-gradient iteration with a monotone
-acceptance step and momentum restart on rejection. It requires scalar groups
-(d_j = 1, as in every feature atlas), so the coefficients are an (m, p)
-matrix B, each penalty group is one column, and the prox shrinks column
-norms. Each iterate carries its product G·B: the gradient is
-(2/N)(G·B - C), the objective is
+acceptance step and momentum restart on rejection. Each penalty group is
+one column of B, so the prox shrinks column norms. Each iterate carries its
+product G·B: the gradient is (2/N)(G·B - C), the objective is
 
     (sum B∘(G·B) - 2 sum C∘B + ||y||^2) / N + lam * sum_j ||B[:, j]||,
 
 and the momentum point's product follows from the carried ones by
 linearity. One batched matmul per iteration is the only product, with a
 second one when a rejected step restarts the momentum. The fit stops when the
-prox-gradient mapping norm falls below ``tol``. ``kkt_residuals`` provides an
-optimality certificate computed from raw residuals, independent of the solver
-path.
+prox-gradient mapping norm, checked every ``CHECK_EVERY`` iterations, falls
+below ``tol``. ``kkt_residuals`` provides an optimality certificate computed
+from raw residuals, independent of the solver path.
 """
 
 from __future__ import annotations
@@ -36,41 +34,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _group_starts(dims: tuple[int, ...]) -> np.ndarray:
-    return np.concatenate(([0], np.cumsum(dims)[:-1])).astype(np.intp)
+CHECK_EVERY = 10  # iterations between convergence checks
 
 
 class PooledDesign:
-    """Per-task design blocks and rewards sharing one group structure.
+    """Per-task design blocks and rewards over one set of p scalar groups.
 
     Parameters
     ----------
     features : sequence of ndarray
-        One (n_s, d) matrix per task; n_s = 0 is allowed (an empty task
-        contributes nothing to the loss but still owns coefficients).
+        One (n_s, p) matrix per task, all with the same p columns;
+        n_s = 0 is allowed (an empty task contributes nothing to the loss
+        but still owns coefficients).
     rewards : sequence of ndarray
         One (n_s,) vector per task.
-    dims : sequence of int
-        Per-group feature dimensions; sum(dims) must equal d.
     """
 
-    def __init__(self, features, rewards, dims) -> None:
+    def __init__(self, features, rewards) -> None:
         if len(features) != len(rewards):
             raise ValueError("need one reward vector per design block")
         if len(features) == 0:
             raise ValueError("need at least one task")
-        self.dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in self.dims):
-            raise ValueError("group dimensions must be positive")
-        d = sum(self.dims)
         self.features = []
         self.rewards = []
         for k, (phi, y) in enumerate(zip(features, rewards)):
             phi = np.asarray(phi, dtype=float)
             y = np.asarray(y, dtype=float).reshape(-1)
-            if phi.ndim != 2 or phi.shape[1] != d:
-                raise ValueError(f"task {k + 1}: design block must be (n_s, {d})")
+            if phi.ndim != 2 or (self.features and phi.shape[1] != self.p):
+                raise ValueError(f"task {k + 1}: design block must be (n_s, p), p as in task 1")
             if phi.shape[0] != y.shape[0]:
                 raise ValueError(f"task {k + 1}: rows and rewards disagree")
             if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
@@ -87,24 +78,19 @@ class PooledDesign:
 
     @property
     def p(self) -> int:
-        """Number of penalty groups."""
-        return len(self.dims)
-
-    @property
-    def d(self) -> int:
-        """Per-task coefficient dimension."""
-        return sum(self.dims)
+        """Number of penalty groups, one feature column each."""
+        return self.features[0].shape[1]
 
     @property
     def total_rows(self) -> int:
         return sum(phi.shape[0] for phi in self.features)
 
     def grams(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Batched per-task Gram data: (m,d,d) matrices, (m,d) crossterms,
+        """Batched per-task Gram data: (m,p,p) matrices, (m,p) crossterms,
         and the total squared reward norm."""
-        m, d = self.m, self.d
-        G = np.empty((m, d, d))
-        C = np.empty((m, d))
+        m, p = self.m, self.p
+        G = np.empty((m, p, p))
+        C = np.empty((m, p))
         y_sq = 0.0
         for s in range(m):
             phi, y = self.features[s], self.rewards[s]
@@ -115,25 +101,21 @@ class PooledDesign:
 
 
 class GroupCoefficients:
-    """Coefficients for m tasks over a shared group structure.
+    """Coefficients for m tasks over p scalar groups.
 
-    Stored as an (m, d) matrix; row s holds task s's coefficients, and the
-    columns split into p group slices. ``values`` flattens task-major, i.e.
-    task 1's full coefficient block first. Task and group accessors are
-    1-based, matching the math convention used throughout.
+    Stored as an (m, p) matrix: row s - 1 holds task s's coefficients and
+    column j - 1 is group j across the tasks.
     """
 
-    def __init__(self, matrix, dims) -> None:
-        self.dims = tuple(int(d) for d in dims)
+    def __init__(self, matrix) -> None:
         mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[1] != sum(self.dims):
-            raise ValueError(f"matrix must be (m, {sum(self.dims)})")
+        if mat.ndim != 2:
+            raise ValueError("matrix must be (m, p)")
         self.matrix = mat
-        self._starts = _group_starts(self.dims)
 
     @classmethod
-    def zeros(cls, m: int, dims) -> "GroupCoefficients":
-        return cls(np.zeros((m, sum(dims))), dims)
+    def zeros(cls, m: int, p: int) -> "GroupCoefficients":
+        return cls(np.zeros((m, p)))
 
     @property
     def m(self) -> int:
@@ -141,43 +123,18 @@ class GroupCoefficients:
 
     @property
     def p(self) -> int:
-        return len(self.dims)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Flat vector of length m*d with per-task blocks in task order."""
-        return self.matrix.ravel().copy()
-
-    def _slice(self, j: int) -> slice:
-        if not 1 <= j <= self.p:
-            raise IndexError(f"group index {j} outside 1..{self.p}")
-        start = self._starts[j - 1]
-        return slice(start, start + self.dims[j - 1])
-
-    def block(self, s: int, j: int) -> np.ndarray:
-        """Task s's coefficients for group j, shape (d_j,). 1-based."""
-        if not 1 <= s <= self.m:
-            raise IndexError(f"task index {s} outside 1..{self.m}")
-        return self.matrix[s - 1, self._slice(j)].copy()
-
-    def group(self, j: int) -> np.ndarray:
-        """Group j's cross-task block flattened to (m * d_j,). 1-based."""
-        return self.matrix[:, self._slice(j)].ravel().copy()
-
-    def group_norm(self, j: int) -> float:
-        return float(np.linalg.norm(self.matrix[:, self._slice(j)]))
+        return self.matrix.shape[1]
 
     def group_norms(self) -> np.ndarray:
         """All p cross-task group norms."""
-        sq = np.add.reduceat((self.matrix**2).sum(axis=0), self._starts)
-        return np.sqrt(sq)
+        return np.sqrt((self.matrix**2).sum(axis=0))
 
 
 @dataclass
 class SolverReport:
     """What the group-lasso fit did.
 
-    ``objective_history`` is subsampled at the convergence-check cadence and
+    ``objective_history`` is subsampled every ``CHECK_EVERY`` iterations and
     is non-increasing by construction of the monotone acceptance step (up to
     1e-10 float noise).
     """
@@ -193,7 +150,7 @@ class SolverReport:
 
 def pooled_loss(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> float:
     """Pooled objective: mean squared residual plus the group penalty."""
-    if coeffs.m != design.m or coeffs.dims != design.dims:
+    if coeffs.matrix.shape != (design.m, design.p):
         raise ValueError("coefficients do not match the design")
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
@@ -220,7 +177,6 @@ def fit_group_lasso(
     tol: float = 1e-8,
     max_iter: int = 50_000,
     x0: GroupCoefficients | None = None,
-    check_every: int = 10,
 ) -> tuple[GroupCoefficients, SolverReport]:
     """Minimize the pooled group-lasso objective.
 
@@ -228,8 +184,7 @@ def fit_group_lasso(
     and momentum restart. L is the largest per-task spectral norm of
     (2/N) Phi_s^T Phi_s. Stops when the prox-gradient mapping norm at the
     current iterate is <= ``tol``; on hitting ``max_iter`` first, returns with
-    ``converged=False`` rather than raising. Every group must be scalar
-    (d_j = 1); other group dimensions raise ``ValueError``.
+    ``converged=False`` rather than raising.
 
     Returns
     -------
@@ -239,9 +194,7 @@ def fit_group_lasso(
         raise ValueError("penalty weight must be nonnegative")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if any(d != 1 for d in design.dims):
-        raise ValueError("the solver requires every group dimension to be 1")
-    if x0 is not None and (x0.m != design.m or x0.dims != design.dims):
+    if x0 is not None and x0.matrix.shape != (design.m, design.p):
         raise ValueError("warm start does not match the design")
     m, p, N = design.m, design.p, design.total_rows
     G, C, y_sq = design.grams()
@@ -298,7 +251,7 @@ def fit_group_lasso(
                 gz = gram_times(z)
                 y_pt, gy = z, gz
                 x, gx, f_x, t = z, gz, objective(z, gz), 1.0
-            if k % check_every == 0 or k == max_iter:
+            if k % CHECK_EVERY == 0 or k == max_iter:
                 history.append(f_x)
                 gap = map_norm_at(x, gx)
                 if gap <= tol:
@@ -314,7 +267,7 @@ def fit_group_lasso(
         lipschitz=lips,
         objective_history=np.asarray(history),
     )
-    return GroupCoefficients(x, design.dims), report
+    return GroupCoefficients(x), report
 
 
 def kkt_residuals(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> np.ndarray:
@@ -326,19 +279,17 @@ def kkt_residuals(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -
     residual is zero. Gradients are recomputed from raw residuals so the
     certificate shares no state with the solver.
     """
-    if coeffs.m != design.m or coeffs.dims != design.dims:
+    if coeffs.matrix.shape != (design.m, design.p):
         raise ValueError("coefficients do not match the design")
     N = design.total_rows
     grad_rows = np.empty_like(coeffs.matrix)
     for s in range(design.m):
         phi, y = design.features[s], design.rewards[s]
         grad_rows[s] = (2.0 / N) * (phi.T @ (phi @ coeffs.matrix[s] - y))
-    starts = _group_starts(design.dims)
     out = np.empty(design.p)
     for j in range(design.p):
-        sl = slice(starts[j], starts[j] + design.dims[j])
-        g = grad_rows[:, sl].ravel()
-        b = coeffs.matrix[:, sl].ravel()
+        g = grad_rows[:, j]
+        b = coeffs.matrix[:, j]
         nb = np.linalg.norm(b)
         if nb > 0:
             out[j] = np.linalg.norm(g + lam * b / nb)

@@ -25,6 +25,9 @@ from .features import BasisFamily
 from .federated import FederatedRunRecord, run_federated
 from .gp_ucb import UcbConfig
 from .lifelong import (
+    BASELINE_KERNELS,
+    LAM_POLICIES,
+    META_DATA,
     LifelongRunRecord,
     ScheduleMode,
     default_solver_factory,
@@ -150,16 +153,26 @@ class ExperimentConfig:
             raise ConfigError("m=0 (all tasks) only applies with a table")
         BasisFamily(self.family)
         ScheduleMode(self.schedule)
-        if self.lam_policy not in ("constant", "inv_sqrt", "theory"):
+        if self.lam_policy not in LAM_POLICIES:
             raise ConfigError(f"unknown lam policy: {self.lam_policy!r}")
-        if self.meta_data not in ("exploration", "all"):
+        if self.meta_data not in META_DATA:
             raise ConfigError(f"unknown meta data policy: {self.meta_data!r}")
-        if self.baseline_kernel not in ("oracle", "full"):
+        if self.baseline_kernel not in BASELINE_KERNELS:
             raise ConfigError(f"unknown baseline kernel: {self.baseline_kernel!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
         if self.kind == "offline" and not self.m_values:
             raise ConfigError("offline experiments need at least one m value")
+        if self.omega < 0:
+            raise ConfigError("omega must be nonnegative")
+        if self.solver_tol <= 0:
+            raise ConfigError("solver_tol must be positive")
+        if self.grid < 0 or self.grid == 1:
+            raise ConfigError("grid must be 0 (the family default) or at least 2")
+        # the validators of the objects each seed builds, run once up front
+        UcbConfig(nu=self.nu, lam=self.lam_ucb)
+        if self.kind == "offline" or not self.table:
+            _synthetic_spec(self)
 
     def serialize(self) -> str:
         lines = []

@@ -1,11 +1,21 @@
 """Sequential bandit tasks with kernel learning between tasks.
 
-Each task runs a UCB agent for n steps. The first few steps of a task are
-forced uniform draws from the candidate grid; those observations accumulate
-into a pooled exploration dataset. After a task finishes, the group lasso
-runs on the pool and the resulting kernel estimate is handed to the next
-task's agent. Baselines run the same loop with a pinned kernel and no
-forced exploration.
+Every runner shares one task loop. For task s it draws the forced prefix,
+uniform over the candidate grid from the task's exploration substream, and
+observes it; asks a kernel callback which estimate to run under; builds the
+agent, feeds it the prefix and lets it select for the rest of the horizon;
+then records the task and calls an after-task hook. The runners differ only
+in where the kernel comes from:
+
+``run_lifelong``
+    a pooled group-lasso fit over the tasks so far, warm-started from the
+    previous fit, run in the after-task hook for the next task;
+``run_baseline``
+    a pinned kernel (the true support or every group), with no forced draws;
+``run_federated`` (in :mod:`.federated`)
+    the task's own fit turned into a vote, and the server set of the vote
+    ledger, in the kernel callback, so the prefix is observed before the
+    kernel is known.
 
 Exploration counts follow a residue-carrying integerization of the real
 rates, so the realized counts track the prescribed totals within one draw
@@ -27,11 +37,14 @@ from .group_lasso import GroupCoefficients
 from .seeding import STREAM_EXPLORE, substream
 from .selection import design_diagnostics, design_from_tasks, learn_kernel
 
+LAM_POLICIES = ("constant", "inv_sqrt", "theory")
+META_DATA = ("exploration", "all")
+BASELINE_KERNELS = ("oracle", "full")
+
 
 class ScheduleMode(str, Enum):
     DECREASING = "decreasing"
     CONSTANT = "constant"
-    CUSTOM = "custom"
 
 
 def schedule_rates(n: int, m: int, mode: ScheduleMode) -> np.ndarray:
@@ -45,9 +58,7 @@ def schedule_rates(n: int, m: int, mode: ScheduleMode) -> np.ndarray:
     s = np.arange(1, m + 1, dtype=float)
     if mode is ScheduleMode.DECREASING:
         return math.sqrt(n) / s**0.25
-    if mode is ScheduleMode.CONSTANT:
-        return np.full(m, math.sqrt(n))
-    raise ValueError("custom schedules carry their own rates")
+    return np.full(m, math.sqrt(n))
 
 
 def integerize(rates) -> np.ndarray:
@@ -83,13 +94,6 @@ class ExplorationSchedule:
         rates = schedule_rates(n, m, mode)
         counts = np.minimum(integerize(rates), n)
         return cls(ScheduleMode(mode), rates, counts, float(rates.sum() - counts.sum()))
-
-    @classmethod
-    def custom(cls, rates, n: int) -> "ExplorationSchedule":
-        rates = np.asarray(rates, dtype=float)
-        counts = np.minimum(integerize(rates), n)
-        return cls(ScheduleMode.CUSTOM, rates, counts, float(rates.sum() - counts.sum()))
-
 
 
 @dataclass
@@ -148,33 +152,62 @@ def default_solver_factory(config: UcbConfig | None = None):
     return make
 
 
-def _run_one_task(env, view, agent, explore_count, explore_rng, n):
-    actions = np.empty(n, dtype=int)
-    rewards = np.empty(n)
-    regrets = np.empty(n)
-    explored = np.zeros(n, dtype=bool)
+def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, solver_factory, after_task=None):
+    """The task loop every runner shares; appends one TaskRecord per task.
+
+    ``mode`` sets the forced-draw counts (None: no forced draws).
+    ``kernel_for(s, drawn, drawn_y)`` gets the task's forced grid indices and
+    their rewards and returns the estimate to run under; ``after_task`` gets
+    each finished TaskRecord.
+    """
+    if not 1 <= m <= env.m:
+        raise ConfigError("environment has too few tasks")
+    counts = [0] * m if mode is None else ExplorationSchedule.build(mode, n, m).counts.tolist()
+    make_agent = solver_factory if solver_factory is not None else default_solver_factory()
     grid = env.grid
-    for i in range(n):
-        if i < explore_count:
-            idx = int(explore_rng.integers(env.grid_size))
-            explored[i] = True
-        else:
-            idx = agent.select(grid)
-        y = view.observe(idx)
-        agent.observe(idx, y, grid)
-        actions[i] = idx
-        rewards[i] = y
-        regrets[i] = view.regret(idx)
-    return actions, rewards, regrets, explored
+    for s, explore_count in enumerate(counts, start=1):
+        view = env.task_view(s)
+        rng = substream(seed, STREAM_EXPLORE, s)
+        drawn = [int(rng.integers(env.grid_size)) for _ in range(explore_count)]
+        drawn_y = [view.observe(idx) for idx in drawn]
+        estimate = kernel_for(s, drawn, drawn_y)
+        agent = make_agent(env.atlas, estimate)
+        actions = np.empty(n, dtype=int)
+        rewards = np.empty(n)
+        regrets = np.empty(n)
+        explored = np.zeros(n, dtype=bool)
+        explored[:explore_count] = True
+        for i in range(n):
+            if i < explore_count:
+                idx, y = drawn[i], drawn_y[i]
+            else:
+                idx = agent.select(grid)
+                y = view.observe(idx)
+            agent.observe(idx, y, grid)
+            actions[i] = idx
+            rewards[i] = y
+            regrets[i] = view.regret(idx)
+        record.max_gain_slack = max(record.max_gain_slack, agent.max_gain_slack)
+        task = TaskRecord(
+            task=s,
+            kernel=estimate.selected,
+            explore_count=explore_count,
+            actions=actions,
+            rewards=rewards,
+            regrets=regrets,
+            explored=explored,
+            recovered=None if env.support is None else estimate.selected == env.support,
+        )
+        record.tasks.append(task)
+        if after_task is not None:
+            after_task(task)
 
 
-def _padded_warm_start(coeffs: GroupCoefficients | None, m: int, dims):
+def _padded_warm_start(coeffs: GroupCoefficients | None, m: int):
     """Previous pooled fit, extended with a zero row for the newest task."""
     if coeffs is None or coeffs.matrix.shape[0] + 1 != m:
         return None
-    return GroupCoefficients(
-        np.vstack([coeffs.matrix, np.zeros(coeffs.matrix.shape[1])]), dims
-    )
+    return GroupCoefficients(np.vstack([coeffs.matrix, np.zeros(coeffs.matrix.shape[1])]))
 
 
 def theory_lambda(
@@ -227,48 +260,25 @@ def run_lifelong(
     ``meta_data`` chooses what the fit sees: "exploration" pools only the
     forced draws, "all" pools every observation.
     """
-    if lam_policy not in ("constant", "inv_sqrt", "theory"):
+    if lam_policy not in LAM_POLICIES:
         raise ConfigError(f"unknown lam policy: {lam_policy!r}")
-    if meta_data not in ("exploration", "all"):
+    if meta_data not in META_DATA:
         raise ConfigError(f"unknown meta data policy: {meta_data!r}")
-    if not 1 <= m <= env.m:
-        raise ConfigError("environment has too few tasks")
-    make_agent = solver_factory if solver_factory is not None else default_solver_factory()
     atlas = env.atlas
-    schedule = ExplorationSchedule.build(schedule_mode, n, m)
     record = LifelongRunRecord(seed=seed, config_digest=config_digest)
     estimate = KernelEstimate.full(atlas.p)
     pool: list[tuple[np.ndarray, np.ndarray]] = []
     warm: GroupCoefficients | None = None
-    for s in range(1, m + 1):
-        view = env.task_view(s)
-        agent = make_agent(atlas, estimate)
-        explore_count = int(schedule.counts[s - 1])
-        actions, rewards, regrets, explored = _run_one_task(
-            env, view, agent, explore_count, substream(seed, STREAM_EXPLORE, s), n
-        )
-        record.max_gain_slack = max(record.max_gain_slack, agent.max_gain_slack)
-        recovered = None
-        if env.support is not None:
-            recovered = estimate.selected == env.support
-        record.tasks.append(
-            TaskRecord(
-                task=s,
-                kernel=estimate.selected,
-                explore_count=explore_count,
-                actions=actions,
-                rewards=rewards,
-                regrets=regrets,
-                explored=explored,
-                recovered=recovered,
-            )
-        )
-        keep = slice(None) if meta_data == "all" else explored
-        pool.append((env.grid[actions[keep]], rewards[keep]))
+
+    def update(task: TaskRecord) -> None:
+        nonlocal estimate, warm
+        s = task.task
+        keep = slice(None) if meta_data == "all" else task.explored
+        pool.append((env.grid[task.actions[keep]], task.rewards[keep]))
         if sum(len(y) for _, y in pool) == 0:
             record.events.append((s, "empty"))
             estimate = KernelEstimate.full(atlas.p)
-            continue
+            return
         design = design_from_tasks(atlas, pool)
         if lam_policy == "constant":
             lam_s = lam
@@ -289,16 +299,21 @@ def run_lifelong(
             lam_s,
             tol=solver_tol,
             max_iter=solver_max_iter,
-            x0=_padded_warm_start(warm, len(pool), atlas.dims),
+            x0=_padded_warm_start(warm, len(pool)),
         )
         if not outcome.report.converged:
             record.events.append((s, "solver"))
             warm = None
-            continue
+            return
         warm = outcome.coeffs
         if outcome.fallback:
             record.events.append((s, "fallback"))
         estimate = outcome.estimate
+
+    _run_tasks(
+        env, m, n, schedule_mode, record, lambda *_: estimate,
+        seed=seed, solver_factory=solver_factory, after_task=update,
+    )
     record.final_kernel = estimate.selected
     return record
 
@@ -314,39 +329,18 @@ def run_baseline(
     config_digest: str = "",
 ) -> LifelongRunRecord:
     """Run m tasks under a pinned kernel: the true support or the full set."""
-    if kernel == "oracle":
-        if env.support is None:
-            raise ConfigError("environment does not expose a true support")
-        estimate = KernelEstimate(p=env.atlas.p, selected=env.support)
-    elif kernel == "full":
-        estimate = KernelEstimate.full(env.atlas.p)
-    else:
+    if kernel not in BASELINE_KERNELS:
         raise ConfigError(f"unknown baseline kernel: {kernel!r}")
-    if not 1 <= m <= env.m:
-        raise ConfigError("environment has too few tasks")
-    make_agent = solver_factory if solver_factory is not None else default_solver_factory()
+    if kernel == "full":
+        estimate = KernelEstimate.full(env.atlas.p)
+    elif env.support is None:
+        raise ConfigError("environment does not expose a true support")
+    else:
+        estimate = KernelEstimate(p=env.atlas.p, selected=env.support)
     record = LifelongRunRecord(seed=seed, config_digest=config_digest)
-    for s in range(1, m + 1):
-        view = env.task_view(s)
-        agent = make_agent(env.atlas, estimate)
-        actions, rewards, regrets, explored = _run_one_task(
-            env, view, agent, 0, substream(seed, STREAM_EXPLORE, s), n
-        )
-        record.max_gain_slack = max(record.max_gain_slack, agent.max_gain_slack)
-        recovered = None
-        if env.support is not None:
-            recovered = estimate.selected == env.support
-        record.tasks.append(
-            TaskRecord(
-                task=s,
-                kernel=estimate.selected,
-                explore_count=0,
-                actions=actions,
-                rewards=rewards,
-                regrets=regrets,
-                explored=explored,
-                recovered=recovered,
-            )
-        )
+    _run_tasks(
+        env, m, n, None, record, lambda *_: estimate,
+        seed=seed, solver_factory=solver_factory,
+    )
     record.final_kernel = estimate.selected
     return record

@@ -34,7 +34,7 @@ def design_from_tasks(atlas: FeatureAtlas, tasks) -> PooledDesign:
     """Pooled design from per-task (points, rewards) pairs under one atlas."""
     features = [atlas.concat_many(X) for X, _ in tasks]
     rewards = [np.asarray(y, dtype=float) for _, y in tasks]
-    return PooledDesign(features, rewards, atlas.dims)
+    return PooledDesign(features, rewards)
 
 
 def threshold_groups(norms: np.ndarray, m: int, omega: float) -> tuple[int, ...]:
@@ -110,8 +110,6 @@ class DesignDiagnostics:
 
 def design_diagnostics(design: PooledDesign, s_star: int) -> DesignDiagnostics:
     """Compatibility constants of the design for assumed support size s_star."""
-    if any(d != 1 for d in design.dims):
-        raise ValueError("diagnostics require every group dimension to be 1")
     if s_star < 1:
         raise ValueError("assumed support size must be positive")
     scale = design.m / design.total_rows

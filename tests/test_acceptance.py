@@ -20,7 +20,7 @@ from lifelong_bandits.environment import (
     sample_support,
 )
 from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate
-from lifelong_bandits.federated import ClientVote, VoteLedger, run_federated, server_vote
+from lifelong_bandits.federated import ClientVote, VoteLedger, run_federated
 from lifelong_bandits.gp_ucb import GpUcb, PosteriorState, UcbConfig
 from lifelong_bandits.group_lasso import (
     PooledDesign,
@@ -51,7 +51,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def _loss_on_grid(design: PooledDesign, lam: float, B: np.ndarray) -> np.ndarray:
     """Pooled objective at many coefficient vectors, task-major layout."""
-    m, d, N = design.m, design.d, design.total_rows
+    m, d, N = design.m, design.p, design.total_rows
     quad = np.zeros(B.shape[0])
     for s in range(m):
         beta_s = B[:, s * d : (s + 1) * d]
@@ -68,7 +68,7 @@ def _dense_grid_min(design: PooledDesign, lam: float) -> float:
     """Brute-force minimum over [-3,3]^(m*d) at step 2e-3; m*d <= 2 only."""
     step, bound = 2e-3, 3.0
     axis = np.arange(-bound, bound + step / 2, step)
-    md = design.m * design.d
+    md = design.m * design.p
     if md == 1:
         return float(np.min(_loss_on_grid(design, lam, axis[:, None])))
     best = np.inf
@@ -95,7 +95,7 @@ def _draw_instance(rng: np.random.Generator, m: int, p: int):
         rewards.append(phi @ beta + 0.1 * rng.standard_normal(n_s))
         features.append(phi)
     lam = float(rng.uniform(0.05, 0.6))
-    return PooledDesign(features, rewards, (1,) * p), lam
+    return PooledDesign(features, rewards), lam
 
 
 def test_criterion_1_solver_matches_dense_grid_oracle():
@@ -109,7 +109,7 @@ def test_criterion_1_solver_matches_dense_grid_oracle():
         for _ in range(50):  # redraw until the minimizer is grid-interior
             design, lam = _draw_instance(rng, m, p)
             coeffs, report = fit_group_lasso(design, lam, tol=1e-10)
-            if np.max(np.abs(coeffs.values)) < 2.5:
+            if np.max(np.abs(coeffs.matrix)) < 2.5:
                 break
         assert report.converged
         worst_kkt = max(worst_kkt, float(np.max(kkt_residuals(design, coeffs, lam))))
@@ -362,10 +362,10 @@ def test_criterion_7_vote_semantics():
     union = tuple(sorted({int(j) for v in votes for j in v}))
     inter = tuple(sorted(set(int(j) for j in votes[0]).intersection(
         *[set(int(j) for j in v) for v in votes[1:]])))
-    union_ok = server_vote(_ledger_from(votes, 8, 0.0)) == union
-    inter_ok = server_vote(_ledger_from(votes, 8, 1.0)) == inter
+    union_ok = _ledger_from(votes, 8, 0.0).selected() == union
+    inter_ok = _ledger_from(votes, 8, 1.0).selected() == inter
 
-    hand_ok = server_vote(_ledger_from([(1,), (2,), (1,), (1,)], 2, 0.5)) == (1,)
+    hand_ok = _ledger_from([(1,), (2,), (1,), (1,)], 2, 0.5).selected() == (1,)
 
     perm_ok = True
     for _ in range(1000):
@@ -373,9 +373,9 @@ def test_criterion_7_vote_semantics():
         alpha = float(rng.random())
         vs = [rng.choice(p, size=rng.integers(0, p + 1), replace=False) + 1
               for _ in range(int(rng.integers(1, 8)))]
-        base = server_vote(_ledger_from(vs, p, alpha))
+        base = _ledger_from(vs, p, alpha).selected()
         order = rng.permutation(len(vs))
-        if server_vote(_ledger_from([vs[i] for i in order], p, alpha)) != base:
+        if _ledger_from([vs[i] for i in order], p, alpha).selected() != base:
             perm_ok = False
             break
 
@@ -439,7 +439,7 @@ def test_criterion_9_environment_contracts():
     for _ in range(10_000):
         support = sample_support(spec, rng)
         beta = sample_coefficients(spec, support, atlas, rng)
-        blocks = [np.linalg.norm(beta[atlas.group_slice(j)]) for j in support]
+        blocks = [abs(beta[j - 1]) for j in support]
         min_block = min(min_block, min(blocks))
         max_norm = max(max_norm, float(np.linalg.norm(beta)))
     norms_ok = min_block >= spec.beta_min - 1e-12 and max_norm <= spec.norm_bound + 1e-9

@@ -45,7 +45,7 @@ class TestEvalFeature:
 
     def test_tensor_truncation_count(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_2D, p=50)
-        assert atlas.total_dim == 50
+        assert atlas.concat_many([[0.3, 0.7]]).shape == (1, 50)
 
     def test_out_of_domain_rejected(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)

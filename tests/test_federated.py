@@ -13,7 +13,6 @@ from lifelong_bandits.federated import (
     VoteLedger,
     client_fit,
     run_federated,
-    server_vote,
 )
 
 
@@ -22,31 +21,31 @@ class TestVoteLedger:
         ledger = VoteLedger(p=5, alpha=0.25)
         for s in range(1, 4):
             ledger.add(ClientVote(client=s, indices=(1, 2), explore_count=4))
-        assert server_vote(ledger) == (1, 2)
+        assert ledger.selected() == (1, 2)
 
     def test_majority_hand_count(self):
         ledger = VoteLedger(p=3, alpha=0.5)
         for s, vote in enumerate([(1,), (2,), (1,), (1,)], start=1):
             ledger.add(ClientVote(client=s, indices=vote, explore_count=1))
         # threshold 4 * 0.5 = 2; index 1 has 3 endorsements, index 2 has 1
-        assert server_vote(ledger) == (1,)
+        assert ledger.selected() == (1,)
 
     def test_alpha_zero_is_union(self):
         ledger = VoteLedger(p=6, alpha=0.0)
         ledger.add(ClientVote(client=1, indices=(2,), explore_count=1))
         ledger.add(ClientVote(client=2, indices=(5,), explore_count=1))
         ledger.add(ClientVote(client=3, indices=(), explore_count=1))
-        assert server_vote(ledger) == (2, 5)
+        assert ledger.selected() == (2, 5)
 
     def test_alpha_one_is_intersection(self):
         ledger = VoteLedger(p=6, alpha=1.0)
         ledger.add(ClientVote(client=1, indices=(1, 2, 3), explore_count=1))
         ledger.add(ClientVote(client=2, indices=(2, 3, 4), explore_count=1))
         ledger.add(ClientVote(client=3, indices=(2, 4, 6), explore_count=1))
-        assert server_vote(ledger) == (2,)
+        assert ledger.selected() == (2,)
 
     def test_empty_ledger_selects_nothing(self):
-        assert server_vote(VoteLedger(p=4, alpha=0.5)) == ()
+        assert VoteLedger(p=4, alpha=0.5).selected() == ()
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
@@ -65,17 +64,17 @@ class TestVoteLedger:
             for i in order:
                 ledger.add(votes[i])
             if reference is None:
-                reference = server_vote(ledger)
-            assert server_vote(ledger) == reference
+                reference = ledger.selected()
+            assert ledger.selected() == reference
 
     def test_monotone_inclusion_under_replay(self):
         rng = np.random.default_rng(1)
         ledger = VoteLedger(p=6, alpha=0.4)
         for s in range(1, 40):
             vote = tuple(rng.choice(6, size=rng.integers(0, 4), replace=False) + 1)
-            before = set(server_vote(ledger))
+            before = set(ledger.selected())
             ledger.add(ClientVote(client=s, indices=vote, explore_count=1))
-            after = set(server_vote(ledger))
+            after = set(ledger.selected())
             for j in before & set(vote):
                 assert j in after
 
@@ -130,8 +129,8 @@ class TestClientFit:
 def test_server_side_signatures_accept_no_observations():
     # the aggregation path sees votes and ledgers only; no parameter on the
     # server side takes features, rewards, or points
-    params = inspect.signature(server_vote).parameters
-    assert list(params) == ["ledger"]
+    params = inspect.signature(VoteLedger.selected).parameters
+    assert list(params) == ["self"]
     add_params = inspect.signature(VoteLedger.add).parameters
     assert list(add_params) == ["self", "vote"]
 
@@ -163,7 +162,7 @@ class TestRunFederated:
         ledger = VoteLedger(p=8, alpha=1.0)
         for s, vote in enumerate(record.votes, start=1):
             ledger.add(vote)
-            expected = server_vote(ledger)
+            expected = ledger.selected()
             assert record.server_sets[s - 1] == expected
             kernel = expected if expected else tuple(range(1, 9))
             assert record.tasks[s - 1].kernel == kernel
@@ -181,7 +180,7 @@ class TestRunFederated:
                 common = vote.indices
             assert vote.indices == common == (1, 3)
             ledger.add(vote)
-            assert server_vote(ledger) == common
+            assert ledger.selected() == common
 
     def test_determinism(self):
         a = run_federated(small_env(seed=7), m=3, n=25, omega=0.25, lam=0.1, alpha=0.25, seed=4)

@@ -22,12 +22,12 @@ from lifelong_bandits.group_lasso import (
 
 def single_task_design(phi, y):
     phi = np.asarray(phi, dtype=float)
-    return PooledDesign([phi], [y], dims=(1,) * phi.shape[1])
+    return PooledDesign([phi], [y])
 
 
 def grid_oracle_objective(design, lam, lo=-3.0, hi=3.0, step=2e-3):
     """Dense grid search over all m*d coefficients; only viable for m*d <= 2."""
-    md = design.m * design.d
+    md = design.m * design.p
     axis = np.arange(lo, hi + step / 2, step)
     if md == 1:
         grids = axis.reshape(-1, 1)
@@ -39,7 +39,7 @@ def grid_oracle_objective(design, lam, lo=-3.0, hi=3.0, step=2e-3):
     best = np.inf
     # evaluate in chunks to bound memory
     for chunk in np.array_split(grids, max(1, len(grids) // 500_000)):
-        B = chunk.reshape(len(chunk), design.m, design.d)
+        B = chunk.reshape(len(chunk), design.m, design.p)
         rss = np.zeros(len(chunk))
         for s in range(design.m):
             resid = B[:, s, :] @ design.features[s].T - design.rewards[s]
@@ -57,7 +57,7 @@ class TestPooledLoss:
         phi = rng.normal(size=(6, 3))
         y = rng.normal(size=6)
         design = single_task_design(phi, y)
-        beta = GroupCoefficients.zeros(1, design.dims)
+        beta = GroupCoefficients.zeros(1, design.p)
         assert pooled_loss(design, beta, 0.7) == pytest.approx(float(y @ y) / 6)
 
     def test_least_squares_zeroes_residual(self):
@@ -65,18 +65,18 @@ class TestPooledLoss:
         phi = rng.normal(size=(3, 3)) + np.eye(3) * 2
         beta_ls = rng.normal(size=3)
         design = single_task_design(phi, phi @ beta_ls)
-        coeffs = GroupCoefficients(beta_ls.reshape(1, -1), design.dims)
+        coeffs = GroupCoefficients(beta_ls.reshape(1, -1))
         assert pooled_loss(design, coeffs, 0.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_single_point_hand_value(self):
         # (1/1)(2 - 1)^2 + 0.5 * 1 = 1.5
         design = single_task_design(np.array([[1.0]]), np.array([2.0]))
-        coeffs = GroupCoefficients(np.array([[1.0]]), (1,))
+        coeffs = GroupCoefficients(np.array([[1.0]]))
         assert pooled_loss(design, coeffs, 0.5) == pytest.approx(1.5)
 
     def test_dimension_mismatch_rejected(self):
         design = single_task_design(np.array([[1.0, 0.0]]), np.array([2.0]))
-        wrong = GroupCoefficients(np.array([[1.0]]), (1,))
+        wrong = GroupCoefficients(np.array([[1.0]]))
         with pytest.raises(ValueError):
             pooled_loss(design, wrong, 0.1)
 
@@ -84,36 +84,27 @@ class TestPooledLoss:
 class TestPooledDesign:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PooledDesign([np.ones((3, 2))], [np.ones(2)], dims=(1, 1))
+            PooledDesign([np.ones((3, 2))], [np.ones(2)])
 
     def test_nan_rejected(self):
         bad = np.array([[1.0], [np.nan]])
         with pytest.raises(ValueError):
-            PooledDesign([bad], [np.ones(2)], dims=(1,))
+            PooledDesign([bad], [np.ones(2)])
+
+    def test_column_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            PooledDesign([np.ones((2, 3)), np.ones((2, 2))], [np.ones(2), np.ones(2)])
 
     def test_empty_task_allowed(self):
-        design = PooledDesign(
-            [np.ones((2, 1)), np.empty((0, 1))], [np.ones(2), np.empty(0)], dims=(1,)
-        )
+        design = PooledDesign([np.ones((2, 1)), np.empty((0, 1))], [np.ones(2), np.empty(0)])
         assert design.total_rows == 2
         assert design.m == 2
 
 
 class TestGroupCoefficients:
-    def test_block_layout_round_trip(self):
-        mat = np.arange(12.0).reshape(3, 4)
-        coeffs = GroupCoefficients(mat, dims=(2, 1, 1))
-        np.testing.assert_array_equal(coeffs.block(2, 1), [4.0, 5.0])
-        np.testing.assert_array_equal(coeffs.block(3, 3), [11.0])
-        rebuilt = np.concatenate(
-            [coeffs.block(s, j) for s in range(1, 4) for j in range(1, 4)]
-        )
-        np.testing.assert_array_equal(rebuilt, coeffs.values)
-
     def test_group_norms(self):
         mat = np.array([[3.0, 1.0], [4.0, 1.0]])
-        coeffs = GroupCoefficients(mat, dims=(1, 1))
-        assert coeffs.group_norm(1) == pytest.approx(5.0)
+        coeffs = GroupCoefficients(mat)
         np.testing.assert_allclose(coeffs.group_norms(), [5.0, np.sqrt(2.0)])
 
 
@@ -164,7 +155,6 @@ class TestFit:
         design = PooledDesign(
             [rng.normal(size=(4, 1)), rng.normal(size=(3, 1))],
             [rng.normal(size=4), rng.normal(size=3)],
-            dims=(1,),
         )
         coeffs, report = fit_group_lasso(design, lam=0.4)
         ours = pooled_loss(design, coeffs, 0.4)
@@ -183,7 +173,7 @@ class TestFit:
 
     def test_warm_start_shape_checked(self):
         design = single_task_design(np.eye(2), np.array([1.0, 2.0]))
-        bad = GroupCoefficients(np.zeros((2, 2)), (1, 1))
+        bad = GroupCoefficients(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             fit_group_lasso(design, lam=0.1, x0=bad)
 
@@ -207,7 +197,7 @@ class TestKkt:
                 rng.normal(size=(int(rng.integers(2, 9)), p)) for _ in range(m)
             ]
             ys = [rng.normal(size=b.shape[0]) for b in blocks]
-            design = PooledDesign(blocks, ys, dims=(1,) * p)
+            design = PooledDesign(blocks, ys)
             lam = float(rng.uniform(0.01, 0.8))
             coeffs, report = fit_group_lasso(design, lam)
             assert report.converged, f"trial {trial} failed to converge"
@@ -218,7 +208,7 @@ class TestKkt:
         phi = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
         design = single_task_design(phi, y)
-        zero = GroupCoefficients.zeros(1, design.dims)
+        zero = GroupCoefficients.zeros(1, design.p)
         crit = 2.0 * max(abs(phi[:, j] @ y) / 6 for j in range(2))
         assert kkt_residuals(design, zero, crit + 1e-9).max() <= 1e-9
         assert kkt_residuals(design, zero, crit / 2).max() > 0
@@ -232,10 +222,10 @@ def test_objective_dominance():
     lam = 0.2
     coeffs, _ = fit_group_lasso(design, lam)
     fitted = pooled_loss(design, coeffs, lam)
-    zero = GroupCoefficients.zeros(1, design.dims)
+    zero = GroupCoefficients.zeros(1, design.p)
     assert fitted <= pooled_loss(design, zero, lam) + 1e-12
     beta_ls, *_ = np.linalg.lstsq(phi, y, rcond=None)
-    ls = GroupCoefficients(beta_ls.reshape(1, -1), design.dims)
+    ls = GroupCoefficients(beta_ls.reshape(1, -1))
     assert fitted <= pooled_loss(design, ls, lam) + lam * ls.group_norms().sum() + 1e-12
 
 
@@ -256,8 +246,8 @@ def test_task_permutation_invariance():
     blocks = [rng.normal(size=(6, 3)) for _ in range(3)]
     ys = [rng.normal(size=6) for _ in range(3)]
     lam = 0.1
-    fwd = PooledDesign(blocks, ys, dims=(1, 1, 1))
-    rev = PooledDesign(blocks[::-1], ys[::-1], dims=(1, 1, 1))
+    fwd = PooledDesign(blocks, ys)
+    rev = PooledDesign(blocks[::-1], ys[::-1])
     cf, _ = fit_group_lasso(fwd, lam, tol=1e-10)
     cr, _ = fit_group_lasso(rev, lam, tol=1e-10)
     np.testing.assert_allclose(cf.group_norms(), cr.group_norms(), atol=1e-8)
@@ -274,16 +264,10 @@ def test_kkt_certificate_property(seed, lam, m, p):
     rng = np.random.default_rng(seed)
     blocks = [rng.normal(size=(int(rng.integers(1, 8)), p)) for _ in range(m)]
     ys = [rng.normal(size=b.shape[0]) for b in blocks]
-    design = PooledDesign(blocks, ys, dims=(1,) * p)
+    design = PooledDesign(blocks, ys)
     coeffs, report = fit_group_lasso(design, lam)
     if report.converged:
         assert kkt_residuals(design, coeffs, lam).max() <= 1e-6
-
-
-def test_non_scalar_groups_rejected():
-    design = PooledDesign([np.ones((3, 2))], [np.ones(3)], dims=(2,))
-    with pytest.raises(ValueError):
-        fit_group_lasso(design, lam=0.1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,8 +288,8 @@ def test_report_objective_and_history_property(seed, lam, m, p, warm):
         rows[int(rng.integers(m))] = 1
     blocks = [rng.normal(size=(n, p)) for n in rows]
     ys = [rng.normal(size=n) for n in rows]
-    design = PooledDesign(blocks, ys, dims=(1,) * p)
-    x0 = GroupCoefficients(rng.normal(size=(m, p)), design.dims) if warm else None
+    design = PooledDesign(blocks, ys)
+    x0 = GroupCoefficients(rng.normal(size=(m, p))) if warm else None
     coeffs, report = fit_group_lasso(design, lam, x0=x0, max_iter=2_000)
     y_scale = max(1.0, sum(float(y @ y) for y in ys) / design.total_rows)
     assert abs(report.objective - pooled_loss(design, coeffs, lam)) <= 1e-10 * y_scale

@@ -82,6 +82,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("kind lifelong\n")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("support_size", "60"),
+            ("noise", "-1"),
+            ("beta_min", "5"),
+            ("lam_ucb", "0"),
+            ("nu", "-1"),
+            ("grid", "1"),
+            ("solver_tol", "0"),
+            ("omega", "-1"),
+            ("schedule", "custom"),
+        ],
+    )
+    def test_values_that_fail_every_seed_rejected_up_front(self, key, value):
+        # each of these used to pass config resolution and then fail every seed
+        with pytest.raises(ConfigError):
+            build_config("lifelong", {key: value})
+
 
 def make_trace(values, task_len=None):
     inst = np.asarray(values, dtype=float)

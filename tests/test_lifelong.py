@@ -52,7 +52,7 @@ class TestRates:
         with pytest.raises(ValueError):
             schedule_rates(0, 5, ScheduleMode.CONSTANT)
         with pytest.raises(ValueError):
-            schedule_rates(5, 5, ScheduleMode.CUSTOM)
+            schedule_rates(5, 5, "custom")
 
 
 class TestIntegerize:
@@ -93,10 +93,6 @@ class TestSchedule:
         sched = ExplorationSchedule.build(ScheduleMode.DECREASING, 83, 40)
         gaps = np.abs(np.cumsum(sched.counts) - np.cumsum(sched.rates))
         assert gaps.max() < 1.0
-
-    def test_custom(self):
-        sched = ExplorationSchedule.custom([0.5, 0.5, 0.5, 0.5], n=10)
-        assert list(sched.counts) == [0, 1, 0, 1]
 
 
 def small_env(seed=0, n_tasks=8, noise=0.1, grid_points=60):
@@ -255,21 +251,21 @@ class TestTheoryLambda:
     def test_hand_value_on_orthogonal_design(self):
         # single task, identity features: (m/N) Phi^T Phi = 0.5 I, so the
         # certified kappa^2 at s_star=1 is 0.5 with no off-diagonal slack
-        design = PooledDesign([np.eye(2)], [np.zeros(2)], (1, 1))
+        design = PooledDesign([np.eye(2)], [np.zeros(2)])
         lam = theory_lambda(0.3, 0.2, design, 4, support_size=1, beta_min=0.5)
         assert lam == pytest.approx(0.2 * 0.5 / (8.0 * 2.0), abs=1e-15)
 
     def test_uncertified_kappa_falls_back_to_constant(self):
         # one row with equal entries: off-diagonal mass kills the radicand
-        design = PooledDesign([np.ones((1, 2))], [np.ones(1)], (1, 1))
+        design = PooledDesign([np.ones((1, 2))], [np.ones(1)])
         assert theory_lambda(0.3, 0.2, design, 2, support_size=1, beta_min=0.5) == 0.3
 
     def test_nonpositive_omega_bar_falls_back(self):
-        design = PooledDesign([np.eye(2)], [np.zeros(2)], (1, 1))
+        design = PooledDesign([np.eye(2)], [np.zeros(2)])
         assert theory_lambda(0.3, 0.25, design, 2, support_size=1, beta_min=0.2) == 0.3
 
     def test_unknown_block_floor_uses_omega_alone(self):
-        design = PooledDesign([np.eye(2)], [np.zeros(2)], (1, 1))
+        design = PooledDesign([np.eye(2)], [np.zeros(2)])
         lam = theory_lambda(0.3, 0.2, design, 1, support_size=1)
         assert lam == pytest.approx(0.2 * 0.5 / 8.0, abs=1e-15)
 

@@ -68,7 +68,7 @@ class TestDiagnostics:
     def test_orthonormal_scaled_design(self):
         # single task, (m/N) Phi^T Phi = I
         phi = np.sqrt(2.0) * np.eye(2)
-        design = PooledDesign([phi], [np.zeros(2)], dims=(1, 1))
+        design = PooledDesign([phi], [np.zeros(2)])
         diag = design_diagnostics(design, s_star=1)
         assert diag.c_diag == pytest.approx(1.0)
         assert diag.c_offdiag == pytest.approx(0.0)
@@ -77,7 +77,7 @@ class TestDiagnostics:
     def test_mild_correlation(self):
         target = np.array([[1.0, 0.1], [0.1, 1.0]])
         phi = np.linalg.cholesky(2.0 * target).T
-        design = PooledDesign([phi], [np.zeros(2)], dims=(1, 1))
+        design = PooledDesign([phi], [np.zeros(2)])
         diag = design_diagnostics(design, s_star=1)
         assert diag.c_diag == pytest.approx(1.0, abs=1e-12)
         assert diag.c_offdiag == pytest.approx(0.1, abs=1e-12)
@@ -86,14 +86,9 @@ class TestDiagnostics:
     def test_strong_correlation_undefined(self):
         target = np.array([[1.0, 0.3], [0.3, 1.0]])
         phi = np.linalg.cholesky(2.0 * target).T
-        design = PooledDesign([phi], [np.zeros(2)], dims=(1, 1))
+        design = PooledDesign([phi], [np.zeros(2)])
         diag = design_diagnostics(design, s_star=1)
         assert diag.kappa_lower is None
-
-    def test_rejects_wide_groups(self):
-        design = PooledDesign([np.ones((2, 2))], [np.zeros(2)], dims=(2,))
-        with pytest.raises(ValueError):
-            design_diagnostics(design, s_star=1)
 
 
 class TestRecoveryTrial:
