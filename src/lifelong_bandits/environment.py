@@ -10,8 +10,9 @@ and sqrt(sum_j (beta_s^(j))^2) <= norm_bound.
 Two norms show up and they differ; both are deliberate. The sampler caps the
 plain coefficient norm sqrt(sum_j (beta^(j))^2) at ``norm_bound``. The
 reproducing-kernel norm of f under the averaged kernel over J* is larger:
-``rkhs_norm_sq`` returns |J*| * sum_j (beta^(j))^2, and that value is what
-the kernel Gram quadratic form recovers.
+``rkhs_norm_sq(beta, support)`` returns |J*| * sum_j (beta^(j))^2 from the
+coefficients and the support alone, and that value is what the kernel Gram
+quadratic form recovers.
 
 Lookup tables hold pre-evaluated objectives on a finite point set (one column
 per task) and stand in for environments whose truth is unknown. For feature
@@ -95,7 +96,7 @@ def sample_coefficients(
     return beta
 
 
-def rkhs_norm_sq(beta: np.ndarray, support: tuple[int, ...], atlas: FeatureAtlas) -> float:
+def rkhs_norm_sq(beta: np.ndarray, support: tuple[int, ...]) -> float:
     """Squared norm of f = sum_j beta^(j) phi_j under the averaged kernel
     over ``support``: |J*| times the summed squared coefficients."""
     return len(support) * sum(float(beta[j - 1] * beta[j - 1]) for j in support)

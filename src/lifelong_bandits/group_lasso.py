@@ -25,6 +25,20 @@ second one when a rejected step restarts the momentum. The fit stops when the
 prox-gradient mapping norm, checked every ``CHECK_EVERY`` iterations, falls
 below ``tol``. ``kkt_residuals`` provides an optimality certificate computed
 from raw residuals, independent of the solver path.
+
+A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
+linear in lam. ``fit_group_lasso`` follows that path exactly (homotopy, or
+LARS-lasso: Osborne, Presnell & Turlach 2000; Efron et al. 2004) from
+lam_max = (2/N)||Phi^T y||_inf down to the target, one join or drop event per
+step, with at most ``max_iter`` steps. It returns the path's point only when it
+can certify it: every KKT residual is <= ``tol``, and the columns of the
+equicorrelation set {j : (2/N)|phi_j^T r| >= lam - tol} are linearly
+independent, which makes the solution unique (Tibshirani 2013, Lemma 2).
+Otherwise, for instance on a singular active Gram, an exhausted step budget
+or a polytope of solutions, the fit runs the proximal-gradient iteration
+above. A path fit reports its steps as ``iterations``, ``converged=True``,
+the largest KKT residual as ``map_norm`` and ``[objective]`` as
+``objective_history``.
 """
 
 from __future__ import annotations
@@ -134,17 +148,19 @@ class GroupCoefficients:
 class SolverReport:
     """What the group-lasso fit did.
 
-    ``objective_history`` is subsampled every ``CHECK_EVERY`` iterations and
-    is non-increasing by construction of the monotone acceptance step (up to
-    1e-10 float noise).
+    For a proximal-gradient fit, ``map_norm`` is the prox-gradient mapping
+    norm at the returned point, and ``objective_history`` is subsampled every
+    ``CHECK_EVERY`` iterations and is non-increasing by construction of the
+    monotone acceptance step (up to 1e-10 float noise). For a certified
+    single-task path fit, ``iterations`` counts path steps, ``converged`` is
+    True, ``map_norm`` is the largest KKT residual and ``objective_history``
+    is ``[objective]``.
     """
 
     converged: bool
     iterations: int
     map_norm: float
     objective: float
-    step: float
-    lipschitz: float
     objective_history: np.ndarray = field(repr=False)
 
 
@@ -180,7 +196,11 @@ def fit_group_lasso(
 ) -> tuple[GroupCoefficients, SolverReport]:
     """Minimize the pooled group-lasso objective.
 
-    Accelerated proximal gradient with constant step 1/L, monotone acceptance
+    A single-task design goes to the exact lasso path, which ignores ``x0``
+    and returns only a certified unique solution; every other fit, and every
+    single-task fit the path declines, runs accelerated proximal gradient.
+
+    Accelerated proximal gradient uses constant step 1/L, monotone acceptance
     and momentum restart. L is the largest per-task spectral norm of
     (2/N) Phi_s^T Phi_s. Stops when the prox-gradient mapping norm at the
     current iterate is <= ``tol``; on hitting ``max_iter`` first, returns with
@@ -196,6 +216,22 @@ def fit_group_lasso(
         raise ValueError("tolerance must be positive")
     if x0 is not None and x0.matrix.shape != (design.m, design.p):
         raise ValueError("warm start does not match the design")
+    if design.m == 1:
+        fit = _lasso_path(design, lam, tol, max_iter)
+        if fit is not None:
+            return fit
+    return _apg(design, lam, tol, max_iter, x0)
+
+
+def _apg(
+    design: PooledDesign,
+    lam: float,
+    tol: float,
+    max_iter: int,
+    x0: GroupCoefficients | None,
+) -> tuple[GroupCoefficients, SolverReport]:
+    """Accelerated proximal gradient on the pooled objective; arguments as
+    checked by ``fit_group_lasso``."""
     m, p, N = design.m, design.p, design.total_rows
     G, C, y_sq = design.grams()
 
@@ -263,11 +299,89 @@ def fit_group_lasso(
         iterations=iterations,
         map_norm=gap,
         objective=f_x,
-        step=step,
-        lipschitz=lips,
         objective_history=np.asarray(history),
     )
     return GroupCoefficients(x), report
+
+
+PATH_EVENT_FLOOR = 1e-12  # smaller drop times and join closing rates are ignored
+
+
+def _lasso_path(
+    design: PooledDesign, lam: float, tol: float, max_steps: int
+) -> tuple[GroupCoefficients, SolverReport] | None:
+    """Exact single-task lasso by homotopy, or None when it cannot certify.
+
+    The path starts at lam_max with beta = 0. On the active set A with signs
+    s_A, lowering lam by t moves beta_A by t * d with (2/N) G_AA d = s_A, so
+    every active correlation (2/N) phi_j^T r stays at +-lam. A step goes to
+    the nearest of three events: an inactive correlation reaching +-lam
+    (join), an active coefficient reaching zero (drop), or the target lam.
+    """
+    phi, y = design.features[0], design.rewards[0]
+    N, p = phi.shape
+    scale = 2.0 / N
+    G = phi.T @ phi
+    C = phi.T @ y
+    beta = np.zeros(p)
+    corr = scale * C
+    signs = np.zeros(p)  # +-1 on the active set, 0 elsewhere
+    at = float(np.abs(corr).max())
+    if at > lam:
+        j = int(np.argmax(np.abs(corr)))
+        signs[j] = np.sign(corr[j])
+    steps = 0
+    while at > lam:
+        if steps == max_steps:
+            return None
+        steps += 1
+        idx = np.flatnonzero(signs)
+        try:
+            d = np.linalg.solve(scale * G[idx][:, idx], signs[idx])
+        except np.linalg.LinAlgError:
+            return None
+        # correlations move as corr - t * rate, active ones as (at - t) * sign;
+        # an inactive one joins when it closes its gap to +-(at - t), at once
+        # if it sits on (or by rounding just past) the bound moving outward
+        rate = scale * (G[:, idx] @ d)
+        gaps = np.concatenate((at - corr, at + corr))
+        closing = np.concatenate((1.0 - rate, 1.0 + rate))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            joins = np.maximum(gaps, 0.0) / closing
+            drops = -beta[idx] / d
+        joins[np.tile(signs != 0, 2) | ~(closing > PATH_EVENT_FLOOR)] = np.inf
+        drops[~(drops > PATH_EVENT_FLOOR)] = np.inf
+        join, drop = int(np.argmin(joins)), int(np.argmin(drops))
+        t = min(at - lam, joins[join], drops[drop])
+        beta[idx] += t * d
+        if t == at - lam:
+            break
+        at -= t
+        if t == joins[join]:
+            # the first half of ``joins`` reaches +lam, the second -lam
+            signs[join % p] = 1.0 if join < p else -1.0
+        else:
+            signs[idx[drop]] = beta[idx[drop]] = 0.0
+        corr = scale * (C - G @ beta)
+
+    # a non-finite direction leaves NaN in beta, which fails the KKT test
+    coeffs = GroupCoefficients(beta.reshape(1, p))
+    kkt = float(kkt_residuals(design, coeffs, lam).max())
+    if not kkt <= tol:
+        return None
+    equicorrelated = np.abs(scale * (phi.T @ (y - phi @ beta))) >= lam - tol
+    size = int(equicorrelated.sum())
+    if size > N or (size and np.linalg.matrix_rank(phi[:, equicorrelated]) < size):
+        return None
+    objective = pooled_loss(design, coeffs, lam)
+    report = SolverReport(
+        converged=True,
+        iterations=steps,
+        map_norm=kkt,
+        objective=objective,
+        objective_history=np.asarray([objective]),
+    )
+    return coeffs, report
 
 
 def kkt_residuals(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> np.ndarray:
@@ -286,13 +400,9 @@ def kkt_residuals(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -
     for s in range(design.m):
         phi, y = design.features[s], design.rewards[s]
         grad_rows[s] = (2.0 / N) * (phi.T @ (phi @ coeffs.matrix[s] - y))
-    out = np.empty(design.p)
-    for j in range(design.p):
-        g = grad_rows[:, j]
-        b = coeffs.matrix[:, j]
-        nb = np.linalg.norm(b)
-        if nb > 0:
-            out[j] = np.linalg.norm(g + lam * b / nb)
-        else:
-            out[j] = max(0.0, float(np.linalg.norm(g)) - lam)
-    return out
+    norms = coeffs.group_norms()
+    nonzero = norms > 0
+    units = coeffs.matrix / np.where(nonzero, norms, 1.0)
+    stationarity = np.sqrt(((grad_rows + lam * units) ** 2).sum(axis=0))
+    slack = np.maximum(0.0, np.sqrt((grad_rows**2).sum(axis=0)) - lam)
+    return np.where(nonzero, stationarity, slack)

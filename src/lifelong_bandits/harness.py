@@ -21,7 +21,7 @@ import numpy as np
 
 from .environment import LookupEnvironment, LookupTable, SyntheticEnvironment, SyntheticSpec
 from .errors import ConfigError, DataError
-from .features import BasisFamily
+from .features import BasisFamily, FeatureAtlas
 from .federated import FederatedRunRecord, run_federated
 from .gp_ucb import UcbConfig
 from .lifelong import (
@@ -159,6 +159,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown meta data policy: {self.meta_data!r}")
         if self.baseline_kernel not in BASELINE_KERNELS:
             raise ConfigError(f"unknown baseline kernel: {self.baseline_kernel!r}")
+        if self.kind.startswith("baseline_") and self.kind != "baseline_" + self.baseline_kernel:
+            raise ConfigError(
+                f"kind {self.kind} contradicts baseline_kernel={self.baseline_kernel}"
+            )
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
         if self.kind == "offline" and not self.m_values:
@@ -173,6 +177,11 @@ class ExperimentConfig:
         UcbConfig(nu=self.nu, lam=self.lam_ucb)
         if self.kind == "offline" or not self.table:
             _synthetic_spec(self)
+        else:
+            # the table's own dimension is checked once the table is read
+            FeatureAtlas(self.family, self.p)
+            if self.noise < 0:
+                raise ConfigError("noise level must be nonnegative")
 
     def serialize(self) -> str:
         lines = []
@@ -598,6 +607,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         (out / "config.resolved.txt").write_text(config.serialize())
     if config.kind == "offline":
         return _run_offline(config, out)
+    if config.table:
+        # a table that does not fit the config would fail every seed alike
+        _build_environment(config, config.seeds[0], 1)
     digest = config.digest()
     traces: dict[int, RegretTrace] = {}
     votes: dict[int, list] = {}

@@ -147,7 +147,7 @@ def test_rkhs_norm_matches_gram_quadratic_form():
     spec = SyntheticSpec()
     env = SyntheticEnvironment(spec, n_tasks=1, master_seed=21)
     beta = env.coeffs[0]
-    direct = rkhs_norm_sq(beta, env.support, env.atlas)
+    direct = rkhs_norm_sq(beta, env.support)
     est = KernelEstimate(p=spec.p, selected=env.support)
     rng = np.random.default_rng(77)
     X = rng.uniform(0, 1, size=(30, 1))

@@ -8,12 +8,16 @@ import pytest
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError, DataError
 from lifelong_bandits.features import BasisFamily, FeatureAtlas
+from lifelong_bandits import federated
 from lifelong_bandits.federated import (
     ClientVote,
     VoteLedger,
     client_fit,
     run_federated,
 )
+from lifelong_bandits.group_lasso import _lasso_path
+from lifelong_bandits.harness import build_config, run_experiment
+from lifelong_bandits.selection import design_from_tasks
 
 
 class TestVoteLedger:
@@ -124,6 +128,26 @@ class TestClientFit:
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, 5)
         with pytest.raises(DataError):
             client_fit(atlas, np.zeros((0, 1)), np.zeros(0), lam=0.1, omega=0.25)
+
+    def test_non_unique_client_fit_left_to_the_iterative_solver(self, monkeypatch):
+        # Client 6 of federated seed 14 (defaults) drew a point where every
+        # cosine feature is +-1. At the optimum all 50 columns are
+        # equicorrelated on 10 rows, so the lasso solutions form a polytope:
+        # the path must decline, and the vote is the iterative solver's.
+        config = build_config("federated", {"seeds": "14,"})
+        seen = {}
+
+        def spy(atlas, X, y, *args, **kwargs):
+            vote = client_fit(atlas, X, y, *args, **kwargs)
+            seen[kwargs["client"]] = (design_from_tasks(atlas, [(X, y)]), vote)
+            return vote
+
+        monkeypatch.setattr(federated, "client_fit", spy)
+        run_experiment(config)
+        design, vote = seen[6]
+        assert vote.indices == (2, 5, 10, 13, 17, 20, 21, 25, 35, 43, 48)
+        assert not vote.failed
+        assert _lasso_path(design, config.lam, config.solver_tol, config.solver_max_iter) is None
 
 
 def test_server_side_signatures_accept_no_observations():

@@ -3,7 +3,8 @@
 The solver is checked two independent ways: a dense grid search over the
 coefficient box for 1- and 2-dimensional instances, and the blockwise KKT
 optimality certificate for everything else. Neither oracle shares code with
-the iteration.
+the iteration. The exact single-task path is also checked against the
+proximal-gradient iteration run to a tight tolerance.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from lifelong_bandits.group_lasso import (
     GroupCoefficients,
     PooledDesign,
+    _apg,
+    _lasso_path,
     fit_group_lasso,
     kkt_residuals,
     pooled_loss,
@@ -294,3 +297,82 @@ def test_report_objective_and_history_property(seed, lam, m, p, warm):
     y_scale = max(1.0, sum(float(y @ y) for y in ys) / design.total_rows)
     assert abs(report.objective - pooled_loss(design, coeffs, lam)) <= 1e-10 * y_scale
     assert np.all(np.diff(report.objective_history) <= 1e-10)
+
+
+def path_design(seed, rows, p, shape):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((rows, p))
+    y = rng.standard_normal(rows)
+    if shape == "duplicate_row" and rows > 1:
+        phi[-1], y[-1] = phi[0], y[0] + rng.standard_normal()
+    elif shape == "sign_row":
+        # like a cosine design at x = 0 or 1, where every feature is +-1
+        phi[0] = rng.choice([-1.0, 1.0], size=p)
+    return single_task_design(phi, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    rows=st.integers(min_value=1, max_value=8),
+    p=st.integers(min_value=1, max_value=6),
+    shape=st.sampled_from(["plain", "duplicate_row", "sign_row"]),
+    lam_frac=st.sampled_from([0.0, 0.01, 0.3, 0.7, 0.999, 1.2]),
+)
+def test_lasso_path_matches_tight_apg(seed, rows, p, shape, lam_frac):
+    # rows < p and rows > p; lam from 0 through lam_max and beyond, with
+    # lam_frac=0.01 and rows < p driving the active set to the row count
+    design = path_design(seed, rows, p, shape)
+    phi, y = design.features[0], design.rewards[0]
+    lam = lam_frac * 2.0 / rows * float(np.abs(phi.T @ y).max())
+    ref, ref_report = _apg(design, lam, 1e-12, 100_000, None)
+    _, report = fit_group_lasso(design, lam)
+    y_scale = max(1.0, float(y @ y) / rows)
+    assert abs(report.objective - ref_report.objective) <= 1e-9 * y_scale
+    path = _lasso_path(design, lam, 1e-8, 10_000)
+    if path is None:
+        return
+    coeffs, path_report = path
+    assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+    assert path_report.map_norm == kkt_residuals(design, coeffs, lam).max()
+    # APG's point is a reference only where it certified itself at 1e-12;
+    # on near-singular designs it can stop 3e-4 away at the same objective
+    if ref_report.converged:
+        np.testing.assert_allclose(coeffs.matrix, ref.matrix, atol=1e-6)
+
+
+class TestLassoPath:
+    def test_path_fit_report(self):
+        design = path_design(1, 12, 5, "plain")
+        coeffs, report = fit_group_lasso(design, lam=0.1)
+        assert report.converged
+        assert report.map_norm == kkt_residuals(design, coeffs, 0.1).max() <= 1e-8
+        assert report.objective == pooled_loss(design, coeffs, 0.1)
+        assert list(report.objective_history) == [report.objective]
+        # every nonzero coefficient joined in a step of its own
+        assert np.count_nonzero(coeffs.matrix) <= report.iterations < 50
+
+    def test_active_set_reaches_row_count(self):
+        design = path_design(2, 3, 6, "plain")
+        coeffs, report = fit_group_lasso(design, lam=1e-3)
+        assert report.iterations < 50
+        assert np.count_nonzero(coeffs.matrix) == 3
+
+    def test_penalty_above_lam_max_takes_no_step(self):
+        design = path_design(3, 5, 4, "plain")
+        phi, y = design.features[0], design.rewards[0]
+        lam_max = 2.0 / 5 * float(np.abs(phi.T @ y).max())
+        coeffs, report = fit_group_lasso(design, lam=lam_max * 1.01)
+        assert report.iterations == 0 and report.converged
+        assert np.all(coeffs.matrix == 0.0)
+
+    def test_underdetermined_least_squares_declined(self):
+        # lam = 0 with more columns than rows: a whole affine set is optimal
+        design = path_design(4, 3, 5, "plain")
+        assert _lasso_path(design, 0.0, 1e-8, 10_000) is None
+
+    def test_duplicate_columns_declined(self):
+        phi = np.random.default_rng(5).standard_normal((6, 3))
+        phi[:, 2] = phi[:, 1]
+        design = single_task_design(phi, phi @ [0.0, 1.0, 1.0])
+        assert _lasso_path(design, 0.05, 1e-8, 10_000) is None

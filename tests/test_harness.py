@@ -101,6 +101,40 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config("lifelong", {key: value})
 
+    @pytest.mark.parametrize(
+        "key, value", [("noise", "-1"), ("p", "0"), ("family", "cosine1d")]
+    )
+    def test_lookup_values_that_fail_every_seed_rejected_up_front(self, tmp_path, key, value):
+        # a lookup run skips the synthetic spec; these used to fail every seed
+        pairs = {**lookup_pairs(tmp_path), "seeds": "0,1", key: value}
+        with pytest.raises(ConfigError):
+            run_experiment(build_config(pairs=pairs))
+
+    def test_baseline_kind_contradicting_its_kernel_rejected(self):
+        with pytest.raises(ConfigError):
+            build_config("baseline_oracle", {"baseline_kernel": "full"})
+        with pytest.raises(ConfigError):
+            build_config("baseline_full", {"baseline_kernel": "oracle"})
+        assert build_config("baseline_full").baseline_kernel == "full"
+
+
+def lookup_pairs(tmp_path):
+    """Config pairs of a small lookup run on a saved 49-point 2-d table."""
+    grid = uniform_grid(np.array([[0.0, 0.0], [1.0, 1.0]]), 7)
+    rng = np.random.default_rng(3)
+    vals = np.stack([rng.uniform(size=len(grid)) for _ in range(2)], axis=1)
+    path = tmp_path / "table.csv"
+    LookupTable(["x1", "x2"], ["a", "b"], grid, vals).save(path)
+    return {
+        "kind": "lookup",
+        "table": str(path),
+        "p": "9",
+        "n": "10",
+        "seeds": "0,",
+        "omega": "0.3",
+        "lam": "0.05",
+    }
+
 
 def make_trace(values, task_len=None):
     inst = np.asarray(values, dtype=float)
@@ -267,22 +301,7 @@ class TestRunExperiment:
         assert np.all(naive.traces[0].kernel_size == 6)
 
     def test_lookup_kind_runs_from_table(self, tmp_path):
-        grid = uniform_grid(np.array([[0.0, 0.0], [1.0, 1.0]]), 7)
-        rng = np.random.default_rng(3)
-        vals = np.stack([rng.uniform(size=len(grid)) for _ in range(2)], axis=1)
-        table = LookupTable(["x1", "x2"], ["a", "b"], grid, vals)
-        path = tmp_path / "table.csv"
-        table.save(path)
-        pairs = {
-            "kind": "lookup",
-            "table": str(path),
-            "p": "9",
-            "n": "10",
-            "seeds": "0,",
-            "omega": "0.3",
-            "lam": "0.05",
-        }
-        result = run_experiment(build_config(pairs=pairs))
+        result = run_experiment(build_config(pairs=lookup_pairs(tmp_path)))
         trace = result.traces[0]
         assert len(trace.step) == 20
         assert np.all(trace.recovered == -1)
