@@ -26,6 +26,16 @@ prox-gradient mapping norm, checked every ``CHECK_EVERY`` iterations, falls
 below ``tol``. ``kkt_residuals`` provides an optimality certificate computed
 from raw residuals, independent of the solver path.
 
+On a pooled design (m >= 2) the iteration identifies the support long before
+it meets ``tol``, so it hands off to Newton's method (after the semismooth
+Newton idea of Li, Sun & Toh, SIAM J. Optim. 2018). Once the mapping norm at a
+check is <= ``HANDOFF_MAP_NORM``, Newton solves the smooth problem over the
+nonzero columns of the current iterate. Its point is accepted only if its own
+mapping norm is <= ``tol`` and its objective is no higher than the iterate's;
+otherwise the iteration carries on from where it was, momentum kept, and
+tries again once the mapping norm is below ``HANDOFF_RETRY`` times its value
+at the declined attempt.
+
 A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
 linear in lam. ``fit_group_lasso`` follows that path exactly (homotopy, or
 LARS-lasso: Osborne, Presnell & Turlach 2000; Efron et al. 2004) from
@@ -36,9 +46,8 @@ equicorrelation set {j : (2/N)|phi_j^T r| >= lam - tol} are linearly
 independent, which makes the solution unique (Tibshirani 2013, Lemma 2).
 Otherwise, for instance on a singular active Gram, an exhausted step budget
 or a polytope of solutions, the fit runs the proximal-gradient iteration
-above. A path fit reports its steps as ``iterations``, ``converged=True``,
-the largest KKT residual as ``map_norm`` and ``[objective]`` as
-``objective_history``.
+above, without a Newton attempt: a Newton point would be one arbitrary member
+of a set of solutions.
 """
 
 from __future__ import annotations
@@ -49,6 +58,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CHECK_EVERY = 10  # iterations between convergence checks
+HANDOFF_MAP_NORM = 1e-3  # mapping norm at the first Newton attempt
+HANDOFF_RETRY = 1e-2  # after a declined attempt, wait for the norm to fall this much
+NEWTON_MAX_STEPS = 30
+NEWTON_GRAD_TOL = 1e-13  # times max(1, lam), on the reduced gradient's largest entry
 
 
 class PooledDesign:
@@ -148,15 +161,23 @@ class GroupCoefficients:
 class SolverReport:
     """What the group-lasso fit did.
 
-    For a proximal-gradient fit, ``map_norm`` is the prox-gradient mapping
-    norm at the returned point, and ``objective_history`` is subsampled every
-    ``CHECK_EVERY`` iterations and is non-increasing by construction of the
-    monotone acceptance step (up to 1e-10 float noise). For a certified
-    single-task path fit, ``iterations`` counts path steps, ``converged`` is
-    True, ``map_norm`` is the largest KKT residual and ``objective_history``
-    is ``[objective]``.
+    ``method`` names the stage that produced the returned point: ``"path"``
+    for a certified single-task path fit, ``"newton"`` for an accepted Newton
+    finish and ``"apg"`` for the proximal-gradient iterate.
+
+    For a proximal-gradient fit, with or without a Newton finish,
+    ``iterations`` counts the iterations plus every Newton step (those of
+    declined attempts too), ``map_norm`` is the prox-gradient mapping norm at
+    the returned point, and ``objective_history`` is subsampled every
+    ``CHECK_EVERY`` iterations, followed by the Newton point's objective when
+    one was accepted. It is non-increasing: the iteration's monotone
+    acceptance step keeps it so (up to 1e-10 float noise), and a Newton point
+    is accepted only at or below the last entry. For a path fit,
+    ``iterations`` counts path steps, ``converged`` is True, ``map_norm`` is
+    the largest KKT residual and ``objective_history`` is ``[objective]``.
     """
 
+    method: str
     converged: bool
     iterations: int
     map_norm: float
@@ -198,7 +219,9 @@ def fit_group_lasso(
 
     A single-task design goes to the exact lasso path, which ignores ``x0``
     and returns only a certified unique solution; every other fit, and every
-    single-task fit the path declines, runs accelerated proximal gradient.
+    single-task fit the path declines, runs accelerated proximal gradient,
+    which on a pooled design hands off to a Newton finish on the support it
+    has found.
 
     Accelerated proximal gradient uses constant step 1/L, monotone acceptance
     and momentum restart. L is the largest per-task spectral norm of
@@ -230,16 +253,18 @@ def _apg(
     max_iter: int,
     x0: GroupCoefficients | None,
 ) -> tuple[GroupCoefficients, SolverReport]:
-    """Accelerated proximal gradient on the pooled objective; arguments as
-    checked by ``fit_group_lasso``."""
+    """Accelerated proximal gradient on the pooled objective, with a Newton
+    finish on pooled designs; arguments as checked by ``fit_group_lasso``."""
     m, p, N = design.m, design.p, design.total_rows
     G, C, y_sq = design.grams()
 
     lips = 0.0
-    for s in range(m):
-        # exact top eigenvalue of the task's scaled Gram; d is small
-        top = float(np.linalg.eigvalsh(G[s])[-1]) if G[s].any() else 0.0
-        lips = max(lips, 2.0 * top / N)
+    for s, phi in enumerate(design.features):
+        if phi.shape[0]:
+            # Phi Phi^T and Phi^T Phi share their nonzero spectrum; take the
+            # top eigenvalue of the smaller one
+            small = phi @ phi.T if phi.shape[0] < p else G[s]
+            lips = max(lips, 2.0 * float(np.linalg.eigvalsh(small)[-1]) / N)
     step = 1.0 / lips if lips > 0 else 1.0
     thresh = lam * step
 
@@ -263,7 +288,11 @@ def _apg(
     f_x = objective(x, gx)
     history = [f_x]
     gap = map_norm_at(x, gx)
-    iterations = 0
+    iterations = newton_steps = 0
+    method = "apg"
+    # a single-task fit reaches APG only when its solution may not be
+    # unique, and Newton would pick an arbitrary point of the solution set
+    try_below = HANDOFF_MAP_NORM if m > 1 else 0.0
     converged = gap <= tol
     if not converged:
         y_pt, gy = x, gx
@@ -293,15 +322,86 @@ def _apg(
                 if gap <= tol:
                     converged = True
                     break
+                if gap <= try_below:
+                    try_below = gap * HANDOFF_RETRY
+                    z, steps = _newton_finish(G, C, N, lam, x)
+                    newton_steps += steps
+                    if z is not None:
+                        # accepted only under APG's own stop rule and only if
+                        # it does not raise the objective; else APG carries on
+                        gz = gram_times(z)
+                        f_z, gap_z = objective(z, gz), map_norm_at(z, gz)
+                        if gap_z <= tol and f_z <= f_x:
+                            x, f_x, gap, method, converged = z, f_z, gap_z, "newton", True
+                            history.append(f_x)
+                            break
 
     report = SolverReport(
+        method=method,
         converged=converged,
-        iterations=iterations,
+        iterations=iterations + newton_steps,
         map_norm=gap,
         objective=f_x,
         objective_history=np.asarray(history),
     )
     return GroupCoefficients(x), report
+
+
+def _newton_finish(
+    G: np.ndarray, C: np.ndarray, N: int, lam: float, x: np.ndarray
+) -> tuple[np.ndarray | None, int]:
+    """Newton's method on the pooled objective restricted to the nonzero
+    columns S of ``x``; returns the (m, p) point, zero off S, and the steps
+    taken, or None in place of the point when the attempt aborts.
+
+    While every column b_j of B[:, S] is nonzero the penalty is smooth, with
+    gradient lam * u_j and Hessian w_j (I - u_j u_j^T), where u_j = b_j/||b_j||
+    and w_j = lam/||b_j||. The Hessian of the restricted objective is then
+
+        blockdiag_s[(2/N) G_s,SS + diag(w)] - sum_j w_j (u_j (x) e_j)(u_j (x) e_j)^T,
+
+    one |S|x|S| block per task minus a rank-|S| term. By Woodbury a step costs
+    one batched solve over the task blocks and one |S|x|S| capacitance solve.
+    The attempt aborts when a column norm reaches zero, a solve is singular or
+    a value is non-finite; it stops when the largest gradient entry is at most
+    ``NEWTON_GRAD_TOL * max(1, lam)`` or after ``NEWTON_MAX_STEPS`` steps.
+    """
+    S = np.flatnonzero((x * x).sum(axis=0) > 0.0)
+    if S.size == 0:
+        return None, 0
+    GS = (2.0 / N) * G[:, S][:, :, S]
+    CS = (2.0 / N) * C[:, S]
+    B = x[:, S]
+    eye = np.eye(S.size)
+    grad_tol = NEWTON_GRAD_TOL * max(1.0, lam)
+    steps = 0
+    with np.errstate(all="ignore"):
+        while True:
+            norms = np.sqrt((B * B).sum(axis=0))
+            if not np.all(np.isfinite(B)) or not np.all(norms > 0.0):
+                return None, steps
+            U = B / norms
+            grad = np.matmul(GS, B[:, :, None])[:, :, 0] - CS + lam * U
+            if np.abs(grad).max() <= grad_tol or steps == NEWTON_MAX_STEPS:
+                break
+            w = lam / norms
+            # Hessian D - P P^T: D holds the task blocks, and column j of P is
+            # sqrt(w_j) (u_j (x) e_j), so P's rows for task s are diag(V[s]).
+            # Woodbury: H^-1 g = Z + X (I - P^T X)^-1 P^T Z with Z = D^-1 g
+            # and X = D^-1 P, both from one batched solve.
+            V = U * np.sqrt(w)
+            rhs = np.concatenate((grad[:, :, None], V[:, :, None] * eye), axis=2)
+            try:
+                sol = np.linalg.solve(GS + w * eye, rhs)
+                Z, X = sol[:, :, 0], sol[:, :, 1:]
+                v = np.linalg.solve(eye - (V[:, :, None] * X).sum(axis=0), (V * Z).sum(axis=0))
+            except np.linalg.LinAlgError:
+                return None, steps
+            B = B - (Z + X @ v)
+            steps += 1
+    point = np.zeros_like(x)
+    point[:, S] = B
+    return point, steps
 
 
 PATH_EVENT_FLOOR = 1e-12  # smaller drop times and join closing rates are ignored
@@ -375,6 +475,7 @@ def _lasso_path(
         return None
     objective = pooled_loss(design, coeffs, lam)
     report = SolverReport(
+        method="path",
         converged=True,
         iterations=steps,
         map_norm=kkt,

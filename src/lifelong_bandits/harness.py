@@ -474,9 +474,8 @@ def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpec:
     )
 
 
-def _build_environment(config: ExperimentConfig, seed: int, m: int):
-    if config.table:
-        table = LookupTable.load(config.table)
+def _build_environment(config: ExperimentConfig, seed: int, m: int, table: LookupTable | None):
+    if table is not None:
         return LookupEnvironment(
             table,
             master_seed=seed,
@@ -490,9 +489,9 @@ def _build_environment(config: ExperimentConfig, seed: int, m: int):
     )
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int, digest: str):
+def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: LookupTable | None):
     factory = default_solver_factory(UcbConfig(nu=config.nu, lam=config.lam_ucb))
-    env = _build_environment(config, seed, max(config.m, 1))
+    env = _build_environment(config, seed, max(config.m, 1), table)
     m = config.m if config.m > 0 else env.m
     if config.kind in ("baseline_oracle", "baseline_full"):
         return run_baseline(
@@ -607,16 +606,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         (out / "config.resolved.txt").write_text(config.serialize())
     if config.kind == "offline":
         return _run_offline(config, out)
-    if config.table:
+    table = LookupTable.load(config.table) if config.table else None
+    if table is not None:
         # a table that does not fit the config would fail every seed alike
-        _build_environment(config, config.seeds[0], 1)
+        _build_environment(config, config.seeds[0], 1, table)
     digest = config.digest()
     traces: dict[int, RegretTrace] = {}
     votes: dict[int, list] = {}
     failures: list[tuple[int, str]] = []
     for seed in config.seeds:
         try:
-            record = _run_one_seed(config, seed, digest)
+            record = _run_one_seed(config, seed, digest, table)
         except Exception as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
             continue

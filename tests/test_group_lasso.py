@@ -3,15 +3,19 @@
 The solver is checked two independent ways: a dense grid search over the
 coefficient box for 1- and 2-dimensional instances, and the blockwise KKT
 optimality certificate for everything else. Neither oracle shares code with
-the iteration. The exact single-task path is also checked against the
-proximal-gradient iteration run to a tight tolerance.
+the iteration. The exact single-task path and the Newton finish of pooled
+fits are also checked against the proximal-gradient iteration run to a tight
+tolerance.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelong_bandits import group_lasso
 from lifelong_bandits.group_lasso import (
     GroupCoefficients,
     PooledDesign,
@@ -345,7 +349,7 @@ class TestLassoPath:
     def test_path_fit_report(self):
         design = path_design(1, 12, 5, "plain")
         coeffs, report = fit_group_lasso(design, lam=0.1)
-        assert report.converged
+        assert report.converged and report.method == "path"
         assert report.map_norm == kkt_residuals(design, coeffs, 0.1).max() <= 1e-8
         assert report.objective == pooled_loss(design, coeffs, 0.1)
         assert list(report.objective_history) == [report.objective]
@@ -376,3 +380,83 @@ class TestLassoPath:
         phi[:, 2] = phi[:, 1]
         design = single_task_design(phi, phi @ [0.0, 1.0, 1.0])
         assert _lasso_path(design, 0.05, 1e-8, 10_000) is None
+
+
+def pooled_random_design(seed, m, p, shape):
+    """m task blocks of 1-8 rows, so rows < p and rows > p both occur;
+    ``shape`` empties one task or duplicates a row of the largest."""
+    rng = np.random.default_rng(seed)
+    rows = [int(rng.integers(1, 9)) for _ in range(m)]
+    if shape == "empty_task":
+        rows[int(rng.integers(m))] = 0
+    blocks = [rng.standard_normal((n, p)) for n in rows]
+    ys = [rng.standard_normal(n) for n in rows]
+    if shape == "duplicate_row":
+        s = int(np.argmax(rows))
+        blocks[s][-1], ys[s][-1] = blocks[s][0], ys[s][0] + rng.standard_normal()
+    return PooledDesign(blocks, ys), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=2, max_value=8),
+    p=st.integers(min_value=1, max_value=8),
+    shape=st.sampled_from(["plain", "empty_task", "duplicate_row"]),
+    lam_frac=st.sampled_from([0.01, 0.1, 0.4, 0.8, 0.999]),
+    warm=st.booleans(),
+)
+def test_newton_finish_matches_tight_apg(seed, m, p, shape, lam_frac, warm):
+    # lam as a share of lam_max, the smallest penalty with B = 0 optimal
+    design, rng = pooled_random_design(seed, m, p, shape)
+    _, C, y_sq = design.grams()
+    N = design.total_rows
+    lam = lam_frac * 2.0 / N * float(np.sqrt((C * C).sum(axis=0)).max())
+    x0 = GroupCoefficients(rng.standard_normal((m, p))) if warm else None
+    coeffs, report = fit_group_lasso(design, lam, x0=x0)
+    with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", 0.0):
+        _, ref_report = _apg(design, lam, 1e-12, 100_000, x0)
+    assert ref_report.method == "apg"
+    assert report.converged
+    assert abs(report.objective - ref_report.objective) <= 1e-9 * max(1.0, y_sq / N)
+    # APG's stop rule bounds the mapping norm, and the KKT residual of its
+    # iterate can sit just above it (1.02e-8 at map_norm 9.7e-9 when tiny
+    # columns survive); a Newton point is certified directly
+    if report.method == "newton":
+        assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+    assert np.all(np.diff(report.objective_history) <= 1e-10)
+
+
+def test_newton_attempt_on_wrong_support_declined(monkeypatch):
+    # at the first hand-off group 1 is still nonzero, but it is zero at the
+    # optimum: the restricted problem has no stationary point, Newton spends
+    # its 30 steps and ends far from optimal, and APG must finish the fit
+    rng = np.random.default_rng(642)
+    design = PooledDesign(list(rng.standard_normal((2, 2, 2))), list(rng.standard_normal((2, 2))))
+    lam = 0.2
+    attempts = []
+    newton = group_lasso._newton_finish
+
+    def spy(G, C, N, lam, x):
+        point, steps = newton(G, C, N, lam, x)
+        attempts.append((x.copy(), point, steps))
+        return point, steps
+
+    monkeypatch.setattr(group_lasso, "_newton_finish", spy)
+    coeffs, report = fit_group_lasso(design, lam)
+    assert len(attempts) == 1
+    handed, point, steps = attempts[0]
+    assert np.any(handed[:, 0] != 0.0) and steps == group_lasso.NEWTON_MAX_STEPS
+    assert kkt_residuals(design, GroupCoefficients(point), lam).max() > 1e-2
+    assert report.method == "apg" and report.converged
+    assert report.iterations > steps
+    assert np.all(coeffs.matrix[:, 0] == 0.0)
+    assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+
+
+def test_declined_single_task_fit_reports_apg():
+    # lam = 0 with more columns than rows: the path declines and APG answers
+    design = path_design(4, 3, 5, "plain")
+    _, report = fit_group_lasso(design, 0.0)
+    assert report.method == "apg"
+    assert report.converged

@@ -306,6 +306,19 @@ class TestRunExperiment:
         assert len(trace.step) == 20
         assert np.all(trace.recovered == -1)
 
+    def test_lookup_table_read_once_per_run(self, tmp_path, monkeypatch):
+        loads = []
+        load = LookupTable.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(LookupTable, "load", classmethod(counting_load))
+        result = run_experiment(build_config(pairs={**lookup_pairs(tmp_path), "seeds": "0,1,2,3"}))
+        assert sorted(result.traces) == [0, 1, 2, 3]
+        assert len(loads) == 1
+
 
 class TestTheoryOptIns:
     def test_lam_ucb_theory_resolves_against_horizon(self):
