@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """How many tasks does pooled group selection need?
 
-Runs the offline recovery experiment at a handful of task counts and
-prints the fraction of seeds that identify the active groups exactly.
-More tasks shrink the group-lasso noise floor, so the hit rate climbs
+Runs the offline recovery sweep at a handful of task counts and prints the
+fraction of seeds that identify the active groups exactly. Each seed draws
+its largest task count once and fits the first m of those tasks for every
+m. More tasks shrink the group-lasso noise floor, so the hit rate climbs
 toward one.
 """
 
@@ -11,7 +12,9 @@ import argparse
 import time
 
 from lifelong_bandits.environment import SyntheticSpec
-from lifelong_bandits.selection import recovery_trial
+from lifelong_bandits.selection import recovery_sweep
+
+M_VALUES = (2, 5, 10, 20, 30)
 
 
 def main() -> None:
@@ -23,16 +26,17 @@ def main() -> None:
     spec = SyntheticSpec()
     print(f"groups p={spec.p}, active |J*|={spec.support_size}, "
           f"noise {spec.noise}, n={args.n} points per task")
-    print(f"{'m':>4}  {'exact':>7}  {'mean |J|':>8}  {'sec':>5}")
-    for m in (2, 5, 10, 20, 30):
-        t0 = time.time()
-        hits, sizes = 0, 0
-        for seed in range(args.seeds):
-            result = recovery_trial(spec, m, args.n, 0.25, 0.25, seed)
-            hits += result.exact
-            sizes += len(result.selected)
-        print(f"{m:>4}  {hits:>3}/{args.seeds:<3}  {sizes / args.seeds:>8.1f}  "
-              f"{time.time() - t0:>5.1f}")
+    t0 = time.time()
+    hits = dict.fromkeys(M_VALUES, 0)
+    sizes = dict.fromkeys(M_VALUES, 0)
+    for seed in range(args.seeds):
+        for m, result in zip(M_VALUES, recovery_sweep(spec, M_VALUES, args.n, 0.25, 0.25, seed)):
+            hits[m] += result.exact
+            sizes[m] += len(result.selected)
+    print(f"{'m':>4}  {'exact':>7}  {'mean |J|':>8}")
+    for m in M_VALUES:
+        print(f"{m:>4}  {hits[m]:>3}/{args.seeds:<3}  {sizes[m] / args.seeds:>8.1f}")
+    print(f"{time.time() - t0:.1f} s for {args.seeds} seeds")
 
 
 if __name__ == "__main__":

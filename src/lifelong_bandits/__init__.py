@@ -66,6 +66,7 @@ from .selection import (
     design_diagnostics,
     design_from_tasks,
     learn_kernel,
+    recovery_sweep,
     recovery_trial,
     threshold_groups,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "parse_config",
     "pooled_loss",
     "realized_info_gain",
+    "recovery_sweep",
     "recovery_trial",
     "rkhs_norm_sq",
     "run_baseline",

@@ -217,9 +217,14 @@ class SyntheticEnvironment:
         self, s: int, X: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Noisy rewards of task s at arbitrary in-domain points."""
+        return self.rewards_at(s, self.atlas.concat_many(X), rng)
+
+    def rewards_at(self, s: int, features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Noisy rewards of task s at the points whose feature rows
+        (``atlas.concat_many`` of them) are ``features``."""
         if not 1 <= s <= self.m:
             raise IndexError(f"task index {s} outside 1..{self.m}")
-        f = self.atlas.concat_many(X) @ self.coeffs[s - 1]
+        f = features @ self.coeffs[s - 1]
         if self.spec.noise > 0:
             f = f + self.spec.noise * rng.standard_normal(f.shape)
         return f

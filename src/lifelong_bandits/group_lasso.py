@@ -12,6 +12,13 @@ conceptual design matrix is block-diagonal in the tasks; it is never
 materialized. The solver works on the per-task Gram stack G (m, p, p) and
 crossterms C (m, p).
 
+A ``PooledDesign`` keeps one record per task (``TaskBlock``): its block, its
+rewards, and its Gram, crossterm, ||y_s||^2 and top eigenvalue, each computed
+on first use. A task is validated once, when it joins. The design grows by
+``append`` and ``prefix(k)`` takes its first k tasks, both sharing the
+records, so the fits of a growing pool (the lifelong runner's after each
+task, the offline sweep's over m) compute each task's statistics once.
+
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
 one column of B, so the prox shrinks column norms. Each iterate carries its
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +72,62 @@ NEWTON_MAX_STEPS = 30
 NEWTON_GRAD_TOL = 1e-13  # times max(1, lam), on the reduced gradient's largest entry
 
 
+class TaskBlock:
+    """One task's design block Phi (n_s, p) and rewards y (n_s,), as a
+    read-only copy, with the statistics every fit reads: the Gram Phi^T Phi,
+    the crossterm Phi^T y, ||y||^2 and the top eigenvalue of Phi^T Phi. Each
+    statistic is computed on first use and then kept, so a task shared by
+    many designs pays for it once and a fit that never reads one (the
+    eigenvalue, on the single-task path) never pays for it.
+
+    Built only by ``PooledDesign``, which validates the data first.
+    """
+
+    def __init__(self, features: np.ndarray, rewards: np.ndarray) -> None:
+        self.features = features
+        self.rewards = rewards
+
+    @property
+    def rows(self) -> int:
+        return self.features.shape[0]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _frozen(self.features.T @ self.features)
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        return _frozen(self.features.T @ self.rewards)
+
+    @cached_property
+    def y_sq(self) -> float:
+        return float(self.rewards @ self.rewards)
+
+    @cached_property
+    def top_eig(self) -> float:
+        """Largest eigenvalue of Phi^T Phi (0 for an empty block), taken from
+        the smaller of Phi Phi^T and Phi^T Phi: they share their nonzero
+        spectrum."""
+        n, p = self.features.shape
+        if n == 0:
+            return 0.0
+        small = self.features @ self.features.T if n < p else self.gram
+        return float(np.linalg.eigvalsh(small)[-1])
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class PooledDesign:
     """Per-task design blocks and rewards over one set of p scalar groups.
+
+    Each task is one ``TaskBlock``, validated once, when it joins. A design
+    grows by ``append`` and ``prefix(k)`` gives the design of its first k
+    tasks; both share the blocks, and with them every statistic already
+    computed, so a fit over m tasks after one over m - 1 computes the Gram,
+    crossterm and eigenvalue of the new task only.
 
     Parameters
     ----------
@@ -82,49 +144,77 @@ class PooledDesign:
             raise ValueError("need one reward vector per design block")
         if len(features) == 0:
             raise ValueError("need at least one task")
-        self.features = []
-        self.rewards = []
-        for k, (phi, y) in enumerate(zip(features, rewards)):
-            phi = np.asarray(phi, dtype=float)
-            y = np.asarray(y, dtype=float).reshape(-1)
-            if phi.ndim != 2 or (self.features and phi.shape[1] != self.p):
-                raise ValueError(f"task {k + 1}: design block must be (n_s, p), p as in task 1")
-            if phi.shape[0] != y.shape[0]:
-                raise ValueError(f"task {k + 1}: rows and rewards disagree")
-            if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
-                raise ValueError(f"task {k + 1}: non-finite data")
-            self.features.append(phi)
-            self.rewards.append(y)
+        self.blocks: list[TaskBlock] = []
+        for phi, y in zip(features, rewards):
+            self.append(phi, y)
         if self.total_rows == 0:
             raise ValueError("pooled design has no rows")
+
+    def append(self, features, rewards) -> None:
+        """Add one task's (n_s, p) block and (n_s,) rewards as the last task;
+        on invalid data raise ValueError and leave the design as it was."""
+        k = len(self.blocks) + 1
+        phi = np.array(features, dtype=float)
+        y = np.array(rewards, dtype=float).reshape(-1)
+        if phi.ndim != 2 or (self.blocks and phi.shape[1] != self.p):
+            raise ValueError(f"task {k}: design block must be (n_s, p), p as in task 1")
+        if phi.shape[0] != y.shape[0]:
+            raise ValueError(f"task {k}: rows and rewards disagree")
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
+            raise ValueError(f"task {k}: non-finite data")
+        self.blocks.append(TaskBlock(_frozen(phi), _frozen(y)))
+
+    def prefix(self, k: int) -> "PooledDesign":
+        """The design of the first k tasks, sharing their blocks."""
+        if not 1 <= k <= self.m:
+            raise ValueError(f"prefix length must lie in 1..{self.m}")
+        design = object.__new__(PooledDesign)
+        design.blocks = self.blocks[:k]
+        if design.total_rows == 0:
+            raise ValueError("pooled design has no rows")
+        return design
+
+    @property
+    def features(self) -> list[np.ndarray]:
+        return [b.features for b in self.blocks]
+
+    @property
+    def rewards(self) -> list[np.ndarray]:
+        return [b.rewards for b in self.blocks]
 
     @property
     def m(self) -> int:
         """Number of tasks."""
-        return len(self.features)
+        return len(self.blocks)
 
     @property
     def p(self) -> int:
         """Number of penalty groups, one feature column each."""
-        return self.features[0].shape[1]
+        return self.blocks[0].features.shape[1]
 
     @property
     def total_rows(self) -> int:
-        return sum(phi.shape[0] for phi in self.features)
+        return sum(b.rows for b in self.blocks)
 
     def grams(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Batched per-task Gram data: (m,p,p) matrices, (m,p) crossterms,
         and the total squared reward norm."""
-        m, p = self.m, self.p
-        G = np.empty((m, p, p))
-        C = np.empty((m, p))
+        G = np.stack([b.gram for b in self.blocks])
+        C = np.stack([b.cross for b in self.blocks])
         y_sq = 0.0
-        for s in range(m):
-            phi, y = self.features[s], self.rewards[s]
-            G[s] = phi.T @ phi
-            C[s] = phi.T @ y
-            y_sq += float(y @ y)
+        for b in self.blocks:
+            y_sq += b.y_sq
         return G, C, y_sq
+
+    def lipschitz(self) -> float:
+        """Lipschitz constant of the loss gradient: the largest per-task
+        spectral norm of (2/N) Phi_s^T Phi_s."""
+        N = self.total_rows
+        lips = 0.0
+        for b in self.blocks:
+            if b.rows:
+                lips = max(lips, 2.0 * b.top_eig / N)
+        return lips
 
 
 class GroupCoefficients:
@@ -192,8 +282,8 @@ def pooled_loss(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> 
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
     rss = 0.0
-    for s in range(design.m):
-        r = design.rewards[s] - design.features[s] @ coeffs.matrix[s]
+    for block, beta in zip(design.blocks, coeffs.matrix):
+        r = block.rewards - block.features @ beta
         rss += float(r @ r)
     return rss / design.total_rows + lam * float(coeffs.group_norms().sum())
 
@@ -257,14 +347,7 @@ def _apg(
     finish on pooled designs; arguments as checked by ``fit_group_lasso``."""
     m, p, N = design.m, design.p, design.total_rows
     G, C, y_sq = design.grams()
-
-    lips = 0.0
-    for s, phi in enumerate(design.features):
-        if phi.shape[0]:
-            # Phi Phi^T and Phi^T Phi share their nonzero spectrum; take the
-            # top eigenvalue of the smaller one
-            small = phi @ phi.T if phi.shape[0] < p else G[s]
-            lips = max(lips, 2.0 * float(np.linalg.eigvalsh(small)[-1]) / N)
+    lips = design.lipschitz()
     step = 1.0 / lips if lips > 0 else 1.0
     thresh = lam * step
 
@@ -362,9 +445,13 @@ def _newton_finish(
 
     one |S|x|S| block per task minus a rank-|S| term. By Woodbury a step costs
     one batched solve over the task blocks and one |S|x|S| capacitance solve.
-    The attempt aborts when a column norm reaches zero, a solve is singular or
-    a value is non-finite; it stops when the largest gradient entry is at most
-    ``NEWTON_GRAD_TOL * max(1, lam)`` or after ``NEWTON_MAX_STEPS`` steps.
+    The attempt aborts when a column norm reaches zero, a solve is singular, a
+    value is non-finite, or a step reverses a column's direction (u_j turns by
+    more than 90 degrees). The last is the sign of a column that is zero at
+    the optimum: the restricted problem then has no stationary point, and
+    Newton pushes the column back and forth through zero. It stops when the
+    largest gradient entry is at most ``NEWTON_GRAD_TOL * max(1, lam)`` or
+    after ``NEWTON_MAX_STEPS`` steps.
     """
     S = np.flatnonzero((x * x).sum(axis=0) > 0.0)
     if S.size == 0:
@@ -375,12 +462,15 @@ def _newton_finish(
     eye = np.eye(S.size)
     grad_tol = NEWTON_GRAD_TOL * max(1.0, lam)
     steps = 0
+    U = None
     with np.errstate(all="ignore"):
         while True:
             norms = np.sqrt((B * B).sum(axis=0))
             if not np.all(np.isfinite(B)) or not np.all(norms > 0.0):
                 return None, steps
-            U = B / norms
+            U, U_prev = B / norms, U
+            if U_prev is not None and np.any((U * U_prev).sum(axis=0) < 0.0):
+                return None, steps
             grad = np.matmul(GS, B[:, :, None])[:, :, 0] - CS + lam * U
             if np.abs(grad).max() <= grad_tol or steps == NEWTON_MAX_STEPS:
                 break
@@ -418,11 +508,10 @@ def _lasso_path(
     the nearest of three events: an inactive correlation reaching +-lam
     (join), an active coefficient reaching zero (drop), or the target lam.
     """
-    phi, y = design.features[0], design.rewards[0]
+    block = design.blocks[0]
+    phi, y, G, C = block.features, block.rewards, block.gram, block.cross
     N, p = phi.shape
     scale = 2.0 / N
-    G = phi.T @ phi
-    C = phi.T @ y
     beta = np.zeros(p)
     corr = scale * C
     signs = np.zeros(p)  # +-1 on the active set, 0 elsewhere
@@ -498,8 +587,8 @@ def kkt_residuals(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -
         raise ValueError("coefficients do not match the design")
     N = design.total_rows
     grad_rows = np.empty_like(coeffs.matrix)
-    for s in range(design.m):
-        phi, y = design.features[s], design.rewards[s]
+    for s, block in enumerate(design.blocks):
+        phi, y = block.features, block.rewards
         grad_rows[s] = (2.0 / N) * (phi.T @ (phi @ coeffs.matrix[s] - y))
     norms = coeffs.group_norms()
     nonzero = norms > 0

@@ -34,7 +34,8 @@ from .lifelong import (
     run_baseline,
     run_lifelong,
 )
-from .selection import recovery_trial
+# recovery_trial stays bound here: perfbench's tracer wraps this binding
+from .selection import recovery_sweep, recovery_trial  # noqa: F401
 
 KINDS = (
     "offline",
@@ -167,6 +168,8 @@ class ExperimentConfig:
             raise ConfigError("alpha must lie in [0, 1]")
         if self.kind == "offline" and not self.m_values:
             raise ConfigError("offline experiments need at least one m value")
+        if self.kind == "offline" and min(self.m_values) < 1:
+            raise ConfigError("every m value must be at least 1")
         if self.omega < 0:
             raise ConfigError("omega must be nonnegative")
         if self.solver_tol <= 0:
@@ -541,20 +544,20 @@ def _run_offline(config: ExperimentConfig, out: Path | None) -> ExperimentResult
     failures: list[tuple[int, str]] = []
     for seed in config.seeds:
         try:
-            rows = []
-            for m in config.m_values:
-                trial = recovery_trial(
-                    spec,
-                    m,
-                    config.n,
-                    config.omega,
-                    config.lam,
-                    seed,
-                    tol=config.solver_tol,
-                    max_iter=config.solver_max_iter,
-                )
-                rows.append((m, trial.exact, trial.fallback, len(trial.selected)))
-            per_seed[seed] = rows
+            trials = recovery_sweep(
+                spec,
+                config.m_values,
+                config.n,
+                config.omega,
+                config.lam,
+                seed,
+                tol=config.solver_tol,
+                max_iter=config.solver_max_iter,
+            )
+            per_seed[seed] = [
+                (m, trial.exact, trial.fallback, len(trial.selected))
+                for m, trial in zip(config.m_values, trials)
+            ]
         except Exception as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
     if not per_seed:

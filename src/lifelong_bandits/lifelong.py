@@ -33,9 +33,10 @@ import numpy as np
 from .errors import ConfigError
 from .features import KernelEstimate
 from .gp_ucb import GpUcb, UcbConfig
-from .group_lasso import GroupCoefficients
+from .group_lasso import GroupCoefficients, PooledDesign
 from .seeding import STREAM_EXPLORE, substream
-from .selection import design_diagnostics, design_from_tasks, learn_kernel
+# design_from_tasks stays bound here: perfbench's tracer wraps this binding
+from .selection import design_diagnostics, design_from_tasks, learn_kernel  # noqa: F401
 
 LAM_POLICIES = ("constant", "inv_sqrt", "theory")
 META_DATA = ("exploration", "all")
@@ -116,8 +117,7 @@ class LifelongRunRecord:
 
     ``events`` lists (task, kind) pairs: "fallback" when thresholding kept
     nothing and the full kernel took over, "solver" when the fit did not
-    converge and the previous kernel was kept, "empty" when there was no
-    data to fit.
+    converge and the previous kernel was kept.
     """
 
     seed: int
@@ -267,19 +267,20 @@ def run_lifelong(
     atlas = env.atlas
     record = LifelongRunRecord(seed=seed, config_digest=config_digest)
     estimate = KernelEstimate.full(atlas.p)
-    pool: list[tuple[np.ndarray, np.ndarray]] = []
+    design: PooledDesign | None = None
     warm: GroupCoefficients | None = None
 
     def update(task: TaskRecord) -> None:
-        nonlocal estimate, warm
+        nonlocal estimate, design, warm
         s = task.task
         keep = slice(None) if meta_data == "all" else task.explored
-        pool.append((env.grid[task.actions[keep]], task.rewards[keep]))
-        if sum(len(y) for _, y in pool) == 0:
-            record.events.append((s, "empty"))
-            estimate = KernelEstimate.full(atlas.p)
-            return
-        design = design_from_tasks(atlas, pool)
+        # the pool grows by the newest task's rows, whose features the
+        # environment already holds; task 1 always has forced draws
+        phi, y = env.grid_features[task.actions[keep]], task.rewards[keep]
+        if design is None:
+            design = PooledDesign([phi], [y])
+        else:
+            design.append(phi, y)
         if lam_policy == "constant":
             lam_s = lam
         elif lam_policy == "inv_sqrt":
@@ -299,7 +300,7 @@ def run_lifelong(
             lam_s,
             tol=solver_tol,
             max_iter=solver_max_iter,
-            x0=_padded_warm_start(warm, len(pool)),
+            x0=_padded_warm_start(warm, design.m),
         )
         if not outcome.report.converged:
             record.events.append((s, "solver"))

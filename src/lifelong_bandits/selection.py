@@ -7,9 +7,12 @@ full average over all p groups, and the fallback is flagged so run records
 can surface it.
 
 Also here: design compatibility diagnostics (empirical diagonal floor and
-off-diagonal ceiling of the scaled Gram, with the induced lower bound on the
-restricted eigenvalue when it is defined) and a self-contained offline
-recovery trial used to estimate support-recovery rates over seeds.
+off-diagonal ceiling of each task's scaled Gram, read from the design's
+per-task records, with the induced lower bound on the restricted eigenvalue
+when it is defined) and the offline recovery sweep used to estimate
+support-recovery rates over seeds. The sweep draws one seed's tasks once,
+builds one design of them, and fits its prefix of the first m tasks for each
+m; a single recovery trial is the sweep at one m.
 """
 
 from __future__ import annotations
@@ -115,11 +118,11 @@ def design_diagnostics(design: PooledDesign, s_star: int) -> DesignDiagnostics:
     scale = design.m / design.total_rows
     c_diag = math.inf
     c_offdiag = 0.0
-    for phi in design.features:
-        if phi.shape[0] == 0:
+    for block in design.blocks:
+        if block.rows == 0:
             c_diag = 0.0
             continue
-        gram = scale * (phi.T @ phi)
+        gram = scale * block.gram
         c_diag = min(c_diag, float(np.diag(gram).min()))
         if gram.shape[0] > 1:
             off = gram - np.diag(np.diag(gram))
@@ -140,6 +143,56 @@ class RecoveryResult:
     report: SolverReport
 
 
+def recovery_sweep(
+    spec: SyntheticSpec,
+    m_values,
+    n: int,
+    omega: float,
+    lam: float,
+    seed: int,
+    *,
+    tol: float = 1e-8,
+    max_iter: int = 50_000,
+) -> list[RecoveryResult]:
+    """One seed's recovery trials, one per entry of ``m_values``, in order.
+
+    Draws max(m_values) tasks once, each on n points continuous-uniform over
+    the atlas domain (the offline protocol), and fits the design of the first
+    m tasks cold for each m. Task s's points and noise come from its own
+    substreams, so the trial at m sees the same tasks 1..m whatever the other
+    entries are, and is reproducible from the seed alone. Each task's block
+    is featurised once and feeds both its rewards and the design.
+    """
+    m_values = tuple(m_values)
+    if n < 1:
+        raise ValueError("need at least one point per task")
+    if not m_values or min(m_values) < 1:
+        raise ValueError("need at least one task")
+    env = SyntheticEnvironment(spec, n_tasks=max(m_values), master_seed=seed)
+    atlas = env.atlas
+    lo, hi = atlas.domain[:, 0], atlas.domain[:, 1]
+    features, rewards = [], []
+    for s in range(1, env.m + 1):
+        X = substream(seed, STREAM_EXPLORE, s).uniform(lo, hi, size=(n, atlas.dim_in))
+        phi = atlas.concat_many(X)
+        features.append(phi)
+        rewards.append(env.rewards_at(s, phi, substream(seed, STREAM_NOISE, s)))
+    design = PooledDesign(features, rewards)
+    results = []
+    for m in m_values:
+        sel = learn_kernel(design.prefix(m), omega, lam, tol=tol, max_iter=max_iter)
+        results.append(
+            RecoveryResult(
+                selected=sel.estimate.selected,
+                truth=env.support,
+                exact=sel.estimate.selected == env.support,
+                fallback=sel.fallback,
+                report=sel.report,
+            )
+        )
+    return results
+
+
 def recovery_trial(
     spec: SyntheticSpec,
     m: int,
@@ -151,29 +204,7 @@ def recovery_trial(
     tol: float = 1e-8,
     max_iter: int = 50_000,
 ) -> RecoveryResult:
-    """Sample m tasks, fit on n uniform points each, check exact recovery.
-
-    Points are drawn continuous-uniform over the atlas domain (the offline
-    protocol); noise comes from the environment's per-task noise streams, so
-    the trial is reproducible from the seed alone.
-    """
-    if n < 1:
-        raise ValueError("need at least one point per task")
-    env = SyntheticEnvironment(spec, n_tasks=m, master_seed=seed)
-    lo = env.atlas.domain[:, 0]
-    hi = env.atlas.domain[:, 1]
-    tasks = []
-    for s in range(1, m + 1):
-        draw = substream(seed, STREAM_EXPLORE, s)
-        X = draw.uniform(lo, hi, size=(n, env.atlas.dim_in))
-        y = env.reward_continuous(s, X, substream(seed, STREAM_NOISE, s))
-        tasks.append((X, y))
-    design = design_from_tasks(env.atlas, tasks)
-    sel = learn_kernel(design, omega, lam, tol=tol, max_iter=max_iter)
-    return RecoveryResult(
-        selected=sel.estimate.selected,
-        truth=env.support,
-        exact=sel.estimate.selected == env.support,
-        fallback=sel.fallback,
-        report=sel.report,
-    )
+    """Sample m tasks, fit on n uniform points each, check exact recovery:
+    the one-m case of ``recovery_sweep``."""
+    (result,) = recovery_sweep(spec, (m,), n, omega, lam, seed, tol=tol, max_iter=max_iter)
+    return result

@@ -108,6 +108,86 @@ class TestPooledDesign:
         assert design.m == 2
 
 
+def random_blocks(seed, rows, p=4):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n, p)) for n in rows], [rng.standard_normal(n) for n in rows]
+
+
+def assert_designs_bit_equal(a, b):
+    (Ga, Ca, ya), (Gb, Cb, yb) = a.grams(), b.grams()
+    assert Ga.tobytes() == Gb.tobytes() and Ca.tobytes() == Cb.tobytes() and ya == yb
+    assert a.lipschitz() == b.lipschitz()
+    assert (a.m, a.p, a.total_rows) == (b.m, b.p, b.total_rows)
+    lam = 0.1
+    (ca, ra), (cb, rb) = fit_group_lasso(a, lam), fit_group_lasso(b, lam)
+    assert ca.matrix.tobytes() == cb.matrix.tobytes()
+    assert (ra.method, ra.iterations, ra.objective) == (rb.method, rb.iterations, rb.objective)
+
+
+class TestDesignGrowth:
+    # rows below and above p, and an empty task, so both eigenvalue routes run
+    ROWS = [6, 2, 0, 9, 3]
+
+    def test_appended_design_matches_fresh(self):
+        blocks, ys = random_blocks(11, self.ROWS)
+        grown = PooledDesign(blocks[:1], ys[:1])
+        for k in range(1, len(blocks)):
+            # read every statistic before the next task joins
+            grown.grams(), grown.lipschitz()
+            grown.append(blocks[k], ys[k])
+            assert_designs_bit_equal(grown, PooledDesign(blocks[: k + 1], ys[: k + 1]))
+
+    def test_prefix_matches_fresh_and_shares_records(self):
+        blocks, ys = random_blocks(12, self.ROWS)
+        full = PooledDesign(blocks, ys)
+        full.grams(), full.lipschitz()
+        for k in range(1, len(blocks) + 1):
+            part = full.prefix(k)
+            assert all(a is b for a, b in zip(part.blocks, full.blocks[:k]))
+            assert_designs_bit_equal(part, PooledDesign(blocks[:k], ys[:k]))
+
+    def test_prefix_leaves_parent_alone(self):
+        blocks, ys = random_blocks(13, self.ROWS)
+        full = PooledDesign(blocks, ys)
+        part = full.prefix(2)
+        part.append(blocks[0], ys[0])
+        assert (part.m, full.m) == (3, len(blocks))
+        with pytest.raises(ValueError):
+            full.prefix(0)
+        with pytest.raises(ValueError):
+            full.prefix(len(blocks) + 1)
+        with pytest.raises(ValueError):
+            PooledDesign([np.empty((0, 4)), np.ones((1, 4))], [np.empty(0), np.ones(1)]).prefix(1)
+
+    @pytest.mark.parametrize(
+        "phi, y",
+        [
+            (np.array([[1.0, np.nan, 0.0, 0.0]]), np.ones(1)),
+            (np.ones((1, 4)), np.array([np.inf])),
+            (np.ones((2, 3)), np.ones(2)),
+            (np.ones((3, 4)), np.ones(2)),
+        ],
+        ids=["nan_block", "inf_reward", "columns", "rows"],
+    )
+    def test_rejected_append_leaves_design_unchanged(self, phi, y):
+        blocks, ys = random_blocks(14, [3, 5])
+        design = PooledDesign(blocks, ys)
+        before = PooledDesign(blocks, ys)
+        with pytest.raises(ValueError):
+            design.append(phi, y)
+        assert_designs_bit_equal(design, before)
+
+    def test_records_are_read_only_copies(self):
+        blocks, ys = random_blocks(15, [3])
+        design = PooledDesign(blocks, ys)
+        blocks[0][0, 0] += 1.0
+        block = design.blocks[0]
+        assert block.features[0, 0] != blocks[0][0, 0]
+        for array in (block.features, block.rewards, block.gram, block.cross):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
 class TestGroupCoefficients:
     def test_group_norms(self):
         mat = np.array([[3.0, 1.0], [4.0, 1.0]])
@@ -429,8 +509,9 @@ def test_newton_finish_matches_tight_apg(seed, m, p, shape, lam_frac, warm):
 
 def test_newton_attempt_on_wrong_support_declined(monkeypatch):
     # at the first hand-off group 1 is still nonzero, but it is zero at the
-    # optimum: the restricted problem has no stationary point, Newton spends
-    # its 30 steps and ends far from optimal, and APG must finish the fit
+    # optimum: the restricted problem has no stationary point, so Newton
+    # pushes the column through zero, reversing its direction; the attempt
+    # ends there, declined, and APG must finish the fit
     rng = np.random.default_rng(642)
     design = PooledDesign(list(rng.standard_normal((2, 2, 2))), list(rng.standard_normal((2, 2))))
     lam = 0.2
@@ -446,8 +527,8 @@ def test_newton_attempt_on_wrong_support_declined(monkeypatch):
     coeffs, report = fit_group_lasso(design, lam)
     assert len(attempts) == 1
     handed, point, steps = attempts[0]
-    assert np.any(handed[:, 0] != 0.0) and steps == group_lasso.NEWTON_MAX_STEPS
-    assert kkt_residuals(design, GroupCoefficients(point), lam).max() > 1e-2
+    assert np.any(handed[:, 0] != 0.0)
+    assert point is None and 0 < steps < group_lasso.NEWTON_MAX_STEPS
     assert report.method == "apg" and report.converged
     assert report.iterations > steps
     assert np.all(coeffs.matrix[:, 0] == 0.0)

@@ -110,6 +110,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_experiment(build_config(pairs=pairs))
 
+    @pytest.mark.parametrize("m_values", ["0,3", "-2", "3,1,0"])
+    def test_offline_m_value_below_one_rejected_up_front(self, m_values):
+        # these used to pass config resolution and then fail every seed
+        with pytest.raises(ConfigError):
+            build_config("offline", {"m_values": m_values})
+
+    def test_offline_m_values_keep_their_order_and_repeats(self, tmp_path):
+        pairs = {
+            "kind": "offline",
+            "p": "8",
+            "support_size": "2",
+            "norm_bound": "5.0",
+            "n": "8",
+            "m_values": "3,1,3",
+            "seeds": "0,1",
+            "out": str(tmp_path),
+        }
+        result = run_experiment(build_config(pairs=pairs))
+        assert result.curve.m_values == (3, 1, 3)
+        assert [row[0] for row in result.recovery[0]] == [3, 1, 3]
+        assert result.recovery[0][0] == result.recovery[0][2]
+        lines = (tmp_path / "recovery_seed1.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["3", "1", "3"]
+
     def test_baseline_kind_contradicting_its_kernel_rejected(self):
         with pytest.raises(ConfigError):
             build_config("baseline_oracle", {"baseline_kernel": "full"})

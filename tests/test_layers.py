@@ -30,6 +30,11 @@ def test_layer_script_one_repeat(tmp_path):
         assert newton["converged"] and apg["converged"]
         assert newton["apg_iterations"] < apg["apg_iterations"]
     assert layers["group_lasso.client_fit"]["method"] == "path"
+    design = layers["selection.design"]
+    learned, offline = design["learned_20th_task"], design["offline_seed_setup"]
+    assert (learned["tasks"], offline["m_values"], offline["n"]) == (20, 30, 10)
+    assert learned["fresh_us"] > 0 and learned["append_us"] > 0
+    assert offline["per_m_us"] > 0 and offline["sweep_us"] > 0
     assert [layers[k]["d"] for k in ("gp_ucb.step_d5", "gp_ucb.step_d50")] == [5, 50]
     assert layers["trace"]["steps"] == 2000
     assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))

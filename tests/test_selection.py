@@ -10,6 +10,7 @@ from lifelong_bandits.selection import (
     design_diagnostics,
     design_from_tasks,
     learn_kernel,
+    recovery_sweep,
     recovery_trial,
     threshold_groups,
 )
@@ -109,3 +110,43 @@ class TestRecoveryTrial:
         b = recovery_trial(spec, m=4, n=10, omega=0.25, lam=0.25, seed=3)
         assert a.selected == b.selected
         assert a.truth == b.truth
+
+
+class TestRecoverySweep:
+    @pytest.mark.parametrize("m_values", [(1, 2, 5), (5, 1, 3, 1), (4, 4)])
+    def test_matches_independent_trials(self, m_values):
+        # one draw of max(m_values) tasks, nested prefixes, config order
+        spec = SyntheticSpec(p=12, support_size=3, norm_bound=5.0)
+        sweep = recovery_sweep(spec, m_values, 6, 0.25, 0.2, seed=5)
+        assert len(sweep) == len(m_values)
+        for m, got in zip(m_values, sweep):
+            want = recovery_trial(spec, m, 6, 0.25, 0.2, seed=5)
+            assert (got.selected, got.truth) == (want.selected, want.truth)
+            assert (got.exact, got.fallback) == (want.exact, want.fallback)
+            assert got.report.method == want.report.method
+            assert got.report.iterations == want.report.iterations
+            assert got.report.objective == want.report.objective
+            assert np.array_equal(got.report.objective_history, want.report.objective_history)
+
+    def test_rejects_bad_args(self):
+        spec = SyntheticSpec()
+        with pytest.raises(ValueError):
+            recovery_sweep(spec, (), 10, 0.25, 0.25, seed=0)
+        with pytest.raises(ValueError):
+            recovery_sweep(spec, (3, 0), 10, 0.25, 0.25, seed=0)
+        with pytest.raises(ValueError):
+            recovery_sweep(spec, (3,), 0, 0.25, 0.25, seed=0)
+
+
+def test_diagnostics_read_the_cached_gram():
+    # the per-task Gram comes from the design's record, computed once and
+    # then shared with the fits, with the numbers of a direct computation
+    rng = np.random.default_rng(4)
+    blocks = list(rng.standard_normal((3, 5, 4)))
+    design = PooledDesign(blocks, list(rng.standard_normal((3, 5))))
+    assert not any("gram" in vars(block) for block in design.blocks)
+    diag = design_diagnostics(design, s_star=2)
+    assert all("gram" in vars(block) for block in design.blocks)
+    grams = [(3 / 15) * (phi.T @ phi) for phi in blocks]
+    assert diag.c_diag == min(float(np.diag(g).min()) for g in grams)
+    assert diag.c_offdiag == max(float(np.abs(g - np.diag(np.diag(g))).max()) for g in grams)

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/layers.py --out BENCH_7.json [--repeats 7]
+    python3 tools/layers.py --out BENCH_8.json [--repeats 7]
 
 Every layer runs on a fixed input built from fixed seeds, so two commits
 time the same work. Each time is the median over ``--repeats`` timed runs,
@@ -22,8 +22,23 @@ Layers:
   taken from the smaller of Phi Phi^T and Phi^T Phi, costs less than it
   did. Each reports the time per call, the APG iterations and the Newton
   steps.
+  A design keeps each task's Gram, crossterm and top eigenvalue once they
+  are computed, and the warm-up run computes them, so these times hold the
+  iteration alone, not the Gram and eigen work.
 - ``group_lasso.client_fit``: one single-task fit of 10 grid rows at lam
   0.2, like a federated client's.
+- ``selection.design``: the design work outside the solver, with the Gram
+  statistics every pooled fit reads (``grams()`` and ``lipschitz()``).
+  ``learned_20th_task``: a fresh build of the 20-task ``learned``-like design
+  by ``design_from_tasks``, which featurises every task's points again, as
+  the lifelong runner did after each task, against appending the 20th task's
+  rows, sliced from the environment's grid features, to the 19-task design,
+  as it does now. ``offline_seed_setup``: one seed of the default offline
+  sweep (m = 1..30, n = 10) without its fits: ``per_m`` builds an
+  environment, draws tasks 1..m, featurises them for the rewards and again
+  for the design and computes every statistic, for each m, as the sweep did
+  before it drew its tasks once; ``sweep`` runs ``recovery_sweep`` with the
+  fit replaced by the statistics it reads.
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh agent.
@@ -54,13 +69,18 @@ if not any(os.environ.get(name) for name in BLAS_VARIABLES):
 
 import numpy as np  # noqa: E402
 
-from lifelong_bandits import group_lasso  # noqa: E402
+from lifelong_bandits import group_lasso, selection  # noqa: E402
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec  # noqa: E402
 from lifelong_bandits.features import KernelEstimate  # noqa: E402
 from lifelong_bandits.gp_ucb import GpUcb, UcbConfig  # noqa: E402
-from lifelong_bandits.group_lasso import GroupCoefficients, fit_group_lasso  # noqa: E402
+from lifelong_bandits.group_lasso import (  # noqa: E402
+    GroupCoefficients,
+    PooledDesign,
+    fit_group_lasso,
+)
 from lifelong_bandits.harness import RegretTrace, summarize  # noqa: E402
-from lifelong_bandits.selection import design_from_tasks  # noqa: E402
+from lifelong_bandits.seeding import STREAM_EXPLORE, STREAM_NOISE, substream  # noqa: E402
+from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
 TASKS = 20
 UCB_WARMUP = 20
@@ -78,14 +98,19 @@ def median_seconds(run, repeats: int) -> float:
     return statistics.median(times)
 
 
-def grid_tasks(env: SyntheticEnvironment, rows, rng):
-    """(points, rewards) per task, from uniform draws of grid rows."""
-    tasks = []
+def grid_draws(env: SyntheticEnvironment, rows, rng):
+    """(grid indices, rewards) per task, from uniform draws of grid rows."""
+    draws = []
     for s, n in enumerate(rows, start=1):
         view = env.task_view(s)
         drawn = rng.integers(env.grid_size, size=n)
-        tasks.append((env.grid[drawn], np.array([view.observe(int(i)) for i in drawn])))
-    return tasks
+        draws.append((drawn, np.array([view.observe(int(i)) for i in drawn])))
+    return draws
+
+
+def grid_tasks(env: SyntheticEnvironment, rows, rng):
+    """(points, rewards) per task, from uniform draws of grid rows."""
+    return [(env.grid[drawn], y) for drawn, y in grid_draws(env, rows, rng)]
 
 
 def learned_fit():
@@ -144,6 +169,73 @@ def client_fit(repeats: int) -> dict:
         "us_per_call": round(seconds * 1e6, 1),
         "steps": report.iterations,
         "method": report.method,
+    }
+
+
+def fit_statistics(design) -> None:
+    """Read what every pooled fit reads before its first iteration."""
+    design.grams()
+    design.lipschitz()
+
+
+def design_learned(repeats: int) -> dict:
+    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
+    draws = grid_draws(env, [100] + [4] * (TASKS - 1), np.random.default_rng(0))
+    tasks = [(env.grid[drawn], y) for drawn, y in draws]
+    prior = PooledDesign([env.grid_features[d] for d, _ in draws[:-1]], [y for _, y in draws[:-1]])
+    fit_statistics(prior)
+    last, last_y = draws[-1]
+
+    def append():
+        design = prior.prefix(TASKS - 1)
+        design.append(env.grid_features[last], last_y)
+        fit_statistics(design)
+
+    fresh = median_seconds(lambda: fit_statistics(design_from_tasks(env.atlas, tasks)), repeats)
+    grown = median_seconds(append, repeats)
+    return {
+        "tasks": TASKS,
+        "rows": sum(len(y) for _, y in draws),
+        "fresh_us": round(fresh * 1e6, 1),
+        "append_us": round(grown * 1e6, 1),
+    }
+
+
+def offline_setup_per_m(spec, m_values, n, seed) -> None:
+    """One seed's sweep setup as it was: every m redraws tasks 1..m."""
+    for m in m_values:
+        env = SyntheticEnvironment(spec, n_tasks=m, master_seed=seed)
+        lo, hi = env.atlas.domain[:, 0], env.atlas.domain[:, 1]
+        tasks = []
+        for s in range(1, m + 1):
+            X = substream(seed, STREAM_EXPLORE, s).uniform(lo, hi, size=(n, env.atlas.dim_in))
+            tasks.append((X, env.reward_continuous(s, X, substream(seed, STREAM_NOISE, s))))
+        fit_statistics(design_from_tasks(env.atlas, tasks))
+
+
+def design_offline(repeats: int) -> dict:
+    spec, m_values, n, seed = SyntheticSpec(), tuple(range(1, 31)), 10, 0
+
+    def statistics_only(design, omega, lam, **kwargs):
+        fit_statistics(design)
+        return selection.KernelSelection(
+            estimate=KernelEstimate.full(design.p),
+            fallback=True,
+            group_norms=np.zeros(design.p),
+            coeffs=GroupCoefficients.zeros(design.m, design.p),
+            report=None,
+        )
+
+    per_m = median_seconds(lambda: offline_setup_per_m(spec, m_values, n, seed), repeats)
+    with mock.patch.object(selection, "learn_kernel", statistics_only):
+        sweep = median_seconds(
+            lambda: recovery_sweep(spec, m_values, n, 0.25, 0.25, seed), repeats
+        )
+    return {
+        "m_values": len(m_values),
+        "n": n,
+        "per_m_us": round(per_m * 1e6, 1),
+        "sweep_us": round(sweep * 1e6, 1),
     }
 
 
@@ -227,6 +319,10 @@ def main(argv=None) -> int:
             "apg_only": time_pooled_fit(design, lam, x0, args.repeats, handoff=False),
         }
     layers["group_lasso.client_fit"] = client_fit(args.repeats)
+    layers["selection.design"] = {
+        "learned_20th_task": design_learned(args.repeats),
+        "offline_seed_setup": design_offline(args.repeats),
+    }
     layers["gp_ucb.step_d5"] = ucb_step((1, 2, 3, 4, 5), args.repeats)
     layers["gp_ucb.step_d50"] = ucb_step(tuple(range(1, 51)), args.repeats)
     layers["trace"] = trace_io(args.repeats)
