@@ -535,6 +535,34 @@ def test_newton_attempt_on_wrong_support_declined(monkeypatch):
     assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
 
 
+@pytest.mark.parametrize("bad", ["scaled_column", "unmoved"])
+def test_newton_point_failing_acceptance_declined(monkeypatch, bad):
+    # a Newton point goes through APG's acceptance check: one with a column
+    # scaled off the hand-off iterate raises both the objective and the
+    # mapping norm, and the hand-off iterate itself keeps the objective but
+    # not the stop rule; either way APG must finish the fit
+    rng = np.random.default_rng(1)
+    design = PooledDesign(list(rng.standard_normal((3, 6, 4))), list(rng.standard_normal((3, 6))))
+    _, C, _ = design.grams()
+    lam = 0.3 * 2.0 / design.total_rows * float(np.sqrt((C * C).sum(axis=0)).max())
+    assert fit_group_lasso(design, lam)[1].method == "newton"
+    handed = []
+
+    def bad_point(G, C, N, lam, x):
+        handed.append(x.copy())
+        point = x.copy()
+        if bad == "scaled_column":
+            point[:, np.flatnonzero((x * x).sum(axis=0) > 0.0)[0]] *= 1.5
+        return point, 1
+
+    monkeypatch.setattr(group_lasso, "_newton_finish", bad_point)
+    coeffs, report = fit_group_lasso(design, lam)
+    assert handed
+    assert report.method == "apg" and report.converged
+    assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+    assert np.all(np.diff(report.objective_history) <= 0.0)
+
+
 def test_declined_single_task_fit_reports_apg():
     # lam = 0 with more columns than rows: the path declines and APG answers
     design = path_design(4, 3, 5, "plain")
