@@ -1,9 +1,10 @@
 """Finite basis dictionaries and averaged kernels built from them.
 
 A feature atlas is an ordered dictionary of p basis groups over a box domain.
-Every group is scalar: group j is one basis function phi_j, and the atlas
-evaluates single groups or the full feature vector phi = (phi_1, ..., phi_p),
-so group j is column j - 1 of a feature table. The families:
+Every group is scalar: group j is one basis function phi_j. The atlas
+evaluates the full feature vector phi = (phi_1, ..., phi_p) at a batch of
+points (``concat_many``), so group j is column j - 1 of the feature table,
+and a single point is a batch of one. The families:
 
 ``cosine1d``
     phi_j(x) = cos(j * pi * x) on [0, 1]. No sqrt(2) normalization.
@@ -92,42 +93,38 @@ class FeatureAtlas:
         """Dimension of the input space."""
         return self.domain.shape[0]
 
-    def _check_group(self, j: int) -> None:
-        if not 1 <= j <= self.p:
-            raise IndexError(f"group index {j} outside 1..{self.p}")
-
     def _check_points(self, points: np.ndarray) -> None:
         lo = self.domain[:, 0] - _DOMAIN_SLACK
         hi = self.domain[:, 1] + _DOMAIN_SLACK
         if np.any(points < lo) or np.any(points > hi):
             raise DomainError("point outside the atlas domain")
 
-    def _as_points(self, x) -> tuple[np.ndarray, bool]:
-        """Coerce x to an (n, dim_in) array; second value says x was a batch."""
+    def _as_points(self, x) -> np.ndarray:
+        """Coerce x to an (n, dim_in) array."""
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
-            batched = False
         elif arr.ndim == 1:
             if self.dim_in == 1 and arr.shape[0] != 1:
                 # a flat vector of scalar inputs
                 arr = arr.reshape(-1, 1)
-                batched = True
             else:
                 arr = arr.reshape(1, -1)
-                batched = False
-        else:
-            batched = True
         if arr.shape[-1] != self.dim_in:
             raise ValueError(
                 f"expected points with {self.dim_in} coordinate(s), "
                 f"got shape {arr.shape}"
             )
         self._check_points(arr)
-        return arr, batched
+        return arr
 
-    def _table(self, points: np.ndarray) -> np.ndarray:
-        """Full feature matrix, shape (n, p)."""
+    def concat_many(self, X) -> np.ndarray:
+        """Concatenated features for a batch of points, shape (n, p).
+
+        A flat array is read as a batch of scalar inputs when dim_in == 1 and
+        as a single point otherwise.
+        """
+        points = self._as_points(X)
         if self.family is BasisFamily.COSINE_1D:
             freqs = np.arange(1, self.p + 1)
             return np.cos(np.pi * points[:, :1] * freqs)
@@ -138,30 +135,6 @@ class FeatureAtlas:
         return np.cos(np.pi * points[:, :1] * pairs[:, 0]) * np.cos(
             np.pi * points[:, 1:2] * pairs[:, 1]
         )
-
-    def feature(self, j: int, x) -> np.ndarray:
-        """Evaluate group j at a single point; returns a (1,) vector."""
-        self._check_group(j)
-        points, _ = self._as_points(x)
-        if points.shape[0] != 1:
-            raise ValueError("feature() takes a single point; use concat_many")
-        return self._table(points)[0, j - 1 : j].copy()
-
-    def concat(self, x) -> np.ndarray:
-        """Concatenated features (phi_1(x), ..., phi_p(x)) at a single point."""
-        points, _ = self._as_points(x)
-        if points.shape[0] != 1:
-            raise ValueError("concat() takes a single point; use concat_many")
-        return self._table(points)[0].copy()
-
-    def concat_many(self, X) -> np.ndarray:
-        """Concatenated features for a batch of points, shape (n, p).
-
-        A flat array is read as a batch of scalar inputs when dim_in == 1 and
-        as a single point otherwise.
-        """
-        points, _ = self._as_points(X)
-        return self._table(points)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import FeatureAtlas, KernelEstimate
+from .features import KernelEstimate
+from .group_lasso import PooledDesign
 from .lifelong import LifelongRunRecord, ScheduleMode, _run_tasks
-from .selection import design_from_tasks, learn_kernel
+# design_from_tasks stays bound here: perfbench's tracer wraps this binding
+from .selection import design_from_tasks, learn_kernel  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,7 @@ class VoteLedger:
 
 
 def client_fit(
-    atlas: FeatureAtlas,
-    X,
+    phi: np.ndarray,
     y,
     lam: float,
     omega: float,
@@ -95,6 +96,9 @@ def client_fit(
 ) -> ClientVote:
     """Fit one client's data alone and return its index vote.
 
+    ``phi`` holds the feature rows of the client's points (the rows of the
+    environment's grid features it drew), ``y`` their rewards.
+
     The threshold is a plain strict cut at omega on the group norms (the
     single-task case of the pooled rule). A non-converged fit returns an
     empty vote with the failure flag set rather than raising.
@@ -102,9 +106,7 @@ def client_fit(
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise DataError("client has no exploration data")
-    outcome = learn_kernel(
-        design_from_tasks(atlas, [(X, y)]), omega, lam, tol=tol, max_iter=max_iter
-    )
+    outcome = learn_kernel(PooledDesign([phi], [y]), omega, lam, tol=tol, max_iter=max_iter)
     if not outcome.report.converged:
         return ClientVote(client=client, indices=(), explore_count=len(y), failed=True)
     indices = () if outcome.fallback else outcome.estimate.selected
@@ -145,8 +147,7 @@ def run_federated(
 
     def vote_kernel(s: int, drawn: list[int], drawn_y: list[float]) -> KernelEstimate:
         vote = client_fit(
-            atlas,
-            env.grid[drawn],
+            env.grid_features[drawn],
             drawn_y,
             lam,
             omega,

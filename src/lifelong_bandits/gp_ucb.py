@@ -118,13 +118,6 @@ class PosteriorState:
         self._log_det_ratio += float(np.log(q))
         return w
 
-    def mean_var(self, phi: np.ndarray) -> tuple[float, float]:
-        """Posterior mean and variance at one scaled feature vector."""
-        phi = np.asarray(phi, dtype=float).reshape(-1)
-        mu = float(phi @ self.theta)
-        var = self.lam**2 * float(phi @ self.inv @ phi)
-        return mu, max(var, 0.0)
-
     def mean_var_many(self, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior over the rows of a scaled feature matrix."""
         var = self.lam**2 * np.einsum("ij,ij->i", Phi @ self.inv, Phi)

@@ -1,20 +1,27 @@
-"""Experiment configuration, runners, and trace persistence.
+"""Experiment configuration, the seed loop, and the result files.
 
-Configs are flat ``key = value`` text. Every key has a kind-dependent
-default, so an empty config runs the reference setup for its kind; the
-canonical serialization sorts keys, and the config digest is the sha256 of
-that canonical text, which makes it stable under reordering of the input.
+Configs are flat ``key = value`` text. Each key is declared once, as a field
+of ``ExperimentConfig`` that carries the parser of its text value and its
+default for the lifelong kind; ``_KIND_DEFAULTS`` overrides some defaults per
+kind, so an empty config runs the reference setup for its kind. Float keys
+must be finite. The canonical serialization sorts keys, and the config
+digest is the sha256 of that canonical text, which makes it stable under
+reordering of the input.
 
-Traces are one CSV row per step. Floats are written with repr and parsed
-with float, so a written file reproduces the in-memory arrays bit for bit
-and identical runs produce byte-identical files.
+``run_experiment`` runs every kind through one seed loop: a seed that raises
+becomes a row of ``failures.csv`` and the loop goes on; the run raises only
+when every seed failed. Every result file is CSV written by one helper.
+Floats are written as the repr of a Python float and parsed with float, so
+a written file reproduces the in-memory arrays bit for bit and identical
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +29,7 @@ import numpy as np
 from .environment import LookupEnvironment, LookupTable, SyntheticEnvironment, SyntheticSpec
 from .errors import ConfigError, DataError
 from .features import BasisFamily, FeatureAtlas
-from .federated import FederatedRunRecord, run_federated
+from .federated import run_federated
 from .gp_ucb import UcbConfig
 from .lifelong import (
     BASELINE_KERNELS,
@@ -37,43 +44,7 @@ from .lifelong import (
 # recovery_trial stays bound here: perfbench's tracer wraps this binding
 from .selection import recovery_sweep, recovery_trial  # noqa: F401
 
-KINDS = (
-    "offline",
-    "lifelong",
-    "lookup",
-    "federated",
-    "baseline_oracle",
-    "baseline_full",
-)
-
-_BASE_DEFAULTS = {
-    "kind": "lifelong",
-    "seeds": "20",
-    "out": "",
-    "family": "cosine1d",
-    "p": "50",
-    "support_size": "5",
-    "norm_bound": "10.0",
-    "beta_min": "0.5",
-    "noise": "0.1",
-    "grid": "0",
-    "m": "20",
-    "n": "100",
-    "omega": "0.25",
-    "lam": "0.5",
-    "alpha": "0.25",
-    "lam_policy": "inv_sqrt",
-    "meta_data": "exploration",
-    "schedule": "decreasing",
-    "nu": "10.0",
-    "lam_ucb": "0.1",
-    "table": "",
-    "baseline_kernel": "oracle",
-    "m_values": ",".join(str(v) for v in range(1, 31)),
-    "solver_tol": "1e-08",
-    "solver_max_iter": "50000",
-}
-
+# the experiment kinds, and the defaults each one overrides
 _KIND_DEFAULTS = {
     "offline": {"m": "30", "n": "10", "lam": "0.25"},
     "lifelong": {},
@@ -89,6 +60,7 @@ _KIND_DEFAULTS = {
     "baseline_oracle": {"baseline_kernel": "oracle"},
     "baseline_full": {"baseline_kernel": "full"},
 }
+KINDS = tuple(_KIND_DEFAULTS)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -111,39 +83,57 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _key(parse, default: str):
+    """A config key: the parser of its text value and its lifelong-kind default."""
+    return field(metadata={"parse": parse, "default": default})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    seeds: tuple[int, ...]
-    out: str
-    family: str
-    p: int
-    support_size: int
-    norm_bound: float
-    beta_min: float
-    noise: float
-    grid: int
-    m: int
-    n: int
-    omega: float
-    lam: float
-    alpha: float
-    lam_policy: str
-    meta_data: str
-    schedule: str
-    nu: float
-    lam_ucb: float
-    table: str
-    baseline_kernel: str
-    m_values: tuple[int, ...]
-    solver_tol: float
-    solver_max_iter: int
+    """A resolved experiment config: one field per key, declared by ``_key``."""
+
+    kind: str = _key(str, "lifelong")
+    seeds: tuple[int, ...] = _key(_parse_seeds, "20")
+    out: str = _key(str, "")
+    family: str = _key(str, "cosine1d")
+    p: int = _key(int, "50")
+    support_size: int = _key(int, "5")
+    norm_bound: float = _key(_parse_finite, "10.0")
+    beta_min: float = _key(_parse_finite, "0.5")
+    noise: float = _key(_parse_finite, "0.1")
+    grid: int = _key(int, "0")
+    m: int = _key(int, "20")
+    n: int = _key(int, "100")
+    omega: float = _key(_parse_finite, "0.25")
+    lam: float = _key(_parse_finite, "0.5")
+    alpha: float = _key(_parse_finite, "0.25")
+    lam_policy: str = _key(str, "inv_sqrt")
+    meta_data: str = _key(str, "exploration")
+    schedule: str = _key(str, "decreasing")
+    nu: float = _key(_parse_finite, "10.0")
+    lam_ucb: float = _key(_parse_finite, "0.1")
+    table: str = _key(str, "")
+    baseline_kernel: str = _key(str, "oracle")
+    m_values: tuple[int, ...] = _key(_parse_int_list, ",".join(str(v) for v in range(1, 31)))
+    solver_tol: float = _key(_parse_finite, "1e-08")
+    solver_max_iter: int = _key(int, "50000")
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind: {self.kind!r}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must not repeat")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonnegative")
         if self.kind == "lookup" and not self.table:
             raise ConfigError("lookup experiments need a table path")
         if self.n < 1:
@@ -172,8 +162,12 @@ class ExperimentConfig:
             raise ConfigError("every m value must be at least 1")
         if self.omega < 0:
             raise ConfigError("omega must be nonnegative")
+        if self.lam < 0:
+            raise ConfigError("lam must be nonnegative")
         if self.solver_tol <= 0:
             raise ConfigError("solver_tol must be positive")
+        if self.solver_max_iter < 1:
+            raise ConfigError("solver_max_iter must be positive")
         if self.grid < 0 or self.grid == 1:
             raise ConfigError("grid must be 0 (the family default) or at least 2")
         # the validators of the objects each seed builds, run once up front
@@ -219,10 +213,11 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
     argument fills in when the pairs leave it out.
     """
     pairs = dict(pairs or {})
-    resolved_kind = pairs.get("kind", kind or _BASE_DEFAULTS["kind"])
+    keys = fields(ExperimentConfig)
+    values = {f.name: f.metadata["default"] for f in keys}
+    resolved_kind = pairs.get("kind", kind or values["kind"])
     if resolved_kind not in KINDS:
         raise ConfigError(f"unknown kind: {resolved_kind!r}")
-    values = dict(_BASE_DEFAULTS)
     values.update(_KIND_DEFAULTS[resolved_kind])
     values["kind"] = resolved_kind
     for key, value in pairs.items():
@@ -237,33 +232,7 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot resolve lam_ucb=theory: {exc}") from exc
     try:
-        return ExperimentConfig(
-            kind=values["kind"],
-            seeds=_parse_seeds(values["seeds"]),
-            out=values["out"],
-            family=values["family"],
-            p=int(values["p"]),
-            support_size=int(values["support_size"]),
-            norm_bound=float(values["norm_bound"]),
-            beta_min=float(values["beta_min"]),
-            noise=float(values["noise"]),
-            grid=int(values["grid"]),
-            m=int(values["m"]),
-            n=int(values["n"]),
-            omega=float(values["omega"]),
-            lam=float(values["lam"]),
-            alpha=float(values["alpha"]),
-            lam_policy=values["lam_policy"],
-            meta_data=values["meta_data"],
-            schedule=values["schedule"],
-            nu=float(values["nu"]),
-            lam_ucb=float(values["lam_ucb"]),
-            table=values["table"],
-            baseline_kernel=values["baseline_kernel"],
-            m_values=_parse_int_list(values["m_values"]),
-            solver_tol=float(values["solver_tol"]),
-            solver_max_iter=int(values["solver_max_iter"]),
-        )
+        return ExperimentConfig(**{f.name: f.metadata["parse"](values[f.name]) for f in keys})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -276,7 +245,31 @@ def load_config(path, kind: str | None = None) -> ExperimentConfig:
     return parse_config(Path(path).read_text(), kind)
 
 
-_TRACE_HEADER = "step,task,instantaneous,cumulative,kernel_size,recovered,explored"
+def _csv(header: str, rows) -> str:
+    """CSV text: the header, then one line per row of Python scalars.
+
+    ``str`` of a Python float is its shortest round-tripping repr. Numpy
+    scalars format by numpy's rules (their repr is not a plain number), so
+    array columns go through ``tolist`` first.
+    """
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def _columns_text(table) -> str:
+    """CSV text of a dataclass of equal-length array columns, one row per index."""
+    names = [f.name for f in fields(table)]
+    return _csv(",".join(names), zip(*(getattr(table, name).tolist() for name in names)))
+
+
+def _standard_error(samples: np.ndarray) -> np.ndarray:
+    """Per-column sample standard deviation over the rows, over sqrt(#rows).
+
+    A single row gets a zero column.
+    """
+    k = samples.shape[0]
+    if k < 2:
+        return np.zeros(samples.shape[1])
+    return samples.std(axis=0, ddof=1) / math.sqrt(k)
 
 
 @dataclass
@@ -300,48 +293,27 @@ class RegretTrace:
 
     @classmethod
     def from_record(cls, record: LifelongRunRecord) -> "RegretTrace":
-        inst = np.concatenate([t.regrets for t in record.tasks])
-        task = np.concatenate(
-            [np.full(len(t.regrets), t.task, dtype=int) for t in record.tasks]
-        )
-        size = np.concatenate(
-            [np.full(len(t.regrets), len(t.kernel), dtype=int) for t in record.tasks]
-        )
-        rec = np.concatenate(
-            [
-                np.full(
-                    len(t.regrets),
-                    -1 if t.recovered is None else int(t.recovered),
-                    dtype=int,
-                )
-                for t in record.tasks
-            ]
-        )
-        explored = np.concatenate([t.explored.astype(int) for t in record.tasks])
+        tasks = record.tasks
+        lengths = [len(t.regrets) for t in tasks]
+        inst = np.concatenate([t.regrets for t in tasks])
+        recovered = [-1 if t.recovered is None else int(t.recovered) for t in tasks]
         return cls(
             step=np.arange(1, len(inst) + 1),
-            task=task,
+            task=np.repeat([t.task for t in tasks], lengths),
             instantaneous=inst,
             cumulative=np.cumsum(inst),
-            kernel_size=size,
-            recovered=rec,
-            explored=explored,
+            kernel_size=np.repeat([len(t.kernel) for t in tasks], lengths),
+            recovered=np.repeat(recovered, lengths),
+            explored=np.concatenate([t.explored.astype(int) for t in tasks]),
         )
 
     def to_text(self) -> str:
-        rows = [_TRACE_HEADER]
-        for i in range(len(self.step)):
-            rows.append(
-                f"{self.step[i]},{self.task[i]},{float(self.instantaneous[i])!r},"
-                f"{float(self.cumulative[i])!r},{self.kernel_size[i]},"
-                f"{self.recovered[i]},{self.explored[i]}"
-            )
-        return "\n".join(rows) + "\n"
+        return _columns_text(self)
 
     @classmethod
     def from_text(cls, text: str) -> "RegretTrace":
         lines = [l for l in text.splitlines() if l]
-        if not lines or lines[0] != _TRACE_HEADER:
+        if not lines or lines[0] != ",".join(f.name for f in fields(cls)):
             raise DataError("bad trace header")
         cells = [line.split(",") for line in lines[1:]]
         if not cells:
@@ -367,11 +339,6 @@ class RegretTrace:
         return cls.from_text(Path(path).read_text())
 
 
-_SUMMARY_HEADER = (
-    "step,task,mean_instantaneous,se_instantaneous,mean_cumulative,se_cumulative"
-)
-
-
 @dataclass
 class SummaryTable:
     step: np.ndarray
@@ -382,17 +349,7 @@ class SummaryTable:
     se_cumulative: np.ndarray
 
     def to_text(self) -> str:
-        rows = [_SUMMARY_HEADER]
-        for i in range(len(self.step)):
-            rows.append(
-                f"{self.step[i]},{self.task[i]},{float(self.mean_instantaneous[i])!r},"
-                f"{float(self.se_instantaneous[i])!r},{float(self.mean_cumulative[i])!r},"
-                f"{float(self.se_cumulative[i])!r}"
-            )
-        return "\n".join(rows) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
+        return _columns_text(self)
 
 
 def summarize(traces) -> SummaryTable:
@@ -414,20 +371,13 @@ def summarize(traces) -> SummaryTable:
     # invariant under permutation of the input traces
     inst = np.sort(np.stack([t.instantaneous for t in traces]), axis=0)
     cum = np.sort(np.stack([t.cumulative for t in traces]), axis=0)
-    k = len(traces)
-    if k > 1:
-        se_inst = inst.std(axis=0, ddof=1) / math.sqrt(k)
-        se_cum = cum.std(axis=0, ddof=1) / math.sqrt(k)
-    else:
-        se_inst = np.zeros(length)
-        se_cum = np.zeros(length)
     return SummaryTable(
         step=traces[0].step.copy(),
         task=traces[0].task.copy(),
         mean_instantaneous=inst.mean(axis=0),
-        se_instantaneous=se_inst,
+        se_instantaneous=_standard_error(inst),
         mean_cumulative=cum.mean(axis=0),
-        se_cumulative=se_cum,
+        se_cumulative=_standard_error(cum),
     )
 
 
@@ -442,16 +392,14 @@ class RecoveryCurve:
     trials: int
 
     def to_text(self) -> str:
-        rows = ["m,rate,se,successes,trials"]
-        for i, m in enumerate(self.m_values):
-            rows.append(
-                f"{m},{float(self.rates[i])!r},{float(self.ses[i])!r},"
-                f"{self.successes[i]},{self.trials}"
-            )
-        return "\n".join(rows) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
+        rows = zip(
+            self.m_values,
+            self.rates.tolist(),
+            self.ses.tolist(),
+            self.successes.tolist(),
+            repeat(self.trials),
+        )
+        return _csv("m,rate,se,successes,trials", rows)
 
 
 @dataclass
@@ -493,6 +441,22 @@ def _build_environment(config: ExperimentConfig, seed: int, m: int, table: Looku
 
 
 def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: LookupTable | None):
+    """One seed's outcome: the offline sweep's rows, or the runner's record."""
+    if config.kind == "offline":
+        trials = recovery_sweep(
+            _synthetic_spec(config),
+            config.m_values,
+            config.n,
+            config.omega,
+            config.lam,
+            seed,
+            tol=config.solver_tol,
+            max_iter=config.solver_max_iter,
+        )
+        return [
+            (m, trial.exact, trial.fallback, len(trial.selected))
+            for m, trial in zip(config.m_values, trials)
+        ]
     factory = default_solver_factory(UcbConfig(nu=config.nu, lam=config.lam_ucb))
     env = _build_environment(config, seed, max(config.m, 1), table)
     m = config.m if config.m > 0 else env.m
@@ -537,67 +501,26 @@ def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: Looku
     )
 
 
-def _run_offline(config: ExperimentConfig, out: Path | None) -> ExperimentResult:
-    digest = config.digest()
-    spec = _synthetic_spec(config)
-    per_seed: dict[int, list[tuple[int, bool, bool, int]]] = {}
-    failures: list[tuple[int, str]] = []
-    for seed in config.seeds:
-        try:
-            trials = recovery_sweep(
-                spec,
-                config.m_values,
-                config.n,
-                config.omega,
-                config.lam,
-                seed,
-                tol=config.solver_tol,
-                max_iter=config.solver_max_iter,
-            )
-            per_seed[seed] = [
-                (m, trial.exact, trial.fallback, len(trial.selected))
-                for m, trial in zip(config.m_values, trials)
-            ]
-        except Exception as exc:
-            failures.append((seed, f"{type(exc).__name__}: {exc}"))
-    if not per_seed:
-        raise RuntimeError("every seed failed; first error: " + failures[0][1])
-    exact = np.array(
-        [[1 if row[1] else 0 for row in per_seed[s]] for s in sorted(per_seed)]
-    )
-    k = exact.shape[0]
-    rates = exact.mean(axis=0)
-    ses = exact.std(axis=0, ddof=1) / math.sqrt(k) if k > 1 else np.zeros(len(config.m_values))
-    curve = RecoveryCurve(
-        m_values=config.m_values,
-        rates=rates,
-        ses=ses,
-        successes=exact.sum(axis=0),
-        trials=k,
-    )
-    if out is not None:
-        for seed, rows in per_seed.items():
-            lines = ["m,exact,fallback,selected_size"]
-            lines += [f"{m},{int(e)},{int(f)},{size}" for m, e, f, size in rows]
-            (out / f"recovery_seed{seed}.csv").write_text("\n".join(lines) + "\n")
-        curve.save(out / "recovery_curve.csv")
-        _write_failures(out, failures)
-    return ExperimentResult(
-        config=config,
-        digest=digest,
-        traces={},
-        summary=None,
-        recovery=per_seed,
-        curve=curve,
-        votes=None,
-        failures=failures,
-    )
-
-
-def _write_failures(out: Path, failures) -> None:
-    if failures:
-        lines = ["seed,error"] + [f"{s},{msg}" for s, msg in failures]
-        (out / "failures.csv").write_text("\n".join(lines) + "\n")
+def _write_outputs(out: Path, result: ExperimentResult) -> None:
+    """Write every result file of a run into ``out``."""
+    for seed, trace in result.traces.items():
+        trace.save(out / f"trace_seed{seed}.csv")
+    if result.summary is not None:
+        (out / "summary.csv").write_text(result.summary.to_text())
+    for seed, rows in (result.votes or {}).items():
+        votes = [
+            (v.client, ";".join(map(str, v.indices)), ";".join(map(str, server)), int(v.failed))
+            for v, server in rows
+        ]
+        (out / f"votes_seed{seed}.csv").write_text(_csv("task,indices,server,failed", votes))
+    for seed, rows in (result.recovery or {}).items():
+        flags = [(m, int(exact), int(fallback), size) for m, exact, fallback, size in rows]
+        text = _csv("m,exact,fallback,selected_size", flags)
+        (out / f"recovery_seed{seed}.csv").write_text(text)
+    if result.curve is not None:
+        (out / "recovery_curve.csv").write_text(result.curve.to_text())
+    if result.failures:
+        (out / "failures.csv").write_text(_csv("seed,error", result.failures))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -607,47 +530,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.resolved.txt").write_text(config.serialize())
-    if config.kind == "offline":
-        return _run_offline(config, out)
-    table = LookupTable.load(config.table) if config.table else None
-    if table is not None:
+    table = None
+    if config.table and config.kind != "offline":
+        table = LookupTable.load(config.table)
         # a table that does not fit the config would fail every seed alike
         _build_environment(config, config.seeds[0], 1, table)
     digest = config.digest()
-    traces: dict[int, RegretTrace] = {}
-    votes: dict[int, list] = {}
+    done = {}
     failures: list[tuple[int, str]] = []
     for seed in config.seeds:
         try:
-            record = _run_one_seed(config, seed, digest, table)
+            done[seed] = _run_one_seed(config, seed, digest, table)
         except Exception as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
-            continue
-        traces[seed] = RegretTrace.from_record(record)
-        if isinstance(record, FederatedRunRecord):
-            votes[seed] = list(zip(record.votes, record.server_sets))
-    if not traces:
+    if not done:
         raise RuntimeError("every seed failed; first error: " + failures[0][1])
-    summary = summarize([traces[s] for s in sorted(traces)])
+    traces, summary, recovery, curve, votes = {}, None, None, None, None
+    if config.kind == "offline":
+        recovery = done
+        exact = np.array([[int(row[1]) for row in done[s]] for s in sorted(done)])
+        curve = RecoveryCurve(
+            config.m_values,
+            exact.mean(axis=0),
+            _standard_error(exact),
+            exact.sum(axis=0),
+            exact.shape[0],
+        )
+    else:
+        traces = {seed: RegretTrace.from_record(record) for seed, record in done.items()}
+        summary = summarize([traces[s] for s in sorted(traces)])
+        if config.kind == "federated":
+            votes = {seed: list(zip(r.votes, r.server_sets)) for seed, r in done.items()}
+    result = ExperimentResult(config, digest, traces, summary, recovery, curve, votes, failures)
     if out is not None:
-        for seed, trace in traces.items():
-            trace.save(out / f"trace_seed{seed}.csv")
-        summary.save(out / "summary.csv")
-        for seed, rows in votes.items():
-            lines = ["task,indices,server,failed"]
-            for vote, server in rows:
-                idx = ";".join(str(j) for j in vote.indices)
-                srv = ";".join(str(j) for j in server)
-                lines.append(f"{vote.client},{idx},{srv},{int(vote.failed)}")
-            (out / f"votes_seed{seed}.csv").write_text("\n".join(lines) + "\n")
-        _write_failures(out, failures)
-    return ExperimentResult(
-        config=config,
-        digest=digest,
-        traces=traces,
-        summary=summary,
-        recovery=None,
-        curve=None,
-        votes=votes if config.kind == "federated" else None,
-        failures=failures,
-    )
+        _write_outputs(out, result)
+    return result

@@ -134,14 +134,6 @@ class LifelongRunRecord:
     def final_regret(self) -> float:
         return float(self.cumulative_regret()[-1])
 
-    def kernel_after_task(self, s: int) -> tuple[int, ...]:
-        """Kernel estimate produced by the update that ran after task s."""
-        if not 1 <= s <= len(self.tasks):
-            raise IndexError("task out of range")
-        if s == len(self.tasks):
-            return self.final_kernel
-        return self.tasks[s].kernel
-
 
 def default_solver_factory(config: UcbConfig | None = None):
     cfg = config if config is not None else UcbConfig()

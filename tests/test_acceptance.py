@@ -174,7 +174,8 @@ def test_criterion_3_primal_dual_posterior_equivalence():
         for i in range(n_obs):
             state.observe(Phi[i], float(y[i]))
         phi = rng.standard_normal(dim)
-        mean_p, var_p = state.mean_var(phi)
+        means, variances = state.mean_var_many(phi[None, :])
+        mean_p, var_p = float(means[0]), float(variances[0])
         mean_d, var_d = _dual_mean_var(Phi, y, phi, lam)
         worst = max(worst, abs(mean_p - mean_d), abs(var_p - var_d))
     ok = worst <= 1e-8

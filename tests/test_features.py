@@ -1,5 +1,7 @@
 """Basis dictionaries and averaged kernels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,24 +24,35 @@ def mid_domain(atlas):
     return atlas.domain.mean(axis=1)
 
 
+def group_value(family, p, j, x):
+    """Group j of a p-group atlas at one point, from the family's closed form."""
+    if family is BasisFamily.COSINE_1D:
+        return math.cos(j * math.pi * x[0])
+    if family is BasisFamily.LEGENDRE_1D:
+        return np.polynomial.legendre.Legendre.basis(j)(x[0])
+    side = math.isqrt(p - 1) + 1  # pairs (a, b) run row-major over 1..side
+    a, b = divmod(j - 1, side)
+    return math.cos((a + 1) * math.pi * x[0]) * math.cos((b + 1) * math.pi * x[1])
+
+
 class TestEvalFeature:
     def test_cosine_first_group_at_zero(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=8)
-        assert atlas.feature(1, 0.0)[0] == pytest.approx(1.0)
+        assert atlas.concat_many(0.0)[0, 0] == pytest.approx(1.0)
 
     def test_cosine_second_group_at_half(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=8)
-        assert atlas.feature(2, 0.5)[0] == pytest.approx(-1.0)
+        assert atlas.concat_many(0.5)[0, 1] == pytest.approx(-1.0)
 
     def test_legendre_degree_two_at_half(self):
         # hand recurrence: P2(x) = (3x^2 - 1)/2, so P2(0.5) = -0.125
         atlas = FeatureAtlas(BasisFamily.LEGENDRE_1D, p=4)
-        assert atlas.feature(2, 0.5)[0] == pytest.approx(-0.125, abs=1e-14)
+        assert atlas.concat_many(0.5)[0, 1] == pytest.approx(-0.125, abs=1e-14)
 
     def test_tensor_pair_enumeration(self):
         # p=4 maps groups 1..4 to pairs (1,1), (1,2), (2,1), (2,2)
         atlas = FeatureAtlas(BasisFamily.COSINE_2D, p=4)
-        val = atlas.feature(3, (0.5, 1.0))[0]
+        val = atlas.concat_many((0.5, 1.0))[0, 2]
         assert val == pytest.approx(np.cos(2 * np.pi * 0.5) * np.cos(np.pi * 1.0))
         assert val == pytest.approx(1.0)
 
@@ -50,26 +63,19 @@ class TestEvalFeature:
     def test_out_of_domain_rejected(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
         with pytest.raises(DomainError):
-            atlas.feature(1, 1.5)
+            atlas.concat_many(1.5)
         with pytest.raises(DomainError):
-            FeatureAtlas(BasisFamily.LEGENDRE_1D, p=3).feature(1, -1.01)
-
-    def test_bad_group_index_rejected(self):
-        atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
-        with pytest.raises(IndexError):
-            atlas.feature(0, 0.5)
-        with pytest.raises(IndexError):
-            atlas.feature(4, 0.5)
+            FeatureAtlas(BasisFamily.LEGENDRE_1D, p=3).concat_many(-1.01)
 
 
 class TestEvalConcat:
     def test_all_ones_at_zero(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
-        np.testing.assert_allclose(atlas.concat(0.0), [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(atlas.concat_many(0.0)[0], [1.0, 1.0, 1.0])
 
     def test_half_point_values(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=2)
-        vec = atlas.concat(0.5)
+        vec = atlas.concat_many(0.5)[0]
         assert abs(vec[0]) < 1e-15
         assert vec[1] == pytest.approx(-1.0)
 
@@ -80,15 +86,15 @@ class TestEvalConcat:
         lo, hi = atlas.domain[:, 0], atlas.domain[:, 1]
         for _ in range(5):
             x = rng.uniform(lo, hi)
-            stacked = np.concatenate([atlas.feature(j, x) for j in range(1, 8)])
-            np.testing.assert_array_equal(atlas.concat(x), stacked)
+            per_group = [group_value(family, 7, j, x) for j in range(1, 8)]
+            np.testing.assert_allclose(atlas.concat_many(x)[0], per_group, rtol=0, atol=1e-13)
 
     def test_concat_many_flat_batch(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=4)
         xs = np.array([0.0, 0.25, 1.0])
         table = atlas.concat_many(xs)
         assert table.shape == (3, 4)
-        np.testing.assert_allclose(table[0], atlas.concat(0.0))
+        np.testing.assert_allclose(table[0], atlas.concat_many(0.0)[0])
 
 
 class TestKernelEstimate:

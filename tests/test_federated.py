@@ -15,9 +15,8 @@ from lifelong_bandits.federated import (
     client_fit,
     run_federated,
 )
-from lifelong_bandits.group_lasso import _lasso_path
+from lifelong_bandits.group_lasso import PooledDesign, _lasso_path
 from lifelong_bandits.harness import build_config, run_experiment
-from lifelong_bandits.selection import design_from_tasks
 
 
 class TestVoteLedger:
@@ -112,7 +111,7 @@ class TestClientFit:
     def test_zero_rewards_vote_nothing(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, 5)
         X = np.linspace(0.0, 1.0, 12)[:, None]
-        vote = client_fit(atlas, X, np.zeros(12), lam=0.1, omega=0.25)
+        vote = client_fit(atlas.concat_many(X), np.zeros(12), lam=0.1, omega=0.25)
         assert vote.indices == ()
         assert not vote.failed
 
@@ -121,13 +120,12 @@ class TestClientFit:
         rng = np.random.default_rng(2)
         X = rng.uniform(0.0, 1.0, size=(40, 1))
         y = 2.0 * np.cos(2 * np.pi * X[:, 0])
-        vote = client_fit(atlas, X, y, lam=0.01, omega=0.25)
+        vote = client_fit(atlas.concat_many(X), y, lam=0.01, omega=0.25)
         assert vote.indices == (2,)
 
     def test_empty_data_rejected(self):
-        atlas = FeatureAtlas(BasisFamily.COSINE_1D, 5)
         with pytest.raises(DataError):
-            client_fit(atlas, np.zeros((0, 1)), np.zeros(0), lam=0.1, omega=0.25)
+            client_fit(np.zeros((0, 5)), np.zeros(0), lam=0.1, omega=0.25)
 
     def test_non_unique_client_fit_left_to_the_iterative_solver(self, monkeypatch):
         # Client 6 of federated seed 14 (defaults) drew a point where every
@@ -137,9 +135,9 @@ class TestClientFit:
         config = build_config("federated", {"seeds": "14,"})
         seen = {}
 
-        def spy(atlas, X, y, *args, **kwargs):
-            vote = client_fit(atlas, X, y, *args, **kwargs)
-            seen[kwargs["client"]] = (design_from_tasks(atlas, [(X, y)]), vote)
+        def spy(phi, y, *args, **kwargs):
+            vote = client_fit(phi, y, *args, **kwargs)
+            seen[kwargs["client"]] = (PooledDesign([phi], [y]), vote)
             return vote
 
         monkeypatch.setattr(federated, "client_fit", spy)
@@ -199,7 +197,7 @@ class TestRunFederated:
         ledger = VoteLedger(p=8, alpha=1.0)
         common = None
         for s in range(1, 4):
-            vote = client_fit(atlas, X, y, lam=0.02, omega=0.25, client=s)
+            vote = client_fit(atlas.concat_many(X), y, lam=0.02, omega=0.25, client=s)
             if common is None:
                 common = vote.indices
             assert vote.indices == common == (1, 3)

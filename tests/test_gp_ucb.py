@@ -41,11 +41,18 @@ def dual_posterior(Phi, y, phi_query, lam):
     return mean, var
 
 
+def mean_var(state, phi):
+    """Posterior mean and variance at one scaled feature vector: one row of
+    ``mean_var_many``."""
+    means, variances = state.mean_var_many(np.asarray(phi, dtype=float)[None, :])
+    return float(means[0]), float(variances[0])
+
+
 class TestPosteriorState:
     def test_prior(self):
         state = PosteriorState(dim=3, lam=0.5)
         phi = np.array([1.0, 2.0, 2.0])
-        mean, var = state.mean_var(phi)
+        mean, var = mean_var(state, phi)
         assert mean == 0.0
         assert var == pytest.approx(9.0)
 
@@ -54,7 +61,7 @@ class TestPosteriorState:
         state = PosteriorState(dim=2, lam=1.0)
         phi = np.array([1.0, 0.0])
         state.observe(phi, 3.0)
-        mean, var = state.mean_var(phi)
+        mean, var = mean_var(state, phi)
         assert mean == pytest.approx(1.5)
         assert var == pytest.approx(0.5)
 
@@ -62,7 +69,7 @@ class TestPosteriorState:
         state = PosteriorState(dim=2, lam=1.0)
         phi = np.array([1.0, 0.0])
         state.observe(phi, 3.0)
-        mean, var = state.mean_var(phi)
+        mean, var = mean_var(state, phi)
         dm, dv = dual_posterior(phi[None, :], np.array([3.0]), phi, 1.0)
         assert mean == pytest.approx(dm)
         assert var == pytest.approx(dv)
@@ -80,7 +87,7 @@ class TestPosteriorState:
             for i in range(n):
                 state.observe(Phi[i], y[i])
             q = rng.normal(size=d)
-            mean, var = state.mean_var(q)
+            mean, var = mean_var(state, q)
             dm, dv = dual_posterior(Phi, y, q, lam)
             worst = max(worst, abs(mean - dm), abs(var - dv))
         assert worst < 1e-8
@@ -89,10 +96,10 @@ class TestPosteriorState:
         rng = np.random.default_rng(1)
         state = PosteriorState(dim=4, lam=0.3)
         q = rng.normal(size=4)
-        _, prev = state.mean_var(q)
+        _, prev = mean_var(state, q)
         for _ in range(30):
             state.observe(rng.normal(size=4), rng.normal())
-            _, var = state.mean_var(q)
+            _, var = mean_var(state, q)
             assert var <= prev + 1e-12
             prev = var
 
@@ -106,7 +113,7 @@ class TestPosteriorState:
             a.observe(Phi[i], y[i])
             b.observe(Phi[7 - i], y[7 - i])
         q = rng.normal(size=3)
-        assert a.mean_var(q) == pytest.approx(b.mean_var(q))
+        assert mean_var(a, q) == pytest.approx(mean_var(b, q))
 
     def test_small_lam_interpolates(self):
         rng = np.random.default_rng(3)
@@ -116,21 +123,27 @@ class TestPosteriorState:
         for i in range(3):
             state.observe(Phi[i], y[i])
         for i in range(3):
-            mean, var = state.mean_var(Phi[i])
+            mean, var = mean_var(state, Phi[i])
             assert mean == pytest.approx(y[i], abs=1e-6)
             assert var == pytest.approx(0.0, abs=1e-6)
 
     def test_mean_var_many_matches_scalar(self):
         rng = np.random.default_rng(4)
         state = PosteriorState(dim=3, lam=0.4)
-        for _ in range(6):
-            state.observe(rng.normal(size=3), rng.normal())
+        seen = [(rng.normal(size=3), rng.normal()) for _ in range(6)]
+        for phi, y in seen:
+            state.observe(phi, y)
+        Phi, y = np.array([phi for phi, _ in seen]), np.array([y for _, y in seen])
         Q = rng.normal(size=(10, 3))
         means, variances = state.mean_var_many(Q)
         for i in range(10):
-            m, v = state.mean_var(Q[i])
+            # each batch row equals the query alone and the dual formulas
+            m, v = mean_var(state, Q[i])
             assert means[i] == pytest.approx(m)
             assert variances[i] == pytest.approx(v)
+            dm, dv = dual_posterior(Phi, y, Q[i], 0.4)
+            assert means[i] == pytest.approx(dm)
+            assert variances[i] == pytest.approx(dv)
 
 
 class TestInfoGain:
@@ -199,8 +212,8 @@ class TestGpUcb:
             a.observe(idx, 1.0, grid)
             b.observe_point(grid[idx], 1.0)
         q = grid[25]
-        pa = a.state.mean_var(selected_features(atlas, est, [q])[0])
-        pb = b.state.mean_var(selected_features(atlas, est, [q])[0])
+        pa = mean_var(a.state, selected_features(atlas, est, [q])[0])
+        pb = mean_var(b.state, selected_features(atlas, est, [q])[0])
         assert pa == pytest.approx(pb)
 
     def test_new_candidate_array_gets_its_own_features(self):

@@ -94,10 +94,20 @@ class TestConfig:
             ("solver_tol", "0"),
             ("omega", "-1"),
             ("schedule", "custom"),
+            ("seeds", "0,0"),
+            ("seeds", "-1,"),
+            ("lam", "-1"),
+            ("solver_max_iter", "0"),
+            ("solver_max_iter", "-5"),
+            ("lam", "nan"),
+            ("noise", "nan"),
+            ("omega", "inf"),
+            ("nu", "inf"),
         ],
     )
     def test_values_that_fail_every_seed_rejected_up_front(self, key, value):
-        # each of these used to pass config resolution and then fail every seed
+        # each of these used to pass config resolution and then fail every
+        # seed, or run every seed twice or to no effect (non-finite floats)
         with pytest.raises(ConfigError):
             build_config("lifelong", {key: value})
 
@@ -140,6 +150,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config("baseline_full", {"baseline_kernel": "oracle"})
         assert build_config("baseline_full").baseline_kernel == "full"
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("offline", "c66c7be91be5387e"),
+            ("lifelong", "c72c69414064e1e9"),
+            ("lookup", "6a50074c39e21762"),
+            ("federated", "37e0123b3352dda1"),
+            ("baseline_oracle", "dd6da9b82ec41612"),
+            ("baseline_full", "386c831f6853acbd"),
+        ],
+    )
+    def test_default_config_text_is_pinned(self, kind, digest):
+        # the golden-output test skips config.resolved.txt (it holds the
+        # output path), so the canonical text of each kind's defaults is
+        # pinned here through its digest
+        pairs = {"table": "t.csv"} if kind == "lookup" else {}
+        assert build_config(kind, pairs).digest()[:16] == digest
 
 
 def lookup_pairs(tmp_path):

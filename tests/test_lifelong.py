@@ -171,10 +171,10 @@ class TestRunLifelong:
         env = small_env(seed=8, n_tasks=8, noise=0.05)
         record = run_lifelong(env, m=8, n=60, omega=0.25, lam=0.1, seed=3)
         assert record.final_kernel == env.support
-        hit = [s for s in range(1, 9) if record.kernel_after_task(s) == env.support]
-        assert hit and all(
-            record.kernel_after_task(s) == env.support for s in range(hit[0], 9)
-        )
+        # the kernel each update produced: task s+1 ran under it, the last is final
+        after = [t.kernel for t in record.tasks[1:]] + [record.final_kernel]
+        hit = [s for s, kernel in enumerate(after, start=1) if kernel == env.support]
+        assert hit and all(kernel == env.support for kernel in after[hit[0] - 1 :])
         assert record.tasks[-1].recovered is True
 
     def test_info_gain_within_slack(self):
