@@ -20,11 +20,13 @@ from .features import (
     KernelEstimate,
     kernel_gram,
     kernel_value,
+    selected_columns,
     selected_features,
 )
 from .federated import ClientVote, VoteLedger, client_fit, run_federated
 from .gp_ucb import (
     GpUcb,
+    LockstepUcb,
     PosteriorState,
     UcbConfig,
     info_gain_bound,
@@ -87,6 +89,7 @@ __all__ = [
     "KernelEstimate",
     "KernelSelection",
     "LifelongRunRecord",
+    "LockstepUcb",
     "LookupEnvironment",
     "LookupTable",
     "PooledDesign",
@@ -123,6 +126,7 @@ __all__ = [
     "run_federated",
     "run_lifelong",
     "schedule_rates",
+    "selected_columns",
     "selected_features",
     "substream",
     "summarize",

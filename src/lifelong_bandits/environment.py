@@ -142,8 +142,21 @@ class TaskView:
             y += self.noise * float(self._rng.standard_normal())
         return y
 
-    def regret(self, grid_index: int) -> float:
-        return self.opt_value - float(self.values[grid_index])
+    def noise_terms(self, count: int) -> np.ndarray:
+        """What the next ``count`` ``observe`` calls would add to the values.
+
+        One ``standard_normal(count)`` call draws the same numbers as
+        ``count`` scalar draws, so ``values[i] + terms[k]`` is bit for bit the
+        k-th observation. Without noise nothing is drawn and every term is
+        -0.0, which leaves every value, a signed zero included, unchanged.
+        """
+        if self.noise > 0:
+            return self.noise * self._rng.standard_normal(count)
+        return np.full(count, -0.0)
+
+    def regret(self, grid_index):
+        """Regret of a grid index, or of each of an array of them."""
+        return self.opt_value - self.values[grid_index]
 
 
 class SyntheticEnvironment:

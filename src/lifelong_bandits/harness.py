@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonnegative")
         if self.kind == "lookup" and not self.table:
             raise ConfigError("lookup experiments need a table path")
+        if self.kind == "offline" and self.table:
+            raise ConfigError("offline experiments draw synthetic tasks; table does not apply")
         if self.n < 1:
             raise ConfigError("horizon must be positive")
         if self.m < 0:
@@ -172,7 +174,7 @@ class ExperimentConfig:
             raise ConfigError("grid must be 0 (the family default) or at least 2")
         # the validators of the objects each seed builds, run once up front
         UcbConfig(nu=self.nu, lam=self.lam_ucb)
-        if self.kind == "offline" or not self.table:
+        if not self.table:
             _synthetic_spec(self)
         else:
             # the table's own dimension is checked once the table is read
@@ -525,16 +527,21 @@ def _write_outputs(out: Path, result: ExperimentResult) -> None:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured experiment over all seeds and persist results."""
+    table = None
+    if config.table:
+        try:
+            table = LookupTable.load(config.table)
+        except OSError as exc:
+            raise ConfigError(f"cannot read table {config.table!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"table {config.table!r} is not UTF-8 text: {exc}") from exc
+        # a table that does not fit the config would fail every seed alike
+        _build_environment(config, config.seeds[0], 1, table)
     out = None
     if config.out:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.resolved.txt").write_text(config.serialize())
-    table = None
-    if config.table and config.kind != "offline":
-        table = LookupTable.load(config.table)
-        # a table that does not fit the config would fail every seed alike
-        _build_environment(config, config.seeds[0], 1, table)
     digest = config.digest()
     done = {}
     failures: list[tuple[int, str]] = []

@@ -8,6 +8,7 @@ from lifelong_bandits.environment import (
     LookupTable,
     SyntheticEnvironment,
     SyntheticSpec,
+    TaskView,
     optimum_on_grid,
     rkhs_norm_sq,
     sample_coefficients,
@@ -106,6 +107,24 @@ class TestRewards:
         first = [env.task_view(s).observe(0) for s in (1, 2, 3)]
         # replaying task 2 alone gives the same draw
         assert env.task_view(2).observe(0) == first[1]
+
+    @pytest.mark.parametrize("noise", [0.1, 0.0])
+    def test_noise_terms_match_sequential_observe(self, noise):
+        env = SyntheticEnvironment(SyntheticSpec(noise=noise), n_tasks=2, master_seed=8)
+        picks = [17, 3, 3, 499, 0, 250, 17]
+        view = env.task_view(2)
+        sequential = [view.observe(i) for i in picks]
+        view = env.task_view(2)
+        drawn = view.values[picks] + view.noise_terms(len(picks))
+        assert drawn.tolist() == sequential
+
+    def test_noise_free_terms_keep_signed_zeros(self):
+        values = np.array([-0.0, 0.0, -2.5])
+        rng = substream(0, 3, 1)
+        observed = [TaskView(values, 0.0, rng).observe(i) for i in range(3)]
+        drawn = values + TaskView(values, 0.0, rng).noise_terms(3)
+        assert np.array_equal(np.signbit(drawn), np.signbit(observed))
+        assert drawn.tolist() == observed
 
 
 class TestOptimum:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelong_bandits import gp_ucb
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec, uniform_grid
 from lifelong_bandits.errors import EmptyKernelError
 from lifelong_bandits.features import (
@@ -12,10 +13,12 @@ from lifelong_bandits.features import (
     FeatureAtlas,
     KernelEstimate,
     kernel_gram,
+    selected_columns,
     selected_features,
 )
 from lifelong_bandits.gp_ucb import (
     GpUcb,
+    LockstepUcb,
     PosteriorState,
     UcbConfig,
     info_gain_bound,
@@ -271,6 +274,41 @@ class TestGpUcb:
             halves.append((first, second))
         better = sum(second < 0.5 * first + 1e-9 for first, second in halves)
         assert better >= 15
+
+
+class TestLockstepUcb:
+    def test_matches_separate_agents(self):
+        atlas, est, grid, _ = make_agent(p=7, selected=(1, 2, 5), grid_n=80)
+        config = UcbConfig(nu=2.0, lam=0.3)
+        agents = [GpUcb(atlas, est, config) for _ in range(4)]
+        features = selected_columns(atlas.concat_many(grid), est)
+        assert np.array_equal(features, selected_features(atlas, est, grid))
+        group = LockstepUcb(features, 4, config)
+        rng = np.random.default_rng(0)
+        for step in range(25):
+            chosen = group.select()
+            assert chosen.tolist() == [agent.select(grid) for agent in agents]
+            # half the steps observe arbitrary points, as forced draws do
+            idx = rng.integers(len(grid), size=4) if step % 2 else chosen
+            y = rng.standard_normal(4)
+            group.observe(idx, y)
+            for agent, i, yi in zip(agents, idx, y):
+                agent.observe(int(i), float(yi), grid)
+        for j, agent in enumerate(agents):
+            mean, var = agent.posterior(grid)
+            assert np.allclose(group.theta[j], agent.state.theta, rtol=0, atol=1e-12)
+            assert np.allclose(group.var[j], var, rtol=0, atol=1e-12)
+            assert np.allclose(group.inv[j], agent.state.inv, rtol=1e-12, atol=1e-12)
+            assert 0.5 * group.log_det[j] == pytest.approx(agent.state.info_gain(), abs=1e-12)
+            assert group.max_gain_slack[j] == pytest.approx(agent.max_gain_slack, abs=1e-12)
+        assert group.count == 25
+
+    def test_info_gain_cap_enforced(self, monkeypatch):
+        atlas, est, grid, _ = make_agent()
+        group = LockstepUcb(selected_features(atlas, est, grid), 3, UcbConfig())
+        monkeypatch.setattr(gp_ucb, "info_gain_bound", lambda d, n, lam: 0.0)
+        with pytest.raises(RuntimeError, match="exceeds its cap"):
+            group.observe(np.array([0, 5, 9]), np.zeros(3))
 
 
 def scratch_posterior(Phi, y, Q, lam):

@@ -78,6 +78,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config("lookup")
 
+    def test_offline_rejects_table(self):
+        # the offline sweep draws synthetic tasks, so a table would be named
+        # in the config and its digest without being read
+        with pytest.raises(ConfigError, match="table"):
+            build_config("offline", {"table": "t.csv"})
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("kind lifelong\n")
@@ -370,6 +376,22 @@ class TestRunExperiment:
         result = run_experiment(build_config(pairs={**lookup_pairs(tmp_path), "seeds": "0,1,2,3"}))
         assert sorted(result.traces) == [0, 1, 2, 3]
         assert len(loads) == 1
+
+    def test_missing_table_fails_before_any_output(self, tmp_path):
+        out = tmp_path / "out"
+        pairs = {**lookup_pairs(tmp_path), "table": str(tmp_path / "absent.csv"), "out": str(out)}
+        with pytest.raises(ConfigError, match="absent.csv"):
+            run_experiment(build_config(pairs=pairs))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"x1,x2,a\n0.5,half,1.0\n", b"\xff\xfe\x00\x81"])
+    def test_malformed_table_fails_before_any_output(self, tmp_path, content):
+        out = tmp_path / "out"
+        pairs = {**lookup_pairs(tmp_path), "out": str(out)}
+        (tmp_path / "table.csv").write_bytes(content)
+        with pytest.raises(DataError):
+            run_experiment(build_config(pairs=pairs))
+        assert not out.exists()
 
 
 class TestTheoryOptIns:

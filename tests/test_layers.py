@@ -36,5 +36,8 @@ def test_layer_script_one_repeat(tmp_path):
     assert learned["fresh_us"] > 0 and learned["append_us"] > 0
     assert offline["per_m_us"] > 0 and offline["sweep_us"] > 0
     assert [layers[k]["d"] for k in ("gp_ucb.step_d5", "gp_ucb.step_d50")] == [5, 50]
+    lockstep = [layers[k] for k in ("gp_ucb.lockstep_d5", "gp_ucb.lockstep_d50")]
+    assert [(g["d"], g["tasks"]) for g in lockstep] == [(5, 20), (50, 20)]
+    assert all(g["us_per_task_step"] > 0 for g in lockstep)
     assert layers["trace"]["steps"] == 2000
     assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))

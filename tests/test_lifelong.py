@@ -16,10 +16,14 @@ import lifelong_bandits
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError
 from lifelong_bandits.features import KernelEstimate
+from lifelong_bandits import gp_ucb
+from lifelong_bandits.federated import run_federated
 from lifelong_bandits.gp_ucb import GpUcb, UcbConfig
 from lifelong_bandits.lifelong import (
     ExplorationSchedule,
+    LifelongRunRecord,
     ScheduleMode,
+    _run_tasks,
     integerize,
     run_baseline,
     run_lifelong,
@@ -245,6 +249,83 @@ class TestBaseline:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError):
             run_baseline(small_env(), "truth", m=2, n=10)
+
+
+def pinned_run(env, kernel, m, n, mode, *, seed, alone):
+    """Records of m tasks under one pinned kernel, as one group or each alone.
+
+    An ``after_task`` hook makes the loop run every task before it plans the
+    next, so each task's agent runs in a group of its own.
+    """
+    record = LifelongRunRecord(seed=seed, config_digest="")
+    after_task = (lambda task: None) if alone else None
+    _run_tasks(
+        env, m, n, mode, record, lambda *_: kernel,
+        seed=seed, solver_factory=None, after_task=after_task,
+    )
+    return record
+
+
+class TestLockstep:
+    """Tasks that share a kernel step together; each runs as it would alone.
+
+    The kernels here hold an odd frequency, so no grid point ties with its
+    mirror image (see the gp_ucb module docstring) and rounding cannot swap
+    a choice.
+    """
+
+    M, N = 20, 60
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        env = SyntheticEnvironment(SyntheticSpec(), n_tasks=self.M, master_seed=5)
+        assert any(j % 2 for j in env.support)
+        return env
+
+    def kernels(self, env, source):
+        if source == "pinned":
+            return [env.support, tuple(range(1, env.p + 1))]
+        if source == "lifelong":
+            record = run_lifelong(env, self.M, self.N, 0.25, 0.5, lam_policy="inv_sqrt", seed=5)
+        else:
+            record = run_federated(env, self.M, self.N, 0.25, 0.2, 0.25, seed=5)
+        return sorted({task.kernel for task in record.tasks})
+
+    @pytest.mark.parametrize("source", ["pinned", "lifelong", "federated"])
+    def test_group_records_match_tasks_run_alone(self, env, source):
+        kernels = self.kernels(env, source)
+        assert len(kernels) >= 2 and all(any(j % 2 for j in k) for k in kernels)
+        for selected in kernels:
+            kernel = KernelEstimate(env.p, selected)
+            for mode in (None, ScheduleMode.DECREASING):
+                group = pinned_run(env, kernel, self.M, self.N, mode, seed=5, alone=False)
+                alone = pinned_run(env, kernel, self.M, self.N, mode, seed=5, alone=True)
+                for a, b in zip(group.tasks, alone.tasks, strict=True):
+                    for name in ("task", "kernel", "explore_count"):
+                        assert getattr(a, name) == getattr(b, name), name
+                    for name in ("actions", "rewards", "regrets", "explored"):
+                        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                # the gains agree up to the rounding of the stacked products
+                assert group.max_gain_slack == pytest.approx(alone.max_gain_slack, abs=1e-12)
+
+    def test_group_slack_is_the_worst_task_alone(self, env):
+        kernel = KernelEstimate(env.p, env.support)
+        group = pinned_run(env, kernel, 4, 30, None, seed=2, alone=False)
+        slacks = [pinned_run(env, kernel, s, 30, None, seed=2, alone=True).max_gain_slack
+                  for s in range(1, 5)]
+        # a run of s tasks alone holds the worst slack of its first s tasks
+        assert slacks == sorted(slacks)
+        assert group.max_gain_slack == pytest.approx(slacks[-1], abs=1e-12)
+
+    def test_info_gain_check_raises_inside_a_group(self, env, monkeypatch):
+        def not_stepped(*args):
+            raise AssertionError("a group of tasks must not step GpUcb")
+
+        monkeypatch.setattr(GpUcb, "select", not_stepped)
+        monkeypatch.setattr(GpUcb, "observe", not_stepped)
+        monkeypatch.setattr(gp_ucb, "info_gain_bound", lambda d, n, lam: 1e-3)
+        with pytest.raises(RuntimeError, match="exceeds its cap"):
+            run_baseline(env, "oracle", m=3, n=10, seed=0)
 
 
 class TestTheoryLambda:

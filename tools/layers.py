@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/layers.py --out BENCH_8.json [--repeats 7]
+    python3 tools/layers.py --out BENCH_10.json [--repeats 7]
 
 Every layer runs on a fixed input built from fixed seeds, so two commits
 time the same work. Each time is the median over ``--repeats`` timed runs,
@@ -42,6 +42,10 @@ Layers:
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh agent.
+- ``gp_ucb.lockstep_d5`` and ``gp_ucb.lockstep_d50``: the same steps for 20
+  tasks at once through one ``LockstepUcb`` (the grouped agent pass of
+  ``lifelong._run_tasks``), in microseconds per task-step, so they compare
+  with ``step_d5`` and ``step_d50`` directly.
 - ``trace``: write, parse and summarize a 2 000-step regret trace (20 tasks
   of 100 steps); summarize reads 20 copies of it.
 """
@@ -71,8 +75,8 @@ import numpy as np  # noqa: E402
 
 from lifelong_bandits import group_lasso, selection  # noqa: E402
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec  # noqa: E402
-from lifelong_bandits.features import KernelEstimate  # noqa: E402
-from lifelong_bandits.gp_ucb import GpUcb, UcbConfig  # noqa: E402
+from lifelong_bandits.features import KernelEstimate, selected_columns  # noqa: E402
+from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig  # noqa: E402
 from lifelong_bandits.group_lasso import (  # noqa: E402
     GroupCoefficients,
     PooledDesign,
@@ -261,6 +265,33 @@ def ucb_step(selected, repeats: int) -> dict:
     return {"d": len(selected), "us_per_step": round(seconds / UCB_STEPS * 1e6, 2)}
 
 
+def ucb_lockstep(selected, repeats: int) -> dict:
+    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
+    features = selected_columns(env.grid_features, KernelEstimate(p=env.p, selected=selected))
+    rows = np.arange(TASKS)
+    noise = 0.1 * np.random.default_rng(0).standard_normal((UCB_WARMUP + UCB_STEPS, TASKS))
+
+    def steps(group, first, count):
+        for t in range(first, first + count):
+            i = group.select()
+            group.observe(i, env.values[i, rows] + noise[t])
+
+    def run():
+        group = LockstepUcb(features, TASKS, UcbConfig())
+        steps(group, 0, UCB_WARMUP)
+        start = time.perf_counter()
+        steps(group, UCB_WARMUP, UCB_STEPS)
+        return time.perf_counter() - start
+
+    run()
+    seconds = statistics.median(run() for _ in range(repeats))
+    return {
+        "d": len(selected),
+        "tasks": TASKS,
+        "us_per_task_step": round(seconds / (UCB_STEPS * TASKS) * 1e6, 2),
+    }
+
+
 def trace_io(repeats: int) -> dict:
     rng = np.random.default_rng(3)
     n = TASKS * 100
@@ -325,6 +356,8 @@ def main(argv=None) -> int:
     }
     layers["gp_ucb.step_d5"] = ucb_step((1, 2, 3, 4, 5), args.repeats)
     layers["gp_ucb.step_d50"] = ucb_step(tuple(range(1, 51)), args.repeats)
+    layers["gp_ucb.lockstep_d5"] = ucb_lockstep((1, 2, 3, 4, 5), args.repeats)
+    layers["gp_ucb.lockstep_d50"] = ucb_lockstep(tuple(range(1, 51)), args.repeats)
     layers["trace"] = trace_io(args.repeats)
     result = {"machine": machine(), "repeats": args.repeats, "layers": layers}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
