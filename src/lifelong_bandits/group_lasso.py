@@ -17,7 +17,9 @@ rewards, and its Gram, crossterm, ||y_s||^2 and top eigenvalue, each computed
 on first use. A task is validated once, when it joins. The design grows by
 ``append`` and ``prefix(k)`` takes its first k tasks, both sharing the
 records, so the fits of a growing pool (the lifelong runner's after each
-task, the offline sweep's over m) compute each task's statistics once.
+task, the offline sweep's over m) compute each task's statistics once. They
+share one Gram stack as well: the fits over a design's prefixes read the
+leading rows of one array, and each Gram is held once, in its row.
 
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
@@ -35,13 +37,15 @@ from raw residuals, independent of the solver path.
 
 On a pooled design (m >= 2) the iteration identifies the support long before
 it meets ``tol``, so it hands off to Newton's method (after the semismooth
-Newton idea of Li, Sun & Toh, SIAM J. Optim. 2018). Once the mapping norm at a
-check is <= ``HANDOFF_MAP_NORM``, Newton solves the smooth problem over the
-nonzero columns of the current iterate. Its point is accepted only if its own
-mapping norm is <= ``tol`` and its objective is no higher than the iterate's;
+Newton idea of Li, Sun & Toh, SIAM J. Optim. 2018) once the support has
+settled. At a check where the mapping norm is <= ``HANDOFF_MAP_NORM``, the
+nonzero columns of the iterate are the same as at the previous check, and
+the last Newton attempt was not on that set, Newton solves the smooth
+problem over those columns. Its point is accepted only if its own mapping
+norm is <= ``tol`` and its objective is no higher than the iterate's;
 otherwise the iteration carries on from where it was, momentum kept, and
-tries again once the mapping norm is below ``HANDOFF_RETRY`` times its value
-at the declined attempt.
+tries again only on a support it reaches next. ``HANDOFF_MAP_NORM = 0``
+switches the hand-off off.
 
 A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
 linear in lam. ``fit_group_lasso`` follows that path exactly (homotopy, or
@@ -66,8 +70,7 @@ from functools import cached_property
 import numpy as np
 
 CHECK_EVERY = 10  # iterations between convergence checks
-HANDOFF_MAP_NORM = 1e-3  # mapping norm at the first Newton attempt
-HANDOFF_RETRY = 1e-2  # after a declined attempt, wait for the norm to fall this much
+HANDOFF_MAP_NORM = 1e-2  # largest mapping norm at which Newton is tried; 0 switches it off
 NEWTON_MAX_STEPS = 30
 NEWTON_GRAD_TOL = 1e-13  # times max(1, lam), on the reduced gradient's largest entry
 
@@ -78,7 +81,9 @@ class TaskBlock:
     the crossterm Phi^T y, ||y||^2 and the top eigenvalue of Phi^T Phi. Each
     statistic is computed on first use and then kept, so a task shared by
     many designs pays for it once and a fit that never reads one (the
-    eigenvalue, on the single-task path) never pays for it.
+    eigenvalue, on the single-task path) never pays for it. Once a pooled
+    fit has read them, the Gram and crossterm are rows of the design's Gram
+    stack.
 
     Built only by ``PooledDesign``, which validates the data first.
     """
@@ -120,6 +125,34 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class _GramStack:
+    """The Grams and crossterms of a sequence of tasks as one (size, p, p)
+    and one (size, p) array, row s - 1 for task s, shared by every design
+    whose tasks are a prefix of the sequence. A row is copied from its task's
+    record the first time a design reads it, and the record then reads its
+    Gram and crossterm from that row, so each is held once. When the arrays
+    are too short, which happens after an append, they are reallocated to
+    the length of the sequence and refilled.
+    """
+
+    def __init__(self, blocks: list[TaskBlock]) -> None:
+        self.blocks = blocks
+        self.filled = 0
+        self.G = self.C = None
+
+    def read(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the first m rows."""
+        if self.G is None or len(self.G) < m:
+            size, p = len(self.blocks), self.blocks[0].features.shape[1]
+            self.G, self.C, self.filled = np.empty((size, p, p)), np.empty((size, p)), 0
+        for s in range(self.filled, m):
+            block = self.blocks[s]
+            self.G[s], self.C[s] = block.gram, block.cross
+            vars(block).update(gram=_frozen(self.G[s]), cross=_frozen(self.C[s]))
+        self.filled = max(self.filled, m)
+        return _frozen(self.G[:m]), _frozen(self.C[:m])
+
+
 class PooledDesign:
     """Per-task design blocks and rewards over one set of p scalar groups.
 
@@ -127,7 +160,10 @@ class PooledDesign:
     grows by ``append`` and ``prefix(k)`` gives the design of its first k
     tasks; both share the blocks, and with them every statistic already
     computed, so a fit over m tasks after one over m - 1 computes the Gram,
-    crossterm and eigenvalue of the new task only.
+    crossterm and eigenvalue of the new task only. They share one Gram stack
+    too: a design and its prefixes read the leading rows of the same arrays,
+    and an append adds its task to the stack, unless it appends to a prefix
+    of a longer design, which then starts a stack of its own.
 
     Parameters
     ----------
@@ -145,6 +181,7 @@ class PooledDesign:
         if len(features) == 0:
             raise ValueError("need at least one task")
         self.blocks: list[TaskBlock] = []
+        self._stack = _GramStack([])
         for phi, y in zip(features, rewards):
             self.append(phi, y)
         if self.total_rows == 0:
@@ -162,14 +199,19 @@ class PooledDesign:
             raise ValueError(f"task {k}: rows and rewards disagree")
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
             raise ValueError(f"task {k}: non-finite data")
-        self.blocks.append(TaskBlock(_frozen(phi), _frozen(y)))
+        block = TaskBlock(_frozen(phi), _frozen(y))
+        if len(self._stack.blocks) == self.m:
+            self._stack.blocks.append(block)
+        else:
+            self._stack = _GramStack(self.blocks + [block])
+        self.blocks.append(block)
 
     def prefix(self, k: int) -> "PooledDesign":
         """The design of the first k tasks, sharing their blocks."""
         if not 1 <= k <= self.m:
             raise ValueError(f"prefix length must lie in 1..{self.m}")
         design = object.__new__(PooledDesign)
-        design.blocks = self.blocks[:k]
+        design.blocks, design._stack = self.blocks[:k], self._stack
         if design.total_rows == 0:
             raise ValueError("pooled design has no rows")
         return design
@@ -197,10 +239,9 @@ class PooledDesign:
         return sum(b.rows for b in self.blocks)
 
     def grams(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Batched per-task Gram data: (m,p,p) matrices, (m,p) crossterms,
-        and the total squared reward norm."""
-        G = np.stack([b.gram for b in self.blocks])
-        C = np.stack([b.cross for b in self.blocks])
+        """Batched per-task Gram data: read-only (m,p,p) matrices and (m,p)
+        crossterms from the Gram stack, and the total squared reward norm."""
+        G, C = self._stack.read(self.m)
         y_sq = 0.0
         for b in self.blocks:
             y_sq += b.y_sq
@@ -245,6 +286,15 @@ class GroupCoefficients:
     def group_norms(self) -> np.ndarray:
         """All p cross-task group norms."""
         return np.sqrt((self.matrix**2).sum(axis=0))
+
+
+def padded_warm_start(coeffs: GroupCoefficients | None, m: int) -> GroupCoefficients | None:
+    """The start of a fit over m tasks from an earlier fit over fewer of its
+    first tasks: ``coeffs`` with a zero row for each task added since. None
+    (a cold start) when there is no earlier fit or it had m tasks or more."""
+    if coeffs is None or coeffs.m >= m:
+        return None
+    return GroupCoefficients(np.vstack([coeffs.matrix, np.zeros((m - coeffs.m, coeffs.p))]))
 
 
 @dataclass
@@ -375,7 +425,9 @@ def _apg(
     method = "apg"
     # a single-task fit reaches APG only when its solution may not be
     # unique, and Newton would pick an arbitrary point of the solution set
-    try_below = HANDOFF_MAP_NORM if m > 1 else 0.0
+    handoff = HANDOFF_MAP_NORM if m > 1 else 0.0
+    support = None  # nonzero columns of the iterate at the last check
+    tried = None  # the support of the last Newton attempt
     converged = gap <= tol
     if not converged:
         y_pt, gy = x, gx
@@ -405,8 +457,9 @@ def _apg(
                 if gap <= tol:
                     converged = True
                     break
-                if gap <= try_below:
-                    try_below = gap * HANDOFF_RETRY
+                last, support = support, ((x * x).sum(axis=0) > 0.0).tobytes()
+                if gap <= handoff and support == last and support != tried:
+                    tried = support
                     z, steps = _newton_finish(G, C, N, lam, x)
                     newton_steps += steps
                     if z is not None:

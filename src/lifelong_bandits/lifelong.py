@@ -46,7 +46,7 @@ from .errors import ConfigError
 from .environment import TaskView
 from .features import KernelEstimate, selected_columns
 from .gp_ucb import GpUcb, LockstepUcb, UcbConfig
-from .group_lasso import GroupCoefficients, PooledDesign
+from .group_lasso import GroupCoefficients, PooledDesign, padded_warm_start
 from .seeding import STREAM_EXPLORE, substream
 # design_from_tasks stays bound here: perfbench's tracer wraps this binding
 from .selection import design_diagnostics, design_from_tasks, learn_kernel  # noqa: F401
@@ -267,13 +267,6 @@ def _run_agents(env, n, plans, make_agent, record) -> list[TaskRecord]:
     return tasks
 
 
-def _padded_warm_start(coeffs: GroupCoefficients | None, m: int):
-    """Previous pooled fit, extended with a zero row for the newest task."""
-    if coeffs is None or coeffs.matrix.shape[0] + 1 != m:
-        return None
-    return GroupCoefficients(np.vstack([coeffs.matrix, np.zeros(coeffs.matrix.shape[1])]))
-
-
 def theory_lambda(
     lam0: float,
     omega: float,
@@ -362,7 +355,7 @@ def run_lifelong(
             lam_s,
             tol=solver_tol,
             max_iter=solver_max_iter,
-            x0=_padded_warm_start(warm, design.m),
+            x0=padded_warm_start(warm, design.m),
         )
         if not outcome.report.converged:
             record.events.append((s, "solver"))

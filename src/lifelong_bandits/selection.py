@@ -12,7 +12,8 @@ per-task records, with the induced lower bound on the restricted eigenvalue
 when it is defined) and the offline recovery sweep used to estimate
 support-recovery rates over seeds. The sweep draws one seed's tasks once,
 builds one design of them, and fits its prefix of the first m tasks for each
-m; a single recovery trial is the sweep at one m.
+m, each fit starting from the last converged one over fewer tasks; a single
+recovery trial is the sweep at one m, fitted cold.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .group_lasso import (
     PooledDesign,
     SolverReport,
     fit_group_lasso,
+    padded_warm_start,
 )
 from .seeding import STREAM_EXPLORE, STREAM_NOISE, substream
 
@@ -158,10 +160,17 @@ def recovery_sweep(
 
     Draws max(m_values) tasks once, each on n points continuous-uniform over
     the atlas domain (the offline protocol), and fits the design of the first
-    m tasks cold for each m. Task s's points and noise come from its own
+    m tasks for each m. Task s's points and noise come from its own
     substreams, so the trial at m sees the same tasks 1..m whatever the other
     entries are, and is reproducible from the seed alone. Each task's block
     is featurised once and feeds both its rewards and the design.
+
+    The fit at m starts from the last converged fit in ``m_values`` order,
+    padded with zero rows, when that fit had fewer than m tasks, and cold
+    otherwise, as ``run_lifelong`` starts each fit from the one before. So
+    the answer at m depends on the other entries only through its starting
+    point, and the stop rule (a mapping norm within ``tol``) bounds how far
+    that can move it.
     """
     m_values = tuple(m_values)
     if n < 1:
@@ -179,8 +188,14 @@ def recovery_sweep(
         rewards.append(env.rewards_at(s, phi, substream(seed, STREAM_NOISE, s)))
     design = PooledDesign(features, rewards)
     results = []
+    warm = None  # the last converged fit
     for m in m_values:
-        sel = learn_kernel(design.prefix(m), omega, lam, tol=tol, max_iter=max_iter)
+        sel = learn_kernel(
+            design.prefix(m), omega, lam, tol=tol, max_iter=max_iter,
+            x0=padded_warm_start(warm, m),
+        )
+        if sel.report.converged:
+            warm = sel.coeffs
         results.append(
             RecoveryResult(
                 selected=sel.estimate.selected,

@@ -188,6 +188,24 @@ class TestDesignGrowth:
                 array[0] = 0.0
 
 
+def test_gram_stack_is_shared_and_forked_on_a_divergent_append():
+    # a prefix reads the leading rows of its parent's stack; a prefix that
+    # appends a task of its own starts a new stack and leaves the parent's
+    # rows alone
+    blocks, ys = random_blocks(16, [4, 3, 0, 5])
+    full = PooledDesign(blocks, ys)
+    G_full = full.grams()[0]
+    part = full.prefix(2)
+    assert np.shares_memory(part.grams()[0], G_full)
+    with pytest.raises(ValueError):
+        G_full[0, 0, 0] = 1.0
+    part.append(blocks[3], ys[3])
+    assert not np.shares_memory(part.grams()[0], G_full)
+    assert_designs_bit_equal(part, PooledDesign(blocks[:2] + blocks[3:], ys[:2] + ys[3:]))
+    assert_designs_bit_equal(full, PooledDesign(blocks, ys))
+    assert np.shares_memory(full.grams()[0], G_full)
+
+
 class TestGroupCoefficients:
     def test_group_norms(self):
         mat = np.array([[3.0, 1.0], [4.0, 1.0]])
@@ -569,3 +587,86 @@ def test_declined_single_task_fit_reports_apg():
     _, report = fit_group_lasso(design, 0.0)
     assert report.method == "apg"
     assert report.converged
+
+
+def handoff_design(seed, p):
+    """3 tasks of 5 rows over p columns, at 0.3 times the smallest penalty
+    with B = 0 optimal."""
+    rng = np.random.default_rng(seed)
+    design = PooledDesign(list(rng.standard_normal((3, 5, p))), list(rng.standard_normal((3, 5))))
+    _, C, _ = design.grams()
+    return design, 0.3 * 2.0 / design.total_rows * float(np.sqrt((C * C).sum(axis=0)).max())
+
+
+def check_states(design, lam):
+    """The iterate and its mapping norm at every convergence check of a cold
+    fit without the hand-off: a fit cut at max_iter = k ends on the check at
+    k, and every earlier iteration is the same as in an uncut fit."""
+    states = []
+    with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", 0.0):
+        k = group_lasso.CHECK_EVERY
+        while True:
+            coeffs, report = _apg(design, lam, 1e-8, k, None)
+            if report.iterations < k:
+                return states
+            states.append((coeffs.matrix, report.map_norm))
+            if report.converged:
+                return states
+            k += group_lasso.CHECK_EVERY
+
+
+def support(x):
+    return tuple(np.flatnonzero((x * x).sum(axis=0) > 0.0))
+
+
+def test_handoff_waits_for_the_support_to_settle(monkeypatch):
+    # the mapping norm is below the hand-off norm from the second check on,
+    # but the support changes at the second and the third check, so Newton
+    # is first tried at the fourth, on the support the third already had
+    design, lam = handoff_design(217, p=6)
+    states = check_states(design, lam)
+    supports = [support(x) for x, _ in states]
+    assert states[0][1] > group_lasso.HANDOFF_MAP_NORM >= states[1][1]
+    assert supports[0] != supports[1] != supports[2] == supports[3]
+    handed = []
+    newton = group_lasso._newton_finish
+
+    def spy(G, C, N, lam, x):
+        handed.append(x.copy())
+        return newton(G, C, N, lam, x)
+
+    monkeypatch.setattr(group_lasso, "_newton_finish", spy)
+    _, report = fit_group_lasso(design, lam)
+    assert handed[0].tobytes() == states[3][0].tobytes()
+    assert report.method == "newton"
+
+
+def test_declined_support_not_tried_again(monkeypatch):
+    # every attempt is declined: the support of the first (second check)
+    # is not tried again at the third, where it still holds, but the one it
+    # changes to is tried once it has held for two checks, and never again
+    design, lam = handoff_design(77, p=8)
+    states = check_states(design, lam)
+    supports = [support(x) for x, _ in states]
+    assert all(gap <= group_lasso.HANDOFF_MAP_NORM for _, gap in states[1:])
+    assert supports[0] == supports[1] != supports[2] == supports[3] == supports[-1]
+    handed = []
+
+    def decline(G, C, N, lam, x):
+        handed.append(x.copy())
+        return None, 1
+
+    monkeypatch.setattr(group_lasso, "_newton_finish", decline)
+    coeffs, report = fit_group_lasso(design, lam)
+    assert [x.tobytes() for x in handed] == [states[i][0].tobytes() for i in (1, 3)]
+    assert report.method == "apg" and report.converged
+    assert report.iterations == len(states) * group_lasso.CHECK_EVERY + 2
+    assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+
+
+def test_zero_handoff_norm_never_tries_newton(monkeypatch):
+    design, lam = handoff_design(77, p=8)
+    monkeypatch.setattr(group_lasso, "HANDOFF_MAP_NORM", 0.0)
+    monkeypatch.setattr(group_lasso, "_newton_finish", mock.Mock(side_effect=AssertionError))
+    _, report = fit_group_lasso(design, lam)
+    assert report.method == "apg" and report.converged

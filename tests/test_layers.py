@@ -23,7 +23,12 @@ def test_layer_script_one_repeat(tmp_path):
     bench = json.loads(out.read_text())
     assert {"nproc", "python", "numpy", "blas", "blas_threads"} <= set(bench["machine"])
     layers = bench["layers"]
-    for name in ("group_lasso.pooled_learned", "group_lasso.pooled_offline"):
+    assert layers["group_lasso.pooled_offline_warm"]["warm"]
+    for name in (
+        "group_lasso.pooled_learned",
+        "group_lasso.pooled_offline",
+        "group_lasso.pooled_offline_warm",
+    ):
         newton, apg = layers[name]["newton"], layers[name]["apg_only"]
         assert newton["method"] == "newton" and newton["newton_steps"] > 0
         assert apg["method"] == "apg" and apg["newton_steps"] == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lifelong_bandits import selection
 from lifelong_bandits.environment import SyntheticSpec
 from lifelong_bandits.features import BasisFamily, FeatureAtlas
 from lifelong_bandits.group_lasso import PooledDesign
@@ -114,19 +115,30 @@ class TestRecoveryTrial:
 
 class TestRecoverySweep:
     @pytest.mark.parametrize("m_values", [(1, 2, 5), (5, 1, 3, 1), (4, 4)])
-    def test_matches_independent_trials(self, m_values):
-        # one draw of max(m_values) tasks, nested prefixes, config order
+    def test_matches_independent_trials(self, m_values, monkeypatch):
+        # one draw of max(m_values) tasks, nested prefixes, config order; the
+        # fit at m starts from the last one when that had fewer than m tasks,
+        # so it meets the cold trial's optimum to the solver's tolerance
+        scales, warm = [], []
+
+        def spy(design, *args, **kwargs):
+            scales.append(max(1.0, design.grams()[2] / design.total_rows))
+            warm.append(kwargs["x0"] is not None)
+            return learn_kernel(design, *args, **kwargs)
+
         spec = SyntheticSpec(p=12, support_size=3, norm_bound=5.0)
+        monkeypatch.setattr(selection, "learn_kernel", spy)
         sweep = recovery_sweep(spec, m_values, 6, 0.25, 0.2, seed=5)
-        assert len(sweep) == len(m_values)
-        for m, got in zip(m_values, sweep):
+        monkeypatch.undo()
+        assert len(sweep) == len(m_values) == len(scales)
+        assert warm == [i > 0 and m_values[i - 1] < m for i, m in enumerate(m_values)]
+        for m, got, scale in zip(m_values, sweep, scales):
             want = recovery_trial(spec, m, 6, 0.25, 0.2, seed=5)
             assert (got.selected, got.truth) == (want.selected, want.truth)
             assert (got.exact, got.fallback) == (want.exact, want.fallback)
             assert got.report.method == want.report.method
-            assert got.report.iterations == want.report.iterations
-            assert got.report.objective == want.report.objective
-            assert np.array_equal(got.report.objective_history, want.report.objective_history)
+            assert got.report.converged
+            assert abs(got.report.objective - want.report.objective) <= 1e-9 * scale
 
     def test_rejects_bad_args(self):
         spec = SyntheticSpec()

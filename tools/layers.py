@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/layers.py --out BENCH_10.json [--repeats 7]
+    python3 tools/layers.py --out BENCH_11.json [--repeats 7]
 
 Every layer runs on a fixed input built from fixed seeds, so two commits
 time the same work. Each time is the median over ``--repeats`` timed runs,
@@ -16,12 +16,14 @@ Layers:
   each later task, lam 0.5/sqrt(20), warm-started from the 19-task fit.
 - ``group_lasso.pooled_offline``: one cold fit of an ``offline``-like sweep
   point: 20 tasks of 10 continuous uniform points, lam 0.25.
-- Both pooled fits run twice: ``newton`` as the package runs them, and
-  ``apg_only`` with the Newton hand-off switched off, which iterates as the
-  solver did before the hand-off existed; only its Lipschitz constant, now
-  taken from the smaller of Phi Phi^T and Phi^T Phi, costs less than it
-  did. Each reports the time per call, the APG iterations and the Newton
-  steps.
+- ``group_lasso.pooled_offline_warm``: the same fit warm-started from the
+  fit over its first 19 tasks, as the offline sweep over m = 1..30 starts it.
+- Each pooled fit runs twice: ``newton`` as the package runs it, handing off
+  to Newton once the support has settled, and ``apg_only`` with the Newton
+  hand-off switched off, which iterates as the solver did before the
+  hand-off existed; only its Lipschitz constant, now taken from the smaller
+  of Phi Phi^T and Phi^T Phi, costs less than it did. Each reports the time
+  per call, the APG iterations and the Newton steps.
   A design keeps each task's Gram, crossterm and top eigenvalue once they
   are computed, and the warm-up run computes them, so these times hold the
   iteration alone, not the Gram and eigen work.
@@ -38,7 +40,8 @@ Layers:
   environment, draws tasks 1..m, featurises them for the rewards and again
   for the design and computes every statistic, for each m, as the sweep did
   before it drew its tasks once; ``sweep`` runs ``recovery_sweep`` with the
-  fit replaced by the statistics it reads.
+  fit replaced by the statistics it reads, reporting a fit that did not
+  converge, so no fit is warm-started.
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh agent.
@@ -80,7 +83,9 @@ from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig  # noqa: E402
 from lifelong_bandits.group_lasso import (  # noqa: E402
     GroupCoefficients,
     PooledDesign,
+    SolverReport,
     fit_group_lasso,
+    padded_warm_start,
 )
 from lifelong_bandits.harness import RegretTrace, summarize  # noqa: E402
 from lifelong_bandits.seeding import STREAM_EXPLORE, STREAM_NOISE, substream  # noqa: E402
@@ -123,7 +128,7 @@ def learned_fit():
     tasks = grid_tasks(env, [100] + [4] * (TASKS - 1), np.random.default_rng(0))
     prior = design_from_tasks(env.atlas, tasks[:-1])
     coeffs, _ = fit_group_lasso(prior, 0.5 / math.sqrt(TASKS - 1))
-    x0 = GroupCoefficients(np.vstack((coeffs.matrix, np.zeros(prior.p))))
+    x0 = padded_warm_start(coeffs, TASKS)
     return design_from_tasks(env.atlas, tasks), 0.5 / math.sqrt(TASKS), x0
 
 
@@ -137,6 +142,14 @@ def offline_fit():
         X = rng.uniform(lo, hi, size=(10, env.atlas.dim_in))
         tasks.append((X, env.reward_continuous(s, X, rng)))
     return design_from_tasks(env.atlas, tasks), 0.25, None
+
+
+def offline_warm_fit():
+    """The same 20-task fit, warm-started from the 19-task one as the sweep
+    over m = 1..30 starts it."""
+    design, lam, _ = offline_fit()
+    coeffs, _ = fit_group_lasso(design.prefix(TASKS - 1), lam)
+    return design, lam, padded_warm_start(coeffs, TASKS)
 
 
 def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
@@ -227,7 +240,14 @@ def design_offline(repeats: int) -> dict:
             fallback=True,
             group_norms=np.zeros(design.p),
             coeffs=GroupCoefficients.zeros(design.m, design.p),
-            report=None,
+            report=SolverReport(
+                method="apg",
+                converged=False,
+                iterations=0,
+                map_norm=math.inf,
+                objective=math.nan,
+                objective_history=np.empty(0),
+            ),
         )
 
     per_m = median_seconds(lambda: offline_setup_per_m(spec, m_values, n, seed), repeats)
@@ -339,7 +359,11 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     layers = {}
-    for name, build in (("pooled_learned", learned_fit), ("pooled_offline", offline_fit)):
+    for name, build in (
+        ("pooled_learned", learned_fit),
+        ("pooled_offline", offline_fit),
+        ("pooled_offline_warm", offline_warm_fit),
+    ):
         design, lam, x0 = build()
         layers[f"group_lasso.{name}"] = {
             "tasks": design.m,
