@@ -83,6 +83,7 @@ from .features import FeatureAtlas, KernelEstimate, selected_features
 
 INFO_GAIN_SLACK = 1e-9
 _INFO_GAIN_HARD = 1e-6
+TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,17 @@ class PosteriorState:
     def info_gain(self) -> float:
         """Realized information gain of the observations folded in so far."""
         return 0.5 * self._log_det_ratio
+
+
+def ucb_choice(scores: np.ndarray) -> np.ndarray:
+    """Index of the top score along the last axis, ties to the lowest index.
+
+    A score ties with the top one when it is at least
+    top - TIE_TOLERANCE * max(1, |top|).
+    """
+    top = scores.max(axis=-1, keepdims=True)
+    floor = top - TIE_TOLERANCE * np.maximum(1.0, np.abs(top))
+    return np.argmax(scores >= floor, axis=-1)
 
 
 def info_gain_bound(d_k: int, n: int, lam: float) -> float:
@@ -235,7 +247,7 @@ class GpUcb:
         mu, var = self.posterior(candidates)
         if mu.shape[0] == 0:
             raise ValueError("candidate set is empty")
-        return int(np.argmax(mu + self.config.nu * np.sqrt(var)))
+        return int(ucb_choice(mu + self.config.nu * np.sqrt(var)))
 
     def observe(self, index: int, y: float, candidates: np.ndarray) -> None:
         """Fold in the reward observed at candidate ``index``."""
@@ -290,7 +302,7 @@ class LockstepUcb:
     def select(self) -> np.ndarray:
         """Each agent's UCB argmax over the candidates (ties to the lowest index)."""
         mu = self.theta @ self.features.T
-        return np.argmax(mu + self.config.nu * np.sqrt(np.maximum(self.var, 0.0)), axis=1)
+        return ucb_choice(mu + self.config.nu * np.sqrt(np.maximum(self.var, 0.0)))
 
     def observe(self, indices: np.ndarray, y: np.ndarray) -> None:
         """Fold reward ``y[j]`` at candidate ``indices[j]`` into agent j."""

@@ -23,6 +23,7 @@ from lifelong_bandits.gp_ucb import (
     UcbConfig,
     info_gain_bound,
     realized_info_gain,
+    ucb_choice,
 )
 from lifelong_bandits.seeding import substream
 
@@ -185,6 +186,35 @@ def make_agent(p=5, selected=(1, 2), nu=10.0, lam=0.1, grid_n=60):
     return atlas, est, grid, agent
 
 
+def mirror_pair():
+    """Two candidates, x = 0.2 and its mirror image 0.8, under the all-even
+    kernel (2, 4): their features agree in exact arithmetic, so every
+    posterior score ties, but the computed prior variance of the mirror
+    point is the higher one."""
+    atlas = FeatureAtlas(BasisFamily.COSINE_1D, 8)
+    return atlas, KernelEstimate(p=8, selected=(2, 4)), np.array([[0.2], [0.8]])
+
+
+class TestUcbChoice:
+    def test_exact_tie_goes_to_the_lower_index(self):
+        assert ucb_choice(np.array([1.0, 3.0, 3.0, 2.0])) == 1
+
+    def test_gap_within_tolerance_is_a_tie(self):
+        top = 40.0
+        assert ucb_choice(np.array([top * (1 - 1e-13), top])) == 0
+        # below 1 the tolerance is absolute
+        assert ucb_choice(np.array([0.5, 0.5 + 5e-13])) == 0
+
+    def test_relative_gap_of_1e_9_is_not_a_tie(self):
+        top = 40.0
+        assert ucb_choice(np.array([top * (1 - 1e-9), top])) == 1
+        assert ucb_choice(np.array([0.5, 0.5 + 1e-9])) == 1
+
+    def test_rows_are_decided_separately(self):
+        scores = np.array([[2.0, 2.0, 1.0], [0.0, 1.0, 1.0 + 1e-9], [5.0, 4.0, 5.0]])
+        assert ucb_choice(scores).tolist() == [0, 2, 0]
+
+
 class TestGpUcb:
     def test_empty_kernel_rejected(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, 4)
@@ -196,6 +226,13 @@ class TestGpUcb:
         # cosine features have equal norm at x=0 and x=1, argmax takes index 0
         atlas, est, grid, agent = make_agent(selected=(1,))
         assert agent.select(grid) == 0
+
+    def test_mirror_tie_goes_to_the_lower_index(self):
+        atlas, est, mirror = mirror_pair()
+        agent = GpUcb(atlas, est, UcbConfig())
+        _, var = agent.posterior(mirror)
+        assert var[1] > var[0]
+        assert agent.select(mirror) == 0
 
     def test_pure_exploitation_picks_posterior_argmax(self):
         atlas, est, grid, agent = make_agent(selected=(1,), nu=0.0, lam=0.1)
@@ -302,6 +339,18 @@ class TestLockstepUcb:
             assert 0.5 * group.log_det[j] == pytest.approx(agent.state.info_gain(), abs=1e-12)
             assert group.max_gain_slack[j] == pytest.approx(agent.max_gain_slack, abs=1e-12)
         assert group.count == 25
+
+    def test_mirror_tie_goes_to_the_lower_index(self):
+        atlas, est, mirror = mirror_pair()
+        group = LockstepUcb(selected_features(atlas, est, mirror), 2, UcbConfig())
+        assert group.var[0, 1] > group.var[0, 0]
+        assert group.select().tolist() == [0, 0]
+
+    def test_relative_gap_of_1e_9_is_not_a_tie(self):
+        # prior scores nu * |f| under one column of weight 1
+        features = np.array([[1.0], [1.0 + 1e-9], [-1.0]])
+        group = LockstepUcb(features, 2, UcbConfig(nu=10.0))
+        assert group.select().tolist() == [1, 1]
 
     def test_info_gain_cap_enforced(self, monkeypatch):
         atlas, est, grid, _ = make_agent()
