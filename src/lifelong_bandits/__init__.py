@@ -20,7 +20,6 @@ from .features import (
     KernelEstimate,
     kernel_gram,
     kernel_value,
-    selected_columns,
     selected_features,
 )
 from .federated import ClientVote, VoteLedger, client_fit, run_federated
@@ -126,7 +125,6 @@ __all__ = [
     "run_federated",
     "run_lifelong",
     "schedule_rates",
-    "selected_columns",
     "selected_features",
     "substream",
     "summarize",

@@ -195,20 +195,7 @@ def selected_features(
         raise EmptyKernelError("kernel estimate selects no groups")
     if estimate.p != atlas.p:
         raise ValueError("estimate and atlas disagree on the number of groups")
-    return selected_columns(atlas.concat_many(X), estimate, scaled)
-
-
-def selected_columns(
-    table: np.ndarray, estimate: KernelEstimate, scaled: bool = True
-) -> np.ndarray:
-    """The selected groups' columns of a feature table, such as an
-    environment's ``grid_features``: what ``selected_features`` returns for
-    the points whose ``concat_many`` rows the table holds, bit for bit."""
-    if estimate.is_empty:
-        raise EmptyKernelError("kernel estimate selects no groups")
-    if table.shape[1] != estimate.p:
-        raise ValueError("estimate and feature table disagree on the number of groups")
-    columns = table[:, np.asarray(estimate.selected, dtype=np.intp) - 1]
+    columns = atlas.concat_many(X)[:, np.asarray(estimate.selected, dtype=np.intp) - 1]
     return columns * math.sqrt(estimate.weight) if scaled else columns
 
 

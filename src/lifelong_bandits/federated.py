@@ -139,7 +139,8 @@ def run_federated(
     its own data, and votes. The server set after the client's own vote
     determines the kernel for that same client's exploitation phase, and
     the fresh agent sees the exploration observations first, so the
-    posterior holds the full task history.
+    posterior holds the full task history. A run uses one config: the
+    agents ``solver_factory`` makes, one per task, must share it.
     """
     atlas = env.atlas
     ledger = VoteLedger(atlas.p, alpha)

@@ -35,37 +35,38 @@ mean, 1e-15 on the variance and 1e-13 on the gain after 100 observations
 clamped at zero where they are read. A property test pins the drift
 against a from-scratch Cholesky posterior.
 
-Agents that share a kernel, a config and a candidate table can step
-together. ``LockstepUcb`` holds k such posteriors stacked: A^{-1} as
-(k, d, d), b and theta as (k, d), the candidate variances as (k, G), the
-log-determinants as (k,), with one shared (G, d) feature table and one
-prior variance computed for it. A select is one (k, d) x (d, G) product;
-an observe is two batched (k, d, d) x (k, d) products (A^{-1} phi and
-theta), a batched rank-one update and one (k, d) x (d, G) product for the
-variances, and the info-gain check runs over all k at once. A step of a
-single agent is bound by numpy call overhead, so on the 500-point grid 20
-agents in lockstep cost 4.8 us per agent-step at d=5 and 12.9 us at d=50,
-against 31 and 45 us for a lone ``GpUcb`` step (``tools/layers.py``, one
-run, 2 shared cores, one BLAS thread). A group of one costs more than a
-``GpUcb`` step, so the runners step a lone task's ``GpUcb`` instead.
+Agents that share a config and a candidate table step together in
+``LockstepUcb``, each under its own kernel, over one (G, D) table of the
+unscaled features f of the union of their groups. Agent j's kernel is a
+prior weight w_j, 1/|J_j| on its own groups and 0 elsewhere: its A^{-1}
+starts at diag(w_j) / lam^2 and b sums f y. With S = diag(sqrt(w_j)) this
+A^{-1} is S A^{-1} S and theta is S theta of the scaled posterior above, so
+the mean f^T theta, the variance lam^2 f^T A^{-1} f and q agree with it in
+exact arithmetic, the groups outside J_j stay exactly 0, no step scales by
+agent, and the prior variance is w_j . f^2. The k states are stacked: A^{-1}
+as (k, D, D), b and theta as (k, D), the candidate variances as (k, G) and
+the log-determinants as (k,). A select is one (k, D) x (D, G) product; an
+observe is two batched (k, D, D) x (k, D) products, a batched rank-one
+update and one (k, D) x (D, G) product for the variances, and each agent's
+gain is checked against the cap of its own d_j = |J_j|. A step of a single
+agent is bound by numpy call overhead, so on the 500-point grid 20 agents
+in lockstep cost 4.8 us per agent-step at d=5 and 12.9 us at d=50, against
+31 and 45 us for a lone ``GpUcb`` step (``tools/layers.py``, one run, 2
+shared cores, one BLAS thread).
 
 UCB scores can tie exactly. Cosine features satisfy
-cos(j pi (1 - x)) = (-1)^j cos(j pi x), so under a kernel of even
-frequencies only, a grid point and its mirror image about the middle of the
-domain have the same features in exact arithmetic, and the posterior and
-the UCB score are the same at both. The computed features differ by
-rounding, so which of the two scores higher depends on the order of the
-floating-point operations, and a change in how the posterior is computed
-can swap the choice: a ``LockstepUcb`` agent and a ``GpUcb`` agent sum
-their products in different orders, and under an all-even kernel they pick
-different points of a mirror pair at some steps (at the 64 benchmark pool
-seeds, 18 to 469 of a run's 2 000 actions at the three all-even-support
-seeds, each the mirror of the other's, and no other action). Memory
-layout alone did not move a result: with OpenBLAS 0.3.31, dots of 5 and of
-50 numbers gave the same bits at every 8-byte offset of their operands
-tried (2 000 random pairs each). When the true support is all even, the
-objective is mirror symmetric too, and the two choices have the same
-regret up to rounding (within 1e-13 there).
+cos(j pi (1 - x)) = (-1)^j cos(j pi x), so under every kernel the prior
+variance at a point equals that at its mirror image about the middle of
+the domain, and under a kernel of even frequencies only the whole
+posterior is mirror symmetric. The computed scores of such a pair differ
+by rounding, and which one is larger depends on the order of the
+floating-point operations. So ``select`` does not take a plain argmax:
+``ucb_choice`` returns the lowest index whose score is at least
+top - 1e-12 * max(1, |top|). Over the 491 520 selects of the four
+bandit kinds at the 64 benchmark pool seeds, the relative gap between the
+top two scores of a select is either below 1e-13 (a rounding gap, 7 156
+of them, or exactly 0) or at least 1e-10, so the rule decides these ties
+and nothing else, whatever order the sums are taken in.
 
 The realized information gain is checked against the closed-form cap
 (1/2) d log(1 + lam^-2 i / d) after every observation; a violation beyond
@@ -81,7 +82,6 @@ import numpy as np
 from .errors import EmptyKernelError
 from .features import FeatureAtlas, KernelEstimate, selected_features
 
-INFO_GAIN_SLACK = 1e-9
 _INFO_GAIN_HARD = 1e-6
 TIE_TOLERANCE = 1e-12
 
@@ -151,20 +151,18 @@ class PosteriorState:
 
 
 def ucb_choice(scores: np.ndarray) -> np.ndarray:
-    """Index of the top score along the last axis, ties to the lowest index.
-
-    A score ties with the top one when it is at least
-    top - TIE_TOLERANCE * max(1, |top|).
-    """
+    """Index of the top score along the last axis: the lowest index whose
+    score is at least top - TIE_TOLERANCE * max(1, |top|)."""
     top = scores.max(axis=-1, keepdims=True)
     floor = top - TIE_TOLERANCE * np.maximum(1.0, np.abs(top))
     return np.argmax(scores >= floor, axis=-1)
 
 
-def info_gain_bound(d_k: int, n: int, lam: float) -> float:
+def info_gain_bound(d_k, n: int, lam: float):
     """Closed-form cap on the information gain of n observations under a
-    d_k-dimensional feature kernel with bounded diagonal."""
-    if d_k < 1:
+    d_k-dimensional feature kernel with bounded diagonal; an array of d_k
+    gives the cap of each."""
+    if np.any(np.asarray(d_k) < 1):
         raise ValueError("feature dimension must be at least 1")
     if n < 0:
         raise ValueError("observation count must be nonnegative")
@@ -198,16 +196,17 @@ def realized_info_gain(gram: np.ndarray, lam: float) -> float:
 class GpUcb:
     """Upper-confidence-bound policy on a fixed candidate set.
 
-    The base-solver contract the lifelong loops rely on: construct with a
-    kernel estimate, ``select(candidates)`` returns the index of the chosen
-    candidate (ties to the lowest index), ``observe(index, y)`` folds in the
-    reward for a candidate. ``observe_point`` accepts an arbitrary in-domain
-    point instead. The agent caches the features of the last candidate array
-    passed, which it keeps a reference to, and beside them the posterior
-    variance at every candidate. The variances are computed from the current
-    posterior when the array is first seen and lowered in place by every
-    observation after that, so repeated calls with the same grid object cost
-    one feature evaluation total and no solve.
+    One agent under one kernel estimate, the reference ``LockstepUcb`` is
+    tested against; the task loop reads only the ``estimate`` and ``config``
+    of the agents its solver factory returns. ``select(candidates)`` returns
+    the index of the chosen candidate (see ``ucb_choice``), ``observe(index,
+    y)`` folds in the reward for a candidate and ``observe_point`` that at an
+    arbitrary in-domain point. The agent caches the features of the last
+    candidate array passed, which it keeps a reference to, and beside them
+    the posterior variance at every candidate. The variances are computed
+    from the current posterior when the array is first seen and lowered in
+    place by every observation after that, so repeated calls with the same
+    grid object cost one feature evaluation total and no solve.
     """
 
     def __init__(self, atlas: FeatureAtlas, estimate: KernelEstimate, config: UcbConfig) -> None:
@@ -222,19 +221,13 @@ class GpUcb:
         self._grid_features: np.ndarray | None = None
         self._grid_var: np.ndarray | None = None
 
-    def use_features(self, candidates: np.ndarray, features: np.ndarray) -> None:
-        """Cache ``features`` as the scaled selected features of the candidate
-        rows instead of evaluating them (the runners slice them from the
-        environment's feature table), with the posterior variance at them."""
-        # hold the array itself: an id alone can be reused by a new array
-        # once the old one is freed
-        self._grid = candidates
-        self._grid_features = features
-        self._grid_var = self.state.mean_var_many(features)[1]
-
     def _features_for(self, candidates: np.ndarray) -> np.ndarray:
         if self._grid is not candidates:
-            self.use_features(candidates, selected_features(self.atlas, self.estimate, candidates))
+            # hold the array itself: an id alone can be reused by a new array
+            # once the old one is freed
+            self._grid = candidates
+            self._grid_features = selected_features(self.atlas, self.estimate, candidates)
+            self._grid_var = self.state.mean_var_many(self._grid_features)[1]
         return self._grid_features
 
     def posterior(self, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +236,7 @@ class GpUcb:
         return Phi @ self.state.theta, np.maximum(self._grid_var, 0.0)
 
     def select(self, candidates: np.ndarray) -> int:
-        """Index of the UCB argmax over the candidate rows."""
+        """Index of the UCB choice over the candidate rows (see ``ucb_choice``)."""
         mu, var = self.posterior(candidates)
         if mu.shape[0] == 0:
             raise ValueError("candidate set is empty")
@@ -278,29 +271,46 @@ class GpUcb:
 
 
 class LockstepUcb:
-    """k GP-UCB agents under one kernel and one config, stepped together.
+    """k GP-UCB agents under one config, each under its own kernel, stepped
+    together.
 
-    ``features`` is the candidates' (G, d) scaled feature table, as
-    ``GpUcb`` caches it. Every agent starts from the prior and observes one
-    candidate per step; the module docstring describes the stacked state
-    and what a step costs. Each agent follows ``GpUcb``'s arithmetic up to
-    rounding, which can swap a choice only at an exact tie.
+    ``features`` is the candidates' (G, D) unscaled feature table over the
+    union of the agents' groups, and row j of the (k, D) ``weights`` holds
+    agent j's prior weight: 1/|J_j| on its own groups and 0 elsewhere.
+    Every agent starts from its prior and observes one candidate per step;
+    the module docstring describes the stacked state and what a step costs.
+    Each agent follows ``GpUcb``'s posterior up to rounding, and
+    ``ucb_choice`` keeps rounding from deciding a choice.
     """
 
-    def __init__(self, features: np.ndarray, k: int, config: UcbConfig) -> None:
-        prior = PosteriorState(features.shape[1], config.lam)
+    def __init__(self, features: np.ndarray, weights: np.ndarray, config: UcbConfig) -> None:
+        k, width = weights.shape
         self.features = features
         self.config = config
+        self.dims = np.count_nonzero(weights, axis=1)
+        if not self.dims.all():
+            raise EmptyKernelError("every agent needs a kernel with at least one group")
         self.count = 0
-        self.inv = np.repeat(prior.inv[None], k, axis=0)
-        self.b = np.zeros((k, prior.dim))
-        self.theta = np.zeros((k, prior.dim))
-        self.var = np.repeat(prior.mean_var_many(features)[1][None], k, axis=0)
+        self.inv = np.zeros((k, width, width))
+        self.inv[:, np.arange(width), np.arange(width)] = weights / config.lam**2
+        self.b = np.zeros((k, width))
+        self.theta = np.zeros((k, width))
+        self.var = weights @ np.square(features).T
         self.log_det = np.zeros(k)
         self.max_gain_slack = np.full(k, -np.inf)
 
+    @classmethod
+    def over_table(cls, table: np.ndarray, estimates, config: UcbConfig) -> "LockstepUcb":
+        """One agent per nonempty kernel estimate, over the union of their
+        columns of a (G, p) feature table such as ``env.grid_features``."""
+        weights = np.zeros((len(estimates), table.shape[1]))
+        for row, estimate in zip(weights, estimates):
+            row[np.asarray(estimate.selected) - 1] = estimate.weight
+        used = weights.any(axis=0)
+        return cls(table[:, used], weights[:, used], config)
+
     def select(self) -> np.ndarray:
-        """Each agent's UCB argmax over the candidates (ties to the lowest index)."""
+        """Each agent's UCB choice over the candidates (see ``ucb_choice``)."""
         mu = self.theta @ self.features.T
         return ucb_choice(mu + self.config.nu * np.sqrt(np.maximum(self.var, 0.0)))
 
@@ -318,11 +328,11 @@ class LockstepUcb:
         self.log_det += np.log(q)
         self.count += 1
         gain = 0.5 * self.log_det
-        bound = info_gain_bound(self.features.shape[1], self.count, lam)
-        slack = gain - bound
+        slack = gain - info_gain_bound(self.dims, self.count, lam)
         np.maximum(self.max_gain_slack, slack, out=self.max_gain_slack)
         worst = int(np.argmax(slack))
         if slack[worst] > _INFO_GAIN_HARD:
             raise RuntimeError(
-                f"information gain {gain[worst]:.6f} exceeds its cap {bound:.6f}"
+                f"information gain {gain[worst]:.6f} exceeds its cap "
+                f"{gain[worst] - slack[worst]:.6f}"
             )

@@ -7,15 +7,14 @@ of all n observations (one draw from the task's noise substream, the same
 numbers ``TaskView.observe`` would draw one at a time), and asks a kernel
 callback which estimate the task runs under. The forced draws, the votes
 and a pooled fit over forced data read nothing an agent chose, so every
-kernel is known before any agent runs. The agent pass then groups the
-tasks by estimate: a lone task steps its own ``GpUcb``, a larger group one
-``LockstepUcb`` (see :mod:`.gp_ucb`), with the features sliced once from
-the environment's feature table. Under a pinned kernel the 20 tasks of a
-reference run step as one group, at about a sixth (d=5) to a third (d=50)
-of the time per task-step of a lone agent. An after-task hook, when
-given, sees each finished task before the next is planned, so every task
-then runs alone on the same code path. The runners differ only in where
-the kernel comes from:
+kernel is known before any agent runs. The agent pass then steps every
+task in one ``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a
+prior weight over the union of the tasks' groups, with the features sliced
+once from the environment's feature table. An after-task hook, when given,
+sees each finished task before the next is planned, so every task then
+steps alone on the same code path. A run uses one ``UcbConfig``, which the
+solver factory's agents must share. The runners differ only in where the
+kernel comes from:
 
 ``run_lifelong``
     a pooled group-lasso fit over the tasks so far, warm-started from the
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .environment import TaskView
-from .features import KernelEstimate, selected_columns
+from .features import KernelEstimate
 from .gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from .group_lasso import GroupCoefficients, PooledDesign, padded_warm_start
 from .seeding import STREAM_EXPLORE, substream
@@ -179,16 +178,15 @@ def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, solver_factory, aft
     The plan pass draws, per task, the forced prefix and the noise of all n
     observations and asks ``kernel_for`` for the estimate. Nothing in it
     reads an agent's choices, so every kernel is known before any agent
-    runs, and the agent pass runs the tasks that share an estimate as one
-    group (``_run_agents``). ``after_task``, when given, gets each finished
-    TaskRecord before the next task is planned, so each task then runs in a
-    group of its own.
+    runs, and the agent pass steps every task at once (``_run_agents``).
+    ``after_task``, when given, gets each finished TaskRecord before the
+    next task is planned, so each task then steps alone.
     """
     if not 1 <= m <= env.m:
         raise ConfigError("environment has too few tasks")
     counts = [0] * m if mode is None else ExplorationSchedule.build(mode, n, m).counts.tolist()
     make_agent = solver_factory if solver_factory is not None else default_solver_factory()
-    groups: dict[tuple[int, ...], list[_Plan]] = {}
+    plans = []
     for s, explore_count in enumerate(counts, start=1):
         view = env.task_view(s)
         rng = substream(seed, STREAM_EXPLORE, s)
@@ -196,75 +194,61 @@ def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, solver_factory, aft
         noise = view.noise_terms(n)
         drawn_y = [float(view.values[idx] + noise[i]) for i, idx in enumerate(drawn)]
         plan = _Plan(s, view, drawn, noise, kernel_for(s, drawn, drawn_y))
-        if after_task is not None:
+        if after_task is None:
+            plans.append(plan)
+        else:
             record.tasks += _run_agents(env, n, [plan], make_agent, record)
             after_task(record.tasks[-1])
-        else:
-            groups.setdefault(plan.estimate.selected, []).append(plan)
-    finished = [
-        task for plans in groups.values() for task in _run_agents(env, n, plans, make_agent, record)
-    ]
-    record.tasks += sorted(finished, key=lambda task: task.task)
+    if plans:
+        record.tasks += _run_agents(env, n, plans, make_agent, record)
 
 
 def _run_agents(env, n, plans, make_agent, record) -> list[TaskRecord]:
-    """Run the tasks that share an estimate, n steps each.
+    """Run the planned tasks, n steps each, in one ``LockstepUcb``.
 
-    The factory makes one agent for the group's estimate; it sees nothing
-    else, so every task of the group would get the same one. The agent's
-    features are sliced once from ``env.grid_features``. A lone task steps
-    the agent; a larger group steps one ``LockstepUcb`` with the agent's
-    kernel and config in its place. Each task observes its forced draws
-    first, then its UCB choices; an observation is the task's grid value
-    plus its pre-drawn noise term.
+    The factory makes one agent per task from its estimate, and only the
+    agent's ``estimate`` (the task's prior weight) and ``config`` (one for
+    all) are read. Each task observes its forced draws first, then its UCB
+    choices; an observation is the task's grid value plus its pre-drawn
+    noise term.
     """
-    agent = make_agent(env.atlas, plans[0].estimate)
-    features = selected_columns(env.grid_features, agent.estimate)
+    agents = [make_agent(env.atlas, plan.estimate) for plan in plans]
+    if len({agent.config for agent in agents}) > 1:
+        raise ValueError("the solver factory's agents must share one UcbConfig")
+    estimates = [agent.estimate for agent in agents]
+    group = LockstepUcb.over_table(env.grid_features, estimates, agents[0].config)
+    values = np.stack([plan.view.values for plan in plans])
+    noise = np.stack([plan.noise for plan in plans])
     actions = np.empty((len(plans), n), dtype=int)
-    if len(plans) == 1:
-        (plan,) = plans
-        values, drawn = plan.view.values, plan.drawn
-        agent.use_features(env.grid, features)
-        for i in range(n):
-            idx = drawn[i] if i < len(drawn) else agent.select(env.grid)
-            agent.observe(idx, values[idx] + plan.noise[i], env.grid)
-            actions[0, i] = idx
-        slack = agent.max_gain_slack
-    else:
-        group = LockstepUcb(features, len(plans), agent.config)
-        values = np.stack([plan.view.values for plan in plans])
-        noise = np.stack([plan.noise for plan in plans])
-        forced = np.full(actions.shape, -1)
-        for j, plan in enumerate(plans):
-            forced[j, : len(plan.drawn)] = plan.drawn
-        rows = np.arange(len(plans))
-        all_forced = min(len(plan.drawn) for plan in plans)
-        any_forced = max(len(plan.drawn) for plan in plans)
-        for i in range(n):
-            if i < all_forced:
-                idx = forced[:, i]
-            else:
-                idx = group.select()
-                if i < any_forced:
-                    np.copyto(idx, forced[:, i], where=forced[:, i] >= 0)
-            group.observe(idx, values[rows, idx] + noise[:, i])
-            actions[:, i] = idx
-        slack = group.max_gain_slack.max()
-    record.max_gain_slack = max(record.max_gain_slack, slack)
-    tasks = []
-    for plan, taken in zip(plans, actions):
-        explore_count = len(plan.drawn)
-        tasks.append(TaskRecord(
+    forced = np.full(actions.shape, -1)
+    for j, plan in enumerate(plans):
+        forced[j, : len(plan.drawn)] = plan.drawn
+    rows = np.arange(len(plans))
+    all_forced = min(len(plan.drawn) for plan in plans)
+    any_forced = max(len(plan.drawn) for plan in plans)
+    for i in range(n):
+        if i < all_forced:
+            idx = forced[:, i]
+        else:
+            idx = group.select()
+            if i < any_forced:
+                np.copyto(idx, forced[:, i], where=forced[:, i] >= 0)
+        group.observe(idx, values[rows, idx] + noise[:, i])
+        actions[:, i] = idx
+    record.max_gain_slack = max(record.max_gain_slack, group.max_gain_slack.max())
+    return [
+        TaskRecord(
             task=plan.task,
             kernel=plan.estimate.selected,
-            explore_count=explore_count,
+            explore_count=len(plan.drawn),
             actions=taken,
             rewards=plan.view.values[taken] + plan.noise,
             regrets=plan.view.regret(taken),
-            explored=np.arange(n) < explore_count,
+            explored=np.arange(n) < len(plan.drawn),
             recovered=None if env.support is None else plan.estimate.selected == env.support,
-        ))
-    return tasks
+        )
+        for plan, taken in zip(plans, actions)
+    ]
 
 
 def theory_lambda(
@@ -315,7 +299,8 @@ def run_lifelong(
     produced after task s-1; a non-converged fit keeps the prior estimate,
     while a converged fit that selects nothing installs the full kernel.
     ``meta_data`` chooses what the fit sees: "exploration" pools only the
-    forced draws, "all" pools every observation.
+    forced draws, "all" pools every observation. A run uses one config: the
+    agents ``solver_factory`` makes, one per task, must share it.
     """
     if lam_policy not in LAM_POLICIES:
         raise ConfigError(f"unknown lam policy: {lam_policy!r}")
@@ -394,7 +379,10 @@ def run_baseline(
     seed: int = 0,
     config_digest: str = "",
 ) -> LifelongRunRecord:
-    """Run m tasks under a pinned kernel: the true support or the full set."""
+    """Run m tasks under a pinned kernel: the true support or the full set.
+
+    A run uses one config: the agents ``solver_factory`` makes must share it.
+    """
     if kernel not in BASELINE_KERNELS:
         raise ConfigError(f"unknown baseline kernel: {kernel!r}")
     if kernel == "full":

@@ -13,7 +13,6 @@ from lifelong_bandits.features import (
     FeatureAtlas,
     KernelEstimate,
     kernel_gram,
-    selected_columns,
     selected_features,
 )
 from lifelong_bandits.gp_ucb import (
@@ -313,51 +312,77 @@ class TestGpUcb:
         assert better >= 15
 
 
+def lockstep(atlas, candidates, kernels, config):
+    """One ``LockstepUcb`` agent per kernel, over the union of their columns,
+    as the runners build it."""
+    return LockstepUcb.over_table(atlas.concat_many(candidates), kernels, config)
+
+
 class TestLockstepUcb:
     def test_matches_separate_agents(self):
-        atlas, est, grid, _ = make_agent(p=7, selected=(1, 2, 5), grid_n=80)
+        # nested, disjoint, all-even and repeated kernels in one group
+        atlas, _, grid, _ = make_agent(p=7, grid_n=80)
+        kernels = [KernelEstimate(p=7, selected=sel)
+                   for sel in ((1, 2, 5), (2, 5), (3, 7), (2, 4, 6), (1, 2, 5))]
         config = UcbConfig(nu=2.0, lam=0.3)
-        agents = [GpUcb(atlas, est, config) for _ in range(4)]
-        features = selected_columns(atlas.concat_many(grid), est)
-        assert np.array_equal(features, selected_features(atlas, est, grid))
-        group = LockstepUcb(features, 4, config)
+        agents = [GpUcb(atlas, est, config) for est in kernels]
+        group = lockstep(atlas, grid, kernels, config)
+        assert group.features.shape == (80, 7) and group.dims.tolist() == [3, 2, 2, 3, 3]
         rng = np.random.default_rng(0)
         for step in range(25):
             chosen = group.select()
             assert chosen.tolist() == [agent.select(grid) for agent in agents]
             # half the steps observe arbitrary points, as forced draws do
-            idx = rng.integers(len(grid), size=4) if step % 2 else chosen
-            y = rng.standard_normal(4)
+            idx = rng.integers(len(grid), size=len(agents)) if step % 2 else chosen
+            y = rng.standard_normal(len(agents))
             group.observe(idx, y)
             for agent, i, yi in zip(agents, idx, y):
                 agent.observe(int(i), float(yi), grid)
-        for j, agent in enumerate(agents):
+        for j, (agent, est) in enumerate(zip(agents, kernels)):
             mean, var = agent.posterior(grid)
-            assert np.allclose(group.theta[j], agent.state.theta, rtol=0, atol=1e-12)
-            assert np.allclose(group.var[j], var, rtol=0, atol=1e-12)
-            assert np.allclose(group.inv[j], agent.state.inv, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(group.theta[j] @ group.features.T, mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.maximum(group.var[j], 0.0), var, rtol=0, atol=1e-12)
             assert 0.5 * group.log_det[j] == pytest.approx(agent.state.info_gain(), abs=1e-12)
             assert group.max_gain_slack[j] == pytest.approx(agent.max_gain_slack, abs=1e-12)
+            # the columns outside the agent's kernel never leave the prior
+            outside = ~np.isin(np.arange(1, 8), est.selected)
+            assert not group.theta[j, outside].any()
+            assert not group.inv[j][outside].any() and not group.inv[j][:, outside].any()
         assert group.count == 25
+
+    def test_rejects_mismatched_or_empty_weights(self):
+        features = np.ones((4, 2))
+        with pytest.raises(ValueError):
+            LockstepUcb(features, np.ones((2, 3)), UcbConfig())
+        with pytest.raises(EmptyKernelError):
+            LockstepUcb(features, np.array([[0.5, 0.5], [0.0, 0.0]]), UcbConfig())
 
     def test_mirror_tie_goes_to_the_lower_index(self):
         atlas, est, mirror = mirror_pair()
-        group = LockstepUcb(selected_features(atlas, est, mirror), 2, UcbConfig())
+        group = lockstep(atlas, mirror, [est, est], UcbConfig())
         assert group.var[0, 1] > group.var[0, 0]
         assert group.select().tolist() == [0, 0]
 
     def test_relative_gap_of_1e_9_is_not_a_tie(self):
         # prior scores nu * |f| under one column of weight 1
         features = np.array([[1.0], [1.0 + 1e-9], [-1.0]])
-        group = LockstepUcb(features, 2, UcbConfig(nu=10.0))
+        group = LockstepUcb(features, np.ones((2, 1)), UcbConfig(nu=10.0))
         assert group.select().tolist() == [1, 1]
 
     def test_info_gain_cap_enforced(self, monkeypatch):
         atlas, est, grid, _ = make_agent()
-        group = LockstepUcb(selected_features(atlas, est, grid), 3, UcbConfig())
+        group = lockstep(atlas, grid, [est] * 3, UcbConfig())
         monkeypatch.setattr(gp_ucb, "info_gain_bound", lambda d, n, lam: 0.0)
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
+
+    def test_info_gain_cap_uses_each_agents_dimension(self):
+        assert np.array_equal(
+            info_gain_bound(np.array([1, 5]), 7, 0.3),
+            [info_gain_bound(1, 7, 0.3), info_gain_bound(5, 7, 0.3)],
+        )
+        with pytest.raises(ValueError):
+            info_gain_bound(np.array([2, 0]), 7, 0.3)
 
 
 def scratch_posterior(Phi, y, Q, lam):
@@ -423,3 +448,44 @@ def test_incremental_posterior_matches_scratch_property(seed, d, n, lam, switch_
             points.append(x)
         rewards.append(y)
     check(cand)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    k=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=0, max_value=150),
+    lam=st.floats(min_value=0.05, max_value=2.0),
+)
+def test_mixed_lockstep_matches_scratch_property(seed, k, n, lam):
+    # k agents under random kernels of 1 to 50 groups, UCB choices and
+    # arbitrary points mixed at random: each agent's means, variances and
+    # information gain agree with a from-scratch posterior on its own scaled
+    # features
+    rng = np.random.default_rng(seed)
+    p = 50
+    atlas = FeatureAtlas(BasisFamily.COSINE_1D, p)
+    kernels = [
+        KernelEstimate(p=p, selected=tuple(int(j) for j in rng.choice(
+            np.arange(1, p + 1), size=int(rng.integers(1, p + 1)), replace=False)))
+        for _ in range(k)
+    ]
+    cand = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 80)), 1))
+    group = lockstep(atlas, cand, kernels, UcbConfig(nu=1.0, lam=lam))
+    rewards = rng.normal(size=(n, k))
+    chosen = np.empty((n, k), dtype=int)
+    for i in range(n):
+        chosen[i] = group.select() if rng.random() < 0.5 else rng.integers(len(cand), size=k)
+        group.observe(chosen[i], rewards[i])
+    for j, est in enumerate(kernels):
+        Q = selected_features(atlas, est, cand)
+        Phi, y = Q[chosen[:, j]], rewards[:, j]
+        mean, var = scratch_posterior(Phi, y, Q, lam)
+        scale = max(1.0, float(np.abs(y).max(initial=0.0)))
+        mu = group.theta[j] @ group.features.T
+        np.testing.assert_allclose(mu, mean, rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(
+            np.maximum(group.var[j], 0.0), np.maximum(var, 0.0), rtol=0, atol=1e-9
+        )
+        gain = realized_info_gain(Phi @ Phi.T, lam)
+        assert abs(0.5 * group.log_det[j] - gain) <= 1e-9

@@ -43,6 +43,8 @@ def test_layer_script_one_repeat(tmp_path):
     assert [layers[k]["d"] for k in ("gp_ucb.step_d5", "gp_ucb.step_d50")] == [5, 50]
     lockstep = [layers[k] for k in ("gp_ucb.lockstep_d5", "gp_ucb.lockstep_d50")]
     assert [(g["d"], g["tasks"]) for g in lockstep] == [(5, 20), (50, 20)]
-    assert all(g["us_per_task_step"] > 0 for g in lockstep)
+    mixed = layers["gp_ucb.lockstep_mixed"]
+    assert mixed["tasks"] == 20 and mixed["kernels"] > 1 and 5 <= mixed["d"] <= 50
+    assert all(g["us_per_task_step"] > 0 for g in lockstep + [mixed])
     assert layers["trace"]["steps"] == 2000
     assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))

@@ -328,6 +328,61 @@ class TestLockstep:
             run_baseline(env, "oracle", m=3, n=10, seed=0)
 
 
+class TestMirrorSymmetricRun:
+    """At seed 23 the true support is all even, so the rewards and, under
+    the oracle and most learned kernels, the posteriors are mirror
+    symmetric: many UCB steps tie between a grid point and its mirror
+    image, and the tie rule, not rounding, must decide them."""
+
+    SEED, M, N = 23, 20, 100
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        env = SyntheticEnvironment(SyntheticSpec(), n_tasks=self.M, master_seed=self.SEED)
+        assert all(j % 2 == 0 for j in env.support)
+        return env
+
+    @pytest.mark.parametrize("runner", ["lifelong", "oracle"])
+    def test_grouped_tasks_match_manual_loops(self, env, runner):
+        if runner == "lifelong":
+            record = run_lifelong(env, self.M, self.N, 0.25, 0.5, lam_policy="inv_sqrt",
+                                  seed=self.SEED)
+        else:
+            record = run_baseline(env, "oracle", self.M, self.N, seed=self.SEED)
+        assert len({task.kernel for task in record.tasks}) < self.M
+        for task in record.tasks:
+            agent = GpUcb(env.atlas, KernelEstimate(env.p, task.kernel), UcbConfig())
+            view = env.task_view(task.task)
+            rng = substream(self.SEED, STREAM_EXPLORE, task.task)
+            actions, rewards = [], []
+            for i in range(self.N):
+                if i < task.explore_count:
+                    idx = int(rng.integers(env.grid_size))
+                else:
+                    idx = agent.select(env.grid)
+                rewards.append(view.observe(idx))
+                agent.observe(idx, rewards[-1], env.grid)
+                actions.append(idx)
+            assert task.actions.tolist() == actions, task.task
+            assert task.rewards.tolist() == rewards, task.task
+
+
+class TestRunAgents:
+    def test_factory_agents_must_share_a_config(self):
+        env = small_env(seed=2, n_tasks=3)
+
+        def make(atlas, estimate):
+            return GpUcb(atlas, estimate, UcbConfig(nu=1.0 + estimate.size))
+
+        kernels = iter([(1, 2), (3,), (1, 2)])
+        with pytest.raises(ValueError, match="one UcbConfig"):
+            _run_tasks(
+                env, 3, 10, None, LifelongRunRecord(seed=0, config_digest=""),
+                lambda *_: KernelEstimate(env.p, next(kernels)),
+                seed=0, solver_factory=make,
+            )
+
+
 class TestTheoryLambda:
     def test_hand_value_on_orthogonal_design(self):
         # single task, identity features: (m/N) Phi^T Phi = 0.5 I, so the

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/layers.py --out BENCH_11.json [--repeats 7]
+    python3 tools/layers.py --out BENCH_12.json [--repeats 7]
 
 Every layer runs on a fixed input built from fixed seeds, so two commits
 time the same work. Each time is the median over ``--repeats`` timed runs,
@@ -46,9 +46,12 @@ Layers:
   500-point grid, under a 5-group and the full 50-group kernel, timed over
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh agent.
 - ``gp_ucb.lockstep_d5`` and ``gp_ucb.lockstep_d50``: the same steps for 20
-  tasks at once through one ``LockstepUcb`` (the grouped agent pass of
+  tasks at once through one ``LockstepUcb`` (the agent pass of
   ``lifelong._run_tasks``), in microseconds per task-step, so they compare
   with ``step_d5`` and ``step_d50`` directly.
+- ``gp_ucb.lockstep_mixed``: the same steps for the 20 kernels of the
+  default ``lifelong`` run at seed 0, one per task, at the width ``d`` of
+  their union, as the runner steps them.
 - ``trace``: write, parse and summarize a 2 000-step regret trace (20 tasks
   of 100 steps); summarize reads 20 copies of it.
 """
@@ -78,7 +81,7 @@ import numpy as np  # noqa: E402
 
 from lifelong_bandits import group_lasso, selection  # noqa: E402
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec  # noqa: E402
-from lifelong_bandits.features import KernelEstimate, selected_columns  # noqa: E402
+from lifelong_bandits.features import KernelEstimate  # noqa: E402
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig  # noqa: E402
 from lifelong_bandits.group_lasso import (  # noqa: E402
     GroupCoefficients,
@@ -88,6 +91,7 @@ from lifelong_bandits.group_lasso import (  # noqa: E402
     padded_warm_start,
 )
 from lifelong_bandits.harness import RegretTrace, summarize  # noqa: E402
+from lifelong_bandits.lifelong import run_lifelong  # noqa: E402
 from lifelong_bandits.seeding import STREAM_EXPLORE, STREAM_NOISE, substream  # noqa: E402
 from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
@@ -285,9 +289,10 @@ def ucb_step(selected, repeats: int) -> dict:
     return {"d": len(selected), "us_per_step": round(seconds / UCB_STEPS * 1e6, 2)}
 
 
-def ucb_lockstep(selected, repeats: int) -> dict:
+def ucb_lockstep(kernels, repeats: int) -> dict:
+    """Lockstep steps of TASKS agents, agent j under ``kernels[j]``."""
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
-    features = selected_columns(env.grid_features, KernelEstimate(p=env.p, selected=selected))
+    estimates = [KernelEstimate(p=env.p, selected=selected) for selected in kernels]
     rows = np.arange(TASKS)
     noise = 0.1 * np.random.default_rng(0).standard_normal((UCB_WARMUP + UCB_STEPS, TASKS))
 
@@ -297,7 +302,7 @@ def ucb_lockstep(selected, repeats: int) -> dict:
             group.observe(i, env.values[i, rows] + noise[t])
 
     def run():
-        group = LockstepUcb(features, TASKS, UcbConfig())
+        group = LockstepUcb.over_table(env.grid_features, estimates, UcbConfig())
         steps(group, 0, UCB_WARMUP)
         start = time.perf_counter()
         steps(group, UCB_WARMUP, UCB_STEPS)
@@ -306,10 +311,18 @@ def ucb_lockstep(selected, repeats: int) -> dict:
     run()
     seconds = statistics.median(run() for _ in range(repeats))
     return {
-        "d": len(selected),
+        "d": len(set().union(*kernels)),
+        "kernels": len(set(kernels)),
         "tasks": TASKS,
         "us_per_task_step": round(seconds / (UCB_STEPS * TASKS) * 1e6, 2),
     }
+
+
+def learned_kernels() -> list[tuple[int, ...]]:
+    """The kernel of each task of the default ``lifelong`` run at seed 0."""
+    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
+    record = run_lifelong(env, TASKS, 100, 0.25, 0.5, lam_policy="inv_sqrt", seed=0)
+    return [task.kernel for task in record.tasks]
 
 
 def trace_io(repeats: int) -> dict:
@@ -380,8 +393,9 @@ def main(argv=None) -> int:
     }
     layers["gp_ucb.step_d5"] = ucb_step((1, 2, 3, 4, 5), args.repeats)
     layers["gp_ucb.step_d50"] = ucb_step(tuple(range(1, 51)), args.repeats)
-    layers["gp_ucb.lockstep_d5"] = ucb_lockstep((1, 2, 3, 4, 5), args.repeats)
-    layers["gp_ucb.lockstep_d50"] = ucb_lockstep(tuple(range(1, 51)), args.repeats)
+    layers["gp_ucb.lockstep_d5"] = ucb_lockstep([(1, 2, 3, 4, 5)] * TASKS, args.repeats)
+    layers["gp_ucb.lockstep_d50"] = ucb_lockstep([tuple(range(1, 51))] * TASKS, args.repeats)
+    layers["gp_ucb.lockstep_mixed"] = ucb_lockstep(learned_kernels(), args.repeats)
     layers["trace"] = trace_io(args.repeats)
     result = {"machine": machine(), "repeats": args.repeats, "layers": layers}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
