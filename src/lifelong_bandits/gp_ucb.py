@@ -154,15 +154,15 @@ def ucb_choice(scores: np.ndarray) -> np.ndarray:
     """Index of the top score along the last axis: the lowest index whose
     score is at least top - TIE_TOLERANCE * max(1, |top|)."""
     top = scores.max(axis=-1, keepdims=True)
-    floor = top - TIE_TOLERANCE * np.maximum(1.0, np.abs(top))
-    return np.argmax(scores >= floor, axis=-1)
+    floor = top - TIE_TOLERANCE * np.maximum(np.abs(top), 1.0)
+    return (scores >= floor).argmax(axis=-1)
 
 
 def info_gain_bound(d_k, n: int, lam: float):
     """Closed-form cap on the information gain of n observations under a
     d_k-dimensional feature kernel with bounded diagonal; an array of d_k
     gives the cap of each."""
-    if np.any(np.asarray(d_k) < 1):
+    if (np.asarray(d_k) < 1).any():
         raise ValueError("feature dimension must be at least 1")
     if n < 0:
         raise ValueError("observation count must be nonnegative")
@@ -311,8 +311,10 @@ class LockstepUcb:
 
     def select(self) -> np.ndarray:
         """Each agent's UCB choice over the candidates (see ``ucb_choice``)."""
-        mu = self.theta @ self.features.T
-        return ucb_choice(mu + self.config.nu * np.sqrt(np.maximum(self.var, 0.0)))
+        scores = np.sqrt(np.maximum(self.var, 0.0))
+        scores *= self.config.nu
+        scores += self.theta @ self.features.T
+        return ucb_choice(scores)
 
     def observe(self, indices: np.ndarray, y: np.ndarray) -> None:
         """Fold reward ``y[j]`` at candidate ``indices[j]`` into agent j."""
@@ -324,13 +326,15 @@ class LockstepUcb:
         self.inv -= w[:, :, None] * w[:, None, :]
         self.b += phi * y[:, None]
         self.theta = np.matmul(self.inv, self.b[:, :, None])[:, :, 0]
-        self.var -= lam**2 * np.square(w @ self.features.T)
+        drop = np.square(w @ self.features.T)
+        drop *= lam**2
+        self.var -= drop
         self.log_det += np.log(q)
         self.count += 1
         gain = 0.5 * self.log_det
         slack = gain - info_gain_bound(self.dims, self.count, lam)
         np.maximum(self.max_gain_slack, slack, out=self.max_gain_slack)
-        worst = int(np.argmax(slack))
+        worst = int(slack.argmax())
         if slack[worst] > _INFO_GAIN_HARD:
             raise RuntimeError(
                 f"information gain {gain[worst]:.6f} exceeds its cap "

@@ -212,11 +212,11 @@ def _run_agents(env, n, plans, make_agent, record) -> list[TaskRecord]:
     choices; an observation is the task's grid value plus its pre-drawn
     noise term.
     """
-    agents = [make_agent(env.atlas, plan.estimate) for plan in plans]
-    if len({agent.config for agent in agents}) > 1:
+    agents = (make_agent(env.atlas, plan.estimate) for plan in plans)
+    estimates, configs = zip(*((agent.estimate, agent.config) for agent in agents))
+    if len(set(configs)) > 1:
         raise ValueError("the solver factory's agents must share one UcbConfig")
-    estimates = [agent.estimate for agent in agents]
-    group = LockstepUcb.over_table(env.grid_features, estimates, agents[0].config)
+    group = LockstepUcb.over_table(env.grid_features, estimates, configs[0])
     values = np.stack([plan.view.values for plan in plans])
     noise = np.stack([plan.noise for plan in plans])
     actions = np.empty((len(plans), n), dtype=int)
