@@ -50,9 +50,9 @@ observe is two batched (k, D, D) x (k, D) products, a batched rank-one
 update and one (k, D) x (D, G) product for the variances, and each agent's
 gain is checked against the cap of its own d_j = |J_j|. A step of a single
 agent is bound by numpy call overhead, so on the 500-point grid 20 agents
-in lockstep cost 4.8 us per agent-step at d=5 and 12.9 us at d=50, against
-31 and 45 us for a lone ``GpUcb`` step (``tools/layers.py``, one run, 2
-shared cores, one BLAS thread).
+in lockstep cost 6.7 us per agent-step at d=5, 17.9 us at d=50 and 15.4 us
+under the 8 kernels of a learned run (union width 50), against 49 and 62
+us for a lone ``GpUcb`` step (``BENCH_12.json``, 2 shared cores).
 
 UCB scores can tie exactly. Cosine features satisfy
 cos(j pi (1 - x)) = (-1)^j cos(j pi x), so under every kernel the prior
@@ -271,8 +271,7 @@ class GpUcb:
 
 
 class LockstepUcb:
-    """k GP-UCB agents under one config, each under its own kernel, stepped
-    together.
+    """k GP-UCB agents under one config, each with its own kernel, in lockstep.
 
     ``features`` is the candidates' (G, D) unscaled feature table over the
     union of the agents' groups, and row j of the (k, D) ``weights`` holds
@@ -326,9 +325,7 @@ class LockstepUcb:
         self.inv -= w[:, :, None] * w[:, None, :]
         self.b += phi * y[:, None]
         self.theta = np.matmul(self.inv, self.b[:, :, None])[:, :, 0]
-        drop = np.square(w @ self.features.T)
-        drop *= lam**2
-        self.var -= drop
+        self.var -= lam**2 * np.square(w @ self.features.T)
         self.log_det += np.log(q)
         self.count += 1
         gain = 0.5 * self.log_det
