@@ -312,12 +312,6 @@ class TestGpUcb:
         assert better >= 15
 
 
-def lockstep(atlas, candidates, kernels, config):
-    """One ``LockstepUcb`` agent per kernel, over the union of their columns,
-    as the runners build it."""
-    return LockstepUcb.over_table(atlas.concat_many(candidates), kernels, config)
-
-
 class TestLockstepUcb:
     def test_matches_separate_agents(self):
         # nested, disjoint, all-even and repeated kernels in one group
@@ -326,7 +320,7 @@ class TestLockstepUcb:
                    for sel in ((1, 2, 5), (2, 5), (3, 7), (2, 4, 6), (1, 2, 5))]
         config = UcbConfig(nu=2.0, lam=0.3)
         agents = [GpUcb(atlas, est, config) for est in kernels]
-        group = lockstep(atlas, grid, kernels, config)
+        group = LockstepUcb.over_table(atlas.concat_many(grid), kernels, config)
         assert group.features.shape == (80, 7) and group.dims.tolist() == [3, 2, 2, 3, 3]
         rng = np.random.default_rng(0)
         for step in range(25):
@@ -359,7 +353,7 @@ class TestLockstepUcb:
 
     def test_mirror_tie_goes_to_the_lower_index(self):
         atlas, est, mirror = mirror_pair()
-        group = lockstep(atlas, mirror, [est, est], UcbConfig())
+        group = LockstepUcb.over_table(atlas.concat_many(mirror), [est, est], UcbConfig())
         assert group.var[0, 1] > group.var[0, 0]
         assert group.select().tolist() == [0, 0]
 
@@ -371,7 +365,7 @@ class TestLockstepUcb:
 
     def test_info_gain_cap_enforced(self, monkeypatch):
         atlas, est, grid, _ = make_agent()
-        group = lockstep(atlas, grid, [est] * 3, UcbConfig())
+        group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
         monkeypatch.setattr(gp_ucb, "info_gain_bound", lambda d, n, lam: 0.0)
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
@@ -471,7 +465,7 @@ def test_mixed_lockstep_matches_scratch_property(seed, k, n, lam):
         for _ in range(k)
     ]
     cand = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 80)), 1))
-    group = lockstep(atlas, cand, kernels, UcbConfig(nu=1.0, lam=lam))
+    group = LockstepUcb.over_table(atlas.concat_many(cand), kernels, UcbConfig(nu=1.0, lam=lam))
     rewards = rng.normal(size=(n, k))
     chosen = np.empty((n, k), dtype=int)
     for i in range(n):
