@@ -23,29 +23,31 @@ leading rows of one array, and each Gram is held once, in its row.
 
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
-one column of B, so the prox shrinks column norms. Each iterate carries its
-product G·B: the gradient is (2/N)(G·B - C), the objective is
+one column of B, so the prox shrinks column norms, and it returns the column
+norms of its point. Each iterate carries its gradient step
+g = step·(2/N)(G·B - C), so the prox argument is B - g and the objective is
 
-    (sum B∘(G·B) - 2 sum C∘B + ||y||^2) / N + lam * sum_j ||B[:, j]||,
+    (sum B∘g / (2 step/N) - sum C∘B + ||y||^2) / N + lam * sum_j ||B[:, j]||.
 
-and the momentum point's product follows from the carried ones by
-linearity. One batched matmul per iteration is the only product, with a
-second one when a rejected step restarts the momentum. The fit stops when the
-prox-gradient mapping norm, checked every ``CHECK_EVERY`` iterations, falls
+g is affine in B, so the momentum point's follows from the carried ones.
+One batched matmul per iteration is the only product, with a second one
+when a rejected step restarts the momentum. The fit stops when the
+prox-gradient mapping norm, tested every ``CHECK_EVERY`` iterations, falls
 below ``tol``. ``kkt_residuals`` provides an optimality certificate computed
 from raw residuals, independent of the solver path.
 
 On a pooled design (m >= 2) the iteration identifies the support long before
 it meets ``tol``, so it hands off to Newton's method (after the semismooth
 Newton idea of Li, Sun & Toh, SIAM J. Optim. 2018) once the support has
-settled. At a check where the mapping norm is <= ``HANDOFF_MAP_NORM``, the
-nonzero columns of the iterate are the same as at the previous check, and
-the last Newton attempt was not on that set, Newton solves the smooth
-problem over those columns. Its point is accepted only if its own mapping
-norm is <= ``tol`` and its objective is no higher than the iterate's;
-otherwise the iteration carries on from where it was, momentum kept, and
-tries again only on a support it reaches next. ``HANDOFF_MAP_NORM = 0``
-switches the hand-off off.
+settled. Every prox step gives the support of its point and the mapping norm
+at the point it started from. Once the support has held for
+``HANDOFF_HOLD`` iterations and that norm is <= ``HANDOFF_MAP_NORM``, the
+stop rule is tested at the iterate, which ends the fit if it holds, and
+otherwise Newton solves the smooth problem over the support. Its point is
+accepted only if its own mapping norm is <= ``tol`` and its objective is no
+higher than the iterate's; otherwise the iteration carries on, momentum
+kept, and tries that support again only once the norm has fallen by
+``HANDOFF_RETRY``. ``HANDOFF_MAP_NORM = 0`` switches the hand-off off.
 
 A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
 linear in lam. ``fit_group_lasso`` follows that path exactly (homotopy, or
@@ -69,8 +71,10 @@ from functools import cached_property
 
 import numpy as np
 
-CHECK_EVERY = 10  # iterations between convergence checks
+CHECK_EVERY = 10  # iterations between stop tests
 HANDOFF_MAP_NORM = 1e-2  # largest mapping norm at which Newton is tried; 0 switches it off
+HANDOFF_HOLD = 5  # iterations the support must hold before Newton is tried on it
+HANDOFF_RETRY = 1e-2  # fall of the mapping norm before a declined support is tried again
 NEWTON_MAX_STEPS = 30
 NEWTON_GRAD_TOL = 1e-13  # times max(1, lam), on the reduced gradient's largest entry
 
@@ -308,9 +312,10 @@ class SolverReport:
     For a proximal-gradient fit, with or without a Newton finish,
     ``iterations`` counts the iterations plus every Newton step (those of
     declined attempts too), ``map_norm`` is the prox-gradient mapping norm at
-    the returned point, and ``objective_history`` is subsampled every
-    ``CHECK_EVERY`` iterations, followed by the Newton point's objective when
-    one was accepted. It is non-increasing: the iteration's monotone
+    the returned point, and ``objective_history`` holds the objective at the
+    start and at every stop test (every ``CHECK_EVERY`` iterations and before
+    each Newton attempt), followed by the Newton point's objective when one
+    was accepted. It is non-increasing: the iteration's monotone
     acceptance step keeps it so (up to 1e-10 float noise), and a Newton point
     is accepted only at or below the last entry. For a path fit,
     ``iterations`` counts path steps, ``converged`` is True, ``map_norm`` is
@@ -338,13 +343,16 @@ def pooled_loss(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> 
     return rss / design.total_rows + lam * float(coeffs.group_norms().sum())
 
 
-def _prox(B: np.ndarray, thresh: float) -> np.ndarray:
-    """Group soft-threshold for scalar groups: shrink each column of the
-    (m, p) matrix toward zero by ``thresh`` in its cross-task norm."""
-    norms = np.sqrt((B * B).sum(axis=0))
-    # a zero column stays zero whatever its factor, so divide by inf there
-    factors = np.maximum(1.0 - thresh / np.where(norms > 0.0, norms, np.inf), 0.0)
-    return B * factors
+def _prox_step(B: np.ndarray, g: np.ndarray, thresh: float) -> tuple[np.ndarray, np.ndarray]:
+    """The proximal-gradient step from B with gradient step g: shrink each
+    column of the (m, p) matrix B - g toward zero by ``thresh`` in its
+    cross-task norm. Returns the new point and its column norms."""
+    U = B - g
+    norms = np.sqrt(np.add.reduce(U * U))
+    # factor 0 at or below thresh and 1 - thresh/norm above it; at thresh = 0
+    # the floor 1 only keeps a zero column from 0/0, and every factor is 1
+    factors = 1.0 - thresh / np.maximum(norms, thresh or 1.0)
+    return U * factors, norms * factors
 
 
 def fit_group_lasso(
@@ -400,77 +408,88 @@ def _apg(
     lips = design.lipschitz()
     step = 1.0 / lips if lips > 0 else 1.0
     thresh = lam * step
+    scale = 2.0 * step / N
+    scaled_C = scale * C
 
-    # Every iterate B travels with its product G·B, so the gradient and the
-    # objective at B cost no further product.
-    def gram_times(B: np.ndarray) -> np.ndarray:
-        return np.matmul(G, B[:, :, None])[:, :, 0]
+    # Every iterate B travels with its gradient step g = step * (2/N)(G·B - C),
+    # so the prox argument is B - g and the objective at B costs no product.
+    def grad_step(B: np.ndarray) -> np.ndarray:
+        return np.matmul(G, B[:, :, None])[:, :, 0] * scale - scaled_C
 
-    def prox_step(B: np.ndarray, GB: np.ndarray) -> np.ndarray:
-        return _prox(B - step * ((2.0 / N) * (GB - C)), thresh)
+    def objective(B: np.ndarray, g: np.ndarray, norms: np.ndarray) -> float:
+        # sum B∘(G·B) = sum B∘g / scale + sum C∘B
+        rss = (float(np.vdot(B, g)) / scale - float(np.vdot(C, B)) + y_sq) / N
+        return rss + lam * float(np.add.reduce(norms))
 
-    def objective(B: np.ndarray, GB: np.ndarray) -> float:
-        rss = (float(np.vdot(B, GB)) - 2.0 * float(np.vdot(C, B)) + y_sq) / N
-        return rss + lam * float(np.sqrt((B * B).sum(axis=0)).sum())
-
-    def map_norm_at(B: np.ndarray, GB: np.ndarray) -> float:
-        return float(np.linalg.norm(B - prox_step(B, GB))) / step
+    def map_norm_at(B: np.ndarray, g: np.ndarray) -> float:
+        return float(np.linalg.norm(B - _prox_step(B, g, thresh)[0])) / step
 
     x = x0.matrix.copy() if x0 is not None else np.zeros((m, p))
-    gx = gram_times(x)
-    f_x = objective(x, gx)
+    gx = grad_step(x)
+    f_x = objective(x, gx, np.sqrt(np.add.reduce(x * x)))
     history = [f_x]
     gap = map_norm_at(x, gx)
     iterations = newton_steps = 0
     method = "apg"
     # a single-task fit reaches APG only when its solution may not be
     # unique, and Newton would pick an arbitrary point of the solution set
-    handoff = HANDOFF_MAP_NORM if m > 1 else 0.0
-    support = None  # nonzero columns of the iterate at the last check
-    tried = None  # the support of the last Newton attempt
+    handoff = m > 1 and HANDOFF_MAP_NORM > 0.0
+    support, held = None, 0  # nonzero columns of x, and for how many iterations
+    tried, tried_at = None, 0.0  # support and mapping norm of the last declined attempt
     converged = gap <= tol
     if not converged:
         y_pt, gy = x, gx
         t = 1.0
         for k in range(1, max_iter + 1):
             iterations = k
-            z = prox_step(y_pt, gy)
-            gz = gram_times(z)
-            f_z = objective(z, gz)
+            base = y_pt
+            z, norms = _prox_step(y_pt, gy, thresh)
+            gz = grad_step(z)
+            f_z = objective(z, gz, norms)
             if f_z <= f_x:
                 t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
                 mom = (t - 1.0) / t_next
-                # G is linear, so G·y follows from the products already held
+                # g is affine in B, so g at y follows from the steps already held
                 y_pt = z + mom * (z - x)
                 gy = gz + mom * (gz - gx)
                 x, gx, f_x, t = z, gz, f_z, t_next
             else:
                 # accelerated step overshot: take a plain prox step from x,
                 # which cannot increase the objective at step 1/L, and restart
-                z = prox_step(x, gx)
-                gz = gram_times(z)
+                base = x
+                z, norms = _prox_step(x, gx, thresh)
+                gz = grad_step(z)
                 y_pt, gy = z, gz
-                x, gx, f_x, t = z, gz, objective(z, gz), 1.0
-            if k % CHECK_EVERY == 0 or k == max_iter:
+                x, gx, f_x, t = z, gz, objective(z, gz, norms), 1.0
+            last, support = support, (norms > 0.0).tobytes()
+            held = held + 1 if support == last else 1
+            # the mapping norm at the point this iteration's prox started from
+            moved = math.inf
+            if handoff and held >= HANDOFF_HOLD:
+                moved = float(np.linalg.norm(z - base)) / step
+            attempt = moved <= HANDOFF_MAP_NORM and (
+                support != tried or moved <= HANDOFF_RETRY * tried_at
+            )
+            if attempt or k % CHECK_EVERY == 0 or k == max_iter:
                 history.append(f_x)
                 gap = map_norm_at(x, gx)
                 if gap <= tol:
                     converged = True
                     break
-                last, support = support, ((x * x).sum(axis=0) > 0.0).tobytes()
-                if gap <= handoff and support == last and support != tried:
-                    tried = support
-                    z, steps = _newton_finish(G, C, N, lam, x)
-                    newton_steps += steps
-                    if z is not None:
-                        # accepted only under APG's own stop rule and only if
-                        # it does not raise the objective; else APG carries on
-                        gz = gram_times(z)
-                        f_z, gap_z = objective(z, gz), map_norm_at(z, gz)
-                        if gap_z <= tol and f_z <= f_x:
-                            x, f_x, gap, method, converged = z, f_z, gap_z, "newton", True
-                            history.append(f_x)
-                            break
+            if attempt:
+                tried, tried_at = support, moved
+                z, steps = _newton_finish(G, C, N, lam, x)
+                newton_steps += steps
+                if z is not None:
+                    # accepted only under APG's own stop rule and only if
+                    # it does not raise the objective; else APG carries on
+                    gz = grad_step(z)
+                    f_z = objective(z, gz, np.sqrt(np.add.reduce(z * z)))
+                    gap_z = map_norm_at(z, gz)
+                    if gap_z <= tol and f_z <= f_x:
+                        x, f_x, gap, method, converged = z, f_z, gap_z, "newton", True
+                        history.append(f_x)
+                        break
 
     report = SolverReport(
         method=method,

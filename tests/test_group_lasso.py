@@ -8,6 +8,7 @@ fits are also checked against the proximal-gradient iteration run to a tight
 tolerance.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -519,7 +520,9 @@ def test_newton_finish_matches_tight_apg(seed, m, p, shape, lam_frac, warm):
     assert abs(report.objective - ref_report.objective) <= 1e-9 * max(1.0, y_sq / N)
     # APG's stop rule bounds the mapping norm, and the KKT residual of its
     # iterate can sit just above it (1.02e-8 at map_norm 9.7e-9 when tiny
-    # columns survive); a Newton point is certified directly
+    # columns survive); a Newton point is certified directly. Every pooled
+    # fit of the offline and lifelong runs at the 64 pool seeds ends on
+    # Newton; here APG answers fits that meet tol before any hand-off
     if report.method == "newton":
         assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
     assert np.all(np.diff(report.objective_history) <= 1e-10)
@@ -529,7 +532,8 @@ def test_newton_attempt_on_wrong_support_declined(monkeypatch):
     # at the first hand-off group 1 is still nonzero, but it is zero at the
     # optimum: the restricted problem has no stationary point, so Newton
     # pushes the column through zero, reversing its direction; the attempt
-    # ends there, declined, and APG must finish the fit
+    # ends there, declined. Every later attempt is declined unseen, so APG
+    # must finish the fit
     rng = np.random.default_rng(642)
     design = PooledDesign(list(rng.standard_normal((2, 2, 2))), list(rng.standard_normal((2, 2))))
     lam = 0.2
@@ -537,13 +541,12 @@ def test_newton_attempt_on_wrong_support_declined(monkeypatch):
     newton = group_lasso._newton_finish
 
     def spy(G, C, N, lam, x):
-        point, steps = newton(G, C, N, lam, x)
+        point, steps = newton(G, C, N, lam, x) if not attempts else (None, 0)
         attempts.append((x.copy(), point, steps))
         return point, steps
 
     monkeypatch.setattr(group_lasso, "_newton_finish", spy)
     coeffs, report = fit_group_lasso(design, lam)
-    assert len(attempts) == 1
     handed, point, steps = attempts[0]
     assert np.any(handed[:, 0] != 0.0)
     assert point is None and 0 < steps < group_lasso.NEWTON_MAX_STEPS
@@ -598,36 +601,70 @@ def handoff_design(seed, p):
     return design, 0.3 * 2.0 / design.total_rows * float(np.sqrt((C * C).sum(axis=0)).max())
 
 
-def check_states(design, lam):
-    """The iterate and its mapping norm at every convergence check of a cold
-    fit without the hand-off: a fit cut at max_iter = k ends on the check at
-    k, and every earlier iteration is the same as in an uncut fit."""
-    states = []
+def iteration_states(design, lam):
+    """The iterate after every iteration of a cold fit without the hand-off,
+    up to the stop test that ends it, with the mapping norm at the point each
+    prox step started from. A fit cut at max_iter = k ends on iteration k,
+    every earlier iteration as in an uncut fit, and its last prox step before
+    the closing stop test is iteration k's."""
+    states, moves = [], []
+    prox_step = group_lasso._prox_step
+
+    def spy(B, g, thresh):
+        z, norms = prox_step(B, g, thresh)
+        moves.append(z - B)
+        return z, norms
+
+    step = 1.0 / design.lipschitz()
     with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", 0.0):
-        k = group_lasso.CHECK_EVERY
-        while True:
-            coeffs, report = _apg(design, lam, 1e-8, k, None)
-            if report.iterations < k:
-                return states
-            states.append((coeffs.matrix, report.map_norm))
-            if report.converged:
-                return states
-            k += group_lasso.CHECK_EVERY
+        with mock.patch.object(group_lasso, "_prox_step", spy):
+            for k in itertools.count(1):
+                coeffs, report = _apg(design, lam, 1e-8, k, None)
+                states.append((coeffs.matrix, float(np.linalg.norm(moves[-2])) / step))
+                if report.converged and k % group_lasso.CHECK_EVERY == 0:
+                    return states
 
 
 def support(x):
     return tuple(np.flatnonzero((x * x).sum(axis=0) > 0.0))
 
 
+def handoff_schedule(states):
+    """The iterations at which the hand-off tries Newton if every attempt is
+    declined: the support has held for HANDOFF_HOLD iterations, the mapping
+    norm is at most HANDOFF_MAP_NORM, and it has fallen HANDOFF_RETRY-fold
+    since the last attempt if that was on the same support."""
+    tries, last, held, tried, tried_at = [], None, 0, None, 0.0
+    for k, (x, moved) in enumerate(states, start=1):
+        held = held + 1 if support(x) == last else 1
+        last = support(x)
+        if (
+            held >= group_lasso.HANDOFF_HOLD
+            and moved <= group_lasso.HANDOFF_MAP_NORM
+            and (last != tried or moved <= group_lasso.HANDOFF_RETRY * tried_at)
+        ):
+            tries.append(k)
+            tried, tried_at = last, moved
+    return tries
+
+
 def test_handoff_waits_for_the_support_to_settle(monkeypatch):
-    # the mapping norm is below the hand-off norm from the second check on,
-    # but the support changes at the second and the third check, so Newton
-    # is first tried at the fourth, on the support the third already had
-    design, lam = handoff_design(217, p=6)
-    states = check_states(design, lam)
+    # the mapping norm is below the hand-off norm while the support still
+    # changes, so Newton is first tried at the exact iteration where the
+    # last support has held for HANDOFF_HOLD iterations
+    design, lam = handoff_design(19, p=6)
+    states = iteration_states(design, lam)
     supports = [support(x) for x, _ in states]
-    assert states[0][1] > group_lasso.HANDOFF_MAP_NORM >= states[1][1]
-    assert supports[0] != supports[1] != supports[2] == supports[3]
+    first, hold = handoff_schedule(states)[0], group_lasso.HANDOFF_HOLD
+    # iteration k is states[k - 1]: the support changes at iteration
+    # first - hold + 1 and holds through iteration first
+    assert supports[first - hold - 1] != supports[first - hold] == supports[first - 1]
+    late_changes = [
+        k
+        for k in range(2, first)
+        if supports[k - 1] != supports[k - 2] and states[k - 1][1] <= group_lasso.HANDOFF_MAP_NORM
+    ]
+    assert len(late_changes) >= 2
     handed = []
     newton = group_lasso._newton_finish
 
@@ -637,19 +674,28 @@ def test_handoff_waits_for_the_support_to_settle(monkeypatch):
 
     monkeypatch.setattr(group_lasso, "_newton_finish", spy)
     _, report = fit_group_lasso(design, lam)
-    assert handed[0].tobytes() == states[3][0].tobytes()
+    assert handed[0].tobytes() == states[first - 1][0].tobytes()
     assert report.method == "newton"
 
 
-def test_declined_support_not_tried_again(monkeypatch):
-    # every attempt is declined: the support of the first (second check)
-    # is not tried again at the third, where it still holds, but the one it
-    # changes to is tried once it has held for two checks, and never again
+def test_declined_support_retried_after_the_norm_falls(monkeypatch):
+    # every attempt is declined: a declined support is tried again only once
+    # the mapping norm has fallen HANDOFF_RETRY-fold since, although it holds
+    # and meets the hand-off norm at the iterations in between; a new
+    # support is tried as soon as it has held for HANDOFF_HOLD iterations
     design, lam = handoff_design(77, p=8)
-    states = check_states(design, lam)
-    supports = [support(x) for x, _ in states]
-    assert all(gap <= group_lasso.HANDOFF_MAP_NORM for _, gap in states[1:])
-    assert supports[0] == supports[1] != supports[2] == supports[3] == supports[-1]
+    states = iteration_states(design, lam)
+    tries = handoff_schedule(states)
+    pairs = list(zip(tries, tries[1:]))
+    retries = [(a, b) for a, b in pairs if support(states[a - 1][0]) == support(states[b - 1][0])]
+    assert retries and len(retries) < len(pairs)
+    for a, b in retries:
+        assert states[b - 1][1] <= group_lasso.HANDOFF_RETRY * states[a - 1][1]
+        assert any(
+            support(states[k - 1][0]) == support(states[a - 1][0])
+            and states[k - 1][1] <= group_lasso.HANDOFF_MAP_NORM
+            for k in range(a + 1, b)
+        )
     handed = []
 
     def decline(G, C, N, lam, x):
@@ -658,10 +704,45 @@ def test_declined_support_not_tried_again(monkeypatch):
 
     monkeypatch.setattr(group_lasso, "_newton_finish", decline)
     coeffs, report = fit_group_lasso(design, lam)
-    assert [x.tobytes() for x in handed] == [states[i][0].tobytes() for i in (1, 3)]
+    assert [x.tobytes() for x in handed] == [states[k - 1][0].tobytes() for k in tries]
     assert report.method == "apg" and report.converged
-    assert report.iterations == len(states) * group_lasso.CHECK_EVERY + 2
+    assert report.iterations == len(states) + len(tries)
     assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+
+
+def test_aborted_support_retried_and_answered_by_newton(monkeypatch):
+    # the first attempt aborts after a few steps on the support that then
+    # holds to the optimum; once the mapping norm has fallen HANDOFF_RETRY-
+    # fold the same support is tried again, and Newton answers the fit
+    design, lam = handoff_design(68, p=6)
+    attempts = []
+    newton = group_lasso._newton_finish
+
+    def spy(G, C, N, lam, x):
+        point, steps = newton(G, C, N, lam, x)
+        attempts.append((x.copy(), point, steps))
+        return point, steps
+
+    monkeypatch.setattr(group_lasso, "_newton_finish", spy)
+    coeffs, report = fit_group_lasso(design, lam)
+    handed, point, steps = attempts[0]
+    assert point is None and steps > 0
+    assert support(handed) == support(attempts[-1][0]) == support(coeffs.matrix)
+    assert report.method == "newton" and report.converged
+    assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+    assert np.all(np.diff(report.objective_history) <= 1e-10)
+
+
+def test_iterate_meeting_the_stop_rule_at_the_handoff_reports_apg(monkeypatch):
+    # at tol 1e-2 the iterate meets the stop rule by the first hand-off,
+    # before the first stop test at CHECK_EVERY: the fit ends there, on APG
+    design, lam = handoff_design(2, p=4)
+    monkeypatch.setattr(group_lasso, "_newton_finish", mock.Mock(side_effect=AssertionError))
+    _, report = fit_group_lasso(design, lam, tol=1e-2)
+    assert report.method == "apg" and report.converged
+    assert report.map_norm <= 1e-2
+    assert report.iterations < group_lasso.CHECK_EVERY
+    assert report.iterations == handoff_schedule(iteration_states(design, lam))[0]
 
 
 def test_zero_handoff_norm_never_tries_newton(monkeypatch):

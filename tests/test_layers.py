@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 LAYERS = Path(__file__).resolve().parents[1] / "tools" / "layers.py"
 
 
@@ -34,6 +36,9 @@ def test_layer_script_one_repeat(tmp_path):
         assert apg["method"] == "apg" and apg["newton_steps"] == 0
         assert newton["converged"] and apg["converged"]
         assert newton["apg_iterations"] < apg["apg_iterations"]
+        assert apg["us_per_iteration"] > 0 and newton["us_per_iteration"] > 0
+        per_call = apg["us_per_iteration"] * apg["apg_iterations"]
+        assert per_call == pytest.approx(apg["us_per_call"], rel=1e-3)
     assert layers["group_lasso.client_fit"]["method"] == "path"
     design = layers["selection.design"]
     learned, offline = design["learned_20th_task"], design["offline_seed_setup"]

@@ -2,7 +2,10 @@
 
 Usage (from the repository root):
 
-    python3 tools/layers.py --out BENCH_12.json [--repeats 7]
+    python3 tools/layers.py --out OUT.json [--repeats 7]
+
+The committed ``BENCH_*.json`` files hold its output, each beside that of
+the commit it was measured against.
 
 Every layer runs on a fixed input built from fixed seeds, so two commits
 time the same work. Each time is the median over ``--repeats`` timed runs,
@@ -23,7 +26,9 @@ Layers:
   hand-off switched off, which iterates as the solver did before the
   hand-off existed; only its Lipschitz constant, now taken from the smaller
   of Phi Phi^T and Phi^T Phi, costs less than it did. Each reports the time
-  per call, the APG iterations and the Newton steps.
+  per call, the APG iterations and the Newton steps, and the time per
+  iteration: the time per call over the APG iterations plus the Newton
+  steps, which for ``apg_only`` is the cost of one APG iteration.
   A design keeps each task's Gram, crossterm and top eigenvalue once they
   are computed, and the warm-up run computes them, so these times hold the
   iteration alone, not the Gram and eigen work.
@@ -173,6 +178,7 @@ def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
             _, report = fit_group_lasso(design, lam, x0=x0)
     return {
         "us_per_call": round(seconds * 1e6, 1),
+        "us_per_iteration": round(seconds * 1e6 / report.iterations, 2),
         "apg_iterations": report.iterations - sum(newton_steps),
         "newton_steps": sum(newton_steps),
         "newton_attempts": len(newton_steps),
