@@ -97,4 +97,4 @@ def main(argv=None) -> int:
     if config.out:
         line += f", wrote {config.out}"
     print(line)
-    return 0
+    return 2 if result.failures else 0

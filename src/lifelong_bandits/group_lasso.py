@@ -12,14 +12,13 @@ conceptual design matrix is block-diagonal in the tasks; it is never
 materialized. The solver works on the per-task Gram stack G (m, p, p) and
 crossterms C (m, p).
 
-A ``PooledDesign`` keeps one record per task (``TaskBlock``): its block, its
-rewards, and its Gram, crossterm, ||y_s||^2 and top eigenvalue, each computed
-on first use. A task is validated once, when it joins. The design grows by
-``append`` and ``prefix(k)`` takes its first k tasks, both sharing the
-records, so the fits of a growing pool (the lifelong runner's after each
-task, the offline sweep's over m) compute each task's statistics once. They
-share one Gram stack as well: the fits over a design's prefixes read the
-leading rows of one array, and each Gram is held once, in its row.
+A ``PooledDesign`` holds each task's block and rewards, validated when the
+task joins, and computes its statistics then: its Gram and crossterm as one
+row of the design's G and C, and its ||y_s||^2 and top eigenvalue beside
+them. The design grows by ``append``, and ``prefix(k)`` takes its first k
+tasks by holding the first k rows of the same arrays, so the fits of a
+growing pool (the lifelong runner's after each task, the offline sweep's
+over m) compute each task's statistics once and hold each Gram once.
 
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
@@ -67,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -79,95 +77,24 @@ NEWTON_MAX_STEPS = 30
 NEWTON_GRAD_TOL = 1e-13  # times max(1, lam), on the reduced gradient's largest entry
 
 
-class TaskBlock:
-    """One task's design block Phi (n_s, p) and rewards y (n_s,), as a
-    read-only copy, with the statistics every fit reads: the Gram Phi^T Phi,
-    the crossterm Phi^T y, ||y||^2 and the top eigenvalue of Phi^T Phi. Each
-    statistic is computed on first use and then kept, so a task shared by
-    many designs pays for it once and a fit that never reads one (the
-    eigenvalue, on the single-task path) never pays for it. Once a pooled
-    fit has read them, the Gram and crossterm are rows of the design's Gram
-    stack.
-
-    Built only by ``PooledDesign``, which validates the data first.
-    """
-
-    def __init__(self, features: np.ndarray, rewards: np.ndarray) -> None:
-        self.features = features
-        self.rewards = rewards
-
-    @property
-    def rows(self) -> int:
-        return self.features.shape[0]
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return _frozen(self.features.T @ self.features)
-
-    @cached_property
-    def cross(self) -> np.ndarray:
-        return _frozen(self.features.T @ self.rewards)
-
-    @cached_property
-    def y_sq(self) -> float:
-        return float(self.rewards @ self.rewards)
-
-    @cached_property
-    def top_eig(self) -> float:
-        """Largest eigenvalue of Phi^T Phi (0 for an empty block), taken from
-        the smaller of Phi Phi^T and Phi^T Phi: they share their nonzero
-        spectrum."""
-        n, p = self.features.shape
-        if n == 0:
-            return 0.0
-        small = self.features @ self.features.T if n < p else self.gram
-        return float(np.linalg.eigvalsh(small)[-1])
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
 
-class _GramStack:
-    """The Grams and crossterms of a sequence of tasks as one (size, p, p)
-    and one (size, p) array, row s - 1 for task s, shared by every design
-    whose tasks are a prefix of the sequence. A row is copied from its task's
-    record the first time a design reads it, and the record then reads its
-    Gram and crossterm from that row, so each is held once. When the arrays
-    are too short, which happens after an append, they are reallocated to
-    the length of the sequence and refilled.
-    """
-
-    def __init__(self, blocks: list[TaskBlock]) -> None:
-        self.blocks = blocks
-        self.filled = 0
-        self.G = self.C = None
-
-    def read(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only views of the first m rows."""
-        if self.G is None or len(self.G) < m:
-            size, p = len(self.blocks), self.blocks[0].features.shape[1]
-            self.G, self.C, self.filled = np.empty((size, p, p)), np.empty((size, p)), 0
-        for s in range(self.filled, m):
-            block = self.blocks[s]
-            self.G[s], self.C[s] = block.gram, block.cross
-            vars(block).update(gram=_frozen(self.G[s]), cross=_frozen(self.C[s]))
-        self.filled = max(self.filled, m)
-        return _frozen(self.G[:m]), _frozen(self.C[:m])
-
-
 class PooledDesign:
-    """Per-task design blocks and rewards over one set of p scalar groups.
+    """Per-task design blocks and rewards over one set of p scalar groups,
+    with the statistics every fit reads.
 
-    Each task is one ``TaskBlock``, validated once, when it joins. A design
-    grows by ``append`` and ``prefix(k)`` gives the design of its first k
-    tasks; both share the blocks, and with them every statistic already
-    computed, so a fit over m tasks after one over m - 1 computes the Gram,
-    crossterm and eigenvalue of the new task only. They share one Gram stack
-    too: a design and its prefixes read the leading rows of the same arrays,
-    and an append adds its task to the stack, unless it appends to a prefix
-    of a longer design, which then starts a stack of its own.
+    ``features`` and ``rewards`` hold a read-only copy of each task's block
+    and rewards, validated when the task joins. The statistics are computed
+    when it joins, too: its Gram Phi_s^T Phi_s and crossterm Phi_s^T y_s
+    become row s - 1 of one read-only (m, p, p) and one (m, p) array, and its
+    ||y_s||^2 and the top eigenvalue of its Gram are kept beside them.
+    ``prefix(k)`` gives the design of the first k tasks, holding the first k
+    rows of the same arrays, so the fits over a design's prefixes read one
+    copy of each Gram. ``append`` moves the design to arrays one row longer,
+    so it never writes into rows another design reads.
 
     Parameters
     ----------
@@ -184,82 +111,92 @@ class PooledDesign:
             raise ValueError("need one reward vector per design block")
         if len(features) == 0:
             raise ValueError("need at least one task")
-        self.blocks: list[TaskBlock] = []
-        self._stack = _GramStack([])
+        self.features: list[np.ndarray] = []
+        self.rewards: list[np.ndarray] = []
         for phi, y in zip(features, rewards):
-            self.append(phi, y)
+            self._add(phi, y)
+        p = self.p
+        self._G, self._C = np.empty((0, p, p)), np.empty((0, p))
+        self._y_sq: list[float] = []
+        self._top_eig: list[float] = []
+        self._join()
         if self.total_rows == 0:
             raise ValueError("pooled design has no rows")
 
     def append(self, features, rewards) -> None:
         """Add one task's (n_s, p) block and (n_s,) rewards as the last task;
         on invalid data raise ValueError and leave the design as it was."""
-        k = len(self.blocks) + 1
+        self._add(features, rewards)
+        self._join()
+
+    def _add(self, features, rewards) -> None:
+        """Validate one task's data and add read-only copies of it."""
+        k = self.m + 1
         phi = np.array(features, dtype=float)
         y = np.array(rewards, dtype=float).reshape(-1)
-        if phi.ndim != 2 or (self.blocks and phi.shape[1] != self.p):
+        if phi.ndim != 2 or (self.features and phi.shape[1] != self.p):
             raise ValueError(f"task {k}: design block must be (n_s, p), p as in task 1")
         if phi.shape[0] != y.shape[0]:
             raise ValueError(f"task {k}: rows and rewards disagree")
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
             raise ValueError(f"task {k}: non-finite data")
-        block = TaskBlock(_frozen(phi), _frozen(y))
-        if len(self._stack.blocks) == self.m:
-            self._stack.blocks.append(block)
-        else:
-            self._stack = _GramStack(self.blocks + [block])
-        self.blocks.append(block)
+        self.features.append(_frozen(phi))
+        self.rewards.append(_frozen(y))
+
+    def _join(self) -> None:
+        """Compute the statistics of the tasks added since the last call, in
+        new arrays that start with a copy of the rows already held."""
+        done, m, p = len(self._G), self.m, self.p
+        G, C = np.empty((m, p, p)), np.empty((m, p))
+        G[:done], C[:done] = self._G, self._C
+        for s in range(done, m):
+            phi, y = self.features[s], self.rewards[s]
+            G[s], C[s] = phi.T @ phi, phi.T @ y
+            self._y_sq.append(float(y @ y))
+            # Phi Phi^T and Phi^T Phi share their nonzero spectrum
+            n = len(y)
+            small = phi @ phi.T if n < p else G[s]
+            self._top_eig.append(float(np.linalg.eigvalsh(small)[-1]) if n else 0.0)
+        self._G, self._C = _frozen(G), _frozen(C)
 
     def prefix(self, k: int) -> "PooledDesign":
-        """The design of the first k tasks, sharing their blocks."""
+        """The design of the first k tasks, sharing their data and rows."""
         if not 1 <= k <= self.m:
             raise ValueError(f"prefix length must lie in 1..{self.m}")
         design = object.__new__(PooledDesign)
-        design.blocks, design._stack = self.blocks[:k], self._stack
+        design.features, design.rewards = self.features[:k], self.rewards[:k]
+        design._G, design._C = self._G[:k], self._C[:k]
+        design._y_sq, design._top_eig = self._y_sq[:k], self._top_eig[:k]
         if design.total_rows == 0:
             raise ValueError("pooled design has no rows")
         return design
 
     @property
-    def features(self) -> list[np.ndarray]:
-        return [b.features for b in self.blocks]
-
-    @property
-    def rewards(self) -> list[np.ndarray]:
-        return [b.rewards for b in self.blocks]
-
-    @property
     def m(self) -> int:
         """Number of tasks."""
-        return len(self.blocks)
+        return len(self.features)
 
     @property
     def p(self) -> int:
         """Number of penalty groups, one feature column each."""
-        return self.blocks[0].features.shape[1]
+        return self.features[0].shape[1]
 
     @property
     def total_rows(self) -> int:
-        return sum(b.rows for b in self.blocks)
+        return sum(map(len, self.rewards))
 
     def grams(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Batched per-task Gram data: read-only (m,p,p) matrices and (m,p)
-        crossterms from the Gram stack, and the total squared reward norm."""
-        G, C = self._stack.read(self.m)
+        crossterms, and the total squared reward norm."""
         y_sq = 0.0
-        for b in self.blocks:
-            y_sq += b.y_sq
-        return G, C, y_sq
+        for v in self._y_sq:
+            y_sq += v
+        return self._G, self._C, y_sq
 
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient: the largest per-task
         spectral norm of (2/N) Phi_s^T Phi_s."""
-        N = self.total_rows
-        lips = 0.0
-        for b in self.blocks:
-            if b.rows:
-                lips = max(lips, 2.0 * b.top_eig / N)
-        return lips
+        return max(0.0, 2.0 * max(self._top_eig) / self.total_rows)
 
 
 class GroupCoefficients:
@@ -337,8 +274,8 @@ def pooled_loss(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> 
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
     rss = 0.0
-    for block, beta in zip(design.blocks, coeffs.matrix):
-        r = block.rewards - block.features @ beta
+    for phi, y, beta in zip(design.features, design.rewards, coeffs.matrix):
+        r = y - phi @ beta
         rss += float(r @ r)
     return rss / design.total_rows + lam * float(coeffs.group_norms().sum())
 
@@ -580,8 +517,8 @@ def _lasso_path(
     the nearest of three events: an inactive correlation reaching +-lam
     (join), an active coefficient reaching zero (drop), or the target lam.
     """
-    block = design.blocks[0]
-    phi, y, G, C = block.features, block.rewards, block.gram, block.cross
+    (G,), (C,), _ = design.grams()
+    phi, y = design.features[0], design.rewards[0]
     N, p = phi.shape
     scale = 2.0 / N
     beta = np.zeros(p)
@@ -659,8 +596,7 @@ def kkt_residuals(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -
         raise ValueError("coefficients do not match the design")
     N = design.total_rows
     grad_rows = np.empty_like(coeffs.matrix)
-    for s, block in enumerate(design.blocks):
-        phi, y = block.features, block.rewards
+    for s, (phi, y) in enumerate(zip(design.features, design.rewards)):
         grad_rows[s] = (2.0 / N) * (phi.T @ (phi @ coeffs.matrix[s] - y))
     norms = coeffs.group_norms()
     nonzero = norms > 0

@@ -97,16 +97,13 @@ def integerize(rates) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExplorationSchedule:
-    mode: ScheduleMode
     rates: np.ndarray
     counts: np.ndarray
-    residual: float
 
     @classmethod
     def build(cls, mode: ScheduleMode, n: int, m: int) -> "ExplorationSchedule":
         rates = schedule_rates(n, m, mode)
-        counts = np.minimum(integerize(rates), n)
-        return cls(ScheduleMode(mode), rates, counts, float(rates.sum() - counts.sum()))
+        return cls(rates, np.minimum(integerize(rates), n))
 
 
 @dataclass

@@ -7,8 +7,8 @@ full average over all p groups, and the fallback is flagged so run records
 can surface it.
 
 Also here: design compatibility diagnostics (empirical diagonal floor and
-off-diagonal ceiling of each task's scaled Gram, read from the design's
-per-task records, with the induced lower bound on the restricted eigenvalue
+off-diagonal ceiling of each task's scaled Gram, read from the design's Gram
+stack in one pass, with the induced lower bound on the restricted eigenvalue
 when it is defined) and the offline recovery sweep used to estimate
 support-recovery rates over seeds. The sweep draws one seed's tasks once,
 builds one design of them, and fits its prefix of the first m tasks for each
@@ -117,18 +117,11 @@ def design_diagnostics(design: PooledDesign, s_star: int) -> DesignDiagnostics:
     """Compatibility constants of the design for assumed support size s_star."""
     if s_star < 1:
         raise ValueError("assumed support size must be positive")
-    scale = design.m / design.total_rows
-    c_diag = math.inf
-    c_offdiag = 0.0
-    for block in design.blocks:
-        if block.rows == 0:
-            c_diag = 0.0
-            continue
-        gram = scale * block.gram
-        c_diag = min(c_diag, float(np.diag(gram).min()))
-        if gram.shape[0] > 1:
-            off = gram - np.diag(np.diag(gram))
-            c_offdiag = max(c_offdiag, float(np.abs(off).max()))
+    # an empty task's Gram is zero, and with p = 1 no entry is off-diagonal
+    grams = (design.m / design.total_rows) * design.grams()[0]
+    c_diag = float(np.diagonal(grams, axis1=1, axis2=2).min())
+    off_diagonal = ~np.eye(design.p, dtype=bool)
+    c_offdiag = float(np.abs(grams).max(initial=0.0, where=off_diagonal))
     radicand = c_diag / s_star - 5.0 * c_offdiag
     kappa = math.sqrt(radicand) if radicand > 0 else None
     return DesignDiagnostics(c_diag=c_diag, c_offdiag=c_offdiag, kappa_lower=kappa)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from lifelong_bandits import harness
 from lifelong_bandits.cli import main
 
 
@@ -56,6 +57,20 @@ class TestExitCodes:
     def test_federated(self, tmp_path, capsys):
         assert main(["federated", *tiny_args(tmp_path)]) == 0
         assert (tmp_path / "votes_seed0.csv").exists()
+
+    def test_failed_seed_exits_2_after_writing_outputs(self, tmp_path, capsys, monkeypatch):
+        run_one_seed = harness._run_one_seed
+
+        def failing(config, seed, *args):
+            if seed == 1:
+                raise RuntimeError("seed 1 broke")
+            return run_one_seed(config, seed, *args)
+
+        monkeypatch.setattr(harness, "_run_one_seed", failing)
+        assert main(["lifelong", *tiny_args(tmp_path), "--seeds", "0,1"]) == 2
+        assert "lifelong: 1/2 seeds" in capsys.readouterr().out
+        assert (tmp_path / "trace_seed0.csv").exists()
+        assert "seed 1 broke" in (tmp_path / "failures.csv").read_text()
 
     def test_unknown_key_fails_with_reason(self, tmp_path, capsys):
         code = main(["lifelong", "--override", "speed=9", "--out", str(tmp_path)])

@@ -138,13 +138,16 @@ class TestDesignGrowth:
             grown.append(blocks[k], ys[k])
             assert_designs_bit_equal(grown, PooledDesign(blocks[: k + 1], ys[: k + 1]))
 
-    def test_prefix_matches_fresh_and_shares_records(self):
+    def test_prefix_matches_fresh_and_shares_arrays(self):
         blocks, ys = random_blocks(12, self.ROWS)
         full = PooledDesign(blocks, ys)
-        full.grams(), full.lipschitz()
+        G, C, _ = full.grams()
         for k in range(1, len(blocks) + 1):
             part = full.prefix(k)
-            assert all(a is b for a, b in zip(part.blocks, full.blocks[:k]))
+            assert all(part.features[s] is full.features[s] for s in range(k))
+            assert all(part.rewards[s] is full.rewards[s] for s in range(k))
+            G_part, C_part, _ = part.grams()
+            assert np.shares_memory(G_part, G) and np.shares_memory(C_part, C)
             assert_designs_bit_equal(part, PooledDesign(blocks[:k], ys[:k]))
 
     def test_prefix_leaves_parent_alone(self):
@@ -178,13 +181,16 @@ class TestDesignGrowth:
             design.append(phi, y)
         assert_designs_bit_equal(design, before)
 
-    def test_records_are_read_only_copies(self):
-        blocks, ys = random_blocks(15, [3])
-        design = PooledDesign(blocks, ys)
+    def test_stored_arrays_are_read_only_copies(self):
+        blocks, ys = random_blocks(15, [3, 2])
+        design = PooledDesign(blocks[:1], ys[:1])
+        design.append(blocks[1], ys[1])
         blocks[0][0, 0] += 1.0
-        block = design.blocks[0]
-        assert block.features[0, 0] != blocks[0][0, 0]
-        for array in (block.features, block.rewards, block.gram, block.cross):
+        ys[1][0] += 1.0
+        assert design.features[0][0, 0] != blocks[0][0, 0]
+        assert design.rewards[1][0] != ys[1][0]
+        G, C, _ = design.grams()
+        for array in (*design.features, *design.rewards, G, C):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 

@@ -53,3 +53,17 @@ def test_layer_script_one_repeat(tmp_path):
     assert all(g["us_per_task_step"] > 0 for g in lockstep + [mixed])
     assert layers["trace"]["steps"] == 2000
     assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))
+    # every time carries its quartiles beside its median
+    times = dict(timed_entries(layers))
+    assert len(times) == 25
+    for key, (p25, median, p75) in times.items():
+        assert 0 < p25 <= median <= p75, key
+
+
+def timed_entries(tree, path=""):
+    """(path, (p25, median, p75)) for every time in the layer tree."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from timed_entries(value, f"{path}{key}.")
+        elif f"{key}_p25" in tree:
+            yield path + key, (tree[f"{key}_p25"], value, tree[f"{key}_p75"])

@@ -150,15 +150,22 @@ class TestRecoverySweep:
             recovery_sweep(spec, (3,), 0, 0.25, 0.25, seed=0)
 
 
-def test_diagnostics_read_the_cached_gram():
-    # the per-task Gram comes from the design's record, computed once and
-    # then shared with the fits, with the numbers of a direct computation
+@pytest.mark.parametrize(
+    "rows, p",
+    [([5, 5, 5], 4), ([5, 0, 3], 4), ([4, 2], 1)],
+    ids=["pooled", "empty_task", "one_group"],
+)
+def test_diagnostics_match_a_direct_computation(rows, p):
     rng = np.random.default_rng(4)
-    blocks = list(rng.standard_normal((3, 5, 4)))
-    design = PooledDesign(blocks, list(rng.standard_normal((3, 5))))
-    assert not any("gram" in vars(block) for block in design.blocks)
+    blocks = [rng.standard_normal((n, p)) for n in rows]
+    design = PooledDesign(blocks, [rng.standard_normal(n) for n in rows])
     diag = design_diagnostics(design, s_star=2)
-    assert all("gram" in vars(block) for block in design.blocks)
-    grams = [(3 / 15) * (phi.T @ phi) for phi in blocks]
+    grams = [(len(rows) / sum(rows)) * (phi.T @ phi) for phi in blocks]
+    off = [abs(g[i, j]) for g in grams for i in range(p) for j in range(p) if i != j]
     assert diag.c_diag == min(float(np.diag(g).min()) for g in grams)
-    assert diag.c_offdiag == max(float(np.abs(g - np.diag(np.diag(g))).max()) for g in grams)
+    assert diag.c_offdiag == max([0.0] + off)
+    # an empty task's Gram is zero, and one group has no off-diagonal entry
+    if 0 in rows:
+        assert diag.c_diag == 0.0
+    if p == 1:
+        assert diag.c_offdiag == 0.0

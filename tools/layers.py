@@ -9,7 +9,9 @@ the commit it was measured against.
 
 Every layer runs on a fixed input built from fixed seeds, so two commits
 time the same work. Each time is the median over ``--repeats`` timed runs,
-after one untimed warm-up run. BLAS runs on one thread unless
+after one untimed warm-up run, and ``<time>_p25`` and ``<time>_p75`` beside
+it hold the 25th and 75th percentiles of those runs, so a layer that moves
+between runs shows it. BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, as in ``perfbench/``.
 
 Layers:
@@ -29,13 +31,14 @@ Layers:
   per call, the APG iterations and the Newton steps, and the time per
   iteration: the time per call over the APG iterations plus the Newton
   steps, which for ``apg_only`` is the cost of one APG iteration.
-  A design keeps each task's Gram, crossterm and top eigenvalue once they
-  are computed, and the warm-up run computes them, so these times hold the
-  iteration alone, not the Gram and eigen work.
+  A design computes each task's Gram, crossterm and top eigenvalue when the
+  task joins, before any fit, so these times hold the iteration alone, not
+  the Gram and eigen work.
 - ``group_lasso.client_fit``: one single-task fit of 10 grid rows at lam
   0.2, like a federated client's.
-- ``selection.design``: the design work outside the solver, with the Gram
-  statistics every pooled fit reads (``grams()`` and ``lipschitz()``).
+- ``selection.design``: the design work outside the solver: building the
+  design, which computes the Gram statistics of each task as it joins, and
+  reading what every pooled fit reads (``grams()`` and ``lipschitz()``).
   ``learned_20th_task``: a fresh build of the 20-task ``learned``-like design
   by ``design_from_tasks``, which featurises every task's points again, as
   the lifelong runner did after each task, against appending the 20th task's
@@ -68,7 +71,6 @@ import json
 import math
 import os
 import platform
-import statistics
 import sys
 import tempfile
 import time
@@ -105,15 +107,26 @@ UCB_WARMUP = 20
 UCB_STEPS = 50
 
 
-def median_seconds(run, repeats: int) -> float:
-    """Median wall time of ``run()`` over ``repeats`` calls after a warm-up."""
+def seconds_of(run, repeats: int) -> list[float]:
+    """Wall times of ``run()`` over ``repeats`` calls after a warm-up."""
     run()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return times
+
+
+def quartiles(key: str, seconds, per: float = 1.0, digits: int = 1) -> dict:
+    """``key``: the median of ``seconds`` in microseconds per ``per`` units,
+    and ``key_p25`` and ``key_p75``: its 25th and 75th percentiles."""
+    p25, p50, p75 = np.percentile(np.asarray(seconds) * 1e6 / per, [25, 50, 75]).tolist()
+    return {
+        key: round(p50, digits),
+        f"{key}_p25": round(p25, digits),
+        f"{key}_p75": round(p75, digits),
+    }
 
 
 def grid_draws(env: SyntheticEnvironment, rows, rng):
@@ -173,12 +186,12 @@ def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
 
     threshold = group_lasso.HANDOFF_MAP_NORM if handoff else 0.0
     with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", threshold):
-        seconds = median_seconds(lambda: fit_group_lasso(design, lam, x0=x0), repeats)
+        seconds = seconds_of(lambda: fit_group_lasso(design, lam, x0=x0), repeats)
         with mock.patch.object(group_lasso, "_newton_finish", counting):
             _, report = fit_group_lasso(design, lam, x0=x0)
     return {
-        "us_per_call": round(seconds * 1e6, 1),
-        "us_per_iteration": round(seconds * 1e6 / report.iterations, 2),
+        **quartiles("us_per_call", seconds),
+        **quartiles("us_per_iteration", seconds, per=report.iterations, digits=2),
         "apg_iterations": report.iterations - sum(newton_steps),
         "newton_steps": sum(newton_steps),
         "newton_attempts": len(newton_steps),
@@ -190,10 +203,10 @@ def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
 def client_fit(repeats: int) -> dict:
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=1, master_seed=0)
     design = design_from_tasks(env.atlas, grid_tasks(env, [10], np.random.default_rng(2)))
-    seconds = median_seconds(lambda: fit_group_lasso(design, 0.2), repeats)
+    seconds = seconds_of(lambda: fit_group_lasso(design, 0.2), repeats)
     _, report = fit_group_lasso(design, 0.2)
     return {
-        "us_per_call": round(seconds * 1e6, 1),
+        **quartiles("us_per_call", seconds),
         "steps": report.iterations,
         "method": report.method,
     }
@@ -218,13 +231,13 @@ def design_learned(repeats: int) -> dict:
         design.append(env.grid_features[last], last_y)
         fit_statistics(design)
 
-    fresh = median_seconds(lambda: fit_statistics(design_from_tasks(env.atlas, tasks)), repeats)
-    grown = median_seconds(append, repeats)
+    fresh = seconds_of(lambda: fit_statistics(design_from_tasks(env.atlas, tasks)), repeats)
+    grown = seconds_of(append, repeats)
     return {
         "tasks": TASKS,
         "rows": sum(len(y) for _, y in draws),
-        "fresh_us": round(fresh * 1e6, 1),
-        "append_us": round(grown * 1e6, 1),
+        **quartiles("fresh_us", fresh),
+        **quartiles("append_us", grown),
     }
 
 
@@ -260,16 +273,16 @@ def design_offline(repeats: int) -> dict:
             ),
         )
 
-    per_m = median_seconds(lambda: offline_setup_per_m(spec, m_values, n, seed), repeats)
+    per_m = seconds_of(lambda: offline_setup_per_m(spec, m_values, n, seed), repeats)
     with mock.patch.object(selection, "learn_kernel", statistics_only):
-        sweep = median_seconds(
+        sweep = seconds_of(
             lambda: recovery_sweep(spec, m_values, n, 0.25, 0.25, seed), repeats
         )
     return {
         "m_values": len(m_values),
         "n": n,
-        "per_m_us": round(per_m * 1e6, 1),
-        "sweep_us": round(sweep * 1e6, 1),
+        **quartiles("per_m_us", per_m),
+        **quartiles("sweep_us", sweep),
     }
 
 
@@ -291,8 +304,8 @@ def ucb_step(selected, repeats: int) -> dict:
         return time.perf_counter() - start
 
     run()
-    seconds = statistics.median(run() for _ in range(repeats))
-    return {"d": len(selected), "us_per_step": round(seconds / UCB_STEPS * 1e6, 2)}
+    seconds = [run() for _ in range(repeats)]
+    return {"d": len(selected), **quartiles("us_per_step", seconds, per=UCB_STEPS, digits=2)}
 
 
 def ucb_lockstep(kernels, repeats: int) -> dict:
@@ -315,12 +328,12 @@ def ucb_lockstep(kernels, repeats: int) -> dict:
         return time.perf_counter() - start
 
     run()
-    seconds = statistics.median(run() for _ in range(repeats))
+    seconds = [run() for _ in range(repeats)]
     return {
         "d": len(set().union(*kernels)),
         "kernels": len(set(kernels)),
         "tasks": TASKS,
-        "us_per_task_step": round(seconds / (UCB_STEPS * TASKS) * 1e6, 2),
+        **quartiles("us_per_task_step", seconds, per=UCB_STEPS * TASKS, digits=2),
     }
 
 
@@ -346,16 +359,16 @@ def trace_io(repeats: int) -> dict:
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        write = median_seconds(lambda: trace.save(path), repeats)
-        parse = median_seconds(lambda: RegretTrace.load(path), repeats)
-        summ = median_seconds(lambda: summarize([trace] * TASKS), repeats)
+        write = seconds_of(lambda: trace.save(path), repeats)
+        parse = seconds_of(lambda: RegretTrace.load(path), repeats)
+        summ = seconds_of(lambda: summarize([trace] * TASKS), repeats)
         size = path.stat().st_size
     return {
         "steps": n,
         "bytes": size,
-        "write_us": round(write * 1e6, 1),
-        "parse_us": round(parse * 1e6, 1),
-        "summarize_us": round(summ * 1e6, 1),
+        **quartiles("write_us", write),
+        **quartiles("parse_us", parse),
+        **quartiles("summarize_us", summ),
     }
 
 
