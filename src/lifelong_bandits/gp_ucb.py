@@ -26,33 +26,60 @@ candidates in d dimensions, against O(d^3 + G d^2) for a Cholesky refactor
 and a solve against every candidate.
 
 There is no periodic refactor from scratch. The update only subtracts
-rank-one terms, and the drift stays at rounding level: on the full
-50-group cosine kernel (d=50, G=500, lam=0.1), with mostly UCB-chosen
-points, a from-scratch Cholesky posterior differs by at most 4e-14 on the
-mean, 1e-15 on the variance and 1e-13 on the gain after 100 observations
-(every reference workload's horizon), and by 2e-13, 1e-15 and 5e-13 after
-2000, when the smallest variance on the grid is 8e-6. Variances are
-clamped at zero where they are read. A property test pins the drift
-against a from-scratch Cholesky posterior.
+rank-one terms, and the drift stays at rounding level. Measured on the
+full 50-group cosine kernel (d=50, G=500, lam=0.1) for 4 tasks of the
+default synthetic environment at seed 0 (task values up to 11 in
+magnitude, noise 0.1, 10 uniform draws and then UCB choices), against a
+Householder-QR least-squares posterior and the log-determinant of A: after
+100 observations ``GpUcb`` differs by at most 8e-12 on the mean, 1.3e-15 on
+the variance and 1e-12 on the gain, and after 2000 by 9e-10, 8e-14 and
+5e-11, when the smallest variance on the grid is 5e-6. The mean error is
+that of theta = A^{-1} b; the normal-equations Cholesky of A itself is off
+by as much (7e-12 and 4e-10). Variances are clamped at zero where they are
+read. A property test pins the drift against a from-scratch Cholesky
+posterior.
 
 Agents that share a config and a candidate table step together in
 ``LockstepUcb``, each under its own kernel, over one (G, D) table of the
 unscaled features f of the union of their groups. Agent j's kernel is a
 prior weight w_j, 1/|J_j| on its own groups and 0 elsewhere: its A^{-1}
-starts at diag(w_j) / lam^2 and b sums f y. With S = diag(sqrt(w_j)) this
-A^{-1} is S A^{-1} S and theta is S theta of the scaled posterior above, so
-the mean f^T theta, the variance lam^2 f^T A^{-1} f and q agree with it in
-exact arithmetic, the groups outside J_j stay exactly 0, no step scales by
-agent, and the prior variance is w_j . f^2. The k states are stacked: A^{-1}
-as (k, D, D), b and theta as (k, D), the candidate variances as (k, G) and
-the log-determinants as (k,). A select is one (k, D) x (D, G) product; an
-observe is two batched (k, D, D) x (k, D) products, a batched rank-one
-update and one (k, D) x (D, G) product for the variances, and each agent's
-gain is checked against the cap of its own d_j = |J_j|. A step of a single
-agent is bound by numpy call overhead, so on the 500-point grid 20 agents
-in lockstep cost 6.7 us per agent-step at d=5, 17.9 us at d=50 and 15.4 us
-under the 8 kernels of a learned run (union width 50), against 49 and 62
-us for a lone ``GpUcb`` step (``BENCH_12.json``, 2 shared cores).
+starts at diag(w_j) / lam^2. With S = diag(sqrt(w_j)) this A^{-1} is
+S A^{-1} S and theta is S theta of the scaled posterior above, so the mean
+f^T theta, the variance lam^2 f^T A^{-1} f and q agree with it in exact
+arithmetic, the groups outside J_j stay exactly 0, no step scales by agent,
+and the prior variance is w_j . f^2. The k states are stacked: A^{-1} as
+(k, D, D), theta as (k, D), the candidate variances as (k, G) and the
+log-determinants as (k,).
+
+The lockstep observe delays its rank-one updates. ``inv`` holds A^{-1} as
+of the last fold, and the first ``held`` rows of the (k, D, D) block
+``pending`` hold the vectors w observed since, as rows of P. An observe
+takes u = inv phi - P^T (P phi), then q and w as above, and appends w to
+P. Once D vectors are held, D being the group's own width, they fold in
+as inv <- inv - P^T P, one batched product, and P empties. Theta carries
+no b: A^{-1} <- A^{-1} - w w^T and b <- b + phi y give the recursive
+least-squares update theta <- theta + w (y - phi^T theta) / sqrt(q).
+``inv``, ``theta`` and ``pending`` are row blocks of one (k, 2D + 1, D)
+array, so one batched product with phi gives inv phi, phi^T theta and
+P phi. A select is one (k, D) x (D, G) product; an observe is that
+product, one thin product with P, one (k, D) x (D, G) product for the
+variances and, once every D observations, the fold. A dense rank-one
+update would read and write the whole (k, D, D) stack at every
+observation. Each agent's gain is checked against the cap of its own
+d_j = |J_j|. A step of a single agent is bound by numpy call overhead, so
+on the 500-point grid 20 agents in lockstep cost 6.9 us per agent-step
+at d=5, 11.9 us at d=50 and 11.2 us under the 8 kernels of a learned run
+(union width 50), against 6.6, 17.4 and 17.3 us with a dense rank-one
+update per observation and 48 and 62 us for a lone ``GpUcb`` step
+(``BENCH_15.json``, one BLAS thread, 2 shared cores). At d=5 the thin
+product and the fold cost a little more than the small dense update
+they replace.
+
+On the drift workload above, lockstep agents differ from the QR posterior
+by at most 6e-14 on the mean and 1.4e-15 on the variance after 100
+observations and by 3e-12 and 8e-14 after 2000, and from the
+log-determinant gain by 1e-12 and 5e-11. The recursive theta does not
+multiply the error of A^{-1} by |b|, as theta = A^{-1} b does.
 
 UCB scores can tie exactly. Cosine features satisfy
 cos(j pi (1 - x)) = (-1)^j cos(j pi x), so under every kernel the prior
@@ -276,8 +303,11 @@ class LockstepUcb:
     ``features`` is the candidates' (G, D) unscaled feature table over the
     union of the agents' groups, and row j of the (k, D) ``weights`` holds
     agent j's prior weight: 1/|J_j| on its own groups and 0 elsewhere.
-    Every agent starts from its prior and observes one candidate per step;
-    the module docstring describes the stacked state and what a step costs.
+    Every agent starts from its prior and observes one candidate per step.
+    ``inv`` is the stacked A^{-1} as of the last fold and the first ``held``
+    rows of ``pending`` the update vectors observed since, folded into
+    ``inv`` once D of them are held; the module docstring describes this
+    state and what a step costs.
     Each agent follows ``GpUcb``'s posterior up to rounding, and
     ``ucb_choice`` keeps rounding from deciding a choice.
     """
@@ -290,10 +320,14 @@ class LockstepUcb:
         if not self.dims.all():
             raise EmptyKernelError("every agent needs a kernel with at least one group")
         self.count = 0
-        self.inv = np.zeros((k, width, width))
+        # inv, theta and pending are row blocks of one array, so that one
+        # product with phi gives inv phi, phi^T theta and P phi
+        self._rows = np.zeros((k, 2 * width + 1, width))
+        self.inv = self._rows[:, :width]
         self.inv[:, np.arange(width), np.arange(width)] = weights / config.lam**2
-        self.b = np.zeros((k, width))
-        self.theta = np.zeros((k, width))
+        self.theta = self._rows[:, width]
+        self.pending = self._rows[:, width + 1 :]
+        self.held = 0
         self.var = weights @ np.square(features).T
         self.log_det = np.zeros(k)
         self.max_gain_slack = np.full(k, -np.inf)
@@ -318,14 +352,22 @@ class LockstepUcb:
     def observe(self, indices: np.ndarray, y: np.ndarray) -> None:
         """Fold reward ``y[j]`` at candidate ``indices[j]`` into agent j."""
         lam = self.config.lam
+        width = self.pending.shape[1]
         phi = self.features[indices]
-        u = np.matmul(self.inv, phi[:, :, None])[:, :, 0]
+        products = np.matmul(self._rows[:, : width + 1 + self.held], phi[:, :, None])[:, :, 0]
+        u = products[:, :width]
+        if self.held:
+            u -= np.matmul(products[:, None, width + 1 :], self.pending[:, : self.held])[:, 0]
         q = 1.0 + np.einsum("kd,kd->k", phi, u)
-        w = u / np.sqrt(q)[:, None]
-        self.inv -= w[:, :, None] * w[:, None, :]
-        self.b += phi * y[:, None]
-        self.theta = np.matmul(self.inv, self.b[:, :, None])[:, :, 0]
+        root = np.sqrt(q)
+        w = self.pending[:, self.held]
+        np.divide(u, root[:, None], out=w)
+        self.theta += w * ((y - products[:, width]) / root)[:, None]
         self.var -= lam**2 * np.square(w @ self.features.T)
+        self.held += 1
+        if self.held == width:
+            self.inv -= np.matmul(self.pending.transpose(0, 2, 1), self.pending)
+            self.held = 0
         self.log_det += np.log(q)
         self.count += 1
         gain = 0.5 * self.log_det

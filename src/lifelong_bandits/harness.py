@@ -258,9 +258,14 @@ def _csv(header: str, rows) -> str:
 
 
 def _columns_text(table) -> str:
-    """CSV text of a dataclass of equal-length array columns, one row per index."""
+    """CSV text of a dataclass of equal-length array columns, one row per index.
+
+    One ``%s`` format per row gives the bytes of ``_csv``: ``%s`` is ``str``.
+    """
     names = [f.name for f in fields(table)]
-    return _csv(",".join(names), zip(*(getattr(table, name).tolist() for name in names)))
+    line = ",".join(["%s"] * len(names))
+    rows = zip(*(getattr(table, name).tolist() for name in names))
+    return "\n".join([",".join(names), *(line % row for row in rows)]) + "\n"
 
 
 def _standard_error(samples: np.ndarray) -> np.ndarray:

@@ -312,16 +312,32 @@ class TestGpUcb:
         assert better >= 15
 
 
+def assert_group_matches(group, agents, grid):
+    """Each lockstep agent's mean, variance and gain equal its ``GpUcb``'s."""
+    for j, agent in enumerate(agents):
+        mean, var = agent.posterior(grid)
+        np.testing.assert_allclose(group.theta[j] @ group.features.T, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.maximum(group.var[j], 0.0), var, rtol=0, atol=1e-12)
+        assert 0.5 * group.log_det[j] == pytest.approx(agent.state.info_gain(), abs=1e-12)
+        assert group.max_gain_slack[j] == pytest.approx(agent.max_gain_slack, abs=1e-12)
+
+
 class TestLockstepUcb:
     def test_matches_separate_agents(self):
         # nested, disjoint, all-even and repeated kernels in one group
+        self.check_against_agents(((1, 2, 5), (2, 5), (3, 7), (2, 4, 6), (1, 2, 5)), width=7)
+
+    def test_width_one_group_folds_every_step(self):
+        self.check_against_agents(((3,), (3,)), width=1)
+
+    def check_against_agents(self, selections, width):
         atlas, _, grid, _ = make_agent(p=7, grid_n=80)
-        kernels = [KernelEstimate(p=7, selected=sel)
-                   for sel in ((1, 2, 5), (2, 5), (3, 7), (2, 4, 6), (1, 2, 5))]
+        kernels = [KernelEstimate(p=7, selected=sel) for sel in selections]
         config = UcbConfig(nu=2.0, lam=0.3)
         agents = [GpUcb(atlas, est, config) for est in kernels]
         group = LockstepUcb.over_table(atlas.concat_many(grid), kernels, config)
-        assert group.features.shape == (80, 7) and group.dims.tolist() == [3, 2, 2, 3, 3]
+        assert group.features.shape == (80, width)
+        assert group.dims.tolist() == [len(sel) for sel in selections]
         rng = np.random.default_rng(0)
         for step in range(25):
             chosen = group.select()
@@ -332,17 +348,36 @@ class TestLockstepUcb:
             group.observe(idx, y)
             for agent, i, yi in zip(agents, idx, y):
                 agent.observe(int(i), float(yi), grid)
-        for j, (agent, est) in enumerate(zip(agents, kernels)):
-            mean, var = agent.posterior(grid)
-            np.testing.assert_allclose(group.theta[j] @ group.features.T, mean, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(np.maximum(group.var[j], 0.0), var, rtol=0, atol=1e-12)
-            assert 0.5 * group.log_det[j] == pytest.approx(agent.state.info_gain(), abs=1e-12)
-            assert group.max_gain_slack[j] == pytest.approx(agent.max_gain_slack, abs=1e-12)
+        assert_group_matches(group, agents, grid)
+        columns = sorted(set().union(*selections))
+        for j, est in enumerate(kernels):
             # the columns outside the agent's kernel never leave the prior
-            outside = ~np.isin(np.arange(1, 8), est.selected)
+            outside = ~np.isin(columns, est.selected)
             assert not group.theta[j, outside].any()
             assert not group.inv[j][outside].any() and not group.inv[j][:, outside].any()
-        assert group.count == 25
+            assert not group.pending[j, : group.held][:, outside].any()
+        assert group.count == 25 and group.held == 25 % width
+
+    def test_matches_separate_agents_across_folds(self):
+        # the union is 5 columns wide, so the pending block folds into the
+        # inverse at 5 and 10 observations
+        atlas, _, grid, _ = make_agent(p=7, grid_n=80)
+        kernels = [KernelEstimate(p=7, selected=sel) for sel in ((1, 2, 5), (2, 5), (3, 7))]
+        config = UcbConfig(nu=2.0, lam=0.3)
+        agents = [GpUcb(atlas, est, config) for est in kernels]
+        group = LockstepUcb.over_table(atlas.concat_many(grid), kernels, config)
+        width = group.features.shape[1]
+        assert width == 5
+        rng = np.random.default_rng(1)
+        for count in range(1, 2 * width + 1):
+            idx = group.select() if count % 3 else rng.integers(len(grid), size=len(agents))
+            y = rng.standard_normal(len(agents))
+            group.observe(idx, y)
+            for agent, i, yi in zip(agents, idx, y):
+                agent.observe(int(i), float(yi), grid)
+            if count in (width, width + 1, 2 * width):
+                assert group.held == count % width
+                assert_group_matches(group, agents, grid)
 
     def test_rejects_mismatched_or_empty_weights(self):
         features = np.ones((4, 2))

@@ -56,7 +56,10 @@ Layers:
 - ``gp_ucb.lockstep_d5`` and ``gp_ucb.lockstep_d50``: the same steps for 20
   tasks at once through one ``LockstepUcb`` (the agent pass of
   ``lifelong._run_tasks``), in microseconds per task-step, so they compare
-  with ``step_d5`` and ``step_d50`` directly.
+  with ``step_d5`` and ``step_d50`` directly. A ``LockstepUcb`` folds its
+  pending updates into the inverse once every D observations, D the union
+  width, so the timed window (observations 21 to 70) holds one fold at
+  d=50 and ten at d=5.
 - ``gp_ucb.lockstep_mixed``: the same steps for the 20 kernels of the
   default ``lifelong`` run at seed 0, one per task, at the width ``d`` of
   their union, as the runner steps them.
