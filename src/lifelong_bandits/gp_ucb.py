@@ -102,6 +102,7 @@ The realized information gain is checked against the closed-form cap
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,18 @@ class UcbConfig:
             raise ValueError("exploration coefficient must be nonnegative")
         if self.lam <= 0:
             raise ValueError("regularizer must be positive")
+        # The posterior starts at I / lam^2, the variance scales by lam^2 and
+        # the info-gain cap divides by it, so lam^2 and 1/lam^2 must be
+        # finite, normal floats. And each observation lowers the inverse by a
+        # term of its own size, leaving O(1) entries whose relative error is
+        # about eps / lam^2: once lam^2 falls to eps, none of their digits is
+        # left, and the gain check fails at run time (on NaN or on the cap).
+        square = self.lam * self.lam
+        if not sys.float_info.epsilon <= square <= 1.0 / sys.float_info.min:
+            raise ValueError(
+                f"regularizer {self.lam!r} out of range: lam^2 must lie in "
+                "[machine epsilon, 1 / smallest normal float]"
+            )
 
 
 class PosteriorState:
@@ -291,7 +304,8 @@ class GpUcb:
         slack = gain - bound
         if slack > self.max_gain_slack:
             self.max_gain_slack = slack
-        if slack > _INFO_GAIN_HARD:
+        # a NaN slack fails the gate too
+        if not slack <= _INFO_GAIN_HARD:
             raise RuntimeError(
                 f"information gain {gain:.6f} exceeds its cap {bound:.6f}"
             )
@@ -373,8 +387,8 @@ class LockstepUcb:
         gain = 0.5 * self.log_det
         slack = gain - info_gain_bound(self.dims, self.count, lam)
         np.maximum(self.max_gain_slack, slack, out=self.max_gain_slack)
-        worst = int(slack.argmax())
-        if slack[worst] > _INFO_GAIN_HARD:
+        worst = int(slack.argmax())  # the first NaN, if any, which fails the gate too
+        if not slack[worst] <= _INFO_GAIN_HARD:
             raise RuntimeError(
                 f"information gain {gain[worst]:.6f} exceeds its cap "
                 f"{gain[worst] - slack[worst]:.6f}"

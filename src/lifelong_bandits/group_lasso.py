@@ -15,7 +15,9 @@ crossterms C (m, p).
 A ``PooledDesign`` holds each task's block and rewards, validated when the
 task joins, and computes its statistics then: its Gram and crossterm as one
 row of the design's G and C, and its ||y_s||^2 and top eigenvalue beside
-them. The design grows by ``append``, and ``prefix(k)`` takes its first k
+them; the eigenvalue waits until the design holds two tasks or more, since a
+single-task fit follows the lasso path, which does not read it. The design
+grows by ``append``, and ``prefix(k)`` takes its first k
 tasks by holding the first k rows of the same arrays, so the fits of a
 growing pool (the lifelong runner's after each task, the offline sweep's
 over m) compute each task's statistics once and hold each Gram once.
@@ -47,6 +49,16 @@ accepted only if its own mapping norm is <= ``tol`` and its objective is no
 higher than the iterate's; otherwise the iteration carries on, momentum
 kept, and tries that support again only once the norm has fallen by
 ``HANDOFF_RETRY``. ``HANDOFF_MAP_NORM = 0`` switches the hand-off off.
+Newton stops as soon as its point can pass that test: once the largest
+entry of its reduced gradient is within tol / (2 sqrt(m |S|)), |S| the size
+of the support, or ``NEWTON_GRAD_TOL`` * max(1, lam) if that is larger.
+
+A fit over a growing pool starts from the last fit over fewer tasks
+(``padded_warm_start``). Each new task's row is not zero there but
+predicted: one Newton step from zero of the objective in that row, on the
+old fit's nonzero columns, kept only if it lowers the objective. So the
+iteration does not spend its first steps growing a row whose direction the
+old fit already knows.
 
 A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
 linear in lam. ``fit_group_lasso`` follows that path exactly (homotopy, or
@@ -90,7 +102,9 @@ class PooledDesign:
     and rewards, validated when the task joins. The statistics are computed
     when it joins, too: its Gram Phi_s^T Phi_s and crossterm Phi_s^T y_s
     become row s - 1 of one read-only (m, p, p) and one (m, p) array, and its
-    ||y_s||^2 and the top eigenvalue of its Gram are kept beside them.
+    ||y_s||^2 is kept beside them. The top eigenvalue of its Gram, which only
+    the proximal-gradient iteration reads, is computed once the design holds
+    two tasks or more, or when ``lipschitz`` asks for it.
     ``prefix(k)`` gives the design of the first k tasks, holding the first k
     rows of the same arrays, so the fits over a design's prefixes read one
     copy of each Gram. ``append`` moves the design to arrays one row longer,
@@ -118,7 +132,7 @@ class PooledDesign:
         p = self.p
         self._G, self._C = np.empty((0, p, p)), np.empty((0, p))
         self._y_sq: list[float] = []
-        self._top_eig: list[float] = []
+        self._top_eig: list[float | None] = []
         self._join()
         if self.total_rows == 0:
             raise ValueError("pooled design has no rows")
@@ -153,11 +167,22 @@ class PooledDesign:
             phi, y = self.features[s], self.rewards[s]
             G[s], C[s] = phi.T @ phi, phi.T @ y
             self._y_sq.append(float(y @ y))
-            # Phi Phi^T and Phi^T Phi share their nonzero spectrum
-            n = len(y)
-            small = phi @ phi.T if n < p else G[s]
-            self._top_eig.append(float(np.linalg.eigvalsh(small)[-1]) if n else 0.0)
+            self._top_eig.append(None)
         self._G, self._C = _frozen(G), _frozen(C)
+        if m > 1:
+            self._top_eigenvalues()
+
+    def _top_eigenvalues(self) -> list[float]:
+        """Each task's top Gram eigenvalue, computed for the tasks that lack
+        one: a single-task fit reads none unless its path is declined."""
+        for s, eig in enumerate(self._top_eig):
+            if eig is None:
+                phi = self.features[s]
+                n, p = phi.shape
+                # Phi Phi^T and Phi^T Phi share their nonzero spectrum
+                small = phi @ phi.T if n < p else self._G[s]
+                self._top_eig[s] = float(np.linalg.eigvalsh(small)[-1]) if n else 0.0
+        return self._top_eig
 
     def prefix(self, k: int) -> "PooledDesign":
         """The design of the first k tasks, sharing their data and rows."""
@@ -196,7 +221,7 @@ class PooledDesign:
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient: the largest per-task
         spectral norm of (2/N) Phi_s^T Phi_s."""
-        return max(0.0, 2.0 * max(self._top_eig) / self.total_rows)
+        return max(0.0, 2.0 * max(self._top_eigenvalues()) / self.total_rows)
 
 
 class GroupCoefficients:
@@ -229,13 +254,53 @@ class GroupCoefficients:
         return np.sqrt((self.matrix**2).sum(axis=0))
 
 
-def padded_warm_start(coeffs: GroupCoefficients | None, m: int) -> GroupCoefficients | None:
-    """The start of a fit over m tasks from an earlier fit over fewer of its
-    first tasks: ``coeffs`` with a zero row for each task added since. None
-    (a cold start) when there is no earlier fit or it had m tasks or more."""
-    if coeffs is None or coeffs.m >= m:
+def padded_warm_start(
+    coeffs: GroupCoefficients | None, design: PooledDesign, lam: float
+) -> GroupCoefficients | None:
+    """The start of a fit of ``design`` at penalty ``lam`` from an earlier fit
+    over fewer of its first tasks: ``coeffs`` with a predicted row for each
+    task added since. None (a cold start) when there is no earlier fit or it
+    had as many tasks as ``design`` or more.
+
+    Let S be the nonzero columns of ``coeffs`` and c_j their norms. Each new
+    task's row, in order, is one Newton step from zero of the objective in
+    that row with every row before it fixed, zero off S:
+
+        ((2/N) G_s,SS + diag(lam / c_S)) b = (2/N) C_s,S.
+
+    The row enters only if it lowers the pooled objective, by the exact change
+    (b^T G_s,SS b - 2 C_s,S^T b) / N + lam * sum_j (sqrt(c_j^2 + b_j^2) - c_j),
+    and c then takes it in. The row stays zero when S is empty, ``lam`` is
+    zero (the step would be an unpenalized least-squares fit), the solve is
+    singular or a value is not finite. Nothing is accepted here: the fit
+    still iterates from this start to its own stop rule.
+    """
+    if coeffs is None or coeffs.m >= design.m:
         return None
-    return GroupCoefficients(np.vstack([coeffs.matrix, np.zeros((m - coeffs.m, coeffs.p))]))
+    old = coeffs.m
+    start = np.zeros((design.m, coeffs.p))
+    start[:old] = coeffs.matrix
+    norms_sq = (coeffs.matrix * coeffs.matrix).sum(axis=0)
+    S = np.flatnonzero(norms_sq > 0.0)
+    if S.size == 0 or lam == 0.0:
+        return GroupCoefficients(start)
+    G, C, _ = design.grams()
+    scale = 2.0 / design.total_rows
+    GS = scale * G[old:, S[:, None], S]
+    CS = scale * C[old:, S]
+    c = np.sqrt(norms_sq[S])
+    with np.errstate(all="ignore"):
+        for s, (A, rhs) in enumerate(zip(GS, CS), start=old):
+            try:
+                b = np.linalg.solve(A + np.diag(lam / c), rhs)
+            except np.linalg.LinAlgError:
+                continue
+            grown = np.sqrt(c * c + b * b)
+            # the penalty's change sqrt(c^2 + b^2) - c, without the cancellation
+            penalty = lam * float((b * b / (grown + c)).sum())
+            if np.all(np.isfinite(b)) and 0.5 * float(b @ A @ b) - float(rhs @ b) + penalty < 0.0:
+                start[s, S], c = b, grown
+    return GroupCoefficients(start)
 
 
 @dataclass
@@ -415,7 +480,7 @@ def _apg(
                     break
             if attempt:
                 tried, tried_at = support, moved
-                z, steps = _newton_finish(G, C, N, lam, x)
+                z, steps = _newton_finish(G, C, N, lam, x, tol)
                 newton_steps += steps
                 if z is not None:
                     # accepted only under APG's own stop rule and only if
@@ -440,7 +505,7 @@ def _apg(
 
 
 def _newton_finish(
-    G: np.ndarray, C: np.ndarray, N: int, lam: float, x: np.ndarray
+    G: np.ndarray, C: np.ndarray, N: int, lam: float, x: np.ndarray, tol: float
 ) -> tuple[np.ndarray | None, int]:
     """Newton's method on the pooled objective restricted to the nonzero
     columns S of ``x``; returns the (m, p) point, zero off S, and the steps
@@ -450,53 +515,65 @@ def _newton_finish(
     gradient lam * u_j and Hessian w_j (I - u_j u_j^T), where u_j = b_j/||b_j||
     and w_j = lam/||b_j||. The Hessian of the restricted objective is then
 
-        blockdiag_s[(2/N) G_s,SS + diag(w)] - sum_j w_j (u_j (x) e_j)(u_j (x) e_j)^T,
+        D - P P^T,  D = blockdiag_s[(2/N) G_s,SS + diag(w)],
 
-    one |S|x|S| block per task minus a rank-|S| term. By Woodbury a step costs
-    one batched solve over the task blocks and one |S|x|S| capacitance solve.
-    The attempt aborts when a column norm reaches zero, a solve is singular, a
-    value is non-finite, or a step reverses a column's direction (u_j turns by
-    more than 90 degrees). The last is the sign of a column that is zero at
-    the optimum: the restricted problem then has no stationary point, and
-    Newton pushes the column back and forth through zero. It stops when the
-    largest gradient entry is at most ``NEWTON_GRAD_TOL * max(1, lam)`` or
-    after ``NEWTON_MAX_STEPS`` steps.
+    with P's rows for task s equal to diag(sqrt(w) u_j[s]): one |S|x|S| block
+    per task minus a rank-|S| term. By Woodbury a step is D^-1 (g + P v), where
+    v solves the |S|x|S| capacitance system (I - P^T D^-1 P) v = P^T D^-1 g, so
+    it costs one batched inverse of the task blocks and one capacitance solve.
+    The attempt aborts when a column norm reaches zero, an inverse or solve is
+    singular, a value is non-finite, or a step reverses a column's direction
+    (u_j turns by more than 90 degrees). The last is the sign of a column that
+    is zero at the optimum: the restricted problem then has no stationary
+    point, and Newton pushes the column back and forth through zero.
+
+    It stops after ``NEWTON_MAX_STEPS`` steps, or once the largest reduced-
+    gradient entry is at most max(``NEWTON_GRAD_TOL`` * max(1, lam),
+    tol / (2 sqrt(m |S|))). The point is then handed to APG's own stop rule,
+    a prox-gradient mapping norm <= ``tol``. On a support that holds, that
+    mapping is the reduced gradient, up to a term of second order in the
+    step, and zero off S, so its norm is at most sqrt(m |S|) times the
+    largest entry: the stop asks for half of ``tol``, and no more.
     """
     S = np.flatnonzero((x * x).sum(axis=0) > 0.0)
     if S.size == 0:
         return None, 0
-    GS = (2.0 / N) * G[:, S][:, :, S]
+    m, k = x.shape[0], S.size
+    GS = (2.0 / N) * G[:, S[:, None], S]
     CS = (2.0 / N) * C[:, S]
     B = x[:, S]
-    eye = np.eye(S.size)
-    grad_tol = NEWTON_GRAD_TOL * max(1.0, lam)
+    D = np.empty_like(GS)
+    diagonal = D.reshape(m, k * k)[:, :: k + 1]  # a view of every block's diagonal
+    eye = np.eye(k)
+    grad_tol = max(NEWTON_GRAD_TOL * max(1.0, lam), tol / (2.0 * math.sqrt(m * k)))
     steps = 0
     U = None
     with np.errstate(all="ignore"):
         while True:
-            norms = np.sqrt((B * B).sum(axis=0))
-            if not np.all(np.isfinite(B)) or not np.all(norms > 0.0):
+            norms = np.sqrt(np.add.reduce(B * B))
+            if not (np.isfinite(B).all() and (norms > 0.0).all()):
                 return None, steps
             U, U_prev = B / norms, U
-            if U_prev is not None and np.any((U * U_prev).sum(axis=0) < 0.0):
+            if U_prev is not None and (np.add.reduce(U * U_prev) < 0.0).any():
                 return None, steps
             grad = np.matmul(GS, B[:, :, None])[:, :, 0] - CS + lam * U
             if np.abs(grad).max() <= grad_tol or steps == NEWTON_MAX_STEPS:
                 break
             w = lam / norms
-            # Hessian D - P P^T: D holds the task blocks, and column j of P is
-            # sqrt(w_j) (u_j (x) e_j), so P's rows for task s are diag(V[s]).
-            # Woodbury: H^-1 g = Z + X (I - P^T X)^-1 P^T Z with Z = D^-1 g
-            # and X = D^-1 P, both from one batched solve.
+            # column j of P is sqrt(w_j) (u_j (x) e_j), so P's rows for task s
+            # are diag(V[s]), P^T D^-1 P = sum_s V[s] o D_s^-1 o V[s] and
+            # (P v)[s] = V[s] * v
             V = U * np.sqrt(w)
-            rhs = np.concatenate((grad[:, :, None], V[:, :, None] * eye), axis=2)
+            np.copyto(D, GS)
+            diagonal += w
             try:
-                sol = np.linalg.solve(GS + w * eye, rhs)
-                Z, X = sol[:, :, 0], sol[:, :, 1:]
-                v = np.linalg.solve(eye - (V[:, :, None] * X).sum(axis=0), (V * Z).sum(axis=0))
+                D_inv = np.linalg.inv(D)
+                Z = np.matmul(D_inv, grad[:, :, None])[:, :, 0]
+                capacitance = eye - np.add.reduce(V[:, :, None] * D_inv * V[:, None, :])
+                v = np.linalg.solve(capacitance, np.add.reduce(V * Z))
             except np.linalg.LinAlgError:
                 return None, steps
-            B = B - (Z + X @ v)
+            B = B - np.matmul(D_inv, (grad + V * v)[:, :, None])[:, :, 0]
             steps += 1
     point = np.zeros_like(x)
     point[:, S] = B

@@ -337,7 +337,7 @@ def run_lifelong(
             lam_s,
             tol=solver_tol,
             max_iter=solver_max_iter,
-            x0=padded_warm_start(warm, design.m),
+            x0=padded_warm_start(warm, design, lam_s),
         )
         if not outcome.report.converged:
             record.events.append((s, "solver"))

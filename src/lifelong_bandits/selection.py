@@ -159,7 +159,8 @@ def recovery_sweep(
     is featurised once and feeds both its rewards and the design.
 
     The fit at m starts from the last converged fit in ``m_values`` order,
-    padded with zero rows, when that fit had fewer than m tasks, and cold
+    with a predicted row for each task added since (``padded_warm_start``),
+    when that fit had fewer than m tasks, and cold
     otherwise, as ``run_lifelong`` starts each fit from the one before. So
     the answer at m depends on the other entries only through its starting
     point, and the stop rule (a mapping norm within ``tol``) bounds how far
@@ -183,9 +184,10 @@ def recovery_sweep(
     results = []
     warm = None  # the last converged fit
     for m in m_values:
+        pool = design.prefix(m)
         sel = learn_kernel(
-            design.prefix(m), omega, lam, tol=tol, max_iter=max_iter,
-            x0=padded_warm_start(warm, m),
+            pool, omega, lam, tol=tol, max_iter=max_iter,
+            x0=padded_warm_start(warm, pool, lam),
         )
         if sel.report.converged:
             warm = sel.coeffs

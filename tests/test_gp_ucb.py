@@ -177,6 +177,19 @@ class TestInfoGain:
             realized_info_gain(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e-150, 1e-8, 1e154, 1e160, np.nan])
+def test_regularizer_outside_float_range_rejected(lam):
+    # lam^2 below machine epsilon leaves no digit of the downdated inverse;
+    # 1/lam^2 or lam^2 outside the normal floats over- or underflows
+    with pytest.raises(ValueError, match="out of range"):
+        UcbConfig(lam=lam)
+
+
+@pytest.mark.parametrize("lam", [1.5e-8, 0.1, 1e150])
+def test_regularizer_inside_float_range_accepted(lam):
+    assert UcbConfig(lam=lam).lam == lam
+
+
 def make_agent(p=5, selected=(1, 2), nu=10.0, lam=0.1, grid_n=60):
     atlas = FeatureAtlas(BasisFamily.COSINE_1D, p)
     est = KernelEstimate(p=p, selected=selected)
@@ -404,6 +417,17 @@ class TestLockstepUcb:
         monkeypatch.setattr(gp_ucb, "info_gain_bound", lambda d, n, lam: 0.0)
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
+
+    def test_nan_gain_fails_the_cap(self):
+        # a posterior gone NaN must not pass the gate as a False comparison
+        atlas, est, grid, agent = make_agent()
+        group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
+        group.log_det[1] = np.nan
+        with pytest.raises(RuntimeError, match="exceeds its cap"):
+            group.observe(np.array([0, 5, 9]), np.zeros(3))
+        agent.state._log_det_ratio = np.nan
+        with pytest.raises(RuntimeError, match="exceeds its cap"):
+            agent.observe(0, 0.0, grid)
 
     def test_info_gain_cap_uses_each_agents_dimension(self):
         assert np.array_equal(

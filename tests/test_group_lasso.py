@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lifelong_bandits import group_lasso
@@ -24,6 +24,7 @@ from lifelong_bandits.group_lasso import (
     _lasso_path,
     fit_group_lasso,
     kkt_residuals,
+    padded_warm_start,
     pooled_loss,
 )
 
@@ -180,6 +181,29 @@ class TestDesignGrowth:
         with pytest.raises(ValueError):
             design.append(phi, y)
         assert_designs_bit_equal(design, before)
+
+    def test_top_eigenvalue_waits_for_a_fit_that_reads_it(self, monkeypatch):
+        # a single-task design computes none until ``lipschitz`` asks for it,
+        # so a certified path fit computes none; a design of two tasks or
+        # more computes each task's once, when it joins
+        blocks, ys = random_blocks(16, self.ROWS)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        one = PooledDesign(blocks[:1], ys[:1])
+        assert fit_group_lasso(one, 0.1)[1].method == "path"
+        assert shapes == []
+        phi = blocks[0]
+        assert one.lipschitz() == max(0.0, 2.0 * float(eigvalsh(phi.T @ phi)[-1]) / len(phi))
+        assert len(shapes) == 1
+        one.append(blocks[1], ys[1])
+        assert len(shapes) == 2
+        grown = PooledDesign(blocks[:1], ys[:1])
+        grown.append(blocks[1], ys[1])
+        assert len(shapes) == 4
+        # an empty task's eigenvalue is 0 without a call
+        PooledDesign(blocks, ys).prefix(1).lipschitz()
+        assert len(shapes) == 4 + sum(n > 0 for n in self.ROWS)
 
     def test_stored_arrays_are_read_only_copies(self):
         blocks, ys = random_blocks(15, [3, 2])
@@ -546,8 +570,8 @@ def test_newton_attempt_on_wrong_support_declined(monkeypatch):
     attempts = []
     newton = group_lasso._newton_finish
 
-    def spy(G, C, N, lam, x):
-        point, steps = newton(G, C, N, lam, x) if not attempts else (None, 0)
+    def spy(G, C, N, lam, x, tol):
+        point, steps = newton(G, C, N, lam, x, tol) if not attempts else (None, 0)
         attempts.append((x.copy(), point, steps))
         return point, steps
 
@@ -575,7 +599,7 @@ def test_newton_point_failing_acceptance_declined(monkeypatch, bad):
     assert fit_group_lasso(design, lam)[1].method == "newton"
     handed = []
 
-    def bad_point(G, C, N, lam, x):
+    def bad_point(G, C, N, lam, x, tol):
         handed.append(x.copy())
         point = x.copy()
         if bad == "scaled_column":
@@ -674,9 +698,9 @@ def test_handoff_waits_for_the_support_to_settle(monkeypatch):
     handed = []
     newton = group_lasso._newton_finish
 
-    def spy(G, C, N, lam, x):
+    def spy(G, C, N, lam, x, tol):
         handed.append(x.copy())
-        return newton(G, C, N, lam, x)
+        return newton(G, C, N, lam, x, tol)
 
     monkeypatch.setattr(group_lasso, "_newton_finish", spy)
     _, report = fit_group_lasso(design, lam)
@@ -704,7 +728,7 @@ def test_declined_support_retried_after_the_norm_falls(monkeypatch):
         )
     handed = []
 
-    def decline(G, C, N, lam, x):
+    def decline(G, C, N, lam, x, tol):
         handed.append(x.copy())
         return None, 1
 
@@ -724,8 +748,8 @@ def test_aborted_support_retried_and_answered_by_newton(monkeypatch):
     attempts = []
     newton = group_lasso._newton_finish
 
-    def spy(G, C, N, lam, x):
-        point, steps = newton(G, C, N, lam, x)
+    def spy(G, C, N, lam, x, tol):
+        point, steps = newton(G, C, N, lam, x, tol)
         attempts.append((x.copy(), point, steps))
         return point, steps
 
@@ -757,3 +781,120 @@ def test_zero_handoff_norm_never_tries_newton(monkeypatch):
     monkeypatch.setattr(group_lasso, "_newton_finish", mock.Mock(side_effect=AssertionError))
     _, report = fit_group_lasso(design, lam)
     assert report.method == "apg" and report.converged
+
+
+def shared_support_design(seed, m=4, p=8, rows=10):
+    """m tasks over p columns whose coefficients share 3 nonzero columns, and
+    a penalty at which the fit keeps them."""
+    rng = np.random.default_rng(seed)
+    truth = np.zeros((m, p))
+    truth[:, [1, 4, 6]] = rng.standard_normal((m, 3)) + 2.0
+    blocks = [rng.standard_normal((rows, p)) for _ in range(m)]
+    ys = [phi @ beta + 0.1 * rng.standard_normal(rows) for phi, beta in zip(blocks, truth)]
+    return PooledDesign(blocks, ys), 0.2
+
+
+def zero_padded(coeffs, m):
+    return GroupCoefficients(np.vstack([coeffs.matrix, np.zeros((m - coeffs.m, coeffs.p))]))
+
+
+@pytest.mark.parametrize("new_tasks", [1, 2])
+def test_predicted_row_lowers_the_objective(new_tasks):
+    design, lam = shared_support_design(3, m=5)
+    old = fit_group_lasso(design.prefix(design.m - new_tasks), lam)[0]
+    start = padded_warm_start(old, design, lam)
+    S = np.flatnonzero(old.group_norms() > 0.0)
+    assert start.matrix[: old.m].tobytes() == old.matrix.tobytes()
+    assert np.all(start.matrix[old.m :, S] != 0.0)
+    assert np.all(np.delete(start.matrix[old.m :], S, axis=1) == 0.0)
+    assert pooled_loss(design, start, lam) < pooled_loss(design, zero_padded(old, design.m), lam)
+    assert padded_warm_start(None, design, lam) is None
+    assert padded_warm_start(start, design, lam) is None
+
+
+def test_predicted_row_falls_back_to_zero():
+    design, lam = shared_support_design(4)
+    old = fit_group_lasso(design.prefix(3), lam)[0]
+    zero = zero_padded(old, 4).matrix.tobytes()
+    # no nonzero column to predict on, and no penalty to keep the step small
+    empty = GroupCoefficients.zeros(3, design.p)
+    assert np.all(padded_warm_start(empty, design, lam).matrix == 0.0)
+    assert padded_warm_start(old, design, 0.0).matrix.tobytes() == zero
+    # a singular solve: two equal columns, and lam / c below the smallest float
+    rng = np.random.default_rng(5)
+    phi = rng.standard_normal((6, 2))
+    phi[:, 1] = phi[:, 0]
+    dup = PooledDesign([phi, phi], [rng.standard_normal(6), rng.standard_normal(6)])
+    huge = GroupCoefficients(np.array([[1e150, 1e150]]))
+    G, _, _ = dup.grams()
+    assert np.all(1e-200 / huge.group_norms() == 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve((2.0 / 12) * G[1], np.ones(2))
+    start = padded_warm_start(huge, dup, 1e-200)
+    assert start.matrix.tobytes() == zero_padded(huge, 2).matrix.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=2, max_value=8),
+    p=st.integers(min_value=1, max_value=8),
+    shape=st.sampled_from(["plain", "empty_task", "duplicate_row"]),
+    lam_frac=st.sampled_from([0.01, 0.1, 0.4, 0.8]),
+)
+def test_fit_from_predicted_start_matches_cold_fit(seed, m, p, shape, lam_frac):
+    design, _ = pooled_random_design(seed, m, p, shape)
+    assume(sum(map(len, design.rewards[:-1])) > 0)
+    _, C, y_sq = design.grams()
+    N = design.total_rows
+    lam = lam_frac * 2.0 / N * float(np.sqrt((C * C).sum(axis=0)).max())
+    old, old_report = fit_group_lasso(design.prefix(m - 1), lam)
+    assert old_report.converged
+    start = padded_warm_start(old, design, lam)
+    # never above the zero-padded start, up to the rounding of the objective
+    rounding = 1e-12 * max(1.0, y_sq / N)
+    assert pooled_loss(design, start, lam) <= pooled_loss(design, zero_padded(old, m), lam) + rounding
+    coeffs, report = fit_group_lasso(design, lam, x0=start)
+    cold, cold_report = fit_group_lasso(design, lam)
+    assert report.converged and cold_report.converged
+    assert abs(report.objective - cold_report.objective) <= 1e-9 * max(1.0, y_sq / N)
+    if report.method == "newton":
+        assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+
+
+def mapping_norm(design, coeffs, lam):
+    """The prox-gradient mapping norm at ``coeffs``, from raw residuals."""
+    step = 1.0 / design.lipschitz()
+    B = coeffs.matrix
+    grad = np.array(
+        [(2.0 / design.total_rows) * (phi.T @ (phi @ b - y))
+         for phi, y, b in zip(design.features, design.rewards, B)]
+    )
+    U = B - step * grad
+    norms = np.sqrt((U * U).sum(axis=0))
+    shrunk = U * np.maximum(0.0, 1.0 - lam * step / np.maximum(norms, 1e-300))
+    return float(np.linalg.norm(B - shrunk)) / step
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+def test_newton_stops_at_the_precision_acceptance_needs(monkeypatch, tol):
+    # Newton stops once its largest reduced-gradient entry is within
+    # tol / (2 sqrt(m |S|)), and the point it returns still meets APG's stop
+    # rule; a tighter tolerance takes at least as many steps
+    design, lam = shared_support_design(6)
+    steps = {}
+    newton = group_lasso._newton_finish
+
+    def spy(G, C, N, lam, x, tol):
+        point, taken = newton(G, C, N, lam, x, tol)
+        steps[tol] = steps.get(tol, 0) + taken
+        return point, taken
+
+    monkeypatch.setattr(group_lasso, "_newton_finish", spy)
+    coeffs, report = fit_group_lasso(design, lam, tol=tol)
+    tight, tight_report = fit_group_lasso(design, lam, tol=1e-13)
+    assert report.method == tight_report.method == "newton"
+    assert report.map_norm <= tol
+    assert mapping_norm(design, coeffs, lam) <= tol
+    assert steps[tol] <= steps[1e-13]
+    assert np.array_equal(coeffs.group_norms() > 0.0, tight.group_norms() > 0.0)

@@ -296,6 +296,22 @@ def tiny_lifelong_pairs(out=None, kind="lifelong"):
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("kind", ["lifelong", "federated", "baseline_oracle"])
+    @pytest.mark.parametrize("lam_ucb", ["1e-300", "1e-150", "1e160", "1e150"])
+    def test_extreme_lam_ucb_fails_up_front_or_completes(self, tmp_path, kind, lam_ucb):
+        # these used to complete without a failure on a posterior gone NaN
+        # (1e-300), fail some seeds at run time (1e-150) or fail every seed
+        # with OverflowError (1e160)
+        pairs = {**tiny_lifelong_pairs(tmp_path, kind), "lam_ucb": lam_ucb}
+        try:
+            config = build_config(pairs=pairs)
+        except ConfigError:
+            assert not any(tmp_path.iterdir())
+            return
+        result = run_experiment(config)
+        assert not result.failures
+        assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
+
     def test_lifelong_writes_expected_files(self, tmp_path):
         result = run_experiment(build_config(pairs=tiny_lifelong_pairs(tmp_path)))
         assert sorted(p.name for p in tmp_path.iterdir()) == [

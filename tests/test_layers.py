@@ -55,7 +55,7 @@ def test_layer_script_one_repeat(tmp_path):
     assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))
-    assert len(times) == 25
+    assert len(times) == 26
     for key, (p25, median, p75) in times.items():
         assert 0 < p25 <= median <= p75, key
 

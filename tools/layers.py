@@ -23,6 +23,8 @@ Layers:
   point: 20 tasks of 10 continuous uniform points, lam 0.25.
 - ``group_lasso.pooled_offline_warm``: the same fit warm-started from the
   fit over its first 19 tasks, as the offline sweep over m = 1..30 starts it.
+- Both warm starts come from ``padded_warm_start``, as the runners build
+  them: the earlier fit with a predicted row for the 20th task.
 - Each pooled fit runs twice: ``newton`` as the package runs it, handing off
   to Newton once the support has settled, and ``apg_only`` with the Newton
   hand-off switched off, which iterates as the solver did before the
@@ -34,8 +36,10 @@ Layers:
   A design computes each task's Gram, crossterm and top eigenvalue when the
   task joins, before any fit, so these times hold the iteration alone, not
   the Gram and eigen work.
-- ``group_lasso.client_fit``: one single-task fit of 10 grid rows at lam
-  0.2, like a federated client's.
+- ``group_lasso.client_fit``: one federated client's fit, as
+  ``federated.client_fit`` makes it: the single-task design of 10 grid rows,
+  sliced from the environment's grid features, and its fit at lam 0.2.
+  ``design_us`` times the design build alone.
 - ``selection.design``: the design work outside the solver: building the
   design, which computes the Gram statistics of each task as it joins, and
   reading what every pooled fit reads (``grams()`` and ``lipschitz()``).
@@ -106,6 +110,7 @@ from lifelong_bandits.seeding import STREAM_EXPLORE, STREAM_NOISE, substream  # 
 from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
 TASKS = 20
+DESIGN_BUILDS = 100  # client designs built per timed run, which one alone is too short to time
 UCB_WARMUP = 20
 UCB_STEPS = 50
 
@@ -153,8 +158,8 @@ def learned_fit():
     tasks = grid_tasks(env, [100] + [4] * (TASKS - 1), np.random.default_rng(0))
     prior = design_from_tasks(env.atlas, tasks[:-1])
     coeffs, _ = fit_group_lasso(prior, 0.5 / math.sqrt(TASKS - 1))
-    x0 = padded_warm_start(coeffs, TASKS)
-    return design_from_tasks(env.atlas, tasks), 0.5 / math.sqrt(TASKS), x0
+    design, lam = design_from_tasks(env.atlas, tasks), 0.5 / math.sqrt(TASKS)
+    return design, lam, padded_warm_start(coeffs, design, lam)
 
 
 def offline_fit():
@@ -174,7 +179,7 @@ def offline_warm_fit():
     over m = 1..30 starts it."""
     design, lam, _ = offline_fit()
     coeffs, _ = fit_group_lasso(design.prefix(TASKS - 1), lam)
-    return design, lam, padded_warm_start(coeffs, TASKS)
+    return design, lam, padded_warm_start(coeffs, design, lam)
 
 
 def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
@@ -205,11 +210,18 @@ def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
 
 def client_fit(repeats: int) -> dict:
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=1, master_seed=0)
-    design = design_from_tasks(env.atlas, grid_tasks(env, [10], np.random.default_rng(2)))
-    seconds = seconds_of(lambda: fit_group_lasso(design, 0.2), repeats)
-    _, report = fit_group_lasso(design, 0.2)
+    ((drawn, y),) = grid_draws(env, [10], np.random.default_rng(2))
+    phi = env.grid_features[drawn]
+
+    def fit():
+        return fit_group_lasso(PooledDesign([phi], [y]), 0.2)
+
+    seconds = seconds_of(fit, repeats)
+    builds = seconds_of(lambda: [PooledDesign([phi], [y]) for _ in range(DESIGN_BUILDS)], repeats)
+    _, report = fit()
     return {
         **quartiles("us_per_call", seconds),
+        **quartiles("design_us", builds, per=DESIGN_BUILDS),
         "steps": report.iterations,
         "method": report.method,
     }
