@@ -13,7 +13,6 @@ import argparse
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.federated import run_federated
 from lifelong_bandits.gp_ucb import UcbConfig
-from lifelong_bandits.lifelong import default_solver_factory
 
 
 def main() -> None:
@@ -27,9 +26,8 @@ def main() -> None:
     spec = SyntheticSpec(p=12, support_size=3, norm_bound=6.0)
     env = SyntheticEnvironment(spec, n_tasks=args.clients, master_seed=args.seed,
                                grid_points=120)
-    factory = default_solver_factory(UcbConfig(nu=10.0, lam=0.1))
     record = run_federated(env, args.clients, args.steps, 0.25, 0.2, args.alpha,
-                       solver_factory=factory, seed=args.seed)
+                           ucb=UcbConfig(nu=10.0, lam=0.1), seed=args.seed)
 
     print(f"hidden support: {env.support}, alpha = {args.alpha}")
     print(f"{'round':>5}  {'client vote':<22}  server set")

@@ -11,7 +11,7 @@ import argparse
 
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.gp_ucb import UcbConfig
-from lifelong_bandits.lifelong import default_solver_factory, run_baseline, run_lifelong
+from lifelong_bandits.lifelong import run_baseline, run_lifelong
 
 
 def main() -> None:
@@ -25,8 +25,7 @@ def main() -> None:
     spec = SyntheticSpec(p=12, support_size=3, norm_bound=6.0)
     env = SyntheticEnvironment(spec, n_tasks=args.tasks, master_seed=args.seed,
                                grid_points=120)
-    factory = default_solver_factory(UcbConfig(nu=10.0, lam=0.1))
-    common = dict(solver_factory=factory, seed=args.seed)
+    common = dict(ucb=UcbConfig(nu=10.0, lam=0.1), seed=args.seed)
 
     oracle = run_baseline(env, "oracle", args.tasks, args.steps, **common)
     naive = run_baseline(env, "full", args.tasks, args.steps, **common)

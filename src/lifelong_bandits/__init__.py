@@ -26,7 +26,6 @@ from .federated import ClientVote, VoteLedger, client_fit, run_federated
 from .gp_ucb import (
     GpUcb,
     LockstepUcb,
-    PosteriorState,
     UcbConfig,
     info_gain_bound,
     realized_info_gain,
@@ -92,7 +91,6 @@ __all__ = [
     "LookupEnvironment",
     "LookupTable",
     "PooledDesign",
-    "PosteriorState",
     "RegretTrace",
     "ScheduleMode",
     "SolverReport",

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import KernelEstimate
+from .gp_ucb import UcbConfig
 from .group_lasso import PooledDesign
 from .lifelong import LifelongRunRecord, ScheduleMode, _run_tasks
 # design_from_tasks stays bound here: perfbench's tracer wraps this binding
@@ -127,7 +128,7 @@ def run_federated(
     lam: float,
     alpha: float,
     *,
-    solver_factory=None,
+    ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
     solver_tol: float = 1e-8,
     solver_max_iter: int = 50_000,
@@ -139,8 +140,8 @@ def run_federated(
     its own data, and votes. The server set after the client's own vote
     determines the kernel for that same client's exploitation phase, and
     the fresh agent sees the exploration observations first, so the
-    posterior holds the full task history. A run uses one config: the
-    agents ``solver_factory`` makes, one per task, must share it.
+    posterior holds the full task history. Every task's agent runs under
+    the GP-UCB config ``ucb``.
     """
     atlas = env.atlas
     ledger = VoteLedger(atlas.p, alpha)
@@ -167,9 +168,6 @@ def run_federated(
         record.events.append((s, "fallback"))
         return KernelEstimate.full(atlas.p)
 
-    _run_tasks(
-        env, m, n, ScheduleMode.CONSTANT, record, vote_kernel,
-        seed=seed, solver_factory=solver_factory,
-    )
+    _run_tasks(env, m, n, ScheduleMode.CONSTANT, record, vote_kernel, seed=seed, ucb=ucb)
     record.final_kernel = record.tasks[-1].kernel
     return record

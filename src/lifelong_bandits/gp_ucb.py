@@ -1,4 +1,4 @@
-"""GP-UCB over a finite feature-space posterior, updated in place.
+"""GP-UCB agents over a finite feature-space posterior, stepped in lockstep.
 
 The posterior is kept in primal (feature-space) form. With selected features
 phi scaled by sqrt(1/|J|) so that phi(x)^T phi(x') equals the averaged kernel
@@ -15,29 +15,12 @@ A itself is never stored or factored. The state holds A^{-1}, starting at
 I / lam^2, and folds each observation in with the Sherman-Morrison update
 
     u = A^{-1} phi,   q = 1 + phi^T u,   w = u / sqrt(q),
-    A^{-1} <- A^{-1} - w w^T,
+    A^{-1} <- A^{-1} - w w^T.
 
-then sets theta = A^{-1} b. By the matrix determinant lemma
-det(A + phi phi^T) = q det A, so the realized information gain
-(1/2) log det(I + lam^-2 K_i) = (1/2) sum log q is a running sum. The agent
-keeps the variance of every cached candidate beside its features and lowers
-it by lam^2 (Phi w)^2 per observation. A step costs O(G d + d^2) for G
-candidates in d dimensions, against O(d^3 + G d^2) for a Cholesky refactor
-and a solve against every candidate.
-
-There is no periodic refactor from scratch. The update only subtracts
-rank-one terms, and the drift stays at rounding level. Measured on the
-full 50-group cosine kernel (d=50, G=500, lam=0.1) for 4 tasks of the
-default synthetic environment at seed 0 (task values up to 11 in
-magnitude, noise 0.1, 10 uniform draws and then UCB choices), against a
-Householder-QR least-squares posterior and the log-determinant of A: after
-100 observations ``GpUcb`` differs by at most 8e-12 on the mean, 1.3e-15 on
-the variance and 1e-12 on the gain, and after 2000 by 9e-10, 8e-14 and
-5e-11, when the smallest variance on the grid is 5e-6. The mean error is
-that of theta = A^{-1} b; the normal-equations Cholesky of A itself is off
-by as much (7e-12 and 4e-10). Variances are clamped at zero where they are
-read. A property test pins the drift against a from-scratch Cholesky
-posterior.
+By the matrix determinant lemma det(A + phi phi^T) = q det A, so the
+realized information gain (1/2) log det(I + lam^-2 K_i) = (1/2) sum log q
+is a running sum. The variance of every candidate is kept beside its
+features and lowered by lam^2 (Phi w)^2 per observation.
 
 Agents that share a config and a candidate table step together in
 ``LockstepUcb``, each under its own kernel, over one (G, D) table of the
@@ -49,7 +32,7 @@ f^T theta, the variance lam^2 f^T A^{-1} f and q agree with it in exact
 arithmetic, the groups outside J_j stay exactly 0, no step scales by agent,
 and the prior variance is w_j . f^2. The k states are stacked: A^{-1} as
 (k, D, D), theta as (k, D), the candidate variances as (k, G) and the
-log-determinants as (k,).
+log-determinants as (k,). ``GpUcb`` is a group of one agent.
 
 The lockstep observe delays its rank-one updates. ``inv`` holds A^{-1} as
 of the last fold, and the first ``held`` rows of the (k, D, D) block
@@ -70,16 +53,23 @@ d_j = |J_j|. A step of a single agent is bound by numpy call overhead, so
 on the 500-point grid 20 agents in lockstep cost 6.9 us per agent-step
 at d=5, 11.9 us at d=50 and 11.2 us under the 8 kernels of a learned run
 (union width 50), against 6.6, 17.4 and 17.3 us with a dense rank-one
-update per observation and 48 and 62 us for a lone ``GpUcb`` step
-(``BENCH_15.json``, one BLAS thread, 2 shared cores). At d=5 the thin
-product and the fold cost a little more than the small dense update
-they replace.
+update per observation (``BENCH_15.json``, one BLAS thread, 2 shared
+cores). At d=5 the thin product and the fold cost a little more than the
+small dense update they replace.
 
-On the drift workload above, lockstep agents differ from the QR posterior
-by at most 6e-14 on the mean and 1.4e-15 on the variance after 100
-observations and by 3e-12 and 8e-14 after 2000, and from the
-log-determinant gain by 1e-12 and 5e-11. The recursive theta does not
-multiply the error of A^{-1} by |b|, as theta = A^{-1} b does.
+There is no periodic refactor from scratch. The update only subtracts
+rank-one terms, and the drift stays at rounding level. Measured on the
+full 50-group cosine kernel (d=50, G=500, lam=0.1) for 4 tasks of the
+default synthetic environment at seed 0 (task values up to 11 in
+magnitude, noise 0.1, 10 uniform draws and then UCB choices), against a
+Householder-QR least-squares posterior and the log-determinant of A:
+lockstep agents differ by at most 6e-14 on the mean and 1.4e-15 on the
+variance after 100 observations and by 3e-12 and 8e-14 after 2000, when
+the smallest variance on the grid is 5e-6, and from the log-determinant
+gain by 1e-12 and 5e-11. The recursive theta does not multiply the error
+of A^{-1} by |b|, as theta = A^{-1} b does. Variances are clamped at zero
+where they are read. A property test pins the drift against a
+from-scratch Cholesky posterior.
 
 UCB scores can tie exactly. Cosine features satisfy
 cos(j pi (1 - x)) = (-1)^j cos(j pi x), so under every kernel the prior
@@ -108,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyKernelError
-from .features import FeatureAtlas, KernelEstimate, selected_features
+from .features import FeatureAtlas, KernelEstimate
 
 _INFO_GAIN_HARD = 1e-6
 TIE_TOLERANCE = 1e-12
@@ -144,56 +134,13 @@ class UcbConfig:
             )
 
 
-class PosteriorState:
-    """Primal ridge posterior in d dimensions, kept as A^{-1}, b and theta."""
-
-    def __init__(self, dim: int, lam: float) -> None:
-        if dim < 1:
-            raise ValueError("need at least one feature dimension")
-        if lam <= 0:
-            raise ValueError("regularizer must be positive")
-        self.dim = dim
-        self.lam = float(lam)
-        self.inv = np.eye(dim) / (lam * lam)
-        self.b = np.zeros(dim)
-        self.theta = np.zeros(dim)
-        self.count = 0
-        self._log_det_ratio = 0.0  # log det A - d log lam^2
-
-    def observe(self, phi: np.ndarray, y: float) -> np.ndarray:
-        """Fold in one observation (phi already sqrt-weight scaled).
-
-        Returns w = A^{-1} phi / sqrt(1 + phi^T A^{-1} phi) with A before the
-        update, the vector the inverse was lowered by: the variance at any
-        feature vector psi drops by lam^2 (psi^T w)^2.
-        """
-        phi = np.asarray(phi, dtype=float).reshape(-1)
-        if phi.shape[0] != self.dim:
-            raise ValueError("feature dimension mismatch")
-        u = self.inv @ phi
-        q = 1.0 + float(phi @ u)
-        w = u / np.sqrt(q)
-        self.inv -= np.outer(w, w)
-        self.b += phi * float(y)
-        self.theta = self.inv @ self.b
-        self.count += 1
-        self._log_det_ratio += float(np.log(q))
-        return w
-
-    def mean_var_many(self, Phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized posterior over the rows of a scaled feature matrix."""
-        var = self.lam**2 * np.einsum("ij,ij->i", Phi @ self.inv, Phi)
-        return Phi @ self.theta, np.maximum(var, 0.0)
-
-    def info_gain(self) -> float:
-        """Realized information gain of the observations folded in so far."""
-        return 0.5 * self._log_det_ratio
-
-
 def ucb_choice(scores: np.ndarray) -> np.ndarray:
     """Index of the top score along the last axis: the lowest index whose
-    score is at least top - TIE_TOLERANCE * max(1, |top|)."""
+    score is at least top - TIE_TOLERANCE * max(1, |top|). A NaN or an
+    infinite top score raises: no score compares with it."""
     top = scores.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError("UCB scores hold a NaN or an infinity")
     floor = top - TIE_TOLERANCE * np.maximum(np.abs(top), 1.0)
     return (scores >= floor).argmax(axis=-1)
 
@@ -233,84 +180,6 @@ def realized_info_gain(gram: np.ndarray, lam: float) -> float:
     return 0.5 * float(np.log1p(np.maximum(eigs, 0.0) / (lam * lam)).sum())
 
 
-class GpUcb:
-    """Upper-confidence-bound policy on a fixed candidate set.
-
-    One agent under one kernel estimate, the reference ``LockstepUcb`` is
-    tested against; the task loop reads only the ``estimate`` and ``config``
-    of the agents its solver factory returns. ``select(candidates)`` returns
-    the index of the chosen candidate (see ``ucb_choice``), ``observe(index,
-    y)`` folds in the reward for a candidate and ``observe_point`` that at an
-    arbitrary in-domain point. The agent caches the features of the last
-    candidate array passed, which it keeps a reference to, and beside them
-    the posterior variance at every candidate. The variances are computed
-    from the current posterior when the array is first seen and lowered in
-    place by every observation after that, so repeated calls with the same
-    grid object cost one feature evaluation total and no solve.
-    """
-
-    def __init__(self, atlas: FeatureAtlas, estimate: KernelEstimate, config: UcbConfig) -> None:
-        if estimate.is_empty:
-            raise EmptyKernelError("cannot run the solver on an empty kernel estimate")
-        self.atlas = atlas
-        self.estimate = estimate
-        self.config = config
-        self.state = PosteriorState(estimate.size, config.lam)
-        self.max_gain_slack = -np.inf
-        self._grid: np.ndarray | None = None
-        self._grid_features: np.ndarray | None = None
-        self._grid_var: np.ndarray | None = None
-
-    def _features_for(self, candidates: np.ndarray) -> np.ndarray:
-        if self._grid is not candidates:
-            # hold the array itself: an id alone can be reused by a new array
-            # once the old one is freed
-            self._grid = candidates
-            self._grid_features = selected_features(self.atlas, self.estimate, candidates)
-            self._grid_var = self.state.mean_var_many(self._grid_features)[1]
-        return self._grid_features
-
-    def posterior(self, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at the candidate rows, as select sees them."""
-        Phi = self._features_for(candidates)
-        return Phi @ self.state.theta, np.maximum(self._grid_var, 0.0)
-
-    def select(self, candidates: np.ndarray) -> int:
-        """Index of the UCB choice over the candidate rows (see ``ucb_choice``)."""
-        mu, var = self.posterior(candidates)
-        if mu.shape[0] == 0:
-            raise ValueError("candidate set is empty")
-        return int(ucb_choice(mu + self.config.nu * np.sqrt(var)))
-
-    def observe(self, index: int, y: float, candidates: np.ndarray) -> None:
-        """Fold in the reward observed at candidate ``index``."""
-        Phi = self._features_for(candidates)
-        self._fold(Phi[index], y)
-
-    def observe_point(self, x, y: float) -> None:
-        """Fold in a reward observed at an arbitrary in-domain point."""
-        phi = selected_features(self.atlas, self.estimate, np.atleast_2d(np.asarray(x, float)))[0]
-        self._fold(phi, y)
-
-    def _fold(self, phi: np.ndarray, y: float) -> None:
-        w = self.state.observe(phi, y)
-        if self._grid_features is not None:
-            self._grid_var -= self.state.lam**2 * np.square(self._grid_features @ w)
-        self._check_info_gain()
-
-    def _check_info_gain(self) -> None:
-        gain = self.state.info_gain()
-        bound = info_gain_bound(self.state.dim, self.state.count, self.state.lam)
-        slack = gain - bound
-        if slack > self.max_gain_slack:
-            self.max_gain_slack = slack
-        # a NaN slack fails the gate too
-        if not slack <= _INFO_GAIN_HARD:
-            raise RuntimeError(
-                f"information gain {gain:.6f} exceeds its cap {bound:.6f}"
-            )
-
-
 class LockstepUcb:
     """k GP-UCB agents under one config, each with its own kernel, in lockstep.
 
@@ -321,9 +190,8 @@ class LockstepUcb:
     ``inv`` is the stacked A^{-1} as of the last fold and the first ``held``
     rows of ``pending`` the update vectors observed since, folded into
     ``inv`` once D of them are held; the module docstring describes this
-    state and what a step costs.
-    Each agent follows ``GpUcb``'s posterior up to rounding, and
-    ``ucb_choice`` keeps rounding from deciding a choice.
+    state and what a step costs. ``ucb_choice`` keeps rounding from
+    deciding a choice.
     """
 
     def __init__(self, features: np.ndarray, weights: np.ndarray, config: UcbConfig) -> None:
@@ -389,7 +257,51 @@ class LockstepUcb:
         np.maximum(self.max_gain_slack, slack, out=self.max_gain_slack)
         worst = int(slack.argmax())  # the first NaN, if any, which fails the gate too
         if not slack[worst] <= _INFO_GAIN_HARD:
+            # a q that is not a positive number broke the posterior first
+            broken = np.flatnonzero(~((q > 0) & (q < np.inf)))
+            if broken.size:
+                j = broken[0]
+                raise RuntimeError(f"agent {j}: q = 1 + phi^T A^-1 phi is {float(q[j])!r}")
             raise RuntimeError(
                 f"information gain {gain[worst]:.6f} exceeds its cap "
                 f"{gain[worst] - slack[worst]:.6f}"
             )
+
+
+class GpUcb:
+    """One GP-UCB agent under one kernel estimate: a one-agent ``LockstepUcb``.
+
+    ``select(candidates)`` returns the index of the UCB choice among the
+    candidate rows and ``observe(index, y, candidates)`` folds in the reward
+    observed at one of them. The agent is bound to the first candidate array
+    it is given, whose features it evaluates once; any other array raises
+    ``ValueError``. The runners step ``LockstepUcb`` groups directly;
+    perfbench's tracer wraps this class's ``__init__``, ``select`` and
+    ``observe``.
+    """
+
+    def __init__(self, atlas: FeatureAtlas, estimate: KernelEstimate, config: UcbConfig) -> None:
+        if estimate.is_empty:
+            raise EmptyKernelError("cannot run the solver on an empty kernel estimate")
+        self.atlas = atlas
+        self.estimate = estimate
+        self.config = config
+        self.candidates: np.ndarray | None = None
+        self.group: LockstepUcb | None = None
+
+    def _group_over(self, candidates: np.ndarray) -> LockstepUcb:
+        if self.group is None:
+            self.candidates = candidates
+            table = self.atlas.concat_many(candidates)
+            self.group = LockstepUcb.over_table(table, [self.estimate], self.config)
+        elif candidates is not self.candidates:
+            raise ValueError("the agent is bound to the first candidate array it was given")
+        return self.group
+
+    def select(self, candidates: np.ndarray) -> int:
+        """Index of the UCB choice over the candidate rows (see ``ucb_choice``)."""
+        return int(self._group_over(candidates).select()[0])
+
+    def observe(self, index: int, y: float, candidates: np.ndarray) -> None:
+        """Fold in the reward observed at candidate ``index``."""
+        self._group_over(candidates).observe(np.array([index]), np.array([float(y)]))

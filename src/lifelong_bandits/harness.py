@@ -37,7 +37,6 @@ from .lifelong import (
     META_DATA,
     LifelongRunRecord,
     ScheduleMode,
-    default_solver_factory,
     run_baseline,
     run_lifelong,
 )
@@ -464,7 +463,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: Looku
             (m, trial.exact, trial.fallback, len(trial.selected))
             for m, trial in zip(config.m_values, trials)
         ]
-    factory = default_solver_factory(UcbConfig(nu=config.nu, lam=config.lam_ucb))
+    ucb = UcbConfig(nu=config.nu, lam=config.lam_ucb)
     env = _build_environment(config, seed, max(config.m, 1), table)
     m = config.m if config.m > 0 else env.m
     if config.kind in ("baseline_oracle", "baseline_full"):
@@ -473,7 +472,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: Looku
             config.baseline_kernel,
             m,
             config.n,
-            solver_factory=factory,
+            ucb=ucb,
             seed=seed,
             config_digest=digest,
         )
@@ -485,7 +484,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: Looku
             config.omega,
             config.lam,
             config.alpha,
-            solver_factory=factory,
+            ucb=ucb,
             seed=seed,
             solver_tol=config.solver_tol,
             solver_max_iter=config.solver_max_iter,
@@ -500,7 +499,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: Looku
         lam_policy=config.lam_policy,
         schedule_mode=ScheduleMode(config.schedule),
         meta_data=config.meta_data,
-        solver_factory=factory,
+        ucb=ucb,
         seed=seed,
         solver_tol=config.solver_tol,
         solver_max_iter=config.solver_max_iter,

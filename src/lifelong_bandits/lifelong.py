@@ -12,9 +12,9 @@ task in one ``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a
 prior weight over the union of the tasks' groups, with the features sliced
 once from the environment's feature table. An after-task hook, when given,
 sees each finished task before the next is planned, so every task then
-steps alone on the same code path. A run uses one ``UcbConfig``, which the
-solver factory's agents must share. The runners differ only in where the
-kernel comes from:
+steps alone on the same code path. A run uses one ``UcbConfig``, its
+``ucb`` argument. The runners differ only in where the kernel comes
+from:
 
 ``run_lifelong``
     a pooled group-lasso fit over the tasks so far, warm-started from the
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ConfigError
 from .environment import TaskView
 from .features import KernelEstimate
-from .gp_ucb import GpUcb, LockstepUcb, UcbConfig
+from .gp_ucb import LockstepUcb, UcbConfig
 from .group_lasso import GroupCoefficients, PooledDesign, padded_warm_start
 from .seeding import STREAM_EXPLORE, substream
 # design_from_tasks stays bound here: perfbench's tracer wraps this binding
@@ -144,15 +144,6 @@ class LifelongRunRecord:
         return float(self.cumulative_regret()[-1])
 
 
-def default_solver_factory(config: UcbConfig | None = None):
-    cfg = config if config is not None else UcbConfig()
-
-    def make(atlas, estimate):
-        return GpUcb(atlas, estimate, cfg)
-
-    return make
-
-
 @dataclass
 class _Plan:
     """One task after the plan pass: its forced draws, the noise of all its
@@ -165,12 +156,13 @@ class _Plan:
     estimate: KernelEstimate
 
 
-def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, solver_factory, after_task=None):
+def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, ucb=UcbConfig(), after_task=None):
     """The task loop every runner shares; appends one TaskRecord per task.
 
     ``mode`` sets the forced-draw counts (None: no forced draws).
     ``kernel_for(s, drawn, drawn_y)`` gets the task's forced grid indices and
-    their rewards and returns the estimate to run under.
+    their rewards and returns the estimate to run under. Every task's agent
+    runs under the GP-UCB config ``ucb``.
 
     The plan pass draws, per task, the forced prefix and the noise of all n
     observations and asks ``kernel_for`` for the estimate. Nothing in it
@@ -182,7 +174,6 @@ def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, solver_factory, aft
     if not 1 <= m <= env.m:
         raise ConfigError("environment has too few tasks")
     counts = [0] * m if mode is None else ExplorationSchedule.build(mode, n, m).counts.tolist()
-    make_agent = solver_factory if solver_factory is not None else default_solver_factory()
     plans = []
     for s, explore_count in enumerate(counts, start=1):
         view = env.task_view(s)
@@ -194,26 +185,21 @@ def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, solver_factory, aft
         if after_task is None:
             plans.append(plan)
         else:
-            record.tasks += _run_agents(env, n, [plan], make_agent, record)
+            record.tasks += _run_agents(env, n, [plan], ucb, record)
             after_task(record.tasks[-1])
     if plans:
-        record.tasks += _run_agents(env, n, plans, make_agent, record)
+        record.tasks += _run_agents(env, n, plans, ucb, record)
 
 
-def _run_agents(env, n, plans, make_agent, record) -> list[TaskRecord]:
+def _run_agents(env, n, plans, ucb, record) -> list[TaskRecord]:
     """Run the planned tasks, n steps each, in one ``LockstepUcb``.
 
-    The factory makes one agent per task from its estimate, and only the
-    agent's ``estimate`` (the task's prior weight) and ``config`` (one for
-    all) are read. Each task observes its forced draws first, then its UCB
+    Each task's estimate is its agent's prior weight, and ``ucb`` the config
+    of all. Each task observes its forced draws first, then its UCB
     choices; an observation is the task's grid value plus its pre-drawn
     noise term.
     """
-    agents = (make_agent(env.atlas, plan.estimate) for plan in plans)
-    estimates, configs = zip(*((agent.estimate, agent.config) for agent in agents))
-    if len(set(configs)) > 1:
-        raise ValueError("the solver factory's agents must share one UcbConfig")
-    group = LockstepUcb.over_table(env.grid_features, estimates, configs[0])
+    group = LockstepUcb.over_table(env.grid_features, [plan.estimate for plan in plans], ucb)
     values = np.stack([plan.view.values for plan in plans])
     noise = np.stack([plan.noise for plan in plans])
     actions = np.empty((len(plans), n), dtype=int)
@@ -284,7 +270,7 @@ def run_lifelong(
     lam_policy: str = "constant",
     schedule_mode: ScheduleMode = ScheduleMode.DECREASING,
     meta_data: str = "exploration",
-    solver_factory=None,
+    ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
     solver_tol: float = 1e-8,
     solver_max_iter: int = 50_000,
@@ -296,8 +282,8 @@ def run_lifelong(
     produced after task s-1; a non-converged fit keeps the prior estimate,
     while a converged fit that selects nothing installs the full kernel.
     ``meta_data`` chooses what the fit sees: "exploration" pools only the
-    forced draws, "all" pools every observation. A run uses one config: the
-    agents ``solver_factory`` makes, one per task, must share it.
+    forced draws, "all" pools every observation. Every task's agent runs
+    under the GP-UCB config ``ucb``.
     """
     if lam_policy not in LAM_POLICIES:
         raise ConfigError(f"unknown lam policy: {lam_policy!r}")
@@ -359,8 +345,7 @@ def run_lifelong(
 
     _run_tasks(
         env, m, n, schedule_mode, record, kernel_for,
-        seed=seed, solver_factory=solver_factory,
-        after_task=after_task if meta_data == "all" else None,
+        seed=seed, ucb=ucb, after_task=after_task if meta_data == "all" else None,
     )
     record.final_kernel = estimate.selected
     return record
@@ -372,14 +357,12 @@ def run_baseline(
     m: int,
     n: int,
     *,
-    solver_factory=None,
+    ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
     config_digest: str = "",
 ) -> LifelongRunRecord:
-    """Run m tasks under a pinned kernel: the true support or the full set.
-
-    A run uses one config: the agents ``solver_factory`` makes must share it.
-    """
+    """Run m tasks under a pinned kernel, the true support or the full set,
+    each task's agent under the GP-UCB config ``ucb``."""
     if kernel not in BASELINE_KERNELS:
         raise ConfigError(f"unknown baseline kernel: {kernel!r}")
     if kernel == "full":
@@ -389,9 +372,6 @@ def run_baseline(
     else:
         estimate = KernelEstimate(p=env.atlas.p, selected=env.support)
     record = LifelongRunRecord(seed=seed, config_digest=config_digest)
-    _run_tasks(
-        env, m, n, None, record, lambda *_: estimate,
-        seed=seed, solver_factory=solver_factory,
-    )
+    _run_tasks(env, m, n, None, record, lambda *_: estimate, seed=seed, ucb=ucb)
     record.final_kernel = estimate.selected
     return record

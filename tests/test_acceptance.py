@@ -21,7 +21,7 @@ from lifelong_bandits.environment import (
 )
 from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate
 from lifelong_bandits.federated import ClientVote, VoteLedger, run_federated
-from lifelong_bandits.gp_ucb import GpUcb, PosteriorState, UcbConfig
+from lifelong_bandits.gp_ucb import LockstepUcb, UcbConfig
 from lifelong_bandits.group_lasso import (
     PooledDesign,
     fit_group_lasso,
@@ -30,8 +30,9 @@ from lifelong_bandits.group_lasso import (
 )
 from lifelong_bandits.harness import build_config, parse_config, run_experiment
 from lifelong_bandits.lifelong import (
+    LifelongRunRecord,
     ScheduleMode,
-    default_solver_factory,
+    _run_tasks,
     integerize,
     run_baseline,
     run_lifelong,
@@ -162,21 +163,25 @@ def _dual_mean_var(Phi: np.ndarray, y: np.ndarray, phi: np.ndarray, lam: float):
 
 
 def test_criterion_3_primal_dual_posterior_equivalence():
+    # the posterior the runners step: a one-agent group on cosine atlas rows
+    # at uniform points, all dim groups at weight 1/dim, so the kernel
+    # diagonal is at most 1 as the information-gain cap assumes
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
         dim = int(rng.integers(1, 9))
         lam = float(rng.uniform(0.05, 2.0))
         n_obs = int(rng.integers(1, 21))
-        Phi = rng.standard_normal((n_obs, dim))
+        points = rng.uniform(size=(n_obs + 1, 1))  # n_obs observed, one query
+        table = FeatureAtlas(BasisFamily.COSINE_1D, dim).concat_many(points)
         y = rng.standard_normal(n_obs)
-        state = PosteriorState(dim, lam)
+        group = LockstepUcb(table, np.full((1, dim), 1.0 / dim), UcbConfig(lam=lam))
         for i in range(n_obs):
-            state.observe(Phi[i], float(y[i]))
-        phi = rng.standard_normal(dim)
-        means, variances = state.mean_var_many(phi[None, :])
-        mean_p, var_p = float(means[0]), float(variances[0])
-        mean_d, var_d = _dual_mean_var(Phi, y, phi, lam)
+            group.observe(np.array([i]), y[i : i + 1])
+        mean_p = float(group.theta[0] @ table[n_obs])
+        var_p = max(float(group.var[0, n_obs]), 0.0)
+        Phi = table / np.sqrt(dim)  # the rows whose inner products are the kernel
+        mean_d, var_d = _dual_mean_var(Phi[:n_obs], y, Phi[n_obs], lam)
         worst = max(worst, abs(mean_p - mean_d), abs(var_p - var_d))
     ok = worst <= 1e-8
     detail = f"worst primal/dual deviation {worst:.2e} over 100 states (tol 1e-08)"
@@ -188,49 +193,40 @@ def test_criterion_3_primal_dual_posterior_equivalence():
 # criteria 4 and 5 share one 20-seed regret study
 
 
-def _true_kernel_factory(env, config: UcbConfig):
-    """Solver factory that ignores the loop's estimate and runs on the true groups."""
-    truth = KernelEstimate(env.atlas.p, env.support)
-
-    def make(atlas, _estimate):
-        return GpUcb(atlas, truth, config)
-
-    return make
-
-
 @pytest.fixture(scope="module")
 def regret_study():
     spec = SyntheticSpec()
     ucb = UcbConfig(nu=10.0, lam=0.1)
-    factory = default_solver_factory(ucb)
     m, n = 20, 100
     records = {"oracle": [], "naive": [], "learned": [], "federated": [], "matched": []}
     t0 = time.time()
     for seed in range(20):
         env = SyntheticEnvironment(spec, n_tasks=m, master_seed=seed)
         records["oracle"].append(
-            run_baseline(env, "oracle", m, n, solver_factory=factory, seed=seed)
+            run_baseline(env, "oracle", m, n, ucb=ucb, seed=seed)
         )
         records["naive"].append(
-            run_baseline(env, "full", m, n, solver_factory=factory, seed=seed)
+            run_baseline(env, "full", m, n, ucb=ucb, seed=seed)
         )
         records["learned"].append(
             run_lifelong(
                 env, m, n, 0.25, 0.5,
-                lam_policy="inv_sqrt", solver_factory=factory, seed=seed,
+                lam_policy="inv_sqrt", ucb=ucb, seed=seed,
             )
         )
         records["federated"].append(
-            run_federated(env, m, n, 0.25, 0.2, 0.25, solver_factory=factory, seed=seed)
+            run_federated(env, m, n, 0.25, 0.2, 0.25, ucb=ucb, seed=seed)
         )
-        # criterion 5's comparator: the same lifelong loop, so the same
-        # schedule, forced draws and noise, with the agent on the true groups
-        records["matched"].append(
-            run_lifelong(
-                env, m, n, 0.25, 0.5, lam_policy="inv_sqrt", seed=seed,
-                solver_factory=_true_kernel_factory(env, ucb),
-            )
+        # criterion 5's comparator: the lifelong task loop and schedule with
+        # the true groups for every task; the forced draws and the noise come
+        # from the seed's substreams, not from the kernel, so they are the
+        # learned run's
+        matched = LifelongRunRecord(seed=seed, config_digest="")
+        truth = KernelEstimate(env.atlas.p, env.support)
+        _run_tasks(
+            env, m, n, ScheduleMode.DECREASING, matched, lambda *_: truth, seed=seed, ucb=ucb
         )
+        records["matched"].append(matched)
     records["elapsed"] = time.time() - t0
     return records
 

@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion on small arguments."""
+"""Every script under demos/, and the README's library quickstart, runs to
+completion on small arguments."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 import lifelong_bandits
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 ARGS = {
     "federated_votes.py": ["--clients", "3", "--steps", "20"],
@@ -35,3 +38,11 @@ def test_demo_runs(name):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out

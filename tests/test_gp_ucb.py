@@ -18,7 +18,6 @@ from lifelong_bandits.features import (
 from lifelong_bandits.gp_ucb import (
     GpUcb,
     LockstepUcb,
-    PosteriorState,
     UcbConfig,
     info_gain_bound,
     realized_info_gain,
@@ -44,38 +43,52 @@ def dual_posterior(Phi, y, phi_query, lam):
     return mean, var
 
 
-def mean_var(state, phi):
-    """Posterior mean and variance at one scaled feature vector: one row of
-    ``mean_var_many``."""
-    means, variances = state.mean_var_many(np.asarray(phi, dtype=float)[None, :])
-    return float(means[0]), float(variances[0])
+def one_agent(points, dim, lam):
+    """A one-agent ``LockstepUcb`` over the cosine atlas rows of ``points``
+    under all ``dim`` groups at weight 1/dim, and those rows scaled by
+    sqrt(1/dim): the features whose inner products are the agent's kernel."""
+    table = FeatureAtlas(BasisFamily.COSINE_1D, dim).concat_many(np.reshape(points, (-1, 1)))
+    group = LockstepUcb(table, np.full((1, dim), 1.0 / dim), UcbConfig(lam=lam))
+    return group, table / np.sqrt(dim)
+
+
+def observe(group, index, y):
+    group.observe(np.array([index]), np.array([float(y)]))
+
+
+def posterior(group):
+    """The one agent's posterior mean and variance at every candidate row,
+    as ``select`` reads them."""
+    return group.theta[0] @ group.features.T, np.maximum(group.var[0], 0.0)
 
 
 class TestPosteriorState:
+    """The posterior state of one agent, on the atlas rows it sees."""
+
     def test_prior(self):
-        state = PosteriorState(dim=3, lam=0.5)
-        phi = np.array([1.0, 2.0, 2.0])
-        mean, var = mean_var(state, phi)
-        assert mean == 0.0
-        assert var == pytest.approx(9.0)
+        group, scaled = one_agent([0.0, 0.3], dim=3, lam=0.5)
+        mean, var = posterior(group)
+        assert not mean.any()
+        # the prior variance is the kernel diagonal, 1 where every cosine is
+        assert var[0] == pytest.approx(1.0)
+        assert var[1] == pytest.approx(scaled[1] @ scaled[1])
 
     def test_one_observation_hand_values(self):
-        # lam=1, phi=e1: A = diag(2,1), b = y0 e1, mean = y0/2, var = 1/2
-        state = PosteriorState(dim=2, lam=1.0)
-        phi = np.array([1.0, 0.0])
-        state.observe(phi, 3.0)
-        mean, var = mean_var(state, phi)
-        assert mean == pytest.approx(1.5)
-        assert var == pytest.approx(0.5)
+        # lam=1, one group, x=0 so f=1: A = 2, b = y0, mean = y0/2, var = 1/2
+        group, _ = one_agent([0.0], dim=1, lam=1.0)
+        observe(group, 0, 3.0)
+        mean, var = posterior(group)
+        assert mean[0] == pytest.approx(1.5)
+        assert var[0] == pytest.approx(0.5)
 
     def test_one_observation_matches_dual(self):
-        state = PosteriorState(dim=2, lam=1.0)
-        phi = np.array([1.0, 0.0])
-        state.observe(phi, 3.0)
-        mean, var = mean_var(state, phi)
-        dm, dv = dual_posterior(phi[None, :], np.array([3.0]), phi, 1.0)
-        assert mean == pytest.approx(dm)
-        assert var == pytest.approx(dv)
+        group, scaled = one_agent([0.3, 0.7], dim=2, lam=1.0)
+        observe(group, 0, 3.0)
+        mean, var = posterior(group)
+        for i in range(2):
+            dm, dv = dual_posterior(scaled[:1], np.array([3.0]), scaled[i], 1.0)
+            assert mean[i] == pytest.approx(dm)
+            assert var[i] == pytest.approx(dv)
 
     def test_primal_equals_dual_randomized(self):
         rng = np.random.default_rng(0)
@@ -84,67 +97,66 @@ class TestPosteriorState:
             d = int(rng.integers(1, 7))
             n = int(rng.integers(0, 21))
             lam = float(rng.uniform(0.05, 2.0))
-            Phi = rng.normal(size=(n, d))
+            # n observed points and one query point
+            group, scaled = one_agent(rng.uniform(size=n + 1), d, lam)
             y = rng.normal(size=n)
-            state = PosteriorState(dim=d, lam=lam)
             for i in range(n):
-                state.observe(Phi[i], y[i])
-            q = rng.normal(size=d)
-            mean, var = mean_var(state, q)
-            dm, dv = dual_posterior(Phi, y, q, lam)
-            worst = max(worst, abs(mean - dm), abs(var - dv))
+                observe(group, i, y[i])
+            mean, var = posterior(group)
+            dm, dv = dual_posterior(scaled[:n], y, scaled[n], lam)
+            worst = max(worst, abs(mean[n] - dm), abs(var[n] - dv))
         assert worst < 1e-8
 
     def test_variance_never_increases(self):
         rng = np.random.default_rng(1)
-        state = PosteriorState(dim=4, lam=0.3)
-        q = rng.normal(size=4)
-        _, prev = mean_var(state, q)
+        group, _ = one_agent(rng.uniform(size=40), dim=4, lam=0.3)
+        prev = posterior(group)[1]
         for _ in range(30):
-            state.observe(rng.normal(size=4), rng.normal())
-            _, var = mean_var(state, q)
-            assert var <= prev + 1e-12
+            observe(group, int(rng.integers(40)), rng.normal())
+            var = posterior(group)[1]
+            assert (var <= prev + 1e-12).all()
             prev = var
 
     def test_observation_order_is_irrelevant(self):
         rng = np.random.default_rng(2)
-        Phi = rng.normal(size=(8, 3))
+        points = rng.uniform(size=9)
         y = rng.normal(size=8)
-        a = PosteriorState(dim=3, lam=0.7)
-        b = PosteriorState(dim=3, lam=0.7)
+        a, _ = one_agent(points, dim=3, lam=0.7)
+        b, _ = one_agent(points, dim=3, lam=0.7)
         for i in range(8):
-            a.observe(Phi[i], y[i])
-            b.observe(Phi[7 - i], y[7 - i])
-        q = rng.normal(size=3)
-        assert mean_var(a, q) == pytest.approx(mean_var(b, q))
+            observe(a, i, y[i])
+            observe(b, 7 - i, y[7 - i])
+        for got, want in zip(posterior(a), posterior(b)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_small_lam_interpolates(self):
         rng = np.random.default_rng(3)
-        Phi = np.eye(3)
         y = rng.normal(size=3)
-        state = PosteriorState(dim=3, lam=1e-4)
+        group, _ = one_agent([0.1, 0.45, 0.8], dim=3, lam=1e-4)
         for i in range(3):
-            state.observe(Phi[i], y[i])
-        for i in range(3):
-            mean, var = mean_var(state, Phi[i])
-            assert mean == pytest.approx(y[i], abs=1e-6)
-            assert var == pytest.approx(0.0, abs=1e-6)
+            observe(group, i, y[i])
+        mean, var = posterior(group)
+        np.testing.assert_allclose(mean, y, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(var, 0.0, rtol=0, atol=1e-6)
 
     def test_mean_var_many_matches_scalar(self):
+        # the variances kept beside the candidates, lowered once per
+        # observation, equal lam^2 f^T A^{-1} f from the inverse as of the
+        # last fold and the update vectors held since, row by row, and the
+        # dual formulas
         rng = np.random.default_rng(4)
-        state = PosteriorState(dim=3, lam=0.4)
-        seen = [(rng.normal(size=3), rng.normal()) for _ in range(6)]
-        for phi, y in seen:
-            state.observe(phi, y)
-        Phi, y = np.array([phi for phi, _ in seen]), np.array([y for _, y in seen])
-        Q = rng.normal(size=(10, 3))
-        means, variances = state.mean_var_many(Q)
-        for i in range(10):
-            # each batch row equals the query alone and the dual formulas
-            m, v = mean_var(state, Q[i])
-            assert means[i] == pytest.approx(m)
-            assert variances[i] == pytest.approx(v)
-            dm, dv = dual_posterior(Phi, y, Q[i], 0.4)
+        group, scaled = one_agent(rng.uniform(size=16), dim=4, lam=0.4)
+        y = rng.normal(size=6)
+        for i in range(6):
+            observe(group, i, y[i])
+        assert group.held == 2
+        held = group.pending[0, : group.held]
+        inverse = group.inv[0] - held.T @ held
+        means, variances = posterior(group)
+        for i, f in enumerate(group.features):
+            assert means[i] == pytest.approx(f @ group.theta[0])
+            assert variances[i] == pytest.approx(0.4**2 * f @ inverse @ f)
+            dm, dv = dual_posterior(scaled[:6], y, scaled[i], 0.4)
             assert means[i] == pytest.approx(dm)
             assert variances[i] == pytest.approx(dv)
 
@@ -165,12 +177,11 @@ class TestInfoGain:
 
     def test_state_tracks_realized(self):
         rng = np.random.default_rng(5)
-        Phi = rng.normal(size=(12, 3))
-        state = PosteriorState(dim=3, lam=0.6)
+        group, scaled = one_agent(rng.uniform(size=12), dim=3, lam=0.6)
         for i in range(12):
-            state.observe(Phi[i], 0.0)
-        expected = realized_info_gain(Phi @ Phi.T, 0.6)
-        assert state.info_gain() == pytest.approx(expected, abs=1e-9)
+            observe(group, i, 0.0)
+        expected = realized_info_gain(scaled @ scaled.T, 0.6)
+        assert 0.5 * group.log_det[0] == pytest.approx(expected, abs=1e-9)
 
     def test_rejects_indefinite_gram(self):
         with pytest.raises(ValueError):
@@ -222,6 +233,16 @@ class TestUcbChoice:
         assert ucb_choice(np.array([top * (1 - 1e-9), top])) == 1
         assert ucb_choice(np.array([0.5, 0.5 + 1e-9])) == 1
 
+    @pytest.mark.parametrize(
+        "scores",
+        [[[np.nan, 1.0, 2.0]], [[0.0, 1.0, 0.0], [1.0, np.nan, 2.0]], [[1.0, np.inf, 2.0]]],
+    )
+    def test_nan_or_infinite_top_raises(self, scores):
+        # a NaN top compares with no score, and an infinite one leaves a NaN
+        # floor, so either would give index 0 whatever the scores
+        with pytest.raises(ValueError, match="NaN or an infinity"):
+            ucb_choice(np.array(scores))
+
     def test_rows_are_decided_separately(self):
         scores = np.array([[2.0, 2.0, 1.0], [0.0, 1.0, 1.0 + 1e-9], [5.0, 4.0, 5.0]])
         assert ucb_choice(scores).tolist() == [0, 2, 0]
@@ -242,47 +263,34 @@ class TestGpUcb:
     def test_mirror_tie_goes_to_the_lower_index(self):
         atlas, est, mirror = mirror_pair()
         agent = GpUcb(atlas, est, UcbConfig())
-        _, var = agent.posterior(mirror)
-        assert var[1] > var[0]
         assert agent.select(mirror) == 0
+        assert agent.group.var[0, 1] > agent.group.var[0, 0]
 
     def test_pure_exploitation_picks_posterior_argmax(self):
         atlas, est, grid, agent = make_agent(selected=(1,), nu=0.0, lam=0.1)
         # teach it that the function is phi_1, scaled: peak at x=0
-        for idx in (10, 30, 50):
-            x = grid[idx]
-            y = float(selected_features(atlas, est, [x])[0, 0] * 2.0)
-            agent.observe(idx, y, grid)
+        seen = [10, 30, 50]
+        Q = selected_features(atlas, est, grid)
+        y = 2.0 * Q[seen, 0]
+        for idx, yi in zip(seen, y):
+            agent.observe(idx, float(yi), grid)
         choice = agent.select(grid)
-        means, _ = agent.state.mean_var_many(selected_features(atlas, est, grid))
+        means, _ = scratch_posterior(Q[seen], y, Q, 0.1)
         assert choice == int(np.argmax(means))
 
-    def test_observe_point_equals_observe_index(self):
-        atlas, est, grid, a = make_agent()
-        _, _, _, b = make_agent()
-        for idx in (3, 17, 44):
-            a.observe(idx, 1.0, grid)
-            b.observe_point(grid[idx], 1.0)
-        q = grid[25]
-        pa = mean_var(a.state, selected_features(atlas, est, [q])[0])
-        pb = mean_var(b.state, selected_features(atlas, est, [q])[0])
-        assert pa == pytest.approx(pb)
-
-    def test_new_candidate_array_gets_its_own_features(self):
-        # Once a candidate array is freed, a new array of the same size
-        # usually takes its address and id (np.empty right after the free
-        # does so on CPython). The agent must still evaluate features at the
-        # new array's points, so it may not key anything on the id.
-        for _ in range(20):
-            atlas, est, _, agent = make_agent(selected=(1,))
-            first = np.full((50, 1), 0.3)
-            agent.select(first)
-            del first
-            fresh = np.empty((50, 1))
-            fresh.fill(0.7)
-            agent.observe(0, 1.0, fresh)
-            expected = selected_features(atlas, est, fresh)[0]
-            np.testing.assert_allclose(agent.state.b, expected, rtol=0, atol=1e-15)
+    def test_other_candidate_array_rejected(self):
+        # the agent holds the first array it is given, so no other array,
+        # not even an equal copy, can pass for it
+        atlas, est, grid, agent = make_agent(selected=(1,))
+        agent.observe(3, 1.0, grid)
+        with pytest.raises(ValueError, match="bound"):
+            agent.select(grid.copy())
+        with pytest.raises(ValueError, match="bound"):
+            agent.observe(0, 1.0, grid.copy())
+        # the rejected calls left the agent as it was
+        assert agent.group.count == 1
+        np.testing.assert_array_equal(agent.group.features, atlas.concat_many(grid)[:, :1])
+        assert 0 <= agent.select(grid) < len(grid)
 
     def test_info_gain_never_exceeds_bound(self):
         rng = np.random.default_rng(6)
@@ -290,7 +298,7 @@ class TestGpUcb:
         for _ in range(80):
             idx = int(rng.integers(len(grid)))
             agent.observe(idx, float(rng.normal()), grid)
-        assert agent.max_gain_slack <= 0.0 + 1e-12
+        assert agent.group.max_gain_slack[0] <= 0.0 + 1e-12
 
     def test_finds_peak_of_smooth_reward(self):
         # reward 2*cos(pi x) restricted to its own kernel: peak at grid point 0
@@ -326,13 +334,15 @@ class TestGpUcb:
 
 
 def assert_group_matches(group, agents, grid):
-    """Each lockstep agent's mean, variance and gain equal its ``GpUcb``'s."""
+    """Each lockstep agent's mean, variance and gain equal those of its own
+    ``GpUcb``, a group of one at the width of its own kernel."""
     for j, agent in enumerate(agents):
-        mean, var = agent.posterior(grid)
+        assert agent.candidates is grid
+        mean, var = posterior(agent.group)
         np.testing.assert_allclose(group.theta[j] @ group.features.T, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.maximum(group.var[j], 0.0), var, rtol=0, atol=1e-12)
-        assert 0.5 * group.log_det[j] == pytest.approx(agent.state.info_gain(), abs=1e-12)
-        assert group.max_gain_slack[j] == pytest.approx(agent.max_gain_slack, abs=1e-12)
+        assert 0.5 * group.log_det[j] == pytest.approx(0.5 * agent.group.log_det[0], abs=1e-12)
+        assert group.max_gain_slack[j] == pytest.approx(agent.group.max_gain_slack[0], abs=1e-12)
 
 
 class TestLockstepUcb:
@@ -420,14 +430,24 @@ class TestLockstepUcb:
 
     def test_nan_gain_fails_the_cap(self):
         # a posterior gone NaN must not pass the gate as a False comparison
-        atlas, est, grid, agent = make_agent()
+        atlas, est, grid, _ = make_agent()
         group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
         group.log_det[1] = np.nan
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
-        agent.state._log_det_ratio = np.nan
-        with pytest.raises(RuntimeError, match="exceeds its cap"):
-            agent.observe(0, 0.0, grid)
+
+    def test_broken_q_is_named_with_its_agent(self):
+        atlas, est, grid, _ = make_agent()
+        group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
+        group.inv[1, 0, 0] = np.nan
+        with pytest.raises(RuntimeError, match=r"agent 1: q = 1 \+ phi\^T A\^-1 phi is nan"):
+            group.observe(np.array([0, 5, 9]), np.zeros(3))
+        # an inverse gone indefinite gives a negative q, whose log is NaN
+        group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
+        group.inv[2] *= -1.0
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(RuntimeError, match=r"agent 2: q = .* is -"):
+                group.observe(np.array([0, 5, 9]), np.zeros(3))
 
     def test_info_gain_cap_uses_each_agents_dimension(self):
         assert np.array_equal(
@@ -446,61 +466,6 @@ def scratch_posterior(Phi, y, Q, lam):
     mean = half[:, 1:].T @ half[:, 0]
     var = lam * lam * np.einsum("ij,ij->j", half[:, 1:], half[:, 1:])
     return mean, var
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    d=st.integers(min_value=1, max_value=50),
-    n=st.integers(min_value=0, max_value=200),
-    lam=st.floats(min_value=0.05, max_value=2.0),
-    switch_at=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_incremental_posterior_matches_scratch_property(seed, d, n, lam, switch_at):
-    # observe and observe_point mixed at random, the candidate array replaced
-    # once mid-run: the means and variances select scores, and the running
-    # information gain, agree with a from-scratch posterior
-    rng = np.random.default_rng(seed)
-    p = 50
-    atlas = FeatureAtlas(BasisFamily.COSINE_1D, p)
-    selected = rng.choice(np.arange(1, p + 1), size=d, replace=False)
-    est = KernelEstimate(p=p, selected=tuple(int(j) for j in selected))
-    agent = GpUcb(atlas, est, UcbConfig(nu=1.0, lam=lam))
-
-    def new_grid():
-        return rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 80)), 1))
-
-    def check(cand):
-        Phi = selected_features(atlas, est, np.reshape(points, (-1, 1)))
-        y = np.asarray(rewards)
-        mean, var = scratch_posterior(Phi, y, selected_features(atlas, est, cand), lam)
-        mu, sigma2 = agent.posterior(cand)
-        scale = max(1.0, float(np.abs(y).max(initial=0.0)))
-        np.testing.assert_allclose(mu, mean, rtol=0, atol=1e-9 * scale)
-        np.testing.assert_allclose(sigma2, np.maximum(var, 0.0), rtol=0, atol=1e-9)
-        gain = realized_info_gain(Phi @ Phi.T, lam)
-        assert abs(agent.state.info_gain() - gain) <= 1e-9
-
-    cand = new_grid()
-    agent.select(cand)
-    points, rewards = [], []
-    switch = int(switch_at * n)
-    for i in range(n):
-        if i == switch:
-            cand = new_grid()
-            agent.select(cand)
-            check(cand)
-        y = float(rng.normal())
-        if rng.random() < 0.5:
-            idx = int(rng.integers(len(cand)))
-            agent.observe(idx, y, cand)
-            points.append(cand[idx, 0])
-        else:
-            x = float(rng.uniform(0.0, 1.0))
-            agent.observe_point([x], y)
-            points.append(x)
-        rewards.append(y)
-    check(cand)
 
 
 @settings(max_examples=30, deadline=None)

@@ -109,10 +109,12 @@ class TestConfig:
             ("noise", "nan"),
             ("omega", "inf"),
             ("nu", "inf"),
+            ("p", "1"),
         ],
     )
     def test_values_that_fail_every_seed_rejected_up_front(self, key, value):
-        # each of these used to pass config resolution and then fail every
+        # each of these but p=1 (the default 5-group support cannot fit in
+        # one group) used to pass config resolution and then fail every
         # seed, or run every seed twice or to no effect (non-finite floats)
         with pytest.raises(ConfigError):
             build_config("lifelong", {key: value})
@@ -311,6 +313,31 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert not result.failures
         assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
+
+    @pytest.mark.parametrize("kind", ["lifelong", "federated", "baseline_oracle"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", "1"),
+            ("grid", "2"),
+            ("lam", "0"),
+            ("lam", "1e9"),
+            ("omega", "1e9"),
+            ("nu", "1e300"),
+            ("solver_max_iter", "1"),
+            ("lam_policy", "theory"),
+        ],
+    )
+    def test_edge_values_complete_every_seed(self, tmp_path, kind, key, value):
+        # config resolution accepts these, so no seed may fail at run time
+        pairs = {"kind": kind, "m": "4", "n": "20", "seeds": "0,1", "out": str(tmp_path)}
+        result = run_experiment(build_config(pairs={**pairs, key: value}))
+        assert not result.failures
+        assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
+
+    def test_offline_single_observation_completes_every_seed(self, tmp_path):
+        pairs = {"kind": "offline", "n": "1", "seeds": "0,1", "out": str(tmp_path)}
+        assert not run_experiment(build_config(pairs=pairs)).failures
 
     def test_lifelong_writes_expected_files(self, tmp_path):
         result = run_experiment(build_config(pairs=tiny_lifelong_pairs(tmp_path)))

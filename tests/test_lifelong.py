@@ -259,10 +259,7 @@ def pinned_run(env, kernel, m, n, mode, *, seed, alone):
     """
     record = LifelongRunRecord(seed=seed, config_digest="")
     after_task = (lambda task: None) if alone else None
-    _run_tasks(
-        env, m, n, mode, record, lambda *_: kernel,
-        seed=seed, solver_factory=None, after_task=after_task,
-    )
+    _run_tasks(env, m, n, mode, record, lambda *_: kernel, seed=seed, after_task=after_task)
     return record
 
 
@@ -318,11 +315,10 @@ class TestLockstep:
         assert group.max_gain_slack == pytest.approx(slacks[-1], abs=1e-12)
 
     def test_info_gain_check_raises_inside_a_group(self, env, monkeypatch):
-        def not_stepped(*args):
-            raise AssertionError("a group of tasks must not step GpUcb")
+        def not_constructed(*args):
+            raise AssertionError("a task loop must not construct a GpUcb")
 
-        monkeypatch.setattr(GpUcb, "select", not_stepped)
-        monkeypatch.setattr(GpUcb, "observe", not_stepped)
+        monkeypatch.setattr(GpUcb, "__init__", not_constructed)
         monkeypatch.setattr(gp_ucb, "info_gain_bound", lambda d, n, lam: 1e-3)
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             run_baseline(env, "oracle", m=3, n=10, seed=0)
@@ -365,22 +361,6 @@ class TestMirrorSymmetricRun:
                 actions.append(idx)
             assert task.actions.tolist() == actions, task.task
             assert task.rewards.tolist() == rewards, task.task
-
-
-class TestRunAgents:
-    def test_factory_agents_must_share_a_config(self):
-        env = small_env(seed=2, n_tasks=3)
-
-        def make(atlas, estimate):
-            return GpUcb(atlas, estimate, UcbConfig(nu=1.0 + estimate.size))
-
-        kernels = iter([(1, 2), (3,), (1, 2)])
-        with pytest.raises(ValueError, match="one UcbConfig"):
-            _run_tasks(
-                env, 3, 10, None, LifelongRunRecord(seed=0, config_digest=""),
-                lambda *_: KernelEstimate(env.p, next(kernels)),
-                seed=0, solver_factory=make,
-            )
 
 
 class TestTheoryLambda:

@@ -56,7 +56,9 @@ Layers:
   converge, so no fit is warm-started.
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
-  ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh agent.
+  ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh ``GpUcb``, a
+  one-agent ``LockstepUcb``: the group each task of a ``meta_data=all``
+  run steps in.
 - ``gp_ucb.lockstep_d5`` and ``gp_ucb.lockstep_d50``: the same steps for 20
   tasks at once through one ``LockstepUcb`` (the agent pass of
   ``lifelong._run_tasks``), in microseconds per task-step, so they compare
