@@ -213,6 +213,11 @@ class LockstepUcb:
         self.var = weights @ np.square(features).T
         self.log_det = np.zeros(k)
         self.max_gain_slack = np.full(k, -np.inf)
+        # info_gain_bound(dims, i, lam) without its checks (dims >= 1 holds
+        # here, lam > 0 in UcbConfig), in its order of operations: the cap
+        # after i observations is cap_weight * log1p(i / cap_scale), bit for bit
+        self.cap_weight = 0.5 * self.dims
+        self.cap_scale = (config.lam * config.lam) * self.dims
 
     @classmethod
     def over_table(cls, table: np.ndarray, estimates, config: UcbConfig) -> "LockstepUcb":
@@ -253,7 +258,7 @@ class LockstepUcb:
         self.log_det += np.log(q)
         self.count += 1
         gain = 0.5 * self.log_det
-        slack = gain - info_gain_bound(self.dims, self.count, lam)
+        slack = gain - self.cap_weight * np.log1p(self.count / self.cap_scale)
         np.maximum(self.max_gain_slack, slack, out=self.max_gain_slack)
         worst = int(slack.argmax())  # the first NaN, if any, which fails the gate too
         if not slack[worst] <= _INFO_GAIN_HARD:

@@ -44,11 +44,17 @@ settled. Every prox step gives the support of its point and the mapping norm
 at the point it started from. Once the support has held for
 ``HANDOFF_HOLD`` iterations and that norm is <= ``HANDOFF_MAP_NORM``, the
 stop rule is tested at the iterate, which ends the fit if it holds, and
-otherwise Newton solves the smooth problem over the support. Its point is
-accepted only if its own mapping norm is <= ``tol`` and its objective is no
-higher than the iterate's; otherwise the iteration carries on, momentum
-kept, and tries that support again only once the norm has fallen by
-``HANDOFF_RETRY``. ``HANDOFF_MAP_NORM = 0`` switches the hand-off off.
+otherwise Newton solves the smooth problem over the support. A column that
+is still nonzero there but zero at the optimum shows itself at once: a
+Newton step pushes it through zero. Newton then drops it, goes back to the
+point before that step without it, and carries on over the smaller support.
+Its point is accepted only if its own mapping norm is <= ``tol`` and its
+objective is no higher than the iterate's. A point that fails only the
+mapping norm becomes the iterate, with momentum restarted, so the next prox
+step can bring back a column Newton dropped wrongly; a point above the iterate's
+objective is discarded. Either way the iteration carries on, and tries the
+same support again only once the norm has fallen by ``HANDOFF_RETRY``.
+``HANDOFF_MAP_NORM = 0`` switches the hand-off off.
 Newton stops as soon as its point can pass that test: once the largest
 entry of its reduced gradient is within tol / (2 sqrt(m |S|)), |S| the size
 of the support, or ``NEWTON_GRAD_TOL`` * max(1, lam) if that is larger.
@@ -313,15 +319,18 @@ class SolverReport:
 
     For a proximal-gradient fit, with or without a Newton finish,
     ``iterations`` counts the iterations plus every Newton step (those of
-    declined attempts too), ``map_norm`` is the prox-gradient mapping norm at
-    the returned point, and ``objective_history`` holds the objective at the
-    start and at every stop test (every ``CHECK_EVERY`` iterations and before
-    each Newton attempt), followed by the Newton point's objective when one
-    was accepted. It is non-increasing: the iteration's monotone
-    acceptance step keeps it so (up to 1e-10 float noise), and a Newton point
-    is accepted only at or below the last entry. For a path fit,
-    ``iterations`` counts path steps, ``converged`` is True, ``map_norm`` is
-    the largest KKT residual and ``objective_history`` is ``[objective]``.
+    declined attempts too), ``newton_attempts`` and ``newton_steps`` count
+    the Newton attempts and their steps, ``map_norm`` is the prox-gradient
+    mapping norm at the returned point, and ``objective_history`` holds the
+    objective at the start and at every stop test (every ``CHECK_EVERY``
+    iterations and before each Newton attempt), and after each attempt whose
+    point became the iterate, that point's objective: the accepted point's
+    last. It is non-increasing: the iteration's monotone acceptance step
+    keeps it so (up to 1e-10 float noise), and a Newton point becomes the
+    iterate only at or below the last entry. For a path fit, ``iterations``
+    counts path steps, ``newton_attempts`` and ``newton_steps`` are 0,
+    ``converged`` is True, ``map_norm`` is the largest KKT residual and
+    ``objective_history`` is ``[objective]``.
     """
 
     method: str
@@ -330,6 +339,8 @@ class SolverReport:
     map_norm: float
     objective: float
     objective_history: np.ndarray = field(repr=False)
+    newton_attempts: int = 0
+    newton_steps: int = 0
 
 
 def pooled_loss(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> float:
@@ -431,7 +442,7 @@ def _apg(
     f_x = objective(x, gx, np.sqrt(np.add.reduce(x * x)))
     history = [f_x]
     gap = map_norm_at(x, gx)
-    iterations = newton_steps = 0
+    iterations = newton_attempts = newton_steps = 0
     method = "apg"
     # a single-task fit reaches APG only when its solution may not be
     # unique, and Newton would pick an arbitrary point of the solution set
@@ -481,17 +492,22 @@ def _apg(
             if attempt:
                 tried, tried_at = support, moved
                 z, steps = _newton_finish(G, C, N, lam, x, tol)
+                newton_attempts += 1
                 newton_steps += steps
                 if z is not None:
-                    # accepted only under APG's own stop rule and only if
-                    # it does not raise the objective; else APG carries on
+                    # accepted only under APG's own stop rule and only if it
+                    # does not raise the objective; a point that fails only
+                    # the stop rule becomes the iterate, and momentum restarts
                     gz = grad_step(z)
                     f_z = objective(z, gz, np.sqrt(np.add.reduce(z * z)))
                     gap_z = map_norm_at(z, gz)
-                    if gap_z <= tol and f_z <= f_x:
-                        x, f_x, gap, method, converged = z, f_z, gap_z, "newton", True
+                    if f_z <= f_x:
+                        x, gx, f_x, gap = z, gz, f_z, gap_z
+                        y_pt, gy, t = z, gz, 1.0
                         history.append(f_x)
-                        break
+                        if gap_z <= tol:
+                            method, converged = "newton", True
+                            break
 
     report = SolverReport(
         method=method,
@@ -500,6 +516,8 @@ def _apg(
         map_norm=gap,
         objective=f_x,
         objective_history=np.asarray(history),
+        newton_attempts=newton_attempts,
+        newton_steps=newton_steps,
     )
     return GroupCoefficients(x), report
 
@@ -521,13 +539,19 @@ def _newton_finish(
     per task minus a rank-|S| term. By Woodbury a step is D^-1 (g + P v), where
     v solves the |S|x|S| capacitance system (I - P^T D^-1 P) v = P^T D^-1 g, so
     it costs one batched inverse of the task blocks and one capacitance solve.
-    The attempt aborts when a column norm reaches zero, an inverse or solve is
-    singular, a value is non-finite, or a step reverses a column's direction
-    (u_j turns by more than 90 degrees). The last is the sign of a column that
-    is zero at the optimum: the restricted problem then has no stationary
-    point, and Newton pushes the column back and forth through zero.
 
-    It stops after ``NEWTON_MAX_STEPS`` steps, or once the largest reduced-
+    A step that takes a column's norm to zero or reverses its direction (u_j
+    turns by more than 90 degrees) is the sign of a column that is zero at
+    the optimum: the restricted problem then has no stationary point, and
+    Newton would push the column back and forth through zero. So such a step
+    is undone: those columns leave S, the point goes back to the one before
+    the step, restricted to the kept columns, and Newton carries on from
+    there over the smaller support. The attempt aborts on an empty support,
+    a singular inverse or solve, a non-finite value, or a drop with no step
+    left to take from the point it goes back to.
+
+    ``NEWTON_MAX_STEPS`` bounds the steps of the whole attempt, over every
+    support it visits. It stops there, or once the largest reduced-
     gradient entry is at most max(``NEWTON_GRAD_TOL`` * max(1, lam),
     tol / (2 sqrt(m |S|))). The point is then handed to APG's own stop rule,
     a prox-gradient mapping norm <= ``tol``. On a support that holds, that
@@ -536,48 +560,58 @@ def _newton_finish(
     largest entry: the stop asks for half of ``tol``, and no more.
     """
     S = np.flatnonzero((x * x).sum(axis=0) > 0.0)
-    if S.size == 0:
-        return None, 0
-    m, k = x.shape[0], S.size
-    GS = (2.0 / N) * G[:, S[:, None], S]
-    CS = (2.0 / N) * C[:, S]
     B = x[:, S]
-    D = np.empty_like(GS)
-    diagonal = D.reshape(m, k * k)[:, :: k + 1]  # a view of every block's diagonal
-    eye = np.eye(k)
-    grad_tol = max(NEWTON_GRAD_TOL * max(1.0, lam), tol / (2.0 * math.sqrt(m * k)))
+    m = x.shape[0]
     steps = 0
-    U = None
     with np.errstate(all="ignore"):
-        while True:
-            norms = np.sqrt(np.add.reduce(B * B))
-            if not (np.isfinite(B).all() and (norms > 0.0).all()):
+        while S.size:  # once per support: S shrinks at every drop
+            k = S.size
+            GS = (2.0 / N) * G[:, S[:, None], S]
+            CS = (2.0 / N) * C[:, S]
+            D = np.empty_like(GS)
+            diagonal = D.reshape(m, k * k)[:, :: k + 1]  # a view of every block's diagonal
+            eye = np.eye(k)
+            grad_tol = max(NEWTON_GRAD_TOL * max(1.0, lam), tol / (2.0 * math.sqrt(m * k)))
+            U = None
+            while True:
+                if not np.isfinite(B).all():
+                    return None, steps
+                norms = np.sqrt(np.add.reduce(B * B))
+                U, U_prev = B / norms, U
+                dropped = ~(norms > 0.0)
+                if U_prev is not None:
+                    dropped |= np.add.reduce(U * U_prev) < 0.0
+                if dropped.any():
+                    break
+                grad = np.matmul(GS, B[:, :, None])[:, :, 0] - CS + lam * U
+                if np.abs(grad).max() <= grad_tol or steps == NEWTON_MAX_STEPS:
+                    point = np.zeros_like(x)
+                    point[:, S] = B
+                    return point, steps
+                w = lam / norms
+                # column j of P is sqrt(w_j) (u_j (x) e_j), so P's rows for task s
+                # are diag(V[s]), P^T D^-1 P = sum_s V[s] o D_s^-1 o V[s] and
+                # (P v)[s] = V[s] * v
+                V = U * np.sqrt(w)
+                np.copyto(D, GS)
+                diagonal += w
+                try:
+                    D_inv = np.linalg.inv(D)
+                    Z = np.matmul(D_inv, grad[:, :, None])[:, :, 0]
+                    capacitance = eye - np.add.reduce(V[:, :, None] * D_inv * V[:, None, :])
+                    v = np.linalg.solve(capacitance, np.add.reduce(V * Z))
+                except np.linalg.LinAlgError:
+                    return None, steps
+                before = B
+                B = B - np.matmul(D_inv, (grad + V * v)[:, :, None])[:, :, 0]
+                steps += 1
+            # the last step pushed the dropped columns through zero: go back
+            # to the point before it, without them
+            if steps == NEWTON_MAX_STEPS:
                 return None, steps
-            U, U_prev = B / norms, U
-            if U_prev is not None and (np.add.reduce(U * U_prev) < 0.0).any():
-                return None, steps
-            grad = np.matmul(GS, B[:, :, None])[:, :, 0] - CS + lam * U
-            if np.abs(grad).max() <= grad_tol or steps == NEWTON_MAX_STEPS:
-                break
-            w = lam / norms
-            # column j of P is sqrt(w_j) (u_j (x) e_j), so P's rows for task s
-            # are diag(V[s]), P^T D^-1 P = sum_s V[s] o D_s^-1 o V[s] and
-            # (P v)[s] = V[s] * v
-            V = U * np.sqrt(w)
-            np.copyto(D, GS)
-            diagonal += w
-            try:
-                D_inv = np.linalg.inv(D)
-                Z = np.matmul(D_inv, grad[:, :, None])[:, :, 0]
-                capacitance = eye - np.add.reduce(V[:, :, None] * D_inv * V[:, None, :])
-                v = np.linalg.solve(capacitance, np.add.reduce(V * Z))
-            except np.linalg.LinAlgError:
-                return None, steps
-            B = B - np.matmul(D_inv, (grad + V * v)[:, :, None])[:, :, 0]
-            steps += 1
-    point = np.zeros_like(x)
-    point[:, S] = B
-    return point, steps
+            kept = ~dropped
+            S, B = S[kept], before[:, kept]
+    return None, steps
 
 
 PATH_EVENT_FLOOR = 1e-12  # smaller drop times and join closing rates are ignored

@@ -558,32 +558,69 @@ def test_newton_finish_matches_tight_apg(seed, m, p, shape, lam_frac, warm):
     assert np.all(np.diff(report.objective_history) <= 1e-10)
 
 
-def test_newton_attempt_on_wrong_support_declined(monkeypatch):
-    # at the first hand-off group 1 is still nonzero, but it is zero at the
-    # optimum: the restricted problem has no stationary point, so Newton
-    # pushes the column through zero, reversing its direction; the attempt
-    # ends there, declined. Every later attempt is declined unseen, so APG
-    # must finish the fit
-    rng = np.random.default_rng(642)
-    design = PooledDesign(list(rng.standard_normal((2, 2, 2))), list(rng.standard_normal((2, 2))))
-    lam = 0.2
+def newton_attempts(monkeypatch):
+    """Patch ``_newton_finish`` to record (handed iterate, point, steps) of
+    every attempt into the returned list."""
     attempts = []
     newton = group_lasso._newton_finish
 
     def spy(G, C, N, lam, x, tol):
-        point, steps = newton(G, C, N, lam, x, tol) if not attempts else (None, 0)
+        point, steps = newton(G, C, N, lam, x, tol)
         attempts.append((x.copy(), point, steps))
         return point, steps
 
     monkeypatch.setattr(group_lasso, "_newton_finish", spy)
+    return attempts
+
+
+def flip_design():
+    """2 tasks of 2 rows over 2 columns, at a penalty where group 1 is still
+    nonzero at the first hand-off but zero at the optimum."""
+    rng = np.random.default_rng(642)
+    design = PooledDesign(list(rng.standard_normal((2, 2, 2))), list(rng.standard_normal((2, 2))))
+    return design, 0.2
+
+
+def test_newton_drops_a_column_it_pushes_through_zero(monkeypatch):
+    # at the first hand-off group 1 is still nonzero, but it is zero at the
+    # optimum: the restricted problem has no stationary point, and a Newton
+    # step pushes the column through zero, reversing its direction. Newton
+    # drops it, goes back to the point before that step without it, and
+    # answers the fit in the same attempt
+    design, lam = flip_design()
+    attempts = newton_attempts(monkeypatch)
     coeffs, report = fit_group_lasso(design, lam)
-    handed, point, steps = attempts[0]
-    assert np.any(handed[:, 0] != 0.0)
-    assert point is None and 0 < steps < group_lasso.NEWTON_MAX_STEPS
-    assert report.method == "apg" and report.converged
-    assert report.iterations > steps
-    assert np.all(coeffs.matrix[:, 0] == 0.0)
+    ((handed, point, steps),) = attempts
+    assert support(handed) == (0, 1)
+    assert 0 < steps < group_lasso.NEWTON_MAX_STEPS
+    assert report.method == "newton" and report.converged
+    assert (report.newton_attempts, report.newton_steps) == (1, steps)
+    assert coeffs.matrix.tobytes() == point.tobytes()
+    assert np.all(coeffs.matrix[:, 0] == 0.0) and np.all(coeffs.matrix[:, 1] != 0.0)
     assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+
+
+def test_newton_drop_needs_a_column_and_a_step_left(monkeypatch):
+    # the second step from the first hand-off iterate of ``flip_design``
+    # pushes group 1 through zero. With a budget of 2 steps no step
+    # is left to take from the point the drop goes back to, and the attempt
+    # aborts; with 3 it answers on group 2 alone. Above the smallest penalty
+    # with B = 0 optimal every column is dropped, and the attempt aborts
+    design, lam = flip_design()
+    finish = group_lasso._newton_finish
+    attempts = newton_attempts(monkeypatch)
+    fit_group_lasso(design, lam)
+    x = attempts[0][0]
+    G, C, _ = design.grams()
+    N = design.total_rows
+    lam_max = 2.0 / N * float(np.sqrt((C * C).sum(axis=0)).max())
+    point, steps = finish(G, C, N, 1.05 * lam_max, x, 1e-8)
+    assert point is None and 0 < steps < group_lasso.NEWTON_MAX_STEPS
+    monkeypatch.setattr(group_lasso, "NEWTON_MAX_STEPS", 2)
+    assert finish(G, C, N, lam, x, 1e-8) == (None, 2)
+    monkeypatch.setattr(group_lasso, "NEWTON_MAX_STEPS", 3)
+    point, steps = finish(G, C, N, lam, x, 1e-8)
+    assert steps == 3 and np.all(point[:, 0] == 0.0) and np.all(point[:, 1] != 0.0)
 
 
 @pytest.mark.parametrize("bad", ["scaled_column", "unmoved"])
@@ -740,27 +777,60 @@ def test_declined_support_retried_after_the_norm_falls(monkeypatch):
     assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
 
 
-def test_aborted_support_retried_and_answered_by_newton(monkeypatch):
-    # the first attempt aborts after a few steps on the support that then
-    # holds to the optimum; once the mapping norm has fallen HANDOFF_RETRY-
-    # fold the same support is tried again, and Newton answers the fit
+def test_wrongly_dropped_column_restored_by_apg(monkeypatch):
+    # the first attempt drops group 1, which is small but nonzero at the
+    # optimum: Newton converges without it, and the stop rule declines its
+    # point, which still lowers the objective, so the point becomes the
+    # iterate. APG brings group 1 back, and the next attempt, on the support
+    # that holds to the optimum, answers the fit
     design, lam = handoff_design(68, p=6)
-    attempts = []
-    newton = group_lasso._newton_finish
-
-    def spy(G, C, N, lam, x, tol):
-        point, steps = newton(G, C, N, lam, x, tol)
-        attempts.append((x.copy(), point, steps))
-        return point, steps
-
-    monkeypatch.setattr(group_lasso, "_newton_finish", spy)
+    attempts = newton_attempts(monkeypatch)
     coeffs, report = fit_group_lasso(design, lam)
-    handed, point, steps = attempts[0]
-    assert point is None and steps > 0
-    assert support(handed) == support(attempts[-1][0]) == support(coeffs.matrix)
+    (handed, point, _), (retried, _, _) = attempts
+    assert support(handed) == support(retried) == support(coeffs.matrix)
+    assert 0 in support(handed) and 0 not in support(point)
+    assert coeffs.group_norms()[0] > 0.0
+    assert pooled_loss(design, GroupCoefficients(point), lam) < pooled_loss(
+        design, GroupCoefficients(handed), lam
+    )
     assert report.method == "newton" and report.converged
+    assert report.newton_attempts == 2
     assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
     assert np.all(np.diff(report.objective_history) <= 1e-10)
+    # a fit cut at the first attempt's iteration returns that point
+    first = handoff_schedule(iteration_states(design, lam))[0]
+    cut, cut_report = fit_group_lasso(design, lam, max_iter=first)
+    assert cut.matrix.tobytes() == attempts[2][1].tobytes() == point.tobytes()
+    assert cut_report.method == "apg" and not cut_report.converged
+    assert cut_report.objective_history[-1] == cut_report.objective < cut_report.objective_history[-2]
+
+
+def test_declined_newton_point_above_the_iterate_discarded(monkeypatch):
+    # a Newton point that would raise the objective leaves the fit exactly
+    # as an attempt that returns no point does
+    design, lam = handoff_design(68, p=6)
+
+    def fits(point_of):
+        def finish(G, C, N, lam, x, tol):
+            return point_of(x), 2
+
+        monkeypatch.setattr(group_lasso, "_newton_finish", finish)
+        return fit_group_lasso(design, lam)
+
+    def scaled(x):
+        point = x.copy()
+        point[:, 1] *= 1.5
+        return point
+
+    coeffs, report = fits(scaled)
+    none_coeffs, none_report = fits(lambda x: None)
+    assert report.newton_attempts > 0
+    assert report.method == "apg" and report.converged
+    assert coeffs.matrix.tobytes() == none_coeffs.matrix.tobytes()
+    assert report.iterations == none_report.iterations
+    assert report.newton_attempts == none_report.newton_attempts
+    assert report.objective_history.tobytes() == none_report.objective_history.tobytes()
+    assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
 
 
 def test_iterate_meeting_the_stop_rule_at_the_handoff_reports_apg(monkeypatch):

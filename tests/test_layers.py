@@ -39,6 +39,10 @@ def test_layer_script_one_repeat(tmp_path):
         assert apg["us_per_iteration"] > 0 and newton["us_per_iteration"] > 0
         per_call = apg["us_per_iteration"] * apg["apg_iterations"]
         assert per_call == pytest.approx(apg["us_per_call"], rel=1e-3)
+    seed = layers["group_lasso.lifelong_seed"]
+    assert seed["fits"] == seed["newton_fits"] == 19 and seed["converged"]
+    assert len(seed["rows_per_task"]) == 20 and seed["rows_per_task"][-1] < 10
+    assert seed["newton_steps"] > 0 and seed["newton_attempts"] >= seed["fits"]
     assert layers["group_lasso.client_fit"]["method"] == "path"
     design = layers["selection.design"]
     learned, offline = design["learned_20th_task"], design["offline_seed_setup"]
@@ -55,7 +59,7 @@ def test_layer_script_one_repeat(tmp_path):
     assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))
-    assert len(times) == 26
+    assert len(times) == 27
     for key, (p25, median, p75) in times.items():
         assert 0 < p25 <= median <= p75, key
 

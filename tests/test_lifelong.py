@@ -16,9 +16,8 @@ import lifelong_bandits
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError
 from lifelong_bandits.features import KernelEstimate
-from lifelong_bandits import gp_ucb
 from lifelong_bandits.federated import run_federated
-from lifelong_bandits.gp_ucb import GpUcb, UcbConfig
+from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from lifelong_bandits.lifelong import (
     ExplorationSchedule,
     LifelongRunRecord,
@@ -318,8 +317,14 @@ class TestLockstep:
         def not_constructed(*args):
             raise AssertionError("a task loop must not construct a GpUcb")
 
+        init = LockstepUcb.__init__
+
+        def capped(self, *args):
+            init(self, *args)
+            self.cap_weight[:] = 0.0  # a cap of 0
+
         monkeypatch.setattr(GpUcb, "__init__", not_constructed)
-        monkeypatch.setattr(gp_ucb, "info_gain_bound", lambda d, n, lam: 1e-3)
+        monkeypatch.setattr(LockstepUcb, "__init__", capped)
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             run_baseline(env, "oracle", m=3, n=10, seed=0)
 

@@ -30,9 +30,17 @@ Layers:
   hand-off switched off, which iterates as the solver did before the
   hand-off existed; only its Lipschitz constant, now taken from the smaller
   of Phi Phi^T and Phi^T Phi, costs less than it did. Each reports the time
-  per call, the APG iterations and the Newton steps, and the time per
-  iteration: the time per call over the APG iterations plus the Newton
-  steps, which for ``apg_only`` is the cost of one APG iteration.
+  per call, the APG iterations, Newton steps and Newton attempts (read from
+  the fit's ``SolverReport``), and the time per iteration: the time per
+  call over the APG iterations plus the Newton steps, which for
+  ``apg_only`` is the cost of one APG iteration.
+- ``group_lasso.lifelong_seed``: every pooled fit of the default
+  ``lifelong`` run at seed 0 (tasks 2 to 20), timed as one unit, on the
+  designs, penalties and predicted starts the runner built for them. Its
+  tasks hold the forced rows the runner draws, 10 for task 1 and 8 down to
+  4 for the later ones, where ``pooled_learned`` gives task 1 100 rows and
+  every later task 4. It reports the time per seed and the APG iterations, Newton
+  steps and Newton attempts summed over the fits.
   A design computes each task's Gram, crossterm and top eigenvalue when the
   task joins, before any fit, so these times hold the iteration alone, not
   the Gram and eigen work.
@@ -184,29 +192,65 @@ def offline_warm_fit():
     return design, lam, padded_warm_start(coeffs, design, lam)
 
 
+def solver_counts(reports) -> dict:
+    """APG iterations, Newton steps and Newton attempts summed over reports."""
+    steps = sum(report.newton_steps for report in reports)
+    return {
+        "apg_iterations": sum(report.iterations for report in reports) - steps,
+        "newton_steps": steps,
+        "newton_attempts": sum(report.newton_attempts for report in reports),
+    }
+
+
 def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
     """Time one pooled fit and split its iterations into APG and Newton."""
-    newton_steps = []
-    newton_finish = group_lasso._newton_finish
-
-    def counting(*args):
-        point, steps = newton_finish(*args)
-        newton_steps.append(steps)
-        return point, steps
-
     threshold = group_lasso.HANDOFF_MAP_NORM if handoff else 0.0
     with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", threshold):
         seconds = seconds_of(lambda: fit_group_lasso(design, lam, x0=x0), repeats)
-        with mock.patch.object(group_lasso, "_newton_finish", counting):
-            _, report = fit_group_lasso(design, lam, x0=x0)
+        _, report = fit_group_lasso(design, lam, x0=x0)
     return {
         **quartiles("us_per_call", seconds),
         **quartiles("us_per_iteration", seconds, per=report.iterations, digits=2),
-        "apg_iterations": report.iterations - sum(newton_steps),
-        "newton_steps": sum(newton_steps),
-        "newton_attempts": len(newton_steps),
+        **solver_counts([report]),
         "method": report.method,
         "converged": report.converged,
+    }
+
+
+def lifelong_run():
+    """The default ``lifelong`` run at seed 0, and the design, penalty and
+    keyword arguments (tolerance, step budget and predicted start) of each
+    of its pooled fits, as the runner made them."""
+    fits = []
+    fit = selection.fit_group_lasso
+
+    def recording(design, lam, **kwargs):
+        if design.m > 1:
+            # the runner's design grows after the fit: keep its first m tasks
+            fits.append((design.prefix(design.m), lam, kwargs))
+        return fit(design, lam, **kwargs)
+
+    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
+    with mock.patch.object(selection, "fit_group_lasso", recording):
+        record = run_lifelong(env, TASKS, 100, 0.25, 0.5, lam_policy="inv_sqrt", seed=0)
+    return record, fits
+
+
+def lifelong_seed(fits, repeats: int) -> dict:
+    """All pooled fits of one ``lifelong`` seed, timed as one unit."""
+
+    def run():
+        return [fit_group_lasso(design, lam, **kwargs)[1] for design, lam, kwargs in fits]
+
+    seconds = seconds_of(run, repeats)
+    reports = run()
+    return {
+        "fits": len(fits),
+        "rows_per_task": [len(y) for y in fits[-1][0].rewards],
+        **quartiles("us_per_seed", seconds),
+        **solver_counts(reports),
+        "newton_fits": sum(report.method == "newton" for report in reports),
+        "converged": all(report.converged for report in reports),
     }
 
 
@@ -354,13 +398,6 @@ def ucb_lockstep(kernels, repeats: int) -> dict:
     }
 
 
-def learned_kernels() -> list[tuple[int, ...]]:
-    """The kernel of each task of the default ``lifelong`` run at seed 0."""
-    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
-    record = run_lifelong(env, TASKS, 100, 0.25, 0.5, lam_policy="inv_sqrt", seed=0)
-    return [task.kernel for task in record.tasks]
-
-
 def trace_io(repeats: int) -> dict:
     rng = np.random.default_rng(3)
     n = TASKS * 100
@@ -422,6 +459,8 @@ def main(argv=None) -> int:
             "newton": time_pooled_fit(design, lam, x0, args.repeats, handoff=True),
             "apg_only": time_pooled_fit(design, lam, x0, args.repeats, handoff=False),
         }
+    record, fits = lifelong_run()
+    layers["group_lasso.lifelong_seed"] = lifelong_seed(fits, args.repeats)
     layers["group_lasso.client_fit"] = client_fit(args.repeats)
     layers["selection.design"] = {
         "learned_20th_task": design_learned(args.repeats),
@@ -431,7 +470,8 @@ def main(argv=None) -> int:
     layers["gp_ucb.step_d50"] = ucb_step(tuple(range(1, 51)), args.repeats)
     layers["gp_ucb.lockstep_d5"] = ucb_lockstep([(1, 2, 3, 4, 5)] * TASKS, args.repeats)
     layers["gp_ucb.lockstep_d50"] = ucb_lockstep([tuple(range(1, 51))] * TASKS, args.repeats)
-    layers["gp_ucb.lockstep_mixed"] = ucb_lockstep(learned_kernels(), args.repeats)
+    kernels = [task.kernel for task in record.tasks]
+    layers["gp_ucb.lockstep_mixed"] = ucb_lockstep(kernels, args.repeats)
     layers["trace"] = trace_io(args.repeats)
     result = {"machine": machine(), "repeats": args.repeats, "layers": layers}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
