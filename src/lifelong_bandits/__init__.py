@@ -31,10 +31,10 @@ from .gp_ucb import (
     realized_info_gain,
 )
 from .group_lasso import (
-    GroupCoefficients,
     PooledDesign,
     SolverReport,
     fit_group_lasso,
+    group_norms,
     kkt_residuals,
     pooled_loss,
 )
@@ -50,10 +50,10 @@ from .harness import (
     summarize,
 )
 from .lifelong import (
-    ExplorationSchedule,
     LifelongRunRecord,
     ScheduleMode,
     TaskRecord,
+    exploration_counts,
     integerize,
     run_baseline,
     run_lifelong,
@@ -80,10 +80,8 @@ __all__ = [
     "EmptyKernelError",
     "ExperimentConfig",
     "ExperimentResult",
-    "ExplorationSchedule",
     "FeatureAtlas",
     "GpUcb",
-    "GroupCoefficients",
     "KernelEstimate",
     "KernelSelection",
     "LifelongRunRecord",
@@ -104,7 +102,9 @@ __all__ = [
     "client_fit",
     "design_diagnostics",
     "design_from_tasks",
+    "exploration_counts",
     "fit_group_lasso",
+    "group_norms",
     "info_gain_bound",
     "integerize",
     "kernel_gram",

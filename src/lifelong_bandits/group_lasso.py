@@ -230,39 +230,15 @@ class PooledDesign:
         return max(0.0, 2.0 * max(self._top_eigenvalues()) / self.total_rows)
 
 
-class GroupCoefficients:
-    """Coefficients for m tasks over p scalar groups.
-
-    Stored as an (m, p) matrix: row s - 1 holds task s's coefficients and
-    column j - 1 is group j across the tasks.
-    """
-
-    def __init__(self, matrix) -> None:
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2:
-            raise ValueError("matrix must be (m, p)")
-        self.matrix = mat
-
-    @classmethod
-    def zeros(cls, m: int, p: int) -> "GroupCoefficients":
-        return cls(np.zeros((m, p)))
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[1]
-
-    def group_norms(self) -> np.ndarray:
-        """All p cross-task group norms."""
-        return np.sqrt((self.matrix**2).sum(axis=0))
+def group_norms(coeffs: np.ndarray) -> np.ndarray:
+    """The p cross-task group norms of an (m, p) coefficient matrix, whose
+    row s - 1 holds task s's coefficients: the norm of each column."""
+    return np.sqrt((coeffs**2).sum(axis=0))
 
 
 def padded_warm_start(
-    coeffs: GroupCoefficients | None, design: PooledDesign, lam: float
-) -> GroupCoefficients | None:
+    coeffs: np.ndarray | None, design: PooledDesign, lam: float
+) -> np.ndarray | None:
     """The start of a fit of ``design`` at penalty ``lam`` from an earlier fit
     over fewer of its first tasks: ``coeffs`` with a predicted row for each
     task added since. None (a cold start) when there is no earlier fit or it
@@ -281,15 +257,15 @@ def padded_warm_start(
     singular or a value is not finite. Nothing is accepted here: the fit
     still iterates from this start to its own stop rule.
     """
-    if coeffs is None or coeffs.m >= design.m:
+    if coeffs is None or len(coeffs) >= design.m:
         return None
-    old = coeffs.m
-    start = np.zeros((design.m, coeffs.p))
-    start[:old] = coeffs.matrix
-    norms_sq = (coeffs.matrix * coeffs.matrix).sum(axis=0)
+    old, p = coeffs.shape
+    start = np.zeros((design.m, p))
+    start[:old] = coeffs
+    norms_sq = (coeffs * coeffs).sum(axis=0)
     S = np.flatnonzero(norms_sq > 0.0)
     if S.size == 0 or lam == 0.0:
-        return GroupCoefficients(start)
+        return start
     G, C, _ = design.grams()
     scale = 2.0 / design.total_rows
     GS = scale * G[old:, S[:, None], S]
@@ -306,12 +282,12 @@ def padded_warm_start(
             penalty = lam * float((b * b / (grown + c)).sum())
             if np.all(np.isfinite(b)) and 0.5 * float(b @ A @ b) - float(rhs @ b) + penalty < 0.0:
                 start[s, S], c = b, grown
-    return GroupCoefficients(start)
+    return start
 
 
 @dataclass
 class SolverReport:
-    """What the group-lasso fit did.
+    """What the group-lasso fit did, returned beside the (m, p) coefficients.
 
     ``method`` names the stage that produced the returned point: ``"path"``
     for a certified single-task path fit, ``"newton"`` for an accepted Newton
@@ -343,17 +319,18 @@ class SolverReport:
     newton_steps: int = 0
 
 
-def pooled_loss(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> float:
-    """Pooled objective: mean squared residual plus the group penalty."""
-    if coeffs.matrix.shape != (design.m, design.p):
+def pooled_loss(design: PooledDesign, coeffs: np.ndarray, lam: float) -> float:
+    """Pooled objective at the (m, p) coefficient matrix ``coeffs``: mean
+    squared residual plus the group penalty."""
+    if coeffs.shape != (design.m, design.p):
         raise ValueError("coefficients do not match the design")
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
     rss = 0.0
-    for phi, y, beta in zip(design.features, design.rewards, coeffs.matrix):
+    for phi, y, beta in zip(design.features, design.rewards, coeffs):
         r = y - phi @ beta
         rss += float(r @ r)
-    return rss / design.total_rows + lam * float(coeffs.group_norms().sum())
+    return rss / design.total_rows + lam * float(group_norms(coeffs).sum())
 
 
 def _prox_step(B: np.ndarray, g: np.ndarray, thresh: float) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +351,8 @@ def fit_group_lasso(
     *,
     tol: float = 1e-8,
     max_iter: int = 50_000,
-    x0: GroupCoefficients | None = None,
-) -> tuple[GroupCoefficients, SolverReport]:
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, SolverReport]:
     """Minimize the pooled group-lasso objective.
 
     A single-task design goes to the exact lasso path, which ignores ``x0``
@@ -390,15 +367,15 @@ def fit_group_lasso(
     current iterate is <= ``tol``; on hitting ``max_iter`` first, returns with
     ``converged=False`` rather than raising.
 
-    Returns
-    -------
-    (GroupCoefficients, SolverReport)
+    Returns the (m, p) coefficient matrix, row s - 1 for task s and column
+    j - 1 for group j, and the ``SolverReport``. An (m, p) start ``x0`` is
+    not written to.
     """
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if x0 is not None and x0.matrix.shape != (design.m, design.p):
+    if x0 is not None and x0.shape != (design.m, design.p):
         raise ValueError("warm start does not match the design")
     if design.m == 1:
         fit = _lasso_path(design, lam, tol, max_iter)
@@ -412,8 +389,8 @@ def _apg(
     lam: float,
     tol: float,
     max_iter: int,
-    x0: GroupCoefficients | None,
-) -> tuple[GroupCoefficients, SolverReport]:
+    x0: np.ndarray | None,
+) -> tuple[np.ndarray, SolverReport]:
     """Accelerated proximal gradient on the pooled objective, with a Newton
     finish on pooled designs; arguments as checked by ``fit_group_lasso``."""
     m, p, N = design.m, design.p, design.total_rows
@@ -437,7 +414,7 @@ def _apg(
     def map_norm_at(B: np.ndarray, g: np.ndarray) -> float:
         return float(np.linalg.norm(B - _prox_step(B, g, thresh)[0])) / step
 
-    x = x0.matrix.copy() if x0 is not None else np.zeros((m, p))
+    x = x0.copy() if x0 is not None else np.zeros((m, p))
     gx = grad_step(x)
     f_x = objective(x, gx, np.sqrt(np.add.reduce(x * x)))
     history = [f_x]
@@ -519,7 +496,7 @@ def _apg(
         newton_attempts=newton_attempts,
         newton_steps=newton_steps,
     )
-    return GroupCoefficients(x), report
+    return x, report
 
 
 def _newton_finish(
@@ -619,7 +596,7 @@ PATH_EVENT_FLOOR = 1e-12  # smaller drop times and join closing rates are ignore
 
 def _lasso_path(
     design: PooledDesign, lam: float, tol: float, max_steps: int
-) -> tuple[GroupCoefficients, SolverReport] | None:
+) -> tuple[np.ndarray, SolverReport] | None:
     """Exact single-task lasso by homotopy, or None when it cannot certify.
 
     The path starts at lam_max with beta = 0. On the active set A with signs
@@ -674,7 +651,7 @@ def _lasso_path(
         corr = scale * (C - G @ beta)
 
     # a non-finite direction leaves NaN in beta, which fails the KKT test
-    coeffs = GroupCoefficients(beta.reshape(1, p))
+    coeffs = beta.reshape(1, p)
     kkt = float(kkt_residuals(design, coeffs, lam).max())
     if not kkt <= tol:
         return None
@@ -694,8 +671,8 @@ def _lasso_path(
     return coeffs, report
 
 
-def kkt_residuals(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -> np.ndarray:
-    """Per-group optimality residuals at ``coeffs``.
+def kkt_residuals(design: PooledDesign, coeffs: np.ndarray, lam: float) -> np.ndarray:
+    """Per-group optimality residuals at the (m, p) coefficient matrix ``coeffs``.
 
     For a group with a nonzero cross-task block the residual is
     ||g_j + lam * u_j|| with u_j the block's unit direction; for an exactly
@@ -703,15 +680,15 @@ def kkt_residuals(design: PooledDesign, coeffs: GroupCoefficients, lam: float) -
     residual is zero. Gradients are recomputed from raw residuals so the
     certificate shares no state with the solver.
     """
-    if coeffs.matrix.shape != (design.m, design.p):
+    if coeffs.shape != (design.m, design.p):
         raise ValueError("coefficients do not match the design")
     N = design.total_rows
-    grad_rows = np.empty_like(coeffs.matrix)
+    grad_rows = np.empty(coeffs.shape)
     for s, (phi, y) in enumerate(zip(design.features, design.rewards)):
-        grad_rows[s] = (2.0 / N) * (phi.T @ (phi @ coeffs.matrix[s] - y))
-    norms = coeffs.group_norms()
+        grad_rows[s] = (2.0 / N) * (phi.T @ (phi @ coeffs[s] - y))
+    norms = group_norms(coeffs)
     nonzero = norms > 0
-    units = coeffs.matrix / np.where(nonzero, norms, 1.0)
+    units = coeffs / np.where(nonzero, norms, 1.0)
     stationarity = np.sqrt(((grad_rows + lam * units) ** 2).sum(axis=0))
     slack = np.maximum(0.0, np.sqrt((grad_rows**2).sum(axis=0)) - lam)
     return np.where(nonzero, stationarity, slack)

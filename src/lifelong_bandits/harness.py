@@ -247,24 +247,21 @@ def load_config(path, kind: str | None = None) -> ExperimentConfig:
 
 
 def _csv(header: str, rows) -> str:
-    """CSV text: the header, then one line per row of Python scalars.
+    """CSV text: the header, then one line per row, a tuple of Python scalars.
 
-    ``str`` of a Python float is its shortest round-tripping repr. Numpy
-    scalars format by numpy's rules (their repr is not a plain number), so
-    array columns go through ``tolist`` first.
+    Each cell is formatted by ``%s``, which is ``str``, and ``str`` of a
+    Python float is its shortest round-tripping repr. Numpy scalars format
+    by numpy's rules (their repr is not a plain number), so array columns go
+    through ``tolist`` first.
     """
-    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    line = ",".join(["%s"] * (header.count(",") + 1))
+    return "\n".join([header, *(line % row for row in rows)]) + "\n"
 
 
 def _columns_text(table) -> str:
-    """CSV text of a dataclass of equal-length array columns, one row per index.
-
-    One ``%s`` format per row gives the bytes of ``_csv``: ``%s`` is ``str``.
-    """
+    """CSV text of a dataclass of equal-length array columns, one row per index."""
     names = [f.name for f in fields(table)]
-    line = ",".join(["%s"] * len(names))
-    rows = zip(*(getattr(table, name).tolist() for name in names))
-    return "\n".join([",".join(names), *(line % row for row in rows)]) + "\n"
+    return _csv(",".join(names), zip(*(getattr(table, name).tolist() for name in names)))
 
 
 def _standard_error(samples: np.ndarray) -> np.ndarray:
@@ -540,7 +537,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except UnicodeDecodeError as exc:
             raise DataError(f"table {config.table!r} is not UTF-8 text: {exc}") from exc
         # a table that does not fit the config would fail every seed alike
-        _build_environment(config, config.seeds[0], 1, table)
+        if config.m > _build_environment(config, config.seeds[0], 1, table).m:
+            raise ConfigError(f"m={config.m} exceeds the table's {table.n_tasks} tasks")
     out = None
     if config.out:
         out = Path(config.out)

@@ -28,9 +28,9 @@ from:
     ledger, in the kernel callback, so the prefix is observed before the
     kernel is known.
 
-Exploration counts follow a residue-carrying integerization of the real
-rates, so the realized counts track the prescribed totals within one draw
-at every prefix.
+Exploration counts (``exploration_counts``) follow a residue-carrying
+integerization of the real rates, so the realized counts track the
+prescribed totals within one draw at every prefix.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import ConfigError
 from .environment import TaskView
 from .features import KernelEstimate
 from .gp_ucb import LockstepUcb, UcbConfig
-from .group_lasso import GroupCoefficients, PooledDesign, padded_warm_start
+from .group_lasso import PooledDesign, padded_warm_start
 from .seeding import STREAM_EXPLORE, substream
 # design_from_tasks stays bound here: perfbench's tracer wraps this binding
 from .selection import design_diagnostics, design_from_tasks, learn_kernel  # noqa: F401
@@ -95,15 +95,10 @@ def integerize(rates) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class ExplorationSchedule:
-    rates: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def build(cls, mode: ScheduleMode, n: int, m: int) -> "ExplorationSchedule":
-        rates = schedule_rates(n, m, mode)
-        return cls(rates, np.minimum(integerize(rates), n))
+def exploration_counts(mode: ScheduleMode, n: int, m: int) -> np.ndarray:
+    """Forced draws of each of m tasks of horizon n: the integerized rates,
+    each capped at n."""
+    return np.minimum(integerize(schedule_rates(n, m, mode)), n)
 
 
 @dataclass
@@ -173,7 +168,7 @@ def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, ucb=UcbConfig(), af
     """
     if not 1 <= m <= env.m:
         raise ConfigError("environment has too few tasks")
-    counts = [0] * m if mode is None else ExplorationSchedule.build(mode, n, m).counts.tolist()
+    counts = [0] * m if mode is None else exploration_counts(mode, n, m).tolist()
     plans = []
     for s, explore_count in enumerate(counts, start=1):
         view = env.task_view(s)
@@ -293,7 +288,7 @@ def run_lifelong(
     record = LifelongRunRecord(seed=seed, config_digest=config_digest)
     estimate = KernelEstimate.full(atlas.p)
     design: PooledDesign | None = None
-    warm: GroupCoefficients | None = None
+    warm: np.ndarray | None = None  # the last converged fit's coefficients
 
     def update(s: int, actions, rewards) -> None:
         nonlocal estimate, design, warm

@@ -26,10 +26,10 @@ import numpy as np
 from .environment import SyntheticEnvironment, SyntheticSpec
 from .features import FeatureAtlas, KernelEstimate
 from .group_lasso import (
-    GroupCoefficients,
     PooledDesign,
     SolverReport,
     fit_group_lasso,
+    group_norms,
     padded_warm_start,
 )
 from .seeding import STREAM_EXPLORE, STREAM_NOISE, substream
@@ -57,13 +57,14 @@ class KernelSelection:
     """Outcome of one kernel-learning pass.
 
     ``fallback`` is True when thresholding selected nothing and the estimate
-    was replaced by the full average.
+    was replaced by the full average. ``coeffs`` is the fit's (m, p)
+    coefficient matrix and ``group_norms`` its p column norms.
     """
 
     estimate: KernelEstimate
     fallback: bool
     group_norms: np.ndarray
-    coeffs: GroupCoefficients
+    coeffs: np.ndarray
     report: SolverReport
 
 
@@ -74,13 +75,13 @@ def learn_kernel(
     *,
     tol: float = 1e-8,
     max_iter: int = 50_000,
-    x0: GroupCoefficients | None = None,
+    x0: np.ndarray | None = None,
 ) -> KernelSelection:
     """Group-lasso fit, threshold, and averaged-kernel construction."""
     coeffs, report = fit_group_lasso(
         design, lam, tol=tol, max_iter=max_iter, x0=x0
     )
-    norms = coeffs.group_norms()
+    norms = group_norms(coeffs)
     selected = threshold_groups(norms, design.m, omega)
     fallback = not selected
     estimate = (

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from lifelong_bandits import group_lasso
 from lifelong_bandits.group_lasso import (
-    GroupCoefficients,
     PooledDesign,
     _apg,
     _lasso_path,
     fit_group_lasso,
+    group_norms,
     kkt_residuals,
     padded_warm_start,
     pooled_loss,
@@ -66,7 +66,7 @@ class TestPooledLoss:
         phi = rng.normal(size=(6, 3))
         y = rng.normal(size=6)
         design = single_task_design(phi, y)
-        beta = GroupCoefficients.zeros(1, design.p)
+        beta = np.zeros((1, design.p))
         assert pooled_loss(design, beta, 0.7) == pytest.approx(float(y @ y) / 6)
 
     def test_least_squares_zeroes_residual(self):
@@ -74,20 +74,20 @@ class TestPooledLoss:
         phi = rng.normal(size=(3, 3)) + np.eye(3) * 2
         beta_ls = rng.normal(size=3)
         design = single_task_design(phi, phi @ beta_ls)
-        coeffs = GroupCoefficients(beta_ls.reshape(1, -1))
+        coeffs = beta_ls.reshape(1, -1)
         assert pooled_loss(design, coeffs, 0.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_single_point_hand_value(self):
         # (1/1)(2 - 1)^2 + 0.5 * 1 = 1.5
         design = single_task_design(np.array([[1.0]]), np.array([2.0]))
-        coeffs = GroupCoefficients(np.array([[1.0]]))
+        coeffs = np.array([[1.0]])
         assert pooled_loss(design, coeffs, 0.5) == pytest.approx(1.5)
 
     def test_dimension_mismatch_rejected(self):
         design = single_task_design(np.array([[1.0, 0.0]]), np.array([2.0]))
-        wrong = GroupCoefficients(np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            pooled_loss(design, wrong, 0.1)
+        for wrong in (np.array([[1.0]]), np.array([1.0, 0.0]), np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError):
+                pooled_loss(design, wrong, 0.1)
 
 
 class TestPooledDesign:
@@ -122,7 +122,7 @@ def assert_designs_bit_equal(a, b):
     assert (a.m, a.p, a.total_rows) == (b.m, b.p, b.total_rows)
     lam = 0.1
     (ca, ra), (cb, rb) = fit_group_lasso(a, lam), fit_group_lasso(b, lam)
-    assert ca.matrix.tobytes() == cb.matrix.tobytes()
+    assert ca.tobytes() == cb.tobytes()
     assert (ra.method, ra.iterations, ra.objective) == (rb.method, rb.iterations, rb.objective)
 
 
@@ -237,11 +237,10 @@ def test_gram_stack_is_shared_and_forked_on_a_divergent_append():
     assert np.shares_memory(full.grams()[0], G_full)
 
 
-class TestGroupCoefficients:
+class TestGroupNorms:
     def test_group_norms(self):
-        mat = np.array([[3.0, 1.0], [4.0, 1.0]])
-        coeffs = GroupCoefficients(mat)
-        np.testing.assert_allclose(coeffs.group_norms(), [5.0, np.sqrt(2.0)])
+        coeffs = np.array([[3.0, 1.0], [4.0, 1.0]])
+        np.testing.assert_allclose(group_norms(coeffs), [5.0, np.sqrt(2.0)])
 
 
 class TestFit:
@@ -255,13 +254,13 @@ class TestFit:
         )
         coeffs, report = fit_group_lasso(design, lam=1.5 * crit)
         assert report.converged
-        assert np.all(coeffs.matrix == 0.0)
+        assert np.all(coeffs == 0.0)
 
     def test_unpenalized_identity_design(self):
         design = single_task_design(np.eye(2), np.array([1.0, 2.0]))
         coeffs, report = fit_group_lasso(design, lam=0.0)
         assert report.converged
-        np.testing.assert_allclose(coeffs.matrix, [[1.0, 2.0]], atol=1e-7)
+        np.testing.assert_allclose(coeffs, [[1.0, 2.0]], atol=1e-7)
 
     def test_scalar_instance_against_fine_grid(self):
         # minimize (1/4) sum (1 - b)^2 + |b|; scalar grid at step 1e-6
@@ -271,8 +270,8 @@ class TestFit:
         vals = (1.0 - grid) ** 2 + np.abs(grid)
         best = grid[np.argmin(vals)]
         assert report.converged
-        assert coeffs.matrix[0, 0] == pytest.approx(best, abs=1e-5)
-        assert coeffs.matrix[0, 0] == pytest.approx(0.5, abs=1e-6)
+        assert coeffs[0, 0] == pytest.approx(best, abs=1e-5)
+        assert coeffs[0, 0] == pytest.approx(0.5, abs=1e-6)
 
     def test_two_dim_instance_against_grid_oracle(self):
         rng = np.random.default_rng(3)
@@ -309,9 +308,9 @@ class TestFit:
 
     def test_warm_start_shape_checked(self):
         design = single_task_design(np.eye(2), np.array([1.0, 2.0]))
-        bad = GroupCoefficients(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            fit_group_lasso(design, lam=0.1, x0=bad)
+        for bad in (np.zeros((2, 2)), np.zeros(2), np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError):
+                fit_group_lasso(design, lam=0.1, x0=bad)
 
     def test_max_iter_reports_non_convergence(self):
         rng = np.random.default_rng(6)
@@ -344,7 +343,7 @@ class TestKkt:
         phi = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
         design = single_task_design(phi, y)
-        zero = GroupCoefficients.zeros(1, design.p)
+        zero = np.zeros((1, design.p))
         crit = 2.0 * max(abs(phi[:, j] @ y) / 6 for j in range(2))
         assert kkt_residuals(design, zero, crit + 1e-9).max() <= 1e-9
         assert kkt_residuals(design, zero, crit / 2).max() > 0
@@ -358,11 +357,11 @@ def test_objective_dominance():
     lam = 0.2
     coeffs, _ = fit_group_lasso(design, lam)
     fitted = pooled_loss(design, coeffs, lam)
-    zero = GroupCoefficients.zeros(1, design.p)
+    zero = np.zeros((1, design.p))
     assert fitted <= pooled_loss(design, zero, lam) + 1e-12
     beta_ls, *_ = np.linalg.lstsq(phi, y, rcond=None)
-    ls = GroupCoefficients(beta_ls.reshape(1, -1))
-    assert fitted <= pooled_loss(design, ls, lam) + lam * ls.group_norms().sum() + 1e-12
+    ls = beta_ls.reshape(1, -1)
+    assert fitted <= pooled_loss(design, ls, lam) + lam * group_norms(ls).sum() + 1e-12
 
 
 def test_scale_consistency():
@@ -374,7 +373,7 @@ def test_scale_consistency():
     lam = 0.15
     c1, _ = fit_group_lasso(base, lam, tol=1e-10)
     c2, _ = fit_group_lasso(scaled, 2.0 * lam, tol=1e-10)
-    np.testing.assert_allclose(2.0 * c1.group_norms(), c2.group_norms(), atol=1e-7)
+    np.testing.assert_allclose(2.0 * group_norms(c1), group_norms(c2), atol=1e-7)
 
 
 def test_task_permutation_invariance():
@@ -386,7 +385,7 @@ def test_task_permutation_invariance():
     rev = PooledDesign(blocks[::-1], ys[::-1])
     cf, _ = fit_group_lasso(fwd, lam, tol=1e-10)
     cr, _ = fit_group_lasso(rev, lam, tol=1e-10)
-    np.testing.assert_allclose(cf.group_norms(), cr.group_norms(), atol=1e-8)
+    np.testing.assert_allclose(group_norms(cf), group_norms(cr), atol=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -425,7 +424,7 @@ def test_report_objective_and_history_property(seed, lam, m, p, warm):
     blocks = [rng.normal(size=(n, p)) for n in rows]
     ys = [rng.normal(size=n) for n in rows]
     design = PooledDesign(blocks, ys)
-    x0 = GroupCoefficients(rng.normal(size=(m, p))) if warm else None
+    x0 = rng.normal(size=(m, p)) if warm else None
     coeffs, report = fit_group_lasso(design, lam, x0=x0, max_iter=2_000)
     y_scale = max(1.0, sum(float(y @ y) for y in ys) / design.total_rows)
     assert abs(report.objective - pooled_loss(design, coeffs, lam)) <= 1e-10 * y_scale
@@ -471,7 +470,7 @@ def test_lasso_path_matches_tight_apg(seed, rows, p, shape, lam_frac):
     # APG's point is a reference only where it certified itself at 1e-12;
     # on near-singular designs it can stop 3e-4 away at the same objective
     if ref_report.converged:
-        np.testing.assert_allclose(coeffs.matrix, ref.matrix, atol=1e-6)
+        np.testing.assert_allclose(coeffs, ref, atol=1e-6)
 
 
 class TestLassoPath:
@@ -483,13 +482,13 @@ class TestLassoPath:
         assert report.objective == pooled_loss(design, coeffs, 0.1)
         assert list(report.objective_history) == [report.objective]
         # every nonzero coefficient joined in a step of its own
-        assert np.count_nonzero(coeffs.matrix) <= report.iterations < 50
+        assert np.count_nonzero(coeffs) <= report.iterations < 50
 
     def test_active_set_reaches_row_count(self):
         design = path_design(2, 3, 6, "plain")
         coeffs, report = fit_group_lasso(design, lam=1e-3)
         assert report.iterations < 50
-        assert np.count_nonzero(coeffs.matrix) == 3
+        assert np.count_nonzero(coeffs) == 3
 
     def test_penalty_above_lam_max_takes_no_step(self):
         design = path_design(3, 5, 4, "plain")
@@ -497,7 +496,7 @@ class TestLassoPath:
         lam_max = 2.0 / 5 * float(np.abs(phi.T @ y).max())
         coeffs, report = fit_group_lasso(design, lam=lam_max * 1.01)
         assert report.iterations == 0 and report.converged
-        assert np.all(coeffs.matrix == 0.0)
+        assert np.all(coeffs == 0.0)
 
     def test_underdetermined_least_squares_declined(self):
         # lam = 0 with more columns than rows: a whole affine set is optimal
@@ -541,7 +540,7 @@ def test_newton_finish_matches_tight_apg(seed, m, p, shape, lam_frac, warm):
     _, C, y_sq = design.grams()
     N = design.total_rows
     lam = lam_frac * 2.0 / N * float(np.sqrt((C * C).sum(axis=0)).max())
-    x0 = GroupCoefficients(rng.standard_normal((m, p))) if warm else None
+    x0 = rng.standard_normal((m, p)) if warm else None
     coeffs, report = fit_group_lasso(design, lam, x0=x0)
     with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", 0.0):
         _, ref_report = _apg(design, lam, 1e-12, 100_000, x0)
@@ -595,8 +594,8 @@ def test_newton_drops_a_column_it_pushes_through_zero(monkeypatch):
     assert 0 < steps < group_lasso.NEWTON_MAX_STEPS
     assert report.method == "newton" and report.converged
     assert (report.newton_attempts, report.newton_steps) == (1, steps)
-    assert coeffs.matrix.tobytes() == point.tobytes()
-    assert np.all(coeffs.matrix[:, 0] == 0.0) and np.all(coeffs.matrix[:, 1] != 0.0)
+    assert coeffs.tobytes() == point.tobytes()
+    assert np.all(coeffs[:, 0] == 0.0) and np.all(coeffs[:, 1] != 0.0)
     assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
 
 
@@ -687,7 +686,7 @@ def iteration_states(design, lam):
         with mock.patch.object(group_lasso, "_prox_step", spy):
             for k in itertools.count(1):
                 coeffs, report = _apg(design, lam, 1e-8, k, None)
-                states.append((coeffs.matrix, float(np.linalg.norm(moves[-2])) / step))
+                states.append((coeffs, float(np.linalg.norm(moves[-2])) / step))
                 if report.converged and k % group_lasso.CHECK_EVERY == 0:
                     return states
 
@@ -787,12 +786,10 @@ def test_wrongly_dropped_column_restored_by_apg(monkeypatch):
     attempts = newton_attempts(monkeypatch)
     coeffs, report = fit_group_lasso(design, lam)
     (handed, point, _), (retried, _, _) = attempts
-    assert support(handed) == support(retried) == support(coeffs.matrix)
+    assert support(handed) == support(retried) == support(coeffs)
     assert 0 in support(handed) and 0 not in support(point)
-    assert coeffs.group_norms()[0] > 0.0
-    assert pooled_loss(design, GroupCoefficients(point), lam) < pooled_loss(
-        design, GroupCoefficients(handed), lam
-    )
+    assert group_norms(coeffs)[0] > 0.0
+    assert pooled_loss(design, point, lam) < pooled_loss(design, handed, lam)
     assert report.method == "newton" and report.converged
     assert report.newton_attempts == 2
     assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
@@ -800,7 +797,7 @@ def test_wrongly_dropped_column_restored_by_apg(monkeypatch):
     # a fit cut at the first attempt's iteration returns that point
     first = handoff_schedule(iteration_states(design, lam))[0]
     cut, cut_report = fit_group_lasso(design, lam, max_iter=first)
-    assert cut.matrix.tobytes() == attempts[2][1].tobytes() == point.tobytes()
+    assert cut.tobytes() == attempts[2][1].tobytes() == point.tobytes()
     assert cut_report.method == "apg" and not cut_report.converged
     assert cut_report.objective_history[-1] == cut_report.objective < cut_report.objective_history[-2]
 
@@ -826,7 +823,7 @@ def test_declined_newton_point_above_the_iterate_discarded(monkeypatch):
     none_coeffs, none_report = fits(lambda x: None)
     assert report.newton_attempts > 0
     assert report.method == "apg" and report.converged
-    assert coeffs.matrix.tobytes() == none_coeffs.matrix.tobytes()
+    assert coeffs.tobytes() == none_coeffs.tobytes()
     assert report.iterations == none_report.iterations
     assert report.newton_attempts == none_report.newton_attempts
     assert report.objective_history.tobytes() == none_report.objective_history.tobytes()
@@ -865,7 +862,7 @@ def shared_support_design(seed, m=4, p=8, rows=10):
 
 
 def zero_padded(coeffs, m):
-    return GroupCoefficients(np.vstack([coeffs.matrix, np.zeros((m - coeffs.m, coeffs.p))]))
+    return np.vstack([coeffs, np.zeros((m - len(coeffs), coeffs.shape[1]))])
 
 
 @pytest.mark.parametrize("new_tasks", [1, 2])
@@ -873,10 +870,10 @@ def test_predicted_row_lowers_the_objective(new_tasks):
     design, lam = shared_support_design(3, m=5)
     old = fit_group_lasso(design.prefix(design.m - new_tasks), lam)[0]
     start = padded_warm_start(old, design, lam)
-    S = np.flatnonzero(old.group_norms() > 0.0)
-    assert start.matrix[: old.m].tobytes() == old.matrix.tobytes()
-    assert np.all(start.matrix[old.m :, S] != 0.0)
-    assert np.all(np.delete(start.matrix[old.m :], S, axis=1) == 0.0)
+    S = np.flatnonzero(group_norms(old) > 0.0)
+    assert start[: len(old)].tobytes() == old.tobytes()
+    assert np.all(start[len(old) :, S] != 0.0)
+    assert np.all(np.delete(start[len(old) :], S, axis=1) == 0.0)
     assert pooled_loss(design, start, lam) < pooled_loss(design, zero_padded(old, design.m), lam)
     assert padded_warm_start(None, design, lam) is None
     assert padded_warm_start(start, design, lam) is None
@@ -885,23 +882,23 @@ def test_predicted_row_lowers_the_objective(new_tasks):
 def test_predicted_row_falls_back_to_zero():
     design, lam = shared_support_design(4)
     old = fit_group_lasso(design.prefix(3), lam)[0]
-    zero = zero_padded(old, 4).matrix.tobytes()
+    zero = zero_padded(old, 4).tobytes()
     # no nonzero column to predict on, and no penalty to keep the step small
-    empty = GroupCoefficients.zeros(3, design.p)
-    assert np.all(padded_warm_start(empty, design, lam).matrix == 0.0)
-    assert padded_warm_start(old, design, 0.0).matrix.tobytes() == zero
+    empty = np.zeros((3, design.p))
+    assert np.all(padded_warm_start(empty, design, lam) == 0.0)
+    assert padded_warm_start(old, design, 0.0).tobytes() == zero
     # a singular solve: two equal columns, and lam / c below the smallest float
     rng = np.random.default_rng(5)
     phi = rng.standard_normal((6, 2))
     phi[:, 1] = phi[:, 0]
     dup = PooledDesign([phi, phi], [rng.standard_normal(6), rng.standard_normal(6)])
-    huge = GroupCoefficients(np.array([[1e150, 1e150]]))
+    huge = np.array([[1e150, 1e150]])
     G, _, _ = dup.grams()
-    assert np.all(1e-200 / huge.group_norms() == 0.0)
+    assert np.all(1e-200 / group_norms(huge) == 0.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve((2.0 / 12) * G[1], np.ones(2))
     start = padded_warm_start(huge, dup, 1e-200)
-    assert start.matrix.tobytes() == zero_padded(huge, 2).matrix.tobytes()
+    assert start.tobytes() == zero_padded(huge, 2).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -932,10 +929,9 @@ def test_fit_from_predicted_start_matches_cold_fit(seed, m, p, shape, lam_frac):
         assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
 
 
-def mapping_norm(design, coeffs, lam):
-    """The prox-gradient mapping norm at ``coeffs``, from raw residuals."""
+def mapping_norm(design, B, lam):
+    """The prox-gradient mapping norm at the coefficients ``B``, from raw residuals."""
     step = 1.0 / design.lipschitz()
-    B = coeffs.matrix
     grad = np.array(
         [(2.0 / design.total_rows) * (phi.T @ (phi @ b - y))
          for phi, y, b in zip(design.features, design.rewards, B)]
@@ -967,4 +963,4 @@ def test_newton_stops_at_the_precision_acceptance_needs(monkeypatch, tol):
     assert report.map_norm <= tol
     assert mapping_norm(design, coeffs, lam) <= tol
     assert steps[tol] <= steps[1e-13]
-    assert np.array_equal(coeffs.group_norms() > 0.0, tight.group_norms() > 0.0)
+    assert np.array_equal(group_norms(coeffs) > 0.0, group_norms(tight) > 0.0)

@@ -120,7 +120,7 @@ class TestConfig:
             build_config("lifelong", {key: value})
 
     @pytest.mark.parametrize(
-        "key, value", [("noise", "-1"), ("p", "0"), ("family", "cosine1d")]
+        "key, value", [("noise", "-1"), ("p", "0"), ("family", "cosine1d"), ("m", "3")]
     )
     def test_lookup_values_that_fail_every_seed_rejected_up_front(self, tmp_path, key, value):
         # a lookup run skips the synthetic spec; these used to fail every seed

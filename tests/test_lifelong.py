@@ -19,10 +19,10 @@ from lifelong_bandits.features import KernelEstimate
 from lifelong_bandits.federated import run_federated
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from lifelong_bandits.lifelong import (
-    ExplorationSchedule,
     LifelongRunRecord,
     ScheduleMode,
     _run_tasks,
+    exploration_counts,
     integerize,
     run_baseline,
     run_lifelong,
@@ -88,13 +88,14 @@ class TestIntegerize:
 
 class TestSchedule:
     def test_counts_capped_by_horizon(self):
-        sched = ExplorationSchedule.build(ScheduleMode.CONSTANT, 100, 12)
-        assert np.all(sched.counts <= 100)
-        assert np.all(sched.counts >= 0)
+        counts = exploration_counts(ScheduleMode.CONSTANT, 100, 12)
+        assert np.all(counts <= 100)
+        assert np.all(counts >= 0)
 
     def test_prefix_tracking(self):
-        sched = ExplorationSchedule.build(ScheduleMode.DECREASING, 83, 40)
-        gaps = np.abs(np.cumsum(sched.counts) - np.cumsum(sched.rates))
+        counts = exploration_counts(ScheduleMode.DECREASING, 83, 40)
+        rates = schedule_rates(83, 40, ScheduleMode.DECREASING)
+        gaps = np.abs(np.cumsum(counts) - np.cumsum(rates))
         assert gaps.max() < 1.0
 
 
@@ -108,8 +109,7 @@ class TestRunLifelong:
         env = small_env(seed=3, n_tasks=1)
         n = 30
         record = run_lifelong(env, m=1, n=n, omega=0.25, lam=0.1, seed=11)
-        sched = ExplorationSchedule.build(ScheduleMode.DECREASING, n, 1)
-        ne = int(sched.counts[0])
+        ne = int(exploration_counts(ScheduleMode.DECREASING, n, 1)[0])
         agent = GpUcb(env.atlas, KernelEstimate.full(env.atlas.p), UcbConfig())
         view = env.task_view(1)
         rng = substream(11, STREAM_EXPLORE, 1)

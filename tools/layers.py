@@ -51,17 +51,13 @@ Layers:
 - ``selection.design``: the design work outside the solver: building the
   design, which computes the Gram statistics of each task as it joins, and
   reading what every pooled fit reads (``grams()`` and ``lipschitz()``).
-  ``learned_20th_task``: a fresh build of the 20-task ``learned``-like design
-  by ``design_from_tasks``, which featurises every task's points again, as
-  the lifelong runner did after each task, against appending the 20th task's
-  rows, sliced from the environment's grid features, to the 19-task design,
-  as it does now. ``offline_seed_setup``: one seed of the default offline
-  sweep (m = 1..30, n = 10) without its fits: ``per_m`` builds an
-  environment, draws tasks 1..m, featurises them for the rewards and again
-  for the design and computes every statistic, for each m, as the sweep did
-  before it drew its tasks once; ``sweep`` runs ``recovery_sweep`` with the
-  fit replaced by the statistics it reads, reporting a fit that did not
-  converge, so no fit is warm-started.
+  ``learned_20th_task``: appending the 20th task's rows of a
+  ``learned``-like design, sliced from the environment's grid features, to
+  the 19-task design, as the lifelong runner does after each task.
+  ``offline_seed_setup``: one seed of the default offline sweep
+  (m = 1..30, n = 10) without its fits: ``sweep`` runs ``recovery_sweep``
+  with the fit replaced by the statistics it reads, reporting a fit that
+  did not converge, so no fit is warm-started.
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh ``GpUcb``, a
@@ -108,7 +104,6 @@ from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec  # 
 from lifelong_bandits.features import KernelEstimate  # noqa: E402
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig  # noqa: E402
 from lifelong_bandits.group_lasso import (  # noqa: E402
-    GroupCoefficients,
     PooledDesign,
     SolverReport,
     fit_group_lasso,
@@ -116,7 +111,6 @@ from lifelong_bandits.group_lasso import (  # noqa: E402
 )
 from lifelong_bandits.harness import RegretTrace, summarize  # noqa: E402
 from lifelong_bandits.lifelong import run_lifelong  # noqa: E402
-from lifelong_bandits.seeding import STREAM_EXPLORE, STREAM_NOISE, substream  # noqa: E402
 from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
 TASKS = 20
@@ -282,7 +276,6 @@ def fit_statistics(design) -> None:
 def design_learned(repeats: int) -> dict:
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
     draws = grid_draws(env, [100] + [4] * (TASKS - 1), np.random.default_rng(0))
-    tasks = [(env.grid[drawn], y) for drawn, y in draws]
     prior = PooledDesign([env.grid_features[d] for d, _ in draws[:-1]], [y for _, y in draws[:-1]])
     fit_statistics(prior)
     last, last_y = draws[-1]
@@ -292,26 +285,12 @@ def design_learned(repeats: int) -> dict:
         design.append(env.grid_features[last], last_y)
         fit_statistics(design)
 
-    fresh = seconds_of(lambda: fit_statistics(design_from_tasks(env.atlas, tasks)), repeats)
     grown = seconds_of(append, repeats)
     return {
         "tasks": TASKS,
         "rows": sum(len(y) for _, y in draws),
-        **quartiles("fresh_us", fresh),
         **quartiles("append_us", grown),
     }
-
-
-def offline_setup_per_m(spec, m_values, n, seed) -> None:
-    """One seed's sweep setup as it was: every m redraws tasks 1..m."""
-    for m in m_values:
-        env = SyntheticEnvironment(spec, n_tasks=m, master_seed=seed)
-        lo, hi = env.atlas.domain[:, 0], env.atlas.domain[:, 1]
-        tasks = []
-        for s in range(1, m + 1):
-            X = substream(seed, STREAM_EXPLORE, s).uniform(lo, hi, size=(n, env.atlas.dim_in))
-            tasks.append((X, env.reward_continuous(s, X, substream(seed, STREAM_NOISE, s))))
-        fit_statistics(design_from_tasks(env.atlas, tasks))
 
 
 def design_offline(repeats: int) -> dict:
@@ -323,7 +302,7 @@ def design_offline(repeats: int) -> dict:
             estimate=KernelEstimate.full(design.p),
             fallback=True,
             group_norms=np.zeros(design.p),
-            coeffs=GroupCoefficients.zeros(design.m, design.p),
+            coeffs=np.zeros((design.m, design.p)),
             report=SolverReport(
                 method="apg",
                 converged=False,
@@ -334,7 +313,6 @@ def design_offline(repeats: int) -> dict:
             ),
         )
 
-    per_m = seconds_of(lambda: offline_setup_per_m(spec, m_values, n, seed), repeats)
     with mock.patch.object(selection, "learn_kernel", statistics_only):
         sweep = seconds_of(
             lambda: recovery_sweep(spec, m_values, n, 0.25, 0.25, seed), repeats
@@ -342,7 +320,6 @@ def design_offline(repeats: int) -> dict:
     return {
         "m_values": len(m_values),
         "n": n,
-        **quartiles("per_m_us", per_m),
         **quartiles("sweep_us", sweep),
     }
 
