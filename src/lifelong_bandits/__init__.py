@@ -10,26 +10,12 @@ from .environment import (
     LookupTable,
     SyntheticEnvironment,
     SyntheticSpec,
-    rkhs_norm_sq,
     uniform_grid,
 )
 from .errors import ConfigError, DataError, DomainError, EmptyKernelError
-from .features import (
-    BasisFamily,
-    FeatureAtlas,
-    KernelEstimate,
-    kernel_gram,
-    kernel_value,
-    selected_features,
-)
+from .features import BasisFamily, FeatureAtlas, KernelEstimate
 from .federated import ClientVote, VoteLedger, client_fit, run_federated
-from .gp_ucb import (
-    GpUcb,
-    LockstepUcb,
-    UcbConfig,
-    info_gain_bound,
-    realized_info_gain,
-)
+from .gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from .group_lasso import (
     PooledDesign,
     SolverReport,
@@ -44,8 +30,6 @@ from .harness import (
     RegretTrace,
     SummaryTable,
     build_config,
-    load_config,
-    parse_config,
     run_experiment,
     summarize,
 )
@@ -105,25 +89,17 @@ __all__ = [
     "exploration_counts",
     "fit_group_lasso",
     "group_norms",
-    "info_gain_bound",
     "integerize",
-    "kernel_gram",
-    "kernel_value",
     "kkt_residuals",
     "learn_kernel",
-    "load_config",
-    "parse_config",
     "pooled_loss",
-    "realized_info_gain",
     "recovery_sweep",
     "recovery_trial",
-    "rkhs_norm_sq",
     "run_baseline",
     "run_experiment",
     "run_federated",
     "run_lifelong",
     "schedule_rates",
-    "selected_features",
     "substream",
     "summarize",
     "theory_lambda",

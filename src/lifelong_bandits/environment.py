@@ -10,8 +10,7 @@ and sqrt(sum_j (beta_s^(j))^2) <= norm_bound.
 Two norms show up and they differ; both are deliberate. The sampler caps the
 plain coefficient norm sqrt(sum_j (beta^(j))^2) at ``norm_bound``. The
 reproducing-kernel norm of f under the averaged kernel over J* is larger:
-``rkhs_norm_sq(beta, support)`` returns |J*| * sum_j (beta^(j))^2 from the
-coefficients and the support alone, and that value is what the kernel Gram
+its square is |J*| * sum_j (beta^(j))^2, which is what the kernel Gram
 quadratic form recovers.
 
 Lookup tables hold pre-evaluated objectives on a finite point set (one column
@@ -19,7 +18,7 @@ per task) and stand in for environments whose truth is unknown. For feature
 evaluation each coordinate axis is mapped affinely onto the atlas domain
 (the table's smallest value to the domain's lower end, its largest to the
 upper end), so ``legendre1d`` sees all of [-1, 1] and the cosine families
-all of [0, 1]; raw coordinates are kept for user-facing lookups.
+all of [0, 1]; the table itself keeps its raw coordinates.
 
 All randomness flows through :mod:`.seeding` substreams, so any single task
 can be replayed in isolation.
@@ -79,7 +78,6 @@ def sample_support(spec: SyntheticSpec, rng: np.random.Generator) -> tuple[int, 
 def sample_coefficients(
     spec: SyntheticSpec,
     support: tuple[int, ...],
-    atlas: FeatureAtlas,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One task's coefficient vector, shape (p,).
@@ -88,18 +86,12 @@ def sample_coefficients(
     direction in one dimension) times a magnitude drawn uniformly from
     [beta_min, norm_bound / sqrt(|J*|)]; inactive groups are exactly zero.
     """
-    beta = np.zeros(atlas.p)
+    beta = np.zeros(spec.p)
     hi = spec.norm_bound / np.sqrt(len(support))
     for j in support:
         direction = rng.standard_normal()
         beta[j - 1] = math.copysign(rng.uniform(spec.beta_min, hi), direction)
     return beta
-
-
-def rkhs_norm_sq(beta: np.ndarray, support: tuple[int, ...]) -> float:
-    """Squared norm of f = sum_j beta^(j) phi_j under the averaged kernel
-    over ``support``: |J*| times the summed squared coefficients."""
-    return len(support) * sum(float(beta[j - 1] * beta[j - 1]) for j in support)
 
 
 def uniform_grid(domain: np.ndarray, points_per_axis: int) -> np.ndarray:
@@ -195,7 +187,7 @@ class SyntheticEnvironment:
         self.coeffs = np.stack(
             [
                 sample_coefficients(
-                    spec, self.support, self.atlas, substream(self.master_seed, STREAM_COEFF, s)
+                    spec, self.support, substream(self.master_seed, STREAM_COEFF, s)
                 )
                 for s in range(1, self.m + 1)
             ]
@@ -225,12 +217,6 @@ class SyntheticEnvironment:
             self.spec.noise,
             substream(self.master_seed, STREAM_NOISE, s),
         )
-
-    def reward_continuous(
-        self, s: int, X: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Noisy rewards of task s at arbitrary in-domain points."""
-        return self.rewards_at(s, self.atlas.concat_many(X), rng)
 
     def rewards_at(self, s: int, features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Noisy rewards of task s at the points whose feature rows
@@ -276,20 +262,6 @@ class LookupTable:
     @property
     def dim_in(self) -> int:
         return self.points.shape[1]
-
-    def eval(self, task: int, x) -> float:
-        """Value of ``task`` (1-based) at the nearest grid point to x.
-
-        Nearest is Euclidean in the table's own coordinates; ties go to the
-        lowest row index.
-        """
-        if not 1 <= task <= self.n_tasks:
-            raise IndexError(f"task index {task} outside 1..{self.n_tasks}")
-        q = np.asarray(x, dtype=float).reshape(-1)
-        if q.shape[0] != self.dim_in:
-            raise ValueError(f"expected {self.dim_in} coordinates")
-        dist_sq = ((self.points - q) ** 2).sum(axis=1)
-        return float(self.values[int(np.argmin(dist_sq)), task - 1])
 
     def normalized_points(self) -> np.ndarray:
         """Points affinely rescaled to the unit box, degenerate axes to 0."""

@@ -20,7 +20,9 @@ A subset J of group indices induces the averaged kernel
 
     k_J(x, y) = (1/|J|) * sum_{j in J} phi_j(x)^T phi_j(y),
 
-which is the object the bandit solver consumes. Group indices are 1-based
+which is the object the bandit solver consumes: a GP-UCB agent holds the
+unscaled ``concat_many`` columns of J and a prior weight of 1/|J| on each
+(see :mod:`.gp_ucb`). Group indices are 1-based
 throughout the public API: the index is the basis frequency or degree, so it
 is meaningful, not positional.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyKernelError
+from .errors import DomainError
 
 _DOMAIN_SLACK = 1e-12
 
@@ -143,7 +145,8 @@ class KernelEstimate:
 
     ``selected`` holds sorted, unique, 1-based group indices. The induced
     kernel weights each selected group by 1/|selected|; an empty selection
-    carries no kernel and evaluation raises :class:`EmptyKernelError`.
+    carries no kernel, and an agent built on it raises
+    :class:`EmptyKernelError`.
     """
 
     p: int
@@ -177,37 +180,3 @@ class KernelEstimate:
         """Per-group weight 1/|selected|, or None when nothing is selected."""
         return None if self.is_empty else 1.0 / len(self.selected)
 
-
-def selected_features(
-    atlas: FeatureAtlas,
-    estimate: KernelEstimate,
-    X,
-    scaled: bool = True,
-) -> np.ndarray:
-    """Features of the selected groups for a batch of points.
-
-    With ``scaled=True`` (the default) each column is multiplied by
-    sqrt(1/|selected|), so that the plain inner product of two rows equals the
-    averaged kernel value. This is the representation the bandit solver's
-    primal posterior consumes.
-    """
-    if estimate.is_empty:
-        raise EmptyKernelError("kernel estimate selects no groups")
-    if estimate.p != atlas.p:
-        raise ValueError("estimate and atlas disagree on the number of groups")
-    columns = atlas.concat_many(X)[:, np.asarray(estimate.selected, dtype=np.intp) - 1]
-    return columns * math.sqrt(estimate.weight) if scaled else columns
-
-
-def kernel_value(atlas: FeatureAtlas, estimate: KernelEstimate, x, y) -> float:
-    """Averaged kernel value k(x, y) under the estimate's selection."""
-    fx = selected_features(atlas, estimate, np.atleast_2d(np.asarray(x, float)))
-    fy = selected_features(atlas, estimate, np.atleast_2d(np.asarray(y, float)))
-    return float(fx[0] @ fy[0])
-
-
-def kernel_gram(atlas: FeatureAtlas, estimate: KernelEstimate, X, Y=None) -> np.ndarray:
-    """Gram matrix of kernel values between two point batches."""
-    fx = selected_features(atlas, estimate, X)
-    fy = fx if Y is None else selected_features(atlas, estimate, Y)
-    return fx @ fy.T

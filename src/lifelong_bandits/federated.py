@@ -47,9 +47,6 @@ class ClientVote:
         if ordered != self.indices:
             object.__setattr__(self, "indices", ordered)
 
-    def wire_format(self) -> str:
-        return f"{self.client}:{','.join(str(j) for j in self.indices)}"
-
 
 class VoteLedger:
     """Per-index endorsement counters with an alpha-fraction selection rule."""
@@ -65,9 +62,11 @@ class VoteLedger:
         self.clients_seen = 0
 
     def add(self, vote: ClientVote) -> None:
+        """Count the vote, or raise ``ConfigError`` and count none of it."""
         for j in vote.indices:
             if not 1 <= j <= self.p:
                 raise ConfigError(f"vote index {j} outside 1..{self.p}")
+        for j in vote.indices:
             self.counts[j - 1] += 1
         self.clients_seen += 1
 
@@ -132,7 +131,6 @@ def run_federated(
     seed: int = 0,
     solver_tol: float = 1e-8,
     solver_max_iter: int = 50_000,
-    config_digest: str = "",
 ) -> FederatedRunRecord:
     """Run m client tasks with voting between exploration and exploitation.
 
@@ -145,7 +143,7 @@ def run_federated(
     """
     atlas = env.atlas
     ledger = VoteLedger(atlas.p, alpha)
-    record = FederatedRunRecord(seed=seed, config_digest=config_digest)
+    record = FederatedRunRecord(seed=seed)
 
     def vote_kernel(s: int, drawn: list[int], drawn_y: list[float]) -> KernelEstimate:
         vote = client_fit(

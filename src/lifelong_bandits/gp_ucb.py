@@ -145,41 +145,6 @@ def ucb_choice(scores: np.ndarray) -> np.ndarray:
     return (scores >= floor).argmax(axis=-1)
 
 
-def info_gain_bound(d_k, n: int, lam: float):
-    """Closed-form cap on the information gain of n observations under a
-    d_k-dimensional feature kernel with bounded diagonal; an array of d_k
-    gives the cap of each."""
-    if (np.asarray(d_k) < 1).any():
-        raise ValueError("feature dimension must be at least 1")
-    if n < 0:
-        raise ValueError("observation count must be nonnegative")
-    if lam <= 0:
-        raise ValueError("regularizer must be positive")
-    if n == 0:
-        return 0.0
-    return 0.5 * d_k * np.log1p(n / (lam * lam * d_k))
-
-
-def realized_info_gain(gram: np.ndarray, lam: float) -> float:
-    """(1/2) log det(I + lam^-2 K) from an observed-point Gram matrix.
-
-    The dual-form computation; the solver itself uses the primal identity.
-    Rejects matrices that are non-PSD beyond -1e-8.
-    """
-    if lam <= 0:
-        raise ValueError("regularizer must be positive")
-    K = np.asarray(gram, dtype=float)
-    if K.size == 0:
-        return 0.0
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError("Gram matrix must be square")
-    K = 0.5 * (K + K.T)
-    eigs = np.linalg.eigvalsh(K)
-    if eigs[0] < -1e-8:
-        raise ValueError(f"Gram matrix is not PSD (min eigenvalue {eigs[0]:.3e})")
-    return 0.5 * float(np.log1p(np.maximum(eigs, 0.0) / (lam * lam)).sum())
-
-
 class LockstepUcb:
     """k GP-UCB agents under one config, each with its own kernel, in lockstep.
 
@@ -213,9 +178,9 @@ class LockstepUcb:
         self.var = weights @ np.square(features).T
         self.log_det = np.zeros(k)
         self.max_gain_slack = np.full(k, -np.inf)
-        # info_gain_bound(dims, i, lam) without its checks (dims >= 1 holds
-        # here, lam > 0 in UcbConfig), in its order of operations: the cap
-        # after i observations is cap_weight * log1p(i / cap_scale), bit for bit
+        # the closed-form cap (1/2) d log(1 + lam^-2 i / d) after i
+        # observations is cap_weight * log1p(i / cap_scale); dims >= 1 holds
+        # here and lam > 0 in UcbConfig
         self.cap_weight = 0.5 * self.dims
         self.cap_scale = (config.lam * config.lam) * self.dims
 

@@ -238,14 +238,6 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
         raise ConfigError(str(exc)) from exc
 
 
-def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
-    return build_config(kind, parse_pairs(text))
-
-
-def load_config(path, kind: str | None = None) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(), kind)
-
-
 def _csv(header: str, rows) -> str:
     """CSV text: the header, then one line per row, a tuple of Python scalars.
 
@@ -443,7 +435,7 @@ def _build_environment(config: ExperimentConfig, seed: int, m: int, table: Looku
     )
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: LookupTable | None):
+def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None):
     """One seed's outcome: the offline sweep's rows, or the runner's record."""
     if config.kind == "offline":
         trials = recovery_sweep(
@@ -464,15 +456,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: Looku
     env = _build_environment(config, seed, max(config.m, 1), table)
     m = config.m if config.m > 0 else env.m
     if config.kind in ("baseline_oracle", "baseline_full"):
-        return run_baseline(
-            env,
-            config.baseline_kernel,
-            m,
-            config.n,
-            ucb=ucb,
-            seed=seed,
-            config_digest=digest,
-        )
+        return run_baseline(env, config.baseline_kernel, m, config.n, ucb=ucb, seed=seed)
     if config.kind == "federated":
         return run_federated(
             env,
@@ -485,7 +469,6 @@ def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: Looku
             seed=seed,
             solver_tol=config.solver_tol,
             solver_max_iter=config.solver_max_iter,
-            config_digest=digest,
         )
     return run_lifelong(
         env,
@@ -500,7 +483,6 @@ def _run_one_seed(config: ExperimentConfig, seed: int, digest: str, table: Looku
         seed=seed,
         solver_tol=config.solver_tol,
         solver_max_iter=config.solver_max_iter,
-        config_digest=digest,
     )
 
 
@@ -544,12 +526,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.resolved.txt").write_text(config.serialize())
-    digest = config.digest()
     done = {}
     failures: list[tuple[int, str]] = []
     for seed in config.seeds:
         try:
-            done[seed] = _run_one_seed(config, seed, digest, table)
+            done[seed] = _run_one_seed(config, seed, table)
         except Exception as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
     if not done:
@@ -570,7 +551,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         summary = summarize([traces[s] for s in sorted(traces)])
         if config.kind == "federated":
             votes = {seed: list(zip(r.votes, r.server_sets)) for seed, r in done.items()}
-    result = ExperimentResult(config, digest, traces, summary, recovery, curve, votes, failures)
+    result = ExperimentResult(
+        config, config.digest(), traces, summary, recovery, curve, votes, failures
+    )
     if out is not None:
         _write_outputs(out, result)
     return result

@@ -125,7 +125,6 @@ class LifelongRunRecord:
     """
 
     seed: int
-    config_digest: str
     tasks: list[TaskRecord] = field(default_factory=list)
     events: list[tuple[int, str]] = field(default_factory=list)
     final_kernel: tuple[int, ...] = ()
@@ -269,7 +268,6 @@ def run_lifelong(
     seed: int = 0,
     solver_tol: float = 1e-8,
     solver_max_iter: int = 50_000,
-    config_digest: str = "",
 ) -> LifelongRunRecord:
     """Run m tasks with forced exploration and a kernel update after each.
 
@@ -285,7 +283,7 @@ def run_lifelong(
     if meta_data not in META_DATA:
         raise ConfigError(f"unknown meta data policy: {meta_data!r}")
     atlas = env.atlas
-    record = LifelongRunRecord(seed=seed, config_digest=config_digest)
+    record = LifelongRunRecord(seed=seed)
     estimate = KernelEstimate.full(atlas.p)
     design: PooledDesign | None = None
     warm: np.ndarray | None = None  # the last converged fit's coefficients
@@ -354,7 +352,6 @@ def run_baseline(
     *,
     ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
-    config_digest: str = "",
 ) -> LifelongRunRecord:
     """Run m tasks under a pinned kernel, the true support or the full set,
     each task's agent under the GP-UCB config ``ucb``."""
@@ -366,7 +363,7 @@ def run_baseline(
         raise ConfigError("environment does not expose a true support")
     else:
         estimate = KernelEstimate(p=env.atlas.p, selected=env.support)
-    record = LifelongRunRecord(seed=seed, config_digest=config_digest)
+    record = LifelongRunRecord(seed=seed)
     _run_tasks(env, m, n, None, record, lambda *_: estimate, seed=seed, ucb=ucb)
     record.final_kernel = estimate.selected
     return record

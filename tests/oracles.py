@@ -1,0 +1,50 @@
+"""Independent routes to quantities the package computes another way.
+
+The GP-UCB agents keep a primal (feature-space) posterior and a running
+log-determinant; these are the kernel-space (dual) formulas the tests check
+them against, written from the definitions in the module docstrings.
+"""
+
+import math
+
+import numpy as np
+
+
+def kernel_rows(atlas, estimate, X):
+    """The atlas features of the selected groups at the points X, scaled by
+    sqrt(1/|J|), so that the inner product of two rows is the averaged kernel
+    k_J of the features module."""
+    columns = atlas.concat_many(X)[:, np.asarray(estimate.selected) - 1]
+    return columns * math.sqrt(estimate.weight)
+
+
+def dual_posterior(Phi, y, phi_query, lam):
+    """Kernel-space posterior mean and variance at one query point.
+
+    mean = k(x)^T (K + lam^2 I)^{-1} y
+    var  = k(x,x) - k(x)^T (K + lam^2 I)^{-1} k(x)
+    with K = Phi Phi^T and k(x) = Phi phi_query.
+    """
+    kx = Phi @ phi_query
+    M = Phi @ Phi.T + lam * lam * np.eye(len(y))
+    w = np.linalg.solve(M, np.stack([y, kx], axis=1))
+    return float(kx @ w[:, 0]), float(phi_query @ phi_query - kx @ w[:, 1])
+
+
+def realized_info_gain(gram, lam):
+    """(1/2) log det(I + lam^-2 K) from the Gram matrix K of the observed
+    points, through its eigenvalues."""
+    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    return 0.5 * float(np.log1p(np.maximum(eigs, 0.0) / (lam * lam)).sum())
+
+
+def info_gain_cap(d, n, lam):
+    """Closed-form cap (1/2) d log(1 + lam^-2 n / d) on the information gain
+    of n observations under a d-dimensional kernel with diagonal at most 1."""
+    return 0.5 * d * np.log1p(n / (lam * lam * d))
+
+
+def rkhs_norm_sq(beta, support):
+    """Squared norm of f = sum_j beta^(j) phi_j under the averaged kernel over
+    ``support``: |J*| times the summed squared coefficients."""
+    return len(support) * sum(float(beta[j - 1] * beta[j - 1]) for j in support)

@@ -28,7 +28,7 @@ from lifelong_bandits.group_lasso import (
     kkt_residuals,
     pooled_loss,
 )
-from lifelong_bandits.harness import build_config, parse_config, run_experiment
+from lifelong_bandits.harness import build_config, parse_pairs, run_experiment
 from lifelong_bandits.lifelong import (
     LifelongRunRecord,
     ScheduleMode,
@@ -40,6 +40,7 @@ from lifelong_bandits.lifelong import (
 )
 from lifelong_bandits.seeding import STREAM_NOISE, substream
 from lifelong_bandits.selection import recovery_trial
+from oracles import dual_posterior
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -154,14 +155,6 @@ def test_criterion_2_support_recovery_at_scale():
 # criterion 3: primal posterior equals the kernel-space (dual) formulas
 
 
-def _dual_mean_var(Phi: np.ndarray, y: np.ndarray, phi: np.ndarray, lam: float):
-    K = Phi @ Phi.T
-    kx = Phi @ phi
-    A = K + lam * lam * np.eye(len(y))
-    sol = np.linalg.solve(A, np.stack([y, kx], axis=1))
-    return float(kx @ sol[:, 0]), float(phi @ phi - kx @ sol[:, 1])
-
-
 def test_criterion_3_primal_dual_posterior_equivalence():
     # the posterior the runners step: a one-agent group on cosine atlas rows
     # at uniform points, all dim groups at weight 1/dim, so the kernel
@@ -181,7 +174,7 @@ def test_criterion_3_primal_dual_posterior_equivalence():
         mean_p = float(group.theta[0] @ table[n_obs])
         var_p = max(float(group.var[0, n_obs]), 0.0)
         Phi = table / np.sqrt(dim)  # the rows whose inner products are the kernel
-        mean_d, var_d = _dual_mean_var(Phi[:n_obs], y, Phi[n_obs], lam)
+        mean_d, var_d = dual_posterior(Phi[:n_obs], y, Phi[n_obs], lam)
         worst = max(worst, abs(mean_p - mean_d), abs(var_p - var_d))
     ok = worst <= 1e-8
     detail = f"worst primal/dual deviation {worst:.2e} over 100 states (tol 1e-08)"
@@ -221,7 +214,7 @@ def regret_study():
         # the true groups for every task; the forced draws and the noise come
         # from the seed's substreams, not from the kernel, so they are the
         # learned run's
-        matched = LifelongRunRecord(seed=seed, config_digest="")
+        matched = LifelongRunRecord(seed=seed)
         truth = KernelEstimate(env.atlas.p, env.support)
         _run_tasks(
             env, m, n, ScheduleMode.DECREASING, matched, lambda *_: truth, seed=seed, ucb=ucb
@@ -412,7 +405,7 @@ def test_criterion_8_determinism_and_digests(tmp_path):
     text = config.serialize()
     lines = text.splitlines()
     reordered = "\n".join(["# shuffled copy"] + lines[::-1])
-    digest_ok = parse_config(reordered).digest() == config.digest()
+    digest_ok = build_config(None, parse_pairs(reordered)).digest() == config.digest()
 
     ok = bool(traces_ok) and digest_ok
     detail = (
@@ -430,12 +423,11 @@ def test_criterion_8_determinism_and_digests(tmp_path):
 
 def test_criterion_9_environment_contracts():
     spec = SyntheticSpec()
-    atlas = FeatureAtlas(BasisFamily.COSINE_1D, spec.p)
     rng = np.random.default_rng(17)
     min_block, max_norm = np.inf, 0.0
     for _ in range(10_000):
         support = sample_support(spec, rng)
-        beta = sample_coefficients(spec, support, atlas, rng)
+        beta = sample_coefficients(spec, support, rng)
         blocks = [abs(beta[j - 1]) for j in support]
         min_block = min(min_block, min(blocks))
         max_norm = max(max_norm, float(np.linalg.norm(beta)))
@@ -443,7 +435,7 @@ def test_criterion_9_environment_contracts():
 
     env = SyntheticEnvironment(spec, n_tasks=1, master_seed=3)
     X = np.tile(env.grid[5], (100_000, 1))
-    y = env.reward_continuous(1, X, substream(3, STREAM_NOISE, 1))
+    y = env.rewards_at(1, env.atlas.concat_many(X), substream(3, STREAM_NOISE, 1))
     var = float(np.var(y - env.values[5, 0], ddof=1))
     noise_ok = abs(var - spec.noise**2) <= 0.05 * spec.noise**2
 

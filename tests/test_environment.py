@@ -10,14 +10,14 @@ from lifelong_bandits.environment import (
     SyntheticSpec,
     TaskView,
     optimum_on_grid,
-    rkhs_norm_sq,
     sample_coefficients,
     sample_support,
     uniform_grid,
 )
 from lifelong_bandits.errors import ConfigError, DataError
-from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate, kernel_gram
+from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate
 from lifelong_bandits.seeding import substream
+from oracles import kernel_rows, rkhs_norm_sq
 
 
 class TestSpec:
@@ -56,19 +56,17 @@ class TestSampleSupport:
 class TestSampleCoefficients:
     def test_degenerate_interval_pins_norm(self):
         spec = SyntheticSpec(p=3, support_size=1, norm_bound=2.0, beta_min=2.0)
-        atlas = FeatureAtlas(spec.family, spec.p)
-        beta = sample_coefficients(spec, (2,), atlas, substream(0, 2, 1))
+        beta = sample_coefficients(spec, (2,), substream(0, 2, 1))
         assert np.linalg.norm(beta[1:2]) == pytest.approx(2.0)
         assert beta[0] == 0.0 and beta[2] == 0.0
 
     def test_constraints_hold_on_every_draw(self):
         spec = SyntheticSpec()
-        atlas = FeatureAtlas(spec.family, spec.p)
         support = (3, 10, 20, 30, 44)
         hi = spec.norm_bound / np.sqrt(5)
         rng = np.random.default_rng(1)
         for _ in range(500):
-            beta = sample_coefficients(spec, support, atlas, rng)
+            beta = sample_coefficients(spec, support, rng)
             norms = [abs(beta[j - 1]) for j in support]
             assert min(norms) >= spec.beta_min
             assert max(norms) <= hi + 1e-12
@@ -170,7 +168,8 @@ def test_rkhs_norm_matches_gram_quadratic_form():
     est = KernelEstimate(p=spec.p, selected=env.support)
     rng = np.random.default_rng(77)
     X = rng.uniform(0, 1, size=(30, 1))
-    K = kernel_gram(env.atlas, est, X)
+    rows = kernel_rows(env.atlas, est, X)
+    K = rows @ rows.T
     f_vals = env.atlas.concat_many(X) @ beta
     alpha, *_ = np.linalg.lstsq(K, f_vals, rcond=1e-12)
     gram_form = float(f_vals @ alpha)
@@ -183,28 +182,19 @@ class TestLookupTable:
         vals = np.array([[1.0, 9.0], [2.0, 8.0], [3.0, 7.0]])
         return LookupTable(["x1"], ["taskA", "taskB"], pts, vals)
 
-    def test_eval_at_grid_point(self):
-        table = self.build()
-        assert table.eval(1, [0.5]) == 2.0
-        assert table.eval(2, [1.0]) == 7.0
-
-    def test_midpoint_tie_takes_lower_row(self):
-        table = self.build()
-        assert table.eval(1, [0.25]) == 1.0
-
     def test_missing_task_rejected(self):
+        env = LookupEnvironment(self.build(), master_seed=0, family=BasisFamily.COSINE_1D, p=3)
         with pytest.raises(IndexError):
-            self.build().eval(3, [0.0])
+            env.task_view(3)
 
     def test_round_trip(self, tmp_path):
         table = self.build()
         path = tmp_path / "table.csv"
         table.save(path)
         loaded = LookupTable.load(path)
-        queries = [[0.1], [0.6], [0.9]]
-        for q in queries:
-            assert loaded.eval(1, q) == table.eval(1, q)
-            assert loaded.eval(2, q) == table.eval(2, q)
+        np.testing.assert_array_equal(loaded.points, table.points)
+        np.testing.assert_array_equal(loaded.values, table.values)
+        assert (loaded.axis_names, loaded.task_names) == (table.axis_names, table.task_names)
 
     def test_rejects_header_without_axes(self):
         with pytest.raises(DataError):

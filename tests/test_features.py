@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_bandits.errors import DomainError, EmptyKernelError
-from lifelong_bandits.features import (
-    BasisFamily,
-    FeatureAtlas,
-    KernelEstimate,
-    kernel_gram,
-    kernel_value,
-    selected_features,
-)
+from lifelong_bandits.errors import DomainError
+from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate
+from lifelong_bandits.gp_ucb import LockstepUcb, UcbConfig
 
 ALL_FAMILIES = [BasisFamily.COSINE_1D, BasisFamily.LEGENDRE_1D, BasisFamily.COSINE_2D]
 
@@ -33,6 +27,14 @@ def group_value(family, p, j, x):
     side = math.isqrt(p - 1) + 1  # pairs (a, b) run row-major over 1..side
     a, b = divmod(j - 1, side)
     return math.cos((a + 1) * math.pi * x[0]) * math.cos((b + 1) * math.pi * x[1])
+
+
+def prior_kernel(atlas, estimate, X):
+    """Gram matrix of the averaged kernel between the points X as the bandit
+    consumes it: the prior covariance lam^2 f(x)^T A^{-1} f(y), at lam = 1, of
+    a one-agent ``LockstepUcb`` over their atlas rows."""
+    group = LockstepUcb.over_table(atlas.concat_many(X), [estimate], UcbConfig(lam=1.0))
+    return group.features @ group.inv[0] @ group.features.T
 
 
 class TestEvalFeature:
@@ -124,30 +126,24 @@ class TestKernelEval:
     def test_single_group_at_origin(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
         est = KernelEstimate(p=3, selected=(1,))
-        assert kernel_value(atlas, est, 0.0, 0.0) == pytest.approx(1.0)
+        assert prior_kernel(atlas, est, 0.0)[0, 0] == pytest.approx(1.0)
 
     def test_two_group_average_at_origin(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
         est = KernelEstimate(p=3, selected=(1, 2))
-        assert kernel_value(atlas, est, 0.0, 0.0) == pytest.approx(1.0)
+        assert prior_kernel(atlas, est, 0.0)[0, 0] == pytest.approx(1.0)
 
     def test_two_group_average_mixed_points(self):
         # (cos(pi/2)*1 + cos(pi)*1) / 2 = -0.5
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
         est = KernelEstimate(p=3, selected=(1, 2))
-        assert kernel_value(atlas, est, 0.0, 0.5) == pytest.approx(-0.5, abs=1e-12)
+        assert prior_kernel(atlas, est, [0.0, 0.5])[0, 1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_symmetry(self):
         atlas = FeatureAtlas(BasisFamily.LEGENDRE_1D, p=6)
         est = KernelEstimate(p=6, selected=(2, 3, 5))
-        a = kernel_value(atlas, est, 0.3, -0.7)
-        b = kernel_value(atlas, est, -0.7, 0.3)
-        assert a == pytest.approx(b, abs=1e-14)
-
-    def test_empty_estimate_raises(self):
-        atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
-        with pytest.raises(EmptyKernelError):
-            kernel_value(atlas, KernelEstimate(p=3, selected=()), 0.0, 0.0)
+        gram = prior_kernel(atlas, est, [0.3, -0.7])
+        assert gram[0, 1] == pytest.approx(gram[1, 0], abs=1e-14)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -157,7 +153,7 @@ def test_gram_psd_on_samples(family):
     lo, hi = atlas.domain[:, 0], atlas.domain[:, 1]
     X = rng.uniform(lo, hi, size=(40, atlas.dim_in))
     est = KernelEstimate(p=9, selected=(1, 4, 9))
-    gram = kernel_gram(atlas, est, X)
+    gram = prior_kernel(atlas, est, X)
     assert np.linalg.eigvalsh(gram)[0] >= -1e-9
 
 
@@ -166,10 +162,10 @@ def test_kernel_diagonal_bounded(family):
     atlas = FeatureAtlas(family, p=12)
     rng = np.random.default_rng(7)
     lo, hi = atlas.domain[:, 0], atlas.domain[:, 1]
-    est = KernelEstimate.full(12)
+    # k(x, x) under every group is the mean square of the atlas row at x
     for _ in range(200):
         x = rng.uniform(lo, hi)
-        assert kernel_value(atlas, est, x, x) <= 1.0 + 1e-12
+        assert np.mean(atlas.concat_many(x)[0] ** 2) <= 1.0 + 1e-12
 
 
 def test_gram_equals_scaled_feature_product():
@@ -177,8 +173,8 @@ def test_gram_equals_scaled_feature_product():
     est = KernelEstimate(p=6, selected=(2, 5))
     rng = np.random.default_rng(5)
     X = rng.uniform(0, 1, size=(15, 1))
-    raw = selected_features(atlas, est, X, scaled=False)
-    gram = kernel_gram(atlas, est, X)
+    raw = atlas.concat_many(X)[:, [1, 4]]
+    gram = prior_kernel(atlas, est, X)
     np.testing.assert_allclose(gram, raw @ raw.T / est.size, atol=1e-12)
 
 
@@ -201,6 +197,5 @@ def test_cosine_near_orthogonality_on_uniform_samples():
 def test_kernel_value_symmetric_property(x, y):
     atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=5)
     est = KernelEstimate(p=5, selected=(1, 3))
-    assert kernel_value(atlas, est, x, y) == pytest.approx(
-        kernel_value(atlas, est, y, x), abs=1e-13
-    )
+    gram = prior_kernel(atlas, est, [x, y])
+    assert gram[0, 1] == pytest.approx(gram[1, 0], abs=1e-13)

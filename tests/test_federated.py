@@ -85,6 +85,14 @@ class TestVoteLedger:
         ledger = VoteLedger(p=3, alpha=0.5)
         with pytest.raises(ConfigError):
             ledger.add(ClientVote(client=1, indices=(4,), explore_count=1))
+        # a vote with a valid index before the bad one leaves no count behind
+        ledger = VoteLedger(p=5, alpha=0.5)
+        with pytest.raises(ConfigError):
+            ledger.add(ClientVote(client=1, indices=(2, 9), explore_count=1))
+        assert ledger.counts.tolist() == [0, 0, 0, 0, 0]
+        assert ledger.clients_seen == 0
+        ledger.add(ClientVote(client=2, indices=(3,), explore_count=1))
+        assert ledger.selected() == (3,)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigError):
@@ -101,10 +109,6 @@ class TestClientVote:
     def test_indices_sorted_and_deduplicated(self):
         vote = ClientVote(client=2, indices=(5, 1, 5, 3), explore_count=7)
         assert vote.indices == (1, 3, 5)
-
-    def test_wire_format_is_id_and_indices_only(self):
-        vote = ClientVote(client=4, indices=(2, 9), explore_count=3)
-        assert vote.wire_format() == "4:2,9"
 
 
 class TestClientFit:
@@ -210,7 +214,7 @@ class TestRunFederated:
         for ta, tb in zip(a.tasks, b.tasks):
             assert np.array_equal(ta.actions, tb.actions)
             assert np.array_equal(ta.rewards, tb.rewards)
-        assert [v.wire_format() for v in a.votes] == [v.wire_format() for v in b.votes]
+        assert a.votes == b.votes
 
     def test_info_gain_within_slack(self):
         record = run_federated(small_env(seed=8), m=3, n=25, omega=0.25, lam=0.1, alpha=0.25, seed=5)

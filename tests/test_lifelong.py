@@ -256,7 +256,7 @@ def pinned_run(env, kernel, m, n, mode, *, seed, alone):
     An ``after_task`` hook makes the loop run every task before it plans the
     next, so each task's agent runs in a group of its own.
     """
-    record = LifelongRunRecord(seed=seed, config_digest="")
+    record = LifelongRunRecord(seed=seed)
     after_task = (lambda task: None) if alone else None
     _run_tasks(env, m, n, mode, record, lambda *_: kernel, seed=seed, after_task=after_task)
     return record

@@ -174,7 +174,7 @@ def offline_fit():
     tasks = []
     for s in range(1, TASKS + 1):
         X = rng.uniform(lo, hi, size=(10, env.atlas.dim_in))
-        tasks.append((X, env.reward_continuous(s, X, rng)))
+        tasks.append((X, env.rewards_at(s, env.atlas.concat_many(X), rng)))
     return design_from_tasks(env.atlas, tasks), 0.25, None
 
 
