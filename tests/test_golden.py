@@ -2,7 +2,9 @@
 
 Refactors must leave the output bytes alone, so these digests pin the
 traces, summaries, votes and recovery files of one small config per
-runner. ``config.resolved.txt`` is left out: it holds the output path.
+runner, and of one lookup-table run (a table the test writes, see
+``write_table``). ``config.resolved.txt`` is left out: it holds the output
+path.
 
 The digests pin floating-point results at one numpy/BLAS build; they were
 recorded with numpy 2.4.6 on OpenBLAS 0.3.31, x86-64. A different build can
@@ -17,9 +19,16 @@ them (see the ``gp_ucb`` module docstring).
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
+from lifelong_bandits.environment import (
+    LookupTable,
+    SyntheticEnvironment,
+    SyntheticSpec,
+    uniform_grid,
+)
+from lifelong_bandits.features import FeatureAtlas
 from lifelong_bandits.harness import build_config, run_experiment
 
 SEEDS = "0,1,2"
@@ -34,6 +43,11 @@ CONFIGS = {
     "baseline_oracle": ("baseline_oracle", _BANDIT),
     "baseline_full": ("baseline_full", _BANDIT),
     "offline": ("offline", {"seeds": SEEDS, "n": "10", "m_values": "1,3,6"}),
+    # no true support: the theory penalty sizes its support by the kernel
+    "lookup_theory_all": (
+        "lookup",
+        {"seeds": SEEDS, "p": "9", "n": "16", "lam_policy": "theory", "meta_data": "all"},
+    ),
 }
 
 GOLDEN = {
@@ -82,6 +96,12 @@ GOLDEN = {
         "trace_seed1.csv": "ce0acb302765890274e63859330dad2ff3a141b7606936af1f31cdc7941a123a",
         "trace_seed2.csv": "d7727a0825a7bb129fb6b16f78fb20a26616110200ccc41de8de4f6d31282318",
     },
+    "lookup_theory_all": {
+        "summary.csv": "6f9fe61c82a5fb1b3f6afb349a97b1c93b181f9c0d833271d459e58ebe59875b",
+        "trace_seed0.csv": "8e88127421509ff85dd2942860fde949f32fd31bea256258675ed0a45bb389fe",
+        "trace_seed1.csv": "12437394d398a86fe377dc38f7e3bca8ce3bf4d13ca5c2b8d195b0afe06970b4",
+        "trace_seed2.csv": "78e4b7f4310a369975b1b1ed83623d8f2f98009a4a3cf3781374fcb4d4127b0a",
+    },
     "offline": {
         "recovery_curve.csv": "1ab36c285d7e3db70b522a22e8d05436b0139e776a26d4a8c95cc378deb048a7",
         "recovery_seed0.csv": "2491165b6cbe5882aa1a146d708214d61a7d172b353b2b2253e876fadbf28532",
@@ -89,6 +109,20 @@ GOLDEN = {
         "recovery_seed2.csv": "7a28e058ac4eddc59d3b33c33eb50154bbd1503574c42c6c119347af9ab9b6fa",
     },
 }
+
+
+def write_table(path):
+    """A 3-task table on a 7 x 7 grid of [0, 1]^2: each task a random
+    combination of the cosine2d groups 2, 5 and 7 plus a little uniform
+    noise, all drawn from a fixed generator."""
+    grid = uniform_grid(np.array([[0.0, 1.0], [0.0, 1.0]]), 7)
+    rng = np.random.default_rng(3)
+    coeffs = np.zeros((9, 3))
+    coeffs[[1, 4, 6]] = rng.uniform(-1.5, 1.5, size=(3, 3))
+    values = FeatureAtlas("cosine2d", 9).concat_many(grid) @ coeffs
+    values += 0.1 * rng.uniform(size=values.shape)
+    LookupTable(["x1", "x2"], ["a", "b", "c"], grid, values).save(path)
+    return path
 
 
 def _digests(out) -> dict[str, str]:
@@ -109,8 +143,11 @@ def test_seeds_avoid_mirror_ties():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests(name, tmp_path):
     kind, pairs = CONFIGS[name]
-    result = run_experiment(build_config(kind, {**pairs, "out": str(tmp_path)}))
+    if kind == "lookup":
+        pairs = {**pairs, "table": str(write_table(tmp_path / "table.csv"))}
+    out = tmp_path / "out"
+    result = run_experiment(build_config(kind, {**pairs, "out": str(out)}))
     assert not result.failures
-    found = _digests(tmp_path)
+    found = _digests(out)
     print(f"{name!r}: {found!r},")
     assert found == GOLDEN[name]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lifelong_bandits
+from lifelong_bandits import lifelong
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError
 from lifelong_bandits.features import KernelEstimate
@@ -396,6 +397,24 @@ class TestTheoryLambda:
         assert len(a.tasks) == 4
         for ta, tb in zip(a.tasks, b.tasks):
             assert np.array_equal(ta.actions, tb.actions)
+
+    @pytest.mark.parametrize("meta_data", ["exploration", "all"])
+    def test_unknown_support_is_sized_by_the_kernel_in_use(self, meta_data, monkeypatch):
+        # with no true support the fit after task s assumes the support of
+        # the kernel task s ran under: the full one, then the learned ones
+        sizes = []
+
+        def spy(lam0, omega, design, s, *, support_size, beta_min=None):
+            sizes.append(support_size)
+            return lam0
+
+        monkeypatch.setattr(lifelong, "theory_lambda", spy)
+        env = small_env(seed=4)
+        env.support = None
+        record = run_lifelong(env, 4, 30, 0.25, 0.5, lam_policy="theory",
+                              meta_data=meta_data, seed=4)
+        assert sizes == [len(task.kernel) for task in record.tasks]
+        assert sizes[0] == env.p and len(set(sizes)) > 1
 
 
 def test_runtime_does_not_import_scipy():

@@ -28,11 +28,14 @@ def test_one_seed_sweep_writes_every_kind_comparably(tmp_path):
         "baseline_oracle": {"trace_seed3.csv", "summary.csv"},
         "baseline_full": {"trace_seed3.csv", "summary.csv"},
         "offline": {"recovery_seed3.csv", "recovery_curve.csv"},
+        "lookup": {"trace_seed3.csv", "summary.csv"},
     }
     for kind, files in expected.items():
         run = tmp_path / "a" / kind / "seed3"
         assert {p.name for p in run.iterdir()} == files | {"config.resolved.txt"}
         assert f"out = {kind}/seed3\n" in (run / "config.resolved.txt").read_text()
+        if kind == "lookup":
+            assert "table = table.csv\n" in (run / "config.resolved.txt").read_text()
         # output paths are relative to --out, so two sweeps compare byte for byte
         names = sorted(files | {"config.resolved.txt"})
         other = tmp_path / "b" / kind / "seed3"

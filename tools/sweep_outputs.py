@@ -5,11 +5,13 @@ Usage (from the repository root):
     python3 tools/sweep_outputs.py --out DIR [--seeds 0-63] [--set key=value ...]
 
 For each kind (``lifelong``, ``federated``, ``baseline_oracle``,
-``baseline_full`` and ``offline``) and each seed it runs the kind's default
-config, with the ``--set`` pairs on top, into ``DIR/<kind>/seed<seed>``.
-Output paths are given relative to ``DIR``, so ``config.resolved.txt`` does
-not depend on where ``DIR`` is, and the sweeps of two source trees compare
-with ``diff -r``. The package is imported from the tree this script lives
+``baseline_full``, ``offline`` and ``lookup``) and each seed it runs the
+kind's default config, with the ``--set`` pairs on top, into
+``DIR/<kind>/seed<seed>``. The ``lookup`` kind runs on ``DIR/table.csv``,
+which the script writes first (see ``write_table``). Output and table paths
+are given relative to ``DIR``, so ``config.resolved.txt`` does not depend on
+where ``DIR`` is, and the sweeps of two source trees compare with
+``diff -r``. The package is imported from the tree this script lives
 in. BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` is set, as in ``perfbench/``.
 """
@@ -28,9 +30,27 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 if not any(os.environ.get(name) for name in BLAS_VARIABLES):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads BLAS
 
+import numpy as np  # noqa: E402
+
+from lifelong_bandits.environment import LookupTable, uniform_grid  # noqa: E402
+from lifelong_bandits.features import FeatureAtlas  # noqa: E402
 from lifelong_bandits.harness import build_config, run_experiment  # noqa: E402
 
-KINDS = ("lifelong", "federated", "baseline_oracle", "baseline_full", "offline")
+KINDS = ("lifelong", "federated", "baseline_oracle", "baseline_full", "offline", "lookup")
+TABLE = "table.csv"
+
+
+def write_table(path: Path) -> None:
+    """A 3-task table on a 12 x 12 grid of [0, 1]^2: each task a random
+    combination of the cosine2d groups 2, 5 and 7 (of 9) plus a little
+    uniform noise, all drawn from a fixed generator."""
+    grid = uniform_grid(np.array([[0.0, 1.0], [0.0, 1.0]]), 12)
+    rng = np.random.default_rng(0)
+    coeffs = np.zeros((9, 3))
+    coeffs[[1, 4, 6]] = rng.uniform(-1.5, 1.5, size=(3, 3))
+    values = FeatureAtlas("cosine2d", 9).concat_many(grid) @ coeffs
+    values += 0.1 * rng.uniform(size=values.shape)
+    LookupTable(["x1", "x2"], ["a", "b", "c"], grid, values).save(path)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -48,9 +68,13 @@ def parse_seeds(text: str) -> list[int]:
 def sweep(out: Path, seeds: list[int], pairs: dict[str, str]) -> None:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
+    write_table(Path(TABLE))
     for kind in KINDS:
+        table = {"table": TABLE} if kind == "lookup" else {}
         for seed in seeds:
-            config = build_config(kind, {**pairs, "seeds": f"{seed},", "out": f"{kind}/seed{seed}"})
+            config = build_config(
+                kind, {**pairs, **table, "seeds": f"{seed},", "out": f"{kind}/seed{seed}"}
+            )
             run_experiment(config)
 
 
