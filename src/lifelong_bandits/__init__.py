@@ -13,7 +13,7 @@ from .environment import (
     uniform_grid,
 )
 from .errors import ConfigError, DataError, DomainError, EmptyKernelError
-from .features import BasisFamily, FeatureAtlas, KernelEstimate
+from .features import BasisFamily, FeatureAtlas
 from .federated import ClientVote, VoteLedger, client_fit, run_federated
 from .gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from .group_lasso import (
@@ -66,7 +66,6 @@ __all__ = [
     "ExperimentResult",
     "FeatureAtlas",
     "GpUcb",
-    "KernelEstimate",
     "KernelSelection",
     "LifelongRunRecord",
     "LockstepUcb",

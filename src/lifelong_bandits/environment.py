@@ -57,6 +57,9 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", BasisFamily(self.family))
+        for name in ("norm_bound", "beta_min", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if not 1 <= self.support_size <= self.p:
             raise ValueError("support size must lie in 1..p")
         if self.beta_min <= 0:
@@ -333,8 +336,8 @@ class LookupEnvironment:
         self.table = table
         self.master_seed = int(master_seed)
         self.noise = float(noise)
-        if self.noise < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError("noise level must be finite and nonnegative")
         self.atlas = FeatureAtlas(BasisFamily(family), p)
         if self.atlas.dim_in != table.dim_in:
             raise ConfigError(

@@ -6,8 +6,8 @@ class DomainError(ValueError):
 
 
 class EmptyKernelError(ValueError):
-    """A kernel estimate with no selected groups was used where a kernel value
-    is required."""
+    """A kernel with no groups, the empty tuple J = (), was given to an agent,
+    which needs at least one."""
 
 
 class DataError(ValueError):

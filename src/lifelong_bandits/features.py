@@ -16,13 +16,14 @@ and a single point is a batch of one. The families:
     pairs (a, b) enumerated row-major over {1..ceil(sqrt(p))}^2 and truncated
     to the first p.
 
-A subset J of group indices induces the averaged kernel
+A set J of group indices induces the averaged kernel
 
     k_J(x, y) = (1/|J|) * sum_{j in J} phi_j(x)^T phi_j(y),
 
-which is the object the bandit solver consumes: a GP-UCB agent holds the
+so a kernel is J itself, the sorted tuple of its group indices, and
+(1, ..., p) is the full kernel. The bandit solver consumes it as the
 unscaled ``concat_many`` columns of J and a prior weight of 1/|J| on each
-(see :mod:`.gp_ucb`). Group indices are 1-based
+(see ``gp_ucb.LockstepUcb.over_table``). Group indices are 1-based
 throughout the public API: the index is the basis frequency or degree, so it
 is meaningful, not positional.
 """
@@ -137,46 +138,3 @@ class FeatureAtlas:
         return np.cos(np.pi * points[:, :1] * pairs[:, 0]) * np.cos(
             np.pi * points[:, 1:2] * pairs[:, 1]
         )
-
-
-@dataclass(frozen=True)
-class KernelEstimate:
-    """A subset of atlas groups treated as an averaged kernel.
-
-    ``selected`` holds sorted, unique, 1-based group indices. The induced
-    kernel weights each selected group by 1/|selected|; an empty selection
-    carries no kernel, and an agent built on it raises
-    :class:`EmptyKernelError`.
-    """
-
-    p: int
-    selected: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("need at least one group")
-        sel = tuple(sorted(int(j) for j in self.selected))
-        if len(set(sel)) != len(sel):
-            raise ValueError("selected indices must be unique")
-        if sel and not (1 <= sel[0] and sel[-1] <= self.p):
-            raise IndexError(f"selected indices outside 1..{self.p}")
-        object.__setattr__(self, "selected", sel)
-
-    @classmethod
-    def full(cls, p: int) -> "KernelEstimate":
-        """The estimate selecting every group."""
-        return cls(p=p, selected=tuple(range(1, p + 1)))
-
-    @property
-    def size(self) -> int:
-        return len(self.selected)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.selected
-
-    @property
-    def weight(self) -> float | None:
-        """Per-group weight 1/|selected|, or None when nothing is selected."""
-        return None if self.is_empty else 1.0 / len(self.selected)
-

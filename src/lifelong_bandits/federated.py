@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import KernelEstimate
 from .gp_ucb import UcbConfig
 from .group_lasso import PooledDesign
 from .lifelong import LifelongRunRecord, ScheduleMode, _run_tasks
@@ -109,7 +108,7 @@ def client_fit(
     outcome = learn_kernel(PooledDesign([phi], [y]), omega, lam, tol=tol, max_iter=max_iter)
     if not outcome.report.converged:
         return ClientVote(client=client, indices=(), explore_count=len(y), failed=True)
-    indices = () if outcome.fallback else outcome.estimate.selected
+    indices = () if outcome.fallback else outcome.selected
     return ClientVote(client=client, indices=indices, explore_count=len(y))
 
 
@@ -141,11 +140,10 @@ def run_federated(
     posterior holds the full task history. Every task's agent runs under
     the GP-UCB config ``ucb``.
     """
-    atlas = env.atlas
-    ledger = VoteLedger(atlas.p, alpha)
+    ledger = VoteLedger(env.p, alpha)
     record = FederatedRunRecord(seed=seed)
 
-    def vote_kernel(s: int, drawn: list[int], drawn_y: list[float]) -> KernelEstimate:
+    def vote_kernel(s: int, drawn: list[int], drawn_y: list[float]) -> tuple[int, ...]:
         vote = client_fit(
             env.grid_features[drawn],
             drawn_y,
@@ -161,10 +159,9 @@ def run_federated(
         selected = ledger.selected()
         record.votes.append(vote)
         record.server_sets.append(selected)
-        if selected:
-            return KernelEstimate(p=atlas.p, selected=selected)
-        record.events.append((s, "fallback"))
-        return KernelEstimate.full(atlas.p)
+        if not selected:
+            record.events.append((s, "fallback"))
+        return selected or tuple(range(1, env.p + 1))
 
     _run_tasks(env, m, n, ScheduleMode.CONSTANT, record, vote_kernel, seed=seed, ucb=ucb)
     record.final_kernel = record.tasks[-1].kernel

@@ -23,8 +23,9 @@ is a running sum. The variance of every candidate is kept beside its
 features and lowered by lam^2 (Phi w)^2 per observation.
 
 Agents that share a config and a candidate table step together in
-``LockstepUcb``, each under its own kernel, over one (G, D) table of the
-unscaled features f of the union of their groups. Agent j's kernel is a
+``LockstepUcb``, each under its own kernel J_j, the sorted tuple of its
+1-based group indices (see :mod:`.features`), over one (G, D) table of the
+unscaled features f of the union of their groups. Agent j's kernel becomes a
 prior weight w_j, 1/|J_j| on its own groups and 0 elsewhere: its A^{-1}
 starts at diag(w_j) / lam^2. With S = diag(sqrt(w_j)) this A^{-1} is
 S A^{-1} S and theta is S theta of the scaled posterior above, so the mean
@@ -92,13 +93,14 @@ The realized information gain is checked against the closed-form cap
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyKernelError
-from .features import FeatureAtlas, KernelEstimate
+from .features import FeatureAtlas
 
 _INFO_GAIN_HARD = 1e-6
 TIE_TOLERANCE = 1e-12
@@ -116,8 +118,8 @@ class UcbConfig:
     lam: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.nu < 0:
-            raise ValueError("exploration coefficient must be nonnegative")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"exploration coefficient {self.nu!r} must be finite and nonnegative")
         if self.lam <= 0:
             raise ValueError("regularizer must be positive")
         # The posterior starts at I / lam^2, the variance scales by lam^2 and
@@ -185,12 +187,19 @@ class LockstepUcb:
         self.cap_scale = (config.lam * config.lam) * self.dims
 
     @classmethod
-    def over_table(cls, table: np.ndarray, estimates, config: UcbConfig) -> "LockstepUcb":
-        """One agent per nonempty kernel estimate, over the union of their
-        columns of a (G, p) feature table such as ``env.grid_features``."""
-        weights = np.zeros((len(estimates), table.shape[1]))
-        for row, estimate in zip(weights, estimates):
-            row[np.asarray(estimate.selected) - 1] = estimate.weight
+    def over_table(cls, table: np.ndarray, kernels, config: UcbConfig) -> "LockstepUcb":
+        """One agent per kernel J, a tuple of distinct column indices in
+        1..p weighed 1/|J| each, over the union of their columns of a (G, p)
+        feature table such as ``env.grid_features``. An empty kernel raises
+        ``EmptyKernelError``, a repeated or out-of-range index ``ValueError``."""
+        p = table.shape[1]
+        weights = np.zeros((len(kernels), p))
+        for row, kernel in zip(weights, kernels):
+            if not kernel:
+                raise EmptyKernelError("every agent needs a kernel with at least one group")
+            if len(set(kernel)) != len(kernel) or not all(1 <= j <= p for j in kernel):
+                raise ValueError(f"kernel {kernel!r} needs distinct indices in 1..{p}")
+            row[np.asarray(kernel) - 1] = 1.0 / len(kernel)
         used = weights.any(axis=0)
         return cls(table[:, used], weights[:, used], config)
 
@@ -239,7 +248,8 @@ class LockstepUcb:
 
 
 class GpUcb:
-    """One GP-UCB agent under one kernel estimate: a one-agent ``LockstepUcb``.
+    """One GP-UCB agent under one kernel, a tuple of group indices: a
+    one-agent ``LockstepUcb``.
 
     ``select(candidates)`` returns the index of the UCB choice among the
     candidate rows and ``observe(index, y, candidates)`` folds in the reward
@@ -250,11 +260,11 @@ class GpUcb:
     ``observe``.
     """
 
-    def __init__(self, atlas: FeatureAtlas, estimate: KernelEstimate, config: UcbConfig) -> None:
-        if estimate.is_empty:
-            raise EmptyKernelError("cannot run the solver on an empty kernel estimate")
+    def __init__(self, atlas: FeatureAtlas, kernel: tuple[int, ...], config: UcbConfig) -> None:
+        if not kernel:
+            raise EmptyKernelError("cannot run the solver on an empty kernel")
         self.atlas = atlas
-        self.estimate = estimate
+        self.kernel = kernel
         self.config = config
         self.candidates: np.ndarray | None = None
         self.group: LockstepUcb | None = None
@@ -263,7 +273,7 @@ class GpUcb:
         if self.group is None:
             self.candidates = candidates
             table = self.atlas.concat_many(candidates)
-            self.group = LockstepUcb.over_table(table, [self.estimate], self.config)
+            self.group = LockstepUcb.over_table(table, [self.kernel], self.config)
         elif candidates is not self.candidates:
             raise ValueError("the agent is bound to the first candidate array it was given")
         return self.group

@@ -5,7 +5,8 @@ passes. The plan pass, task by task, draws the forced prefix (uniform over
 the candidate grid, from the task's exploration substream) and the noise
 of all n observations (one draw from the task's noise substream, the same
 numbers ``TaskView.observe`` would draw one at a time), and asks a kernel
-callback which estimate the task runs under. The forced draws, the votes
+callback which kernel the task runs under: a sorted tuple of group indices
+(see :mod:`.features`). The forced draws, the votes
 and a pooled fit over forced data read nothing an agent chose, so every
 kernel is known before any agent runs. The agent pass then steps every
 task in one ``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a
@@ -43,7 +44,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .environment import TaskView
-from .features import KernelEstimate
 from .gp_ucb import LockstepUcb, UcbConfig
 from .group_lasso import PooledDesign, padded_warm_start
 from .seeding import STREAM_EXPLORE, substream
@@ -141,13 +141,13 @@ class LifelongRunRecord:
 @dataclass
 class _Plan:
     """One task after the plan pass: its forced draws, the noise of all its
-    observations and the estimate it runs under."""
+    observations and the kernel it runs under."""
 
     task: int
     view: TaskView
     drawn: list[int]
     noise: np.ndarray
-    estimate: KernelEstimate
+    kernel: tuple[int, ...]
 
 
 def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, ucb=UcbConfig(), after_task=None):
@@ -155,11 +155,11 @@ def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, ucb=UcbConfig(), af
 
     ``mode`` sets the forced-draw counts (None: no forced draws).
     ``kernel_for(s, drawn, drawn_y)`` gets the task's forced grid indices and
-    their rewards and returns the estimate to run under. Every task's agent
+    their rewards and returns the kernel to run under. Every task's agent
     runs under the GP-UCB config ``ucb``.
 
     The plan pass draws, per task, the forced prefix and the noise of all n
-    observations and asks ``kernel_for`` for the estimate. Nothing in it
+    observations and asks ``kernel_for`` for the kernel. Nothing in it
     reads an agent's choices, so every kernel is known before any agent
     runs, and the agent pass steps every task at once (``_run_agents``).
     ``after_task``, when given, gets each finished TaskRecord before the
@@ -188,12 +188,12 @@ def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, ucb=UcbConfig(), af
 def _run_agents(env, n, plans, ucb, record) -> list[TaskRecord]:
     """Run the planned tasks, n steps each, in one ``LockstepUcb``.
 
-    Each task's estimate is its agent's prior weight, and ``ucb`` the config
+    Each task's kernel is its agent's prior weight, and ``ucb`` the config
     of all. Each task observes its forced draws first, then its UCB
     choices; an observation is the task's grid value plus its pre-drawn
     noise term.
     """
-    group = LockstepUcb.over_table(env.grid_features, [plan.estimate for plan in plans], ucb)
+    group = LockstepUcb.over_table(env.grid_features, [plan.kernel for plan in plans], ucb)
     values = np.stack([plan.view.values for plan in plans])
     noise = np.stack([plan.noise for plan in plans])
     actions = np.empty((len(plans), n), dtype=int)
@@ -216,13 +216,13 @@ def _run_agents(env, n, plans, ucb, record) -> list[TaskRecord]:
     return [
         TaskRecord(
             task=plan.task,
-            kernel=plan.estimate.selected,
+            kernel=plan.kernel,
             explore_count=len(plan.drawn),
             actions=taken,
             rewards=plan.view.values[taken] + plan.noise,
             regrets=plan.view.regret(taken),
             explored=np.arange(n) < len(plan.drawn),
-            recovered=None if env.support is None else plan.estimate.selected == env.support,
+            recovered=None if env.support is None else plan.kernel == env.support,
         )
         for plan, taken in zip(plans, actions)
     ]
@@ -271,8 +271,8 @@ def run_lifelong(
 ) -> LifelongRunRecord:
     """Run m tasks with forced exploration and a kernel update after each.
 
-    Task 1 runs under the full kernel. Task s > 1 runs under the estimate
-    produced after task s-1; a non-converged fit keeps the prior estimate,
+    Task 1 runs under the full kernel. Task s > 1 runs under the kernel
+    learned after task s-1; a non-converged fit keeps the prior kernel,
     while a converged fit that selects nothing installs the full kernel.
     ``meta_data`` chooses what the fit sees: "exploration" pools only the
     forced draws, "all" pools every observation. Every task's agent runs
@@ -282,14 +282,13 @@ def run_lifelong(
         raise ConfigError(f"unknown lam policy: {lam_policy!r}")
     if meta_data not in META_DATA:
         raise ConfigError(f"unknown meta data policy: {meta_data!r}")
-    atlas = env.atlas
     record = LifelongRunRecord(seed=seed)
-    estimate = KernelEstimate.full(atlas.p)
+    kernel = tuple(range(1, env.p + 1))
     design: PooledDesign | None = None
     warm: np.ndarray | None = None  # the last converged fit's coefficients
 
     def update(s: int, actions, rewards) -> None:
-        nonlocal estimate, design, warm
+        nonlocal kernel, design, warm
         # the pool grows by the newest task's rows, whose features the
         # environment already holds; task 1 always has forced draws
         phi, y = env.grid_features[actions], rewards
@@ -303,9 +302,9 @@ def run_lifelong(
             lam_s = lam / math.sqrt(s)
         else:
             # assumed support size: the truth when the environment knows it,
-            # otherwise the current estimate's size (full kernel early on,
+            # otherwise the current kernel's size (the full kernel early on,
             # which keeps kappa conservative and falls back to lam)
-            s_star = len(env.support) if env.support is not None else max(1, estimate.size)
+            s_star = len(env.support) if env.support is not None else len(kernel)
             lam_s = theory_lambda(
                 lam, omega, design, s,
                 support_size=s_star, beta_min=getattr(env, "beta_min", None),
@@ -325,10 +324,10 @@ def run_lifelong(
         warm = outcome.coeffs
         if outcome.fallback:
             record.events.append((s, "fallback"))
-        estimate = outcome.estimate
+        kernel = outcome.selected
 
-    def kernel_for(s: int, drawn: list[int], drawn_y: list[float]) -> KernelEstimate:
-        current = estimate
+    def kernel_for(s: int, drawn: list[int], drawn_y: list[float]) -> tuple[int, ...]:
+        current = kernel
         if meta_data == "exploration":
             update(s, drawn, drawn_y)
         return current
@@ -340,7 +339,7 @@ def run_lifelong(
         env, m, n, schedule_mode, record, kernel_for,
         seed=seed, ucb=ucb, after_task=after_task if meta_data == "all" else None,
     )
-    record.final_kernel = estimate.selected
+    record.final_kernel = kernel
     return record
 
 
@@ -357,13 +356,10 @@ def run_baseline(
     each task's agent under the GP-UCB config ``ucb``."""
     if kernel not in BASELINE_KERNELS:
         raise ConfigError(f"unknown baseline kernel: {kernel!r}")
-    if kernel == "full":
-        estimate = KernelEstimate.full(env.atlas.p)
-    elif env.support is None:
+    if kernel == "oracle" and env.support is None:
         raise ConfigError("environment does not expose a true support")
-    else:
-        estimate = KernelEstimate(p=env.atlas.p, selected=env.support)
+    pinned = env.support if kernel == "oracle" else tuple(range(1, env.p + 1))
     record = LifelongRunRecord(seed=seed)
-    _run_tasks(env, m, n, None, record, lambda *_: estimate, seed=seed, ucb=ucb)
-    record.final_kernel = estimate.selected
+    _run_tasks(env, m, n, None, record, lambda *_: pinned, seed=seed, ucb=ucb)
+    record.final_kernel = pinned
     return record

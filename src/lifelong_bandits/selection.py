@@ -1,10 +1,10 @@
 """Kernel selection on pooled task data.
 
-Fit the pooled group lasso, keep the groups whose cross-task coefficient
-norms clear omega * sqrt(m) (strictly), and average the surviving basis
-kernels into one kernel estimate. An empty survivor set falls back to the
-full average over all p groups, and the fallback is flagged so run records
-can surface it.
+Fit the pooled group lasso and keep the groups whose cross-task coefficient
+norms clear omega * sqrt(m) (strictly). The sorted tuple J of their indices
+is the learned kernel, the average of the surviving basis kernels (see
+:mod:`.features`). An empty survivor set falls back to the full kernel
+(1, ..., p), and the fallback is flagged so run records can surface it.
 
 Also here: design compatibility diagnostics (empirical diagonal floor and
 off-diagonal ceiling of each task's scaled Gram, read from the design's Gram
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import SyntheticEnvironment, SyntheticSpec
-from .features import FeatureAtlas, KernelEstimate
+from .features import FeatureAtlas
 from .group_lasso import (
     PooledDesign,
     SolverReport,
@@ -56,16 +56,18 @@ def threshold_groups(norms: np.ndarray, m: int, omega: float) -> tuple[int, ...]
 class KernelSelection:
     """Outcome of one kernel-learning pass.
 
-    ``fallback`` is True when thresholding selected nothing and the estimate
-    was replaced by the full average. ``coeffs`` is the fit's (m, p)
-    coefficient matrix and ``group_norms`` its p column norms.
+    ``selected`` is the learned kernel: the sorted indices of the groups that
+    clear the threshold or, when none does, every index (1, ..., p), and
+    then ``fallback`` is True. ``coeffs`` is the fit's (m, p) coefficient
+    matrix.
     """
 
-    estimate: KernelEstimate
+    selected: tuple[int, ...]
     fallback: bool
-    group_norms: np.ndarray
     coeffs: np.ndarray
     report: SolverReport
+    # perfbench's tracer reads ``estimate.selected``
+    estimate = property(lambda self: self)
 
 
 def learn_kernel(
@@ -81,18 +83,10 @@ def learn_kernel(
     coeffs, report = fit_group_lasso(
         design, lam, tol=tol, max_iter=max_iter, x0=x0
     )
-    norms = group_norms(coeffs)
-    selected = threshold_groups(norms, design.m, omega)
-    fallback = not selected
-    estimate = (
-        KernelEstimate.full(design.p)
-        if fallback
-        else KernelEstimate(p=design.p, selected=selected)
-    )
+    selected = threshold_groups(group_norms(coeffs), design.m, omega)
     return KernelSelection(
-        estimate=estimate,
-        fallback=fallback,
-        group_norms=norms,
+        selected=selected or tuple(range(1, design.p + 1)),
+        fallback=not selected,
         coeffs=coeffs,
         report=report,
     )
@@ -194,9 +188,9 @@ def recovery_sweep(
             warm = sel.coeffs
         results.append(
             RecoveryResult(
-                selected=sel.estimate.selected,
+                selected=sel.selected,
                 truth=env.support,
-                exact=sel.estimate.selected == env.support,
+                exact=sel.selected == env.support,
                 fallback=sel.fallback,
                 report=sel.report,
             )

@@ -10,12 +10,12 @@ import math
 import numpy as np
 
 
-def kernel_rows(atlas, estimate, X):
-    """The atlas features of the selected groups at the points X, scaled by
-    sqrt(1/|J|), so that the inner product of two rows is the averaged kernel
-    k_J of the features module."""
-    columns = atlas.concat_many(X)[:, np.asarray(estimate.selected) - 1]
-    return columns * math.sqrt(estimate.weight)
+def kernel_rows(atlas, kernel, X):
+    """The atlas features of the groups of ``kernel``, a tuple J of 1-based
+    indices, at the points X, scaled by sqrt(1/|J|), so that the inner
+    product of two rows is the averaged kernel k_J of the features module."""
+    columns = atlas.concat_many(X)[:, np.asarray(kernel) - 1]
+    return columns * math.sqrt(1.0 / len(kernel))
 
 
 def dual_posterior(Phi, y, phi_query, lam):

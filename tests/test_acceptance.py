@@ -19,7 +19,7 @@ from lifelong_bandits.environment import (
     sample_coefficients,
     sample_support,
 )
-from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate
+from lifelong_bandits.features import BasisFamily, FeatureAtlas
 from lifelong_bandits.federated import ClientVote, VoteLedger, run_federated
 from lifelong_bandits.gp_ucb import LockstepUcb, UcbConfig
 from lifelong_bandits.group_lasso import (
@@ -215,7 +215,7 @@ def regret_study():
         # from the seed's substreams, not from the kernel, so they are the
         # learned run's
         matched = LifelongRunRecord(seed=seed)
-        truth = KernelEstimate(env.atlas.p, env.support)
+        truth = env.support
         _run_tasks(
             env, m, n, ScheduleMode.DECREASING, matched, lambda *_: truth, seed=seed, ucb=ucb
         )

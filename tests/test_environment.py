@@ -15,7 +15,7 @@ from lifelong_bandits.environment import (
     uniform_grid,
 )
 from lifelong_bandits.errors import ConfigError, DataError
-from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate
+from lifelong_bandits.features import BasisFamily, FeatureAtlas
 from lifelong_bandits.seeding import substream
 from oracles import kernel_rows, rkhs_norm_sq
 
@@ -33,6 +33,14 @@ class TestSpec:
     def test_support_size_bounds(self):
         with pytest.raises(ValueError):
             SyntheticSpec(p=4, support_size=5)
+
+    @pytest.mark.parametrize("name", ["norm_bound", "beta_min", "noise"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numbers_rejected(self, name, value):
+        # a NaN noise used to run with no noise (NaN > 0 is False), and a
+        # NaN or infinite bound failed late, in the coefficient sampler
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            SyntheticSpec(**{name: value})
 
 
 class TestSampleSupport:
@@ -165,10 +173,9 @@ def test_rkhs_norm_matches_gram_quadratic_form():
     env = SyntheticEnvironment(spec, n_tasks=1, master_seed=21)
     beta = env.coeffs[0]
     direct = rkhs_norm_sq(beta, env.support)
-    est = KernelEstimate(p=spec.p, selected=env.support)
     rng = np.random.default_rng(77)
     X = rng.uniform(0, 1, size=(30, 1))
-    rows = kernel_rows(env.atlas, est, X)
+    rows = kernel_rows(env.atlas, env.support, X)
     K = rows @ rows.T
     f_vals = env.atlas.concat_many(X) @ beta
     alpha, *_ = np.linalg.lstsq(K, f_vals, rcond=1e-12)
@@ -236,6 +243,12 @@ class TestLookupEnvironment:
         assert env.grid.max() == 1.0
         np.testing.assert_allclose(env.grid[:, 0], np.linspace(-1.0, 1.0, 9), atol=1e-15)
         np.testing.assert_array_equal(env.grid_features, env.atlas.concat_many(env.grid))
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -0.5])
+    def test_noise_must_be_finite_and_nonnegative(self, noise):
+        # a NaN noise used to run silently with no noise
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            LookupEnvironment(self.build_2d(), master_seed=0, p=9, noise=noise)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError):

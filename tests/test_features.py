@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelong_bandits.errors import DomainError
-from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate
+from lifelong_bandits.features import BasisFamily, FeatureAtlas
 from lifelong_bandits.gp_ucb import LockstepUcb, UcbConfig
 
 ALL_FAMILIES = [BasisFamily.COSINE_1D, BasisFamily.LEGENDRE_1D, BasisFamily.COSINE_2D]
@@ -29,11 +29,11 @@ def group_value(family, p, j, x):
     return math.cos((a + 1) * math.pi * x[0]) * math.cos((b + 1) * math.pi * x[1])
 
 
-def prior_kernel(atlas, estimate, X):
+def prior_kernel(atlas, kernel, X):
     """Gram matrix of the averaged kernel between the points X as the bandit
     consumes it: the prior covariance lam^2 f(x)^T A^{-1} f(y), at lam = 1, of
     a one-agent ``LockstepUcb`` over their atlas rows."""
-    group = LockstepUcb.over_table(atlas.concat_many(X), [estimate], UcbConfig(lam=1.0))
+    group = LockstepUcb.over_table(atlas.concat_many(X), [kernel], UcbConfig(lam=1.0))
     return group.features @ group.inv[0] @ group.features.T
 
 
@@ -99,50 +99,27 @@ class TestEvalConcat:
         np.testing.assert_allclose(table[0], atlas.concat_many(0.0)[0])
 
 
-class TestKernelEstimate:
-    def test_full(self):
-        est = KernelEstimate.full(5)
-        assert est.selected == (1, 2, 3, 4, 5)
-        assert est.weight == pytest.approx(0.2)
-
-    def test_empty_weight_undefined(self):
-        est = KernelEstimate(p=5, selected=())
-        assert est.is_empty
-        assert est.weight is None
-
-    def test_rejects_duplicates_and_out_of_range(self):
-        with pytest.raises(ValueError):
-            KernelEstimate(p=5, selected=(1, 1))
-        with pytest.raises(IndexError):
-            KernelEstimate(p=5, selected=(0,))
-        with pytest.raises(IndexError):
-            KernelEstimate(p=5, selected=(6,))
-
-    def test_sorts_input(self):
-        assert KernelEstimate(p=5, selected=(4, 2)).selected == (2, 4)
-
-
 class TestKernelEval:
     def test_single_group_at_origin(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
-        est = KernelEstimate(p=3, selected=(1,))
-        assert prior_kernel(atlas, est, 0.0)[0, 0] == pytest.approx(1.0)
+        kernel = (1,)
+        assert prior_kernel(atlas, kernel, 0.0)[0, 0] == pytest.approx(1.0)
 
     def test_two_group_average_at_origin(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
-        est = KernelEstimate(p=3, selected=(1, 2))
-        assert prior_kernel(atlas, est, 0.0)[0, 0] == pytest.approx(1.0)
+        kernel = (1, 2)
+        assert prior_kernel(atlas, kernel, 0.0)[0, 0] == pytest.approx(1.0)
 
     def test_two_group_average_mixed_points(self):
         # (cos(pi/2)*1 + cos(pi)*1) / 2 = -0.5
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
-        est = KernelEstimate(p=3, selected=(1, 2))
-        assert prior_kernel(atlas, est, [0.0, 0.5])[0, 1] == pytest.approx(-0.5, abs=1e-12)
+        kernel = (1, 2)
+        assert prior_kernel(atlas, kernel, [0.0, 0.5])[0, 1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_symmetry(self):
         atlas = FeatureAtlas(BasisFamily.LEGENDRE_1D, p=6)
-        est = KernelEstimate(p=6, selected=(2, 3, 5))
-        gram = prior_kernel(atlas, est, [0.3, -0.7])
+        kernel = (2, 3, 5)
+        gram = prior_kernel(atlas, kernel, [0.3, -0.7])
         assert gram[0, 1] == pytest.approx(gram[1, 0], abs=1e-14)
 
 
@@ -152,8 +129,8 @@ def test_gram_psd_on_samples(family):
     rng = np.random.default_rng(11)
     lo, hi = atlas.domain[:, 0], atlas.domain[:, 1]
     X = rng.uniform(lo, hi, size=(40, atlas.dim_in))
-    est = KernelEstimate(p=9, selected=(1, 4, 9))
-    gram = prior_kernel(atlas, est, X)
+    kernel = (1, 4, 9)
+    gram = prior_kernel(atlas, kernel, X)
     assert np.linalg.eigvalsh(gram)[0] >= -1e-9
 
 
@@ -170,12 +147,12 @@ def test_kernel_diagonal_bounded(family):
 
 def test_gram_equals_scaled_feature_product():
     atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=6)
-    est = KernelEstimate(p=6, selected=(2, 5))
+    kernel = (2, 5)
     rng = np.random.default_rng(5)
     X = rng.uniform(0, 1, size=(15, 1))
     raw = atlas.concat_many(X)[:, [1, 4]]
-    gram = prior_kernel(atlas, est, X)
-    np.testing.assert_allclose(gram, raw @ raw.T / est.size, atol=1e-12)
+    gram = prior_kernel(atlas, kernel, X)
+    np.testing.assert_allclose(gram, raw @ raw.T / len(kernel), atol=1e-12)
 
 
 def test_cosine_near_orthogonality_on_uniform_samples():
@@ -196,6 +173,6 @@ def test_cosine_near_orthogonality_on_uniform_samples():
 )
 def test_kernel_value_symmetric_property(x, y):
     atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=5)
-    est = KernelEstimate(p=5, selected=(1, 3))
-    gram = prior_kernel(atlas, est, [x, y])
+    kernel = (1, 3)
+    gram = prior_kernel(atlas, kernel, [x, y])
     assert gram[0, 1] == pytest.approx(gram[1, 0], abs=1e-13)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec, uniform_grid
 from lifelong_bandits.errors import EmptyKernelError
-from lifelong_bandits.features import BasisFamily, FeatureAtlas, KernelEstimate
+from lifelong_bandits.features import BasisFamily, FeatureAtlas
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig, ucb_choice
 from oracles import dual_posterior, info_gain_cap, kernel_rows, realized_info_gain
 
@@ -185,12 +185,18 @@ def test_regularizer_inside_float_range_accepted(lam):
     assert UcbConfig(lam=lam).lam == lam
 
 
+@pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf, -1.0])
+def test_exploration_coefficient_must_be_finite_and_nonnegative(nu):
+    # a NaN or infinite nu used to pass here and fail at the first select
+    with pytest.raises(ValueError, match="exploration coefficient"):
+        UcbConfig(nu=nu)
+
+
 def make_agent(p=5, selected=(1, 2), nu=10.0, lam=0.1, grid_n=60):
     atlas = FeatureAtlas(BasisFamily.COSINE_1D, p)
-    est = KernelEstimate(p=p, selected=selected)
     grid = uniform_grid(atlas.domain, grid_n)
-    agent = GpUcb(atlas, est, UcbConfig(nu=nu, lam=lam))
-    return atlas, est, grid, agent
+    agent = GpUcb(atlas, selected, UcbConfig(nu=nu, lam=lam))
+    return atlas, selected, grid, agent
 
 
 def mirror_pair():
@@ -199,7 +205,7 @@ def mirror_pair():
     posterior score ties, but the computed prior variance of the mirror
     point is the higher one."""
     atlas = FeatureAtlas(BasisFamily.COSINE_1D, 8)
-    return atlas, KernelEstimate(p=8, selected=(2, 4)), np.array([[0.2], [0.8]])
+    return atlas, (2, 4), np.array([[0.2], [0.8]])
 
 
 class TestUcbChoice:
@@ -236,25 +242,25 @@ class TestGpUcb:
     def test_empty_kernel_rejected(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, 4)
         with pytest.raises(EmptyKernelError):
-            GpUcb(atlas, KernelEstimate(p=4, selected=()), UcbConfig())
+            GpUcb(atlas, (), UcbConfig())
 
     def test_prior_tie_breaks_first_grid_point(self):
         # with no data the mean is 0 everywhere and sigma is the feature norm;
         # cosine features have equal norm at x=0 and x=1, argmax takes index 0
-        atlas, est, grid, agent = make_agent(selected=(1,))
+        atlas, kernel, grid, agent = make_agent(selected=(1,))
         assert agent.select(grid) == 0
 
     def test_mirror_tie_goes_to_the_lower_index(self):
-        atlas, est, mirror = mirror_pair()
-        agent = GpUcb(atlas, est, UcbConfig())
+        atlas, kernel, mirror = mirror_pair()
+        agent = GpUcb(atlas, kernel, UcbConfig())
         assert agent.select(mirror) == 0
         assert agent.group.var[0, 1] > agent.group.var[0, 0]
 
     def test_pure_exploitation_picks_posterior_argmax(self):
-        atlas, est, grid, agent = make_agent(selected=(1,), nu=0.0, lam=0.1)
+        atlas, kernel, grid, agent = make_agent(selected=(1,), nu=0.0, lam=0.1)
         # teach it that the function is phi_1, scaled: peak at x=0
         seen = [10, 30, 50]
-        Q = kernel_rows(atlas, est, grid)
+        Q = kernel_rows(atlas, kernel, grid)
         y = 2.0 * Q[seen, 0]
         for idx, yi in zip(seen, y):
             agent.observe(idx, float(yi), grid)
@@ -265,7 +271,7 @@ class TestGpUcb:
     def test_other_candidate_array_rejected(self):
         # the agent holds the first array it is given, so no other array,
         # not even an equal copy, can pass for it
-        atlas, est, grid, agent = make_agent(selected=(1,))
+        atlas, kernel, grid, agent = make_agent(selected=(1,))
         agent.observe(3, 1.0, grid)
         with pytest.raises(ValueError, match="bound"):
             agent.select(grid.copy())
@@ -278,7 +284,7 @@ class TestGpUcb:
 
     def test_info_gain_never_exceeds_bound(self):
         rng = np.random.default_rng(6)
-        atlas, est, grid, agent = make_agent(selected=(1, 3), lam=0.2)
+        atlas, kernel, grid, agent = make_agent(selected=(1, 3), lam=0.2)
         for _ in range(80):
             idx = int(rng.integers(len(grid)))
             agent.observe(idx, float(rng.normal()), grid)
@@ -286,7 +292,7 @@ class TestGpUcb:
 
     def test_finds_peak_of_smooth_reward(self):
         # reward 2*cos(pi x) restricted to its own kernel: peak at grid point 0
-        atlas, est, grid, agent = make_agent(selected=(1,), nu=2.0, lam=0.1)
+        atlas, kernel, grid, agent = make_agent(selected=(1,), nu=2.0, lam=0.1)
         rng = np.random.default_rng(7)
         values = 2.0 * np.cos(np.pi * grid[:, 0])
         pulls = []
@@ -303,8 +309,7 @@ class TestGpUcb:
         halves = []
         for seed in range(20):
             env = SyntheticEnvironment(spec, n_tasks=1, master_seed=seed, grid_points=120)
-            est = KernelEstimate(p=spec.p, selected=env.support)
-            agent = GpUcb(env.atlas, est, UcbConfig(nu=2.0, lam=0.2))
+            agent = GpUcb(env.atlas, env.support, UcbConfig(nu=2.0, lam=0.2))
             view = env.task_view(1)
             regs = []
             for _ in range(120):
@@ -315,6 +320,43 @@ class TestGpUcb:
             halves.append((first, second))
         better = sum(second < 0.5 * first + 1e-9 for first, second in halves)
         assert better >= 15
+
+
+def three_columns():
+    """A (5, 3) feature table: three cosine groups at five points."""
+    return FeatureAtlas(BasisFamily.COSINE_1D, 3).concat_many(np.linspace(0.0, 1.0, 5))
+
+
+class TestOverTable:
+    """``over_table`` checks each kernel, a tuple of 1-based column indices,
+    against the table it indexes and weighs its columns 1/|J|."""
+
+    def test_full_kernel_weighs_every_column_equally(self):
+        table, lam = three_columns(), UcbConfig().lam
+        group = LockstepUcb.over_table(table, [(1, 2, 3)], UcbConfig())
+        np.testing.assert_array_equal(group.features, table)
+        assert group.dims.tolist() == [3]
+        np.testing.assert_array_equal(group.inv[0], np.eye(3) * ((1.0 / 3.0) / lam**2))
+        # the prior variance is the mean square of each row
+        np.testing.assert_allclose(group.var[0], (table**2).mean(axis=1), rtol=1e-15)
+
+    @pytest.mark.parametrize("kernels", [[()], [(1,), ()]])
+    def test_empty_kernel_raises(self, kernels):
+        with pytest.raises(EmptyKernelError):
+            LockstepUcb.over_table(three_columns(), kernels, UcbConfig())
+
+    def test_repeated_or_out_of_range_index_raises(self):
+        # the range is the table's own width, 3: (5,) and (4,) name no column
+        for kernel in [(0,), (4,), (1, 1), (5,), (2, 3, 2), (1, -1)]:
+            with pytest.raises(ValueError, match=r"distinct indices in 1\.\.3"):
+                LockstepUcb.over_table(three_columns(), [(1, 2), kernel], UcbConfig())
+
+    def test_unsorted_kernel_weighs_like_sorted(self):
+        table = three_columns()
+        unsorted = LockstepUcb.over_table(table, [(3, 1), (2,)], UcbConfig())
+        ordered = LockstepUcb.over_table(table, [(1, 3), (2,)], UcbConfig())
+        for name in ("features", "inv", "var", "dims"):
+            assert np.array_equal(getattr(unsorted, name), getattr(ordered, name)), name
 
 
 def assert_group_matches(group, agents, grid):
@@ -339,9 +381,9 @@ class TestLockstepUcb:
 
     def check_against_agents(self, selections, width):
         atlas, _, grid, _ = make_agent(p=7, grid_n=80)
-        kernels = [KernelEstimate(p=7, selected=sel) for sel in selections]
+        kernels = list(selections)
         config = UcbConfig(nu=2.0, lam=0.3)
-        agents = [GpUcb(atlas, est, config) for est in kernels]
+        agents = [GpUcb(atlas, kernel, config) for kernel in kernels]
         group = LockstepUcb.over_table(atlas.concat_many(grid), kernels, config)
         assert group.features.shape == (80, width)
         assert group.dims.tolist() == [len(sel) for sel in selections]
@@ -357,9 +399,9 @@ class TestLockstepUcb:
                 agent.observe(int(i), float(yi), grid)
         assert_group_matches(group, agents, grid)
         columns = sorted(set().union(*selections))
-        for j, est in enumerate(kernels):
+        for j, kernel in enumerate(kernels):
             # the columns outside the agent's kernel never leave the prior
-            outside = ~np.isin(columns, est.selected)
+            outside = ~np.isin(columns, kernel)
             assert not group.theta[j, outside].any()
             assert not group.inv[j][outside].any() and not group.inv[j][:, outside].any()
             assert not group.pending[j, : group.held][:, outside].any()
@@ -369,9 +411,9 @@ class TestLockstepUcb:
         # the union is 5 columns wide, so the pending block folds into the
         # inverse at 5 and 10 observations
         atlas, _, grid, _ = make_agent(p=7, grid_n=80)
-        kernels = [KernelEstimate(p=7, selected=sel) for sel in ((1, 2, 5), (2, 5), (3, 7))]
+        kernels = [(1, 2, 5), (2, 5), (3, 7)]
         config = UcbConfig(nu=2.0, lam=0.3)
-        agents = [GpUcb(atlas, est, config) for est in kernels]
+        agents = [GpUcb(atlas, kernel, config) for kernel in kernels]
         group = LockstepUcb.over_table(atlas.concat_many(grid), kernels, config)
         width = group.features.shape[1]
         assert width == 5
@@ -394,8 +436,8 @@ class TestLockstepUcb:
             LockstepUcb(features, np.array([[0.5, 0.5], [0.0, 0.0]]), UcbConfig())
 
     def test_mirror_tie_goes_to_the_lower_index(self):
-        atlas, est, mirror = mirror_pair()
-        group = LockstepUcb.over_table(atlas.concat_many(mirror), [est, est], UcbConfig())
+        atlas, kernel, mirror = mirror_pair()
+        group = LockstepUcb.over_table(atlas.concat_many(mirror), [kernel, kernel], UcbConfig())
         assert group.var[0, 1] > group.var[0, 0]
         assert group.select().tolist() == [0, 0]
 
@@ -406,28 +448,28 @@ class TestLockstepUcb:
         assert group.select().tolist() == [1, 1]
 
     def test_info_gain_cap_enforced(self):
-        atlas, est, grid, _ = make_agent()
-        group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
+        atlas, kernel, grid, _ = make_agent()
+        group = LockstepUcb.over_table(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
         group.cap_weight[:] = 0.0  # a cap of 0
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
 
     def test_nan_gain_fails_the_cap(self):
         # a posterior gone NaN must not pass the gate as a False comparison
-        atlas, est, grid, _ = make_agent()
-        group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
+        atlas, kernel, grid, _ = make_agent()
+        group = LockstepUcb.over_table(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
         group.log_det[1] = np.nan
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
 
     def test_broken_q_is_named_with_its_agent(self):
-        atlas, est, grid, _ = make_agent()
-        group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
+        atlas, kernel, grid, _ = make_agent()
+        group = LockstepUcb.over_table(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
         group.inv[1, 0, 0] = np.nan
         with pytest.raises(RuntimeError, match=r"agent 1: q = 1 \+ phi\^T A\^-1 phi is nan"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
         # an inverse gone indefinite gives a negative q, whose log is NaN
-        group = LockstepUcb.over_table(atlas.concat_many(grid), [est] * 3, UcbConfig())
+        group = LockstepUcb.over_table(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
         group.inv[2] *= -1.0
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match=r"agent 2: q = .* is -"):
@@ -465,7 +507,7 @@ def test_mixed_lockstep_matches_scratch_property(seed, k, n, lam):
     p = 50
     atlas = FeatureAtlas(BasisFamily.COSINE_1D, p)
     kernels = [
-        KernelEstimate(p=p, selected=tuple(int(j) for j in rng.choice(
+        tuple(sorted(int(j) for j in rng.choice(
             np.arange(1, p + 1), size=int(rng.integers(1, p + 1)), replace=False)))
         for _ in range(k)
     ]
@@ -476,8 +518,8 @@ def test_mixed_lockstep_matches_scratch_property(seed, k, n, lam):
     for i in range(n):
         chosen[i] = group.select() if rng.random() < 0.5 else rng.integers(len(cand), size=k)
         group.observe(chosen[i], rewards[i])
-    for j, est in enumerate(kernels):
-        Q = kernel_rows(atlas, est, cand)
+    for j, kernel in enumerate(kernels):
+        Q = kernel_rows(atlas, kernel, cand)
         Phi, y = Q[chosen[:, j]], rewards[:, j]
         mean, var = scratch_posterior(Phi, y, Q, lam)
         scale = max(1.0, float(np.abs(y).max(initial=0.0)))

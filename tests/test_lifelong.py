@@ -16,7 +16,6 @@ import lifelong_bandits
 from lifelong_bandits import lifelong
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError
-from lifelong_bandits.features import KernelEstimate
 from lifelong_bandits.federated import run_federated
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from lifelong_bandits.lifelong import (
@@ -111,7 +110,7 @@ class TestRunLifelong:
         n = 30
         record = run_lifelong(env, m=1, n=n, omega=0.25, lam=0.1, seed=11)
         ne = int(exploration_counts(ScheduleMode.DECREASING, n, 1)[0])
-        agent = GpUcb(env.atlas, KernelEstimate.full(env.atlas.p), UcbConfig())
+        agent = GpUcb(env.atlas, tuple(range(1, env.atlas.p + 1)), UcbConfig())
         view = env.task_view(1)
         rng = substream(11, STREAM_EXPLORE, 1)
         actions = []
@@ -292,8 +291,7 @@ class TestLockstep:
     def test_group_records_match_tasks_run_alone(self, env, source):
         kernels = self.kernels(env, source)
         assert len(kernels) >= 2 and all(any(j % 2 for j in k) for k in kernels)
-        for selected in kernels:
-            kernel = KernelEstimate(env.p, selected)
+        for kernel in kernels:
             for mode in (None, ScheduleMode.DECREASING):
                 group = pinned_run(env, kernel, self.M, self.N, mode, seed=5, alone=False)
                 alone = pinned_run(env, kernel, self.M, self.N, mode, seed=5, alone=True)
@@ -306,7 +304,7 @@ class TestLockstep:
                 assert group.max_gain_slack == pytest.approx(alone.max_gain_slack, abs=1e-12)
 
     def test_group_slack_is_the_worst_task_alone(self, env):
-        kernel = KernelEstimate(env.p, env.support)
+        kernel = env.support
         group = pinned_run(env, kernel, 4, 30, None, seed=2, alone=False)
         slacks = [pinned_run(env, kernel, s, 30, None, seed=2, alone=True).max_gain_slack
                   for s in range(1, 5)]
@@ -353,7 +351,7 @@ class TestMirrorSymmetricRun:
             record = run_baseline(env, "oracle", self.M, self.N, seed=self.SEED)
         assert len({task.kernel for task in record.tasks}) < self.M
         for task in record.tasks:
-            agent = GpUcb(env.atlas, KernelEstimate(env.p, task.kernel), UcbConfig())
+            agent = GpUcb(env.atlas, task.kernel, UcbConfig())
             view = env.task_view(task.task)
             rng = substream(self.SEED, STREAM_EXPLORE, task.task)
             actions, rewards = [], []

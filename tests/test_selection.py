@@ -6,7 +6,7 @@ import pytest
 from lifelong_bandits import selection
 from lifelong_bandits.environment import SyntheticSpec
 from lifelong_bandits.features import BasisFamily, FeatureAtlas
-from lifelong_bandits.group_lasso import PooledDesign
+from lifelong_bandits.group_lasso import PooledDesign, group_norms
 from lifelong_bandits.selection import (
     design_diagnostics,
     design_from_tasks,
@@ -52,7 +52,7 @@ class TestLearnKernel:
         design = design_from_tasks(atlas, tasks)
         true_norm = np.sqrt(m) * 1.0
         sel = learn_kernel(design, omega=0.5 * true_norm / np.sqrt(m), lam=1e-3)
-        assert sel.estimate.selected == (1,)
+        assert sel.selected == (1,)
         assert not sel.fallback
 
     def test_all_zero_rewards_falls_back_to_full(self):
@@ -62,8 +62,8 @@ class TestLearnKernel:
         design = design_from_tasks(atlas, [(X, np.zeros(10))])
         sel = learn_kernel(design, omega=0.3, lam=0.5)
         assert sel.fallback
-        assert sel.estimate.selected == (1, 2, 3, 4)
-        assert np.all(sel.group_norms == 0.0)
+        assert sel.selected == (1, 2, 3, 4)
+        assert np.all(group_norms(sel.coeffs) == 0.0)
 
 
 class TestDiagnostics:

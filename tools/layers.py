@@ -101,7 +101,6 @@ import numpy as np  # noqa: E402
 
 from lifelong_bandits import group_lasso, selection  # noqa: E402
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec  # noqa: E402
-from lifelong_bandits.features import KernelEstimate  # noqa: E402
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig  # noqa: E402
 from lifelong_bandits.group_lasso import (  # noqa: E402
     PooledDesign,
@@ -299,9 +298,8 @@ def design_offline(repeats: int) -> dict:
     def statistics_only(design, omega, lam, **kwargs):
         fit_statistics(design)
         return selection.KernelSelection(
-            estimate=KernelEstimate.full(design.p),
+            selected=tuple(range(1, design.p + 1)),
             fallback=True,
-            group_norms=np.zeros(design.p),
             coeffs=np.zeros((design.m, design.p)),
             report=SolverReport(
                 method="apg",
@@ -326,7 +324,6 @@ def design_offline(repeats: int) -> dict:
 
 def ucb_step(selected, repeats: int) -> dict:
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=1, master_seed=0)
-    estimate = KernelEstimate(p=env.p, selected=selected)
     view = env.task_view(1)
 
     def steps(agent, count):
@@ -335,7 +332,7 @@ def ucb_step(selected, repeats: int) -> dict:
             agent.observe(i, view.observe(i), env.grid)
 
     def run():
-        agent = GpUcb(env.atlas, estimate, UcbConfig())
+        agent = GpUcb(env.atlas, selected, UcbConfig())
         steps(agent, UCB_WARMUP)
         start = time.perf_counter()
         steps(agent, UCB_STEPS)
@@ -349,7 +346,6 @@ def ucb_step(selected, repeats: int) -> dict:
 def ucb_lockstep(kernels, repeats: int) -> dict:
     """Lockstep steps of TASKS agents, agent j under ``kernels[j]``."""
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
-    estimates = [KernelEstimate(p=env.p, selected=selected) for selected in kernels]
     rows = np.arange(TASKS)
     noise = 0.1 * np.random.default_rng(0).standard_normal((UCB_WARMUP + UCB_STEPS, TASKS))
 
@@ -359,7 +355,7 @@ def ucb_lockstep(kernels, repeats: int) -> dict:
             group.observe(i, env.values[i, rows] + noise[t])
 
     def run():
-        group = LockstepUcb.over_table(env.grid_features, estimates, UcbConfig())
+        group = LockstepUcb.over_table(env.grid_features, kernels, UcbConfig())
         steps(group, 0, UCB_WARMUP)
         start = time.perf_counter()
         steps(group, UCB_WARMUP, UCB_STEPS)
