@@ -14,12 +14,13 @@ from .environment import (
 )
 from .errors import ConfigError, DataError, DomainError, EmptyKernelError
 from .features import BasisFamily, FeatureAtlas
-from .federated import ClientVote, VoteLedger, client_fit, run_federated
+from .federated import ClientVote, VoteLedger, client_fit, client_fits, run_federated
 from .gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from .group_lasso import (
     PooledDesign,
     SolverReport,
     fit_group_lasso,
+    fit_lassos,
     group_norms,
     kkt_residuals,
     pooled_loss,
@@ -83,10 +84,12 @@ __all__ = [
     "VoteLedger",
     "build_config",
     "client_fit",
+    "client_fits",
     "design_diagnostics",
     "design_from_tasks",
     "exploration_counts",
     "fit_group_lasso",
+    "fit_lassos",
     "group_norms",
     "integerize",
     "kkt_residuals",

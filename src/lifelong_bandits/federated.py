@@ -7,11 +7,19 @@ the clients seen so far. The counter merge is commutative, so vote order
 never matters, and the ledger accepts votes only: raw observations cannot
 cross the client boundary by construction.
 
+``client_fits`` fits many clients in one call: one batched lasso path
+(``group_lasso.fit_lassos``) follows every client's own path at once, so
+each client's coefficients still depend on its own rows only, and a client
+whose path is declined falls back to the iterative solver alone.
+``client_fit`` is its one-client form.
+
 ``run_federated`` runs the shared task loop of :mod:`.lifelong` with a
-kernel callback: each client's forced draws are fitted into a vote, the
-vote goes into the ledger, and the server set after it (or the full kernel
-when the set is empty) is the kernel of that client's agent, which is fed
-the forced draws before it selects.
+kernel callback. The loop's plan pass draws every client's forced prefix
+first and then hands all clients to the callback at once: their draws are
+fitted into votes in one ``client_fits`` call, and the votes go into the
+ledger in client order. The server set after a client's own vote (or the
+full kernel when the set is empty) is the kernel of that client's agent,
+which is fed the forced draws before it selects.
 """
 
 from __future__ import annotations
@@ -22,10 +30,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .gp_ucb import UcbConfig
-from .group_lasso import PooledDesign
+from .group_lasso import fit_lassos, group_norms
 from .lifelong import LifelongRunRecord, ScheduleMode, _run_tasks
-# design_from_tasks stays bound here: perfbench's tracer wraps this binding
-from .selection import design_from_tasks, learn_kernel  # noqa: F401
+# design_from_tasks and learn_kernel stay bound here: perfbench's tracer
+# wraps these bindings
+from .selection import design_from_tasks, learn_kernel, threshold_groups  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,44 @@ class VoteLedger:
         return tuple(int(j) + 1 for j in np.flatnonzero(keep))
 
 
+def client_fits(
+    features,
+    rewards,
+    lam: float,
+    omega: float,
+    *,
+    clients=None,
+    tol: float = 1e-8,
+    max_iter: int = 50_000,
+) -> list[ClientVote]:
+    """Fit each client's data alone, all in one batched lasso path, and
+    return their index votes in order.
+
+    ``features[s]`` holds the feature rows of client s's points (the rows of
+    the environment's grid features it drew), ``rewards[s]`` their rewards,
+    and ``clients[s]`` its id (default: s). A client without data raises
+    ``DataError`` before any client is fitted.
+
+    The threshold is a plain strict cut at omega on the group norms (the
+    single-task case of the pooled rule). A non-converged fit gives an
+    empty vote with the failure flag set rather than raising.
+    """
+    rewards = [np.asarray(y, dtype=float) for y in rewards]
+    clients = range(len(rewards)) if clients is None else clients
+    for client, y in zip(clients, rewards):
+        if y.size == 0:
+            raise DataError(f"client {client} has no exploration data")
+    coeffs, reports = fit_lassos(features, rewards, lam, tol=tol, max_iter=max_iter)
+    votes = []
+    for client, y, beta, report in zip(clients, rewards, coeffs, reports):
+        if not report.converged:
+            votes.append(ClientVote(client=client, indices=(), explore_count=len(y), failed=True))
+            continue
+        indices = threshold_groups(group_norms(beta[None]), 1, omega)
+        votes.append(ClientVote(client=client, indices=indices, explore_count=len(y)))
+    return votes
+
+
 def client_fit(
     phi: np.ndarray,
     y,
@@ -93,23 +140,10 @@ def client_fit(
     tol: float = 1e-8,
     max_iter: int = 50_000,
 ) -> ClientVote:
-    """Fit one client's data alone and return its index vote.
-
-    ``phi`` holds the feature rows of the client's points (the rows of the
-    environment's grid features it drew), ``y`` their rewards.
-
-    The threshold is a plain strict cut at omega on the group norms (the
-    single-task case of the pooled rule). A non-converged fit returns an
-    empty vote with the failure flag set rather than raising.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise DataError("client has no exploration data")
-    outcome = learn_kernel(PooledDesign([phi], [y]), omega, lam, tol=tol, max_iter=max_iter)
-    if not outcome.report.converged:
-        return ClientVote(client=client, indices=(), explore_count=len(y), failed=True)
-    indices = () if outcome.fallback else outcome.selected
-    return ClientVote(client=client, indices=indices, explore_count=len(y))
+    """Fit one client's data alone and return its index vote: the
+    one-client form of ``client_fits``."""
+    (vote,) = client_fits([phi], [y], lam, omega, clients=[client], tol=tol, max_iter=max_iter)
+    return vote
 
 
 @dataclass
@@ -143,26 +177,30 @@ def run_federated(
     ledger = VoteLedger(env.p, alpha)
     record = FederatedRunRecord(seed=seed)
 
-    def vote_kernel(s: int, drawn: list[int], drawn_y: list[float]) -> tuple[int, ...]:
-        vote = client_fit(
-            env.grid_features[drawn],
-            drawn_y,
+    def vote_kernels(plans) -> list[tuple[int, ...]]:
+        votes = client_fits(
+            [env.grid_features[plan.drawn] for plan in plans],
+            [plan.drawn_y for plan in plans],
             lam,
             omega,
-            client=s,
+            clients=[plan.task for plan in plans],
             tol=solver_tol,
             max_iter=solver_max_iter,
         )
-        if vote.failed:
-            record.events.append((s, "solver"))
-        ledger.add(vote)
-        selected = ledger.selected()
-        record.votes.append(vote)
-        record.server_sets.append(selected)
-        if not selected:
-            record.events.append((s, "fallback"))
-        return selected or tuple(range(1, env.p + 1))
+        kernels = []
+        for vote in votes:
+            s = vote.client
+            if vote.failed:
+                record.events.append((s, "solver"))
+            ledger.add(vote)
+            selected = ledger.selected()
+            record.votes.append(vote)
+            record.server_sets.append(selected)
+            if not selected:
+                record.events.append((s, "fallback"))
+            kernels.append(selected or tuple(range(1, env.p + 1)))
+        return kernels
 
-    _run_tasks(env, m, n, ScheduleMode.CONSTANT, record, vote_kernel, seed=seed, ucb=ucb)
+    _run_tasks(env, m, n, ScheduleMode.CONSTANT, record, vote_kernels, seed=seed, ucb=ucb)
     record.final_kernel = record.tasks[-1].kernel
     return record

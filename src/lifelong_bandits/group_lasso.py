@@ -67,8 +67,8 @@ iteration does not spend its first steps growing a row whose direction the
 old fit already knows.
 
 A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
-linear in lam. ``fit_group_lasso`` follows that path exactly (homotopy, or
-LARS-lasso: Osborne, Presnell & Turlach 2000; Efron et al. 2004) from
+linear in lam. The fit follows that path exactly (homotopy, or LARS-lasso:
+Osborne, Presnell & Turlach 2000; Efron et al. 2004) from
 lam_max = (2/N)||Phi^T y||_inf down to the target, one join or drop event per
 step, with at most ``max_iter`` steps. It returns the path's point only when it
 can certify it: every KKT residual is <= ``tol``, and the columns of the
@@ -78,6 +78,18 @@ Otherwise, for instance on a singular active Gram, an exhausted step budget
 or a polytope of solutions, the fit runs the proximal-gradient iteration
 above, without a Newton attempt: a Newton point would be one arbitrary member
 of a set of solutions.
+
+One homotopy follows the paths of K single-task fits at once (``fit_lassos``,
+which fits every federated client in one call; ``fit_group_lasso`` runs it
+with K = 1). It works on the tasks' rows, zero-padded to one (K, r, p)
+stack, and builds no Gram: each step takes every unfinished task to its own
+next event, solving all the tasks' active blocks, padded to the largest
+with the identity, in one batched solve. Each task keeps its own step
+count, certificate and fallback: a singular solve, a non-finite direction,
+an exhausted budget or a failed certificate declines that task alone,
+which then runs the proximal-gradient iteration on its own data. So task
+s's answer is the one a fit of its data alone gives, up to rounding (about
+1e-12 on the coefficients).
 """
 
 from __future__ import annotations
@@ -355,9 +367,10 @@ def fit_group_lasso(
 ) -> tuple[np.ndarray, SolverReport]:
     """Minimize the pooled group-lasso objective.
 
-    A single-task design goes to the exact lasso path, which ignores ``x0``
-    and returns only a certified unique solution; every other fit, and every
-    single-task fit the path declines, runs accelerated proximal gradient,
+    A single-task design goes to the exact lasso path (the batched path with
+    one task), which ignores ``x0`` and returns only a certified unique
+    solution; every other fit, and every single-task fit the path declines,
+    runs accelerated proximal gradient,
     which on a pooled design hands off to a Newton finish on the support it
     has found.
 
@@ -378,9 +391,11 @@ def fit_group_lasso(
     if x0 is not None and x0.shape != (design.m, design.p):
         raise ValueError("warm start does not match the design")
     if design.m == 1:
-        fit = _lasso_path(design, lam, tol, max_iter)
-        if fit is not None:
-            return fit
+        phi, y = design.features[0], design.rewards[0]
+        rows = np.array([len(y)])
+        coeffs, (report,) = _lasso_paths(phi[None], y[None], rows, lam, tol, max_iter)
+        if report is not None:
+            return coeffs, report
     return _apg(design, lam, tol, max_iter, x0)
 
 
@@ -594,81 +609,192 @@ def _newton_finish(
 PATH_EVENT_FLOOR = 1e-12  # smaller drop times and join closing rates are ignored
 
 
-def _lasso_path(
-    design: PooledDesign, lam: float, tol: float, max_steps: int
-) -> tuple[np.ndarray, SolverReport] | None:
-    """Exact single-task lasso by homotopy, or None when it cannot certify.
+def fit_lassos(
+    features, rewards, lam: float, *, tol: float = 1e-8, max_iter: int = 50_000
+) -> tuple[np.ndarray, list[SolverReport]]:
+    """Fit K single-task lassos at once, task s on ``features[s]`` (n_s, p)
+    and ``rewards[s]`` (n_s,) alone, as ``fit_group_lasso`` fits the
+    single-task design of each.
 
-    The path starts at lam_max with beta = 0. On the active set A with signs
-    s_A, lowering lam by t moves beta_A by t * d with (2/N) G_AA d = s_A, so
-    every active correlation (2/N) phi_j^T r stays at +-lam. A step goes to
-    the nearest of three events: an inactive correlation reaching +-lam
-    (join), an active coefficient reaching zero (drop), or the target lam.
+    One homotopy follows every task's path together; a task it declines
+    runs accelerated proximal gradient on its own data. Returns the (K, p)
+    matrix whose row s holds task s's coefficients, and the K reports.
+    Raises ValueError on a task without rows, on rows and rewards that
+    disagree, on a block whose width differs from the first's, and on
+    non-finite data.
     """
-    (G,), (C,), _ = design.grams()
-    phi, y = design.features[0], design.rewards[0]
-    N, p = phi.shape
-    scale = 2.0 / N
-    beta = np.zeros(p)
-    corr = scale * C
-    signs = np.zeros(p)  # +-1 on the active set, 0 elsewhere
-    at = float(np.abs(corr).max())
-    if at > lam:
-        j = int(np.argmax(np.abs(corr)))
-        signs[j] = np.sign(corr[j])
-    steps = 0
-    while at > lam:
-        if steps == max_steps:
-            return None
-        steps += 1
-        idx = np.flatnonzero(signs)
-        try:
-            d = np.linalg.solve(scale * G[idx][:, idx], signs[idx])
-        except np.linalg.LinAlgError:
-            return None
-        # correlations move as corr - t * rate, active ones as (at - t) * sign;
-        # an inactive one joins when it closes its gap to +-(at - t), at once
-        # if it sits on (or by rounding just past) the bound moving outward
-        rate = scale * (G[:, idx] @ d)
-        gaps = np.concatenate((at - corr, at + corr))
-        closing = np.concatenate((1.0 - rate, 1.0 + rate))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            joins = np.maximum(gaps, 0.0) / closing
-            drops = -beta[idx] / d
-        joins[np.tile(signs != 0, 2) | ~(closing > PATH_EVENT_FLOOR)] = np.inf
-        drops[~(drops > PATH_EVENT_FLOOR)] = np.inf
-        join, drop = int(np.argmin(joins)), int(np.argmin(drops))
-        t = min(at - lam, joins[join], drops[drop])
-        beta[idx] += t * d
-        if t == at - lam:
-            break
-        at -= t
-        if t == joins[join]:
-            # the first half of ``joins`` reaches +lam, the second -lam
-            signs[join % p] = 1.0 if join < p else -1.0
-        else:
-            signs[idx[drop]] = beta[idx[drop]] = 0.0
-        corr = scale * (C - G @ beta)
+    if lam < 0:
+        raise ValueError("penalty weight must be nonnegative")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if len(features) != len(rewards) or not len(features):
+        raise ValueError("need one reward vector per task, and one task or more")
+    features = [np.asarray(phi, dtype=float) for phi in features]
+    rewards = [np.asarray(y, dtype=float).reshape(-1) for y in rewards]
+    rows = np.array([len(y) for y in rewards])
+    p = features[0].shape[-1]
+    F = np.zeros((len(rows), rows.max(), p))
+    Y = np.zeros(F.shape[:2])
+    for s, (phi, y) in enumerate(zip(features, rewards)):
+        if phi.shape != (len(y), p) or not len(y):
+            raise ValueError(f"task {s + 1}: design block must be (n_s >= 1, p), p as in task 1")
+        F[s, : len(y)], Y[s, : len(y)] = phi, y
+    if not (np.isfinite(F).all() and np.isfinite(Y).all()):
+        raise ValueError("non-finite data")
+    coeffs, reports = _lasso_paths(F, Y, rows, lam, tol, max_iter)
+    for s, report in enumerate(reports):
+        if report is None:
+            design = PooledDesign([features[s]], [rewards[s]])
+            (coeffs[s],), reports[s] = _apg(design, lam, tol, max_iter, None)
+    return coeffs, reports
 
-    # a non-finite direction leaves NaN in beta, which fails the KKT test
-    coeffs = beta.reshape(1, p)
-    kkt = float(kkt_residuals(design, coeffs, lam).max())
-    if not kkt <= tol:
-        return None
-    equicorrelated = np.abs(scale * (phi.T @ (y - phi @ beta))) >= lam - tol
-    size = int(equicorrelated.sum())
-    if size > N or (size and np.linalg.matrix_rank(phi[:, equicorrelated]) < size):
-        return None
-    objective = pooled_loss(design, coeffs, lam)
-    report = SolverReport(
-        method="path",
-        converged=True,
-        iterations=steps,
-        map_norm=kkt,
-        objective=objective,
-        objective_history=np.asarray([objective]),
-    )
-    return coeffs, report
+
+def _lasso_paths(
+    F: np.ndarray, Y: np.ndarray, rows: np.ndarray, lam: float, tol: float, max_steps: int
+) -> tuple[np.ndarray, list[SolverReport | None]]:
+    """Exact single-task lassos of K tasks by one homotopy: the (K, p) path
+    points, and per task its report, or None where the path cannot certify.
+
+    Task s's rows are the first ``rows[s]`` of F[s] (r, p) and Y[s] (r,),
+    the rest zero. Each path starts at its lam_max with beta = 0. On the
+    active set A with signs s_A, lowering lam by t moves beta_A by t * d with
+    (2/N) G_AA d = s_A, so every active correlation (2/N) phi_j^T r stays at
+    +-lam. A step takes every unfinished task to its own nearest event: an
+    inactive correlation reaching +-lam (join), an active coefficient
+    reaching zero (drop), or the target lam. The tasks' active sets are
+    padded to the largest one, their padded block of G_AA set to the
+    identity, so one batched solve gives every d; a singular or non-finite
+    solve declines that task alone.
+    """
+    K, r, p = F.shape
+    beta = np.zeros((K, p))
+    steps = np.zeros(K, dtype=int)
+    declined = np.zeros(K, dtype=bool)
+    corr = (2.0 / rows)[:, None] * np.matmul(Y[:, None, :], F)[:, 0]
+    at = np.abs(corr).max(axis=1)
+    live = np.flatnonzero(at > lam)
+    # the unfinished tasks' data and state, compacted whenever tasks leave;
+    # B, S and FT carry a zero column p, the padding of every active set
+    F_, Y_, N, at, corr = (v[live] for v in (F, Y, rows, at, corr))
+    FT = np.zeros((live.size, p + 1, r))
+    FT[:, :p] = F_.transpose(0, 2, 1)
+    B = np.zeros((live.size, p + 1))
+    S = np.zeros_like(B)  # +-1 on the active set, 0 elsewhere
+    tasks = np.arange(live.size)
+    first = np.abs(corr).argmax(axis=1)
+    S[tasks, first] = np.sign(corr[tasks, first])
+    active = S[:, :p] != 0.0
+    columns = np.arange(p)
+    scale, at_task = (2.0 / N)[:, None], tasks[:, None]
+    k = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size:
+            if k == max_steps:
+                declined[live] = True
+                break
+            k += 1
+            counts = active.sum(axis=1)
+            a = counts.max()
+            # each task's active columns in ascending order, padded with column p
+            order = np.sort(np.where(active, columns, p), axis=1)[:, :a]
+            FA = FT[at_task, order]
+            GA = np.matmul(FA, FA.transpose(0, 2, 1))
+            GA *= scale[:, :, None]
+            if live.size > 1 and counts.min() < a:
+                GA.reshape(-1, a * a)[:, :: a + 1] += order == p
+            # a padded slot holds column p, whose sign and beta are 0
+            rhs = S[at_task, order]
+            try:
+                d = np.linalg.solve(GA, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                # a singular task's NaN direction ends its path at this step
+                d = np.full(rhs.shape, np.nan)
+                for i in tasks:
+                    try:
+                        d[i] = np.linalg.solve(GA[i], rhs[i])
+                    except np.linalg.LinAlgError:
+                        pass
+            # correlations move as corr - t * rate, active ones as (at - t) * sign;
+            # an inactive one joins when it closes its gap to +-(at - t), at once
+            # if it sits on (or by rounding just past) the bound moving outward;
+            # an active column's NaN rate keeps it from joining
+            rate = scale * np.matmul(np.matmul(d[:, None, :], FA), F_)[:, 0]
+            rate[active] = np.nan
+            bound = at[:, None]
+            closing = np.concatenate((1.0 - rate, 1.0 + rate), axis=1)
+            joins = np.maximum(np.concatenate((bound - corr, bound + corr), axis=1), 0.0) / closing
+            joins[~(closing > PATH_EVENT_FLOOR)] = np.inf
+            beta_A = B[at_task, order]
+            drops = -beta_A / d
+            drops[~(drops > PATH_EVENT_FLOOR)] = np.inf
+            join, drop = joins.argmin(axis=1), drops.argmin(axis=1)
+            t_join = joins.min(axis=1)
+            target = at - lam
+            t = np.minimum(target, np.minimum(t_join, drops.min(axis=1)))
+            B[at_task, order] = beta_A + t[:, None] * d
+            at = at - t
+            # a non-finite direction leaves NaN in t or in beta; either ends the
+            # task's path, and NaN in beta fails the KKT test
+            finished = ~(t < target)
+            any_finished = finished.any()
+            if any_finished:
+                beta[live[finished]] = B[finished, :p]
+                steps[live[finished]] = k
+            # every other task joins one column or drops one; the first half of
+            # ``joins`` reaches +lam, the second -lam, and an inactive beta is 0
+            joined = t == t_join
+            changed = np.where(joined, join % p, order[tasks, drop])
+            S[tasks, changed] = np.where(joined, np.where(join < p, 1.0, -1.0), 0.0)
+            B[tasks, changed] = 0.0
+            active[tasks, changed] = joined
+            if any_finished:
+                keep = ~finished
+                live, F_, Y_, FT, N, B, S, active, at = (
+                    v[keep] for v in (live, F_, Y_, FT, N, B, S, active, at)
+                )
+                tasks = np.arange(live.size)
+                scale, at_task = (2.0 / N)[:, None], tasks[:, None]
+            residuals = Y_ - np.matmul(B[:, None, :], FT)[:, 0]
+            corr = scale * np.matmul(residuals[:, None, :], F_)[:, 0]
+
+    reports: list[SolverReport | None] = [None] * K
+    done = np.flatnonzero(~declined)
+    if not done.size:
+        return beta, reports
+    F_, Y_, B, N = F[done], Y[done], beta[done], rows[done]
+    residuals = np.matmul(F_, B[:, :, None])[:, :, 0] - Y_
+    grad = (2.0 / N)[:, None] * np.matmul(residuals[:, None, :], F_)[:, 0]
+    kkt = np.where(
+        np.abs(B) > 0.0, np.abs(grad + lam * np.sign(B)), np.maximum(0.0, np.abs(grad) - lam)
+    ).max(axis=1)
+    equicorrelated = np.abs(grad) >= lam - tol
+    sizes = equicorrelated.sum(axis=1)
+    certified = (kkt <= tol) & (sizes <= N)
+    # the equicorrelated columns must be linearly independent: their rank,
+    # as ``np.linalg.matrix_rank`` takes it, must reach their count
+    check = np.flatnonzero(certified & (sizes > 0))
+    if check.size:
+        width = sizes[check].max()
+        cols = np.argsort(~equicorrelated[check], axis=1, kind="stable")[:, :width]
+        # the transposed columns, those past a task's own count zeroed
+        FE = F_.transpose(0, 2, 1)[check[:, None], cols]
+        FE *= (np.arange(width) < sizes[check][:, None])[:, :, None]
+        sv = np.linalg.svd(FE, compute_uv=False)
+        cut = sv.max(axis=1) * N[check] * np.finfo(float).eps
+        certified[check] &= (sv > cut[:, None]).sum(axis=1) >= sizes[check]
+    rss = np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0]
+    objectives = rss / N + lam * np.sqrt(B * B).sum(axis=1)
+    for i, s in enumerate(done):
+        if certified[i]:
+            reports[s] = SolverReport(
+                method="path",
+                converged=True,
+                iterations=int(steps[s]),
+                map_norm=float(kkt[i]),
+                objective=float(objectives[i]),
+                objective_history=np.asarray([float(objectives[i])]),
+            )
+    return beta, reports
 
 
 def kkt_residuals(design: PooledDesign, coeffs: np.ndarray, lam: float) -> np.ndarray:

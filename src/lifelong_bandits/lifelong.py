@@ -1,21 +1,23 @@
 """Sequential bandit tasks with kernel learning between tasks.
 
 Every runner shares one task loop, ``_run_tasks``, which works in two
-passes. The plan pass, task by task, draws the forced prefix (uniform over
-the candidate grid, from the task's exploration substream) and the noise
-of all n observations (one draw from the task's noise substream, the same
-numbers ``TaskView.observe`` would draw one at a time), and asks a kernel
-callback which kernel the task runs under: a sorted tuple of group indices
-(see :mod:`.features`). The forced draws, the votes
-and a pooled fit over forced data read nothing an agent chose, so every
-kernel is known before any agent runs. The agent pass then steps every
-task in one ``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a
-prior weight over the union of the tasks' groups, with the features sliced
-once from the environment's feature table. An after-task hook, when given,
-sees each finished task before the next is planned, so every task then
-steps alone on the same code path. A run uses one ``UcbConfig``, its
-``ucb`` argument. The runners differ only in where the kernel comes
-from:
+passes. The plan pass has two stages. It first draws, for every task, the
+forced prefix (uniform over the candidate grid, from the task's exploration
+substream, which a task without forced draws never builds) and the noise of
+all n observations (one draw from the task's noise substream, the same
+numbers ``TaskView.observe`` would draw one at a time). It then asks a
+kernel callback, with the drawn tasks in task order, which kernel each runs
+under: a sorted tuple of group indices (see :mod:`.features`). The forced
+draws, the votes and a pooled fit over forced data read nothing an agent
+chose, so every kernel is known before any agent runs, and the callback
+gets every task at once. The agent pass then steps every task in one
+``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a prior weight
+over the union of the tasks' groups, with the features sliced once from the
+environment's feature table. An after-task hook, when given, sees each
+finished task before the next task's kernel is asked for, so the callback
+gets one task at a time and every task steps alone on the same code path.
+A run uses one ``UcbConfig``, its ``ucb`` argument. The runners differ only
+in where the kernel comes from:
 
 ``run_lifelong``
     a pooled group-lasso fit over the tasks so far, warm-started from the
@@ -25,9 +27,9 @@ from:
 ``run_baseline``
     a pinned kernel (the true support or every group), with no forced draws;
 ``run_federated`` (in :mod:`.federated`)
-    the task's own fit turned into a vote, and the server set of the vote
-    ledger, in the kernel callback, so the prefix is observed before the
-    kernel is known.
+    each task's own fit turned into a vote, all tasks' fits in one batched
+    call, and the server set of the vote ledger after each vote, in the
+    kernel callback, so the prefix is observed before the kernel is known.
 
 Exploration counts (``exploration_counts``) follow a residue-carrying
 integerization of the real rates, so the realized counts track the
@@ -140,49 +142,61 @@ class LifelongRunRecord:
 
 @dataclass
 class _Plan:
-    """One task after the plan pass: its forced draws, the noise of all its
-    observations and the kernel it runs under."""
+    """One task after the plan pass: its forced draws and their rewards, the
+    noise of all its observations and the kernel it runs under."""
 
     task: int
     view: TaskView
     drawn: list[int]
+    drawn_y: list[float]
     noise: np.ndarray
-    kernel: tuple[int, ...]
+    kernel: tuple[int, ...] = ()
 
 
-def _run_tasks(env, m, n, mode, record, kernel_for, *, seed, ucb=UcbConfig(), after_task=None):
+def _draw(env, s: int, explore_count: int, n: int, seed: int) -> _Plan:
+    """Task s's forced prefix, uniform over the grid from its exploration
+    substream (built only when the task draws from it), and the noise of
+    all n observations; its kernel is not set yet."""
+    view = env.task_view(s)
+    drawn = []
+    if explore_count:
+        rng = substream(seed, STREAM_EXPLORE, s)
+        drawn = [int(rng.integers(env.grid_size)) for _ in range(explore_count)]
+    noise = view.noise_terms(n)
+    drawn_y = [float(view.values[idx] + noise[i]) for i, idx in enumerate(drawn)]
+    return _Plan(s, view, drawn, drawn_y, noise)
+
+
+def _run_tasks(env, m, n, mode, record, kernels_for, *, seed, ucb=UcbConfig(), after_task=None):
     """The task loop every runner shares; appends one TaskRecord per task.
 
     ``mode`` sets the forced-draw counts (None: no forced draws).
-    ``kernel_for(s, drawn, drawn_y)`` gets the task's forced grid indices and
-    their rewards and returns the kernel to run under. Every task's agent
-    runs under the GP-UCB config ``ucb``.
+    ``kernels_for(plans)`` gets planned tasks in task order, each with its
+    forced grid indices ``drawn`` and their rewards ``drawn_y``, and returns
+    the kernel of each to run under. Every task's agent runs under the
+    GP-UCB config ``ucb``.
 
-    The plan pass draws, per task, the forced prefix and the noise of all n
-    observations and asks ``kernel_for`` for the kernel. Nothing in it
-    reads an agent's choices, so every kernel is known before any agent
-    runs, and the agent pass steps every task at once (``_run_agents``).
-    ``after_task``, when given, gets each finished TaskRecord before the
-    next task is planned, so each task then steps alone.
+    The plan pass works in two stages. It first draws every task's forced
+    prefix and the noise of all n observations, each from the task's own
+    substreams, so the numbers do not depend on the order of the draws. It
+    then asks ``kernels_for`` for the kernels: of all tasks at once, and
+    the agent pass steps every task at once (``_run_agents``), since nothing
+    in the plan pass reads an agent's choices. ``after_task``, when given,
+    gets each finished TaskRecord before the next task's kernel is asked
+    for, so the kernels are asked for one task at a time and each task then
+    steps alone.
     """
     if not 1 <= m <= env.m:
         raise ConfigError("environment has too few tasks")
     counts = [0] * m if mode is None else exploration_counts(mode, n, m).tolist()
-    plans = []
-    for s, explore_count in enumerate(counts, start=1):
-        view = env.task_view(s)
-        rng = substream(seed, STREAM_EXPLORE, s)
-        drawn = [int(rng.integers(env.grid_size)) for _ in range(explore_count)]
-        noise = view.noise_terms(n)
-        drawn_y = [float(view.values[idx] + noise[i]) for i, idx in enumerate(drawn)]
-        plan = _Plan(s, view, drawn, noise, kernel_for(s, drawn, drawn_y))
-        if after_task is None:
-            plans.append(plan)
-        else:
-            record.tasks += _run_agents(env, n, [plan], ucb, record)
+    plans = [_draw(env, s, count, n, seed) for s, count in enumerate(counts, start=1)]
+    batches = [plans] if after_task is None else [[plan] for plan in plans]
+    for batch in batches:
+        for plan, kernel in zip(batch, kernels_for(batch)):
+            plan.kernel = kernel
+        record.tasks += _run_agents(env, n, batch, ucb, record)
+        if after_task is not None:
             after_task(record.tasks[-1])
-    if plans:
-        record.tasks += _run_agents(env, n, plans, ucb, record)
 
 
 def _run_agents(env, n, plans, ucb, record) -> list[TaskRecord]:
@@ -326,17 +340,19 @@ def run_lifelong(
             record.events.append((s, "fallback"))
         kernel = outcome.selected
 
-    def kernel_for(s: int, drawn: list[int], drawn_y: list[float]) -> tuple[int, ...]:
-        current = kernel
-        if meta_data == "exploration":
-            update(s, drawn, drawn_y)
-        return current
+    def kernels_for(plans) -> list[tuple[int, ...]]:
+        kernels = []
+        for plan in plans:
+            kernels.append(kernel)
+            if meta_data == "exploration":
+                update(plan.task, plan.drawn, plan.drawn_y)
+        return kernels
 
     def after_task(task: TaskRecord) -> None:
         update(task.task, task.actions, task.rewards)
 
     _run_tasks(
-        env, m, n, schedule_mode, record, kernel_for,
+        env, m, n, schedule_mode, record, kernels_for,
         seed=seed, ucb=ucb, after_task=after_task if meta_data == "all" else None,
     )
     record.final_kernel = kernel
@@ -360,6 +376,6 @@ def run_baseline(
         raise ConfigError("environment does not expose a true support")
     pinned = env.support if kernel == "oracle" else tuple(range(1, env.p + 1))
     record = LifelongRunRecord(seed=seed)
-    _run_tasks(env, m, n, None, record, lambda *_: pinned, seed=seed, ucb=ucb)
+    _run_tasks(env, m, n, None, record, lambda plans: [pinned] * len(plans), seed=seed, ucb=ucb)
     record.final_kernel = pinned
     return record

@@ -217,7 +217,8 @@ def regret_study():
         matched = LifelongRunRecord(seed=seed)
         truth = env.support
         _run_tasks(
-            env, m, n, ScheduleMode.DECREASING, matched, lambda *_: truth, seed=seed, ucb=ucb
+            env, m, n, ScheduleMode.DECREASING, matched,
+            lambda plans: [truth] * len(plans), seed=seed, ucb=ucb,
         )
         records["matched"].append(matched)
     records["elapsed"] = time.time() - t0

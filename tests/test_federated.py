@@ -4,6 +4,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError, DataError
@@ -13,9 +15,10 @@ from lifelong_bandits.federated import (
     ClientVote,
     VoteLedger,
     client_fit,
+    client_fits,
     run_federated,
 )
-from lifelong_bandits.group_lasso import PooledDesign, _lasso_path
+from lifelong_bandits.group_lasso import fit_lassos
 from lifelong_bandits.harness import build_config, run_experiment
 
 
@@ -131,6 +134,14 @@ class TestClientFit:
         with pytest.raises(DataError):
             client_fit(np.zeros((0, 5)), np.zeros(0), lam=0.1, omega=0.25)
 
+    def test_empty_client_rejected_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(federated, "fit_lassos", lambda *args, **kwargs: fits.append(args))
+        phi = np.ones((3, 5))
+        with pytest.raises(DataError, match="client 2"):
+            client_fits([phi, np.zeros((0, 5))], [np.ones(3), []], 0.1, 0.25, clients=[1, 2])
+        assert fits == []
+
     def test_non_unique_client_fit_left_to_the_iterative_solver(self, monkeypatch):
         # Client 6 of federated seed 14 (defaults) drew a point where every
         # cosine feature is +-1. At the optimum all 50 columns are
@@ -139,17 +150,60 @@ class TestClientFit:
         config = build_config("federated", {"seeds": "14,"})
         seen = {}
 
-        def spy(phi, y, *args, **kwargs):
-            vote = client_fit(phi, y, *args, **kwargs)
-            seen[kwargs["client"]] = (PooledDesign([phi], [y]), vote)
-            return vote
+        def spy(features, rewards, *args, **kwargs):
+            votes = client_fits(features, rewards, *args, **kwargs)
+            for phi, y, vote in zip(features, rewards, votes):
+                seen[vote.client] = (phi, y, vote)
+            return votes
 
-        monkeypatch.setattr(federated, "client_fit", spy)
+        monkeypatch.setattr(federated, "client_fits", spy)
         run_experiment(config)
-        design, vote = seen[6]
+        phi, y, vote = seen[6]
         assert vote.indices == (2, 5, 10, 13, 17, 20, 21, 25, 35, 43, 48)
         assert not vote.failed
-        assert _lasso_path(design, config.lam, config.solver_tol, config.solver_max_iter) is None
+        _, (report,) = fit_lassos(
+            [phi], [y], config.lam, tol=config.solver_tol, max_iter=config.solver_max_iter
+        )
+        assert report.method == "apg"
+
+
+def grid_clients(seed, rows, p=8):
+    """One client per entry of ``rows``: that many uniform draws of a
+    60-point grid and their noisy rewards under one environment."""
+    env = small_env(seed=seed % 50, n_tasks=1)
+    rng = np.random.default_rng(seed)
+    features, rewards = [], []
+    for n in rows:
+        drawn = rng.integers(env.grid_size, size=n)
+        features.append(env.grid_features[drawn])
+        rewards.append(env.values[drawn, 0] + 0.1 * rng.standard_normal(n))
+    return features, rewards
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    rows=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=6),
+    changed=st.integers(min_value=0, max_value=5),
+    new_rows=st.integers(min_value=1, max_value=16),
+)
+def test_a_clients_rows_move_no_other_vote(seed, rows, changed, new_rows):
+    # a client whose rows all repeat one point where every cosine feature
+    # is +-1 has a non-unique fit, which the path declines
+    features, rewards = grid_clients(seed, rows)
+    features[0] = np.repeat(small_env().grid_features[:1], 3, axis=0)
+    rewards[0] = np.array([1.0, 0.5, 0.2])
+    votes = client_fits(features, rewards, 0.05, 0.25, clients=range(1, len(rows) + 1))
+    changed %= len(rows)
+    other_features, other_rewards = grid_clients(seed + 1, [new_rows])
+    features[changed], rewards[changed] = other_features[0], other_rewards[0]
+    moved = client_fits(features, rewards, 0.05, 0.25, clients=range(1, len(rows) + 1))
+    assert [v.client for v in votes] == [v.client for v in moved] == list(range(1, len(rows) + 1))
+    for s, (before, after) in enumerate(zip(votes, moved)):
+        if s != changed:
+            assert before == after
+    for phi, y, vote in zip(features, rewards, moved):
+        assert vote == client_fit(phi, y, 0.05, 0.25, client=vote.client)
 
 
 def test_server_side_signatures_accept_no_observations():

@@ -20,8 +20,9 @@ from lifelong_bandits import group_lasso
 from lifelong_bandits.group_lasso import (
     PooledDesign,
     _apg,
-    _lasso_path,
+    _lasso_paths,
     fit_group_lasso,
+    fit_lassos,
     group_norms,
     kkt_residuals,
     padded_warm_start,
@@ -32,6 +33,14 @@ from lifelong_bandits.group_lasso import (
 def single_task_design(phi, y):
     phi = np.asarray(phi, dtype=float)
     return PooledDesign([phi], [y])
+
+
+def lasso_path(design, lam, tol=1e-8, max_steps=10_000):
+    """The lasso path of a single-task design alone, as a batch of one task:
+    (coeffs, report), or None where the path declines."""
+    phi, y = design.features[0], design.rewards[0]
+    coeffs, (report,) = _lasso_paths(phi[None], y[None], np.array([len(y)]), lam, tol, max_steps)
+    return None if report is None else (coeffs, report)
 
 
 def grid_oracle_objective(design, lam, lo=-3.0, hi=3.0, step=2e-3):
@@ -461,7 +470,7 @@ def test_lasso_path_matches_tight_apg(seed, rows, p, shape, lam_frac):
     _, report = fit_group_lasso(design, lam)
     y_scale = max(1.0, float(y @ y) / rows)
     assert abs(report.objective - ref_report.objective) <= 1e-9 * y_scale
-    path = _lasso_path(design, lam, 1e-8, 10_000)
+    path = lasso_path(design, lam)
     if path is None:
         return
     coeffs, path_report = path
@@ -501,13 +510,88 @@ class TestLassoPath:
     def test_underdetermined_least_squares_declined(self):
         # lam = 0 with more columns than rows: a whole affine set is optimal
         design = path_design(4, 3, 5, "plain")
-        assert _lasso_path(design, 0.0, 1e-8, 10_000) is None
+        assert lasso_path(design, 0.0) is None
 
     def test_duplicate_columns_declined(self):
         phi = np.random.default_rng(5).standard_normal((6, 3))
         phi[:, 2] = phi[:, 1]
         design = single_task_design(phi, phi @ [0.0, 1.0, 1.0])
-        assert _lasso_path(design, 0.05, 1e-8, 10_000) is None
+        assert lasso_path(design, 0.05) is None
+
+
+def lasso_batch(seed, K, p):
+    """K single-task blocks of 1-8 rows, so rows < p and rows > p both occur,
+    and the index of one whose rows all repeat one +-1 row: every column
+    is equicorrelated with every other there, so below its lam_max its
+    solutions are not unique and its path is declined (p >= 2)."""
+    rng = np.random.default_rng(seed)
+    rows = [int(rng.integers(1, 9)) for _ in range(K)]
+    features = [rng.standard_normal((n, p)) for n in rows]
+    rewards = [rng.standard_normal(n) for n in rows]
+    declined = int(rng.integers(K))
+    n = max(2, rows[declined])
+    features[declined] = np.tile(rng.choice([-1.0, 1.0], size=p), (n, 1))
+    rewards[declined] = rng.standard_normal(n)
+    return features, rewards, declined
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    K=st.integers(min_value=2, max_value=5),
+    p=st.integers(min_value=2, max_value=6),
+    lam_frac=st.sampled_from([0.05, 0.3, 0.7]),
+)
+def test_batched_path_fits_each_task_alone(seed, K, p, lam_frac):
+    features, rewards, declined = lasso_batch(seed, K, p)
+    phi, y = features[declined], rewards[declined]
+    lam = lam_frac * 2.0 / len(y) * float(np.abs(phi.T @ y).max())
+    coeffs, reports = fit_lassos(features, rewards, lam)
+    assert coeffs.shape == (K, p)
+    for s, (phi, y) in enumerate(zip(features, rewards)):
+        alone, report = fit_group_lasso(single_task_design(phi, y), lam)
+        assert reports[s].method == report.method
+        assert reports[s].converged == report.converged
+        np.testing.assert_allclose(coeffs[s], alone[0], rtol=0, atol=1e-12)
+    # the declined task's answer is the iterative solver's on its data alone
+    assert reports[declined].method == "apg"
+    design = single_task_design(features[declined], rewards[declined])
+    ref, ref_report = _apg(design, lam, 1e-8, 50_000, None)
+    assert np.array_equal(coeffs[declined], ref[0])
+    assert reports[declined].iterations == ref_report.iterations
+
+
+def test_singular_solve_declines_only_its_task(monkeypatch):
+    # no natural design is known to hit an exact zero pivot, so the solve
+    # fails for task 1 alone, recognised by its scaled-up rows
+    features, rewards, _ = lasso_batch(7, 3, 4)
+    features[1], rewards[1] = 1e4 * features[0], 1e4 * rewards[0]
+    solve = np.linalg.solve
+
+    def failing(a, b):
+        if (a[..., 0, 0] > 1e5).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    coeffs, reports = fit_lassos(features, rewards, 0.01)
+    assert [report.method for report in reports] == ["path", "apg", "apg"]
+    ref, _ = _apg(single_task_design(features[1], rewards[1]), 0.01, 1e-8, 50_000, None)
+    assert np.array_equal(coeffs[1], ref[0])
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    alone, report = fit_group_lasso(single_task_design(features[0], rewards[0]), 0.01)
+    assert report.method == "path"
+    np.testing.assert_allclose(coeffs[0], alone[0], rtol=0, atol=1e-12)
+
+
+def test_batched_path_rejects_bad_tasks():
+    phi, y = np.ones((3, 2)), np.ones(3)
+    with pytest.raises(ValueError, match="task 2"):
+        fit_lassos([phi, np.ones((0, 2))], [y, np.ones(0)], 0.1)
+    with pytest.raises(ValueError, match="task 2"):
+        fit_lassos([phi, np.ones((3, 3))], [y, y], 0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_lassos([phi, np.full((3, 2), np.nan)], [y, y], 0.1)
 
 
 def pooled_random_design(seed, m, p, shape):

@@ -181,7 +181,9 @@ class TestConfig:
 
 def lookup_pairs(tmp_path):
     """Config pairs of a small lookup run on a saved 49-point 2-d table."""
-    grid = uniform_grid(np.array([[0.0, 0.0], [1.0, 1.0]]), 7)
+    # one [low, high] row per axis
+    grid = uniform_grid(np.array([[0.0, 1.0], [0.0, 1.0]]), 7)
+    assert len(np.unique(grid, axis=0)) == 49
     rng = np.random.default_rng(3)
     vals = np.stack([rng.uniform(size=len(grid)) for _ in range(2)], axis=1)
     path = tmp_path / "table.csv"

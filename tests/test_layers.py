@@ -44,6 +44,8 @@ def test_layer_script_one_repeat(tmp_path):
     assert len(seed["rows_per_task"]) == 20 and seed["rows_per_task"][-1] < 10
     assert seed["newton_steps"] > 0 and seed["newton_attempts"] >= seed["fits"]
     assert layers["group_lasso.client_fit"]["method"] == "path"
+    clients = layers["federated.client_fits"]
+    assert (clients["clients"], clients["rows"], clients["path_fits"]) == (20, 10, 20)
     design = layers["selection.design"]
     learned, offline = design["learned_20th_task"], design["offline_seed_setup"]
     assert (learned["tasks"], offline["m_values"], offline["n"]) == (20, 30, 10)
@@ -58,7 +60,7 @@ def test_layer_script_one_repeat(tmp_path):
     assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))
-    assert len(times) == 25
+    assert len(times) == 27
     for key, (p25, median, p75) in times.items():
         assert 0 < p25 <= median <= p75, key
 

@@ -258,7 +258,10 @@ def pinned_run(env, kernel, m, n, mode, *, seed, alone):
     """
     record = LifelongRunRecord(seed=seed)
     after_task = (lambda task: None) if alone else None
-    _run_tasks(env, m, n, mode, record, lambda *_: kernel, seed=seed, after_task=after_task)
+    _run_tasks(
+        env, m, n, mode, record, lambda plans: [kernel] * len(plans),
+        seed=seed, after_task=after_task,
+    )
     return record
 
 

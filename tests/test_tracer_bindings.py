@@ -4,12 +4,15 @@
 callers use (``harness.run_lifelong``, ``federated.client_fit`` ...), so a
 binding that is renamed or dropped breaks the traced benchmark. This test
 installs the tracer, runs one tiny experiment of each runner through the
-harness (and the baseline through the CLI), and checks the spans and that
+harness (and the baseline through the CLI), calls ``federated.client_fit``
+directly, since no runner calls it any more, and checks the spans and that
 uninstalling puts every binding back.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from lifelong_bandits import cli, environment, features, federated, gp_ucb, harness
 from lifelong_bandits import lifelong, selection
@@ -31,10 +34,13 @@ OWNERS = (
 )
 
 # bindings no package code calls any more; the tracer still wraps them
+# (``run_federated`` fits its clients through ``federated.client_fits``)
 KEPT_FOR_THE_TRACER = (
     (harness, "recovery_trial"),
     (lifelong, "design_from_tasks"),
     (federated, "design_from_tasks"),
+    (federated, "client_fit"),
+    (federated, "learn_kernel"),
 )
 
 
@@ -70,6 +76,10 @@ def test_tracer_spans_every_runner_and_restores_every_binding(tmp_path, capsys):
         argv = ["baseline", "--seeds", "3,", "--out", str(tmp_path / "baseline")]
         assert cli.main(argv + ["--override", "m=1", "--override", "n=10"]) == 0
         spans["baseline"] = tracer.spans[start:]
+        start = len(tracer.spans)
+        phi = np.random.default_rng(0).standard_normal((6, 3))
+        federated.client_fit(phi, phi @ [1.0, 0.0, 0.0], 0.1, 0.25)
+        spans["client_fit"] = tracer.spans[start:]
     finally:
         tracer.uninstall()
     after = bindings()
@@ -79,7 +89,7 @@ def test_tracer_spans_every_runner_and_restores_every_binding(tmp_path, capsys):
     def names(kind):
         return {span[0] for span in spans[kind]}
 
-    for kind in spans:
+    for kind in ("lifelong", "federated", "offline", "baseline"):
         assert "harness.run" in names(kind)
         assert "harness.config" in names(kind)
     runner = {"lifelong": "lifelong.run", "federated": "federated.run", "baseline": "lifelong.run"}
@@ -87,7 +97,7 @@ def test_tracer_spans_every_runner_and_restores_every_binding(tmp_path, capsys):
         assert "harness.trace_write" in names(kind)
         # the runner span takes the seed from the runner's seed= keyword
         assert {span[4] for span in spans[kind] if span[0] == name} == {3}
-    assert "federated.client_fit" in names("federated")
+    assert names("client_fit") == {"federated.client_fit"}
     assert "group_lasso.fit" in names("offline")
     assert "cli.main" in names("baseline")
     assert "baseline_oracle: 1/1 seeds" in capsys.readouterr().out

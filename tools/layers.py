@@ -44,10 +44,16 @@ Layers:
   A design computes each task's Gram, crossterm and top eigenvalue when the
   task joins, before any fit, so these times hold the iteration alone, not
   the Gram and eigen work.
-- ``group_lasso.client_fit``: one federated client's fit, as
-  ``federated.client_fit`` makes it: the single-task design of 10 grid rows,
-  sliced from the environment's grid features, and its fit at lam 0.2.
-  ``design_us`` times the design build alone.
+- ``group_lasso.client_fit``: one single-task fit of 10 grid rows, sliced
+  from the environment's grid features, at lam 0.2: the lasso path with
+  K = 1, as the task-1 fit of a ``lifelong`` run and the m = 1 fit of an
+  ``offline`` sweep take it. ``design_us`` times the design build alone.
+- ``federated.client_fits``: the 20 clients of the default ``federated``
+  run at seed 0, with the rows and rewards the runner drew for them, fitted
+  into votes: ``batched_us`` in one ``federated.client_fits`` call, as the
+  runner fits them, and ``one_by_one_us`` in 20 ``federated.client_fit``
+  calls, one batch of one client each. ``path_fits`` counts the clients
+  whose path is certified; the others fall back to the iterative solver.
 - ``selection.design``: the design work outside the solver: building the
   design, which computes the Gram statistics of each task as it joins, and
   reading what every pooled fit reads (``grams()`` and ``lipschitz()``).
@@ -99,16 +105,18 @@ if not any(os.environ.get(name) for name in BLAS_VARIABLES):
 
 import numpy as np  # noqa: E402
 
-from lifelong_bandits import group_lasso, selection  # noqa: E402
+from lifelong_bandits import federated, group_lasso, selection  # noqa: E402
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec  # noqa: E402
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig  # noqa: E402
 from lifelong_bandits.group_lasso import (  # noqa: E402
     PooledDesign,
     SolverReport,
     fit_group_lasso,
+    fit_lassos,
     padded_warm_start,
 )
 from lifelong_bandits.harness import RegretTrace, summarize  # noqa: E402
+from lifelong_bandits.federated import run_federated  # noqa: E402
 from lifelong_bandits.lifelong import run_lifelong  # noqa: E402
 from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
@@ -263,6 +271,46 @@ def client_fit(repeats: int) -> dict:
         **quartiles("design_us", builds, per=DESIGN_BUILDS),
         "steps": report.iterations,
         "method": report.method,
+    }
+
+
+def federated_clients():
+    """The rows, rewards and ids of the clients of the default ``federated``
+    run at seed 0, as the runner hands them to ``client_fits``."""
+    calls = []
+    fits = federated.client_fits
+
+    def recording(features, rewards, *args, **kwargs):
+        calls.append((features, rewards, kwargs["clients"]))
+        return fits(features, rewards, *args, **kwargs)
+
+    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
+    with mock.patch.object(federated, "client_fits", recording):
+        run_federated(env, TASKS, 100, 0.25, 0.2, 0.25, seed=0)
+    (call,) = calls
+    return call
+
+
+def client_batch(repeats: int) -> dict:
+    features, rewards, clients = federated_clients()
+
+    def batched():
+        return federated.client_fits(features, rewards, 0.2, 0.25, clients=clients)
+
+    def one_by_one():
+        return [
+            federated.client_fit(phi, y, 0.2, 0.25, client=client)
+            for phi, y, client in zip(features, rewards, clients)
+        ]
+
+    assert batched() == one_by_one()
+    _, reports = fit_lassos(features, rewards, 0.2)
+    return {
+        "clients": len(clients),
+        "rows": len(rewards[0]),
+        "path_fits": sum(report.method == "path" for report in reports),
+        **quartiles("batched_us", seconds_of(batched, repeats)),
+        **quartiles("one_by_one_us", seconds_of(one_by_one, repeats)),
     }
 
 
@@ -435,6 +483,7 @@ def main(argv=None) -> int:
     record, fits = lifelong_run()
     layers["group_lasso.lifelong_seed"] = lifelong_seed(fits, args.repeats)
     layers["group_lasso.client_fit"] = client_fit(args.repeats)
+    layers["federated.client_fits"] = client_batch(args.repeats)
     layers["selection.design"] = {
         "learned_20th_task": design_learned(args.repeats),
         "offline_seed_setup": design_offline(args.repeats),
