@@ -98,7 +98,7 @@ def client_fits(
     lam: float,
     omega: float,
     *,
-    clients=None,
+    clients,
     tol: float = 1e-8,
     max_iter: int = 50_000,
 ) -> list[ClientVote]:
@@ -107,7 +107,7 @@ def client_fits(
 
     ``features[s]`` holds the feature rows of client s's points (the rows of
     the environment's grid features it drew), ``rewards[s]`` their rewards,
-    and ``clients[s]`` its id (default: s). A client without data raises
+    and ``clients[s]`` its id. A client without data raises
     ``DataError`` before any client is fitted.
 
     The threshold is a plain strict cut at omega on the group norms (the
@@ -115,18 +115,15 @@ def client_fits(
     empty vote with the failure flag set rather than raising.
     """
     rewards = [np.asarray(y, dtype=float) for y in rewards]
-    clients = range(len(rewards)) if clients is None else clients
-    for client, y in zip(clients, rewards):
+    for client, y in zip(clients, rewards, strict=True):
         if y.size == 0:
             raise DataError(f"client {client} has no exploration data")
     coeffs, reports = fit_lassos(features, rewards, lam, tol=tol, max_iter=max_iter)
     votes = []
     for client, y, beta, report in zip(clients, rewards, coeffs, reports):
-        if not report.converged:
-            votes.append(ClientVote(client=client, indices=(), explore_count=len(y), failed=True))
-            continue
-        indices = threshold_groups(group_norms(beta[None]), 1, omega)
-        votes.append(ClientVote(client=client, indices=indices, explore_count=len(y)))
+        failed = not report.converged
+        indices = () if failed else threshold_groups(group_norms(beta[None]), 1, omega)
+        votes.append(ClientVote(client=client, indices=indices, explore_count=len(y), failed=failed))
     return votes
 
 
