@@ -684,7 +684,6 @@ def _lasso_paths(
     first = np.abs(corr).argmax(axis=1)
     S[tasks, first] = np.sign(corr[tasks, first])
     active = S[:, :p] != 0.0
-    columns = np.arange(p)
     scale, at_task = (2.0 / N)[:, None], tasks[:, None]
     k = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -693,14 +692,12 @@ def _lasso_paths(
                 declined[live] = True
                 break
             k += 1
-            counts = active.sum(axis=1)
-            a = counts.max()
-            # each task's active columns in ascending order, padded with column p
-            order = np.sort(np.where(active, columns, p), axis=1)[:, :a]
+            order = _leading_columns(active, p)
             FA = FT[at_task, order]
             GA = np.matmul(FA, FA.transpose(0, 2, 1))
             GA *= scale[:, :, None]
-            if live.size > 1 and counts.min() < a:
+            if live.size > 1:
+                a = order.shape[1]
                 GA.reshape(-1, a * a)[:, :: a + 1] += order == p
             # a padded slot holds column p, whose sign and beta are 0
             rhs = S[at_task, order]
@@ -774,11 +771,10 @@ def _lasso_paths(
     # as ``np.linalg.matrix_rank`` takes it, must reach their count
     check = np.flatnonzero(certified & (sizes > 0))
     if check.size:
-        width = sizes[check].max()
-        cols = np.argsort(~equicorrelated[check], axis=1, kind="stable")[:, :width]
+        cols = _leading_columns(equicorrelated[check], 0)
         # the transposed columns, those past a task's own count zeroed
         FE = F_.transpose(0, 2, 1)[check[:, None], cols]
-        FE *= (np.arange(width) < sizes[check][:, None])[:, :, None]
+        FE *= (np.arange(cols.shape[1]) < sizes[check][:, None])[:, :, None]
         sv = np.linalg.svd(FE, compute_uv=False)
         cut = sv.max(axis=1) * N[check] * np.finfo(float).eps
         certified[check] &= (sv > cut[:, None]).sum(axis=1) >= sizes[check]
@@ -795,6 +791,19 @@ def _lasso_paths(
                 objective_history=np.asarray([float(objectives[i])]),
             )
     return beta, reports
+
+
+def _leading_columns(mask: np.ndarray, fill: int) -> np.ndarray:
+    """Each row's True columns of a (K, p) mask in ascending order, padded
+    with ``fill`` to the largest row's count. (A sort would give them too,
+    but it maps in some 256 KB of the sort routines' code, which peak RSS
+    shows.)"""
+    if len(mask) == 1:
+        return mask.nonzero()[1][None]
+    counts = mask.sum(axis=1)
+    order = np.full((len(mask), counts.max()), fill)
+    order[np.arange(order.shape[1]) < counts[:, None]] = mask.nonzero()[1]
+    return order
 
 
 def kkt_residuals(design: PooledDesign, coeffs: np.ndarray, lam: float) -> np.ndarray:
