@@ -661,10 +661,12 @@ def _lasso_paths(
     (2/N) G_AA d = s_A, so every active correlation (2/N) phi_j^T r stays at
     +-lam. A step takes every unfinished task to its own nearest event: an
     inactive correlation reaching +-lam (join), an active coefficient
-    reaching zero (drop), or the target lam. The tasks' active sets are
-    padded to the largest one, their padded block of G_AA set to the
-    identity, so one batched solve gives every d; a singular or non-finite
-    solve declines that task alone.
+    reaching zero (drop), or the target lam. Between events the
+    correlations move linearly, so each step carries them forward by t times
+    their rate; the certificate recomputes everything from the rows. The
+    tasks' active sets are padded to the largest one, their padded block of
+    G_AA set to the identity, so one batched solve gives every d; a singular
+    or non-finite solve declines that task alone.
     """
     K, r, p = F.shape
     beta = np.zeros((K, p))
@@ -675,7 +677,7 @@ def _lasso_paths(
     live = np.flatnonzero(at > lam)
     # the unfinished tasks' data and state, compacted whenever tasks leave;
     # B, S and FT carry a zero column p, the padding of every active set
-    F_, Y_, N, at, corr = (v[live] for v in (F, Y, rows, at, corr))
+    F_, N, at, corr = (v[live] for v in (F, rows, at, corr))
     FT = np.zeros((live.size, p + 1, r))
     FT[:, :p] = F_.transpose(0, 2, 1)
     B = np.zeros((live.size, p + 1))
@@ -684,6 +686,8 @@ def _lasso_paths(
     first = np.abs(corr).argmax(axis=1)
     S[tasks, first] = np.sign(corr[tasks, first])
     active = S[:, :p] != 0.0
+    signs = np.ones(2 * p)  # the sign of the bound each entry of ``joins`` reaches
+    signs[p:] = -1.0
     scale, at_task = (2.0 / N)[:, None], tasks[:, None]
     k = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -714,11 +718,10 @@ def _lasso_paths(
             # correlations move as corr - t * rate, active ones as (at - t) * sign;
             # an inactive one joins when it closes its gap to +-(at - t), at once
             # if it sits on (or by rounding just past) the bound moving outward;
-            # an active column's NaN rate keeps it from joining
+            # an active column's rate, masked to NaN, keeps it from joining
             rate = scale * np.matmul(np.matmul(d[:, None, :], FA), F_)[:, 0]
-            rate[active] = np.nan
-            bound = at[:, None]
-            closing = np.concatenate((1.0 - rate, 1.0 + rate), axis=1)
+            bound, masked = at[:, None], np.where(active, np.nan, rate)
+            closing = np.concatenate((1.0 - masked, 1.0 + masked), axis=1)
             joins = np.maximum(np.concatenate((bound - corr, bound + corr), axis=1), 0.0) / closing
             joins[~(closing > PATH_EVENT_FLOOR)] = np.inf
             beta_A = B[at_task, order]
@@ -741,18 +744,17 @@ def _lasso_paths(
             # ``joins`` reaches +lam, the second -lam, and an inactive beta is 0
             joined = t == t_join
             changed = np.where(joined, join % p, order[tasks, drop])
-            S[tasks, changed] = np.where(joined, np.where(join < p, 1.0, -1.0), 0.0)
+            S[tasks, changed] = signs[join] * joined
             B[tasks, changed] = 0.0
             active[tasks, changed] = joined
+            corr -= t[:, None] * rate
             if any_finished:
                 keep = ~finished
-                live, F_, Y_, FT, N, B, S, active, at = (
-                    v[keep] for v in (live, F_, Y_, FT, N, B, S, active, at)
+                live, F_, FT, N, B, S, active, at, corr = (
+                    v[keep] for v in (live, F_, FT, N, B, S, active, at, corr)
                 )
                 tasks = np.arange(live.size)
                 scale, at_task = (2.0 / N)[:, None], tasks[:, None]
-            residuals = Y_ - np.matmul(B[:, None, :], FT)[:, 0]
-            corr = scale * np.matmul(residuals[:, None, :], F_)[:, 0]
 
     reports: list[SolverReport | None] = [None] * K
     done = np.flatnonzero(~declined)
