@@ -676,10 +676,9 @@ def _lasso_paths(
     at = np.abs(corr).max(axis=1)
     live = np.flatnonzero(at > lam)
     # the unfinished tasks' data and state, compacted whenever tasks leave;
-    # B, S and FT carry a zero column p, the padding of every active set
-    F_, N, at, corr = (v[live] for v in (F, rows, at, corr))
-    FT = np.zeros((live.size, p + 1, r))
-    FT[:, :p] = F_.transpose(0, 2, 1)
+    # B and S carry a zero column p, the padding of every active set
+    F_ = F if live.size == K else F[live]
+    N, at, corr = rows[live], at[live], corr[live]
     B = np.zeros((live.size, p + 1))
     S = np.zeros_like(B)  # +-1 on the active set, 0 elsewhere
     tasks = np.arange(live.size)
@@ -697,12 +696,15 @@ def _lasso_paths(
                 break
             k += 1
             order = _leading_columns(active, p)
-            FA = FT[at_task, order]
+            FA = F_[at_task, :, np.minimum(order, p - 1)]  # (k, a, r)
+            if live.size > 1:
+                padded = order == p
+                FA[padded] = 0.0
             GA = np.matmul(FA, FA.transpose(0, 2, 1))
             GA *= scale[:, :, None]
             if live.size > 1:
                 a = order.shape[1]
-                GA.reshape(-1, a * a)[:, :: a + 1] += order == p
+                GA.reshape(-1, a * a)[:, :: a + 1] += padded
             # a padded slot holds column p, whose sign and beta are 0
             rhs = S[at_task, order]
             try:
@@ -750,16 +752,50 @@ def _lasso_paths(
             corr -= t[:, None] * rate
             if any_finished:
                 keep = ~finished
-                live, F_, FT, N, B, S, active, at, corr = (
-                    v[keep] for v in (live, F_, FT, N, B, S, active, at, corr)
+                live, F_, N, B, S, active, at, corr = (
+                    v[keep] for v in (live, F_, N, B, S, active, at, corr)
                 )
                 tasks = np.arange(live.size)
                 scale, at_task = (2.0 / N)[:, None], tasks[:, None]
 
-    reports: list[SolverReport | None] = [None] * K
-    done = np.flatnonzero(~declined)
-    if not done.size:
-        return beta, reports
+    # the certificate of every task, from its rows alone
+    residuals = np.matmul(F, beta[:, :, None])[:, :, 0] - Y
+    grad = (2.0 / rows)[:, None] * np.matmul(residuals[:, None, :], F)[:, 0]
+    kkt = np.where(
+        np.abs(beta) > 0.0,
+        np.abs(grad + lam * np.sign(beta)),
+        np.maximum(0.0, np.abs(grad) - lam),
+    ).max(axis=1)
+    equicorrelated = np.abs(grad) >= lam - tol
+    sizes = equicorrelated.sum(axis=1)
+    certified = ~declined & (kkt <= tol) & (sizes <= rows)
+    # the equicorrelated columns must be linearly independent: their rank,
+    # as ``np.linalg.matrix_rank`` takes it, must reach their count
+    check = np.flatnonzero(certified & (sizes > 0))
+    if check.size:
+        cols = _leading_columns(equicorrelated[check], 0)
+        # the transposed columns, those past a task's own count zeroed
+        FE = F.transpose(0, 2, 1)[check[:, None], cols]
+        FE *= (np.arange(cols.shape[1]) < sizes[check][:, None])[:, :, None]
+        sv = np.linalg.svd(FE, compute_uv=False)
+        cut = sv.max(axis=1) * rows[check] * np.finfo(float).eps
+        certified[check] &= (sv > cut[:, None]).sum(axis=1) >= sizes[check]
+    rss = np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0]
+    objectives = rss / rows + lam * np.sqrt(beta * beta).sum(axis=1)
+    reports = [
+        SolverReport(
+            method="path",
+            converged=True,
+            iterations=int(steps[s]),
+            map_norm=float(kkt[s]),
+            objective=float(objectives[s]),
+            objective_history=np.asarray([float(objectives[s])]),
+        )
+        if certified[s]
+        else None
+        for s in range(K)
+    ]
+    return beta, reports
     F_, Y_, B, N = F[done], Y[done], beta[done], rows[done]
     residuals = np.matmul(F_, B[:, :, None])[:, :, 0] - Y_
     grad = (2.0 / N)[:, None] * np.matmul(residuals[:, None, :], F_)[:, 0]
