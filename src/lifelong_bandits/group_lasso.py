@@ -668,7 +668,7 @@ def _lasso_paths(
     G_AA set to the identity, so one batched solve gives every d; a singular
     or non-finite solve declines that task alone.
     """
-    K, r, p = F.shape
+    K, _, p = F.shape
     beta = np.zeros((K, p))
     steps = np.zeros(K, dtype=int)
     declined = np.zeros(K, dtype=bool)
@@ -676,7 +676,7 @@ def _lasso_paths(
     at = np.abs(corr).max(axis=1)
     live = np.flatnonzero(at > lam)
     # the unfinished tasks' data and state, compacted whenever tasks leave;
-    # B and S carry a zero column p, the padding of every active set
+    # B and S carry a zero column p, where every padded active slot points
     F_ = F if live.size == K else F[live]
     N, at, corr = rows[live], at[live], corr[live]
     B = np.zeros((live.size, p + 1))
@@ -696,7 +696,8 @@ def _lasso_paths(
                 break
             k += 1
             order = _leading_columns(active, p)
-            FA = F_[at_task, :, np.minimum(order, p - 1)]  # (k, a, r)
+            # the active columns as rows of a (k, a, r) stack, padded slots zeroed
+            FA = F_[at_task, :, np.minimum(order, p - 1)]
             if live.size > 1:
                 padded = order == p
                 FA[padded] = 0.0
