@@ -370,9 +370,8 @@ def fit_group_lasso(
     A single-task design goes to the exact lasso path (the batched path with
     one task), which ignores ``x0`` and returns only a certified unique
     solution; every other fit, and every single-task fit the path declines,
-    runs accelerated proximal gradient,
-    which on a pooled design hands off to a Newton finish on the support it
-    has found.
+    runs accelerated proximal gradient, which on a pooled design hands off
+    to a Newton finish on the support it has found.
 
     Accelerated proximal gradient uses constant step 1/L, monotone acceptance
     and momentum restart. L is the largest per-task spectral norm of

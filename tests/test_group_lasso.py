@@ -564,7 +564,8 @@ def test_batched_path_fits_each_task_alone(seed, K, p, lam_frac):
 def test_singular_solve_declines_only_its_task(monkeypatch):
     # no natural design is known to hit an exact zero pivot, so the solve
     # fails for task 1 alone, recognised by its scaled-up rows
-    features, rewards, _ = lasso_batch(7, 3, 4)
+    features, rewards, declined = lasso_batch(7, 3, 4)
+    assert declined == 2  # the task of repeated +-1 rows
     features[1], rewards[1] = 1e4 * features[0], 1e4 * rewards[0]
     solve = np.linalg.solve
 

@@ -107,6 +107,7 @@ import numpy as np  # noqa: E402
 
 from lifelong_bandits import federated, group_lasso, selection  # noqa: E402
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec  # noqa: E402
+from lifelong_bandits.federated import run_federated  # noqa: E402
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig  # noqa: E402
 from lifelong_bandits.group_lasso import (  # noqa: E402
     PooledDesign,
@@ -116,7 +117,6 @@ from lifelong_bandits.group_lasso import (  # noqa: E402
     padded_warm_start,
 )
 from lifelong_bandits.harness import RegretTrace, summarize  # noqa: E402
-from lifelong_bandits.federated import run_federated  # noqa: E402
 from lifelong_bandits.lifelong import run_lifelong  # noqa: E402
 from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
@@ -303,7 +303,8 @@ def client_batch(repeats: int) -> dict:
             for phi, y, client in zip(features, rewards, clients)
         ]
 
-    assert batched() == one_by_one()
+    if batched() != one_by_one():
+        raise RuntimeError("batched client votes differ from one-client votes")
     _, reports = fit_lassos(features, rewards, 0.2)
     return {
         "clients": len(clients),
