@@ -10,10 +10,14 @@ reordering of the input.
 
 ``run_experiment`` runs every kind through one seed loop: a seed that raises
 becomes a row of ``failures.csv`` and the loop goes on; the run raises only
-when every seed failed. Every result file is CSV written by one helper.
-Floats are written as the repr of a Python float and parsed with float, so
-a written file reproduces the in-memory arrays bit for bit and identical
-runs produce byte-identical files.
+when every seed failed. Every result file is CSV written by one column
+writer, ``_csv``. Floats are written as the repr of a Python float and
+parsed with float, so a written file reproduces the in-memory arrays bit for
+bit and identical runs produce byte-identical files. A trace repeats its
+values (most instantaneous regrets are exactly 0.0), so the writer formats
+each distinct value of an int or float array column once, keyed by its bits
+so that 0.0 and -0.0 stay apart; the bytes are those of formatting every
+cell on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -238,22 +241,42 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
         raise ConfigError(str(exc)) from exc
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text: the header, then one line per row, a tuple of Python scalars.
+def _cells(column) -> list[str]:
+    """The ``str`` of every cell of one column.
 
-    Each cell is formatted by ``%s``, which is ``str``, and ``str`` of a
-    Python float is its shortest round-tripping repr. Numpy scalars format
-    by numpy's rules (their repr is not a plain number), so array columns go
-    through ``tolist`` first.
+    An int or float array formats each distinct value once, keyed by its
+    bits, so that 0.0 and -0.0 (and NaN payloads) stay apart; the value is
+    formatted as a Python scalar, whose ``str`` of a float is its shortest
+    round-tripping repr (a numpy scalar's repr is not a plain number). Any
+    other column is formatted cell by cell, so a Python list mixing ints and
+    floats keeps ``1`` and ``1.0`` apart.
     """
-    line = ",".join(["%s"] * (header.count(",") + 1))
-    return "\n".join([header, *(line % row for row in rows)]) + "\n"
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf" and column.itemsize == 8:
+        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+        text = np.array([str(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
+        return text[index].tolist()
+    return [str(v) for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text: the header, then one line per row of the equal-length
+    ``columns``, assembled in one join.
+
+    The bytes are those of formatting each row's cells by ``%s``.
+    """
+    cells = [_cells(column) for column in columns]
+    rows, width = len(cells[0]), 2 * len(cells)
+    parts = [","] * (rows * width)
+    for j, column in enumerate(cells):
+        parts[2 * j :: width] = column
+    parts[width - 1 :: width] = ["\n"] * rows
+    return header + "\n" + "".join(parts)
 
 
 def _columns_text(table) -> str:
     """CSV text of a dataclass of equal-length array columns, one row per index."""
     names = [f.name for f in fields(table)]
-    return _csv(",".join(names), zip(*(getattr(table, name).tolist() for name in names)))
+    return _csv(",".join(names), [getattr(table, name) for name in names])
 
 
 def _standard_error(samples: np.ndarray) -> np.ndarray:
@@ -387,14 +410,14 @@ class RecoveryCurve:
     trials: int
 
     def to_text(self) -> str:
-        rows = zip(
+        columns = (
             self.m_values,
-            self.rates.tolist(),
-            self.ses.tolist(),
-            self.successes.tolist(),
-            repeat(self.trials),
+            self.rates,
+            self.ses,
+            self.successes,
+            [self.trials] * len(self.m_values),
         )
-        return _csv("m,rate,se,successes,trials", rows)
+        return _csv("m,rate,se,successes,trials", columns)
 
 
 @dataclass
@@ -497,15 +520,15 @@ def _write_outputs(out: Path, result: ExperimentResult) -> None:
             (v.client, ";".join(map(str, v.indices)), ";".join(map(str, server)), int(v.failed))
             for v, server in rows
         ]
-        (out / f"votes_seed{seed}.csv").write_text(_csv("task,indices,server,failed", votes))
+        (out / f"votes_seed{seed}.csv").write_text(_csv("task,indices,server,failed", zip(*votes)))
     for seed, rows in (result.recovery or {}).items():
         flags = [(m, int(exact), int(fallback), size) for m, exact, fallback, size in rows]
-        text = _csv("m,exact,fallback,selected_size", flags)
+        text = _csv("m,exact,fallback,selected_size", zip(*flags))
         (out / f"recovery_seed{seed}.csv").write_text(text)
     if result.curve is not None:
         (out / "recovery_curve.csv").write_text(result.curve.to_text())
     if result.failures:
-        (out / "failures.csv").write_text(_csv("seed,error", result.failures))
+        (out / "failures.csv").write_text(_csv("seed,error", zip(*result.failures)))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

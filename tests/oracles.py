@@ -2,7 +2,9 @@
 
 The GP-UCB agents keep a primal (feature-space) posterior and a running
 log-determinant; these are the kernel-space (dual) formulas the tests check
-them against, written from the definitions in the module docstrings.
+them against, written from the definitions in the module docstrings. The
+harness writes its CSV files column by column; ``row_csv`` writes them row by
+row, as the harness once did, and the bytes must agree.
 """
 
 import math
@@ -48,3 +50,10 @@ def rkhs_norm_sq(beta, support):
     """Squared norm of f = sum_j beta^(j) phi_j under the averaged kernel over
     ``support``: |J*| times the summed squared coefficients."""
     return len(support) * sum(float(beta[j - 1] * beta[j - 1]) for j in support)
+
+
+def row_csv(header, rows):
+    """CSV text written row by row, each row's cells formatted by ``%s``: the
+    header, then one line per row, a tuple of Python scalars."""
+    line = ",".join(["%s"] * (header.count(",") + 1))
+    return "\n".join([header, *(line % row for row in rows)]) + "\n"

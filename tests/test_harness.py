@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifelong_bandits.environment import LookupTable, uniform_grid
 from lifelong_bandits.errors import ConfigError, DataError
@@ -9,6 +11,7 @@ from lifelong_bandits.harness import (
     ExperimentConfig,
     RegretTrace,
     SummaryTable,
+    _csv,
     build_config,
     parse_pairs,
     run_experiment,
@@ -16,6 +19,7 @@ from lifelong_bandits.harness import (
 )
 from lifelong_bandits.lifelong import run_baseline
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
+from oracles import row_csv
 
 
 class TestConfig:
@@ -248,6 +252,77 @@ class TestTrace:
         assert list(trace.task[:9]) == [1] * 9
         assert np.all(trace.kernel_size == 2)
         assert np.all(trace.recovered == 1)
+
+
+# floats whose text is easy to get wrong: signed zeros, NaN (a second payload
+# too), infinities, the smallest subnormal, a float past 2**53 and two whose
+# shortest repr is not their literal
+NAN_PAYLOAD = float(np.array([0x7FF8000000000001]).view(np.float64)[0])
+AWKWARD_FLOATS = [0.0, -0.0, np.nan, NAN_PAYLOAD, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+
+
+@st.composite
+def array_columns(draw):
+    """2-4 equal-length int64 or float64 columns that repeat their values."""
+    rows = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            pool = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5)
+            dtype = np.int64
+        else:
+            pool = st.lists(
+                st.sampled_from(AWKWARD_FLOATS) | st.floats(), min_size=1, max_size=8
+            )
+            dtype = np.float64
+        values = draw(pool)
+        picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
+        columns.append(np.array([values[i] for i in picks], dtype=dtype))
+    return columns
+
+
+class TestCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(array_columns())
+    def test_array_columns_match_the_row_writer(self, columns):
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        expected = row_csv(header, zip(*(column.tolist() for column in columns)))
+        assert _csv(header, columns) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers() | st.floats() | st.booleans(),
+                st.text(alphabet="0123456789;-ab,", max_size=6),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_mixed_list_columns_are_formatted_cell_by_cell(self, rows):
+        header = "value,text"
+        assert _csv(header, [list(column) for column in zip(*rows)]) == row_csv(header, rows)
+
+    def test_mixed_list_column_keeps_ints_and_floats_apart(self):
+        assert _csv("a,b", [[1, 1.0, True], ("x", "y;z", "")]) == "a,b\n1,x\n1.0,y;z\nTrue,\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]) | st.floats(-1e6, 1e6),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_trace_text_round_trips_bit_for_bit(self, values):
+        trace = make_trace(values)
+        again = RegretTrace.from_text(trace.to_text())
+        for name in ("instantaneous", "cumulative"):
+            bits = getattr(trace, name).view(np.int64)
+            assert np.array_equal(getattr(again, name).view(np.int64), bits)
+        for name in ("step", "task", "kernel_size", "recovered", "explored"):
+            assert np.array_equal(getattr(again, name), getattr(trace, name))
 
 
 class TestSummarize:
