@@ -8,6 +8,7 @@ the reference defaults for that family.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -22,7 +23,11 @@ _FAMILIES = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for every later ``main`` call
+    of the process: parsing leaves it unchanged (``append`` copies its
+    default list before it appends)."""
     parser = argparse.ArgumentParser(
         prog="lifelong-bandits",
         description="Run bandit experiments with learned kernels.",

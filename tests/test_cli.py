@@ -90,6 +90,17 @@ class TestExitCodes:
         assert main(["lifelong", "--seeds", ""]) == 1
         assert "seeds" in capsys.readouterr().err
 
+    def test_overrides_do_not_carry_over_between_calls(self, tmp_path, capsys):
+        # one parser serves every call of the process: the overrides of one
+        # call must not reach the next
+        assert main(["lifelong", *tiny_args(tmp_path / "a"), "--override", "speed=9"]) == 1
+        assert "speed" in capsys.readouterr().err
+        assert main(["lifelong", *tiny_args(tmp_path / "b"), "--override", "n=7"]) == 0
+        assert main(["lifelong", *tiny_args(tmp_path / "c")]) == 0
+        assert "lifelong: 1/1 seeds" in capsys.readouterr().out
+        assert "n = 7\n" in (tmp_path / "b" / "config.resolved.txt").read_text()
+        assert "n = 8\n" in (tmp_path / "c" / "config.resolved.txt").read_text()
+
 
 class TestConfigFile:
     def test_config_file_drives_run(self, tmp_path, capsys):
