@@ -796,39 +796,6 @@ def _lasso_paths(
         for s in range(K)
     ]
     return beta, reports
-    F_, Y_, B, N = F[done], Y[done], beta[done], rows[done]
-    residuals = np.matmul(F_, B[:, :, None])[:, :, 0] - Y_
-    grad = (2.0 / N)[:, None] * np.matmul(residuals[:, None, :], F_)[:, 0]
-    kkt = np.where(
-        np.abs(B) > 0.0, np.abs(grad + lam * np.sign(B)), np.maximum(0.0, np.abs(grad) - lam)
-    ).max(axis=1)
-    equicorrelated = np.abs(grad) >= lam - tol
-    sizes = equicorrelated.sum(axis=1)
-    certified = (kkt <= tol) & (sizes <= N)
-    # the equicorrelated columns must be linearly independent: their rank,
-    # as ``np.linalg.matrix_rank`` takes it, must reach their count
-    check = np.flatnonzero(certified & (sizes > 0))
-    if check.size:
-        cols = _leading_columns(equicorrelated[check], 0)
-        # the transposed columns, those past a task's own count zeroed
-        FE = F_.transpose(0, 2, 1)[check[:, None], cols]
-        FE *= (np.arange(cols.shape[1]) < sizes[check][:, None])[:, :, None]
-        sv = np.linalg.svd(FE, compute_uv=False)
-        cut = sv.max(axis=1) * N[check] * np.finfo(float).eps
-        certified[check] &= (sv > cut[:, None]).sum(axis=1) >= sizes[check]
-    rss = np.matmul(residuals[:, None, :], residuals[:, :, None])[:, 0, 0]
-    objectives = rss / N + lam * np.sqrt(B * B).sum(axis=1)
-    for i, s in enumerate(done):
-        if certified[i]:
-            reports[s] = SolverReport(
-                method="path",
-                converged=True,
-                iterations=int(steps[s]),
-                map_norm=float(kkt[i]),
-                objective=float(objectives[i]),
-                objective_history=np.asarray([float(objectives[i])]),
-            )
-    return beta, reports
 
 
 def _leading_columns(mask: np.ndarray, fill: int) -> np.ndarray:
