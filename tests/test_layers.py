@@ -58,9 +58,14 @@ def test_layer_script_one_repeat(tmp_path):
     assert all(g["us_per_task_step"] > 0 for g in lockstep + [mixed])
     assert layers["trace"]["steps"] == 2000
     assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))
+    outputs = layers["harness.outputs"]
+    assert set(outputs) == {"baseline_oracle", "federated"}
+    for kind in outputs.values():
+        assert kind["steps"] == 2000 and kind["text_us"] > 0
+        assert all(0 < count < 2000 for count in kind["distinct"])
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))
-    assert len(times) == 27
+    assert len(times) == 29
     for key, (p25, median, p75) in times.items():
         assert 0 < p25 <= median <= p75, key
 

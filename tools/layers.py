@@ -80,7 +80,15 @@ Layers:
   default ``lifelong`` run at seed 0, one per task, at the width ``d`` of
   their union, as the runner steps them.
 - ``trace``: write, parse and summarize a 2 000-step regret trace (20 tasks
-  of 100 steps); summarize reads 20 copies of it.
+  of 100 steps); summarize reads 20 copies of it. Its regrets are random, so
+  every value is distinct: the worst case of the column writer, which
+  formats each distinct value of a column once.
+- ``harness.outputs``: the trace and summary text of one default
+  ``baseline_oracle`` and one default ``federated`` seed (seed 0), the
+  traffic the writer serves: real traces repeat their values (most
+  instantaneous regrets are exactly 0.0, and a one-seed summary has two
+  all-zero standard-error columns). ``distinct`` counts the distinct values
+  of the trace's ``instantaneous`` and ``cumulative`` columns.
 """
 
 from __future__ import annotations
@@ -116,7 +124,12 @@ from lifelong_bandits.group_lasso import (  # noqa: E402
     fit_lassos,
     padded_warm_start,
 )
-from lifelong_bandits.harness import RegretTrace, summarize  # noqa: E402
+from lifelong_bandits.harness import (  # noqa: E402
+    RegretTrace,
+    build_config,
+    run_experiment,
+    summarize,
+)
 from lifelong_bandits.lifelong import run_lifelong  # noqa: E402
 from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
@@ -448,6 +461,21 @@ def trace_io(repeats: int) -> dict:
     }
 
 
+def outputs_text(repeats: int) -> dict:
+    """The trace and summary text of one default seed per kind."""
+    layer = {}
+    for kind in ("baseline_oracle", "federated"):
+        result = run_experiment(build_config(kind, {"seeds": "0,"}))
+        trace, summary = result.traces[0], result.summary
+        text = seconds_of(lambda: (trace.to_text(), summary.to_text()), repeats)
+        layer[kind] = {
+            "steps": len(trace.step),
+            "distinct": [len(np.unique(trace.instantaneous)), len(np.unique(trace.cumulative))],
+            **quartiles("text_us", text),
+        }
+    return layer
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -496,6 +524,7 @@ def main(argv=None) -> int:
     kernels = [task.kernel for task in record.tasks]
     layers["gp_ucb.lockstep_mixed"] = ucb_lockstep(kernels, args.repeats)
     layers["trace"] = trace_io(args.repeats)
+    layers["harness.outputs"] = outputs_text(args.repeats)
     result = {"machine": machine(), "repeats": args.repeats, "layers": layers}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
