@@ -54,7 +54,11 @@ mapping norm becomes the iterate, with momentum restarted, so the next prox
 step can bring back a column Newton dropped wrongly; a point above the iterate's
 objective is discarded. Either way the iteration carries on, and tries the
 same support again only once the norm has fallen by ``HANDOFF_RETRY``.
-``HANDOFF_MAP_NORM = 0`` switches the hand-off off.
+``HANDOFF_MAP_NORM = 0`` switches the hand-off off. So does a penalty whose
+ratio lam / L to the Lipschitz constant is within machine epsilon: the
+Newton system is then numerically the tasks' own Gram blocks, singular for a
+task with fewer rows than support columns, and its point an arbitrary,
+often huge, member of the solution set.
 Newton stops as soon as its point can pass that test: once the largest
 entry of its reduced gradient is within tol / (2 sqrt(m |S|)), |S| the size
 of the support, or ``NEWTON_GRAD_TOL`` * max(1, lam) if that is larger.
@@ -436,8 +440,11 @@ def _apg(
     iterations = newton_attempts = newton_steps = 0
     method = "apg"
     # a single-task fit reaches APG only when its solution may not be
-    # unique, and Newton would pick an arbitrary point of the solution set
-    handoff = m > 1 and HANDOFF_MAP_NORM > 0.0
+    # unique, and Newton would pick an arbitrary point of the solution set;
+    # so may a pooled fit whose penalty does not register beside the Gram
+    # curvature (lam / L within rounding): its Newton system is then the
+    # tasks' Gram blocks, singular for a task with fewer rows than columns
+    handoff = m > 1 and thresh > np.finfo(float).eps and HANDOFF_MAP_NORM > 0.0
     support, held = None, 0  # nonzero columns of x, and for how many iterations
     tried, tried_at = None, 0.0  # support and mapping norm of the last declined attempt
     converged = gap <= tol
