@@ -441,9 +441,7 @@ def _apg(
     method = "apg"
     # a single-task fit reaches APG only when its solution may not be
     # unique, and Newton would pick an arbitrary point of the solution set;
-    # so may a pooled fit whose penalty does not register beside the Gram
-    # curvature (lam / L within rounding): its Newton system is then the
-    # tasks' Gram blocks, singular for a task with fewer rows than columns
+    # so would a pooled fit whose lam / L is within rounding (module docstring)
     handoff = m > 1 and thresh > np.finfo(float).eps and HANDOFF_MAP_NORM > 0.0
     support, held = None, 0  # nonzero columns of x, and for how many iterations
     tried, tried_at = None, 0.0  # support and mapping norm of the last declined attempt
