@@ -80,9 +80,9 @@ Layers:
   default ``lifelong`` run at seed 0, one per task, at the width ``d`` of
   their union, as the runner steps them.
 - ``trace``: write, parse and summarize a 2 000-step regret trace (20 tasks
-  of 100 steps); summarize reads 20 copies of it. Its regrets are random, so
-  every value is distinct: the worst case of the column writer, which
-  formats each distinct value of a column once.
+  of 100 steps); summarize reads 20 copies of it. Its regrets are random
+  draws, all distinct: the worst case of the column writer, which formats
+  each distinct value of a column once.
 - ``harness.outputs``: the trace and summary text of one default
   ``baseline_oracle`` and one default ``federated`` seed (seed 0), the
   traffic the writer serves: real traces repeat their values (most
