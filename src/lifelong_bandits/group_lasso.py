@@ -9,33 +9,32 @@ pooled objective over the (m, p) coefficient matrix B is
 
 so each penalty group gathers coordinate j across every task. The
 conceptual design matrix is block-diagonal in the tasks; it is never
-materialized. The solver works on the per-task Gram stack G (m, p, p) and
-crossterms C (m, p).
+materialized. The solvers work on the tasks' rows, zero-padded to one
+(m, r, p) stack F (r the largest task's row count), and crossterms C (m, p);
+a Gram is built only over a support S, as F[:, :, S]^T F[:, :, S].
 
-A ``PooledDesign`` holds each task's block and rewards, validated when the
-task joins, and computes its statistics then: its Gram and crossterm as one
-row of the design's G and C, and its ||y_s||^2 and top eigenvalue beside
-them; the eigenvalue waits until the design holds two tasks or more, since a
-single-task fit follows the lasso path, which does not read it. The design
-grows by ``append``, and ``prefix(k)`` takes its first k
-tasks by holding the first k rows of the same arrays, so the fits of a
-growing pool (the lifelong runner's after each task, the offline sweep's
-over m) compute each task's statistics once and hold each Gram once.
+A ``PooledDesign`` holds F with the rewards, validated when each task joins,
+and computes the task's crossterm and ||y_s||^2 then; its top eigenvalue
+waits until ``lipschitz`` asks, which a certified lasso-path fit never does.
+The design grows by ``append``, and ``prefix(k)`` takes its first k tasks
+as views of the same arrays, so the fits of a growing pool (the lifelong
+runner's after each task, the offline sweep's over m) hold each row once.
 
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
 one column of B, so the prox shrinks column norms, and it returns the column
 norms of its point. Each iterate carries its gradient step
-g = step·(2/N)(G·B - C), so the prox argument is B - g and the objective is
+g = step·(2/N)(F^T (F·B) - C), so the prox argument is B - g and the
+objective is
 
     (sum B∘g / (2 step/N) - sum C∘B + ||y||^2) / N + lam * sum_j ||B[:, j]||.
 
 g is affine in B, so the momentum point's follows from the carried ones.
-One batched matmul per iteration is the only product, with a second one
-when a rejected step restarts the momentum. The fit stops when the
-prox-gradient mapping norm, tested every ``CHECK_EVERY`` iterations, falls
-below ``tol``. ``kkt_residuals`` provides an optimality certificate computed
-from raw residuals, independent of the solver path.
+Two batched matmuls per iteration (F·B, then F^T times it) are the only
+products, with two more when a rejected step restarts the momentum. The
+fit stops when the prox-gradient mapping norm, tested every ``CHECK_EVERY``
+iterations, falls below ``tol``. ``kkt_residuals`` provides an optimality
+certificate computed from raw residuals, independent of the solver path.
 
 On a pooled design (m >= 2) the iteration identifies the support long before
 it meets ``tol``, so it hands off to Newton's method (after the semismooth
@@ -85,10 +84,10 @@ of a set of solutions.
 
 One homotopy follows the paths of K single-task fits at once (``fit_lassos``,
 which fits every federated client in one call; ``fit_group_lasso`` runs it
-with K = 1). It works on the tasks' rows, zero-padded to one (K, r, p)
-stack, and builds no Gram: each step takes every unfinished task to its own
-next event, solving all the tasks' active blocks, padded to the largest
-with the identity, in one batched solve. Each task keeps its own step
+with K = 1). It works on a design's row stack, one task per fit: each step
+takes every unfinished task to its own next event, solving all the tasks'
+active blocks, padded to the largest with the identity, in one batched
+solve. Each task keeps its own step
 count, certificate and fallback: a singular solve, a non-finite direction,
 an exhausted budget or a failed certificate declines that task alone,
 which then runs the proximal-gradient iteration on its own data. So task
@@ -117,25 +116,25 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class PooledDesign:
-    """Per-task design blocks and rewards over one set of p scalar groups,
-    with the statistics every fit reads.
+    """The tasks' rows and rewards over one set of p scalar groups, as one
+    zero-padded row stack, with the statistics every fit reads.
 
-    ``features`` and ``rewards`` hold a read-only copy of each task's block
-    and rewards, validated when the task joins. The statistics are computed
-    when it joins, too: its Gram Phi_s^T Phi_s and crossterm Phi_s^T y_s
-    become row s - 1 of one read-only (m, p, p) and one (m, p) array, and its
-    ||y_s||^2 is kept beside them. The top eigenvalue of its Gram, which only
-    the proximal-gradient iteration reads, is computed once the design holds
-    two tasks or more, or when ``lipschitz`` asks for it.
-    ``prefix(k)`` gives the design of the first k tasks, holding the first k
-    rows of the same arrays, so the fits over a design's prefixes read one
-    copy of each Gram. ``append`` moves the design to arrays one row longer,
-    so it never writes into rows another design reads.
+    Task s's n_s = ``rows[s - 1]`` rows and rewards are the first n_s of
+    ``F[s - 1]`` and ``Y[s - 1]`` ((m, r, p) and (m, r), r the largest n_s),
+    the rest zero. They are validated and copied in when the task joins, and
+    its crossterm Phi_s^T y_s (row s - 1 of the (m, p) ``C``) and ||y_s||^2
+    are computed then; all are read-only. Each task's top Gram eigenvalue,
+    read only by the proximal-gradient iteration, is computed when
+    ``lipschitz`` first asks for it. ``prefix(k)`` gives the design of the
+    first k tasks as views of the same arrays, eigenvalues included, so the
+    fits over a design's prefixes share its rows and compute each eigenvalue
+    once. ``append`` moves the design to arrays one task longer, so it never
+    writes into rows another design reads.
 
     Parameters
     ----------
     features : sequence of ndarray
-        One (n_s, p) matrix per task, all with the same p columns;
+        One (n_s, p) matrix per task, all with the same p >= 1 columns;
         n_s = 0 is allowed (an empty task contributes nothing to the loss
         but still owns coefficients).
     rewards : sequence of ndarray
@@ -147,72 +146,59 @@ class PooledDesign:
             raise ValueError("need one reward vector per design block")
         if len(features) == 0:
             raise ValueError("need at least one task")
-        self.features: list[np.ndarray] = []
-        self.rewards: list[np.ndarray] = []
-        for phi, y in zip(features, rewards):
-            self._add(phi, y)
-        p = self.p
-        self._G, self._C = np.empty((0, p, p)), np.empty((0, p))
-        self._y_sq: list[float] = []
-        self._top_eig: list[float | None] = []
-        self._join()
+        # task 1's width, against which ``_join`` checks every task
+        first = np.shape(features[0])
+        p = first[1] if len(first) == 2 else 0
+        self.F, self.Y, self.rows = np.empty((0, 0, p)), np.empty((0, 0)), np.empty(0, dtype=int)
+        self.C, self._y_sq, self._top_eig = np.empty((0, p)), np.empty(0), np.empty(0)
+        self._join(features, rewards)
         if self.total_rows == 0:
             raise ValueError("pooled design has no rows")
 
     def append(self, features, rewards) -> None:
         """Add one task's (n_s, p) block and (n_s,) rewards as the last task;
         on invalid data raise ValueError and leave the design as it was."""
-        self._add(features, rewards)
-        self._join()
+        self._join([features], [rewards])
 
-    def _add(self, features, rewards) -> None:
-        """Validate one task's data and add read-only copies of it."""
-        k = self.m + 1
-        phi = np.array(features, dtype=float)
-        y = np.array(rewards, dtype=float).reshape(-1)
-        if phi.ndim != 2 or (self.features and phi.shape[1] != self.p):
-            raise ValueError(f"task {k}: design block must be (n_s, p), p as in task 1")
-        if phi.shape[0] != y.shape[0]:
-            raise ValueError(f"task {k}: rows and rewards disagree")
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
-            raise ValueError(f"task {k}: non-finite data")
-        self.features.append(_frozen(phi))
-        self.rewards.append(_frozen(y))
-
-    def _join(self) -> None:
-        """Compute the statistics of the tasks added since the last call, in
-        new arrays that start with a copy of the rows already held."""
-        done, m, p = len(self._G), self.m, self.p
-        G, C = np.empty((m, p, p)), np.empty((m, p))
-        G[:done], C[:done] = self._G, self._C
-        for s in range(done, m):
-            phi, y = self.features[s], self.rewards[s]
-            G[s], C[s] = phi.T @ phi, phi.T @ y
-            self._y_sq.append(float(y @ y))
-            self._top_eig.append(None)
-        self._G, self._C = _frozen(G), _frozen(C)
-        if m > 1:
-            self._top_eigenvalues()
-
-    def _top_eigenvalues(self) -> list[float]:
-        """Each task's top Gram eigenvalue, computed for the tasks that lack
-        one: a single-task fit reads none unless its path is declined."""
-        for s, eig in enumerate(self._top_eig):
-            if eig is None:
-                phi = self.features[s]
-                n, p = phi.shape
-                # Phi Phi^T and Phi^T Phi share their nonzero spectrum
-                small = phi @ phi.T if n < p else self._G[s]
-                self._top_eig[s] = float(np.linalg.eigvalsh(small)[-1]) if n else 0.0
-        return self._top_eig
+    def _join(self, features, rewards) -> None:
+        """Validate the (n_s, p) blocks and (n_s,) rewards of new tasks, and
+        add them as the last tasks, in new arrays that start with a copy of
+        the tasks already held. Every block is checked before any is added."""
+        done, p = self.m, self.p
+        blocks = []
+        for k, (phi, y) in enumerate(zip(features, rewards), start=done + 1):
+            phi = np.asarray(phi, dtype=float)
+            y = np.asarray(y, dtype=float).reshape(-1)
+            if phi.ndim != 2 or phi.shape[1] != p or p == 0:
+                raise ValueError(f"task {k}: design block must be (n_s, p), p >= 1 as in task 1")
+            if phi.shape[0] != y.shape[0]:
+                raise ValueError(f"task {k}: rows and rewards disagree")
+            if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
+                raise ValueError(f"task {k}: non-finite data")
+            blocks.append((phi, y))
+        rows = np.concatenate((self.rows, [len(y) for _, y in blocks]))
+        m, held = len(rows), self.F.shape[1]
+        F, Y = np.zeros((m, rows.max(), p)), np.zeros((m, rows.max()))
+        F[:done, :held], Y[:done, :held] = self.F, self.Y
+        C, y_sq = np.empty((m, p)), np.empty(m)
+        C[:done], y_sq[:done] = self.C, self._y_sq
+        for s, (phi, y) in enumerate(blocks, start=done):
+            n = len(y)
+            F[s, :n], Y[s, :n] = phi, y
+            phi, y = F[s, :n], Y[s, :n]
+            C[s], y_sq[s] = phi.T @ y, y @ y
+        self.F, self.Y, self.rows = _frozen(F), _frozen(Y), _frozen(rows)
+        self.C, self._y_sq = _frozen(C), _frozen(y_sq)
+        self._top_eig = np.concatenate((self._top_eig, np.full(len(blocks), np.nan)))
 
     def prefix(self, k: int) -> "PooledDesign":
-        """The design of the first k tasks, sharing their data and rows."""
+        """The design of the first k tasks, as views of this one's arrays."""
         if not 1 <= k <= self.m:
             raise ValueError(f"prefix length must lie in 1..{self.m}")
         design = object.__new__(PooledDesign)
-        design.features, design.rewards = self.features[:k], self.rewards[:k]
-        design._G, design._C = self._G[:k], self._C[:k]
+        r = self.rows[:k].max()
+        design.F, design.Y = self.F[:k, :r], self.Y[:k, :r]
+        design.rows, design.C = self.rows[:k], self.C[:k]
         design._y_sq, design._top_eig = self._y_sq[:k], self._top_eig[:k]
         if design.total_rows == 0:
             raise ValueError("pooled design has no rows")
@@ -221,29 +207,37 @@ class PooledDesign:
     @property
     def m(self) -> int:
         """Number of tasks."""
-        return len(self.features)
+        return len(self.rows)
 
     @property
     def p(self) -> int:
         """Number of penalty groups, one feature column each."""
-        return self.features[0].shape[1]
+        return self.F.shape[2]
 
     @property
     def total_rows(self) -> int:
-        return sum(map(len, self.rewards))
+        return int(self.rows.sum())
 
-    def grams(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Batched per-task Gram data: read-only (m,p,p) matrices and (m,p)
-        crossterms, and the total squared reward norm."""
-        y_sq = 0.0
-        for v in self._y_sq:
-            y_sq += v
-        return self._G, self._C, y_sq
+    @property
+    def y_sq(self) -> float:
+        """The squared norm of every task's rewards together."""
+        total = 0.0
+        for v in self._y_sq.tolist():
+            total += v
+        return total
 
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient: the largest per-task
-        spectral norm of (2/N) Phi_s^T Phi_s."""
-        return max(0.0, 2.0 * max(self._top_eigenvalues()) / self.total_rows)
+        spectral norm of (2/N) Phi_s^T Phi_s. Each task's top eigenvalue is
+        computed the first time a design holding it asks."""
+        eig = self._top_eig
+        for s in np.flatnonzero(np.isnan(eig)):
+            phi = self.F[s, : self.rows[s]]
+            n, p = phi.shape
+            # Phi Phi^T and Phi^T Phi share their nonzero spectrum
+            small = phi @ phi.T if n < p else phi.T @ phi
+            eig[s] = np.linalg.eigvalsh(small)[-1] if n else 0.0
+        return max(0.0, 2.0 * float(eig.max()) / self.total_rows)
 
 
 def group_norms(coeffs: np.ndarray) -> np.ndarray:
@@ -264,7 +258,7 @@ def padded_warm_start(
     task's row, in order, is one Newton step from zero of the objective in
     that row with every row before it fixed, zero off S:
 
-        ((2/N) G_s,SS + diag(lam / c_S)) b = (2/N) C_s,S.
+        ((2/N) G_s,SS + diag(lam / c_S)) b = (2/N) C_s,S,  G_s,SS = F_s,S^T F_s,S.
 
     The row enters only if it lowers the pooled objective, by the exact change
     (b^T G_s,SS b - 2 C_s,S^T b) / N + lam * sum_j (sqrt(c_j^2 + b_j^2) - c_j),
@@ -282,10 +276,10 @@ def padded_warm_start(
     S = np.flatnonzero(norms_sq > 0.0)
     if S.size == 0 or lam == 0.0:
         return start
-    G, C, _ = design.grams()
     scale = 2.0 / design.total_rows
-    GS = scale * G[old:, S[:, None], S]
-    CS = scale * C[old:, S]
+    FS = design.F[old:, :, S]
+    GS = scale * np.matmul(FS.transpose(0, 2, 1), FS)
+    CS = scale * design.C[old:, S]
     c = np.sqrt(norms_sq[S])
     with np.errstate(all="ignore"):
         for s, (A, rhs) in enumerate(zip(GS, CS), start=old):
@@ -342,10 +336,8 @@ def pooled_loss(design: PooledDesign, coeffs: np.ndarray, lam: float) -> float:
         raise ValueError("coefficients do not match the design")
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
-    rss = 0.0
-    for phi, y, beta in zip(design.features, design.rewards, coeffs):
-        r = y - phi @ beta
-        rss += float(r @ r)
+    residuals = design.Y - np.matmul(design.F, coeffs[:, :, None])[:, :, 0]
+    rss = float(np.vdot(residuals, residuals))
     return rss / design.total_rows + lam * float(group_norms(coeffs).sum())
 
 
@@ -394,9 +386,7 @@ def fit_group_lasso(
     if x0 is not None and x0.shape != (design.m, design.p):
         raise ValueError("warm start does not match the design")
     if design.m == 1:
-        phi, y = design.features[0], design.rewards[0]
-        rows = np.array([len(y)])
-        coeffs, (report,) = _lasso_paths(phi[None], y[None], rows, lam, tol, max_iter)
+        coeffs, (report,) = _lasso_paths(design.F, design.Y, design.rows, lam, tol, max_iter)
         if report is not None:
             return coeffs, report
     return _apg(design, lam, tol, max_iter, x0)
@@ -412,20 +402,22 @@ def _apg(
     """Accelerated proximal gradient on the pooled objective, with a Newton
     finish on pooled designs; arguments as checked by ``fit_group_lasso``."""
     m, p, N = design.m, design.p, design.total_rows
-    G, C, y_sq = design.grams()
+    F, C, y_sq = design.F, design.C, design.y_sq
+    F_T = F.transpose(0, 2, 1)
     lips = design.lipschitz()
     step = 1.0 / lips if lips > 0 else 1.0
     thresh = lam * step
     scale = 2.0 * step / N
     scaled_C = scale * C
 
-    # Every iterate B travels with its gradient step g = step * (2/N)(G·B - C),
-    # so the prox argument is B - g and the objective at B costs no product.
+    # Every iterate B travels with its gradient step
+    # g = step * (2/N)(F^T (F·B) - C), so the prox argument is B - g and the
+    # objective at B costs no product.
     def grad_step(B: np.ndarray) -> np.ndarray:
-        return np.matmul(G, B[:, :, None])[:, :, 0] * scale - scaled_C
+        return np.matmul(F_T, np.matmul(F, B[:, :, None]))[:, :, 0] * scale - scaled_C
 
     def objective(B: np.ndarray, g: np.ndarray, norms: np.ndarray) -> float:
-        # sum B∘(G·B) = sum B∘g / scale + sum C∘B
+        # sum B∘(F^T F·B) = sum B∘g / scale + sum C∘B
         rss = (float(np.vdot(B, g)) / scale - float(np.vdot(C, B)) + y_sq) / N
         return rss + lam * float(np.add.reduce(norms))
 
@@ -487,7 +479,7 @@ def _apg(
                     break
             if attempt:
                 tried, tried_at = support, moved
-                z, steps = _newton_finish(G, C, N, lam, x, tol)
+                z, steps = _newton_finish(F, C, N, lam, x, tol)
                 newton_attempts += 1
                 newton_steps += steps
                 if z is not None:
@@ -519,7 +511,7 @@ def _apg(
 
 
 def _newton_finish(
-    G: np.ndarray, C: np.ndarray, N: int, lam: float, x: np.ndarray, tol: float
+    F: np.ndarray, C: np.ndarray, N: int, lam: float, x: np.ndarray, tol: float
 ) -> tuple[np.ndarray | None, int]:
     """Newton's method on the pooled objective restricted to the nonzero
     columns S of ``x``; returns the (m, p) point, zero off S, and the steps
@@ -531,10 +523,12 @@ def _newton_finish(
 
         D - P P^T,  D = blockdiag_s[(2/N) G_s,SS + diag(w)],
 
-    with P's rows for task s equal to diag(sqrt(w) u_j[s]): one |S|x|S| block
-    per task minus a rank-|S| term. By Woodbury a step is D^-1 (g + P v), where
-    v solves the |S|x|S| capacitance system (I - P^T D^-1 P) v = P^T D^-1 g, so
-    it costs one batched inverse of the task blocks and one capacitance solve.
+    G_s,SS = F_s,S^T F_s,S built from the (m, r, p) row stack ``F`` once per
+    support, and P's rows for task s equal to diag(sqrt(w) u_j[s]): one
+    |S|x|S| block per task minus a rank-|S| term. By Woodbury a step is
+    D^-1 (g + P v), where v solves the |S|x|S| capacitance system
+    (I - P^T D^-1 P) v = P^T D^-1 g, so it costs one batched inverse of the
+    task blocks and one capacitance solve.
 
     A step that takes a column's norm to zero or reverses its direction (u_j
     turns by more than 90 degrees) is the sign of a column that is zero at
@@ -562,7 +556,9 @@ def _newton_finish(
     with np.errstate(all="ignore"):
         while S.size:  # once per support: S shrinks at every drop
             k = S.size
-            GS = (2.0 / N) * G[:, S[:, None], S]
+            FS = F[:, :, S]
+            GS = np.matmul(FS.transpose(0, 2, 1), FS)
+            GS *= 2.0 / N
             CS = (2.0 / N) * C[:, S]
             D = np.empty_like(GS)
             diagonal = D.reshape(m, k * k)[:, :: k + 1]  # a view of every block's diagonal
@@ -623,33 +619,22 @@ def fit_lassos(
     One homotopy follows every task's path together; a task it declines
     runs accelerated proximal gradient on its own data. Returns the (K, p)
     matrix whose row s holds task s's coefficients, and the K reports.
-    Raises ValueError on a task without rows, on rows and rewards that
-    disagree, on a block whose width differs from the first's, and on
-    non-finite data.
+    Raises ValueError on a task without rows, and on every block that
+    ``PooledDesign`` rejects.
     """
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if len(features) != len(rewards) or not len(features):
-        raise ValueError("need one reward vector per task, and one task or more")
-    features = [np.asarray(phi, dtype=float) for phi in features]
-    rewards = [np.asarray(y, dtype=float).reshape(-1) for y in rewards]
-    rows = np.array([len(y) for y in rewards])
-    p = features[0].shape[-1]
-    F = np.zeros((len(rows), rows.max(), p))
-    Y = np.zeros(F.shape[:2])
-    for s, (phi, y) in enumerate(zip(features, rewards)):
-        if phi.shape != (len(y), p) or not len(y):
-            raise ValueError(f"task {s + 1}: design block must be (n_s >= 1, p), p as in task 1")
-        F[s, : len(y)], Y[s, : len(y)] = phi, y
-    if not (np.isfinite(F).all() and np.isfinite(Y).all()):
-        raise ValueError("non-finite data")
-    coeffs, reports = _lasso_paths(F, Y, rows, lam, tol, max_iter)
+    design = PooledDesign(features, rewards)
+    rows = design.rows
+    if not rows.all():
+        raise ValueError(f"task {rows.argmin() + 1} has no rows")
+    coeffs, reports = _lasso_paths(design.F, design.Y, rows, lam, tol, max_iter)
     for s, report in enumerate(reports):
         if report is None:
-            design = PooledDesign([features[s]], [rewards[s]])
-            (coeffs[s],), reports[s] = _apg(design, lam, tol, max_iter, None)
+            alone = PooledDesign([design.F[s, : rows[s]]], [design.Y[s, : rows[s]]])
+            (coeffs[s],), reports[s] = _apg(alone, lam, tol, max_iter, None)
     return coeffs, reports
 
 
@@ -827,10 +812,9 @@ def kkt_residuals(design: PooledDesign, coeffs: np.ndarray, lam: float) -> np.nd
     """
     if coeffs.shape != (design.m, design.p):
         raise ValueError("coefficients do not match the design")
-    N = design.total_rows
-    grad_rows = np.empty(coeffs.shape)
-    for s, (phi, y) in enumerate(zip(design.features, design.rewards)):
-        grad_rows[s] = (2.0 / N) * (phi.T @ (phi @ coeffs[s] - y))
+    F = design.F
+    residuals = np.matmul(F, coeffs[:, :, None])[:, :, 0] - design.Y
+    grad_rows = (2.0 / design.total_rows) * np.matmul(residuals[:, None, :], F)[:, 0]
     norms = group_norms(coeffs)
     nonzero = norms > 0
     units = coeffs / np.where(nonzero, norms, 1.0)

@@ -7,13 +7,13 @@ is the learned kernel, the average of the surviving basis kernels (see
 (1, ..., p), and the fallback is flagged so run records can surface it.
 
 Also here: design compatibility diagnostics (empirical diagonal floor and
-off-diagonal ceiling of each task's scaled Gram, read from the design's Gram
-stack in one pass, with the induced lower bound on the restricted eigenvalue
-when it is defined) and the offline recovery sweep used to estimate
-support-recovery rates over seeds. The sweep draws one seed's tasks once,
-builds one design of them, and fits its prefix of the first m tasks for each
-m, each fit starting from the last converged one over fewer tasks; a single
-recovery trial is the sweep at one m, fitted cold.
+off-diagonal ceiling of each task's scaled Gram, built from the design's row
+stack when they run, with the induced lower bound on the restricted
+eigenvalue when it is defined) and the offline recovery sweep used to
+estimate support-recovery rates over seeds. The sweep draws one seed's tasks
+once, builds one design of them, and fits its prefix of the first m tasks
+for each m, each fit starting from the last converged one over fewer tasks;
+a single recovery trial is the sweep at one m, fitted cold.
 """
 
 from __future__ import annotations
@@ -109,11 +109,13 @@ class DesignDiagnostics:
 
 
 def design_diagnostics(design: PooledDesign, s_star: int) -> DesignDiagnostics:
-    """Compatibility constants of the design for assumed support size s_star."""
+    """Compatibility constants of the design for assumed support size
+    s_star, from the tasks' Grams F_s^T F_s, which no fit reads."""
     if s_star < 1:
         raise ValueError("assumed support size must be positive")
     # an empty task's Gram is zero, and with p = 1 no entry is off-diagonal
-    grams = (design.m / design.total_rows) * design.grams()[0]
+    F = design.F
+    grams = (design.m / design.total_rows) * np.matmul(F.transpose(0, 2, 1), F)
     c_diag = float(np.diagonal(grams, axis1=1, axis2=2).min())
     off_diagonal = ~np.eye(design.p, dtype=bool)
     c_offdiag = float(np.abs(grams).max(initial=0.0, where=off_diagonal))

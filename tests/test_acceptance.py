@@ -57,7 +57,7 @@ def _loss_on_grid(design: PooledDesign, lam: float, B: np.ndarray) -> np.ndarray
     quad = np.zeros(B.shape[0])
     for s in range(m):
         beta_s = B[:, s * d : (s + 1) * d]
-        resid = design.rewards[s][None, :] - beta_s @ design.features[s].T
+        resid = design.Y[s][None, :] - beta_s @ design.F[s].T
         quad += np.sum(resid * resid, axis=1)
     pen = np.zeros(B.shape[0])
     for j in range(d):

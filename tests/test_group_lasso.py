@@ -38,8 +38,7 @@ def single_task_design(phi, y):
 def lasso_path(design, lam, tol=1e-8, max_steps=10_000):
     """The lasso path of a single-task design alone, as a batch of one task:
     (coeffs, report), or None where the path declines."""
-    phi, y = design.features[0], design.rewards[0]
-    coeffs, (report,) = _lasso_paths(phi[None], y[None], np.array([len(y)]), lam, tol, max_steps)
+    coeffs, (report,) = _lasso_paths(design.F, design.Y, design.rows, lam, tol, max_steps)
     return None if report is None else (coeffs, report)
 
 
@@ -60,7 +59,7 @@ def grid_oracle_objective(design, lam, lo=-3.0, hi=3.0, step=2e-3):
         B = chunk.reshape(len(chunk), design.m, design.p)
         rss = np.zeros(len(chunk))
         for s in range(design.m):
-            resid = B[:, s, :] @ design.features[s].T - design.rewards[s]
+            resid = B[:, s, :] @ design.F[s].T - design.Y[s]
             rss += (resid**2).sum(axis=1)
         rss /= design.total_rows
         # group j gathers coordinate j across tasks
@@ -112,11 +111,16 @@ class TestPooledDesign:
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PooledDesign([np.ones((2, 3)), np.ones((2, 2))], [np.ones(2), np.ones(2)])
+        # a first block without columns sets no width a fit could use
+        with pytest.raises(ValueError, match="task 1"):
+            PooledDesign([np.ones((2, 0)), np.ones((2, 0))], [np.ones(2), np.ones(2)])
 
     def test_empty_task_allowed(self):
         design = PooledDesign([np.ones((2, 1)), np.empty((0, 1))], [np.ones(2), np.empty(0)])
         assert design.total_rows == 2
         assert design.m == 2
+        assert design.rows.tolist() == [2, 0] and design.F.shape == (2, 2, 1)
+        assert np.all(design.F[1] == 0.0) and np.all(design.Y[1] == 0.0)
 
 
 def random_blocks(seed, rows, p=4):
@@ -125,8 +129,10 @@ def random_blocks(seed, rows, p=4):
 
 
 def assert_designs_bit_equal(a, b):
-    (Ga, Ca, ya), (Gb, Cb, yb) = a.grams(), b.grams()
-    assert Ga.tobytes() == Gb.tobytes() and Ca.tobytes() == Cb.tobytes() and ya == yb
+    for name in ("F", "Y", "rows", "C"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.y_sq == b.y_sq
     assert a.lipschitz() == b.lipschitz()
     assert (a.m, a.p, a.total_rows) == (b.m, b.p, b.total_rows)
     lam = 0.1
@@ -143,21 +149,20 @@ class TestDesignGrowth:
         blocks, ys = random_blocks(11, self.ROWS)
         grown = PooledDesign(blocks[:1], ys[:1])
         for k in range(1, len(blocks)):
-            # read every statistic before the next task joins
-            grown.grams(), grown.lipschitz()
+            # fill the eigenvalues held before the next task joins
+            grown.lipschitz()
             grown.append(blocks[k], ys[k])
             assert_designs_bit_equal(grown, PooledDesign(blocks[: k + 1], ys[: k + 1]))
 
     def test_prefix_matches_fresh_and_shares_arrays(self):
         blocks, ys = random_blocks(12, self.ROWS)
         full = PooledDesign(blocks, ys)
-        G, C, _ = full.grams()
         for k in range(1, len(blocks) + 1):
             part = full.prefix(k)
-            assert all(part.features[s] is full.features[s] for s in range(k))
-            assert all(part.rewards[s] is full.rewards[s] for s in range(k))
-            G_part, C_part, _ = part.grams()
-            assert np.shares_memory(G_part, G) and np.shares_memory(C_part, C)
+            # the first k tasks' rows, cut to the longest of them
+            assert part.F.shape == (k, max(self.ROWS[:k]), 4)
+            assert np.shares_memory(part.F, full.F) and np.shares_memory(part.Y, full.Y)
+            assert np.shares_memory(part.C, full.C)
             assert_designs_bit_equal(part, PooledDesign(blocks[:k], ys[:k]))
 
     def test_prefix_leaves_parent_alone(self):
@@ -180,39 +185,52 @@ class TestDesignGrowth:
             (np.ones((1, 4)), np.array([np.inf])),
             (np.ones((2, 3)), np.ones(2)),
             (np.ones((3, 4)), np.ones(2)),
+            (np.ones((2, 0)), np.ones(2)),
+            (np.float64(1.0), np.ones(1)),
         ],
-        ids=["nan_block", "inf_reward", "columns", "rows"],
+        ids=["nan_block", "inf_reward", "columns", "rows", "no_columns", "scalar"],
     )
     def test_rejected_append_leaves_design_unchanged(self, phi, y):
         blocks, ys = random_blocks(14, [3, 5])
         design = PooledDesign(blocks, ys)
         before = PooledDesign(blocks, ys)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="task 3"):
             design.append(phi, y)
         assert_designs_bit_equal(design, before)
 
     def test_top_eigenvalue_waits_for_a_fit_that_reads_it(self, monkeypatch):
-        # a single-task design computes none until ``lipschitz`` asks for it,
-        # so a certified path fit computes none; a design of two tasks or
-        # more computes each task's once, when it joins
+        # building, growing or cutting a design computes no eigenvalue, and
+        # neither does a fit the path certifies; ``lipschitz`` computes each
+        # task's once, into an array the design's prefixes share
         blocks, ys = random_blocks(16, self.ROWS)
         shapes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
         one = PooledDesign(blocks[:1], ys[:1])
         assert fit_group_lasso(one, 0.1)[1].method == "path"
-        assert shapes == []
-        phi = blocks[0]
-        assert one.lipschitz() == max(0.0, 2.0 * float(eigvalsh(phi.T @ phi)[-1]) / len(phi))
-        assert len(shapes) == 1
         one.append(blocks[1], ys[1])
-        assert len(shapes) == 2
-        grown = PooledDesign(blocks[:1], ys[:1])
-        grown.append(blocks[1], ys[1])
+        full = PooledDesign(blocks, ys)
+        part = full.prefix(2)
+        assert shapes == []
+        # Phi^T Phi for task 1's 6 rows, Phi Phi^T for task 2's 2
+        a, b = blocks[0].T @ blocks[0], blocks[1] @ blocks[1].T
+        top = max(float(eigvalsh(a)[-1]), float(eigvalsh(b)[-1]))
+        assert part.lipschitz() == 2.0 * top / 8
+        assert shapes == [(4, 4), (2, 2)]
+        # the parent reads what its prefix computed; an empty task's
+        # eigenvalue is 0 without a call
+        full.lipschitz()
+        assert shapes[2:] == [(4, 4), (3, 3)]
+        full.prefix(4).lipschitz()
+        part.lipschitz()
         assert len(shapes) == 4
-        # an empty task's eigenvalue is 0 without a call
-        PooledDesign(blocks, ys).prefix(1).lipschitz()
-        assert len(shapes) == 4 + sum(n > 0 for n in self.ROWS)
+        # an appended design keeps the eigenvalues already computed
+        part.append(blocks[3], ys[3])
+        part.lipschitz()
+        assert shapes[4:] == [(4, 4)]
+        # a grown design computes none until it is asked
+        one.lipschitz()
+        assert shapes[5:] == [(4, 4), (2, 2)]
 
     def test_stored_arrays_are_read_only_copies(self):
         blocks, ys = random_blocks(15, [3, 2])
@@ -220,30 +238,29 @@ class TestDesignGrowth:
         design.append(blocks[1], ys[1])
         blocks[0][0, 0] += 1.0
         ys[1][0] += 1.0
-        assert design.features[0][0, 0] != blocks[0][0, 0]
-        assert design.rewards[1][0] != ys[1][0]
-        G, C, _ = design.grams()
-        for array in (*design.features, *design.rewards, G, C):
+        assert design.F[0, 0, 0] != blocks[0][0, 0]
+        assert design.Y[1, 0] != ys[1][0]
+        for array in (design.F, design.Y, design.rows, design.C, design.prefix(1).F):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
 
-def test_gram_stack_is_shared_and_forked_on_a_divergent_append():
+def test_row_stack_is_shared_and_forked_on_a_divergent_append():
     # a prefix reads the leading rows of its parent's stack; a prefix that
     # appends a task of its own starts a new stack and leaves the parent's
     # rows alone
     blocks, ys = random_blocks(16, [4, 3, 0, 5])
     full = PooledDesign(blocks, ys)
-    G_full = full.grams()[0]
+    F_full = full.F
     part = full.prefix(2)
-    assert np.shares_memory(part.grams()[0], G_full)
+    assert np.shares_memory(part.F, F_full)
     with pytest.raises(ValueError):
-        G_full[0, 0, 0] = 1.0
+        F_full[0, 0, 0] = 1.0
     part.append(blocks[3], ys[3])
-    assert not np.shares_memory(part.grams()[0], G_full)
+    assert not np.shares_memory(part.F, F_full)
     assert_designs_bit_equal(part, PooledDesign(blocks[:2] + blocks[3:], ys[:2] + ys[3:]))
     assert_designs_bit_equal(full, PooledDesign(blocks, ys))
-    assert np.shares_memory(full.grams()[0], G_full)
+    assert full.F is F_full
 
 
 class TestGroupNorms:
@@ -467,7 +484,7 @@ def test_lasso_path_matches_tight_apg(seed, rows, p, shape, lam_frac):
     # rows < p and rows > p; lam from 0 through lam_max and beyond, with
     # lam_frac=0.01 and rows < p driving the active set to the row count
     design = path_design(seed, rows, p, shape)
-    phi, y = design.features[0], design.rewards[0]
+    phi, y = design.F[0], design.Y[0]
     lam = lam_frac * 2.0 / rows * float(np.abs(phi.T @ y).max())
     ref, ref_report = _apg(design, lam, 1e-12, 100_000, None)
     _, report = fit_group_lasso(design, lam)
@@ -504,7 +521,7 @@ class TestLassoPath:
 
     def test_penalty_above_lam_max_takes_no_step(self):
         design = path_design(3, 5, 4, "plain")
-        phi, y = design.features[0], design.rewards[0]
+        phi, y = design.F[0], design.Y[0]
         lam_max = 2.0 / 5 * float(np.abs(phi.T @ y).max())
         coeffs, report = fit_group_lasso(design, lam=lam_max * 1.01)
         assert report.iterations == 0 and report.converged
@@ -596,6 +613,10 @@ def test_batched_path_rejects_bad_tasks():
         fit_lassos([phi, np.ones((3, 3))], [y, y], 0.1)
     with pytest.raises(ValueError, match="non-finite"):
         fit_lassos([phi, np.full((3, 2), np.nan)], [y, y], 0.1)
+    with pytest.raises(ValueError, match="task 1"):
+        fit_lassos([np.ones((3, 0)), np.ones((3, 0))], [y, y], 0.1)
+    with pytest.raises(ValueError, match="task 2"):
+        fit_lassos([phi, np.float64(1.0)], [y, np.ones(1)], 0.1)
 
 
 def pooled_random_design(seed, m, p, shape):
@@ -625,7 +646,7 @@ def pooled_random_design(seed, m, p, shape):
 def test_newton_finish_matches_tight_apg(seed, m, p, shape, lam_frac, warm):
     # lam as a share of lam_max, the smallest penalty with B = 0 optimal
     design, rng = pooled_random_design(seed, m, p, shape)
-    _, C, y_sq = design.grams()
+    C, y_sq = design.C, design.y_sq
     N = design.total_rows
     lam = lam_frac * 2.0 / N * float(np.sqrt((C * C).sum(axis=0)).max())
     x0 = rng.standard_normal((m, p)) if warm else None
@@ -651,8 +672,8 @@ def newton_attempts(monkeypatch):
     attempts = []
     newton = group_lasso._newton_finish
 
-    def spy(G, C, N, lam, x, tol):
-        point, steps = newton(G, C, N, lam, x, tol)
+    def spy(F, C, N, lam, x, tol):
+        point, steps = newton(F, C, N, lam, x, tol)
         attempts.append((x.copy(), point, steps))
         return point, steps
 
@@ -698,15 +719,15 @@ def test_newton_drop_needs_a_column_and_a_step_left(monkeypatch):
     attempts = newton_attempts(monkeypatch)
     fit_group_lasso(design, lam)
     x = attempts[0][0]
-    G, C, _ = design.grams()
+    F, C = design.F, design.C
     N = design.total_rows
     lam_max = 2.0 / N * float(np.sqrt((C * C).sum(axis=0)).max())
-    point, steps = finish(G, C, N, 1.05 * lam_max, x, 1e-8)
+    point, steps = finish(F, C, N, 1.05 * lam_max, x, 1e-8)
     assert point is None and 0 < steps < group_lasso.NEWTON_MAX_STEPS
     monkeypatch.setattr(group_lasso, "NEWTON_MAX_STEPS", 2)
-    assert finish(G, C, N, lam, x, 1e-8) == (None, 2)
+    assert finish(F, C, N, lam, x, 1e-8) == (None, 2)
     monkeypatch.setattr(group_lasso, "NEWTON_MAX_STEPS", 3)
-    point, steps = finish(G, C, N, lam, x, 1e-8)
+    point, steps = finish(F, C, N, lam, x, 1e-8)
     assert steps == 3 and np.all(point[:, 0] == 0.0) and np.all(point[:, 1] != 0.0)
 
 
@@ -718,12 +739,12 @@ def test_newton_point_failing_acceptance_declined(monkeypatch, bad):
     # not the stop rule; either way APG must finish the fit
     rng = np.random.default_rng(1)
     design = PooledDesign(list(rng.standard_normal((3, 6, 4))), list(rng.standard_normal((3, 6))))
-    _, C, _ = design.grams()
+    C = design.C
     lam = 0.3 * 2.0 / design.total_rows * float(np.sqrt((C * C).sum(axis=0)).max())
     assert fit_group_lasso(design, lam)[1].method == "newton"
     handed = []
 
-    def bad_point(G, C, N, lam, x, tol):
+    def bad_point(F, C, N, lam, x, tol):
         handed.append(x.copy())
         point = x.copy()
         if bad == "scaled_column":
@@ -751,7 +772,7 @@ def handoff_design(seed, p):
     with B = 0 optimal."""
     rng = np.random.default_rng(seed)
     design = PooledDesign(list(rng.standard_normal((3, 5, p))), list(rng.standard_normal((3, 5))))
-    _, C, _ = design.grams()
+    C = design.C
     return design, 0.3 * 2.0 / design.total_rows * float(np.sqrt((C * C).sum(axis=0)).max())
 
 
@@ -981,10 +1002,9 @@ def test_predicted_row_falls_back_to_zero():
     phi[:, 1] = phi[:, 0]
     dup = PooledDesign([phi, phi], [rng.standard_normal(6), rng.standard_normal(6)])
     huge = np.array([[1e150, 1e150]])
-    G, _, _ = dup.grams()
     assert np.all(1e-200 / group_norms(huge) == 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve((2.0 / 12) * G[1], np.ones(2))
+        np.linalg.solve((2.0 / 12) * (phi.T @ phi), np.ones(2))
     start = padded_warm_start(huge, dup, 1e-200)
     assert start.tobytes() == zero_padded(huge, 2).tobytes()
 
@@ -999,8 +1019,8 @@ def test_predicted_row_falls_back_to_zero():
 )
 def test_fit_from_predicted_start_matches_cold_fit(seed, m, p, shape, lam_frac):
     design, _ = pooled_random_design(seed, m, p, shape)
-    assume(sum(map(len, design.rewards[:-1])) > 0)
-    _, C, y_sq = design.grams()
+    assume(design.rows[:-1].sum() > 0)
+    C, y_sq = design.C, design.y_sq
     N = design.total_rows
     lam = lam_frac * 2.0 / N * float(np.sqrt((C * C).sum(axis=0)).max())
     old, old_report = fit_group_lasso(design.prefix(m - 1), lam)
@@ -1022,7 +1042,7 @@ def mapping_norm(design, B, lam):
     step = 1.0 / design.lipschitz()
     grad = np.array(
         [(2.0 / design.total_rows) * (phi.T @ (phi @ b - y))
-         for phi, y, b in zip(design.features, design.rewards, B)]
+         for phi, y, b in zip(design.F, design.Y, B)]
     )
     U = B - step * grad
     norms = np.sqrt((U * U).sum(axis=0))
@@ -1039,8 +1059,8 @@ def test_newton_stops_at_the_precision_acceptance_needs(monkeypatch, tol):
     steps = {}
     newton = group_lasso._newton_finish
 
-    def spy(G, C, N, lam, x, tol):
-        point, taken = newton(G, C, N, lam, x, tol)
+    def spy(F, C, N, lam, x, tol):
+        point, taken = newton(F, C, N, lam, x, tol)
         steps[tol] = steps.get(tol, 0) + taken
         return point, taken
 

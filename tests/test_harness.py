@@ -1,5 +1,7 @@
 """Config resolution, trace files, summaries, and the experiment runner."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -408,6 +410,17 @@ class TestRunExperiment:
         # config resolution accepts these, so no seed may fail at run time
         pairs = {"kind": kind, "m": "4", "n": "20", "seeds": "0,1", "out": str(tmp_path)}
         result = run_experiment(build_config(pairs={**pairs, key: value}))
+        assert not result.failures
+        assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
+
+    def test_lifelong_at_p2000_completes_every_seed_in_bounded_time(self, tmp_path):
+        # each task holds 4-10 forced rows against 2 000 groups, and the
+        # pooled fits work on those rows: two seeds take a few seconds, where
+        # a (2000, 2000) Gram per task took about a minute a seed
+        pairs = {"kind": "lifelong", "m": "4", "n": "20", "p": "2000", "seeds": "0,1"}
+        start = time.perf_counter()
+        result = run_experiment(build_config(pairs={**pairs, "out": str(tmp_path)}))
+        assert time.perf_counter() - start < 60.0
         assert not result.failures
         assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
 

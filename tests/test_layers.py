@@ -43,6 +43,9 @@ def test_layer_script_one_repeat(tmp_path):
     assert seed["fits"] == seed["newton_fits"] == 19 and seed["converged"]
     assert len(seed["rows_per_task"]) == 20 and seed["rows_per_task"][-1] < 10
     assert seed["newton_steps"] > 0 and seed["newton_attempts"] >= seed["fits"]
+    wide = layers["group_lasso.pooled_p2000"]
+    assert (wide["tasks"], wide["rows"], wide["p"]) == (2, 8, 2000)
+    assert wide["newton"]["method"] == "newton" and wide["newton"]["converged"]
     assert layers["group_lasso.client_fit"]["method"] == "path"
     clients = layers["federated.client_fits"]
     assert (clients["clients"], clients["rows"], clients["path_fits"]) == (20, 10, 20)
@@ -65,7 +68,7 @@ def test_layer_script_one_repeat(tmp_path):
         assert all(0 < count < 2000 for count in kind["distinct"])
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))
-    assert len(times) == 29
+    assert len(times) == 31
     for key, (p25, median, p75) in times.items():
         assert 0 < p25 <= median <= p75, key
 

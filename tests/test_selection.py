@@ -122,7 +122,7 @@ class TestRecoverySweep:
         scales, warm = [], []
 
         def spy(design, *args, **kwargs):
-            scales.append(max(1.0, design.grams()[2] / design.total_rows))
+            scales.append(max(1.0, design.y_sq / design.total_rows))
             warm.append(kwargs["x0"] is not None)
             return learn_kernel(design, *args, **kwargs)
 

@@ -41,9 +41,15 @@ Layers:
   4 for the later ones, where ``pooled_learned`` gives task 1 100 rows and
   every later task 4. It reports the time per seed and the APG iterations, Newton
   steps and Newton attempts summed over the fits.
-  A design computes each task's Gram, crossterm and top eigenvalue when the
-  task joins, before any fit, so these times hold the iteration alone, not
-  the Gram and eigen work.
+  A design copies each task's rows into its row stack and computes the
+  task's crossterm when the task joins, before any fit, and the recorded
+  designs have read their top eigenvalues in the run, so these times hold
+  the iteration alone, not the design and eigen work.
+- ``group_lasso.pooled_p2000``: the 2-task pooled fit of the ``lifelong``
+  run at p=2000, m=4, n=20, seed 0, as the runner made it: two tasks of 4
+  forced rows each against 2 000 groups, so every product goes through the
+  (2, 4, 2000) row stack. Timed and reported as ``pooled_learned``'s
+  ``newton`` fit.
 - ``group_lasso.client_fit``: one single-task fit of 10 grid rows, sliced
   from the environment's grid features, at lam 0.2: the lasso path with
   K = 1, as the task-1 fit of a ``lifelong`` run and the m = 1 fit of an
@@ -55,8 +61,9 @@ Layers:
   calls, one batch of one client each. ``path_fits`` counts the clients
   whose path is certified; the others fall back to the iterative solver.
 - ``selection.design``: the design work outside the solver: building the
-  design, which computes the Gram statistics of each task as it joins, and
-  reading what every pooled fit reads (``grams()`` and ``lipschitz()``).
+  design, which copies each task's rows into the row stack and computes its
+  crossterm and ||y_s||^2 as it joins, and the top eigenvalues that every
+  pooled fit reads through ``lipschitz()``.
   ``learned_20th_task``: appending the 20th task's rows of a
   ``learned``-like design, sliced from the environment's grid features, to
   the 19-task design, as the lifelong runner does after each task.
@@ -231,10 +238,10 @@ def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
     }
 
 
-def lifelong_run():
-    """The default ``lifelong`` run at seed 0, and the design, penalty and
-    keyword arguments (tolerance, step budget and predicted start) of each
-    of its pooled fits, as the runner made them."""
+def pooled_fits(run):
+    """What ``run()`` returns, and the design, penalty and keyword
+    arguments (tolerance, step budget and predicted start) of each pooled
+    fit it makes, as the runner made them."""
     fits = []
     fit = selection.fit_group_lasso
 
@@ -244,10 +251,32 @@ def lifelong_run():
             fits.append((design.prefix(design.m), lam, kwargs))
         return fit(design, lam, **kwargs)
 
-    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
     with mock.patch.object(selection, "fit_group_lasso", recording):
-        record = run_lifelong(env, TASKS, 100, 0.25, 0.5, lam_policy="inv_sqrt", seed=0)
-    return record, fits
+        return run(), fits
+
+
+def lifelong_run():
+    """The default ``lifelong`` run at seed 0, and its pooled fits."""
+    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
+    return pooled_fits(
+        lambda: run_lifelong(env, TASKS, 100, 0.25, 0.5, lam_policy="inv_sqrt", seed=0)
+    )
+
+
+def wide_fit(repeats: int) -> dict:
+    """The 2-task fit of the ``lifelong`` run at p=2000, m=4, n=20, seed 0."""
+    pairs = {"p": "2000", "m": "4", "n": "20", "seeds": "0,"}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = build_config("lifelong", {**pairs, "out": tmp})
+        _, fits = pooled_fits(lambda: run_experiment(config))
+    design, lam, kwargs = next(fit for fit in fits if fit[0].m == 2)
+    return {
+        "tasks": design.m,
+        "rows": design.total_rows,
+        "p": design.p,
+        "lam": lam,
+        "newton": time_pooled_fit(design, lam, kwargs["x0"], repeats, handoff=True),
+    }
 
 
 def lifelong_seed(fits, repeats: int) -> dict:
@@ -260,7 +289,7 @@ def lifelong_seed(fits, repeats: int) -> dict:
     reports = run()
     return {
         "fits": len(fits),
-        "rows_per_task": [len(y) for y in fits[-1][0].rewards],
+        "rows_per_task": fits[-1][0].rows.tolist(),
         **quartiles("us_per_seed", seconds),
         **solver_counts(reports),
         "newton_fits": sum(report.method == "newton" for report in reports),
@@ -329,8 +358,8 @@ def client_batch(repeats: int) -> dict:
 
 
 def fit_statistics(design) -> None:
-    """Read what every pooled fit reads before its first iteration."""
-    design.grams()
+    """Compute what every pooled fit reads before its first iteration
+    beyond what the design computes when a task joins."""
     design.lipschitz()
 
 
@@ -511,6 +540,7 @@ def main(argv=None) -> int:
         }
     record, fits = lifelong_run()
     layers["group_lasso.lifelong_seed"] = lifelong_seed(fits, args.repeats)
+    layers["group_lasso.pooled_p2000"] = wide_fit(args.repeats)
     layers["group_lasso.client_fit"] = client_fit(args.repeats)
     layers["federated.client_fits"] = client_batch(args.repeats)
     layers["selection.design"] = {
