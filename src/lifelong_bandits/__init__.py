@@ -43,12 +43,10 @@ from .lifelong import (
     run_baseline,
     run_lifelong,
     schedule_rates,
-    theory_lambda,
 )
 from .seeding import substream
 from .selection import (
     KernelSelection,
-    design_diagnostics,
     design_from_tasks,
     learn_kernel,
     recovery_sweep,
@@ -85,7 +83,6 @@ __all__ = [
     "build_config",
     "client_fit",
     "client_fits",
-    "design_diagnostics",
     "design_from_tasks",
     "exploration_counts",
     "fit_group_lasso",
@@ -104,7 +101,6 @@ __all__ = [
     "schedule_rates",
     "substream",
     "summarize",
-    "theory_lambda",
     "threshold_groups",
     "uniform_grid",
 ]

@@ -203,11 +203,6 @@ class SyntheticEnvironment:
         return self.spec.p
 
     @property
-    def beta_min(self) -> float:
-        """The environment's true per-block floor c1 (used for thresholds)."""
-        return self.spec.beta_min
-
-    @property
     def grid_size(self) -> int:
         return self.grid.shape[0]
 

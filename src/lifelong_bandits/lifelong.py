@@ -50,9 +50,9 @@ from .gp_ucb import LockstepUcb, UcbConfig
 from .group_lasso import PooledDesign, padded_warm_start
 from .seeding import STREAM_EXPLORE, substream
 # design_from_tasks stays bound here: perfbench's tracer wraps this binding
-from .selection import design_diagnostics, design_from_tasks, learn_kernel  # noqa: F401
+from .selection import design_from_tasks, learn_kernel  # noqa: F401
 
-LAM_POLICIES = ("constant", "inv_sqrt", "theory")
+LAM_POLICIES = ("constant", "inv_sqrt")
 META_DATA = ("exploration", "all")
 BASELINE_KERNELS = ("oracle", "full")
 
@@ -242,32 +242,6 @@ def _run_agents(env, n, plans, ucb, record) -> list[TaskRecord]:
     ]
 
 
-def theory_lambda(
-    lam0: float,
-    omega: float,
-    design,
-    s: int,
-    *,
-    support_size: int,
-    beta_min: float | None = None,
-) -> float:
-    """Penalty weight omega_bar * kappa^2 / (8 sqrt(s)) from design diagnostics.
-
-    kappa^2 is the certified compatibility lower bound for the assumed
-    support size; omega_bar = min(omega, beta_min - omega) when the block
-    floor is known, else omega. Returns ``lam0`` unchanged whenever the
-    diagnostics cannot certify kappa > 0 (or omega_bar <= 0), so the policy
-    degrades to the constant one instead of zeroing the penalty.
-    """
-    diag = design_diagnostics(design, support_size)
-    if diag.kappa_lower is None:
-        return lam0
-    omega_bar = omega if beta_min is None else min(omega, beta_min - omega)
-    if omega_bar <= 0:
-        return lam0
-    return omega_bar * diag.kappa_lower**2 / (8.0 * math.sqrt(s))
-
-
 def run_lifelong(
     env,
     m: int,
@@ -289,8 +263,9 @@ def run_lifelong(
     learned after task s-1; a non-converged fit keeps the prior kernel,
     while a converged fit that selects nothing installs the full kernel.
     ``meta_data`` chooses what the fit sees: "exploration" pools only the
-    forced draws, "all" pools every observation. Every task's agent runs
-    under the GP-UCB config ``ucb``.
+    forced draws, "all" pools every observation. ``lam_policy`` sets the
+    fit's penalty after task s: "constant" uses ``lam``, "inv_sqrt" uses
+    lam / sqrt(s). Every task's agent runs under the GP-UCB config ``ucb``.
     """
     if lam_policy not in LAM_POLICIES:
         raise ConfigError(f"unknown lam policy: {lam_policy!r}")
@@ -310,19 +285,7 @@ def run_lifelong(
             design = PooledDesign([phi], [y])
         else:
             design.append(phi, y)
-        if lam_policy == "constant":
-            lam_s = lam
-        elif lam_policy == "inv_sqrt":
-            lam_s = lam / math.sqrt(s)
-        else:
-            # assumed support size: the truth when the environment knows it,
-            # otherwise the current kernel's size (the full kernel early on,
-            # which keeps kappa conservative and falls back to lam)
-            s_star = len(env.support) if env.support is not None else len(kernel)
-            lam_s = theory_lambda(
-                lam, omega, design, s,
-                support_size=s_star, beta_min=getattr(env, "beta_min", None),
-            )
+        lam_s = lam if lam_policy == "constant" else lam / math.sqrt(s)
         outcome = learn_kernel(
             design,
             omega,

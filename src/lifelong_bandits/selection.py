@@ -6,14 +6,11 @@ is the learned kernel, the average of the surviving basis kernels (see
 :mod:`.features`). An empty survivor set falls back to the full kernel
 (1, ..., p), and the fallback is flagged so run records can surface it.
 
-Also here: design compatibility diagnostics (empirical diagonal floor and
-off-diagonal ceiling of each task's scaled Gram, built from the design's row
-stack when they run, with the induced lower bound on the restricted
-eigenvalue when it is defined) and the offline recovery sweep used to
-estimate support-recovery rates over seeds. The sweep draws one seed's tasks
-once, builds one design of them, and fits its prefix of the first m tasks
-for each m, each fit starting from the last converged one over fewer tasks;
-a single recovery trial is the sweep at one m, fitted cold.
+Also here: the offline recovery sweep used to estimate support-recovery
+rates over seeds. The sweep draws one seed's tasks once, builds one design
+of them, and fits its prefix of the first m tasks for each m, each fit
+starting from the last converged one over fewer tasks; a single recovery
+trial is the sweep at one m, fitted cold.
 """
 
 from __future__ import annotations
@@ -90,38 +87,6 @@ def learn_kernel(
         coeffs=coeffs,
         report=report,
     )
-
-
-@dataclass(frozen=True)
-class DesignDiagnostics:
-    """Empirical compatibility constants of a pooled design.
-
-    ``c_diag`` is the smallest diagonal entry and ``c_offdiag`` the largest
-    off-diagonal magnitude of (m/N) Phi^T Phi, taken per task (the pooled
-    matrix is block-diagonal across tasks, so cross-task entries are zero).
-    ``kappa_lower`` is sqrt(c_diag / s_star - 5 * c_offdiag) when the
-    radicand is positive, else None.
-    """
-
-    c_diag: float
-    c_offdiag: float
-    kappa_lower: float | None
-
-
-def design_diagnostics(design: PooledDesign, s_star: int) -> DesignDiagnostics:
-    """Compatibility constants of the design for assumed support size
-    s_star, from the tasks' Grams F_s^T F_s, which no fit reads."""
-    if s_star < 1:
-        raise ValueError("assumed support size must be positive")
-    # an empty task's Gram is zero, and with p = 1 no entry is off-diagonal
-    F = design.F
-    grams = (design.m / design.total_rows) * np.matmul(F.transpose(0, 2, 1), F)
-    c_diag = float(np.diagonal(grams, axis1=1, axis2=2).min())
-    off_diagonal = ~np.eye(design.p, dtype=bool)
-    c_offdiag = float(np.abs(grams).max(initial=0.0, where=off_diagonal))
-    radicand = c_diag / s_star - 5.0 * c_offdiag
-    kappa = math.sqrt(radicand) if radicand > 0 else None
-    return DesignDiagnostics(c_diag=c_diag, c_offdiag=c_offdiag, kappa_lower=kappa)
 
 
 @dataclass

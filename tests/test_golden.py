@@ -36,17 +36,16 @@ _BANDIT = {"seeds": SEEDS, "m": "4", "n": "30", "grid": "120"}
 
 CONFIGS = {
     "lifelong": ("lifelong", _BANDIT),
-    "lifelong_theory": ("lifelong", {**_BANDIT, "lam_policy": "theory"}),
+    "lifelong_lam_constant": ("lifelong", {**_BANDIT, "lam_policy": "constant"}),
     "lifelong_all": ("lifelong", {**_BANDIT, "meta_data": "all"}),
     "lifelong_constant": ("lifelong", {**_BANDIT, "schedule": "constant"}),
     "federated": ("federated", _BANDIT),
     "baseline_oracle": ("baseline_oracle", _BANDIT),
     "baseline_full": ("baseline_full", _BANDIT),
     "offline": ("offline", {"seeds": SEEDS, "n": "10", "m_values": "1,3,6"}),
-    # no true support: the theory penalty sizes its support by the kernel
-    "lookup_theory_all": (
+    "lookup_constant_all": (
         "lookup",
-        {"seeds": SEEDS, "p": "9", "n": "16", "lam_policy": "theory", "meta_data": "all"},
+        {"seeds": SEEDS, "p": "9", "n": "16", "lam_policy": "constant", "meta_data": "all"},
     ),
 }
 
@@ -90,13 +89,13 @@ GOLDEN = {
         "trace_seed1.csv": "34dd4cc423bfe5a21973ef1495ea1bfebb9cd4215e65aad88ba75bb89eb182b9",
         "trace_seed2.csv": "0e883e06defe2edfae454c2550973245225f60a2f21d063d98a745b925cc195b",
     },
-    "lifelong_theory": {
+    "lifelong_lam_constant": {
         "summary.csv": "3dd9cf2de51cc65e21663747da25a8c81fb617f70515b2e4415599b3de09e1f9",
         "trace_seed0.csv": "2ef77fafb1e8fb8014958d7de21769469a0cafad15fc6953b3f3c4422987d60b",
         "trace_seed1.csv": "ce0acb302765890274e63859330dad2ff3a141b7606936af1f31cdc7941a123a",
         "trace_seed2.csv": "d7727a0825a7bb129fb6b16f78fb20a26616110200ccc41de8de4f6d31282318",
     },
-    "lookup_theory_all": {
+    "lookup_constant_all": {
         "summary.csv": "6f9fe61c82a5fb1b3f6afb349a97b1c93b181f9c0d833271d459e58ebe59875b",
         "trace_seed0.csv": "8e88127421509ff85dd2942860fde949f32fd31bea256258675ed0a45bb389fe",
         "trace_seed1.csv": "12437394d398a86fe377dc38f7e3bca8ce3bf4d13ca5c2b8d195b0afe06970b4",

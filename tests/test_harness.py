@@ -117,12 +117,14 @@ class TestConfig:
             ("omega", "inf"),
             ("nu", "inf"),
             ("p", "1"),
+            ("lam_policy", "theory"),
         ],
     )
     def test_values_that_fail_every_seed_rejected_up_front(self, key, value):
         # each of these but p=1 (the default 5-group support cannot fit in
-        # one group) used to pass config resolution and then fail every
-        # seed, or run every seed twice or to no effect (non-finite floats)
+        # one group) and the retired lam_policy=theory used to pass config
+        # resolution and then fail every seed, or run every seed twice or to
+        # no effect (non-finite floats)
         with pytest.raises(ConfigError):
             build_config("lifelong", {key: value})
 
@@ -403,7 +405,7 @@ class TestRunExperiment:
             ("omega", "1e9"),
             ("nu", "1e300"),
             ("solver_max_iter", "1"),
-            ("lam_policy", "theory"),
+            ("lam_policy", "constant"),
         ],
     )
     def test_edge_values_complete_every_seed(self, tmp_path, kind, key, value):
@@ -536,7 +538,3 @@ class TestTheoryOptIns:
     def test_lam_ucb_theory_with_bad_horizon_rejected(self):
         with pytest.raises(ConfigError):
             build_config("lifelong", {"lam_ucb": "theory", "n": "soon"})
-
-    def test_theory_lam_policy_accepted(self):
-        config = build_config("lifelong", {"lam_policy": "theory"})
-        assert config.lam_policy == "theory"

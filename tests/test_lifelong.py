@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lifelong_bandits
-from lifelong_bandits import lifelong
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError
 from lifelong_bandits.federated import run_federated
@@ -27,9 +26,7 @@ from lifelong_bandits.lifelong import (
     run_baseline,
     run_lifelong,
     schedule_rates,
-    theory_lambda,
 )
-from lifelong_bandits.group_lasso import PooledDesign
 from lifelong_bandits.seeding import STREAM_EXPLORE, substream
 
 
@@ -205,10 +202,11 @@ class TestRunLifelong:
         )
         assert len(record.tasks) == 3
 
-    def test_bad_config_rejected(self):
+    @pytest.mark.parametrize("lam_policy", ["linear", "theory"])
+    def test_bad_config_rejected(self, lam_policy):
         env = small_env()
         with pytest.raises(ConfigError):
-            run_lifelong(env, m=2, n=10, omega=0.25, lam=0.1, lam_policy="linear")
+            run_lifelong(env, m=2, n=10, omega=0.25, lam=0.1, lam_policy=lam_policy)
         with pytest.raises(ConfigError):
             run_lifelong(env, m=2, n=10, omega=0.25, lam=0.1, meta_data="half")
         with pytest.raises(ConfigError):
@@ -368,54 +366,6 @@ class TestMirrorSymmetricRun:
                 actions.append(idx)
             assert task.actions.tolist() == actions, task.task
             assert task.rewards.tolist() == rewards, task.task
-
-
-class TestTheoryLambda:
-    def test_hand_value_on_orthogonal_design(self):
-        # single task, identity features: (m/N) Phi^T Phi = 0.5 I, so the
-        # certified kappa^2 at s_star=1 is 0.5 with no off-diagonal slack
-        design = PooledDesign([np.eye(2)], [np.zeros(2)])
-        lam = theory_lambda(0.3, 0.2, design, 4, support_size=1, beta_min=0.5)
-        assert lam == pytest.approx(0.2 * 0.5 / (8.0 * 2.0), abs=1e-15)
-
-    def test_uncertified_kappa_falls_back_to_constant(self):
-        # one row with equal entries: off-diagonal mass kills the radicand
-        design = PooledDesign([np.ones((1, 2))], [np.ones(1)])
-        assert theory_lambda(0.3, 0.2, design, 2, support_size=1, beta_min=0.5) == 0.3
-
-    def test_nonpositive_omega_bar_falls_back(self):
-        design = PooledDesign([np.eye(2)], [np.zeros(2)])
-        assert theory_lambda(0.3, 0.25, design, 2, support_size=1, beta_min=0.2) == 0.3
-
-    def test_unknown_block_floor_uses_omega_alone(self):
-        design = PooledDesign([np.eye(2)], [np.zeros(2)])
-        lam = theory_lambda(0.3, 0.2, design, 1, support_size=1)
-        assert lam == pytest.approx(0.2 * 0.5 / 8.0, abs=1e-15)
-
-    def test_run_lifelong_accepts_theory_policy(self):
-        a = run_lifelong(small_env(seed=4), 4, 20, 0.25, 0.5, lam_policy="theory", seed=4)
-        b = run_lifelong(small_env(seed=4), 4, 20, 0.25, 0.5, lam_policy="theory", seed=4)
-        assert len(a.tasks) == 4
-        for ta, tb in zip(a.tasks, b.tasks):
-            assert np.array_equal(ta.actions, tb.actions)
-
-    @pytest.mark.parametrize("meta_data", ["exploration", "all"])
-    def test_unknown_support_is_sized_by_the_kernel_in_use(self, meta_data, monkeypatch):
-        # with no true support the fit after task s assumes the support of
-        # the kernel task s ran under: the full one, then the learned ones
-        sizes = []
-
-        def spy(lam0, omega, design, s, *, support_size, beta_min=None):
-            sizes.append(support_size)
-            return lam0
-
-        monkeypatch.setattr(lifelong, "theory_lambda", spy)
-        env = small_env(seed=4)
-        env.support = None
-        record = run_lifelong(env, 4, 30, 0.25, 0.5, lam_policy="theory",
-                              meta_data=meta_data, seed=4)
-        assert sizes == [len(task.kernel) for task in record.tasks]
-        assert sizes[0] == env.p and len(set(sizes)) > 1
 
 
 def test_runtime_does_not_import_scipy():

@@ -1,4 +1,4 @@
-"""Thresholding, kernel learning, diagnostics, recovery trials."""
+"""Thresholding, kernel learning, recovery trials."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import pytest
 from lifelong_bandits import selection
 from lifelong_bandits.environment import SyntheticSpec
 from lifelong_bandits.features import BasisFamily, FeatureAtlas
-from lifelong_bandits.group_lasso import PooledDesign, group_norms
+from lifelong_bandits.group_lasso import group_norms
 from lifelong_bandits.selection import (
-    design_diagnostics,
     design_from_tasks,
     learn_kernel,
     recovery_sweep,
@@ -66,33 +65,6 @@ class TestLearnKernel:
         assert np.all(group_norms(sel.coeffs) == 0.0)
 
 
-class TestDiagnostics:
-    def test_orthonormal_scaled_design(self):
-        # single task, (m/N) Phi^T Phi = I
-        phi = np.sqrt(2.0) * np.eye(2)
-        design = PooledDesign([phi], [np.zeros(2)])
-        diag = design_diagnostics(design, s_star=1)
-        assert diag.c_diag == pytest.approx(1.0)
-        assert diag.c_offdiag == pytest.approx(0.0)
-        assert diag.kappa_lower == pytest.approx(1.0)
-
-    def test_mild_correlation(self):
-        target = np.array([[1.0, 0.1], [0.1, 1.0]])
-        phi = np.linalg.cholesky(2.0 * target).T
-        design = PooledDesign([phi], [np.zeros(2)])
-        diag = design_diagnostics(design, s_star=1)
-        assert diag.c_diag == pytest.approx(1.0, abs=1e-12)
-        assert diag.c_offdiag == pytest.approx(0.1, abs=1e-12)
-        assert diag.kappa_lower == pytest.approx(np.sqrt(0.5), abs=1e-12)
-
-    def test_strong_correlation_undefined(self):
-        target = np.array([[1.0, 0.3], [0.3, 1.0]])
-        phi = np.linalg.cholesky(2.0 * target).T
-        design = PooledDesign([phi], [np.zeros(2)])
-        diag = design_diagnostics(design, s_star=1)
-        assert diag.kappa_lower is None
-
-
 class TestRecoveryTrial:
     def test_hopelessly_underdetermined(self):
         spec = SyntheticSpec()
@@ -148,24 +120,3 @@ class TestRecoverySweep:
             recovery_sweep(spec, (3, 0), 10, 0.25, 0.25, seed=0)
         with pytest.raises(ValueError):
             recovery_sweep(spec, (3,), 0, 0.25, 0.25, seed=0)
-
-
-@pytest.mark.parametrize(
-    "rows, p",
-    [([5, 5, 5], 4), ([5, 0, 3], 4), ([4, 2], 1)],
-    ids=["pooled", "empty_task", "one_group"],
-)
-def test_diagnostics_match_a_direct_computation(rows, p):
-    rng = np.random.default_rng(4)
-    blocks = [rng.standard_normal((n, p)) for n in rows]
-    design = PooledDesign(blocks, [rng.standard_normal(n) for n in rows])
-    diag = design_diagnostics(design, s_star=2)
-    grams = [(len(rows) / sum(rows)) * (phi.T @ phi) for phi in blocks]
-    off = [abs(g[i, j]) for g in grams for i in range(p) for j in range(p) if i != j]
-    assert diag.c_diag == min(float(np.diag(g).min()) for g in grams)
-    assert diag.c_offdiag == max([0.0] + off)
-    # an empty task's Gram is zero, and one group has no off-diagonal entry
-    if 0 in rows:
-        assert diag.c_diag == 0.0
-    if p == 1:
-        assert diag.c_offdiag == 0.0
