@@ -13,12 +13,12 @@ materialized. The solvers work on the tasks' rows, zero-padded to one
 (m, r, p) stack F (r the largest task's row count), and crossterms C (m, p);
 a Gram is built only over a support S, as F[:, :, S]^T F[:, :, S].
 
-A ``PooledDesign`` holds F with the rewards, validated when each task joins,
-and computes the task's crossterm and ||y_s||^2 then; its top eigenvalue
+A ``PooledDesign`` holds F with the rewards, validated when it is built,
+and computes each task's crossterm and ||y_s||^2 then; its top eigenvalue
 waits until ``lipschitz`` asks, which a certified lasso-path fit never does.
-The design grows by ``append``, and ``prefix(k)`` takes its first k tasks
-as views of the same arrays, so the fits of a growing pool (the lifelong
-runner's after each task, the offline sweep's over m) hold each row once.
+``prefix(k)`` takes its first k tasks as views of the same arrays, so the
+fits of a growing pool (the lifelong runner's after each task, the offline
+sweep's over m) are fits of one design's prefixes and hold each row once.
 
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
@@ -121,15 +121,14 @@ class PooledDesign:
 
     Task s's n_s = ``rows[s - 1]`` rows and rewards are the first n_s of
     ``F[s - 1]`` and ``Y[s - 1]`` ((m, r, p) and (m, r), r the largest n_s),
-    the rest zero. They are validated and copied in when the task joins, and
-    its crossterm Phi_s^T y_s (row s - 1 of the (m, p) ``C``) and ||y_s||^2
-    are computed then; all are read-only. Each task's top Gram eigenvalue,
-    read only by the proximal-gradient iteration, is computed when
-    ``lipschitz`` first asks for it. ``prefix(k)`` gives the design of the
-    first k tasks as views of the same arrays, eigenvalues included, so the
-    fits over a design's prefixes share its rows and compute each eigenvalue
-    once. ``append`` moves the design to arrays one task longer, so it never
-    writes into rows another design reads.
+    the rest zero. They are validated and copied in when the design is
+    built, and each task's crossterm Phi_s^T y_s (row s - 1 of the (m, p)
+    ``C``) and ||y_s||^2 are computed then; all are read-only. Each task's
+    top Gram eigenvalue, read only by the proximal-gradient iteration, is
+    computed when ``lipschitz`` first asks for it. ``prefix(k)`` gives the
+    design of the first k tasks as views of the same arrays, eigenvalues
+    included, so the fits over a design's prefixes share its rows and
+    compute each eigenvalue once.
 
     Parameters
     ----------
@@ -146,27 +145,11 @@ class PooledDesign:
             raise ValueError("need one reward vector per design block")
         if len(features) == 0:
             raise ValueError("need at least one task")
-        # task 1's width, against which ``_join`` checks every task
+        # task 1's width, against which every task is checked
         first = np.shape(features[0])
         p = first[1] if len(first) == 2 else 0
-        self.F, self.Y, self.rows = np.empty((0, 0, p)), np.empty((0, 0)), np.empty(0, dtype=int)
-        self.C, self._y_sq, self._top_eig = np.empty((0, p)), np.empty(0), np.empty(0)
-        self._join(features, rewards)
-        if self.total_rows == 0:
-            raise ValueError("pooled design has no rows")
-
-    def append(self, features, rewards) -> None:
-        """Add one task's (n_s, p) block and (n_s,) rewards as the last task;
-        on invalid data raise ValueError and leave the design as it was."""
-        self._join([features], [rewards])
-
-    def _join(self, features, rewards) -> None:
-        """Validate the (n_s, p) blocks and (n_s,) rewards of new tasks, and
-        add them as the last tasks, in new arrays that start with a copy of
-        the tasks already held. Every block is checked before any is added."""
-        done, p = self.m, self.p
         blocks = []
-        for k, (phi, y) in enumerate(zip(features, rewards), start=done + 1):
+        for k, (phi, y) in enumerate(zip(features, rewards), start=1):
             phi = np.asarray(phi, dtype=float)
             y = np.asarray(y, dtype=float).reshape(-1)
             if phi.ndim != 2 or phi.shape[1] != p or p == 0:
@@ -176,20 +159,20 @@ class PooledDesign:
             if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
                 raise ValueError(f"task {k}: non-finite data")
             blocks.append((phi, y))
-        rows = np.concatenate((self.rows, [len(y) for _, y in blocks]))
-        m, held = len(rows), self.F.shape[1]
+        rows = np.array([len(y) for _, y in blocks])
+        m = len(rows)
         F, Y = np.zeros((m, rows.max(), p)), np.zeros((m, rows.max()))
-        F[:done, :held], Y[:done, :held] = self.F, self.Y
         C, y_sq = np.empty((m, p)), np.empty(m)
-        C[:done], y_sq[:done] = self.C, self._y_sq
-        for s, (phi, y) in enumerate(blocks, start=done):
+        for s, (phi, y) in enumerate(blocks):
             n = len(y)
             F[s, :n], Y[s, :n] = phi, y
             phi, y = F[s, :n], Y[s, :n]
             C[s], y_sq[s] = phi.T @ y, y @ y
         self.F, self.Y, self.rows = _frozen(F), _frozen(Y), _frozen(rows)
         self.C, self._y_sq = _frozen(C), _frozen(y_sq)
-        self._top_eig = np.concatenate((self._top_eig, np.full(len(blocks), np.nan)))
+        self._top_eig = np.full(m, np.nan)
+        if self.total_rows == 0:
+            raise ValueError("pooled design has no rows")
 
     def prefix(self, k: int) -> "PooledDesign":
         """The design of the first k tasks, as views of this one's arrays."""

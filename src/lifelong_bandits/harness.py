@@ -10,10 +10,11 @@ reordering of the input.
 
 ``run_experiment`` runs every kind through one seed loop: a seed that raises
 becomes a row of ``failures.csv`` and the loop goes on; the run raises only
-when every seed failed. Every result file is CSV written by one column
-writer, ``_csv``. Floats are written as the repr of a Python float and
-parsed with float, so a written file reproduces the in-memory arrays bit for
-bit and identical runs produce byte-identical files. A trace repeats its
+when every seed failed, after writing that file. Every result file is CSV
+written by one column writer, ``_csv``. Floats are written as the repr of a
+Python float and parsed with float, so a written file reproduces the
+in-memory arrays bit for bit and identical runs produce byte-identical
+files. A trace repeats its
 values (most instantaneous regrets are exactly 0.0), so the writer formats
 each distinct value of an int or float array column once, keyed by its bits
 so that 0.0 and -0.0 stay apart; the bytes are those of formatting every
@@ -37,7 +38,6 @@ from .gp_ucb import UcbConfig
 from .lifelong import (
     BASELINE_KERNELS,
     LAM_POLICIES,
-    META_DATA,
     LifelongRunRecord,
     ScheduleMode,
     run_baseline,
@@ -117,7 +117,6 @@ class ExperimentConfig:
     lam: float = _key(_parse_finite, "0.5")
     alpha: float = _key(_parse_finite, "0.25")
     lam_policy: str = _key(str, "inv_sqrt")
-    meta_data: str = _key(str, "exploration")
     schedule: str = _key(str, "decreasing")
     nu: float = _key(_parse_finite, "10.0")
     lam_ucb: float = _key(_parse_finite, "0.1")
@@ -150,8 +149,6 @@ class ExperimentConfig:
         ScheduleMode(self.schedule)
         if self.lam_policy not in LAM_POLICIES:
             raise ConfigError(f"unknown lam policy: {self.lam_policy!r}")
-        if self.meta_data not in META_DATA:
-            raise ConfigError(f"unknown meta data policy: {self.meta_data!r}")
         if self.baseline_kernel not in BASELINE_KERNELS:
             raise ConfigError(f"unknown baseline kernel: {self.baseline_kernel!r}")
         if self.kind.startswith("baseline_") and self.kind != "baseline_" + self.baseline_kernel:
@@ -501,7 +498,6 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
         config.lam,
         lam_policy=config.lam_policy,
         schedule_mode=ScheduleMode(config.schedule),
-        meta_data=config.meta_data,
         ucb=ucb,
         seed=seed,
         solver_tol=config.solver_tol,
@@ -510,7 +506,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
 
 
 def _write_outputs(out: Path, result: ExperimentResult) -> None:
-    """Write every result file of a run into ``out``."""
+    """Write the result files of a run's finished seeds into ``out``."""
     for seed, trace in result.traces.items():
         trace.save(out / f"trace_seed{seed}.csv")
     if result.summary is not None:
@@ -527,8 +523,6 @@ def _write_outputs(out: Path, result: ExperimentResult) -> None:
         (out / f"recovery_seed{seed}.csv").write_text(text)
     if result.curve is not None:
         (out / "recovery_curve.csv").write_text(result.curve.to_text())
-    if result.failures:
-        (out / "failures.csv").write_text(_csv("seed,error", zip(*result.failures)))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -556,6 +550,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             done[seed] = _run_one_seed(config, seed, table)
         except Exception as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
+    if out is not None and failures:
+        (out / "failures.csv").write_text(_csv("seed,error", zip(*failures)))
     if not done:
         raise RuntimeError("every seed failed; first error: " + failures[0][1])
     traces, summary, recovery, curve, votes = {}, None, None, None, None

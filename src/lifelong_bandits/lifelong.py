@@ -13,17 +13,13 @@ chose, so every kernel is known before any agent runs, and the callback
 gets every task at once. The agent pass then steps every task in one
 ``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a prior weight
 over the union of the tasks' groups, with the features sliced once from the
-environment's feature table. An after-task hook, when given, sees each
-finished task before the next task's kernel is asked for, so the callback
-gets one task at a time and every task steps alone on the same code path.
-A run uses one ``UcbConfig``, its ``ucb`` argument. The runners differ only
-in where the kernel comes from:
+environment's feature table. A run uses one ``UcbConfig``, its ``ucb``
+argument. The runners differ only in where the kernel comes from:
 
 ``run_lifelong``
-    a pooled group-lasso fit over the tasks so far, warm-started from the
-    previous fit; over forced data (``meta_data=exploration``) it runs in
-    the kernel callback once the task's prefix is known, over all data
-    (``meta_data=all``) in the after-task hook;
+    a pooled group-lasso fit over the forced draws of the tasks so far,
+    warm-started from the previous fit: one ``PooledDesign`` holds every
+    task's draws, and the fit after task s reads its first s tasks;
 ``run_baseline``
     a pinned kernel (the true support or every group), with no forced draws;
 ``run_federated`` (in :mod:`.federated`)
@@ -53,7 +49,6 @@ from .seeding import STREAM_EXPLORE, substream
 from .selection import design_from_tasks, learn_kernel  # noqa: F401
 
 LAM_POLICIES = ("constant", "inv_sqrt")
-META_DATA = ("exploration", "all")
 BASELINE_KERNELS = ("oracle", "full")
 
 
@@ -167,36 +162,29 @@ def _draw(env, s: int, explore_count: int, n: int, seed: int) -> _Plan:
     return _Plan(s, view, drawn, drawn_y, noise)
 
 
-def _run_tasks(env, m, n, mode, record, kernels_for, *, seed, ucb=UcbConfig(), after_task=None):
+def _run_tasks(env, m, n, mode, record, kernels_for, *, seed, ucb=UcbConfig()):
     """The task loop every runner shares; appends one TaskRecord per task.
 
     ``mode`` sets the forced-draw counts (None: no forced draws).
-    ``kernels_for(plans)`` gets planned tasks in task order, each with its
-    forced grid indices ``drawn`` and their rewards ``drawn_y``, and returns
-    the kernel of each to run under. Every task's agent runs under the
-    GP-UCB config ``ucb``.
+    ``kernels_for(plans)`` gets every planned task in task order, each with
+    its forced grid indices ``drawn`` and their rewards ``drawn_y``, and
+    returns the kernel of each to run under. Every task's agent runs under
+    the GP-UCB config ``ucb``.
 
     The plan pass works in two stages. It first draws every task's forced
     prefix and the noise of all n observations, each from the task's own
     substreams, so the numbers do not depend on the order of the draws. It
-    then asks ``kernels_for`` for the kernels: of all tasks at once, and
-    the agent pass steps every task at once (``_run_agents``), since nothing
-    in the plan pass reads an agent's choices. ``after_task``, when given,
-    gets each finished TaskRecord before the next task's kernel is asked
-    for, so the kernels are asked for one task at a time and each task then
-    steps alone.
+    then asks ``kernels_for`` for the kernels of all tasks at once, and the
+    agent pass steps every task at once (``_run_agents``), since nothing in
+    the plan pass reads an agent's choices.
     """
     if not 1 <= m <= env.m:
         raise ConfigError("environment has too few tasks")
     counts = [0] * m if mode is None else exploration_counts(mode, n, m).tolist()
     plans = [_draw(env, s, count, n, seed) for s, count in enumerate(counts, start=1)]
-    batches = [plans] if after_task is None else [[plan] for plan in plans]
-    for batch in batches:
-        for plan, kernel in zip(batch, kernels_for(batch)):
-            plan.kernel = kernel
-        record.tasks += _run_agents(env, n, batch, ucb, record)
-        if after_task is not None:
-            after_task(record.tasks[-1])
+    for plan, kernel in zip(plans, kernels_for(plans)):
+        plan.kernel = kernel
+    record.tasks += _run_agents(env, n, plans, ucb, record)
 
 
 def _run_agents(env, n, plans, ucb, record) -> list[TaskRecord]:
@@ -251,7 +239,6 @@ def run_lifelong(
     *,
     lam_policy: str = "constant",
     schedule_mode: ScheduleMode = ScheduleMode.DECREASING,
-    meta_data: str = "exploration",
     ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
     solver_tol: float = 1e-8,
@@ -260,64 +247,48 @@ def run_lifelong(
     """Run m tasks with forced exploration and a kernel update after each.
 
     Task 1 runs under the full kernel. Task s > 1 runs under the kernel
-    learned after task s-1; a non-converged fit keeps the prior kernel,
-    while a converged fit that selects nothing installs the full kernel.
-    ``meta_data`` chooses what the fit sees: "exploration" pools only the
-    forced draws, "all" pools every observation. ``lam_policy`` sets the
-    fit's penalty after task s: "constant" uses ``lam``, "inv_sqrt" uses
+    learned after task s-1 from the forced draws of tasks 1..s-1; a
+    non-converged fit keeps the prior kernel, while a converged fit that
+    selects nothing installs the full kernel. ``lam_policy`` sets the fit's
+    penalty after task s: "constant" uses ``lam``, "inv_sqrt" uses
     lam / sqrt(s). Every task's agent runs under the GP-UCB config ``ucb``.
     """
     if lam_policy not in LAM_POLICIES:
         raise ConfigError(f"unknown lam policy: {lam_policy!r}")
-    if meta_data not in META_DATA:
-        raise ConfigError(f"unknown meta data policy: {meta_data!r}")
     record = LifelongRunRecord(seed=seed)
     kernel = tuple(range(1, env.p + 1))
-    design: PooledDesign | None = None
-    warm: np.ndarray | None = None  # the last converged fit's coefficients
-
-    def update(s: int, actions, rewards) -> None:
-        nonlocal kernel, design, warm
-        # the pool grows by the newest task's rows, whose features the
-        # environment already holds; task 1 always has forced draws
-        phi, y = env.grid_features[actions], rewards
-        if design is None:
-            design = PooledDesign([phi], [y])
-        else:
-            design.append(phi, y)
-        lam_s = lam if lam_policy == "constant" else lam / math.sqrt(s)
-        outcome = learn_kernel(
-            design,
-            omega,
-            lam_s,
-            tol=solver_tol,
-            max_iter=solver_max_iter,
-            x0=padded_warm_start(warm, design, lam_s),
-        )
-        if not outcome.report.converged:
-            record.events.append((s, "solver"))
-            warm = None
-            return
-        warm = outcome.coeffs
-        if outcome.fallback:
-            record.events.append((s, "fallback"))
-        kernel = outcome.selected
 
     def kernels_for(plans) -> list[tuple[int, ...]]:
+        nonlocal kernel
+        # every task's draws in one design, whose first s tasks the fit
+        # after task s reads; task 1 always has forced draws
+        features = [env.grid_features[plan.drawn] for plan in plans]
+        pool = PooledDesign(features, [plan.drawn_y for plan in plans])
+        warm = None  # the last converged fit's coefficients
         kernels = []
-        for plan in plans:
+        for s in range(1, pool.m + 1):
             kernels.append(kernel)
-            if meta_data == "exploration":
-                update(plan.task, plan.drawn, plan.drawn_y)
+            design = pool.prefix(s)
+            lam_s = lam if lam_policy == "constant" else lam / math.sqrt(s)
+            outcome = learn_kernel(
+                design,
+                omega,
+                lam_s,
+                tol=solver_tol,
+                max_iter=solver_max_iter,
+                x0=padded_warm_start(warm, design, lam_s),
+            )
+            if not outcome.report.converged:
+                record.events.append((s, "solver"))
+                warm = None
+                continue
+            warm = outcome.coeffs
+            if outcome.fallback:
+                record.events.append((s, "fallback"))
+            kernel = outcome.selected
         return kernels
 
-    def after_task(task: TaskRecord) -> None:
-        update(task.task, task.actions, task.rewards)
-
-    _run_tasks(
-        env, m, n, schedule_mode, record, kernels_for,
-        seed=seed, ucb=ucb, after_task=after_task if meta_data == "all" else None,
-    )
+    _run_tasks(env, m, n, schedule_mode, record, kernels_for, seed=seed, ucb=ucb)
     record.final_kernel = kernel
     return record
 

@@ -72,6 +72,17 @@ class TestExitCodes:
         assert (tmp_path / "trace_seed0.csv").exists()
         assert "seed 1 broke" in (tmp_path / "failures.csv").read_text()
 
+    def test_every_seed_failing_exits_1_after_writing_failures(self, tmp_path, capsys, monkeypatch):
+        def failing(config, seed, *args):
+            raise RuntimeError(f"seed {seed} broke")
+
+        monkeypatch.setattr(harness, "_run_one_seed", failing)
+        assert main(["lifelong", *tiny_args(tmp_path), "--seeds", "0,1"]) == 1
+        assert "every seed failed" in capsys.readouterr().err
+        lines = (tmp_path / "failures.csv").read_text().splitlines()
+        assert lines == ["seed,error", "0,RuntimeError: seed 0 broke", "1,RuntimeError: seed 1 broke"]
+        assert not (tmp_path / "trace_seed0.csv").exists()
+
     def test_unknown_key_fails_with_reason(self, tmp_path, capsys):
         code = main(["lifelong", "--override", "speed=9", "--out", str(tmp_path)])
         assert code == 1

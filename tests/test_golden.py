@@ -37,16 +37,12 @@ _BANDIT = {"seeds": SEEDS, "m": "4", "n": "30", "grid": "120"}
 CONFIGS = {
     "lifelong": ("lifelong", _BANDIT),
     "lifelong_lam_constant": ("lifelong", {**_BANDIT, "lam_policy": "constant"}),
-    "lifelong_all": ("lifelong", {**_BANDIT, "meta_data": "all"}),
     "lifelong_constant": ("lifelong", {**_BANDIT, "schedule": "constant"}),
     "federated": ("federated", _BANDIT),
     "baseline_oracle": ("baseline_oracle", _BANDIT),
     "baseline_full": ("baseline_full", _BANDIT),
     "offline": ("offline", {"seeds": SEEDS, "n": "10", "m_values": "1,3,6"}),
-    "lookup_constant_all": (
-        "lookup",
-        {"seeds": SEEDS, "p": "9", "n": "16", "lam_policy": "constant", "meta_data": "all"},
-    ),
+    "lookup_constant": ("lookup", {"seeds": SEEDS, "p": "9", "n": "16", "lam_policy": "constant"}),
 }
 
 GOLDEN = {
@@ -77,12 +73,6 @@ GOLDEN = {
         "trace_seed1.csv": "92990360efc8f009aa3dfb36cb9d56926aafcf360960b6872c1f218bf8875bdc",
         "trace_seed2.csv": "9c8976dc61b49877a200c8f3b008255d12b12529b9bae470d2595757fb2582e1",
     },
-    "lifelong_all": {
-        "summary.csv": "756d3d362a45c247c24fe207eb95154f2333adf9a9e142e3a85aac9c2cfc1227",
-        "trace_seed0.csv": "2962f3e4948fccacaca334e3949bfe29fe5f3d9126dbfe657cfa2c10ec102b0a",
-        "trace_seed1.csv": "f56181378160940c758cd7302af7ffd9459c67a374cdad23e3e1d3d18536e0df",
-        "trace_seed2.csv": "41e8eb1cfc84035ca1e5356550940a814d636f31e5eb2ed31614d95ae4fc3853",
-    },
     "lifelong_constant": {
         "summary.csv": "aaf6877c3156a24990131986af5201fbd9c5c2cdedd3c8222ee4d8a7c2796196",
         "trace_seed0.csv": "f26db23320b10faa6c976cbe42672f0ac2e53d4c99641aadaefab0ff519c1c98",
@@ -95,11 +85,11 @@ GOLDEN = {
         "trace_seed1.csv": "ce0acb302765890274e63859330dad2ff3a141b7606936af1f31cdc7941a123a",
         "trace_seed2.csv": "d7727a0825a7bb129fb6b16f78fb20a26616110200ccc41de8de4f6d31282318",
     },
-    "lookup_constant_all": {
-        "summary.csv": "6f9fe61c82a5fb1b3f6afb349a97b1c93b181f9c0d833271d459e58ebe59875b",
-        "trace_seed0.csv": "8e88127421509ff85dd2942860fde949f32fd31bea256258675ed0a45bb389fe",
-        "trace_seed1.csv": "12437394d398a86fe377dc38f7e3bca8ce3bf4d13ca5c2b8d195b0afe06970b4",
-        "trace_seed2.csv": "78e4b7f4310a369975b1b1ed83623d8f2f98009a4a3cf3781374fcb4d4127b0a",
+    "lookup_constant": {
+        "summary.csv": "456094592ce30e133acb76d3c3eae4b17ad47021167a311bae24e40583d3bbe3",
+        "trace_seed0.csv": "72ad1124d7f940eadca45f781a2dcd16deae9fc2e4cc01381bcc0037c5be836b",
+        "trace_seed1.csv": "10baabbb131eb68a0a17aae2eb4f66f850d2a6dcded5c1ce6ed65635b5c8a7a8",
+        "trace_seed2.csv": "6159bf27489e17b699d9588c82fd270cd5a92237ac1770a1b6960474ab02f490",
     },
     "offline": {
         "recovery_curve.csv": "1ab36c285d7e3db70b522a22e8d05436b0139e776a26d4a8c95cc378deb048a7",

@@ -145,15 +145,6 @@ class TestDesignGrowth:
     # rows below and above p, and an empty task, so both eigenvalue routes run
     ROWS = [6, 2, 0, 9, 3]
 
-    def test_appended_design_matches_fresh(self):
-        blocks, ys = random_blocks(11, self.ROWS)
-        grown = PooledDesign(blocks[:1], ys[:1])
-        for k in range(1, len(blocks)):
-            # fill the eigenvalues held before the next task joins
-            grown.lipschitz()
-            grown.append(blocks[k], ys[k])
-            assert_designs_bit_equal(grown, PooledDesign(blocks[: k + 1], ys[: k + 1]))
-
     def test_prefix_matches_fresh_and_shares_arrays(self):
         blocks, ys = random_blocks(12, self.ROWS)
         full = PooledDesign(blocks, ys)
@@ -169,8 +160,7 @@ class TestDesignGrowth:
         blocks, ys = random_blocks(13, self.ROWS)
         full = PooledDesign(blocks, ys)
         part = full.prefix(2)
-        part.append(blocks[0], ys[0])
-        assert (part.m, full.m) == (3, len(blocks))
+        assert (part.m, full.m) == (2, len(blocks))
         with pytest.raises(ValueError):
             full.prefix(0)
         with pytest.raises(ValueError):
@@ -190,25 +180,21 @@ class TestDesignGrowth:
         ],
         ids=["nan_block", "inf_reward", "columns", "rows", "no_columns", "scalar"],
     )
-    def test_rejected_append_leaves_design_unchanged(self, phi, y):
+    def test_bad_task_is_named_in_the_error(self, phi, y):
         blocks, ys = random_blocks(14, [3, 5])
-        design = PooledDesign(blocks, ys)
-        before = PooledDesign(blocks, ys)
         with pytest.raises(ValueError, match="task 3"):
-            design.append(phi, y)
-        assert_designs_bit_equal(design, before)
+            PooledDesign([*blocks, phi], [*ys, y])
 
     def test_top_eigenvalue_waits_for_a_fit_that_reads_it(self, monkeypatch):
-        # building, growing or cutting a design computes no eigenvalue, and
-        # neither does a fit the path certifies; ``lipschitz`` computes each
-        # task's once, into an array the design's prefixes share
+        # building or cutting a design computes no eigenvalue, and neither
+        # does a fit the path certifies; ``lipschitz`` computes each task's
+        # once, into an array the design's prefixes share
         blocks, ys = random_blocks(16, self.ROWS)
         shapes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
         one = PooledDesign(blocks[:1], ys[:1])
         assert fit_group_lasso(one, 0.1)[1].method == "path"
-        one.append(blocks[1], ys[1])
         full = PooledDesign(blocks, ys)
         part = full.prefix(2)
         assert shapes == []
@@ -224,18 +210,16 @@ class TestDesignGrowth:
         full.prefix(4).lipschitz()
         part.lipschitz()
         assert len(shapes) == 4
-        # an appended design keeps the eigenvalues already computed
-        part.append(blocks[3], ys[3])
-        part.lipschitz()
-        assert shapes[4:] == [(4, 4)]
-        # a grown design computes none until it is asked
+        # a prefix of a prefix reads them too
+        part.prefix(1).lipschitz()
+        assert len(shapes) == 4
+        # a design built on its own computes its own once it is asked
         one.lipschitz()
-        assert shapes[5:] == [(4, 4), (2, 2)]
+        assert shapes[4:] == [(4, 4)]
 
     def test_stored_arrays_are_read_only_copies(self):
         blocks, ys = random_blocks(15, [3, 2])
-        design = PooledDesign(blocks[:1], ys[:1])
-        design.append(blocks[1], ys[1])
+        design = PooledDesign(blocks, ys)
         blocks[0][0, 0] += 1.0
         ys[1][0] += 1.0
         assert design.F[0, 0, 0] != blocks[0][0, 0]
@@ -243,24 +227,6 @@ class TestDesignGrowth:
         for array in (design.F, design.Y, design.rows, design.C, design.prefix(1).F):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-
-
-def test_row_stack_is_shared_and_forked_on_a_divergent_append():
-    # a prefix reads the leading rows of its parent's stack; a prefix that
-    # appends a task of its own starts a new stack and leaves the parent's
-    # rows alone
-    blocks, ys = random_blocks(16, [4, 3, 0, 5])
-    full = PooledDesign(blocks, ys)
-    F_full = full.F
-    part = full.prefix(2)
-    assert np.shares_memory(part.F, F_full)
-    with pytest.raises(ValueError):
-        F_full[0, 0, 0] = 1.0
-    part.append(blocks[3], ys[3])
-    assert not np.shares_memory(part.F, F_full)
-    assert_designs_bit_equal(part, PooledDesign(blocks[:2] + blocks[3:], ys[:2] + ys[3:]))
-    assert_designs_bit_equal(full, PooledDesign(blocks, ys))
-    assert full.F is F_full
 
 
 class TestGroupNorms:

@@ -72,6 +72,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             build_config("lifelong", {"velocity": "3"})
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_config("lifelong", {"meta_data": "all"})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -171,12 +173,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kind, digest",
         [
-            ("offline", "c66c7be91be5387e"),
-            ("lifelong", "c72c69414064e1e9"),
-            ("lookup", "6a50074c39e21762"),
-            ("federated", "37e0123b3352dda1"),
-            ("baseline_oracle", "dd6da9b82ec41612"),
-            ("baseline_full", "386c831f6853acbd"),
+            ("offline", "675065d08eb48862"),
+            ("lifelong", "96ca4645d7eef126"),
+            ("lookup", "d7eb06b3e3e9b7d5"),
+            ("federated", "26ec647b618411cf"),
+            ("baseline_oracle", "afc9e50ac2fceebf"),
+            ("baseline_full", "b089b24da6376dfc"),
         ],
     )
     def test_default_config_text_is_pinned(self, kind, digest):

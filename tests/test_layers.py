@@ -50,9 +50,9 @@ def test_layer_script_one_repeat(tmp_path):
     clients = layers["federated.client_fits"]
     assert (clients["clients"], clients["rows"], clients["path_fits"]) == (20, 10, 20)
     design = layers["selection.design"]
-    learned, offline = design["learned_20th_task"], design["offline_seed_setup"]
+    learned, offline = design["learned_seed"], design["offline_seed_setup"]
     assert (learned["tasks"], offline["m_values"], offline["n"]) == (20, 30, 10)
-    assert learned["append_us"] > 0 and offline["sweep_us"] > 0
+    assert learned["build_us"] > 0 and offline["sweep_us"] > 0
     assert [layers[k]["d"] for k in ("gp_ucb.step_d5", "gp_ucb.step_d50")] == [5, 50]
     lockstep = [layers[k] for k in ("gp_ucb.lockstep_d5", "gp_ucb.lockstep_d50")]
     assert [(g["d"], g["tasks"]) for g in lockstep] == [(5, 20), (50, 20)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lifelong_bandits
+from lifelong_bandits import lifelong
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError
 from lifelong_bandits.federated import run_federated
@@ -20,6 +21,8 @@ from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from lifelong_bandits.lifelong import (
     LifelongRunRecord,
     ScheduleMode,
+    _draw,
+    _run_agents,
     _run_tasks,
     exploration_counts,
     integerize,
@@ -195,20 +198,26 @@ class TestRunLifelong:
         )
         assert len(record.tasks) == 3
 
-    def test_all_data_policy_runs(self):
-        record = run_lifelong(
-            small_env(seed=12), m=3, n=16, omega=0.25, lam=0.1,
-            meta_data="all", seed=7,
-        )
-        assert len(record.tasks) == 3
+    def test_every_fit_reads_a_prefix_of_one_design(self, monkeypatch):
+        # the fit after task s reads the first s tasks of one design, so the
+        # pool holds each task's forced rows once
+        stacks = []
+        learn_kernel = lifelong.learn_kernel
+
+        def recording(design, *args, **kwargs):
+            stacks.append(design.F)
+            return learn_kernel(design, *args, **kwargs)
+
+        monkeypatch.setattr(lifelong, "learn_kernel", recording)
+        run_lifelong(small_env(seed=12), m=4, n=16, omega=0.25, lam=0.1, seed=7)
+        assert [len(F) for F in stacks] == [1, 2, 3, 4]
+        assert all(np.shares_memory(F, stacks[0]) for F in stacks[1:])
 
     @pytest.mark.parametrize("lam_policy", ["linear", "theory"])
     def test_bad_config_rejected(self, lam_policy):
         env = small_env()
         with pytest.raises(ConfigError):
             run_lifelong(env, m=2, n=10, omega=0.25, lam=0.1, lam_policy=lam_policy)
-        with pytest.raises(ConfigError):
-            run_lifelong(env, m=2, n=10, omega=0.25, lam=0.1, meta_data="half")
         with pytest.raises(ConfigError):
             run_lifelong(env, m=env.m + 1, n=10, omega=0.25, lam=0.1)
 
@@ -251,15 +260,18 @@ class TestBaseline:
 def pinned_run(env, kernel, m, n, mode, *, seed, alone):
     """Records of m tasks under one pinned kernel, as one group or each alone.
 
-    An ``after_task`` hook makes the loop run every task before it plans the
-    next, so each task's agent runs in a group of its own.
+    Alone, each task is planned as the task loop plans it and its agent runs
+    in an agent pass of its own.
     """
     record = LifelongRunRecord(seed=seed)
-    after_task = (lambda task: None) if alone else None
-    _run_tasks(
-        env, m, n, mode, record, lambda plans: [kernel] * len(plans),
-        seed=seed, after_task=after_task,
-    )
+    if not alone:
+        _run_tasks(env, m, n, mode, record, lambda plans: [kernel] * len(plans), seed=seed)
+        return record
+    counts = [0] * m if mode is None else exploration_counts(mode, n, m).tolist()
+    for s, count in enumerate(counts, start=1):
+        plan = _draw(env, s, count, n, seed)
+        plan.kernel = kernel
+        record.tasks += _run_agents(env, n, [plan], UcbConfig(), record)
     return record
 
 

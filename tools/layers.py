@@ -42,7 +42,7 @@ Layers:
   every later task 4. It reports the time per seed and the APG iterations, Newton
   steps and Newton attempts summed over the fits.
   A design copies each task's rows into its row stack and computes the
-  task's crossterm when the task joins, before any fit, and the recorded
+  task's crossterm when it is built, before any fit, and the recorded
   designs have read their top eigenvalues in the run, so these times hold
   the iteration alone, not the design and eigen work.
 - ``group_lasso.pooled_p2000``: the 2-task pooled fit of the ``lifelong``
@@ -62,11 +62,13 @@ Layers:
   whose path is certified; the others fall back to the iterative solver.
 - ``selection.design``: the design work outside the solver: building the
   design, which copies each task's rows into the row stack and computes its
-  crossterm and ||y_s||^2 as it joins, and the top eigenvalues that every
-  pooled fit reads through ``lipschitz()``.
-  ``learned_20th_task``: appending the 20th task's rows of a
-  ``learned``-like design, sliced from the environment's grid features, to
-  the 19-task design, as the lifelong runner does after each task.
+  crossterm and ||y_s||^2, and the top eigenvalues that every pooled fit
+  reads through ``lipschitz()``.
+  ``learned_seed``: the one design of a ``learned``-like seed, which the
+  lifelong runner builds before its first fit and whose prefixes every fit
+  reads: 20 tasks of the runner's forced-row counts (10 for task 1, 8 down
+  to 4 for the later ones) from uniform grid draws, sliced from the
+  environment's grid features.
   ``offline_seed_setup``: one seed of the default offline sweep
   (m = 1..30, n = 10) without its fits: ``sweep`` runs ``recovery_sweep``
   with the fit replaced by the statistics it reads, reporting a fit that
@@ -74,8 +76,7 @@ Layers:
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh ``GpUcb``, a
-  one-agent ``LockstepUcb``: the group each task of a ``meta_data=all``
-  run steps in.
+  one-agent ``LockstepUcb``.
 - ``gp_ucb.lockstep_d5`` and ``gp_ucb.lockstep_d50``: the same steps for 20
   tasks at once through one ``LockstepUcb`` (the agent pass of
   ``lifelong._run_tasks``), in microseconds per task-step, so they compare
@@ -137,7 +138,7 @@ from lifelong_bandits.harness import (  # noqa: E402
     run_experiment,
     summarize,
 )
-from lifelong_bandits.lifelong import run_lifelong  # noqa: E402
+from lifelong_bandits.lifelong import ScheduleMode, exploration_counts, run_lifelong  # noqa: E402
 from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
 TASKS = 20
@@ -359,27 +360,23 @@ def client_batch(repeats: int) -> dict:
 
 def fit_statistics(design) -> None:
     """Compute what every pooled fit reads before its first iteration
-    beyond what the design computes when a task joins."""
+    beyond what the design computes when it is built."""
     design.lipschitz()
 
 
 def design_learned(repeats: int) -> dict:
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
-    draws = grid_draws(env, [100] + [4] * (TASKS - 1), np.random.default_rng(0))
-    prior = PooledDesign([env.grid_features[d] for d, _ in draws[:-1]], [y for _, y in draws[:-1]])
-    fit_statistics(prior)
-    last, last_y = draws[-1]
+    rows = exploration_counts(ScheduleMode.DECREASING, 100, TASKS)
+    draws = grid_draws(env, rows, np.random.default_rng(0))
 
-    def append():
-        design = prior.prefix(TASKS - 1)
-        design.append(env.grid_features[last], last_y)
-        fit_statistics(design)
+    def build():
+        features = [env.grid_features[drawn] for drawn, _ in draws]
+        fit_statistics(PooledDesign(features, [y for _, y in draws]))
 
-    grown = seconds_of(append, repeats)
     return {
         "tasks": TASKS,
-        "rows": sum(len(y) for _, y in draws),
-        **quartiles("append_us", grown),
+        "rows": int(rows.sum()),
+        **quartiles("build_us", seconds_of(build, repeats)),
     }
 
 
@@ -544,7 +541,7 @@ def main(argv=None) -> int:
     layers["group_lasso.client_fit"] = client_fit(args.repeats)
     layers["federated.client_fits"] = client_batch(args.repeats)
     layers["selection.design"] = {
-        "learned_20th_task": design_learned(args.repeats),
+        "learned_seed": design_learned(args.repeats),
         "offline_seed_setup": design_offline(args.repeats),
     }
     layers["gp_ucb.step_d5"] = ucb_step((1, 2, 3, 4, 5), args.repeats)
