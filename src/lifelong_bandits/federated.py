@@ -99,8 +99,6 @@ def client_fits(
     omega: float,
     *,
     clients,
-    tol: float = 1e-8,
-    max_iter: int = 50_000,
 ) -> list[ClientVote]:
     """Fit each client's data alone, all in one batched lasso path, and
     return their index votes in order.
@@ -118,7 +116,7 @@ def client_fits(
     for client, y in zip(clients, rewards, strict=True):
         if y.size == 0:
             raise DataError(f"client {client} has no exploration data")
-    coeffs, reports = fit_lassos(features, rewards, lam, tol=tol, max_iter=max_iter)
+    coeffs, reports = fit_lassos(features, rewards, lam)
     votes = []
     for client, y, beta, report in zip(clients, rewards, coeffs, reports):
         failed = not report.converged
@@ -134,12 +132,10 @@ def client_fit(
     omega: float,
     *,
     client: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 50_000,
 ) -> ClientVote:
     """Fit one client's data alone and return its index vote: the
     one-client form of ``client_fits``."""
-    (vote,) = client_fits([phi], [y], lam, omega, clients=[client], tol=tol, max_iter=max_iter)
+    (vote,) = client_fits([phi], [y], lam, omega, clients=[client])
     return vote
 
 
@@ -159,8 +155,6 @@ def run_federated(
     *,
     ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
-    solver_tol: float = 1e-8,
-    solver_max_iter: int = 50_000,
 ) -> FederatedRunRecord:
     """Run m client tasks with voting between exploration and exploitation.
 
@@ -181,8 +175,6 @@ def run_federated(
             lam,
             omega,
             clients=[plan.task for plan in plans],
-            tol=solver_tol,
-            max_iter=solver_max_iter,
         )
         kernels = []
         for vote in votes:

@@ -123,8 +123,6 @@ class ExperimentConfig:
     table: str = _key(str, "")
     baseline_kernel: str = _key(str, "oracle")
     m_values: tuple[int, ...] = _key(_parse_int_list, ",".join(str(v) for v in range(1, 31)))
-    solver_tol: float = _key(_parse_finite, "1e-08")
-    solver_max_iter: int = _key(int, "50000")
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -147,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError("m=0 (all tasks) only applies with a table")
         BasisFamily(self.family)
         ScheduleMode(self.schedule)
+        if self.kind == "federated" and self.schedule != "constant":
+            raise ConfigError("federated clients explore on the constant schedule only")
         if self.lam_policy not in LAM_POLICIES:
             raise ConfigError(f"unknown lam policy: {self.lam_policy!r}")
         if self.baseline_kernel not in BASELINE_KERNELS:
@@ -165,10 +165,6 @@ class ExperimentConfig:
             raise ConfigError("omega must be nonnegative")
         if self.lam < 0:
             raise ConfigError("lam must be nonnegative")
-        if self.solver_tol <= 0:
-            raise ConfigError("solver_tol must be positive")
-        if self.solver_max_iter < 1:
-            raise ConfigError("solver_max_iter must be positive")
         if self.grid < 0 or self.grid == 1:
             raise ConfigError("grid must be 0 (the family default) or at least 2")
         # the validators of the objects each seed builds, run once up front
@@ -186,7 +182,8 @@ class ExperimentConfig:
         for f in sorted(fields(self), key=lambda f: f.name):
             value = getattr(self, f.name)
             if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
+                # a one-element list keeps its comma: a bare integer is a count
+                value = ",".join(str(v) for v in value) + ("," if len(value) == 1 else "")
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
@@ -465,8 +462,6 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
             config.omega,
             config.lam,
             seed,
-            tol=config.solver_tol,
-            max_iter=config.solver_max_iter,
         )
         return [
             (m, trial.exact, trial.fallback, len(trial.selected))
@@ -487,8 +482,6 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
             config.alpha,
             ucb=ucb,
             seed=seed,
-            solver_tol=config.solver_tol,
-            solver_max_iter=config.solver_max_iter,
         )
     return run_lifelong(
         env,
@@ -500,8 +493,6 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
         schedule_mode=ScheduleMode(config.schedule),
         ucb=ucb,
         seed=seed,
-        solver_tol=config.solver_tol,
-        solver_max_iter=config.solver_max_iter,
     )
 
 

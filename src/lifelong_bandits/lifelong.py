@@ -241,8 +241,6 @@ def run_lifelong(
     schedule_mode: ScheduleMode = ScheduleMode.DECREASING,
     ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
-    solver_tol: float = 1e-8,
-    solver_max_iter: int = 50_000,
 ) -> LifelongRunRecord:
     """Run m tasks with forced exploration and a kernel update after each.
 
@@ -270,14 +268,7 @@ def run_lifelong(
             kernels.append(kernel)
             design = pool.prefix(s)
             lam_s = lam if lam_policy == "constant" else lam / math.sqrt(s)
-            outcome = learn_kernel(
-                design,
-                omega,
-                lam_s,
-                tol=solver_tol,
-                max_iter=solver_max_iter,
-                x0=padded_warm_start(warm, design, lam_s),
-            )
+            outcome = learn_kernel(design, omega, lam_s, x0=padded_warm_start(warm, design, lam_s))
             if not outcome.report.converged:
                 record.events.append((s, "solver"))
                 warm = None

@@ -72,14 +72,10 @@ def learn_kernel(
     omega: float,
     lam: float,
     *,
-    tol: float = 1e-8,
-    max_iter: int = 50_000,
     x0: np.ndarray | None = None,
 ) -> KernelSelection:
     """Group-lasso fit, threshold, and averaged-kernel construction."""
-    coeffs, report = fit_group_lasso(
-        design, lam, tol=tol, max_iter=max_iter, x0=x0
-    )
+    coeffs, report = fit_group_lasso(design, lam, x0=x0)
     selected = threshold_groups(group_norms(coeffs), design.m, omega)
     return KernelSelection(
         selected=selected or tuple(range(1, design.p + 1)),
@@ -107,9 +103,6 @@ def recovery_sweep(
     omega: float,
     lam: float,
     seed: int,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 50_000,
 ) -> list[RecoveryResult]:
     """One seed's recovery trials, one per entry of ``m_values``, in order.
 
@@ -125,8 +118,8 @@ def recovery_sweep(
     when that fit had fewer than m tasks, and cold
     otherwise, as ``run_lifelong`` starts each fit from the one before. So
     the answer at m depends on the other entries only through its starting
-    point, and the stop rule (a mapping norm within ``tol``) bounds how far
-    that can move it.
+    point, and the solver's stop rule (a mapping norm within
+    ``fit_group_lasso``'s ``tol``) bounds how far that can move it.
     """
     m_values = tuple(m_values)
     if n < 1:
@@ -147,10 +140,7 @@ def recovery_sweep(
     warm = None  # the last converged fit
     for m in m_values:
         pool = design.prefix(m)
-        sel = learn_kernel(
-            pool, omega, lam, tol=tol, max_iter=max_iter,
-            x0=padded_warm_start(warm, pool, lam),
-        )
+        sel = learn_kernel(pool, omega, lam, x0=padded_warm_start(warm, pool, lam))
         if sel.report.converged:
             warm = sel.coeffs
         results.append(
@@ -172,11 +162,8 @@ def recovery_trial(
     omega: float,
     lam: float,
     seed: int,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 50_000,
 ) -> RecoveryResult:
     """Sample m tasks, fit on n uniform points each, check exact recovery:
     the one-m case of ``recovery_sweep``."""
-    (result,) = recovery_sweep(spec, (m,), n, omega, lam, seed, tol=tol, max_iter=max_iter)
+    (result,) = recovery_sweep(spec, (m,), n, omega, lam, seed)
     return result

@@ -161,9 +161,7 @@ class TestClientFit:
         phi, y, vote = seen[6]
         assert vote.indices == (2, 5, 10, 13, 17, 20, 21, 25, 35, 43, 48)
         assert not vote.failed
-        _, (report,) = fit_lassos(
-            [phi], [y], config.lam, tol=config.solver_tol, max_iter=config.solver_max_iter
-        )
+        _, (report,) = fit_lassos([phi], [y], config.lam)
         assert report.method == "apg"
 
 

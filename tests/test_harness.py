@@ -1,12 +1,14 @@
 """Config resolution, trace files, summaries, and the experiment runner."""
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lifelong_bandits import federated, harness, selection
 from lifelong_bandits.environment import LookupTable, uniform_grid
 from lifelong_bandits.errors import ConfigError, DataError
 from lifelong_bandits.harness import (
@@ -46,6 +48,14 @@ class TestConfig:
         assert again == cfg
         assert again.digest() == cfg.digest()
 
+    @pytest.mark.parametrize("seeds", ["3,", "0,"])
+    def test_single_seed_round_trips(self, seeds):
+        # a bare integer is a count, so a single seed must keep its comma
+        cfg = build_config("lifelong", {"seeds": seeds})
+        again = build_config(None, parse_pairs(cfg.serialize()))
+        assert again == cfg
+        assert again.digest() == cfg.digest()
+
     def test_digest_stable_under_reordering(self):
         text_a = "kind = lifelong\nm = 5\nn = 30\n"
         text_b = "n = 30\nkind = lifelong\n\n# comment\nm = 5\n"
@@ -72,8 +82,10 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             build_config("lifelong", {"velocity": "3"})
-        with pytest.raises(ConfigError, match="unknown config key"):
-            build_config("lifelong", {"meta_data": "all"})
+        # retired keys: meta_data, and the solver's own tol and max_iter
+        for key in ("meta_data", "solver_tol", "solver_max_iter"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                build_config("lifelong", {key: "1"})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -106,14 +118,11 @@ class TestConfig:
             ("lam_ucb", "0"),
             ("nu", "-1"),
             ("grid", "1"),
-            ("solver_tol", "0"),
             ("omega", "-1"),
             ("schedule", "custom"),
             ("seeds", "0,0"),
             ("seeds", "-1,"),
             ("lam", "-1"),
-            ("solver_max_iter", "0"),
-            ("solver_max_iter", "-5"),
             ("lam", "nan"),
             ("noise", "nan"),
             ("omega", "inf"),
@@ -129,6 +138,13 @@ class TestConfig:
         # no effect (non-finite floats)
         with pytest.raises(ConfigError):
             build_config("lifelong", {key: value})
+
+    def test_federated_schedule_other_than_constant_rejected_up_front(self):
+        # the federated runner always explores on the constant schedule, so
+        # any other value would be named in the config and then ignored
+        with pytest.raises(ConfigError, match="constant"):
+            build_config("federated", {"schedule": "decreasing"})
+        assert build_config("federated", {"schedule": "constant"}).schedule == "constant"
 
     @pytest.mark.parametrize(
         "key, value", [("noise", "-1"), ("p", "0"), ("family", "cosine1d"), ("m", "3")]
@@ -173,12 +189,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kind, digest",
         [
-            ("offline", "675065d08eb48862"),
-            ("lifelong", "96ca4645d7eef126"),
-            ("lookup", "d7eb06b3e3e9b7d5"),
-            ("federated", "26ec647b618411cf"),
-            ("baseline_oracle", "afc9e50ac2fceebf"),
-            ("baseline_full", "b089b24da6376dfc"),
+            ("offline", "a2c88c017a9bb7cb"),
+            ("lifelong", "8cfffafb4411f1d0"),
+            ("lookup", "e7643208ab184972"),
+            ("federated", "5d04f968fb357aca"),
+            ("baseline_oracle", "8a0fc412aac0b845"),
+            ("baseline_full", "6bc035b19fe6195f"),
         ],
     )
     def test_default_config_text_is_pinned(self, kind, digest):
@@ -187,6 +203,19 @@ class TestConfig:
         # pinned here through its digest
         pairs = {"table": "t.csv"} if kind == "lookup" else {}
         assert build_config(kind, pairs).digest()[:16] == digest
+
+
+def seed_records(monkeypatch):
+    """Each seed's runner record, filled in as ``run_experiment`` runs it."""
+    records = {}
+    run_one_seed = harness._run_one_seed
+
+    def recording(config, seed, table):
+        records[seed] = run_one_seed(config, seed, table)
+        return records[seed]
+
+    monkeypatch.setattr(harness, "_run_one_seed", recording)
+    return records
 
 
 def lookup_pairs(tmp_path):
@@ -406,7 +435,6 @@ class TestRunExperiment:
             ("lam", "1e9"),
             ("omega", "1e9"),
             ("nu", "1e300"),
-            ("solver_max_iter", "1"),
             ("lam_policy", "constant"),
         ],
     )
@@ -416,6 +444,55 @@ class TestRunExperiment:
         result = run_experiment(build_config(pairs={**pairs, key: value}))
         assert not result.failures
         assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
+
+    def test_lifelong_fits_that_never_converge_keep_the_full_kernel(self, tmp_path, monkeypatch):
+        # one iteration converges no fit at these seeds: each records a solver
+        # event and keeps the kernel before it, so every task runs under all
+        # 50 groups
+        fit = partial(selection.fit_group_lasso, max_iter=1)
+        monkeypatch.setattr(selection, "fit_group_lasso", fit)
+        records = seed_records(monkeypatch)
+        pairs = {"kind": "lifelong", "m": "4", "n": "20", "seeds": "0,1", "out": str(tmp_path)}
+        result = run_experiment(build_config(pairs=pairs))
+        assert not result.failures and sorted(records) == [0, 1]
+        for record in records.values():
+            assert record.events == [(s, "solver") for s in range(1, 5)]
+            assert all(task.kernel == tuple(range(1, 51)) for task in record.tasks)
+
+    def test_federated_fits_that_never_converge_vote_failed(self, tmp_path, monkeypatch):
+        # every client's fit fails: its vote is empty and flagged, and with
+        # no index endorsed the client runs under the full kernel
+        fit = partial(federated.fit_lassos, max_iter=1)
+        monkeypatch.setattr(federated, "fit_lassos", fit)
+        records = seed_records(monkeypatch)
+        pairs = {"kind": "federated", "m": "4", "n": "20", "seeds": "0,1", "out": str(tmp_path)}
+        result = run_experiment(build_config(pairs=pairs))
+        assert not result.failures and sorted(records) == [0, 1]
+        for seed, record in records.items():
+            lines = (tmp_path / f"votes_seed{seed}.csv").read_text().splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            assert [(row[1], row[3]) for row in rows] == [("", "1")] * 4
+            assert {name for _, name in record.events} == {"solver", "fallback"}
+            assert all(task.kernel == tuple(range(1, 51)) for task in record.tasks)
+
+    def test_fit_after_a_failed_fit_starts_cold(self, tmp_path, monkeypatch):
+        # a failed fit drops the warm start: when the second fit fails, the
+        # third starts cold and the fourth from the third
+        fit_group_lasso, starts = selection.fit_group_lasso, []
+
+        def second_fails(design, lam, *, x0=None):
+            starts.append(x0)
+            cut = {"max_iter": 1} if len(starts) == 2 else {}
+            return fit_group_lasso(design, lam, x0=x0, **cut)
+
+        monkeypatch.setattr(selection, "fit_group_lasso", second_fails)
+        records = seed_records(monkeypatch)
+        pairs = {"kind": "lifelong", "m": "4", "n": "20", "seeds": "0,", "out": str(tmp_path)}
+        assert not run_experiment(build_config(pairs=pairs)).failures
+        assert [x0 is None for x0 in starts] == [True, False, True, False]
+        record = records[0]
+        assert (2, "solver") in record.events
+        assert record.tasks[2].kernel == record.tasks[1].kernel
 
     def test_lifelong_at_p2000_completes_every_seed_in_bounded_time(self, tmp_path):
         # each task holds 4-10 forced rows against 2 000 groups, and the

@@ -6,7 +6,9 @@ binding that is renamed or dropped breaks the traced benchmark. This test
 installs the tracer, runs one tiny experiment of each runner through the
 harness (and the baseline through the CLI), calls ``federated.client_fit``
 directly, since no runner calls it any more, and checks the spans and that
-uninstalling puts every binding back.
+uninstalling puts every binding back. The tracer counts a fit as warm
+only when ``x0`` reaches ``fit_group_lasso`` as a keyword, so the lifelong
+run must report warm fits.
 """
 
 import importlib.util
@@ -72,6 +74,9 @@ def test_tracer_spans_every_runner_and_restores_every_binding(tmp_path, capsys):
             pairs = {**pairs, "seeds": "3,", "out": str(tmp_path / kind)}
             harness.run_experiment(harness.build_config(kind, pairs))
             spans[kind] = tracer.spans[start:]
+            if kind == "lifelong":
+                # read before any other kind's fits count
+                lifelong_warm_ratio = tracer.metrics()["group_lasso.fit.warm_ratio"]
         start = len(tracer.spans)
         argv = ["baseline", "--seeds", "3,", "--out", str(tmp_path / "baseline")]
         assert cli.main(argv + ["--override", "m=1", "--override", "n=10"]) == 0
@@ -99,5 +104,7 @@ def test_tracer_spans_every_runner_and_restores_every_binding(tmp_path, capsys):
         assert {span[4] for span in spans[kind] if span[0] == name} == {3}
     assert names("client_fit") == {"federated.client_fit"}
     assert "group_lasso.fit" in names("offline")
+    # the tracer sees a warm start only as fit_group_lasso's x0 keyword
+    assert lifelong_warm_ratio > 0
     assert "cli.main" in names("baseline")
     assert "baseline_oracle: 1/1 seeds" in capsys.readouterr().out
