@@ -118,11 +118,14 @@ class TestConfig:
             ("lam_ucb", "0"),
             ("nu", "-1"),
             ("grid", "1"),
+            ("solver_tol", "0"),
             ("omega", "-1"),
             ("schedule", "custom"),
             ("seeds", "0,0"),
             ("seeds", "-1,"),
             ("lam", "-1"),
+            ("solver_max_iter", "0"),
+            ("solver_max_iter", "-5"),
             ("lam", "nan"),
             ("noise", "nan"),
             ("omega", "inf"),
@@ -133,9 +136,9 @@ class TestConfig:
     )
     def test_values_that_fail_every_seed_rejected_up_front(self, key, value):
         # each of these but p=1 (the default 5-group support cannot fit in
-        # one group) and the retired lam_policy=theory used to pass config
-        # resolution and then fail every seed, or run every seed twice or to
-        # no effect (non-finite floats)
+        # one group) and the retired lam_policy=theory, solver_tol and
+        # solver_max_iter used to pass config resolution and then fail every
+        # seed, or run every seed twice or to no effect (non-finite floats)
         with pytest.raises(ConfigError):
             build_config("lifelong", {key: value})
 
