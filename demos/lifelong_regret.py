@@ -29,8 +29,7 @@ def main() -> None:
 
     oracle = run_baseline(env, "oracle", args.tasks, args.steps, **common)
     naive = run_baseline(env, "full", args.tasks, args.steps, **common)
-    learned = run_lifelong(env, args.tasks, args.steps, 0.25, 0.5,
-                       lam_policy="inv_sqrt", **common)
+    learned = run_lifelong(env, args.tasks, args.steps, 0.25, 0.5, **common)
 
     print(f"hidden support: {env.support}")
     print(f"{'task':>4}  {'oracle':>8}  {'learned':>8}  {'naive':>8}  "

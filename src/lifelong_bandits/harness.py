@@ -1,24 +1,24 @@
 """Experiment configuration, the seed loop, and the result files.
 
-Configs are flat ``key = value`` text. Each key is declared once, as a field
-of ``ExperimentConfig`` that carries the parser of its text value and its
-default for the lifelong kind; ``_KIND_DEFAULTS`` overrides some defaults per
-kind, so an empty config runs the reference setup for its kind. Float keys
-must be finite. The canonical serialization sorts keys, and the config
-digest is the sha256 of that canonical text, which makes it stable under
-reordering of the input.
+Configs are flat ``key = value`` text, each key on one line at most. Each
+key is declared once, as a field of ``ExperimentConfig`` that carries the
+parser of its text value and its default for the lifelong kind;
+``_KIND_DEFAULTS`` overrides some defaults per kind, so an empty config runs
+the reference setup for its kind. Float keys must be finite. The canonical
+serialization sorts keys, and the config digest is the sha256 of that
+canonical text, which makes it stable under reordering of the input.
 
 ``run_experiment`` runs every kind through one seed loop: a seed that raises
 becomes a row of ``failures.csv`` and the loop goes on; the run raises only
-when every seed failed, after writing that file. Every result file is CSV
-written by one column writer, ``_csv``. Floats are written as the repr of a
-Python float and parsed with float, so a written file reproduces the
-in-memory arrays bit for bit and identical runs produce byte-identical
-files. A trace repeats its
-values (most instantaneous regrets are exactly 0.0), so the writer formats
-each distinct value of an int or float array column once, keyed by its bits
-so that 0.0 and -0.0 stay apart; the bytes are those of formatting every
-cell on its own.
+when every seed failed, after writing that file. A run with no failed seed
+removes the ``failures.csv`` an earlier run left in its directory. Every
+result file is CSV written by one column writer, ``_csv``. Floats are written
+as the repr of a Python float and parsed with float, so a written file
+reproduces the in-memory arrays bit for bit and identical runs produce
+byte-identical files. A trace repeats its values (most instantaneous regrets
+are exactly 0.0), so the writer formats each distinct value of an int or
+float array column once, keyed by its bits so that 0.0 and -0.0 stay apart;
+the bytes are those of formatting every cell on its own.
 """
 
 from __future__ import annotations
@@ -35,14 +35,7 @@ from .errors import ConfigError, DataError
 from .features import BasisFamily, FeatureAtlas
 from .federated import run_federated
 from .gp_ucb import UcbConfig
-from .lifelong import (
-    BASELINE_KERNELS,
-    LAM_POLICIES,
-    LifelongRunRecord,
-    ScheduleMode,
-    run_baseline,
-    run_lifelong,
-)
+from .lifelong import BASELINE_KERNELS, LifelongRunRecord, run_baseline, run_lifelong
 # recovery_trial stays bound here: perfbench's tracer wraps this binding
 from .selection import recovery_sweep, recovery_trial  # noqa: F401
 
@@ -58,7 +51,7 @@ _KIND_DEFAULTS = {
         "n": "144",
         "lam": "0.015",
     },
-    "federated": {"lam": "0.2", "schedule": "constant"},
+    "federated": {"lam": "0.2"},
     "baseline_oracle": {"baseline_kernel": "oracle"},
     "baseline_full": {"baseline_kernel": "full"},
 }
@@ -116,8 +109,6 @@ class ExperimentConfig:
     omega: float = _key(_parse_finite, "0.25")
     lam: float = _key(_parse_finite, "0.5")
     alpha: float = _key(_parse_finite, "0.25")
-    lam_policy: str = _key(str, "inv_sqrt")
-    schedule: str = _key(str, "decreasing")
     nu: float = _key(_parse_finite, "10.0")
     lam_ucb: float = _key(_parse_finite, "0.1")
     table: str = _key(str, "")
@@ -144,11 +135,6 @@ class ExperimentConfig:
         if self.m == 0 and not self.table:
             raise ConfigError("m=0 (all tasks) only applies with a table")
         BasisFamily(self.family)
-        ScheduleMode(self.schedule)
-        if self.kind == "federated" and self.schedule != "constant":
-            raise ConfigError("federated clients explore on the constant schedule only")
-        if self.lam_policy not in LAM_POLICIES:
-            raise ConfigError(f"unknown lam policy: {self.lam_policy!r}")
         if self.baseline_kernel not in BASELINE_KERNELS:
             raise ConfigError(f"unknown baseline kernel: {self.baseline_kernel!r}")
         if self.kind.startswith("baseline_") and self.kind != "baseline_" + self.baseline_kernel:
@@ -192,7 +178,8 @@ class ExperimentConfig:
 
 
 def parse_pairs(text: str) -> dict[str, str]:
-    pairs = {}
+    """The ``key = value`` pairs of config text; a key may appear once."""
+    pairs, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -200,7 +187,11 @@ def parse_pairs(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        pairs[key] = value.strip()
     return pairs
 
 
@@ -222,15 +213,14 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
         if key not in values:
             raise ConfigError(f"unknown config key: {key!r}")
         values[key] = value
-    if values["lam_ucb"].strip().lower() == "theory":
-        # theoretical regularizer 1 + 2/n, resolved here so the stored
-        # config and its digest reflect the number actually used
+    parsed = {}
+    for f in keys:
         try:
-            values["lam_ucb"] = repr(1.0 + 2.0 / int(values["n"]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot resolve lam_ucb=theory: {exc}") from exc
+            parsed[f.name] = f.metadata["parse"](values[f.name])
+        except ValueError as exc:
+            raise ConfigError(f"{f.name}: {exc}") from exc
     try:
-        return ExperimentConfig(**{f.name: f.metadata["parse"](values[f.name]) for f in keys})
+        return ExperimentConfig(**parsed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -483,17 +473,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
             ucb=ucb,
             seed=seed,
         )
-    return run_lifelong(
-        env,
-        m,
-        config.n,
-        config.omega,
-        config.lam,
-        lam_policy=config.lam_policy,
-        schedule_mode=ScheduleMode(config.schedule),
-        ucb=ucb,
-        seed=seed,
-    )
+    return run_lifelong(env, m, config.n, config.omega, config.lam, ucb=ucb, seed=seed)
 
 
 def _write_outputs(out: Path, result: ExperimentResult) -> None:
@@ -543,6 +523,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
     if out is not None and failures:
         (out / "failures.csv").write_text(_csv("seed,error", zip(*failures)))
+    elif out is not None:
+        # a run with no failed seed leaves no failures.csv, not even an earlier run's
+        (out / "failures.csv").unlink(missing_ok=True)
     if not done:
         raise RuntimeError("every seed failed; first error: " + failures[0][1])
     traces, summary, recovery, curve, votes = {}, None, None, None, None

@@ -16,14 +16,17 @@ over the union of the tasks' groups, with the features sliced once from the
 environment's feature table. A run uses one ``UcbConfig``, its ``ucb``
 argument. The runners differ only in where the kernel comes from:
 
-``run_lifelong``
-    a pooled group-lasso fit over the forced draws of the tasks so far,
-    warm-started from the previous fit: one ``PooledDesign`` holds every
-    task's draws, and the fit after task s reads its first s tasks;
+``run_lifelong`` (LiBO)
+    a pooled group-lasso fit over the forced draws of the tasks so far, at
+    penalty lam / sqrt(s) after task s, warm-started from the previous fit:
+    one ``PooledDesign`` holds every task's draws, and the fit after task s
+    reads its first s tasks; task s draws sqrt(n) / s^(1/4) forced points
+    (the decreasing schedule);
 ``run_baseline``
     a pinned kernel (the true support or every group), with no forced draws;
-``run_federated`` (in :mod:`.federated`)
-    each task's own fit turned into a vote, all tasks' fits in one batched
+``run_federated`` (in :mod:`.federated`, F-LiBO)
+    each task's own fit, over its sqrt(n) forced draws (the constant
+    schedule), turned into a vote, all tasks' fits in one batched
     call, and the server set of the vote ledger after each vote, in the
     kernel callback, so the prefix is observed before the kernel is known.
 
@@ -48,7 +51,6 @@ from .seeding import STREAM_EXPLORE, substream
 # design_from_tasks stays bound here: perfbench's tracer wraps this binding
 from .selection import design_from_tasks, learn_kernel  # noqa: F401
 
-LAM_POLICIES = ("constant", "inv_sqrt")
 BASELINE_KERNELS = ("oracle", "full")
 
 
@@ -237,22 +239,18 @@ def run_lifelong(
     omega: float,
     lam: float,
     *,
-    lam_policy: str = "constant",
-    schedule_mode: ScheduleMode = ScheduleMode.DECREASING,
     ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
 ) -> LifelongRunRecord:
-    """Run m tasks with forced exploration and a kernel update after each.
+    """Run LiBO: m tasks with forced exploration and a kernel update after each.
 
-    Task 1 runs under the full kernel. Task s > 1 runs under the kernel
-    learned after task s-1 from the forced draws of tasks 1..s-1; a
-    non-converged fit keeps the prior kernel, while a converged fit that
-    selects nothing installs the full kernel. ``lam_policy`` sets the fit's
-    penalty after task s: "constant" uses ``lam``, "inv_sqrt" uses
-    lam / sqrt(s). Every task's agent runs under the GP-UCB config ``ucb``.
+    Task s draws its forced points on the decreasing schedule. Task 1 runs
+    under the full kernel. Task s > 1 runs under the kernel learned after
+    task s-1 from the forced draws of tasks 1..s-1, at penalty
+    lam / sqrt(s-1); a non-converged fit keeps the prior kernel, while a
+    converged fit that selects nothing installs the full kernel. Every
+    task's agent runs under the GP-UCB config ``ucb``.
     """
-    if lam_policy not in LAM_POLICIES:
-        raise ConfigError(f"unknown lam policy: {lam_policy!r}")
     record = LifelongRunRecord(seed=seed)
     kernel = tuple(range(1, env.p + 1))
 
@@ -267,7 +265,7 @@ def run_lifelong(
         for s in range(1, pool.m + 1):
             kernels.append(kernel)
             design = pool.prefix(s)
-            lam_s = lam if lam_policy == "constant" else lam / math.sqrt(s)
+            lam_s = lam / math.sqrt(s)
             outcome = learn_kernel(design, omega, lam_s, x0=padded_warm_start(warm, design, lam_s))
             if not outcome.report.converged:
                 record.events.append((s, "solver"))
@@ -279,7 +277,7 @@ def run_lifelong(
             kernel = outcome.selected
         return kernels
 
-    _run_tasks(env, m, n, schedule_mode, record, kernels_for, seed=seed, ucb=ucb)
+    _run_tasks(env, m, n, ScheduleMode.DECREASING, record, kernels_for, seed=seed, ucb=ucb)
     record.final_kernel = kernel
     return record
 

@@ -201,12 +201,7 @@ def regret_study():
         records["naive"].append(
             run_baseline(env, "full", m, n, ucb=ucb, seed=seed)
         )
-        records["learned"].append(
-            run_lifelong(
-                env, m, n, 0.25, 0.5,
-                lam_policy="inv_sqrt", ucb=ucb, seed=seed,
-            )
-        )
+        records["learned"].append(run_lifelong(env, m, n, 0.25, 0.5, ucb=ucb, seed=seed))
         records["federated"].append(
             run_federated(env, m, n, 0.25, 0.2, 0.25, ucb=ucb, seed=seed)
         )

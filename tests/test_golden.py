@@ -36,13 +36,11 @@ _BANDIT = {"seeds": SEEDS, "m": "4", "n": "30", "grid": "120"}
 
 CONFIGS = {
     "lifelong": ("lifelong", _BANDIT),
-    "lifelong_lam_constant": ("lifelong", {**_BANDIT, "lam_policy": "constant"}),
-    "lifelong_constant": ("lifelong", {**_BANDIT, "schedule": "constant"}),
     "federated": ("federated", _BANDIT),
     "baseline_oracle": ("baseline_oracle", _BANDIT),
     "baseline_full": ("baseline_full", _BANDIT),
     "offline": ("offline", {"seeds": SEEDS, "n": "10", "m_values": "1,3,6"}),
-    "lookup_constant": ("lookup", {"seeds": SEEDS, "p": "9", "n": "16", "lam_policy": "constant"}),
+    "lookup": ("lookup", {"seeds": SEEDS, "p": "9", "n": "16"}),
 }
 
 GOLDEN = {
@@ -73,19 +71,7 @@ GOLDEN = {
         "trace_seed1.csv": "92990360efc8f009aa3dfb36cb9d56926aafcf360960b6872c1f218bf8875bdc",
         "trace_seed2.csv": "9c8976dc61b49877a200c8f3b008255d12b12529b9bae470d2595757fb2582e1",
     },
-    "lifelong_constant": {
-        "summary.csv": "aaf6877c3156a24990131986af5201fbd9c5c2cdedd3c8222ee4d8a7c2796196",
-        "trace_seed0.csv": "f26db23320b10faa6c976cbe42672f0ac2e53d4c99641aadaefab0ff519c1c98",
-        "trace_seed1.csv": "34dd4cc423bfe5a21973ef1495ea1bfebb9cd4215e65aad88ba75bb89eb182b9",
-        "trace_seed2.csv": "0e883e06defe2edfae454c2550973245225f60a2f21d063d98a745b925cc195b",
-    },
-    "lifelong_lam_constant": {
-        "summary.csv": "3dd9cf2de51cc65e21663747da25a8c81fb617f70515b2e4415599b3de09e1f9",
-        "trace_seed0.csv": "2ef77fafb1e8fb8014958d7de21769469a0cafad15fc6953b3f3c4422987d60b",
-        "trace_seed1.csv": "ce0acb302765890274e63859330dad2ff3a141b7606936af1f31cdc7941a123a",
-        "trace_seed2.csv": "d7727a0825a7bb129fb6b16f78fb20a26616110200ccc41de8de4f6d31282318",
-    },
-    "lookup_constant": {
+    "lookup": {
         "summary.csv": "456094592ce30e133acb76d3c3eae4b17ad47021167a311bae24e40583d3bbe3",
         "trace_seed0.csv": "72ad1124d7f940eadca45f781a2dcd16deae9fc2e4cc01381bcc0037c5be836b",
         "trace_seed1.csv": "10baabbb131eb68a0a17aae2eb4f66f850d2a6dcded5c1ce6ed65635b5c8a7a8",

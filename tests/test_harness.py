@@ -92,7 +92,7 @@ class TestConfig:
             build_config("warmup")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^m: "):
             build_config("lifelong", {"m": "many"})
 
     def test_lookup_requires_table(self):
@@ -108,6 +108,11 @@ class TestConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_pairs("kind lifelong\n")
+
+    def test_repeated_key_rejected(self):
+        # the later line used to win in silence
+        with pytest.raises(ConfigError, match=r"line 3: key 'm' repeats line 1"):
+            parse_pairs("m = 3\n# comment\nm = 5\n")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -132,22 +137,19 @@ class TestConfig:
             ("nu", "inf"),
             ("p", "1"),
             ("lam_policy", "theory"),
+            ("lam_policy", "constant"),
+            ("schedule", "constant"),
+            ("lam_ucb", "theory"),
         ],
     )
     def test_values_that_fail_every_seed_rejected_up_front(self, key, value):
         # each of these but p=1 (the default 5-group support cannot fit in
-        # one group) and the retired lam_policy=theory, solver_tol and
-        # solver_max_iter used to pass config resolution and then fail every
-        # seed, or run every seed twice or to no effect (non-finite floats)
+        # one group) used to pass config resolution and then fail every
+        # seed, or run every seed twice or to no effect (non-finite floats);
+        # the retired keys (solver_tol, solver_max_iter, lam_policy and
+        # schedule) and lam_ucb=theory are rejected whatever their value
         with pytest.raises(ConfigError):
             build_config("lifelong", {key: value})
-
-    def test_federated_schedule_other_than_constant_rejected_up_front(self):
-        # the federated runner always explores on the constant schedule, so
-        # any other value would be named in the config and then ignored
-        with pytest.raises(ConfigError, match="constant"):
-            build_config("federated", {"schedule": "decreasing"})
-        assert build_config("federated", {"schedule": "constant"}).schedule == "constant"
 
     @pytest.mark.parametrize(
         "key, value", [("noise", "-1"), ("p", "0"), ("family", "cosine1d"), ("m", "3")]
@@ -192,12 +194,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kind, digest",
         [
-            ("offline", "a2c88c017a9bb7cb"),
-            ("lifelong", "8cfffafb4411f1d0"),
-            ("lookup", "e7643208ab184972"),
-            ("federated", "5d04f968fb357aca"),
-            ("baseline_oracle", "8a0fc412aac0b845"),
-            ("baseline_full", "6bc035b19fe6195f"),
+            ("offline", "28bb61079710e368"),
+            ("lifelong", "37161f01aaf721a5"),
+            ("lookup", "013b22f1315afa52"),
+            ("federated", "d242c9f77f8f577a"),
+            ("baseline_oracle", "e69508968adee1e3"),
+            ("baseline_full", "d1e060b6b6d41738"),
         ],
     )
     def test_default_config_text_is_pinned(self, kind, digest):
@@ -438,7 +440,6 @@ class TestRunExperiment:
             ("lam", "1e9"),
             ("omega", "1e9"),
             ("nu", "1e300"),
-            ("lam_policy", "constant"),
         ],
     )
     def test_edge_values_complete_every_seed(self, tmp_path, kind, key, value):
@@ -511,6 +512,23 @@ class TestRunExperiment:
     def test_offline_single_observation_completes_every_seed(self, tmp_path):
         pairs = {"kind": "offline", "n": "1", "seeds": "0,1", "out": str(tmp_path)}
         assert not run_experiment(build_config(pairs=pairs)).failures
+
+    def test_clean_rerun_removes_stale_failures(self, tmp_path, monkeypatch):
+        # failures.csv is written only when a seed raised, so a clean rerun
+        # into the same directory must not keep an earlier run's file
+        run_one_seed = harness._run_one_seed
+
+        def failing(config, seed, *args):
+            if seed == 1:
+                raise RuntimeError("seed 1 broke")
+            return run_one_seed(config, seed, *args)
+
+        monkeypatch.setattr(harness, "_run_one_seed", failing)
+        assert run_experiment(build_config(pairs=tiny_lifelong_pairs(tmp_path))).failures
+        assert (tmp_path / "failures.csv").exists()
+        monkeypatch.setattr(harness, "_run_one_seed", run_one_seed)
+        assert not run_experiment(build_config(pairs=tiny_lifelong_pairs(tmp_path))).failures
+        assert not (tmp_path / "failures.csv").exists()
 
     def test_lifelong_writes_expected_files(self, tmp_path):
         result = run_experiment(build_config(pairs=tiny_lifelong_pairs(tmp_path)))
@@ -609,14 +627,3 @@ class TestRunExperiment:
             run_experiment(build_config(pairs=pairs))
         assert not out.exists()
 
-
-class TestTheoryOptIns:
-    def test_lam_ucb_theory_resolves_against_horizon(self):
-        config = build_config("lifelong", {"lam_ucb": "theory", "n": "50"})
-        assert config.lam_ucb == pytest.approx(1.04)
-        # the stored value is the resolved number, so round-trips are exact
-        assert build_config(None, parse_pairs(config.serialize())) == config
-
-    def test_lam_ucb_theory_with_bad_horizon_rejected(self):
-        with pytest.raises(ConfigError):
-            build_config("lifelong", {"lam_ucb": "theory", "n": "soon"})

@@ -143,10 +143,7 @@ class TestRunLifelong:
         pulls = []
         for seed in (0, 1):
             env = SyntheticEnvironment(spec, n_tasks=25, master_seed=seed, grid_points=30)
-            record = run_lifelong(
-                env, m=25, n=36, omega=0.25, lam=0.1,
-                schedule_mode=ScheduleMode.CONSTANT, seed=seed,
-            )
+            record = run_lifelong(env, m=25, n=36, omega=0.25, lam=0.1, seed=seed)
             for t in record.tasks:
                 pulls.extend(t.actions[t.explored])
         counts = np.bincount(pulls, minlength=30)
@@ -191,12 +188,19 @@ class TestRunLifelong:
             assert np.all(t.regrets >= 0)
         assert len(record.cumulative_regret()) == 3 * 17
 
-    def test_inv_sqrt_policy_runs(self):
-        record = run_lifelong(
-            small_env(seed=11), m=3, n=16, omega=0.25, lam=0.3,
-            lam_policy="inv_sqrt", seed=6,
-        )
+    def test_inv_sqrt_policy_runs(self, monkeypatch):
+        # the fit after task s runs at penalty lam / sqrt(s)
+        penalties = []
+        learn_kernel = lifelong.learn_kernel
+
+        def recording(design, omega, lam, **kwargs):
+            penalties.append(lam)
+            return learn_kernel(design, omega, lam, **kwargs)
+
+        monkeypatch.setattr(lifelong, "learn_kernel", recording)
+        record = run_lifelong(small_env(seed=11), m=3, n=16, omega=0.25, lam=0.3, seed=6)
         assert len(record.tasks) == 3
+        assert penalties == [0.3 / math.sqrt(s) for s in (1, 2, 3)]
 
     def test_every_fit_reads_a_prefix_of_one_design(self, monkeypatch):
         # the fit after task s reads the first s tasks of one design, so the
@@ -213,11 +217,8 @@ class TestRunLifelong:
         assert [len(F) for F in stacks] == [1, 2, 3, 4]
         assert all(np.shares_memory(F, stacks[0]) for F in stacks[1:])
 
-    @pytest.mark.parametrize("lam_policy", ["linear", "theory"])
-    def test_bad_config_rejected(self, lam_policy):
+    def test_too_many_tasks_rejected(self):
         env = small_env()
-        with pytest.raises(ConfigError):
-            run_lifelong(env, m=2, n=10, omega=0.25, lam=0.1, lam_policy=lam_policy)
         with pytest.raises(ConfigError):
             run_lifelong(env, m=env.m + 1, n=10, omega=0.25, lam=0.1)
 
@@ -295,7 +296,7 @@ class TestLockstep:
         if source == "pinned":
             return [env.support, tuple(range(1, env.p + 1))]
         if source == "lifelong":
-            record = run_lifelong(env, self.M, self.N, 0.25, 0.5, lam_policy="inv_sqrt", seed=5)
+            record = run_lifelong(env, self.M, self.N, 0.25, 0.5, seed=5)
         else:
             record = run_federated(env, self.M, self.N, 0.25, 0.2, 0.25, seed=5)
         return sorted({task.kernel for task in record.tasks})
@@ -358,8 +359,7 @@ class TestMirrorSymmetricRun:
     @pytest.mark.parametrize("runner", ["lifelong", "oracle"])
     def test_grouped_tasks_match_manual_loops(self, env, runner):
         if runner == "lifelong":
-            record = run_lifelong(env, self.M, self.N, 0.25, 0.5, lam_policy="inv_sqrt",
-                                  seed=self.SEED)
+            record = run_lifelong(env, self.M, self.N, 0.25, 0.5, seed=self.SEED)
         else:
             record = run_baseline(env, "oracle", self.M, self.N, seed=self.SEED)
         assert len({task.kernel for task in record.tasks}) < self.M

@@ -259,9 +259,7 @@ def pooled_fits(run):
 def lifelong_run():
     """The default ``lifelong`` run at seed 0, and its pooled fits."""
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
-    return pooled_fits(
-        lambda: run_lifelong(env, TASKS, 100, 0.25, 0.5, lam_policy="inv_sqrt", seed=0)
-    )
+    return pooled_fits(lambda: run_lifelong(env, TASKS, 100, 0.25, 0.5, seed=0))
 
 
 def wide_fit(repeats: int) -> dict:
