@@ -22,10 +22,16 @@ all of [0, 1]; the table itself keeps its raw coordinates.
 
 All randomness flows through :mod:`.seeding` substreams, so any single task
 can be replayed in isolation.
+
+The candidate grid and its feature table depend only on the family, p and
+the grid resolution, not on the seed, so every ``SyntheticEnvironment`` of
+a process with the same three shares one read-only pair of arrays, built
+once (``_grid_table``).
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -112,6 +118,17 @@ def uniform_grid(domain: np.ndarray, points_per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_table(family: BasisFamily, p: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate grid of an atlas and its feature table, both read-only."""
+    atlas = FeatureAtlas(family, p)
+    grid = uniform_grid(atlas.domain, grid_points)
+    features = atlas.concat_many(grid)
+    grid.setflags(write=False)
+    features.setflags(write=False)
+    return grid, features
+
+
 def optimum_on_grid(values: np.ndarray) -> tuple[int, float]:
     """Index and value of the maximum; ties go to the lowest index."""
     idx = int(np.argmax(values))
@@ -167,6 +184,9 @@ class SyntheticEnvironment:
     grid_points : int, optional
         Candidate-grid resolution per axis; defaults to 500 in one dimension
         and 71 per axis in two.
+
+    ``grid`` and ``grid_features`` are read-only arrays shared by every
+    environment of the process with the same family, p and resolution.
     """
 
     def __init__(
@@ -184,8 +204,7 @@ class SyntheticEnvironment:
         self.atlas = FeatureAtlas(spec.family, spec.p)
         if grid_points is None:
             grid_points = GRID_POINTS_1D if self.atlas.dim_in == 1 else GRID_POINTS_PER_AXIS_2D
-        self.grid = uniform_grid(self.atlas.domain, grid_points)
-        self.grid_features = self.atlas.concat_many(self.grid)
+        self.grid, self.grid_features = _grid_table(spec.family, spec.p, grid_points)
         self.support = sample_support(spec, substream(self.master_seed, STREAM_SUPPORT))
         self.coeffs = np.stack(
             [

@@ -10,8 +10,9 @@ canonical text, which makes it stable under reordering of the input.
 
 ``run_experiment`` runs every kind through one seed loop: a seed that raises
 becomes a row of ``failures.csv`` and the loop goes on; the run raises only
-when every seed failed, after writing that file. A run with no failed seed
-removes the ``failures.csv`` an earlier run left in its directory. Every
+when every seed failed, after writing that file. Before its seeds run, a
+run removes every result file an earlier run left in its directory
+(``_RESULT_FILES``), so the directory holds this run's files alone. Every
 result file is CSV written by one column writer, ``_csv``. Floats are written
 as the repr of a Python float and parsed with float, so a written file
 reproduces the in-memory arrays bit for bit and identical runs produce
@@ -19,10 +20,18 @@ byte-identical files. A trace repeats its values (most instantaneous regrets
 are exactly 0.0), so the writer formats each distinct value of an int or
 float array column once, keyed by its bits so that 0.0 and -0.0 stay apart;
 the bytes are those of formatting every cell on its own.
+
+The files of one run also share whole columns: every trace and the summary
+have the same ``step`` and ``task``, and a one-seed summary repeats its
+trace's regret columns and has two all-zero error columns. ``_write_outputs``
+makes one memo per run, keyed by each int or float column's dtype and raw
+bytes, and passes it to every file it writes, so each distinct column is
+formatted once per run. The memo lives only as long as that call.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
@@ -225,30 +234,40 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
         raise ConfigError(str(exc)) from exc
 
 
-def _cells(column) -> list[str]:
+def _cells(column, memo: dict | None = None) -> list[str]:
     """The ``str`` of every cell of one column.
 
     An int or float array formats each distinct value once, keyed by its
     bits, so that 0.0 and -0.0 (and NaN payloads) stay apart; the value is
     formatted as a Python scalar, whose ``str`` of a float is its shortest
-    round-tripping repr (a numpy scalar's repr is not a plain number). Any
-    other column is formatted cell by cell, so a Python list mixing ints and
-    floats keeps ``1`` and ``1.0`` apart.
+    round-tripping repr (a numpy scalar's repr is not a plain number). Given
+    a run's ``memo``, such a column is formatted once per run: the memo maps
+    its dtype and raw bytes to its cells (the dtype keeps int64 0 and float64
+    0.0, which share their bits, apart). Any other column is formatted cell
+    by cell, so a Python list mixing ints and floats keeps ``1`` and ``1.0``
+    apart.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in "iuf" and column.itemsize == 8:
+        key = (column.dtype.str, column.tobytes())
+        if memo is not None and key in memo:
+            return memo[key]
         distinct, index = np.unique(column.view(np.int64), return_inverse=True)
         text = np.array([str(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
-        return text[index].tolist()
+        cells = text[index].tolist()
+        if memo is not None:
+            memo[key] = cells
+        return cells
     return [str(v) for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
 
 
-def _csv(header: str, columns) -> str:
+def _csv(header: str, columns, memo: dict | None = None) -> str:
     """CSV text: the header, then one line per row of the equal-length
     ``columns``, assembled in one join.
 
-    The bytes are those of formatting each row's cells by ``%s``.
+    The bytes are those of formatting each row's cells by ``%s``. A run's
+    ``memo`` (see ``_cells``) formats each distinct column once per run.
     """
-    cells = [_cells(column) for column in columns]
+    cells = [_cells(column, memo) for column in columns]
     rows, width = len(cells[0]), 2 * len(cells)
     parts = [","] * (rows * width)
     for j, column in enumerate(cells):
@@ -257,10 +276,10 @@ def _csv(header: str, columns) -> str:
     return header + "\n" + "".join(parts)
 
 
-def _columns_text(table) -> str:
+def _columns_text(table, memo: dict | None = None) -> str:
     """CSV text of a dataclass of equal-length array columns, one row per index."""
     names = [f.name for f in fields(table)]
-    return _csv(",".join(names), [getattr(table, name) for name in names])
+    return _csv(",".join(names), [getattr(table, name) for name in names], memo)
 
 
 def _standard_error(samples: np.ndarray) -> np.ndarray:
@@ -309,8 +328,8 @@ class RegretTrace:
             explored=np.concatenate([t.explored.astype(int) for t in tasks]),
         )
 
-    def to_text(self) -> str:
-        return _columns_text(self)
+    def to_text(self, memo: dict | None = None) -> str:
+        return _columns_text(self, memo)
 
     @classmethod
     def from_text(cls, text: str) -> "RegretTrace":
@@ -333,8 +352,8 @@ class RegretTrace:
             explored=np.array([int(v) for v in cols[6]]),
         )
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
+    def save(self, path, memo: dict | None = None) -> None:
+        Path(path).write_text(self.to_text(memo))
 
     @classmethod
     def load(cls, path) -> "RegretTrace":
@@ -350,8 +369,8 @@ class SummaryTable:
     mean_cumulative: np.ndarray
     se_cumulative: np.ndarray
 
-    def to_text(self) -> str:
-        return _columns_text(self)
+    def to_text(self, memo: dict | None = None) -> str:
+        return _columns_text(self, memo)
 
 
 def summarize(traces) -> SummaryTable:
@@ -477,11 +496,16 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
 
 
 def _write_outputs(out: Path, result: ExperimentResult) -> None:
-    """Write the result files of a run's finished seeds into ``out``."""
+    """Write the result files of a run's finished seeds into ``out``.
+
+    One memo (see ``_cells``) serves every file, so each distinct column is
+    formatted once per run.
+    """
+    memo: dict = {}
     for seed, trace in result.traces.items():
-        trace.save(out / f"trace_seed{seed}.csv")
+        trace.save(out / f"trace_seed{seed}.csv", memo)
     if result.summary is not None:
-        (out / "summary.csv").write_text(result.summary.to_text())
+        (out / "summary.csv").write_text(result.summary.to_text(memo))
     for seed, rows in (result.votes or {}).items():
         votes = [
             (v.client, ";".join(map(str, v.indices)), ";".join(map(str, server)), int(v.failed))
@@ -494,6 +518,17 @@ def _write_outputs(out: Path, result: ExperimentResult) -> None:
         (out / f"recovery_seed{seed}.csv").write_text(text)
     if result.curve is not None:
         (out / "recovery_curve.csv").write_text(result.curve.to_text())
+
+
+# the result files a run writes, beside config.resolved.txt
+_RESULT_FILES = (
+    "failures.csv",
+    "trace_seed*.csv",
+    "votes_seed*.csv",
+    "recovery_seed*.csv",
+    "summary.csv",
+    "recovery_curve.csv",
+)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -513,6 +548,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.out:
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
+        # a rerun into the same directory leaves none of an earlier run's results
+        for stale in out.iterdir():
+            if any(fnmatch.fnmatchcase(stale.name, pattern) for pattern in _RESULT_FILES):
+                stale.unlink()
         (out / "config.resolved.txt").write_text(config.serialize())
     done = {}
     failures: list[tuple[int, str]] = []
@@ -523,9 +562,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
     if out is not None and failures:
         (out / "failures.csv").write_text(_csv("seed,error", zip(*failures)))
-    elif out is not None:
-        # a run with no failed seed leaves no failures.csv, not even an earlier run's
-        (out / "failures.csv").unlink(missing_ok=True)
     if not done:
         raise RuntimeError("every seed failed; first error: " + failures[0][1])
     traces, summary, recovery, curve, votes = {}, None, None, None, None

@@ -51,18 +51,28 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 # criterion 1: solver objective matches a dense grid oracle on small problems
 
 
-def _loss_on_grid(design: PooledDesign, lam: float, B: np.ndarray) -> np.ndarray:
-    """Pooled objective at many coefficient vectors, task-major layout."""
+def _loss_on_grid(design: PooledDesign, lam: float, b) -> np.ndarray:
+    """Pooled objective on a grid of coefficient vectors, task-major layout.
+
+    ``b`` holds the m*d coordinates as arrays that broadcast to the grid's
+    shape. Each task's squared residual |y - F beta|^2 is evaluated in Gram
+    form, |y|^2 - 2 beta^T F^T y + beta^T F^T F beta, from the three
+    statistics computed here from its rows.
+    """
     m, d, N = design.m, design.p, design.total_rows
-    quad = np.zeros(B.shape[0])
+    quad = 0.0
     for s in range(m):
-        beta_s = B[:, s * d : (s + 1) * d]
-        resid = design.Y[s][None, :] - beta_s @ design.F[s].T
-        quad += np.sum(resid * resid, axis=1)
-    pen = np.zeros(B.shape[0])
+        F, y = design.F[s], design.Y[s]
+        Fty, FtF = F.T @ y, F.T @ F
+        beta = b[s * d : (s + 1) * d]
+        quad = quad + y @ y
+        for i in range(d):
+            quad = quad + (FtF[i, i] * beta[i] - 2.0 * Fty[i]) * beta[i]
+            for j in range(i + 1, d):
+                quad = quad + 2.0 * FtF[i, j] * beta[i] * beta[j]
+    pen = 0.0
     for j in range(d):
-        cols = B[:, j::d] if d > 1 else B
-        pen += np.sqrt(np.sum(cols * cols, axis=1))
+        pen = pen + np.sqrt(sum(b[s * d + j] ** 2 for s in range(m)))
     return quad / N + lam * pen
 
 
@@ -72,12 +82,10 @@ def _dense_grid_min(design: PooledDesign, lam: float) -> float:
     axis = np.arange(-bound, bound + step / 2, step)
     md = design.m * design.p
     if md == 1:
-        return float(np.min(_loss_on_grid(design, lam, axis[:, None])))
+        return float(np.min(_loss_on_grid(design, lam, [axis])))
     best = np.inf
     for chunk in np.array_split(axis, 64):
-        u, v = np.meshgrid(chunk, axis, indexing="ij")
-        B = np.stack([u.ravel(), v.ravel()], axis=1)
-        best = min(best, float(np.min(_loss_on_grid(design, lam, B))))
+        best = min(best, float(np.min(_loss_on_grid(design, lam, [chunk[:, None], axis]))))
     return best
 
 

@@ -133,6 +133,22 @@ class TestRewards:
         assert drawn.tolist() == observed
 
 
+class TestGridTable:
+    def test_seeds_share_one_read_only_table(self):
+        spec = SyntheticSpec(p=7, support_size=2)
+        a = SyntheticEnvironment(spec, n_tasks=1, master_seed=0, grid_points=33)
+        b = SyntheticEnvironment(spec, n_tasks=2, master_seed=1, grid_points=33)
+        assert a.grid is b.grid and a.grid_features is b.grid_features
+        assert a.grid_features.tobytes() == a.atlas.concat_many(a.grid).tobytes()
+        for table in (a.grid, a.grid_features):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.5
+        finer = SyntheticEnvironment(spec, n_tasks=1, master_seed=0, grid_points=34)
+        assert finer.grid_features is not a.grid_features
+        assert finer.grid_features.shape == (34, 7)
+        assert finer.grid_features.tobytes() == finer.atlas.concat_many(finer.grid).tobytes()
+
+
 class TestOptimum:
     def test_single_cosine_peak_at_zero(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)

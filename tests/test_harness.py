@@ -1,7 +1,10 @@
 """Config resolution, trace files, summaries, and the experiment runner."""
 
+import tempfile
 import time
+from dataclasses import fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from lifelong_bandits.environment import LookupTable, uniform_grid
 from lifelong_bandits.errors import ConfigError, DataError
 from lifelong_bandits.harness import (
     ExperimentConfig,
+    ExperimentResult,
     RegretTrace,
     SummaryTable,
     _csv,
@@ -321,6 +325,60 @@ def array_columns(draw):
     return columns
 
 
+# int64 0 and 4607182418800017408 have the bits of float64 0.0 and 1.0, and
+# print apart from them only by their dtype
+SHARED_FLOATS = [0.0, -0.0, 1.0, np.nan, NAN_PAYLOAD]
+SHARED_INTS = [0, 4607182418800017408, -(2**63)]
+
+
+def table_rows(table):
+    """The row writer's text of a dataclass of array columns."""
+    names = [f.name for f in fields(table)]
+    return row_csv(",".join(names), zip(*(getattr(table, name).tolist() for name in names)))
+
+
+@st.composite
+def shared_bit_files(draw):
+    """1-4 files of 1-4 columns, each drawn from one small pool of int64 and
+    float64 columns, so that files share columns, and int and float columns
+    share their bits."""
+    rows = draw(st.integers(1, 12))
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            values, dtype = SHARED_INTS, np.int64
+        else:
+            values, dtype = SHARED_FLOATS, np.float64
+        picks = st.lists(st.sampled_from(values), min_size=rows, max_size=rows)
+        column = np.array(draw(picks), dtype=dtype)
+        pool.append(column)
+        if draw(st.booleans()):
+            # the same bits under the other dtype
+            other = np.float64 if dtype is np.int64 else np.int64
+            pool.append(column.view(other))
+    columns = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    return draw(st.lists(columns, min_size=1, max_size=4))
+
+
+@st.composite
+def shared_bit_trace(draw):
+    """A 2-task trace of 0.0, -0.0 and 1.0 regrets whose int columns may hold
+    the bits of 0.0 (int 0) and 1.0 (int 4607182418800017408); every trace
+    of a run has the same steps and tasks."""
+    regrets = st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=6, max_size=6)
+    bits = st.sampled_from([0, 4607182418800017408])
+    inst = np.array(draw(regrets))
+    return RegretTrace(
+        step=np.arange(1, 7),
+        task=np.repeat([1, 2], 3),
+        instantaneous=inst,
+        cumulative=np.cumsum(inst),
+        kernel_size=np.array(draw(st.lists(bits, min_size=6, max_size=6))),
+        recovered=np.full(6, -1),
+        explored=np.full(6, draw(bits)),
+    )
+
+
 class TestCsv:
     @settings(max_examples=200, deadline=None)
     @given(array_columns())
@@ -344,6 +402,29 @@ class TestCsv:
     def test_mixed_list_columns_are_formatted_cell_by_cell(self, rows):
         header = "value,text"
         assert _csv(header, [list(column) for column in zip(*rows)]) == row_csv(header, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_bit_files())
+    def test_files_through_one_memo_match_the_row_writer(self, files):
+        memo = {}
+        for columns in files:
+            header = ",".join(f"c{j}" for j in range(len(columns)))
+            expected = row_csv(header, zip(*(column.tolist() for column in columns)))
+            assert _csv(header, columns, memo) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([1, 3]), st.data())
+    def test_run_files_match_files_written_alone(self, seeds, data):
+        traces = {seed: data.draw(shared_bit_trace()) for seed in range(seeds)}
+        summary = summarize([traces[s] for s in sorted(traces)])
+        result = ExperimentResult(build_config(), "", traces, summary, None, None, None, [])
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            harness._write_outputs(out, result)
+            for seed, trace in traces.items():
+                assert (out / f"trace_seed{seed}.csv").read_text() == table_rows(trace)
+            # the summary as if written alone, by the column writer and the row writer
+            assert (out / "summary.csv").read_text() == summary.to_text() == table_rows(summary)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -529,6 +610,27 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_run_one_seed", run_one_seed)
         assert not run_experiment(build_config(pairs=tiny_lifelong_pairs(tmp_path))).failures
         assert not (tmp_path / "failures.csv").exists()
+
+    def test_rerun_leaves_only_its_own_result_files(self, tmp_path):
+        # fewer seeds, then another kind, into the same directory: each run
+        # leaves its own files and none of the earlier run's
+        federated = {**tiny_lifelong_pairs(tmp_path, "federated"), "seeds": "0,1,2"}
+        run_experiment(build_config(pairs=federated))
+        run_experiment(build_config(pairs={**federated, "seeds": "0,"}))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.resolved.txt",
+            "summary.csv",
+            "trace_seed0.csv",
+            "votes_seed0.csv",
+        ]
+        offline = {"kind": "offline", "p": "6", "support_size": "2", "norm_bound": "5.0"}
+        offline.update(m_values="2", seeds="1,", out=str(tmp_path))
+        run_experiment(build_config(pairs=offline))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.resolved.txt",
+            "recovery_curve.csv",
+            "recovery_seed1.csv",
+        ]
 
     def test_lifelong_writes_expected_files(self, tmp_path):
         result = run_experiment(build_config(pairs=tiny_lifelong_pairs(tmp_path)))

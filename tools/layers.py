@@ -93,10 +93,13 @@ Layers:
   each distinct value of a column once.
 - ``harness.outputs``: the trace and summary text of one default
   ``baseline_oracle`` and one default ``federated`` seed (seed 0), the
-  traffic the writer serves: real traces repeat their values (most
-  instantaneous regrets are exactly 0.0, and a one-seed summary has two
-  all-zero standard-error columns). ``distinct`` counts the distinct values
-  of the trace's ``instantaneous`` and ``cumulative`` columns.
+  traffic the writer serves, made as a run writes its files: through one
+  memo, so the summary reuses every column its trace formatted (a one-seed
+  summary repeats the trace's ``step``, ``task`` and regret columns, and
+  its two standard-error columns are one all-zero column). Real traces
+  also repeat their values (most instantaneous regrets are exactly 0.0).
+  ``distinct`` counts the distinct values of the trace's ``instantaneous``
+  and ``cumulative`` columns.
 """
 
 from __future__ import annotations
@@ -486,12 +489,17 @@ def trace_io(repeats: int) -> dict:
 
 
 def outputs_text(repeats: int) -> dict:
-    """The trace and summary text of one default seed per kind."""
+    """The trace and summary text of one default seed per kind, through one memo."""
     layer = {}
     for kind in ("baseline_oracle", "federated"):
         result = run_experiment(build_config(kind, {"seeds": "0,"}))
         trace, summary = result.traces[0], result.summary
-        text = seconds_of(lambda: (trace.to_text(), summary.to_text()), repeats)
+
+        def run_text():
+            memo = {}  # one per run, as the harness makes it
+            return trace.to_text(memo), summary.to_text(memo)
+
+        text = seconds_of(run_text, repeats)
         layer[kind] = {
             "steps": len(trace.step),
             "distinct": [len(np.unique(trace.instantaneous)), len(np.unique(trace.cumulative))],
