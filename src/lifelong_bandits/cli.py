@@ -60,7 +60,7 @@ def _resolve_kind(command: str, pairs: dict[str, str]) -> str:
     if kind is None and command == "lifelong" and pairs.get("table"):
         kind = "lookup"
     if kind is None and command == "baseline":
-        kind = "baseline_" + pairs.get("baseline_kernel", "oracle")
+        kind = "baseline_" + pairs.pop("baseline_kernel", "oracle")  # a selector, no key
     if kind is None:
         kind = allowed[0]
     if kind not in allowed:

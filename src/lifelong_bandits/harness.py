@@ -2,11 +2,11 @@
 
 Configs are flat ``key = value`` text, each key on one line at most. Each
 key is declared once, as a field of ``ExperimentConfig`` that carries the
-parser of its text value and its default for the lifelong kind;
-``_KIND_DEFAULTS`` overrides some defaults per kind, so an empty config runs
-the reference setup for its kind. Float keys must be finite. The canonical
-serialization sorts keys, and the config digest is the sha256 of that
-canonical text, which makes it stable under reordering of the input.
+parser of its text value, its lifelong-kind default and the kinds that read
+it (``KIND_KEYS``); ``_KIND_DEFAULTS`` overrides some defaults per kind. A
+key the kind does not read is an error, and float keys must be finite. The
+canonical text holds the kind's keys, sorted, and the config digest is its
+sha256, which makes it stable under reordering of the input.
 
 ``run_experiment`` runs every kind through one seed loop: a seed that raises
 becomes a row of ``failures.csv`` and the loop goes on; the run raises only
@@ -24,9 +24,10 @@ the bytes are those of formatting every cell on its own.
 The files of one run also share whole columns: every trace and the summary
 have the same ``step`` and ``task``, and a one-seed summary repeats its
 trace's regret columns and has two all-zero error columns. ``_write_outputs``
-makes one memo per run, keyed by each int or float column's dtype and raw
-bytes, and passes it to every file it writes, so each distinct column is
-formatted once per run. The memo lives only as long as that call.
+formats the summary first, into one memo keyed by each int or float column's
+dtype and raw bytes, and gives each trace a copy: each summary column is
+formatted once per run, and the memo holds no more than the summary's
+columns and one trace's.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from .errors import ConfigError, DataError
 from .features import BasisFamily, FeatureAtlas
 from .federated import run_federated
 from .gp_ucb import UcbConfig
-from .lifelong import BASELINE_KERNELS, LifelongRunRecord, run_baseline, run_lifelong
+from .lifelong import LifelongRunRecord, run_baseline, run_lifelong
 # recovery_trial stays bound here: perfbench's tracer wraps this binding
 from .selection import recovery_sweep, recovery_trial  # noqa: F401
 
 # the experiment kinds, and the defaults each one overrides
 _KIND_DEFAULTS = {
-    "offline": {"m": "30", "n": "10", "lam": "0.25"},
+    "offline": {"n": "10", "lam": "0.25"},
     "lifelong": {},
     "lookup": {
         "family": "cosine2d",
@@ -61,10 +62,14 @@ _KIND_DEFAULTS = {
         "lam": "0.015",
     },
     "federated": {"lam": "0.2"},
-    "baseline_oracle": {"baseline_kernel": "oracle"},
-    "baseline_full": {"baseline_kernel": "full"},
+    "baseline_oracle": {},
+    "baseline_full": {},
 }
 KINDS = tuple(_KIND_DEFAULTS)
+# the groups of kinds that read a key
+_SYNTHETIC = frozenset(KINDS) - {"lookup"}  # draw their tasks from a SyntheticSpec
+_BANDIT = frozenset(KINDS) - {"offline"}  # run GP-UCB agents over m tasks
+_FIT = frozenset(KINDS) - {"baseline_oracle", "baseline_full"}  # learn the kernel by group lasso
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -94,9 +99,9 @@ def _parse_finite(text: str) -> float:
     return value
 
 
-def _key(parse, default: str):
-    """A config key: the parser of its text value and its lifelong-kind default."""
-    return field(metadata={"parse": parse, "default": default})
+def _key(parse, default: str, kinds=KINDS):
+    """A config key: its text parser, its lifelong-kind default, the kinds that read it."""
+    return field(metadata={"parse": parse, "default": default, "kinds": kinds})
 
 
 @dataclass(frozen=True)
@@ -108,21 +113,20 @@ class ExperimentConfig:
     out: str = _key(str, "")
     family: str = _key(str, "cosine1d")
     p: int = _key(int, "50")
-    support_size: int = _key(int, "5")
-    norm_bound: float = _key(_parse_finite, "10.0")
-    beta_min: float = _key(_parse_finite, "0.5")
+    support_size: int = _key(int, "5", _SYNTHETIC)
+    norm_bound: float = _key(_parse_finite, "10.0", _SYNTHETIC)
+    beta_min: float = _key(_parse_finite, "0.5", _SYNTHETIC)
     noise: float = _key(_parse_finite, "0.1")
-    grid: int = _key(int, "0")
-    m: int = _key(int, "20")
+    grid: int = _key(int, "0", _SYNTHETIC & _BANDIT)
+    m: int = _key(int, "20", _BANDIT)
     n: int = _key(int, "100")
-    omega: float = _key(_parse_finite, "0.25")
-    lam: float = _key(_parse_finite, "0.5")
-    alpha: float = _key(_parse_finite, "0.25")
-    nu: float = _key(_parse_finite, "10.0")
-    lam_ucb: float = _key(_parse_finite, "0.1")
-    table: str = _key(str, "")
-    baseline_kernel: str = _key(str, "oracle")
-    m_values: tuple[int, ...] = _key(_parse_int_list, ",".join(str(v) for v in range(1, 31)))
+    omega: float = _key(_parse_finite, "0.25", _FIT)
+    lam: float = _key(_parse_finite, "0.5", _FIT)
+    alpha: float = _key(_parse_finite, "0.25", {"federated"})
+    nu: float = _key(_parse_finite, "10.0", _BANDIT)
+    lam_ucb: float = _key(_parse_finite, "0.1", _BANDIT)
+    table: str = _key(str, "", {"lookup"})
+    m_values: tuple[int, ...] = _key(_parse_int_list, ",".join(map(str, range(1, 31))), {"offline"})
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -135,27 +139,15 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonnegative")
         if self.kind == "lookup" and not self.table:
             raise ConfigError("lookup experiments need a table path")
-        if self.kind == "offline" and self.table:
-            raise ConfigError("offline experiments draw synthetic tasks; table does not apply")
         if self.n < 1:
             raise ConfigError("horizon must be positive")
-        if self.m < 0:
-            raise ConfigError("task count must be nonnegative")
-        if self.m == 0 and not self.table:
-            raise ConfigError("m=0 (all tasks) only applies with a table")
+        if self.m < 0 or self.m == 0 and self.kind != "lookup":
+            raise ConfigError("task count must be positive (lookup's m=0 runs every task)")
         BasisFamily(self.family)
-        if self.baseline_kernel not in BASELINE_KERNELS:
-            raise ConfigError(f"unknown baseline kernel: {self.baseline_kernel!r}")
-        if self.kind.startswith("baseline_") and self.kind != "baseline_" + self.baseline_kernel:
-            raise ConfigError(
-                f"kind {self.kind} contradicts baseline_kernel={self.baseline_kernel}"
-            )
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]")
-        if self.kind == "offline" and not self.m_values:
-            raise ConfigError("offline experiments need at least one m value")
-        if self.kind == "offline" and min(self.m_values) < 1:
-            raise ConfigError("every m value must be at least 1")
+        if not self.m_values or min(self.m_values) < 1:
+            raise ConfigError("m_values must hold at least one m, each at least 1")
         if self.omega < 0:
             raise ConfigError("omega must be nonnegative")
         if self.lam < 0:
@@ -164,7 +156,7 @@ class ExperimentConfig:
             raise ConfigError("grid must be 0 (the family default) or at least 2")
         # the validators of the objects each seed builds, run once up front
         UcbConfig(nu=self.nu, lam=self.lam_ucb)
-        if not self.table:
+        if self.kind != "lookup":
             _synthetic_spec(self)
         else:
             # the table's own dimension is checked once the table is read
@@ -174,16 +166,23 @@ class ExperimentConfig:
 
     def serialize(self) -> str:
         lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
+        for name in sorted(KIND_KEYS[self.kind]):
+            value = getattr(self, name)
             if isinstance(value, tuple):
                 # a one-element list keeps its comma: a bare integer is a count
                 value = ",".join(str(v) for v in value) + ("," if len(value) == 1 else "")
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{name} = {value}")
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
+
+
+# the keys each kind reads, from their declarations
+KIND_KEYS = {
+    kind: frozenset(f.name for f in fields(ExperimentConfig) if kind in f.metadata["kinds"])
+    for kind in KINDS
+}
 
 
 def parse_pairs(text: str) -> dict[str, str]:
@@ -221,6 +220,8 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
     for key, value in pairs.items():
         if key not in values:
             raise ConfigError(f"unknown config key: {key!r}")
+        if key not in KIND_KEYS[resolved_kind]:
+            raise ConfigError(f"kind {resolved_kind!r} does not read key {key!r}")
         values[key] = value
     parsed = {}
     for f in keys:
@@ -479,8 +480,8 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
     ucb = UcbConfig(nu=config.nu, lam=config.lam_ucb)
     env = _build_environment(config, seed, max(config.m, 1), table)
     m = config.m if config.m > 0 else env.m
-    if config.kind in ("baseline_oracle", "baseline_full"):
-        return run_baseline(env, config.baseline_kernel, m, config.n, ucb=ucb, seed=seed)
+    if config.kind.startswith("baseline_"):  # the kind names the kernel
+        return run_baseline(env, config.kind.split("_")[1], m, config.n, ucb=ucb, seed=seed)
     if config.kind == "federated":
         return run_federated(
             env,
@@ -498,14 +499,16 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
 def _write_outputs(out: Path, result: ExperimentResult) -> None:
     """Write the result files of a run's finished seeds into ``out``.
 
-    One memo (see ``_cells``) serves every file, so each distinct column is
-    formatted once per run.
+    The summary is formatted first, into the run's memo (see ``_cells``):
+    its columns are the only ones that another file reads again. Each trace
+    gets a copy of that memo, so the trace's own columns go with it.
     """
     memo: dict = {}
+    summary = None if result.summary is None else result.summary.to_text(memo)
     for seed, trace in result.traces.items():
-        trace.save(out / f"trace_seed{seed}.csv", memo)
-    if result.summary is not None:
-        (out / "summary.csv").write_text(result.summary.to_text(memo))
+        trace.save(out / f"trace_seed{seed}.csv", dict(memo))
+    if summary is not None:
+        (out / "summary.csv").write_text(summary)
     for seed, rows in (result.votes or {}).items():
         votes = [
             (v.client, ";".join(map(str, v.indices)), ";".join(map(str, server)), int(v.failed))

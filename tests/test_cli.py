@@ -53,6 +53,28 @@ class TestExitCodes:
         )
         assert code == 0
         assert "baseline_full:" in capsys.readouterr().out
+        # the selector picks the kind; it is no config key of the run
+        text = (tmp_path / "config.resolved.txt").read_text()
+        assert "kind = baseline_full\n" in text and "baseline_kernel" not in text
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["lifelong", "--override", "baseline_kernel=full"], "unknown config key"),
+            (["baseline", "--override", "baseline_kernel=truth"], "baseline_truth"),
+            # the kind and the selector cannot both be given
+            (
+                ["baseline", "--override", "kind=baseline_full"]
+                + ["--override", "baseline_kernel=full"],
+                "unknown config key",
+            ),
+        ],
+    )
+    def test_baseline_kernel_selects_only_the_baseline_kind(self, tmp_path, capsys, argv, reason):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
 
     def test_federated(self, tmp_path, capsys):
         assert main(["federated", *tiny_args(tmp_path)]) == 0

@@ -40,7 +40,8 @@ class TestConfig:
 
     def test_offline_defaults(self):
         cfg = build_config("offline")
-        assert (cfg.m, cfg.n, cfg.lam, cfg.omega) == (30, 10, 0.25, 0.25)
+        assert (cfg.n, cfg.lam, cfg.omega) == (10, 0.25, 0.25)
+        assert cfg.m_values == tuple(range(1, 31))
 
     def test_federated_defaults(self):
         cfg = build_config("federated")
@@ -106,8 +107,45 @@ class TestConfig:
     def test_offline_rejects_table(self):
         # the offline sweep draws synthetic tasks, so a table would be named
         # in the config and its digest without being read
-        with pytest.raises(ConfigError, match="table"):
+        with pytest.raises(ConfigError, match="kind 'offline' does not read key 'table'"):
             build_config("offline", {"table": "t.csv"})
+
+    def test_baseline_oracle_on_a_table_fails_before_any_output(self, tmp_path):
+        # a table exposes no true support: this used to fail every seed at run time
+        out = tmp_path / "out"
+        pairs = {"table": lookup_pairs(tmp_path)["table"], "seeds": "0,", "out": str(out)}
+        with pytest.raises(ConfigError, match="kind 'baseline_oracle' does not read key 'table'"):
+            run_experiment(build_config("baseline_oracle", pairs))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (kind, f.name)
+            for kind in harness.KINDS
+            for f in fields(ExperimentConfig)
+            if f.name not in harness.KIND_KEYS[kind]
+        ],
+    )
+    def test_key_the_kind_does_not_read_rejected_before_any_output(self, tmp_path, kind, key):
+        # such a key used to be accepted, and written to config.resolved.txt
+        # and its digest, without changing any result
+        out = tmp_path / "out"
+        default = {f.name: f.metadata["default"] for f in fields(ExperimentConfig)}[key]
+        pairs = {key: default, "seeds": "0,", "out": str(out)}
+        with pytest.raises(ConfigError, match=f"kind {kind!r} does not read key {key!r}"):
+            run_experiment(build_config(kind, pairs))
+        assert not out.exists()
+
+    def test_each_kind_writes_only_the_keys_it_reads(self):
+        # 18 keys beside kind; 81 of the 108 (kind, key) values are settable
+        assert sum(len(keys) - 1 for keys in harness.KIND_KEYS.values()) == 81
+        for kind in harness.KINDS:
+            pairs = {"table": "t.csv"} if kind == "lookup" else {}
+            text = build_config(kind, pairs).serialize()
+            assert [line.split(" = ")[0] for line in text.splitlines()] == sorted(
+                harness.KIND_KEYS[kind]
+            )
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -189,29 +227,31 @@ class TestConfig:
         assert [line.split(",")[0] for line in lines[1:]] == ["3", "1", "3"]
 
     def test_baseline_kind_contradicting_its_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            build_config("baseline_oracle", {"baseline_kernel": "full"})
-        with pytest.raises(ConfigError):
-            build_config("baseline_full", {"baseline_kernel": "oracle"})
-        assert build_config("baseline_full").baseline_kernel == "full"
+        # the kind names the kernel; baseline_kernel is no config key, and
+        # only the CLI's baseline command reads it, as its kind selector
+        for kind, kernel in (("baseline_oracle", "full"), ("baseline_full", "oracle")):
+            with pytest.raises(ConfigError, match="unknown config key: 'baseline_kernel'"):
+                build_config(kind, {"baseline_kernel": kernel})
+            assert not hasattr(build_config(kind), "baseline_kernel")
 
-    @pytest.mark.parametrize(
-        "kind, digest",
-        [
-            ("offline", "28bb61079710e368"),
-            ("lifelong", "37161f01aaf721a5"),
-            ("lookup", "013b22f1315afa52"),
-            ("federated", "d242c9f77f8f577a"),
-            ("baseline_oracle", "e69508968adee1e3"),
-            ("baseline_full", "d1e060b6b6d41738"),
-        ],
-    )
-    def test_default_config_text_is_pinned(self, kind, digest):
+    # the digests of each kind's default config text; the test ids name the
+    # kind alone, so that a change of config text keeps them
+    PINNED_DIGESTS = {
+        "offline": "9f5416b6845b7122",
+        "lifelong": "de920a8755bf964c",
+        "lookup": "bd4640175f984553",
+        "federated": "3f2440023ce77451",
+        "baseline_oracle": "c8a8f65600e75e20",
+        "baseline_full": "e50300d389e59a78",
+    }
+
+    @pytest.mark.parametrize("kind", harness.KINDS)
+    def test_default_config_text_is_pinned(self, kind):
         # the golden-output test skips config.resolved.txt (it holds the
         # output path), so the canonical text of each kind's defaults is
         # pinned here through its digest
         pairs = {"table": "t.csv"} if kind == "lookup" else {}
-        assert build_config(kind, pairs).digest()[:16] == digest
+        assert build_config(kind, pairs).digest()[:16] == self.PINNED_DIGESTS[kind]
 
 
 def seed_records(monkeypatch):
@@ -426,6 +466,31 @@ class TestCsv:
             # the summary as if written alone, by the column writer and the row writer
             assert (out / "summary.csv").read_text() == summary.to_text() == table_rows(summary)
 
+    @pytest.mark.parametrize("seeds, hits", [("0,", 6), ("20", 60)])
+    def test_run_memo_keeps_only_the_columns_read_again(self, tmp_path, monkeypatch, seeds, hits):
+        # the memo used to keep every trace column until the run's last file
+        # (48 entries at 20 seeds); now it holds the summary's 6 columns and
+        # one trace's 7 at most. The memo hits stay: each trace takes its
+        # step and task from the summary, its all-zero explored column from
+        # its all-zero recovered one, and a one-seed trace its regret columns.
+        sizes, hit = [], 0
+        cells = harness._cells
+
+        def spying(column, memo=None):
+            nonlocal hit
+            if memo is None:
+                return cells(column)
+            hit += (column.dtype.str, column.tobytes()) in memo
+            text = cells(column, memo)
+            sizes.append(len(memo))
+            return text
+
+        monkeypatch.setattr(harness, "_cells", spying)
+        pairs = {**tiny_lifelong_pairs(tmp_path, "baseline_full"), "seeds": seeds}
+        run_experiment(build_config(pairs=pairs))
+        assert max(sizes) <= 6 + 7
+        assert hit == hits
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -478,6 +543,7 @@ class TestSummarize:
 
 
 def tiny_lifelong_pairs(out=None, kind="lifelong"):
+    """A small config of a bandit kind, with the keys that the kind reads."""
     pairs = {
         "kind": kind,
         "p": "6",
@@ -491,7 +557,7 @@ def tiny_lifelong_pairs(out=None, kind="lifelong"):
     }
     if out:
         pairs["out"] = str(out)
-    return pairs
+    return {key: value for key, value in pairs.items() if key in harness.KIND_KEYS[kind]}
 
 
 class TestRunExperiment:
@@ -504,8 +570,8 @@ class TestRunExperiment:
         pairs = {**tiny_lifelong_pairs(tmp_path, kind), "lam_ucb": lam_ucb}
         try:
             config = build_config(pairs=pairs)
-        except ConfigError:
-            assert not any(tmp_path.iterdir())
+        except ConfigError as exc:
+            assert "regularizer" in str(exc) and not any(tmp_path.iterdir())
             return
         result = run_experiment(config)
         assert not result.failures
@@ -524,8 +590,14 @@ class TestRunExperiment:
         ],
     )
     def test_edge_values_complete_every_seed(self, tmp_path, kind, key, value):
-        # config resolution accepts these, so no seed may fail at run time
+        # config resolution accepts these, so no seed may fail at run time;
+        # a key the kind does not read is rejected before anything is written
         pairs = {"kind": kind, "m": "4", "n": "20", "seeds": "0,1", "out": str(tmp_path)}
+        if key not in harness.KIND_KEYS[kind]:
+            with pytest.raises(ConfigError, match="does not read"):
+                build_config(pairs={**pairs, key: value})
+            assert not any(tmp_path.iterdir())
+            return
         result = run_experiment(build_config(pairs={**pairs, key: value}))
         assert not result.failures
         assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
@@ -687,9 +759,8 @@ class TestRunExperiment:
         assert result.votes and len(result.votes[0]) == 3
 
     def test_baseline_kinds_share_tasks_across_methods(self):
-        pairs = tiny_lifelong_pairs()
-        oracle = run_experiment(build_config(pairs={**pairs, "kind": "baseline_oracle"}))
-        naive = run_experiment(build_config(pairs={**pairs, "kind": "baseline_full"}))
+        oracle = run_experiment(build_config(pairs=tiny_lifelong_pairs(kind="baseline_oracle")))
+        naive = run_experiment(build_config(pairs=tiny_lifelong_pairs(kind="baseline_full")))
         assert set(oracle.traces) == set(naive.traces)
         assert np.all(oracle.traces[0].kernel_size == 2)
         assert np.all(naive.traces[0].kernel_size == 6)

@@ -93,10 +93,11 @@ Layers:
   each distinct value of a column once.
 - ``harness.outputs``: the trace and summary text of one default
   ``baseline_oracle`` and one default ``federated`` seed (seed 0), the
-  traffic the writer serves, made as a run writes its files: through one
-  memo, so the summary reuses every column its trace formatted (a one-seed
-  summary repeats the trace's ``step``, ``task`` and regret columns, and
-  its two standard-error columns are one all-zero column). Real traces
+  traffic the writer serves, made as a run writes its files: the summary
+  first, into one memo, and the trace through a copy of it, so the trace
+  reuses every column the summary formatted (a one-seed summary repeats the
+  trace's ``step``, ``task`` and regret columns, and its two standard-error
+  columns are one all-zero column). Real traces
   also repeat their values (most instantaneous regrets are exactly 0.0).
   ``distinct`` counts the distinct values of the trace's ``instantaneous``
   and ``cumulative`` columns.
@@ -497,7 +498,8 @@ def outputs_text(repeats: int) -> dict:
 
         def run_text():
             memo = {}  # one per run, as the harness makes it
-            return trace.to_text(memo), summary.to_text(memo)
+            summary_text = summary.to_text(memo)
+            return trace.to_text(dict(memo)), summary_text
 
         text = seconds_of(run_text, repeats)
         layer[kind] = {

@@ -6,13 +6,14 @@ Usage (from the repository root):
 
 For each kind (``lifelong``, ``federated``, ``baseline_oracle``,
 ``baseline_full``, ``offline`` and ``lookup``) and each seed it runs the
-kind's default config, with the ``--set`` pairs on top, into
-``DIR/<kind>/seed<seed>``. The ``lookup`` kind runs on ``DIR/table.csv``,
-which the script writes first (see ``write_table``). Output and table paths
-are given relative to ``DIR``, so ``config.resolved.txt`` does not depend on
-where ``DIR`` is, and the sweeps of two source trees compare with
-``diff -r``. The package is imported from the tree this script lives
-in. BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` or
+kind's default config, with the ``--set`` pairs of the keys that the kind
+reads (``harness.KIND_KEYS``) on top, into ``DIR/<kind>/seed<seed>``; a
+``--set`` key that no kind reads is an error. The ``lookup`` kind runs on
+``DIR/table.csv``, which the script writes first (see ``write_table``).
+Output and table paths are given relative to ``DIR``, so
+``config.resolved.txt`` does not depend on where ``DIR`` is, and the sweeps
+of two source trees compare with ``diff -r``. The package is imported from
+the tree this script lives in. BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` is set, as in ``perfbench/``.
 """
 
@@ -34,7 +35,7 @@ import numpy as np  # noqa: E402
 
 from lifelong_bandits.environment import LookupTable, uniform_grid  # noqa: E402
 from lifelong_bandits.features import FeatureAtlas  # noqa: E402
-from lifelong_bandits.harness import build_config, run_experiment  # noqa: E402
+from lifelong_bandits.harness import KIND_KEYS, build_config, run_experiment  # noqa: E402
 
 KINDS = ("lifelong", "federated", "baseline_oracle", "baseline_full", "offline", "lookup")
 TABLE = "table.csv"
@@ -70,10 +71,11 @@ def sweep(out: Path, seeds: list[int], pairs: dict[str, str]) -> None:
     os.chdir(out)
     write_table(Path(TABLE))
     for kind in KINDS:
+        read = {key: value for key, value in pairs.items() if key in KIND_KEYS[kind]}
         table = {"table": TABLE} if kind == "lookup" else {}
         for seed in seeds:
             config = build_config(
-                kind, {**pairs, **table, "seeds": f"{seed},", "out": f"{kind}/seed{seed}"}
+                kind, {**read, **table, "seeds": f"{seed},", "out": f"{kind}/seed{seed}"}
             )
             run_experiment(config)
 
@@ -83,9 +85,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="directory to write into")
     parser.add_argument("--seeds", default="0-63", help="seeds, as 0-63 or 3,5,9")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="config pair applied to every kind")
+                        help="config pair, applied to the kinds that read its key")
     args = parser.parse_args(argv)
     pairs = dict(item.split("=", 1) for item in args.set)
+    unread = set(pairs).difference(*KIND_KEYS.values())
+    if unread:
+        parser.error(f"no kind reads {', '.join(sorted(unread))}")
     sweep(Path(args.out).resolve(), parse_seeds(args.seeds), pairs)
     return 0
 
