@@ -36,13 +36,10 @@ from .harness import (
 )
 from .lifelong import (
     LifelongRunRecord,
-    ScheduleMode,
     TaskRecord,
-    exploration_counts,
     integerize,
     run_baseline,
     run_lifelong,
-    schedule_rates,
 )
 from .seeding import substream
 from .selection import (
@@ -72,7 +69,6 @@ __all__ = [
     "LookupTable",
     "PooledDesign",
     "RegretTrace",
-    "ScheduleMode",
     "SolverReport",
     "SummaryTable",
     "SyntheticEnvironment",
@@ -84,7 +80,6 @@ __all__ = [
     "client_fit",
     "client_fits",
     "design_from_tasks",
-    "exploration_counts",
     "fit_group_lasso",
     "fit_lassos",
     "group_norms",
@@ -98,7 +93,6 @@ __all__ = [
     "run_experiment",
     "run_federated",
     "run_lifelong",
-    "schedule_rates",
     "substream",
     "summarize",
     "threshold_groups",

@@ -13,17 +13,18 @@ each client's coefficients still depend on its own rows only, and a client
 whose path is declined falls back to the iterative solver alone.
 ``client_fit`` is its one-client form.
 
-``run_federated`` runs the shared task loop of :mod:`.lifelong` with a
-kernel callback. The loop's plan pass draws every client's forced prefix
-first and then hands all clients to the callback at once: their draws are
-fitted into votes in one ``client_fits`` call, and the votes go into the
-ledger in client order. The server set after a client's own vote (or the
-full kernel when the set is empty) is the kernel of that client's agent,
-which is fed the forced draws before it selects.
+``run_federated`` plans every client's forced prefix first, with the
+planning pass of :mod:`.lifelong`; then all clients' draws are fitted into
+votes in one ``client_fits`` call, and the votes go into the ledger in
+client order. The server set after a client's own vote (or the full kernel
+when the set is empty) is the kernel of that client's agent, which is fed
+the forced draws before it selects; every agent steps in the agent pass of
+:mod:`.lifelong`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .gp_ucb import UcbConfig
 from .group_lasso import fit_lassos, group_norms
-from .lifelong import LifelongRunRecord, ScheduleMode, _run_tasks
+from .lifelong import LifelongRunRecord, _plan, _run_agents
 # design_from_tasks and learn_kernel stay bound here: perfbench's tracer
 # wraps these bindings
 from .selection import design_from_tasks, learn_kernel, threshold_groups  # noqa: F401
@@ -166,30 +167,25 @@ def run_federated(
     the GP-UCB config ``ucb``.
     """
     ledger = VoteLedger(env.p, alpha)
+    plans = _plan(env, n, np.full(m, math.sqrt(n)), seed)
     record = FederatedRunRecord(seed=seed)
-
-    def vote_kernels(plans) -> list[tuple[int, ...]]:
-        votes = client_fits(
-            [env.grid_features[plan.drawn] for plan in plans],
-            [plan.drawn_y for plan in plans],
-            lam,
-            omega,
-            clients=[plan.task for plan in plans],
-        )
-        kernels = []
-        for vote in votes:
-            s = vote.client
-            if vote.failed:
-                record.events.append((s, "solver"))
-            ledger.add(vote)
-            selected = ledger.selected()
-            record.votes.append(vote)
-            record.server_sets.append(selected)
-            if not selected:
-                record.events.append((s, "fallback"))
-            kernels.append(selected or tuple(range(1, env.p + 1)))
-        return kernels
-
-    _run_tasks(env, m, n, ScheduleMode.CONSTANT, record, vote_kernels, seed=seed, ucb=ucb)
-    record.final_kernel = record.tasks[-1].kernel
+    record.votes = client_fits(
+        [env.grid_features[plan.drawn] for plan in plans],
+        [plan.drawn_y for plan in plans],
+        lam,
+        omega,
+        clients=[plan.task for plan in plans],
+    )
+    kernels = []
+    for vote in record.votes:
+        if vote.failed:
+            record.events.append((vote.client, "solver"))
+        ledger.add(vote)
+        selected = ledger.selected()
+        record.server_sets.append(selected)
+        if not selected:
+            record.events.append((vote.client, "fallback"))
+        kernels.append(selected or tuple(range(1, env.p + 1)))
+    record.tasks = _run_agents(env, n, plans, kernels, ucb, record)
+    record.final_kernel = kernels[-1]
     return record

@@ -1,76 +1,55 @@
 """Sequential bandit tasks with kernel learning between tasks.
 
-Every runner shares one task loop, ``_run_tasks``, which works in two
-passes. The plan pass has two stages. It first draws, for every task, the
-forced prefix (uniform over the candidate grid, from the task's exploration
-substream, which a task without forced draws never builds) and the noise of
-all n observations (one draw from the task's noise substream, the same
-numbers ``TaskView.observe`` would draw one at a time). It then asks a
-kernel callback, with the drawn tasks in task order, which kernel each runs
-under: a sorted tuple of group indices (see :mod:`.features`). The forced
-draws, the votes and a pooled fit over forced data read nothing an agent
-chose, so every kernel is known before any agent runs, and the callback
-gets every task at once. The agent pass then steps every task in one
-``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a prior weight
-over the union of the tasks' groups, with the features sliced once from the
-environment's feature table. A run uses one ``UcbConfig``, its ``ucb``
-argument. The runners differ only in where the kernel comes from:
+Every runner does the same three things. It plans its tasks with
+``_plan``, which draws, for every task, the forced prefix (uniform over the
+candidate grid, from the task's exploration substream, which a task without
+forced draws never builds) and the noise of all n observations (one draw
+from the task's noise substream, the same numbers ``TaskView.observe``
+would draw one at a time). It then learns every task's kernel, a sorted
+tuple of group indices (see :mod:`.features`): the forced draws, the votes
+and a pooled fit over forced data read nothing an agent chose, so every
+kernel is known before any agent runs. Last, ``_run_agents`` steps every
+task in one ``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a
+prior weight over the union of the tasks' groups, with the features sliced
+once from the environment's feature table. A run uses one ``UcbConfig``,
+its ``ucb`` argument. The runners differ only in their forced-draw rates
+and in where the kernel comes from:
 
 ``run_lifelong`` (LiBO)
-    a pooled group-lasso fit over the forced draws of the tasks so far, at
-    penalty lam / sqrt(s) after task s, warm-started from the previous fit:
-    one ``PooledDesign`` holds every task's draws, and the fit after task s
-    reads its first s tasks; task s draws sqrt(n) / s^(1/4) forced points
-    (the decreasing schedule);
+    rate sqrt(n) / s^(1/4) for task s (the decreasing schedule); a pooled
+    group-lasso fit over the forced draws of the tasks so far, at penalty
+    lam / sqrt(s) after task s: one ``PooledDesign`` holds every task's
+    draws, and ``selection.learn_kernels`` fits its first s tasks for each
+    s, each fit from the last converged one;
 ``run_baseline``
-    a pinned kernel (the true support or every group), with no forced draws;
+    no forced draws; a pinned kernel (the true support or every group);
 ``run_federated`` (in :mod:`.federated`, F-LiBO)
-    each task's own fit, over its sqrt(n) forced draws (the constant
-    schedule), turned into a vote, all tasks' fits in one batched
-    call, and the server set of the vote ledger after each vote, in the
-    kernel callback, so the prefix is observed before the kernel is known.
+    rate sqrt(n) for every task (the constant schedule); each task's own
+    fit turned into a vote, all tasks' fits in one batched call, and the
+    server set of the vote ledger after each vote.
 
-Exploration counts (``exploration_counts``) follow a residue-carrying
-integerization of the real rates, so the realized counts track the
-prescribed totals within one draw at every prefix.
+``_plan`` integerizes the rates with a carried residue (``integerize``),
+so the realized counts track the prescribed totals within one draw at
+every prefix, and caps each count at n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError
 from .environment import TaskView
 from .gp_ucb import LockstepUcb, UcbConfig
-from .group_lasso import PooledDesign, padded_warm_start
+from .group_lasso import PooledDesign
 from .seeding import STREAM_EXPLORE, substream
-# design_from_tasks stays bound here: perfbench's tracer wraps this binding
-from .selection import design_from_tasks, learn_kernel  # noqa: F401
+# design_from_tasks and learn_kernel stay bound here: perfbench's tracer
+# wraps these bindings
+from .selection import design_from_tasks, learn_kernel, learn_kernels  # noqa: F401
 
 BASELINE_KERNELS = ("oracle", "full")
-
-
-class ScheduleMode(str, Enum):
-    DECREASING = "decreasing"
-    CONSTANT = "constant"
-
-
-def schedule_rates(n: int, m: int, mode: ScheduleMode) -> np.ndarray:
-    """Real-valued forced-exploration rates for m tasks of horizon n.
-
-    decreasing: sqrt(n) / s^(1/4); constant: sqrt(n) for every task.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    mode = ScheduleMode(mode)
-    s = np.arange(1, m + 1, dtype=float)
-    if mode is ScheduleMode.DECREASING:
-        return math.sqrt(n) / s**0.25
-    return np.full(m, math.sqrt(n))
 
 
 def integerize(rates) -> np.ndarray:
@@ -92,12 +71,6 @@ def integerize(rates) -> np.ndarray:
         counts[i] = base + carry
         r -= carry
     return counts
-
-
-def exploration_counts(mode: ScheduleMode, n: int, m: int) -> np.ndarray:
-    """Forced draws of each of m tasks of horizon n: the integerized rates,
-    each capped at n."""
-    return np.minimum(integerize(schedule_rates(n, m, mode)), n)
 
 
 @dataclass
@@ -139,65 +112,49 @@ class LifelongRunRecord:
 
 @dataclass
 class _Plan:
-    """One task after the plan pass: its forced draws and their rewards, the
-    noise of all its observations and the kernel it runs under."""
+    """One planned task: its forced draws and their rewards, and the noise
+    of all its observations."""
 
     task: int
     view: TaskView
     drawn: list[int]
     drawn_y: list[float]
     noise: np.ndarray
-    kernel: tuple[int, ...] = ()
 
 
-def _draw(env, s: int, explore_count: int, n: int, seed: int) -> _Plan:
-    """Task s's forced prefix, uniform over the grid from its exploration
-    substream (built only when the task draws from it), and the noise of
-    all n observations; its kernel is not set yet."""
-    view = env.task_view(s)
-    drawn = []
-    if explore_count:
-        rng = substream(seed, STREAM_EXPLORE, s)
-        drawn = [int(rng.integers(env.grid_size)) for _ in range(explore_count)]
-    noise = view.noise_terms(n)
-    drawn_y = [float(view.values[idx] + noise[i]) for i, idx in enumerate(drawn)]
-    return _Plan(s, view, drawn, drawn_y, noise)
-
-
-def _run_tasks(env, m, n, mode, record, kernels_for, *, seed, ucb=UcbConfig()):
-    """The task loop every runner shares; appends one TaskRecord per task.
-
-    ``mode`` sets the forced-draw counts (None: no forced draws).
-    ``kernels_for(plans)`` gets every planned task in task order, each with
-    its forced grid indices ``drawn`` and their rewards ``drawn_y``, and
-    returns the kernel of each to run under. Every task's agent runs under
-    the GP-UCB config ``ucb``.
-
-    The plan pass works in two stages. It first draws every task's forced
-    prefix and the noise of all n observations, each from the task's own
-    substreams, so the numbers do not depend on the order of the draws. It
-    then asks ``kernels_for`` for the kernels of all tasks at once, and the
-    agent pass steps every task at once (``_run_agents``), since nothing in
-    the plan pass reads an agent's choices.
-    """
-    if not 1 <= m <= env.m:
+def _plan(env, n: int, rates, seed: int) -> list[_Plan]:
+    """Plan tasks 1..m, one per entry of ``rates``: task s draws
+    min(n, integerize(rates)[s-1]) forced points, uniform over the grid
+    from its exploration substream (built only when the task draws from
+    it), and the noise of all n observations. Each task's numbers come from
+    its own substreams, so they do not depend on the order of the draws."""
+    m = len(rates)
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    if m > env.m:
         raise ConfigError("environment has too few tasks")
-    counts = [0] * m if mode is None else exploration_counts(mode, n, m).tolist()
-    plans = [_draw(env, s, count, n, seed) for s, count in enumerate(counts, start=1)]
-    for plan, kernel in zip(plans, kernels_for(plans)):
-        plan.kernel = kernel
-    record.tasks += _run_agents(env, n, plans, ucb, record)
+    plans = []
+    for s, count in enumerate(np.minimum(integerize(rates), n).tolist(), start=1):
+        view = env.task_view(s)
+        drawn = []
+        if count:
+            rng = substream(seed, STREAM_EXPLORE, s)
+            drawn = [int(rng.integers(env.grid_size)) for _ in range(count)]
+        noise = view.noise_terms(n)
+        drawn_y = [float(view.values[idx] + noise[i]) for i, idx in enumerate(drawn)]
+        plans.append(_Plan(s, view, drawn, drawn_y, noise))
+    return plans
 
 
-def _run_agents(env, n, plans, ucb, record) -> list[TaskRecord]:
+def _run_agents(env, n, plans, kernels, ucb, record) -> list[TaskRecord]:
     """Run the planned tasks, n steps each, in one ``LockstepUcb``.
 
-    Each task's kernel is its agent's prior weight, and ``ucb`` the config
-    of all. Each task observes its forced draws first, then its UCB
-    choices; an observation is the task's grid value plus its pre-drawn
-    noise term.
+    Each task's entry of ``kernels`` is its agent's prior weight, and
+    ``ucb`` the config of all. Each task observes its forced draws first,
+    then its UCB choices; an observation is the task's grid value plus its
+    pre-drawn noise term.
     """
-    group = LockstepUcb.over_table(env.grid_features, [plan.kernel for plan in plans], ucb)
+    group = LockstepUcb.over_table(env.grid_features, kernels, ucb)
     values = np.stack([plan.view.values for plan in plans])
     noise = np.stack([plan.noise for plan in plans])
     actions = np.empty((len(plans), n), dtype=int)
@@ -220,15 +177,15 @@ def _run_agents(env, n, plans, ucb, record) -> list[TaskRecord]:
     return [
         TaskRecord(
             task=plan.task,
-            kernel=plan.kernel,
+            kernel=kernel,
             explore_count=len(plan.drawn),
             actions=taken,
             rewards=plan.view.values[taken] + plan.noise,
             regrets=plan.view.regret(taken),
             explored=np.arange(n) < len(plan.drawn),
-            recovered=None if env.support is None else plan.kernel == env.support,
+            recovered=None if env.support is None else kernel == env.support,
         )
-        for plan, taken in zip(plans, actions)
+        for plan, kernel, taken in zip(plans, kernels, actions)
     ]
 
 
@@ -248,37 +205,29 @@ def run_lifelong(
     under the full kernel. Task s > 1 runs under the kernel learned after
     task s-1 from the forced draws of tasks 1..s-1, at penalty
     lam / sqrt(s-1); a non-converged fit keeps the prior kernel, while a
-    converged fit that selects nothing installs the full kernel. Every
+    converged fit that selects nothing installs the full kernel. Each fit
+    starts from the last converged one (``selection.learn_kernels``). Every
     task's agent runs under the GP-UCB config ``ucb``.
     """
+    plans = _plan(env, n, math.sqrt(n) / np.arange(1, m + 1) ** 0.25, seed)
     record = LifelongRunRecord(seed=seed)
-    kernel = tuple(range(1, env.p + 1))
-
-    def kernels_for(plans) -> list[tuple[int, ...]]:
-        nonlocal kernel
-        # every task's draws in one design, whose first s tasks the fit
-        # after task s reads; task 1 always has forced draws
-        features = [env.grid_features[plan.drawn] for plan in plans]
-        pool = PooledDesign(features, [plan.drawn_y for plan in plans])
-        warm = None  # the last converged fit's coefficients
-        kernels = []
-        for s in range(1, pool.m + 1):
-            kernels.append(kernel)
-            design = pool.prefix(s)
-            lam_s = lam / math.sqrt(s)
-            outcome = learn_kernel(design, omega, lam_s, x0=padded_warm_start(warm, design, lam_s))
-            if not outcome.report.converged:
-                record.events.append((s, "solver"))
-                warm = None
-                continue
-            warm = outcome.coeffs
-            if outcome.fallback:
-                record.events.append((s, "fallback"))
-            kernel = outcome.selected
-        return kernels
-
-    _run_tasks(env, m, n, ScheduleMode.DECREASING, record, kernels_for, seed=seed, ucb=ucb)
-    record.final_kernel = kernel
+    # every task's draws in one design, whose first s tasks the fit after
+    # task s reads; task 1 always has forced draws
+    design = PooledDesign(
+        [env.grid_features[plan.drawn] for plan in plans], [plan.drawn_y for plan in plans]
+    )
+    lams = [lam / math.sqrt(s) for s in range(1, m + 1)]
+    kernels = [tuple(range(1, env.p + 1))]
+    for s, outcome in enumerate(learn_kernels(design, range(1, m + 1), omega, lams), start=1):
+        if not outcome.report.converged:
+            record.events.append((s, "solver"))
+            kernels.append(kernels[-1])
+            continue
+        if outcome.fallback:
+            record.events.append((s, "fallback"))
+        kernels.append(outcome.selected)
+    record.final_kernel = kernels.pop()
+    record.tasks = _run_agents(env, n, plans, kernels, ucb, record)
     return record
 
 
@@ -298,7 +247,7 @@ def run_baseline(
     if kernel == "oracle" and env.support is None:
         raise ConfigError("environment does not expose a true support")
     pinned = env.support if kernel == "oracle" else tuple(range(1, env.p + 1))
-    record = LifelongRunRecord(seed=seed)
-    _run_tasks(env, m, n, None, record, lambda plans: [pinned] * len(plans), seed=seed, ucb=ucb)
-    record.final_kernel = pinned
+    plans = _plan(env, n, np.zeros(m), seed)
+    record = LifelongRunRecord(seed=seed, final_kernel=pinned)
+    record.tasks = _run_agents(env, n, plans, [pinned] * m, ucb, record)
     return record

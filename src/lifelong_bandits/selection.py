@@ -6,11 +6,12 @@ is the learned kernel, the average of the surviving basis kernels (see
 :mod:`.features`). An empty survivor set falls back to the full kernel
 (1, ..., p), and the fallback is flagged so run records can surface it.
 
-Also here: the offline recovery sweep used to estimate support-recovery
-rates over seeds. The sweep draws one seed's tasks once, builds one design
-of them, and fits its prefix of the first m tasks for each m, each fit
-starting from the last converged one over fewer tasks; a single recovery
-trial is the sweep at one m, fitted cold.
+``learn_kernels`` fits a run of prefixes of one design, each fit starting
+from the last converged one over fewer tasks; ``run_lifelong`` fits the
+prefix of its first s tasks after task s with it, and so does the offline
+recovery sweep, used to estimate support-recovery rates over seeds, for
+each m of its config. The sweep draws one seed's tasks once and builds one
+design of them; a single recovery trial is the sweep at one m, fitted cold.
 """
 
 from __future__ import annotations
@@ -85,6 +86,24 @@ def learn_kernel(
     )
 
 
+def learn_kernels(design: PooledDesign, prefixes, omega: float, lams):
+    """Yield ``learn_kernel`` of ``design.prefix(k)`` at penalty ``lams[i]``
+    for the i-th k of ``prefixes``, in order.
+
+    Each fit starts from the last converged fit, with a predicted row for
+    each task added since (``padded_warm_start``), when that fit had fewer
+    tasks, and cold otherwise. A fit that does not converge leaves the
+    start of the next one as it was.
+    """
+    warm = None  # the last converged fit's coefficients
+    for k, lam in zip(prefixes, lams, strict=True):
+        pool = design.prefix(k)
+        sel = learn_kernel(pool, omega, lam, x0=padded_warm_start(warm, pool, lam))
+        if sel.report.converged:
+            warm = sel.coeffs
+        yield sel
+
+
 @dataclass
 class RecoveryResult:
     """One offline support-recovery trial."""
@@ -113,13 +132,12 @@ def recovery_sweep(
     entries are, and is reproducible from the seed alone. Each task's block
     is featurised once and feeds both its rewards and the design.
 
-    The fit at m starts from the last converged fit in ``m_values`` order,
-    with a predicted row for each task added since (``padded_warm_start``),
-    when that fit had fewer than m tasks, and cold
-    otherwise, as ``run_lifelong`` starts each fit from the one before. So
-    the answer at m depends on the other entries only through its starting
-    point, and the solver's stop rule (a mapping norm within
-    ``fit_group_lasso``'s ``tol``) bounds how far that can move it.
+    The fits run in ``m_values`` order through ``learn_kernels``, as in
+    ``run_lifelong``: the fit at m starts from the last converged fit when
+    that fit had fewer than m tasks, and cold otherwise. So the answer at m
+    depends on the other entries only through its starting point, and the
+    solver's stop rule (a mapping norm within ``fit_group_lasso``'s
+    ``tol``) bounds how far that can move it.
     """
     m_values = tuple(m_values)
     if n < 1:
@@ -136,23 +154,16 @@ def recovery_sweep(
         features.append(phi)
         rewards.append(env.rewards_at(s, phi, substream(seed, STREAM_NOISE, s)))
     design = PooledDesign(features, rewards)
-    results = []
-    warm = None  # the last converged fit
-    for m in m_values:
-        pool = design.prefix(m)
-        sel = learn_kernel(pool, omega, lam, x0=padded_warm_start(warm, pool, lam))
-        if sel.report.converged:
-            warm = sel.coeffs
-        results.append(
-            RecoveryResult(
-                selected=sel.selected,
-                truth=env.support,
-                exact=sel.selected == env.support,
-                fallback=sel.fallback,
-                report=sel.report,
-            )
+    return [
+        RecoveryResult(
+            selected=sel.selected,
+            truth=env.support,
+            exact=sel.selected == env.support,
+            fallback=sel.fallback,
+            report=sel.report,
         )
-    return results
+        for sel in learn_kernels(design, m_values, omega, [lam] * len(m_values))
+    ]
 
 
 def recovery_trial(

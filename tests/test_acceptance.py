@@ -31,12 +31,11 @@ from lifelong_bandits.group_lasso import (
 from lifelong_bandits.harness import build_config, parse_pairs, run_experiment
 from lifelong_bandits.lifelong import (
     LifelongRunRecord,
-    ScheduleMode,
-    _run_tasks,
+    _plan,
+    _run_agents,
     integerize,
     run_baseline,
     run_lifelong,
-    schedule_rates,
 )
 from lifelong_bandits.seeding import STREAM_NOISE, substream
 from lifelong_bandits.selection import recovery_trial
@@ -213,16 +212,13 @@ def regret_study():
         records["federated"].append(
             run_federated(env, m, n, 0.25, 0.2, 0.25, ucb=ucb, seed=seed)
         )
-        # criterion 5's comparator: the lifelong task loop and schedule with
-        # the true groups for every task; the forced draws and the noise come
-        # from the seed's substreams, not from the kernel, so they are the
-        # learned run's
+        # criterion 5's comparator: the lifelong plan and agent passes, on
+        # the decreasing schedule, with the true groups for every task; the
+        # forced draws and the noise come from the seed's substreams, not
+        # from the kernel, so they are the learned run's
         matched = LifelongRunRecord(seed=seed)
-        truth = env.support
-        _run_tasks(
-            env, m, n, ScheduleMode.DECREASING, matched,
-            lambda plans: [truth] * len(plans), seed=seed, ucb=ucb,
-        )
+        plans = _plan(env, n, np.sqrt(n) / np.arange(1, m + 1) ** 0.25, seed)
+        matched.tasks = _run_agents(env, n, plans, [env.support] * m, ucb, matched)
         records["matched"].append(matched)
     records["elapsed"] = time.time() - t0
     return records
@@ -320,18 +316,21 @@ def test_criterion_6_schedule_laws():
         prefix_worst = max(prefix_worst, float(dev.max()))
     prefix_ok = prefix_worst < 1.0
 
-    rate_worst = 0.0
+    # LiBO's forced draws per task: the integerized sqrt(n) / s^(1/4)
+    spec = SyntheticSpec(p=6, support_size=2, norm_bound=5.0, beta_min=0.5)
+    count_errors = 0
     for n, m in ((100, 20), (9, 7), (400, 1)):
-        got = schedule_rates(n, m, ScheduleMode.DECREASING)
-        want = np.sqrt(n) / np.arange(1, m + 1) ** 0.25
-        rate_worst = max(rate_worst, float(np.max(np.abs(got - want))))
-    rate_ok = rate_worst <= 1e-12
+        env = SyntheticEnvironment(spec, n_tasks=m, master_seed=0, grid_points=30)
+        got = [t.explore_count for t in run_lifelong(env, m, n, 0.25, 0.1, seed=0).tasks]
+        want = np.minimum(integerize(np.sqrt(n) / np.arange(1, m + 1) ** 0.25), n)
+        count_errors += int(np.sum(np.array(got) != want))
+    count_ok = count_errors == 0
 
-    ok = hand_ok and prefix_ok and rate_ok
+    ok = hand_ok and prefix_ok and count_ok
     detail = (
         f"hand trace {hand.tolist()} [{'ok' if hand_ok else 'WRONG'}]; "
         f"worst prefix deviation {prefix_worst:.3f} (<1); "
-        f"rate error {rate_worst:.1e} (tol 1e-12)"
+        f"{count_errors} LiBO forced-draw counts off the schedule (of 28)"
     )
     _report(6, ok, detail)
     assert ok, detail

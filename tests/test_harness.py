@@ -632,24 +632,36 @@ class TestRunExperiment:
             assert {name for _, name in record.events} == {"solver", "fallback"}
             assert all(task.kernel == tuple(range(1, 51)) for task in record.tasks)
 
-    def test_fit_after_a_failed_fit_starts_cold(self, tmp_path, monkeypatch):
-        # a failed fit drops the warm start: when the second fit fails, the
-        # third starts cold and the fourth from the third
-        fit_group_lasso, starts = selection.fit_group_lasso, []
+    @pytest.mark.parametrize("kind", ["lifelong", "offline"])
+    def test_fit_after_a_failed_fit_starts_from_the_last_converged_fit(
+        self, tmp_path, monkeypatch, kind
+    ):
+        # LiBO and the offline sweep share one rule: a failed fit leaves the
+        # warm start as it was, so when the second of four fits fails, the
+        # third starts from the first fit with predicted rows, and the
+        # fourth from the third
+        fit_group_lasso, starts, fits = selection.fit_group_lasso, [], []
 
         def second_fails(design, lam, *, x0=None):
             starts.append(x0)
             cut = {"max_iter": 1} if len(starts) == 2 else {}
-            return fit_group_lasso(design, lam, x0=x0, **cut)
+            fits.append(fit_group_lasso(design, lam, x0=x0, **cut))
+            return fits[-1]
 
         monkeypatch.setattr(selection, "fit_group_lasso", second_fails)
         records = seed_records(monkeypatch)
-        pairs = {"kind": "lifelong", "m": "4", "n": "20", "seeds": "0,", "out": str(tmp_path)}
+        pairs = {"kind": kind, "seeds": "0,", "out": str(tmp_path)}
+        pairs.update({"m": "4", "n": "20"} if kind == "lifelong" else {"m_values": "1,2,3,4"})
         assert not run_experiment(build_config(pairs=pairs)).failures
-        assert [x0 is None for x0 in starts] == [True, False, True, False]
-        record = records[0]
-        assert (2, "solver") in record.events
-        assert record.tasks[2].kernel == record.tasks[1].kernel
+        assert [report.converged for _, report in fits] == [True, False, True, True]
+        assert [x0 is None for x0 in starts] == [True, False, False, False]
+        assert [len(x0) for x0 in starts[1:]] == [2, 3, 4]
+        assert np.array_equal(starts[2][:1], fits[0][0])
+        assert np.array_equal(starts[3][:3], fits[2][0])
+        if kind == "lifelong":
+            record = records[0]
+            assert (2, "solver") in record.events
+            assert record.tasks[2].kernel == record.tasks[1].kernel
 
     def test_lifelong_at_p2000_completes_every_seed_in_bounded_time(self, tmp_path):
         # each task holds 4-10 forced rows against 2 000 groups, and the

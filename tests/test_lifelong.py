@@ -1,4 +1,4 @@
-"""Exploration schedules and the sequential task runner."""
+"""Forced-exploration counts and the sequential task runners."""
 
 import math
 import os
@@ -13,49 +13,90 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lifelong_bandits
-from lifelong_bandits import lifelong
+from lifelong_bandits import selection
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec
 from lifelong_bandits.errors import ConfigError
 from lifelong_bandits.federated import run_federated
 from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig
 from lifelong_bandits.lifelong import (
     LifelongRunRecord,
-    ScheduleMode,
-    _draw,
+    _plan,
     _run_agents,
-    _run_tasks,
-    exploration_counts,
     integerize,
     run_baseline,
     run_lifelong,
-    schedule_rates,
 )
 from lifelong_bandits.seeding import STREAM_EXPLORE, substream
 
 
+def small_env(seed=0, n_tasks=8, noise=0.1, grid_points=60):
+    spec = SyntheticSpec(p=8, support_size=2, norm_bound=6.0, beta_min=0.5, noise=noise)
+    return SyntheticEnvironment(spec, n_tasks=n_tasks, master_seed=seed, grid_points=grid_points)
+
+
+RUNNERS = ("lifelong", "federated", "oracle", "full")
+
+
+def run(runner, m, n, *, env=None, seed=0):
+    """One run of a runner by name on m tasks of horizon n."""
+    env = small_env(seed=seed, n_tasks=m) if env is None else env
+    if runner == "lifelong":
+        return run_lifelong(env, m, n, 0.25, 0.1, seed=seed)
+    if runner == "federated":
+        return run_federated(env, m, n, 0.25, 0.1, 0.5, seed=seed)
+    return run_baseline(env, runner, m, n, seed=seed)
+
+
+def explore_counts(runner, m, n) -> list[int]:
+    return [task.explore_count for task in run(runner, m, n).tasks]
+
+
+def libo_rates(m, n) -> np.ndarray:
+    """The paper's decreasing schedule: sqrt(n) / s^(1/4) for task s."""
+    return np.sqrt(n) / np.arange(1, m + 1) ** 0.25
+
+
+def paper_counts(runner, m, n) -> list[int]:
+    """Forced draws per task as the paper prescribes them: the decreasing
+    schedule for LiBO, a constant sqrt(n) for F-LiBO, none for the
+    baselines, integerized and capped at n."""
+    rates = {"lifelong": libo_rates(m, n), "federated": np.full(m, np.sqrt(n))}
+    return np.minimum(integerize(rates.get(runner, np.zeros(m))), n).tolist()
+
+
 class TestRates:
+    """Each runner's per-task forced draws against the paper's rates."""
+
     def test_decreasing_first_task(self):
-        assert schedule_rates(100, 1, ScheduleMode.DECREASING)[0] == pytest.approx(
-            10.0, abs=1e-12
-        )
+        assert explore_counts("lifelong", 1, 100) == [10]
 
     def test_decreasing_sixteenth_task(self):
-        rates = schedule_rates(100, 16, ScheduleMode.DECREASING)
-        assert rates[15] == pytest.approx(5.0, abs=1e-12)
+        # task 16's rate is sqrt(100) / 16^(1/4) = 5, plus the carried residue
+        counts = explore_counts("lifelong", 16, 100)
+        assert counts == paper_counts("lifelong", 16, 100)
+        assert counts[15] in (5, 6)
 
     def test_constant(self):
-        rates = schedule_rates(100, 7, ScheduleMode.CONSTANT)
-        assert np.all(rates == 10.0)
+        assert explore_counts("federated", 7, 100) == [10] * 7
+        assert explore_counts("federated", 7, 50) == paper_counts("federated", 7, 50)
+        for runner in ("oracle", "full"):
+            assert explore_counts(runner, 7, 50) == [0] * 7
 
     def test_decreasing_is_nonincreasing(self):
-        rates = schedule_rates(47, 30, ScheduleMode.DECREASING)
-        assert np.all(np.diff(rates) <= 0)
+        # nonincreasing up to the carry: a later task draws at most one more
+        counts = explore_counts("lifelong", 30, 47)
+        assert counts == paper_counts("lifelong", 30, 47)
+        assert all(later <= counts[i] + 1 for i in range(30) for later in counts[i + 1 :])
+        assert counts[-1] < counts[0]
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            schedule_rates(0, 5, ScheduleMode.CONSTANT)
-        with pytest.raises(ValueError):
-            schedule_rates(5, 5, "custom")
+        for runner in RUNNERS:
+            env = small_env(n_tasks=3)
+            for m, n in ((2, 0), (0, 5)):
+                with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+                    run(runner, m, n, env=env)
+            with pytest.raises(ConfigError, match="too few tasks"):
+                run(runner, 4, 5, env=env)
 
 
 class TestIntegerize:
@@ -88,20 +129,20 @@ class TestIntegerize:
 
 class TestSchedule:
     def test_counts_capped_by_horizon(self):
-        counts = exploration_counts(ScheduleMode.CONSTANT, 100, 12)
-        assert np.all(counts <= 100)
-        assert np.all(counts >= 0)
+        for runner in RUNNERS:
+            for n in (1, 2, 3):
+                counts = explore_counts(runner, 6, n)
+                assert counts == paper_counts(runner, 6, n)
+                assert all(0 <= count <= n for count in counts)
 
     def test_prefix_tracking(self):
-        counts = exploration_counts(ScheduleMode.DECREASING, 83, 40)
-        rates = schedule_rates(83, 40, ScheduleMode.DECREASING)
-        gaps = np.abs(np.cumsum(counts) - np.cumsum(rates))
-        assert gaps.max() < 1.0
-
-
-def small_env(seed=0, n_tasks=8, noise=0.1, grid_points=60):
-    spec = SyntheticSpec(p=8, support_size=2, norm_bound=6.0, beta_min=0.5, noise=noise)
-    return SyntheticEnvironment(spec, n_tasks=n_tasks, master_seed=seed, grid_points=grid_points)
+        for runner, rates in (
+            ("lifelong", libo_rates(40, 83)),
+            ("federated", np.full(40, np.sqrt(83))),
+        ):
+            counts = explore_counts(runner, 40, 83)
+            gaps = np.abs(np.cumsum(counts) - np.cumsum(rates))
+            assert gaps.max() < 1.0
 
 
 class TestRunLifelong:
@@ -109,7 +150,7 @@ class TestRunLifelong:
         env = small_env(seed=3, n_tasks=1)
         n = 30
         record = run_lifelong(env, m=1, n=n, omega=0.25, lam=0.1, seed=11)
-        ne = int(exploration_counts(ScheduleMode.DECREASING, n, 1)[0])
+        ne = int(integerize([math.sqrt(n)])[0])
         agent = GpUcb(env.atlas, tuple(range(1, env.atlas.p + 1)), UcbConfig())
         view = env.task_view(1)
         rng = substream(11, STREAM_EXPLORE, 1)
@@ -191,13 +232,13 @@ class TestRunLifelong:
     def test_inv_sqrt_policy_runs(self, monkeypatch):
         # the fit after task s runs at penalty lam / sqrt(s)
         penalties = []
-        learn_kernel = lifelong.learn_kernel
+        learn_kernel = selection.learn_kernel
 
         def recording(design, omega, lam, **kwargs):
             penalties.append(lam)
             return learn_kernel(design, omega, lam, **kwargs)
 
-        monkeypatch.setattr(lifelong, "learn_kernel", recording)
+        monkeypatch.setattr(selection, "learn_kernel", recording)
         record = run_lifelong(small_env(seed=11), m=3, n=16, omega=0.25, lam=0.3, seed=6)
         assert len(record.tasks) == 3
         assert penalties == [0.3 / math.sqrt(s) for s in (1, 2, 3)]
@@ -206,13 +247,13 @@ class TestRunLifelong:
         # the fit after task s reads the first s tasks of one design, so the
         # pool holds each task's forced rows once
         stacks = []
-        learn_kernel = lifelong.learn_kernel
+        learn_kernel = selection.learn_kernel
 
         def recording(design, *args, **kwargs):
             stacks.append(design.F)
             return learn_kernel(design, *args, **kwargs)
 
-        monkeypatch.setattr(lifelong, "learn_kernel", recording)
+        monkeypatch.setattr(selection, "learn_kernel", recording)
         run_lifelong(small_env(seed=12), m=4, n=16, omega=0.25, lam=0.1, seed=7)
         assert [len(F) for F in stacks] == [1, 2, 3, 4]
         assert all(np.shares_memory(F, stacks[0]) for F in stacks[1:])
@@ -257,22 +298,26 @@ class TestBaseline:
         with pytest.raises(ConfigError):
             run_baseline(small_env(), "truth", m=2, n=10)
 
+    def test_empty_horizon_rejected(self):
+        # this used to return two empty tasks, whose final regret then
+        # raised IndexError
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 1"):
+            run_baseline(small_env(), "oracle", m=2, n=0)
 
-def pinned_run(env, kernel, m, n, mode, *, seed, alone):
-    """Records of m tasks under one pinned kernel, as one group or each alone.
 
-    Alone, each task is planned as the task loop plans it and its agent runs
-    in an agent pass of its own.
+def pinned_run(env, kernel, rates, n, *, seed, alone):
+    """Records of one task per entry of ``rates`` under one pinned kernel,
+    as one group or each alone.
+
+    Alone, each planned task's agent runs in an agent pass of its own.
     """
     record = LifelongRunRecord(seed=seed)
+    plans = _plan(env, n, rates, seed)
     if not alone:
-        _run_tasks(env, m, n, mode, record, lambda plans: [kernel] * len(plans), seed=seed)
+        record.tasks = _run_agents(env, n, plans, [kernel] * len(plans), UcbConfig(), record)
         return record
-    counts = [0] * m if mode is None else exploration_counts(mode, n, m).tolist()
-    for s, count in enumerate(counts, start=1):
-        plan = _draw(env, s, count, n, seed)
-        plan.kernel = kernel
-        record.tasks += _run_agents(env, n, [plan], UcbConfig(), record)
+    for plan in plans:
+        record.tasks += _run_agents(env, n, [plan], [kernel], UcbConfig(), record)
     return record
 
 
@@ -306,9 +351,9 @@ class TestLockstep:
         kernels = self.kernels(env, source)
         assert len(kernels) >= 2 and all(any(j % 2 for j in k) for k in kernels)
         for kernel in kernels:
-            for mode in (None, ScheduleMode.DECREASING):
-                group = pinned_run(env, kernel, self.M, self.N, mode, seed=5, alone=False)
-                alone = pinned_run(env, kernel, self.M, self.N, mode, seed=5, alone=True)
+            for rates in (np.zeros(self.M), libo_rates(self.M, self.N)):
+                group = pinned_run(env, kernel, rates, self.N, seed=5, alone=False)
+                alone = pinned_run(env, kernel, rates, self.N, seed=5, alone=True)
                 for a, b in zip(group.tasks, alone.tasks, strict=True):
                     for name in ("task", "kernel", "explore_count"):
                         assert getattr(a, name) == getattr(b, name), name
@@ -319,8 +364,8 @@ class TestLockstep:
 
     def test_group_slack_is_the_worst_task_alone(self, env):
         kernel = env.support
-        group = pinned_run(env, kernel, 4, 30, None, seed=2, alone=False)
-        slacks = [pinned_run(env, kernel, s, 30, None, seed=2, alone=True).max_gain_slack
+        group = pinned_run(env, kernel, np.zeros(4), 30, seed=2, alone=False)
+        slacks = [pinned_run(env, kernel, np.zeros(s), 30, seed=2, alone=True).max_gain_slack
                   for s in range(1, 5)]
         # a run of s tasks alone holds the worst slack of its first s tasks
         assert slacks == sorted(slacks)

@@ -36,10 +36,12 @@ OWNERS = (
 )
 
 # bindings no package code calls any more; the tracer still wraps them
-# (``run_federated`` fits its clients through ``federated.client_fits``)
+# (``run_federated`` fits its clients through ``federated.client_fits``,
+# and ``run_lifelong`` its pooled fits through ``selection.learn_kernels``)
 KEPT_FOR_THE_TRACER = (
     (harness, "recovery_trial"),
     (lifelong, "design_from_tasks"),
+    (lifelong, "learn_kernel"),
     (federated, "design_from_tasks"),
     (federated, "client_fit"),
     (federated, "learn_kernel"),

@@ -78,9 +78,9 @@ Layers:
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh ``GpUcb``, a
   one-agent ``LockstepUcb``.
 - ``gp_ucb.lockstep_d5`` and ``gp_ucb.lockstep_d50``: the same steps for 20
-  tasks at once through one ``LockstepUcb`` (the agent pass of
-  ``lifelong._run_tasks``), in microseconds per task-step, so they compare
-  with ``step_d5`` and ``step_d50`` directly. A ``LockstepUcb`` folds its
+  tasks at once through one ``LockstepUcb`` (the agent pass of every
+  runner, ``lifelong._run_agents``), in microseconds per task-step, so
+  they compare with ``step_d5`` and ``step_d50`` directly. A ``LockstepUcb`` folds its
   pending updates into the inverse once every D observations, D the union
   width, so the timed window (observations 21 to 70) holds one fold at
   d=50 and ten at d=5.
@@ -142,7 +142,7 @@ from lifelong_bandits.harness import (  # noqa: E402
     run_experiment,
     summarize,
 )
-from lifelong_bandits.lifelong import ScheduleMode, exploration_counts, run_lifelong  # noqa: E402
+from lifelong_bandits.lifelong import integerize, run_lifelong  # noqa: E402
 from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
 
 TASKS = 20
@@ -368,7 +368,7 @@ def fit_statistics(design) -> None:
 
 def design_learned(repeats: int) -> dict:
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
-    rows = exploration_counts(ScheduleMode.DECREASING, 100, TASKS)
+    rows = integerize(math.sqrt(100) / np.arange(1, TASKS + 1) ** 0.25)  # LiBO's at n = 100
     draws = grid_draws(env, rows, np.random.default_rng(0))
 
     def build():
