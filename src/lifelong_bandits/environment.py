@@ -20,8 +20,9 @@ evaluation each coordinate axis is mapped affinely onto the atlas domain
 upper end), so ``legendre1d`` sees all of [-1, 1] and the cosine families
 all of [0, 1]; the table itself keeps its raw coordinates.
 
-All randomness flows through :mod:`.seeding` substreams, so any single task
-can be replayed in isolation.
+Both kinds give the runners ``p``, ``grid_size`` and ``task_view(s)`` from
+one base. All randomness flows through :mod:`.seeding` substreams, so any
+single task can be replayed in isolation.
 
 The candidate grid and its feature table depend only on the family, p and
 the grid resolution, not on the seed, so every ``SyntheticEnvironment`` of
@@ -171,7 +172,31 @@ class TaskView:
         return self.opt_value - self.values[grid_index]
 
 
-class SyntheticEnvironment:
+class _TaskGrid:
+    """What the runners read of an environment. A subclass sets ``atlas``,
+    ``grid``, the (G, m) task ``values`` on it, ``noise``, ``m`` and
+    ``master_seed``."""
+
+    @property
+    def p(self) -> int:
+        return self.atlas.p
+
+    @property
+    def grid_size(self) -> int:
+        return self.grid.shape[0]
+
+    def task_view(self, s: int) -> TaskView:
+        """Fresh view of task s (1-based) with a fresh noise substream."""
+        if not 1 <= s <= self.m:
+            raise IndexError(f"task index {s} outside 1..{self.m}")
+        return TaskView(
+            self.values[:, s - 1],
+            self.noise,
+            substream(self.master_seed, STREAM_NOISE, s),
+        )
+
+
+class SyntheticEnvironment(_TaskGrid):
     """A sequence of synthetic tasks over one hidden support.
 
     Parameters
@@ -199,6 +224,7 @@ class SyntheticEnvironment:
         if n_tasks < 1:
             raise ValueError("need at least one task")
         self.spec = spec
+        self.noise = spec.noise
         self.m = n_tasks
         self.master_seed = int(master_seed)
         self.atlas = FeatureAtlas(spec.family, spec.p)
@@ -217,32 +243,14 @@ class SyntheticEnvironment:
         # grid values per task, shape (G, m)
         self.values = self.grid_features @ self.coeffs.T
 
-    @property
-    def p(self) -> int:
-        return self.spec.p
-
-    @property
-    def grid_size(self) -> int:
-        return self.grid.shape[0]
-
-    def task_view(self, s: int) -> TaskView:
-        """Fresh view of task s (1-based) with a fresh noise substream."""
-        if not 1 <= s <= self.m:
-            raise IndexError(f"task index {s} outside 1..{self.m}")
-        return TaskView(
-            self.values[:, s - 1],
-            self.spec.noise,
-            substream(self.master_seed, STREAM_NOISE, s),
-        )
-
     def rewards_at(self, s: int, features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Noisy rewards of task s at the points whose feature rows
         (``atlas.concat_many`` of them) are ``features``."""
         if not 1 <= s <= self.m:
             raise IndexError(f"task index {s} outside 1..{self.m}")
         f = features @ self.coeffs[s - 1]
-        if self.spec.noise > 0:
-            f = f + self.spec.noise * rng.standard_normal(f.shape)
+        if self.noise > 0:
+            f = f + self.noise * rng.standard_normal(f.shape)
         return f
 
 
@@ -330,7 +338,7 @@ class LookupTable:
             return cls.from_text(fh.read())
 
 
-class LookupEnvironment:
+class LookupEnvironment(_TaskGrid):
     """Adapter that runs bandit loops on a lookup table.
 
     The candidate grid is the table's point set mapped affinely onto the
@@ -363,20 +371,3 @@ class LookupEnvironment:
         self.grid_features = self.atlas.concat_many(self.grid)
         self.support = None
         self.values = table.values
-
-    @property
-    def p(self) -> int:
-        return self.atlas.p
-
-    @property
-    def grid_size(self) -> int:
-        return self.grid.shape[0]
-
-    def task_view(self, s: int) -> TaskView:
-        if not 1 <= s <= self.m:
-            raise IndexError(f"task index {s} outside 1..{self.m}")
-        return TaskView(
-            self.values[:, s - 1],
-            self.noise,
-            substream(self.master_seed, STREAM_NOISE, s),
-        )

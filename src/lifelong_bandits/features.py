@@ -23,9 +23,9 @@ A set J of group indices induces the averaged kernel
 so a kernel is J itself, the sorted tuple of its group indices, and
 (1, ..., p) is the full kernel. The bandit solver consumes it as the
 unscaled ``concat_many`` columns of J and a prior weight of 1/|J| on each
-(see ``gp_ucb.LockstepUcb.over_table``). Group indices are 1-based
-throughout the public API: the index is the basis frequency or degree, so it
-is meaningful, not positional.
+(see ``gp_ucb.LockstepUcb``). Group indices are 1-based throughout the
+public API: the index is the basis frequency or degree, so it is
+meaningful, not positional.
 """
 
 from __future__ import annotations

@@ -25,9 +25,10 @@ features and lowered by lam^2 (Phi w)^2 per observation.
 Agents that share a config and a candidate table step together in
 ``LockstepUcb``, each under its own kernel J_j, the sorted tuple of its
 1-based group indices (see :mod:`.features`), over one (G, D) table of the
-unscaled features f of the union of their groups. Agent j's kernel becomes a
-prior weight w_j, 1/|J_j| on its own groups and 0 elsewhere: its A^{-1}
-starts at diag(w_j) / lam^2. With S = diag(sqrt(w_j)) this A^{-1} is
+unscaled features f of the union of their groups, which it slices from the
+(G, p) table it is given. Agent j's kernel becomes a prior weight w_j,
+1/|J_j| on its own groups and 0 elsewhere: its A^{-1} starts at
+diag(w_j) / lam^2. With S = diag(sqrt(w_j)) this A^{-1} is
 S A^{-1} S and theta is S theta of the scaled posterior above, so the mean
 f^T theta, the variance lam^2 f^T A^{-1} f and q agree with it in exact
 arithmetic, the groups outside J_j stay exactly 0, no step scales by agent,
@@ -150,9 +151,11 @@ def ucb_choice(scores: np.ndarray) -> np.ndarray:
 class LockstepUcb:
     """k GP-UCB agents under one config, each with its own kernel, in lockstep.
 
-    ``features`` is the candidates' (G, D) unscaled feature table over the
-    union of the agents' groups, and row j of the (k, D) ``weights`` holds
-    agent j's prior weight: 1/|J_j| on its own groups and 0 elsewhere.
+    ``table`` is the candidates' (G, p) unscaled feature table, such as
+    ``env.grid_features``, and agent j runs under ``kernels[j]``, a tuple of
+    distinct column indices in 1..p weighed 1/|J_j| each (an empty kernel
+    raises ``EmptyKernelError``, a repeated or out-of-range index
+    ``ValueError``). ``features`` keeps the (G, D) columns of their union.
     Every agent starts from its prior and observes one candidate per step.
     ``inv`` is the stacked A^{-1} as of the last fold and the first ``held``
     rows of ``pending`` the update vectors observed since, folded into
@@ -161,37 +164,7 @@ class LockstepUcb:
     deciding a choice.
     """
 
-    def __init__(self, features: np.ndarray, weights: np.ndarray, config: UcbConfig) -> None:
-        k, width = weights.shape
-        self.features = features
-        self.config = config
-        self.dims = np.count_nonzero(weights, axis=1)
-        if not self.dims.all():
-            raise EmptyKernelError("every agent needs a kernel with at least one group")
-        self.count = 0
-        # inv, theta and pending are row blocks of one array, so that one
-        # product with phi gives inv phi, phi^T theta and P phi
-        self._rows = np.zeros((k, 2 * width + 1, width))
-        self.inv = self._rows[:, :width]
-        self.inv[:, np.arange(width), np.arange(width)] = weights / config.lam**2
-        self.theta = self._rows[:, width]
-        self.pending = self._rows[:, width + 1 :]
-        self.held = 0
-        self.var = weights @ np.square(features).T
-        self.log_det = np.zeros(k)
-        self.max_gain_slack = np.full(k, -np.inf)
-        # the closed-form cap (1/2) d log(1 + lam^-2 i / d) after i
-        # observations is cap_weight * log1p(i / cap_scale); dims >= 1 holds
-        # here and lam > 0 in UcbConfig
-        self.cap_weight = 0.5 * self.dims
-        self.cap_scale = (config.lam * config.lam) * self.dims
-
-    @classmethod
-    def over_table(cls, table: np.ndarray, kernels, config: UcbConfig) -> "LockstepUcb":
-        """One agent per kernel J, a tuple of distinct column indices in
-        1..p weighed 1/|J| each, over the union of their columns of a (G, p)
-        feature table such as ``env.grid_features``. An empty kernel raises
-        ``EmptyKernelError``, a repeated or out-of-range index ``ValueError``."""
+    def __init__(self, table: np.ndarray, kernels, config: UcbConfig) -> None:
         p = table.shape[1]
         weights = np.zeros((len(kernels), p))
         for row, kernel in zip(weights, kernels):
@@ -201,7 +174,28 @@ class LockstepUcb:
                 raise ValueError(f"kernel {kernel!r} needs distinct indices in 1..{p}")
             row[np.asarray(kernel) - 1] = 1.0 / len(kernel)
         used = weights.any(axis=0)
-        return cls(table[:, used], weights[:, used], config)
+        weights = weights[:, used]
+        k, width = weights.shape
+        self.features = table[:, used]
+        self.config = config
+        self.dims = np.array([len(kernel) for kernel in kernels])
+        self.count = 0
+        # inv, theta and pending are row blocks of one array, so that one
+        # product with phi gives inv phi, phi^T theta and P phi
+        self._rows = np.zeros((k, 2 * width + 1, width))
+        self.inv = self._rows[:, :width]
+        self.inv[:, np.arange(width), np.arange(width)] = weights / config.lam**2
+        self.theta = self._rows[:, width]
+        self.pending = self._rows[:, width + 1 :]
+        self.held = 0
+        self.var = weights @ np.square(self.features).T
+        self.log_det = np.zeros(k)
+        self.max_gain_slack = np.full(k, -np.inf)
+        # the closed-form cap (1/2) d log(1 + lam^-2 i / d) after i
+        # observations is cap_weight * log1p(i / cap_scale); dims >= 1 holds
+        # here and lam > 0 in UcbConfig
+        self.cap_weight = 0.5 * self.dims
+        self.cap_scale = (config.lam * config.lam) * self.dims
 
     def select(self) -> np.ndarray:
         """Each agent's UCB choice over the candidates (see ``ucb_choice``)."""
@@ -272,8 +266,7 @@ class GpUcb:
     def _group_over(self, candidates: np.ndarray) -> LockstepUcb:
         if self.group is None:
             self.candidates = candidates
-            table = self.atlas.concat_many(candidates)
-            self.group = LockstepUcb.over_table(table, [self.kernel], self.config)
+            self.group = LockstepUcb(self.atlas.concat_many(candidates), [self.kernel], self.config)
         elif candidates is not self.candidates:
             raise ValueError("the agent is bound to the first candidate array it was given")
         return self.group

@@ -138,8 +138,7 @@ def _plan(env, n: int, rates, seed: int) -> list[_Plan]:
         view = env.task_view(s)
         drawn = []
         if count:
-            rng = substream(seed, STREAM_EXPLORE, s)
-            drawn = [int(rng.integers(env.grid_size)) for _ in range(count)]
+            drawn = substream(seed, STREAM_EXPLORE, s).integers(env.grid_size, size=count).tolist()
         noise = view.noise_terms(n)
         drawn_y = [float(view.values[idx] + noise[i]) for i, idx in enumerate(drawn)]
         plans.append(_Plan(s, view, drawn, drawn_y, noise))
@@ -149,12 +148,12 @@ def _plan(env, n: int, rates, seed: int) -> list[_Plan]:
 def _run_agents(env, n, plans, kernels, ucb, record) -> list[TaskRecord]:
     """Run the planned tasks, n steps each, in one ``LockstepUcb``.
 
-    Each task's entry of ``kernels`` is its agent's prior weight, and
+    Each task's entry of ``kernels`` is its agent's kernel, and
     ``ucb`` the config of all. Each task observes its forced draws first,
     then its UCB choices; an observation is the task's grid value plus its
     pre-drawn noise term.
     """
-    group = LockstepUcb.over_table(env.grid_features, kernels, ucb)
+    group = LockstepUcb(env.grid_features, kernels, ucb)
     values = np.stack([plan.view.values for plan in plans])
     noise = np.stack([plan.noise for plan in plans])
     actions = np.empty((len(plans), n), dtype=int)

@@ -175,7 +175,7 @@ def test_criterion_3_primal_dual_posterior_equivalence():
         points = rng.uniform(size=(n_obs + 1, 1))  # n_obs observed, one query
         table = FeatureAtlas(BasisFamily.COSINE_1D, dim).concat_many(points)
         y = rng.standard_normal(n_obs)
-        group = LockstepUcb(table, np.full((1, dim), 1.0 / dim), UcbConfig(lam=lam))
+        group = LockstepUcb(table, [tuple(range(1, dim + 1))], UcbConfig(lam=lam))
         for i in range(n_obs):
             group.observe(np.array([i]), y[i : i + 1])
         mean_p = float(group.theta[0] @ table[n_obs])
@@ -329,7 +329,7 @@ def test_criterion_6_schedule_laws():
     ok = hand_ok and prefix_ok and count_ok
     detail = (
         f"hand trace {hand.tolist()} [{'ok' if hand_ok else 'WRONG'}]; "
-        f"worst prefix deviation {prefix_worst:.3f} (<1); "
+        f"worst prefix deviation {prefix_worst!r} (<1); "
         f"{count_errors} LiBO forced-draw counts off the schedule (of 28)"
     )
     _report(6, ok, detail)

@@ -16,7 +16,7 @@ from lifelong_bandits.environment import (
 )
 from lifelong_bandits.errors import ConfigError, DataError
 from lifelong_bandits.features import BasisFamily, FeatureAtlas
-from lifelong_bandits.seeding import substream
+from lifelong_bandits.seeding import STREAM_NOISE, substream
 from oracles import kernel_rows, rkhs_norm_sq
 
 
@@ -278,3 +278,37 @@ class TestLookupEnvironment:
         view = env.task_view(1)
         assert view.observe(3) == table.values[3, 0]
         assert view.opt_value == table.values[:, 0].max()
+
+
+def synthetic_grid():
+    """A synthetic environment of 3 tasks over 7 groups and 40 grid points,
+    with its p, grid size and noise level."""
+    spec = SyntheticSpec(p=7, support_size=2, noise=0.2)
+    return SyntheticEnvironment(spec, n_tasks=3, master_seed=5, grid_points=40), 7, 40, 0.2
+
+
+def lookup_grid():
+    """A noisy lookup environment of 3 tasks over 9 groups and a 6 x 6 grid,
+    with its p, grid size and noise level."""
+    grid = uniform_grid(np.array([[0.0, 2.0], [1.0, 3.0]]), 6)
+    values = np.stack([s * grid.sum(axis=1) for s in (1.0, -2.0, 3.0)], axis=1)
+    table = LookupTable(["x1", "x2"], ["a", "b", "c"], grid, values)
+    return LookupEnvironment(table, master_seed=5, p=9, noise=0.3), 9, 36, 0.3
+
+
+@pytest.mark.parametrize("build", [synthetic_grid, lookup_grid], ids=["synthetic", "lookup"])
+def test_task_grid_surface(build):
+    # both environments read p, the grid size and task views the same way:
+    # task s is column s - 1 of the values, and its noise the task's own
+    # substream of the master seed
+    env, p, grid_size, noise = build()
+    assert env.p == p == env.grid_features.shape[1]
+    assert env.grid_size == grid_size == env.grid_features.shape[0]
+    for s in (0, -1, env.m + 1):
+        with pytest.raises(IndexError, match=rf"task index {s} outside 1\.\.3"):
+            env.task_view(s)
+    for s in range(1, env.m + 1):
+        view = env.task_view(s)
+        np.testing.assert_array_equal(view.values, env.values[:, s - 1])
+        want = noise * substream(5, STREAM_NOISE, s).standard_normal(4)
+        assert view.noise_terms(4).tolist() == want.tolist()

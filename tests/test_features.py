@@ -33,7 +33,7 @@ def prior_kernel(atlas, kernel, X):
     """Gram matrix of the averaged kernel between the points X as the bandit
     consumes it: the prior covariance lam^2 f(x)^T A^{-1} f(y), at lam = 1, of
     a one-agent ``LockstepUcb`` over their atlas rows."""
-    group = LockstepUcb.over_table(atlas.concat_many(X), [kernel], UcbConfig(lam=1.0))
+    group = LockstepUcb(atlas.concat_many(X), [kernel], UcbConfig(lam=1.0))
     return group.features @ group.inv[0] @ group.features.T
 
 

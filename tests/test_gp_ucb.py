@@ -14,10 +14,10 @@ from oracles import dual_posterior, info_gain_cap, kernel_rows, realized_info_ga
 
 def one_agent(points, dim, lam):
     """A one-agent ``LockstepUcb`` over the cosine atlas rows of ``points``
-    under all ``dim`` groups at weight 1/dim, and those rows scaled by
+    under the full kernel of all ``dim`` groups, and those rows scaled by
     sqrt(1/dim): the features whose inner products are the agent's kernel."""
     table = FeatureAtlas(BasisFamily.COSINE_1D, dim).concat_many(np.reshape(points, (-1, 1)))
-    group = LockstepUcb(table, np.full((1, dim), 1.0 / dim), UcbConfig(lam=lam))
+    group = LockstepUcb(table, [tuple(range(1, dim + 1))], UcbConfig(lam=lam))
     return group, table / np.sqrt(dim)
 
 
@@ -133,10 +133,8 @@ class TestPosteriorState:
 def agent_cap(dims, n, lam):
     """The information-gain cap that agents of ``dims`` groups each check
     after n observations, as ``LockstepUcb.observe`` computes it."""
-    weights = np.zeros((len(dims), max(dims)))
-    for row, d in zip(weights, dims):
-        row[:d] = 1.0 / d
-    group = LockstepUcb(np.ones((1, max(dims))), weights, UcbConfig(lam=lam))
+    kernels = [tuple(range(1, d + 1)) for d in dims]
+    group = LockstepUcb(np.ones((1, max(dims))), kernels, UcbConfig(lam=lam))
     return group.cap_weight * np.log1p(n / group.cap_scale)
 
 
@@ -327,13 +325,13 @@ def three_columns():
     return FeatureAtlas(BasisFamily.COSINE_1D, 3).concat_many(np.linspace(0.0, 1.0, 5))
 
 
-class TestOverTable:
-    """``over_table`` checks each kernel, a tuple of 1-based column indices,
+class TestConstructor:
+    """``LockstepUcb`` checks each kernel, a tuple of 1-based column indices,
     against the table it indexes and weighs its columns 1/|J|."""
 
     def test_full_kernel_weighs_every_column_equally(self):
         table, lam = three_columns(), UcbConfig().lam
-        group = LockstepUcb.over_table(table, [(1, 2, 3)], UcbConfig())
+        group = LockstepUcb(table, [(1, 2, 3)], UcbConfig())
         np.testing.assert_array_equal(group.features, table)
         assert group.dims.tolist() == [3]
         np.testing.assert_array_equal(group.inv[0], np.eye(3) * ((1.0 / 3.0) / lam**2))
@@ -343,18 +341,18 @@ class TestOverTable:
     @pytest.mark.parametrize("kernels", [[()], [(1,), ()]])
     def test_empty_kernel_raises(self, kernels):
         with pytest.raises(EmptyKernelError):
-            LockstepUcb.over_table(three_columns(), kernels, UcbConfig())
+            LockstepUcb(three_columns(), kernels, UcbConfig())
 
     def test_repeated_or_out_of_range_index_raises(self):
         # the range is the table's own width, 3: (5,) and (4,) name no column
         for kernel in [(0,), (4,), (1, 1), (5,), (2, 3, 2), (1, -1)]:
             with pytest.raises(ValueError, match=r"distinct indices in 1\.\.3"):
-                LockstepUcb.over_table(three_columns(), [(1, 2), kernel], UcbConfig())
+                LockstepUcb(three_columns(), [(1, 2), kernel], UcbConfig())
 
     def test_unsorted_kernel_weighs_like_sorted(self):
         table = three_columns()
-        unsorted = LockstepUcb.over_table(table, [(3, 1), (2,)], UcbConfig())
-        ordered = LockstepUcb.over_table(table, [(1, 3), (2,)], UcbConfig())
+        unsorted = LockstepUcb(table, [(3, 1), (2,)], UcbConfig())
+        ordered = LockstepUcb(table, [(1, 3), (2,)], UcbConfig())
         for name in ("features", "inv", "var", "dims"):
             assert np.array_equal(getattr(unsorted, name), getattr(ordered, name)), name
 
@@ -384,7 +382,7 @@ class TestLockstepUcb:
         kernels = list(selections)
         config = UcbConfig(nu=2.0, lam=0.3)
         agents = [GpUcb(atlas, kernel, config) for kernel in kernels]
-        group = LockstepUcb.over_table(atlas.concat_many(grid), kernels, config)
+        group = LockstepUcb(atlas.concat_many(grid), kernels, config)
         assert group.features.shape == (80, width)
         assert group.dims.tolist() == [len(sel) for sel in selections]
         rng = np.random.default_rng(0)
@@ -414,7 +412,7 @@ class TestLockstepUcb:
         kernels = [(1, 2, 5), (2, 5), (3, 7)]
         config = UcbConfig(nu=2.0, lam=0.3)
         agents = [GpUcb(atlas, kernel, config) for kernel in kernels]
-        group = LockstepUcb.over_table(atlas.concat_many(grid), kernels, config)
+        group = LockstepUcb(atlas.concat_many(grid), kernels, config)
         width = group.features.shape[1]
         assert width == 5
         rng = np.random.default_rng(1)
@@ -428,28 +426,25 @@ class TestLockstepUcb:
                 assert group.held == count % width
                 assert_group_matches(group, agents, grid)
 
-    def test_rejects_mismatched_or_empty_weights(self):
-        features = np.ones((4, 2))
-        with pytest.raises(ValueError):
-            LockstepUcb(features, np.ones((2, 3)), UcbConfig())
+    def test_rejects_an_empty_kernel(self):
         with pytest.raises(EmptyKernelError):
-            LockstepUcb(features, np.array([[0.5, 0.5], [0.0, 0.0]]), UcbConfig())
+            LockstepUcb(np.ones((4, 2)), [(1, 2), ()], UcbConfig())
 
     def test_mirror_tie_goes_to_the_lower_index(self):
         atlas, kernel, mirror = mirror_pair()
-        group = LockstepUcb.over_table(atlas.concat_many(mirror), [kernel, kernel], UcbConfig())
+        group = LockstepUcb(atlas.concat_many(mirror), [kernel, kernel], UcbConfig())
         assert group.var[0, 1] > group.var[0, 0]
         assert group.select().tolist() == [0, 0]
 
     def test_relative_gap_of_1e_9_is_not_a_tie(self):
         # prior scores nu * |f| under one column of weight 1
         features = np.array([[1.0], [1.0 + 1e-9], [-1.0]])
-        group = LockstepUcb(features, np.ones((2, 1)), UcbConfig(nu=10.0))
+        group = LockstepUcb(features, [(1,), (1,)], UcbConfig(nu=10.0))
         assert group.select().tolist() == [1, 1]
 
     def test_info_gain_cap_enforced(self):
         atlas, kernel, grid, _ = make_agent()
-        group = LockstepUcb.over_table(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
+        group = LockstepUcb(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
         group.cap_weight[:] = 0.0  # a cap of 0
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
@@ -457,19 +452,19 @@ class TestLockstepUcb:
     def test_nan_gain_fails_the_cap(self):
         # a posterior gone NaN must not pass the gate as a False comparison
         atlas, kernel, grid, _ = make_agent()
-        group = LockstepUcb.over_table(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
+        group = LockstepUcb(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
         group.log_det[1] = np.nan
         with pytest.raises(RuntimeError, match="exceeds its cap"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
 
     def test_broken_q_is_named_with_its_agent(self):
         atlas, kernel, grid, _ = make_agent()
-        group = LockstepUcb.over_table(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
+        group = LockstepUcb(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
         group.inv[1, 0, 0] = np.nan
         with pytest.raises(RuntimeError, match=r"agent 1: q = 1 \+ phi\^T A\^-1 phi is nan"):
             group.observe(np.array([0, 5, 9]), np.zeros(3))
         # an inverse gone indefinite gives a negative q, whose log is NaN
-        group = LockstepUcb.over_table(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
+        group = LockstepUcb(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
         group.inv[2] *= -1.0
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match=r"agent 2: q = .* is -"):
@@ -512,7 +507,7 @@ def test_mixed_lockstep_matches_scratch_property(seed, k, n, lam):
         for _ in range(k)
     ]
     cand = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 80)), 1))
-    group = LockstepUcb.over_table(atlas.concat_many(cand), kernels, UcbConfig(nu=1.0, lam=lam))
+    group = LockstepUcb(atlas.concat_many(cand), kernels, UcbConfig(nu=1.0, lam=lam))
     rewards = rng.normal(size=(n, k))
     chosen = np.empty((n, k), dtype=int)
     for i in range(n):

@@ -445,7 +445,7 @@ def ucb_lockstep(kernels, repeats: int) -> dict:
             group.observe(i, env.values[i, rows] + noise[t])
 
     def run():
-        group = LockstepUcb.over_table(env.grid_features, kernels, UcbConfig())
+        group = LockstepUcb(env.grid_features, kernels, UcbConfig())
         steps(group, 0, UCB_WARMUP)
         start = time.perf_counter()
         steps(group, UCB_WARMUP, UCB_STEPS)
