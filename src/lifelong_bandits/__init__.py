@@ -14,8 +14,8 @@ from .environment import (
 )
 from .errors import ConfigError, DataError, DomainError, EmptyKernelError
 from .features import BasisFamily, FeatureAtlas
-from .federated import ClientVote, VoteLedger, client_fit, client_fits, run_federated
-from .gp_ucb import GpUcb, LockstepUcb, UcbConfig
+from .federated import ClientVote, VoteLedger, client_fits, run_federated
+from .gp_ucb import LockstepUcb, UcbConfig
 from .group_lasso import (
     PooledDesign,
     SolverReport,
@@ -44,10 +44,8 @@ from .lifelong import (
 from .seeding import substream
 from .selection import (
     KernelSelection,
-    design_from_tasks,
     learn_kernel,
     recovery_sweep,
-    recovery_trial,
     threshold_groups,
 )
 
@@ -61,7 +59,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FeatureAtlas",
-    "GpUcb",
     "KernelSelection",
     "LifelongRunRecord",
     "LockstepUcb",
@@ -77,9 +74,7 @@ __all__ = [
     "UcbConfig",
     "VoteLedger",
     "build_config",
-    "client_fit",
     "client_fits",
-    "design_from_tasks",
     "fit_group_lasso",
     "fit_lassos",
     "group_norms",
@@ -88,7 +83,6 @@ __all__ = [
     "learn_kernel",
     "pooled_loss",
     "recovery_sweep",
-    "recovery_trial",
     "run_baseline",
     "run_experiment",
     "run_federated",

@@ -101,5 +101,7 @@ def main(argv=None) -> int:
         line += f", {len(result.failures)} failed"
     if config.out:
         line += f", wrote {config.out}"
+    if result.unconverged:
+        line += f", {result.unconverged} fits did not converge"
     print(line)
     return 2 if result.failures else 0

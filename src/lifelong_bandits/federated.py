@@ -11,7 +11,7 @@ cross the client boundary by construction.
 (``group_lasso.fit_lassos``) follows every client's own path at once, so
 each client's coefficients still depend on its own rows only, and a client
 whose path is declined falls back to the iterative solver alone.
-``client_fit`` is its one-client form.
+``client_fit``, its one-client form, is kept only for perfbench's tracer.
 
 ``run_federated`` plans every client's forced prefix first, with the
 planning pass of :mod:`.lifelong`; then all clients' draws are fitted into
@@ -135,7 +135,8 @@ def client_fit(
     client: int = 0,
 ) -> ClientVote:
     """Fit one client's data alone and return its index vote: the
-    one-client form of ``client_fits``."""
+    one-client form of ``client_fits``. No runner calls it; it is kept,
+    outside the package's ``__all__``, for perfbench's tracer."""
     (vote,) = client_fits([phi], [y], lam, omega, clients=[client])
     return vote
 

@@ -249,9 +249,9 @@ class GpUcb:
     candidate rows and ``observe(index, y, candidates)`` folds in the reward
     observed at one of them. The agent is bound to the first candidate array
     it is given, whose features it evaluates once; any other array raises
-    ``ValueError``. The runners step ``LockstepUcb`` groups directly;
-    perfbench's tracer wraps this class's ``__init__``, ``select`` and
-    ``observe``.
+    ``ValueError``. No runner steps it: they step ``LockstepUcb`` groups
+    directly. It is kept, outside the package's ``__all__``, for perfbench's
+    tracer, which wraps its ``__init__``, ``select`` and ``observe``.
     """
 
     def __init__(self, atlas: FeatureAtlas, kernel: tuple[int, ...], config: UcbConfig) -> None:

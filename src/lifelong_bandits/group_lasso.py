@@ -33,11 +33,13 @@ g is affine in B, so the momentum point's follows from the carried ones.
 Two batched matmuls per iteration (F·B, then F^T times it) are the only
 products, with two more when a rejected step restarts the momentum. The
 fit stops when the prox-gradient mapping norm, tested every ``CHECK_EVERY``
-iterations, falls below ``tol``. ``kkt_residuals`` provides an optimality
-certificate computed from raw residuals, independent of the solver path.
+iterations, falls below ``TOL``, or gives up after ``MAX_ITER`` iterations;
+both are module constants, read at each fit, and no argument or config key
+sets them. ``kkt_residuals`` provides an optimality certificate computed
+from raw residuals, independent of the solver path.
 
 On a pooled design (m >= 2) the iteration identifies the support long before
-it meets ``tol``, so it hands off to Newton's method (after the semismooth
+it meets ``TOL``, so it hands off to Newton's method (after the semismooth
 Newton idea of Li, Sun & Toh, SIAM J. Optim. 2018) once the support has
 settled. Every prox step gives the support of its point and the mapping norm
 at the point it started from. Once the support has held for
@@ -47,7 +49,7 @@ otherwise Newton solves the smooth problem over the support. A column that
 is still nonzero there but zero at the optimum shows itself at once: a
 Newton step pushes it through zero. Newton then drops it, goes back to the
 point before that step without it, and carries on over the smaller support.
-Its point is accepted only if its own mapping norm is <= ``tol`` and its
+Its point is accepted only if its own mapping norm is <= ``TOL`` and its
 objective is no higher than the iterate's. A point that fails only the
 mapping norm becomes the iterate, with momentum restarted, so the next prox
 step can bring back a column Newton dropped wrongly; a point above the iterate's
@@ -59,7 +61,7 @@ Newton system is then numerically the tasks' own Gram blocks, singular for a
 task with fewer rows than support columns, and its point an arbitrary,
 often huge, member of the solution set.
 Newton stops as soon as its point can pass that test: once the largest
-entry of its reduced gradient is within tol / (2 sqrt(m |S|)), |S| the size
+entry of its reduced gradient is within TOL / (2 sqrt(m |S|)), |S| the size
 of the support, or ``NEWTON_GRAD_TOL`` * max(1, lam) if that is larger.
 
 A fit over a growing pool starts from the last fit over fewer tasks
@@ -73,9 +75,9 @@ A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
 linear in lam. The fit follows that path exactly (homotopy, or LARS-lasso:
 Osborne, Presnell & Turlach 2000; Efron et al. 2004) from
 lam_max = (2/N)||Phi^T y||_inf down to the target, one join or drop event per
-step, with at most ``max_iter`` steps. It returns the path's point only when it
-can certify it: every KKT residual is <= ``tol``, and the columns of the
-equicorrelation set {j : (2/N)|phi_j^T r| >= lam - tol} are linearly
+step, with at most ``MAX_ITER`` steps. It returns the path's point only when it
+can certify it: every KKT residual is <= ``TOL``, and the columns of the
+equicorrelation set {j : (2/N)|phi_j^T r| >= lam - TOL} are linearly
 independent, which makes the solution unique (Tibshirani 2013, Lemma 2).
 Otherwise, for instance on a singular active Gram, an exhausted step budget
 or a polytope of solutions, the fit runs the proximal-gradient iteration
@@ -102,6 +104,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+TOL = 1e-8  # the stop rule's mapping norm, and the path certificate's KKT residual
+MAX_ITER = 50_000  # iterations of the proximal-gradient iteration, and steps of the lasso path
 CHECK_EVERY = 10  # iterations between stop tests
 HANDOFF_MAP_NORM = 1e-2  # largest mapping norm at which Newton is tried; 0 switches it off
 HANDOFF_HOLD = 5  # iterations the support must hold before Newton is tried on it
@@ -337,12 +341,7 @@ def _prox_step(B: np.ndarray, g: np.ndarray, thresh: float) -> tuple[np.ndarray,
 
 
 def fit_group_lasso(
-    design: PooledDesign,
-    lam: float,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 50_000,
-    x0: np.ndarray | None = None,
+    design: PooledDesign, lam: float, *, x0: np.ndarray | None = None
 ) -> tuple[np.ndarray, SolverReport]:
     """Minimize the pooled group-lasso objective.
 
@@ -355,7 +354,7 @@ def fit_group_lasso(
     Accelerated proximal gradient uses constant step 1/L, monotone acceptance
     and momentum restart. L is the largest per-task spectral norm of
     (2/N) Phi_s^T Phi_s. Stops when the prox-gradient mapping norm at the
-    current iterate is <= ``tol``; on hitting ``max_iter`` first, returns with
+    current iterate is <= ``TOL``; on hitting ``MAX_ITER`` first, returns with
     ``converged=False`` rather than raising.
 
     Returns the (m, p) coefficient matrix, row s - 1 for task s and column
@@ -364,15 +363,13 @@ def fit_group_lasso(
     """
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     if x0 is not None and x0.shape != (design.m, design.p):
         raise ValueError("warm start does not match the design")
     if design.m == 1:
-        coeffs, (report,) = _lasso_paths(design.F, design.Y, design.rows, lam, tol, max_iter)
+        coeffs, (report,) = _lasso_paths(design.F, design.Y, design.rows, lam, TOL, MAX_ITER)
         if report is not None:
             return coeffs, report
-    return _apg(design, lam, tol, max_iter, x0)
+    return _apg(design, lam, TOL, MAX_ITER, x0)
 
 
 def _apg(
@@ -383,7 +380,8 @@ def _apg(
     x0: np.ndarray | None,
 ) -> tuple[np.ndarray, SolverReport]:
     """Accelerated proximal gradient on the pooled objective, with a Newton
-    finish on pooled designs; arguments as checked by ``fit_group_lasso``."""
+    finish on pooled designs; arguments as checked by ``fit_group_lasso``,
+    which passes ``TOL`` and ``MAX_ITER`` as ``tol`` and ``max_iter``."""
     m, p, N = design.m, design.p, design.total_rows
     F, C, y_sq = design.F, design.C, design.y_sq
     F_T = F.transpose(0, 2, 1)
@@ -592,9 +590,7 @@ def _newton_finish(
 PATH_EVENT_FLOOR = 1e-12  # smaller drop times and join closing rates are ignored
 
 
-def fit_lassos(
-    features, rewards, lam: float, *, tol: float = 1e-8, max_iter: int = 50_000
-) -> tuple[np.ndarray, list[SolverReport]]:
+def fit_lassos(features, rewards, lam: float) -> tuple[np.ndarray, list[SolverReport]]:
     """Fit K single-task lassos at once, task s on ``features[s]`` (n_s, p)
     and ``rewards[s]`` (n_s,) alone, as ``fit_group_lasso`` fits the
     single-task design of each.
@@ -607,17 +603,15 @@ def fit_lassos(
     """
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     design = PooledDesign(features, rewards)
     rows = design.rows
     if not rows.all():
         raise ValueError(f"task {rows.argmin() + 1} has no rows")
-    coeffs, reports = _lasso_paths(design.F, design.Y, rows, lam, tol, max_iter)
+    coeffs, reports = _lasso_paths(design.F, design.Y, rows, lam, TOL, MAX_ITER)
     for s, report in enumerate(reports):
         if report is None:
             alone = PooledDesign([design.F[s, : rows[s]]], [design.Y[s, : rows[s]]])
-            (coeffs[s],), reports[s] = _apg(alone, lam, tol, max_iter, None)
+            (coeffs[s],), reports[s] = _apg(alone, lam, TOL, MAX_ITER, None)
     return coeffs, reports
 
 

@@ -434,6 +434,7 @@ class ExperimentResult:
     curve: RecoveryCurve | None
     votes: dict[int, list] | None
     failures: list[tuple[int, str]]
+    unconverged: int = 0  # the finished seeds' fits that did not converge
 
 
 def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpec:
@@ -463,9 +464,9 @@ def _build_environment(config: ExperimentConfig, seed: int, m: int, table: Looku
 
 
 def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None):
-    """One seed's outcome: the offline sweep's rows, or the runner's record."""
+    """One seed's outcome: the offline sweep's trials, or the runner's record."""
     if config.kind == "offline":
-        trials = recovery_sweep(
+        return recovery_sweep(
             _synthetic_spec(config),
             config.m_values,
             config.n,
@@ -473,10 +474,6 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
             config.lam,
             seed,
         )
-        return [
-            (m, trial.exact, trial.fallback, len(trial.selected))
-            for m, trial in zip(config.m_values, trials)
-        ]
     ucb = UcbConfig(nu=config.nu, lam=config.lam_ucb)
     env = _build_environment(config, seed, max(config.m, 1), table)
     m = config.m if config.m > 0 else env.m
@@ -569,22 +566,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise RuntimeError("every seed failed; first error: " + failures[0][1])
     traces, summary, recovery, curve, votes = {}, None, None, None, None
     if config.kind == "offline":
-        recovery = done
-        exact = np.array([[int(row[1]) for row in done[s]] for s in sorted(done)])
+        m_values = config.m_values
+        recovery = {
+            seed: [(m, t.exact, t.fallback, len(t.selected)) for m, t in zip(m_values, trials)]
+            for seed, trials in done.items()
+        }
+        unconverged = sum(not t.report.converged for trials in done.values() for t in trials)
+        exact = np.array([[int(t.exact) for t in done[s]] for s in sorted(done)])
         curve = RecoveryCurve(
-            config.m_values,
+            m_values,
             exact.mean(axis=0),
             _standard_error(exact),
             exact.sum(axis=0),
             exact.shape[0],
         )
     else:
+        # a lifelong fit that kept the previous kernel, or a failed vote
+        unconverged = sum(event == "solver" for r in done.values() for _, event in r.events)
         traces = {seed: RegretTrace.from_record(record) for seed, record in done.items()}
         summary = summarize([traces[s] for s in sorted(traces)])
         if config.kind == "federated":
             votes = {seed: list(zip(r.votes, r.server_sets)) for seed, r in done.items()}
     result = ExperimentResult(
-        config, config.digest(), traces, summary, recovery, curve, votes, failures
+        config, config.digest(), traces, summary, recovery, curve, votes, failures, unconverged
     )
     if out is not None:
         _write_outputs(out, result)

@@ -34,7 +34,8 @@ from .seeding import STREAM_EXPLORE, STREAM_NOISE, substream
 
 
 def design_from_tasks(atlas: FeatureAtlas, tasks) -> PooledDesign:
-    """Pooled design from per-task (points, rewards) pairs under one atlas."""
+    """Pooled design from per-task (points, rewards) pairs under one atlas.
+    No runner calls it; it is kept, outside ``__all__``, for perfbench's tracer."""
     features = [atlas.concat_many(X) for X, _ in tasks]
     rewards = [np.asarray(y, dtype=float) for _, y in tasks]
     return PooledDesign(features, rewards)
@@ -136,8 +137,8 @@ def recovery_sweep(
     ``run_lifelong``: the fit at m starts from the last converged fit when
     that fit had fewer than m tasks, and cold otherwise. So the answer at m
     depends on the other entries only through its starting point, and the
-    solver's stop rule (a mapping norm within ``fit_group_lasso``'s
-    ``tol``) bounds how far that can move it.
+    solver's stop rule (a mapping norm within ``group_lasso.TOL``) bounds
+    how far that can move it.
     """
     m_values = tuple(m_values)
     if n < 1:
@@ -175,6 +176,7 @@ def recovery_trial(
     seed: int,
 ) -> RecoveryResult:
     """Sample m tasks, fit on n uniform points each, check exact recovery:
-    the one-m case of ``recovery_sweep``."""
+    the one-m case of ``recovery_sweep``. No runner calls it; it is kept,
+    outside the package's ``__all__``, for perfbench's tracer."""
     (result,) = recovery_sweep(spec, (m,), n, omega, lam, seed)
     return result

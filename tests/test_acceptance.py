@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from lifelong_bandits import group_lasso
 from lifelong_bandits.environment import (
     SyntheticEnvironment,
     SyntheticSpec,
@@ -107,8 +108,9 @@ def _draw_instance(rng: np.random.Generator, m: int, p: int):
     return PooledDesign(features, rewards), lam
 
 
-def test_criterion_1_solver_matches_dense_grid_oracle():
+def test_criterion_1_solver_matches_dense_grid_oracle(monkeypatch):
     t0 = time.time()
+    monkeypatch.setattr(group_lasso, "TOL", 1e-10)
     rng = np.random.default_rng(20260822)
     shapes = [(1, 1)] * 4 + [(1, 2)] * 5 + [(2, 1)] * 5
     while len(shapes) < 50:
@@ -117,7 +119,7 @@ def test_criterion_1_solver_matches_dense_grid_oracle():
     for m, p in shapes:
         for _ in range(50):  # redraw until the minimizer is grid-interior
             design, lam = _draw_instance(rng, m, p)
-            coeffs, report = fit_group_lasso(design, lam, tol=1e-10)
+            coeffs, report = fit_group_lasso(design, lam)
             if np.max(np.abs(coeffs)) < 2.5:
                 break
         assert report.converged

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lifelong_bandits import harness
+from lifelong_bandits import group_lasso, harness, selection
 from lifelong_bandits.cli import main
 
 
@@ -45,7 +45,29 @@ class TestExitCodes:
         )
         assert code == 0
         assert (tmp_path / "recovery_curve.csv").exists()
-        assert "offline: 2/2 seeds" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "offline: 2/2 seeds" in out and "converge" not in out
+
+    def test_offline_fits_that_do_not_converge_are_counted(self, tmp_path, capsys, monkeypatch):
+        # a fit cut at its iteration budget is no ordinary trial: the status
+        # line counts every fit whose report says it did not converge (here
+        # the pooled ones; the m=1 lasso paths finish within 10 steps)
+        reports = []
+        fit = selection.fit_group_lasso
+
+        def spy(design, lam, **kwargs):
+            coeffs, report = fit(design, lam, **kwargs)
+            reports.append(report)
+            return coeffs, report
+
+        monkeypatch.setattr(group_lasso, "MAX_ITER", 10)
+        monkeypatch.setattr(selection, "fit_group_lasso", spy)
+        argv = ["offline", "--override", "m_values=1,2,5,10", "--seeds", "0,1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        unconverged = sum(not report.converged for report in reports)
+        assert len(reports) == 8 and 0 < unconverged < 8
+        line = capsys.readouterr().out.rstrip("\n")
+        assert line.endswith(f", wrote {tmp_path}, {unconverged} fits did not converge")
 
     def test_baseline_full(self, tmp_path, capsys):
         code = main(

@@ -304,12 +304,30 @@ class TestFit:
             with pytest.raises(ValueError):
                 fit_group_lasso(design, lam=0.1, x0=bad)
 
-    def test_max_iter_reports_non_convergence(self):
+    def test_public_fits_read_the_budget_when_called(self, monkeypatch):
+        # MAX_ITER is read at each call: under a 3-iteration budget a pooled
+        # fit stops unconverged, and so does a single-task fit, whose path
+        # the budget declines and whose APG fallback it cuts
+        rng = np.random.default_rng(6)
+        phi, y = rng.normal(size=(30, 8)), rng.normal(size=30)
+        pooled = PooledDesign([phi[:15], phi[15:]], [y[:15], y[15:]])
+
+        def fits():
+            return fit_group_lasso(pooled, 0.01)[1], fit_lassos([phi], [y], 0.01)[1][0]
+
+        assert all(report.converged for report in fits())
+        monkeypatch.setattr(group_lasso, "MAX_ITER", 3)
+        for report in fits():
+            assert report.method == "apg" and not report.converged
+            assert report.iterations == 3
+
+    def test_max_iter_reports_non_convergence(self, monkeypatch):
         rng = np.random.default_rng(6)
         phi = rng.normal(size=(30, 8))
         y = rng.normal(size=30)
         design = single_task_design(phi, y)
-        _, report = fit_group_lasso(design, lam=0.01, max_iter=3)
+        monkeypatch.setattr(group_lasso, "MAX_ITER", 3)
+        _, report = fit_group_lasso(design, lam=0.01)
         assert not report.converged
         assert report.iterations == 3
 
@@ -356,27 +374,29 @@ def test_objective_dominance():
     assert fitted <= pooled_loss(design, ls, lam) + lam * group_norms(ls).sum() + 1e-12
 
 
-def test_scale_consistency():
+def test_scale_consistency(monkeypatch):
     rng = np.random.default_rng(10)
     phi = rng.normal(size=(12, 3))
     y = rng.normal(size=12)
     base = single_task_design(phi, y)
     scaled = single_task_design(phi, 2.0 * y)
     lam = 0.15
-    c1, _ = fit_group_lasso(base, lam, tol=1e-10)
-    c2, _ = fit_group_lasso(scaled, 2.0 * lam, tol=1e-10)
+    monkeypatch.setattr(group_lasso, "TOL", 1e-10)
+    c1, _ = fit_group_lasso(base, lam)
+    c2, _ = fit_group_lasso(scaled, 2.0 * lam)
     np.testing.assert_allclose(2.0 * group_norms(c1), group_norms(c2), atol=1e-7)
 
 
-def test_task_permutation_invariance():
+def test_task_permutation_invariance(monkeypatch):
     rng = np.random.default_rng(11)
     blocks = [rng.normal(size=(6, 3)) for _ in range(3)]
     ys = [rng.normal(size=6) for _ in range(3)]
     lam = 0.1
     fwd = PooledDesign(blocks, ys)
     rev = PooledDesign(blocks[::-1], ys[::-1])
-    cf, _ = fit_group_lasso(fwd, lam, tol=1e-10)
-    cr, _ = fit_group_lasso(rev, lam, tol=1e-10)
+    monkeypatch.setattr(group_lasso, "TOL", 1e-10)
+    cf, _ = fit_group_lasso(fwd, lam)
+    cr, _ = fit_group_lasso(rev, lam)
     np.testing.assert_allclose(group_norms(cf), group_norms(cr), atol=1e-8)
 
 
@@ -420,7 +440,8 @@ def test_report_objective_and_history_property(seed, lam, m, p, warm):
     ys = [rng.normal(size=n) for n in rows]
     design = PooledDesign(blocks, ys)
     x0 = rng.normal(size=(m, p)) if warm else None
-    coeffs, report = fit_group_lasso(design, lam, x0=x0, max_iter=2_000)
+    with mock.patch.object(group_lasso, "MAX_ITER", 2_000):
+        coeffs, report = fit_group_lasso(design, lam, x0=x0)
     y_scale = max(1.0, sum(float(y @ y) for y in ys) / design.total_rows)
     assert abs(report.objective - pooled_loss(design, coeffs, lam)) <= 1e-10 * y_scale
     assert np.all(np.diff(report.objective_history) <= 1e-10)
@@ -871,7 +892,8 @@ def test_wrongly_dropped_column_restored_by_apg(monkeypatch):
     assert np.all(np.diff(report.objective_history) <= 1e-10)
     # a fit cut at the first attempt's iteration returns that point
     first = handoff_schedule(iteration_states(design, lam))[0]
-    cut, cut_report = fit_group_lasso(design, lam, max_iter=first)
+    monkeypatch.setattr(group_lasso, "MAX_ITER", first)
+    cut, cut_report = fit_group_lasso(design, lam)
     assert cut.tobytes() == attempts[2][1].tobytes() == point.tobytes()
     assert cut_report.method == "apg" and not cut_report.converged
     assert cut_report.objective_history[-1] == cut_report.objective < cut_report.objective_history[-2]
@@ -910,7 +932,8 @@ def test_iterate_meeting_the_stop_rule_at_the_handoff_reports_apg(monkeypatch):
     # before the first stop test at CHECK_EVERY: the fit ends there, on APG
     design, lam = handoff_design(2, p=4)
     monkeypatch.setattr(group_lasso, "_newton_finish", mock.Mock(side_effect=AssertionError))
-    _, report = fit_group_lasso(design, lam, tol=1e-2)
+    monkeypatch.setattr(group_lasso, "TOL", 1e-2)
+    _, report = fit_group_lasso(design, lam)
     assert report.method == "apg" and report.converged
     assert report.map_norm <= 1e-2
     assert report.iterations < group_lasso.CHECK_EVERY
@@ -1031,8 +1054,10 @@ def test_newton_stops_at_the_precision_acceptance_needs(monkeypatch, tol):
         return point, taken
 
     monkeypatch.setattr(group_lasso, "_newton_finish", spy)
-    coeffs, report = fit_group_lasso(design, lam, tol=tol)
-    tight, tight_report = fit_group_lasso(design, lam, tol=1e-13)
+    monkeypatch.setattr(group_lasso, "TOL", tol)
+    coeffs, report = fit_group_lasso(design, lam)
+    monkeypatch.setattr(group_lasso, "TOL", 1e-13)
+    tight, tight_report = fit_group_lasso(design, lam)
     assert report.method == tight_report.method == "newton"
     assert report.map_norm <= tol
     assert mapping_norm(design, coeffs, lam) <= tol

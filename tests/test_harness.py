@@ -3,15 +3,15 @@
 import tempfile
 import time
 from dataclasses import fields
-from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lifelong_bandits import federated, harness, selection
+from lifelong_bandits import group_lasso, harness, selection
 from lifelong_bandits.environment import LookupTable, uniform_grid
 from lifelong_bandits.errors import ConfigError, DataError
 from lifelong_bandits.harness import (
@@ -606,12 +606,12 @@ class TestRunExperiment:
         # one iteration converges no fit at these seeds: each records a solver
         # event and keeps the kernel before it, so every task runs under all
         # 50 groups
-        fit = partial(selection.fit_group_lasso, max_iter=1)
-        monkeypatch.setattr(selection, "fit_group_lasso", fit)
+        monkeypatch.setattr(group_lasso, "MAX_ITER", 1)
         records = seed_records(monkeypatch)
         pairs = {"kind": "lifelong", "m": "4", "n": "20", "seeds": "0,1", "out": str(tmp_path)}
         result = run_experiment(build_config(pairs=pairs))
         assert not result.failures and sorted(records) == [0, 1]
+        assert result.unconverged == 8
         for record in records.values():
             assert record.events == [(s, "solver") for s in range(1, 5)]
             assert all(task.kernel == tuple(range(1, 51)) for task in record.tasks)
@@ -619,12 +619,12 @@ class TestRunExperiment:
     def test_federated_fits_that_never_converge_vote_failed(self, tmp_path, monkeypatch):
         # every client's fit fails: its vote is empty and flagged, and with
         # no index endorsed the client runs under the full kernel
-        fit = partial(federated.fit_lassos, max_iter=1)
-        monkeypatch.setattr(federated, "fit_lassos", fit)
+        monkeypatch.setattr(group_lasso, "MAX_ITER", 1)
         records = seed_records(monkeypatch)
         pairs = {"kind": "federated", "m": "4", "n": "20", "seeds": "0,1", "out": str(tmp_path)}
         result = run_experiment(build_config(pairs=pairs))
         assert not result.failures and sorted(records) == [0, 1]
+        assert result.unconverged == 8
         for seed, record in records.items():
             lines = (tmp_path / f"votes_seed{seed}.csv").read_text().splitlines()
             rows = [line.split(",") for line in lines[1:]]
@@ -644,8 +644,9 @@ class TestRunExperiment:
 
         def second_fails(design, lam, *, x0=None):
             starts.append(x0)
-            cut = {"max_iter": 1} if len(starts) == 2 else {}
-            fits.append(fit_group_lasso(design, lam, x0=x0, **cut))
+            budget = 1 if len(starts) == 2 else group_lasso.MAX_ITER
+            with mock.patch.object(group_lasso, "MAX_ITER", budget):
+                fits.append(fit_group_lasso(design, lam, x0=x0))
             return fits[-1]
 
         monkeypatch.setattr(selection, "fit_group_lasso", second_fails)

@@ -57,8 +57,8 @@ Layers:
 - ``federated.client_fits``: the 20 clients of the default ``federated``
   run at seed 0, with the rows and rewards the runner drew for them, fitted
   into votes: ``batched_us`` in one ``federated.client_fits`` call, as the
-  runner fits them, and ``one_by_one_us`` in 20 ``federated.client_fit``
-  calls, one batch of one client each. ``path_fits`` counts the clients
+  runner fits them, and ``one_by_one_us`` in 20 ``federated.client_fits``
+  calls of one client each. ``path_fits`` counts the clients
   whose path is certified; the others fall back to the iterative solver.
 - ``selection.design``: the design work outside the solver: building the
   design, which copies each task's rows into the row stack and computes its
@@ -75,8 +75,9 @@ Layers:
   did not converge, so no fit is warm-started.
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
-  ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh ``GpUcb``, a
-  one-agent ``LockstepUcb``.
+  ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh one-agent
+  ``LockstepUcb`` on task 1, every run with the same draws: the task's
+  first noise terms.
 - ``gp_ucb.lockstep_d5`` and ``gp_ucb.lockstep_d50``: the same steps for 20
   tasks at once through one ``LockstepUcb`` (the agent pass of every
   runner, ``lifelong._run_agents``), in microseconds per task-step, so
@@ -128,7 +129,7 @@ import numpy as np  # noqa: E402
 from lifelong_bandits import federated, group_lasso, selection  # noqa: E402
 from lifelong_bandits.environment import SyntheticEnvironment, SyntheticSpec  # noqa: E402
 from lifelong_bandits.federated import run_federated  # noqa: E402
-from lifelong_bandits.gp_ucb import GpUcb, LockstepUcb, UcbConfig  # noqa: E402
+from lifelong_bandits.gp_ucb import LockstepUcb, UcbConfig  # noqa: E402
 from lifelong_bandits.group_lasso import (  # noqa: E402
     PooledDesign,
     SolverReport,
@@ -143,7 +144,7 @@ from lifelong_bandits.harness import (  # noqa: E402
     summarize,
 )
 from lifelong_bandits.lifelong import integerize, run_lifelong  # noqa: E402
-from lifelong_bandits.selection import design_from_tasks, recovery_sweep  # noqa: E402
+from lifelong_bandits.selection import recovery_sweep  # noqa: E402
 
 TASKS = 20
 DESIGN_BUILDS = 100  # client designs built per timed run, which one alone is too short to time
@@ -174,27 +175,28 @@ def quartiles(key: str, seconds, per: float = 1.0, digits: int = 1) -> dict:
 
 
 def grid_draws(env: SyntheticEnvironment, rows, rng):
-    """(grid indices, rewards) per task, from uniform draws of grid rows."""
+    """(grid indices, rewards) per task, from uniform draws of grid rows,
+    each task's rewards drawn from its own noise stream as the runners draw
+    them."""
     draws = []
     for s, n in enumerate(rows, start=1):
         view = env.task_view(s)
         drawn = rng.integers(env.grid_size, size=n)
-        draws.append((drawn, np.array([view.observe(int(i)) for i in drawn])))
+        draws.append((drawn, view.values[drawn] + view.noise_terms(n)))
     return draws
 
 
-def grid_tasks(env: SyntheticEnvironment, rows, rng):
-    """(points, rewards) per task, from uniform draws of grid rows."""
-    return [(env.grid[drawn], y) for drawn, y in grid_draws(env, rows, rng)]
+def grid_design(env: SyntheticEnvironment, draws) -> PooledDesign:
+    """The pooled design of (grid indices, rewards) draws."""
+    return PooledDesign([env.grid_features[drawn] for drawn, _ in draws], [y for _, y in draws])
 
 
 def learned_fit():
     """The 20-task design, penalty and warm start of a learned-like last fit."""
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
-    tasks = grid_tasks(env, [100] + [4] * (TASKS - 1), np.random.default_rng(0))
-    prior = design_from_tasks(env.atlas, tasks[:-1])
-    coeffs, _ = fit_group_lasso(prior, 0.5 / math.sqrt(TASKS - 1))
-    design, lam = design_from_tasks(env.atlas, tasks), 0.5 / math.sqrt(TASKS)
+    draws = grid_draws(env, [100] + [4] * (TASKS - 1), np.random.default_rng(0))
+    design, lam = grid_design(env, draws), 0.5 / math.sqrt(TASKS)
+    coeffs, _ = fit_group_lasso(design.prefix(TASKS - 1), 0.5 / math.sqrt(TASKS - 1))
     return design, lam, padded_warm_start(coeffs, design, lam)
 
 
@@ -203,11 +205,12 @@ def offline_fit():
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
     rng = np.random.default_rng(1)
     lo, hi = env.atlas.domain[:, 0], env.atlas.domain[:, 1]
-    tasks = []
+    features, rewards = [], []
     for s in range(1, TASKS + 1):
-        X = rng.uniform(lo, hi, size=(10, env.atlas.dim_in))
-        tasks.append((X, env.rewards_at(s, env.atlas.concat_many(X), rng)))
-    return design_from_tasks(env.atlas, tasks), 0.25, None
+        phi = env.atlas.concat_many(rng.uniform(lo, hi, size=(10, env.atlas.dim_in)))
+        features.append(phi)
+        rewards.append(env.rewards_at(s, phi, rng))
+    return PooledDesign(features, rewards), 0.25, None
 
 
 def offline_warm_fit():
@@ -245,8 +248,8 @@ def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
 
 def pooled_fits(run):
     """What ``run()`` returns, and the design, penalty and keyword
-    arguments (tolerance, step budget and predicted start) of each pooled
-    fit it makes, as the runner made them."""
+    arguments (the predicted start) of each pooled fit it makes, as the
+    runner made them."""
     fits = []
     fit = selection.fit_group_lasso
 
@@ -344,8 +347,9 @@ def client_batch(repeats: int) -> dict:
 
     def one_by_one():
         return [
-            federated.client_fit(phi, y, 0.2, 0.25, client=client)
+            vote
             for phi, y, client in zip(features, rewards, clients)
+            for vote in federated.client_fits([phi], [y], 0.2, 0.25, clients=[client])
         ]
 
     if batched() != one_by_one():
@@ -372,8 +376,7 @@ def design_learned(repeats: int) -> dict:
     draws = grid_draws(env, rows, np.random.default_rng(0))
 
     def build():
-        features = [env.grid_features[drawn] for drawn, _ in draws]
-        fit_statistics(PooledDesign(features, [y for _, y in draws]))
+        fit_statistics(grid_design(env, draws))
 
     return {
         "tasks": TASKS,
@@ -412,32 +415,12 @@ def design_offline(repeats: int) -> dict:
     }
 
 
-def ucb_step(selected, repeats: int) -> dict:
-    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=1, master_seed=0)
-    view = env.task_view(1)
-
-    def steps(agent, count):
-        for _ in range(count):
-            i = agent.select(env.grid)
-            agent.observe(i, view.observe(i), env.grid)
-
-    def run():
-        agent = GpUcb(env.atlas, selected, UcbConfig())
-        steps(agent, UCB_WARMUP)
-        start = time.perf_counter()
-        steps(agent, UCB_STEPS)
-        return time.perf_counter() - start
-
-    run()
-    seconds = [run() for _ in range(repeats)]
-    return {"d": len(selected), **quartiles("us_per_step", seconds, per=UCB_STEPS, digits=2)}
-
-
-def ucb_lockstep(kernels, repeats: int) -> dict:
-    """Lockstep steps of TASKS agents, agent j under ``kernels[j]``."""
-    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
-    rows = np.arange(TASKS)
-    noise = 0.1 * np.random.default_rng(0).standard_normal((UCB_WARMUP + UCB_STEPS, TASKS))
+def lockstep_seconds(env, kernels, noise, repeats: int) -> list[float]:
+    """Wall times of ``UCB_STEPS`` steps of a fresh ``LockstepUcb`` after
+    ``UCB_WARMUP`` untimed ones, over ``repeats`` runs after a warm-up run:
+    agent j runs task j + 1 under ``kernels[j]``, and its observation at
+    step t carries ``noise[t, j]``."""
+    rows = np.arange(len(kernels))
 
     def steps(group, first, count):
         for t in range(first, first + count):
@@ -452,7 +435,22 @@ def ucb_lockstep(kernels, repeats: int) -> dict:
         return time.perf_counter() - start
 
     run()
-    seconds = [run() for _ in range(repeats)]
+    return [run() for _ in range(repeats)]
+
+
+def ucb_step(selected, repeats: int) -> dict:
+    """Steps of one agent on task 1, under the kernel ``selected``."""
+    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=1, master_seed=0)
+    noise = env.task_view(1).noise_terms(UCB_WARMUP + UCB_STEPS)[:, None]
+    seconds = lockstep_seconds(env, [selected], noise, repeats)
+    return {"d": len(selected), **quartiles("us_per_step", seconds, per=UCB_STEPS, digits=2)}
+
+
+def ucb_lockstep(kernels, repeats: int) -> dict:
+    """Lockstep steps of TASKS agents, agent j under ``kernels[j]``."""
+    env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
+    noise = 0.1 * np.random.default_rng(0).standard_normal((UCB_WARMUP + UCB_STEPS, TASKS))
+    seconds = lockstep_seconds(env, kernels, noise, repeats)
     return {
         "d": len(set().union(*kernels)),
         "kernels": len(set(kernels)),
