@@ -43,9 +43,11 @@ it meets ``TOL``, so it hands off to Newton's method (after the semismooth
 Newton idea of Li, Sun & Toh, SIAM J. Optim. 2018) once the support has
 settled. Every prox step gives the support of its point and the mapping norm
 at the point it started from. Once the support has held for
-``HANDOFF_HOLD`` iterations and that norm is <= ``HANDOFF_MAP_NORM``, the
-stop rule is tested at the iterate, which ends the fit if it holds, and
-otherwise Newton solves the smooth problem over the support. A column that
+``HANDOFF_HOLD`` iterations and that norm is <= ``HANDOFF_MAP_NORM``, or
+at the first iteration of a warm fit whose prox step keeps the nonzero
+columns of its start ``x0``, whatever that norm, the stop rule is tested at
+the iterate, which ends the fit if it holds, and otherwise Newton solves the
+smooth problem over the support. A column that
 is still nonzero there but zero at the optimum shows itself at once: a
 Newton step pushes it through zero. Newton then drops it, goes back to the
 point before that step without it, and carries on over the smaller support.
@@ -69,7 +71,9 @@ A fit over a growing pool starts from the last fit over fewer tasks
 predicted: one Newton step from zero of the objective in that row, on the
 old fit's nonzero columns, kept only if it lowers the objective. So the
 iteration does not spend its first steps growing a row whose direction the
-old fit already knows.
+old fit already knows. When the new tasks do not change the support, the
+first prox step keeps the start's columns, and Newton is tried from there at
+once, without waiting for the support to hold (unless the hand-off is off).
 
 A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
 linear in lam. The fit follows that path exactly (homotopy, or LARS-lasso:
@@ -407,7 +411,8 @@ def _apg(
 
     x = x0.copy() if x0 is not None else np.zeros((m, p))
     gx = grad_step(x)
-    f_x = objective(x, gx, np.sqrt(np.add.reduce(x * x)))
+    norms = np.sqrt(np.add.reduce(x * x))
+    f_x = objective(x, gx, norms)
     history = [f_x]
     gap = map_norm_at(x, gx)
     iterations = newton_attempts = newton_steps = 0
@@ -416,7 +421,8 @@ def _apg(
     # unique, and Newton would pick an arbitrary point of the solution set;
     # so would a pooled fit whose lam / L is within rounding (module docstring)
     handoff = m > 1 and thresh > np.finfo(float).eps and HANDOFF_MAP_NORM > 0.0
-    support, held = None, 0  # nonzero columns of x, and for how many iterations
+    # nonzero columns of x (a warm fit starts from x0's), and for how many iterations
+    support, held = (norms > 0.0).tobytes() if x0 is not None else None, 0
     tried, tried_at = None, 0.0  # support and mapping norm of the last declined attempt
     converged = gap <= tol
     if not converged:
@@ -445,11 +451,13 @@ def _apg(
                 x, gx, f_x, t = z, gz, objective(z, gz, norms), 1.0
             last, support = support, (norms > 0.0).tobytes()
             held = held + 1 if support == last else 1
+            # a warm fit whose first prox step keeps x0's support tries Newton at once
+            warm_kept = handoff and k == 1 and support == last
             # the mapping norm at the point this iteration's prox started from
             moved = math.inf
-            if handoff and held >= HANDOFF_HOLD:
+            if handoff and (held >= HANDOFF_HOLD or warm_kept):
                 moved = float(np.linalg.norm(z - base)) / step
-            attempt = moved <= HANDOFF_MAP_NORM and (
+            attempt = (moved <= HANDOFF_MAP_NORM or warm_kept) and (
                 support != tried or moved <= HANDOFF_RETRY * tried_at
             )
             if attempt or k % CHECK_EVERY == 0 or k == max_iter:

@@ -130,8 +130,9 @@ def recovery_sweep(
     the atlas domain (the offline protocol), and fits the design of the first
     m tasks for each m. Task s's points and noise come from its own
     substreams, so the trial at m sees the same tasks 1..m whatever the other
-    entries are, and is reproducible from the seed alone. Each task's block
-    is featurised once and feeds both its rewards and the design.
+    entries are, and is reproducible from the seed alone. Every task's points
+    are featurised in one call, and each task's block of the result feeds
+    both its rewards and the design.
 
     The fits run in ``m_values`` order through ``learn_kernels``, as in
     ``run_lifelong``: the fit at m starts from the last converged fit when
@@ -148,12 +149,13 @@ def recovery_sweep(
     env = SyntheticEnvironment(spec, n_tasks=max(m_values), master_seed=seed)
     atlas = env.atlas
     lo, hi = atlas.domain[:, 0], atlas.domain[:, 1]
-    features, rewards = [], []
-    for s in range(1, env.m + 1):
-        X = substream(seed, STREAM_EXPLORE, s).uniform(lo, hi, size=(n, atlas.dim_in))
-        phi = atlas.concat_many(X)
-        features.append(phi)
-        rewards.append(env.rewards_at(s, phi, substream(seed, STREAM_NOISE, s)))
+    tasks = range(1, env.m + 1)
+    X = [substream(seed, STREAM_EXPLORE, s).uniform(lo, hi, size=(n, atlas.dim_in)) for s in tasks]
+    features = np.split(atlas.concat_many(np.concatenate(X)), env.m)
+    rewards = [
+        env.rewards_at(s, phi, substream(seed, STREAM_NOISE, s))
+        for s, phi in zip(tasks, features)
+    ]
     design = PooledDesign(features, rewards)
     return [
         RecoveryResult(

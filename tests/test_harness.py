@@ -664,6 +664,25 @@ class TestRunExperiment:
             assert (2, "solver") in record.events
             assert record.tasks[2].kernel == record.tasks[1].kernel
 
+    @pytest.mark.parametrize("kind", ["lifelong", "offline"])
+    def test_every_converged_fit_of_a_runner_is_certified(self, monkeypatch, kind):
+        # whichever stage answered (the path, APG or a Newton attempt, warm or
+        # cold), a fit the runner accepts as converged meets the KKT
+        # certificate at the solver's tolerance
+        fit_group_lasso, fits = selection.fit_group_lasso, []
+
+        def recording(design, lam, *, x0=None):
+            coeffs, report = fit_group_lasso(design, lam, x0=x0)
+            fits.append((design, lam, coeffs, report))
+            return coeffs, report
+
+        monkeypatch.setattr(selection, "fit_group_lasso", recording)
+        assert not run_experiment(build_config(kind, {"seeds": "4"})).failures
+        converged = [fit for fit in fits if fit[3].converged]
+        assert {"path", "newton"} <= {report.method for *_, report in converged}
+        for design, lam, coeffs, _ in converged:
+            assert group_lasso.kkt_residuals(design, coeffs, lam).max() <= group_lasso.TOL
+
     def test_lifelong_at_p2000_completes_every_seed_in_bounded_time(self, tmp_path):
         # each task holds 4-10 forced rows against 2 000 groups, and the
         # pooled fits work on those rows: two seeds take a few seconds, where

@@ -1,5 +1,7 @@
 """Thresholding, kernel learning, recovery trials."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lifelong_bandits import selection
 from lifelong_bandits.environment import SyntheticSpec
 from lifelong_bandits.features import BasisFamily, FeatureAtlas
 from lifelong_bandits.group_lasso import group_norms
+from lifelong_bandits.harness import build_config
 from lifelong_bandits.selection import (
     design_from_tasks,
     learn_kernel,
@@ -111,6 +114,20 @@ class TestRecoverySweep:
             assert got.report.method == want.report.method
             assert got.report.converged
             assert abs(got.report.objective - want.report.objective) <= 1e-9 * scale
+
+    def test_warm_fits_that_keep_their_start_support_try_newton_at_once(self):
+        # at seed 0 of the default offline sweep, the first prox step of each
+        # of these warm fits keeps the support of its start, so the fit tries
+        # Newton at its first iteration, and that one attempt finishes it
+        config = build_config("offline")
+        spec = SyntheticSpec(*(getattr(config, f.name) for f in fields(SyntheticSpec)))
+        args = (config.m_values, config.n, config.omega, config.lam)
+        sweep = recovery_sweep(spec, *args, seed=0)
+        for m in (10, 15, 20, 25, 30):
+            report = sweep[config.m_values.index(m)].report
+            assert report.iterations - report.newton_steps == 1
+            assert report.newton_attempts == 1
+            assert report.method == "newton"
 
     def test_rejects_bad_args(self):
         spec = SyntheticSpec()
