@@ -40,17 +40,16 @@ from raw residuals, independent of the solver path.
 
 On a pooled design (m >= 2) the iteration identifies the support long before
 it meets ``TOL``, so it hands off to Newton's method (after the semismooth
-Newton idea of Li, Sun & Toh, SIAM J. Optim. 2018) once the support has
-settled. Every prox step gives the support of its point and the mapping norm
-at the point it started from. Once the support has held for
-``HANDOFF_HOLD`` iterations and that norm is <= ``HANDOFF_MAP_NORM``, or
+Newton idea of Li, Sun & Toh, SIAM J. Optim. 2018) once the iteration has
+slowed. Every prox step gives the support of its point and the mapping norm
+at the point it started from. Once that norm is <= ``HANDOFF_MAP_NORM``, or
 at the first iteration of a warm fit whose prox step keeps the nonzero
 columns of its start ``x0``, whatever that norm, the stop rule is tested at
 the iterate, which ends the fit if it holds, and otherwise Newton solves the
-smooth problem over the support. A column that
-is still nonzero there but zero at the optimum shows itself at once: a
-Newton step pushes it through zero. Newton then drops it, goes back to the
-point before that step without it, and carries on over the smaller support.
+smooth problem over the support. A column that is still nonzero there but
+zero at the optimum shows itself at once: a Newton step pushes it through
+zero. Newton then drops it, goes back to the point before that step without
+it, and carries on over the smaller support.
 Its point is accepted only if its own mapping norm is <= ``TOL`` and its
 objective is no higher than the iterate's. A point that fails only the
 mapping norm becomes the iterate, with momentum restarted, so the next prox
@@ -64,7 +63,7 @@ task with fewer rows than support columns, and its point an arbitrary,
 often huge, member of the solution set.
 Newton stops as soon as its point can pass that test: once the largest
 entry of its reduced gradient is within TOL / (2 sqrt(m |S|)), |S| the size
-of the support, or ``NEWTON_GRAD_TOL`` * max(1, lam) if that is larger.
+of the support.
 
 A fit over a growing pool starts from the last fit over fewer tasks
 (``padded_warm_start``). Each new task's row is not zero there but
@@ -73,7 +72,8 @@ old fit's nonzero columns, kept only if it lowers the objective. So the
 iteration does not spend its first steps growing a row whose direction the
 old fit already knows. When the new tasks do not change the support, the
 first prox step keeps the start's columns, and Newton is tried from there at
-once, without waiting for the support to hold (unless the hand-off is off).
+once, without waiting for the mapping norm to fall (unless the hand-off is
+off).
 
 A single-task fit (m = 1) is a plain lasso, whose solution path is piecewise
 linear in lam. The fit follows that path exactly (homotopy, or LARS-lasso:
@@ -112,10 +112,8 @@ TOL = 1e-8  # the stop rule's mapping norm, and the path certificate's KKT resid
 MAX_ITER = 50_000  # iterations of the proximal-gradient iteration, and steps of the lasso path
 CHECK_EVERY = 10  # iterations between stop tests
 HANDOFF_MAP_NORM = 1e-2  # largest mapping norm at which Newton is tried; 0 switches it off
-HANDOFF_HOLD = 5  # iterations the support must hold before Newton is tried on it
 HANDOFF_RETRY = 1e-2  # fall of the mapping norm before a declined support is tried again
 NEWTON_MAX_STEPS = 30
-NEWTON_GRAD_TOL = 1e-13  # times max(1, lam), on the reduced gradient's largest entry
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -421,8 +419,7 @@ def _apg(
     # unique, and Newton would pick an arbitrary point of the solution set;
     # so would a pooled fit whose lam / L is within rounding (module docstring)
     handoff = m > 1 and thresh > np.finfo(float).eps and HANDOFF_MAP_NORM > 0.0
-    # nonzero columns of x (a warm fit starts from x0's), and for how many iterations
-    support, held = (norms > 0.0).tobytes() if x0 is not None else None, 0
+    start = (norms > 0.0).tobytes() if x0 is not None else None  # x0's nonzero columns
     tried, tried_at = None, 0.0  # support and mapping norm of the last declined attempt
     converged = gap <= tol
     if not converged:
@@ -449,14 +446,11 @@ def _apg(
                 gz = grad_step(z)
                 y_pt, gy = z, gz
                 x, gx, f_x, t = z, gz, objective(z, gz, norms), 1.0
-            last, support = support, (norms > 0.0).tobytes()
-            held = held + 1 if support == last else 1
+            support = (norms > 0.0).tobytes()
             # a warm fit whose first prox step keeps x0's support tries Newton at once
-            warm_kept = handoff and k == 1 and support == last
+            warm_kept = handoff and k == 1 and support == start
             # the mapping norm at the point this iteration's prox started from
-            moved = math.inf
-            if handoff and (held >= HANDOFF_HOLD or warm_kept):
-                moved = float(np.linalg.norm(z - base)) / step
+            moved = float(np.linalg.norm(z - base)) / step if handoff else math.inf
             attempt = (moved <= HANDOFF_MAP_NORM or warm_kept) and (
                 support != tried or moved <= HANDOFF_RETRY * tried_at
             )
@@ -531,12 +525,12 @@ def _newton_finish(
 
     ``NEWTON_MAX_STEPS`` bounds the steps of the whole attempt, over every
     support it visits. It stops there, or once the largest reduced-
-    gradient entry is at most max(``NEWTON_GRAD_TOL`` * max(1, lam),
-    tol / (2 sqrt(m |S|))). The point is then handed to APG's own stop rule,
-    a prox-gradient mapping norm <= ``tol``. On a support that holds, that
-    mapping is the reduced gradient, up to a term of second order in the
-    step, and zero off S, so its norm is at most sqrt(m |S|) times the
-    largest entry: the stop asks for half of ``tol``, and no more.
+    gradient entry is at most tol / (2 sqrt(m |S|)). The point is then
+    handed to APG's own stop rule, a prox-gradient mapping norm <= ``tol``.
+    On a support that holds, that mapping is the reduced gradient, up to a
+    term of second order in the step, and zero off S, so its norm is at most
+    sqrt(m |S|) times the largest entry: the stop asks for half of ``tol``,
+    and no more.
     """
     S = np.flatnonzero((x * x).sum(axis=0) > 0.0)
     B = x[:, S]
@@ -552,7 +546,7 @@ def _newton_finish(
             D = np.empty_like(GS)
             diagonal = D.reshape(m, k * k)[:, :: k + 1]  # a view of every block's diagonal
             eye = np.eye(k)
-            grad_tol = max(NEWTON_GRAD_TOL * max(1.0, lam), tol / (2.0 * math.sqrt(m * k)))
+            grad_tol = tol / (2.0 * math.sqrt(m * k))
             U = None
             while True:
                 if not np.isfinite(B).all():

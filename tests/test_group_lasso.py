@@ -766,9 +766,10 @@ def handoff_design(seed, p):
 def iteration_states(design, lam):
     """The iterate after every iteration of a cold fit without the hand-off,
     up to the stop test that ends it, with the mapping norm at the point each
-    prox step started from. A fit cut at max_iter = k ends on iteration k,
-    every earlier iteration as in an uncut fit, and its last prox step before
-    the closing stop test is iteration k's."""
+    prox step started from and whether the iterate meets the stop rule. A fit
+    cut at max_iter = k ends on iteration k, every earlier iteration as in an
+    uncut fit, its last prox step before the closing stop test is iteration
+    k's, and that stop test is at iteration k's iterate."""
     states, moves = [], []
     prox_step = group_lasso._prox_step
 
@@ -782,7 +783,7 @@ def iteration_states(design, lam):
         with mock.patch.object(group_lasso, "_prox_step", spy):
             for k in itertools.count(1):
                 coeffs, report = _apg(design, lam, 1e-8, k, None)
-                states.append((coeffs, float(np.linalg.norm(moves[-2])) / step))
+                states.append((coeffs, float(np.linalg.norm(moves[-2])) / step, report.converged))
                 if report.converged and k % group_lasso.CHECK_EVERY == 0:
                     return states
 
@@ -793,50 +794,37 @@ def support(x):
 
 def handoff_schedule(states):
     """The iterations at which the hand-off tries Newton if every attempt is
-    declined: the support has held for HANDOFF_HOLD iterations, the mapping
-    norm is at most HANDOFF_MAP_NORM, and it has fallen HANDOFF_RETRY-fold
-    since the last attempt if that was on the same support."""
-    tries, last, held, tried, tried_at = [], None, 0, None, 0.0
-    for k, (x, moved) in enumerate(states, start=1):
-        held = held + 1 if support(x) == last else 1
-        last = support(x)
-        if (
-            held >= group_lasso.HANDOFF_HOLD
-            and moved <= group_lasso.HANDOFF_MAP_NORM
-            and (last != tried or moved <= group_lasso.HANDOFF_RETRY * tried_at)
+    declined: the mapping norm is at most HANDOFF_MAP_NORM, and it has fallen
+    HANDOFF_RETRY-fold since the last attempt if that was on the same
+    support. The stop rule is tested before Newton, so an iteration whose
+    iterate meets it ends the fit there, and is not a try."""
+    tries, tried, tried_at = [], None, 0.0
+    for k, (x, moved, converged) in enumerate(states, start=1):
+        if moved <= group_lasso.HANDOFF_MAP_NORM and (
+            support(x) != tried or moved <= group_lasso.HANDOFF_RETRY * tried_at
         ):
+            if converged:
+                break
             tries.append(k)
-            tried, tried_at = last, moved
+            tried, tried_at = support(x), moved
     return tries
 
 
-def test_handoff_waits_for_the_support_to_settle(monkeypatch):
-    # the mapping norm is below the hand-off norm while the support still
-    # changes, so Newton is first tried at the exact iteration where the
-    # last support has held for HANDOFF_HOLD iterations
+def test_handoff_tries_newton_while_the_support_still_changes(monkeypatch):
+    # Newton is first tried at the first iteration whose mapping norm is
+    # within the hand-off norm, iteration 15 here, although the support
+    # changes again at iteration 18: the hand-off does not wait for the
+    # support to settle
     design, lam = handoff_design(19, p=6)
     states = iteration_states(design, lam)
-    supports = [support(x) for x, _ in states]
-    first, hold = handoff_schedule(states)[0], group_lasso.HANDOFF_HOLD
-    # iteration k is states[k - 1]: the support changes at iteration
-    # first - hold + 1 and holds through iteration first
-    assert supports[first - hold - 1] != supports[first - hold] == supports[first - 1]
-    late_changes = [
-        k
-        for k in range(2, first)
-        if supports[k - 1] != supports[k - 2] and states[k - 1][1] <= group_lasso.HANDOFF_MAP_NORM
-    ]
-    assert len(late_changes) >= 2
-    handed = []
-    newton = group_lasso._newton_finish
-
-    def spy(G, C, N, lam, x, tol):
-        handed.append(x.copy())
-        return newton(G, C, N, lam, x, tol)
-
-    monkeypatch.setattr(group_lasso, "_newton_finish", spy)
+    first = handoff_schedule(states)[0]
+    # iteration k is states[k - 1]
+    assert first == 15 and states[first - 1][1] <= group_lasso.HANDOFF_MAP_NORM
+    assert all(moved > group_lasso.HANDOFF_MAP_NORM for _, moved, _ in states[: first - 1])
+    assert support(states[16][0]) != support(states[17][0])
+    attempts = newton_attempts(monkeypatch)
     _, report = fit_group_lasso(design, lam)
-    assert handed[0].tobytes() == states[first - 1][0].tobytes()
+    assert attempts[0][0].tobytes() == states[first - 1][0].tobytes()
     assert report.method == "newton"
 
 
@@ -844,7 +832,7 @@ def test_declined_support_retried_after_the_norm_falls(monkeypatch):
     # every attempt is declined: a declined support is tried again only once
     # the mapping norm has fallen HANDOFF_RETRY-fold since, although it holds
     # and meets the hand-off norm at the iterations in between; a new
-    # support is tried as soon as it has held for HANDOFF_HOLD iterations
+    # support is tried as soon as the norm is within the hand-off norm
     design, lam = handoff_design(77, p=8)
     states = iteration_states(design, lam)
     tries = handoff_schedule(states)

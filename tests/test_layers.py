@@ -36,7 +36,8 @@ def test_layer_script_one_repeat(tmp_path):
         assert apg["method"] == "apg" and apg["newton_steps"] == 0
         assert newton["converged"] and apg["converged"]
         assert newton["apg_iterations"] < apg["apg_iterations"]
-        assert apg["us_per_iteration"] > 0 and newton["us_per_iteration"] > 0
+        # a time per iteration only where every iteration is an APG one
+        assert apg["us_per_iteration"] > 0 and "us_per_iteration" not in newton
         per_call = apg["us_per_iteration"] * apg["apg_iterations"]
         assert per_call == pytest.approx(apg["us_per_call"], rel=1e-3)
     seed = layers["group_lasso.lifelong_seed"]
@@ -68,7 +69,7 @@ def test_layer_script_one_repeat(tmp_path):
         assert all(0 < count < 2000 for count in kind["distinct"])
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))
-    assert len(times) == 31
+    assert len(times) == 27
     for key, (p25, median, p75) in times.items():
         assert 0 < p25 <= median <= p75, key
 

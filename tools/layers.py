@@ -26,14 +26,15 @@ Layers:
 - Both warm starts come from ``padded_warm_start``, as the runners build
   them: the earlier fit with a predicted row for the 20th task.
 - Each pooled fit runs twice: ``newton`` as the package runs it, handing off
-  to Newton once the support has settled, and ``apg_only`` with the Newton
+  to Newton once the iteration has slowed, and ``apg_only`` with the Newton
   hand-off switched off, which iterates as the solver did before the
   hand-off existed; only its Lipschitz constant, now taken from the smaller
   of Phi Phi^T and Phi^T Phi, costs less than it did. Each reports the time
-  per call, the APG iterations, Newton steps and Newton attempts (read from
-  the fit's ``SolverReport``), and the time per iteration: the time per
-  call over the APG iterations plus the Newton steps, which for
-  ``apg_only`` is the cost of one APG iteration.
+  per call and the APG iterations, Newton steps and Newton attempts (read
+  from the fit's ``SolverReport``). ``apg_only`` also reports the time per
+  iteration, the cost of one APG iteration; a ``newton`` fit does not, as
+  its APG iterations and Newton steps cost 2-3x apart and their mean prices
+  neither.
 - ``group_lasso.lifelong_seed``: every pooled fit of the default
   ``lifelong`` run at seed 0 (tasks 2 to 20), timed as one unit, on the
   designs, penalties and predicted starts the runner built for them. Its
@@ -237,13 +238,15 @@ def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
     with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", threshold):
         seconds = seconds_of(lambda: fit_group_lasso(design, lam, x0=x0), repeats)
         _, report = fit_group_lasso(design, lam, x0=x0)
-    return {
+    layer = {
         **quartiles("us_per_call", seconds),
-        **quartiles("us_per_iteration", seconds, per=report.iterations, digits=2),
         **solver_counts([report]),
         "method": report.method,
         "converged": report.converged,
     }
+    if not handoff:
+        layer.update(quartiles("us_per_iteration", seconds, per=report.iterations, digits=2))
+    return layer
 
 
 def pooled_fits(run):
