@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .gp_ucb import UcbConfig
-from .group_lasso import fit_lassos, group_norms
-from .lifelong import LifelongRunRecord, _plan, _run_agents
+from .group_lasso import PooledDesign, fit_lassos, group_norms
+from .lifelong import LifelongRunRecord, _forced_draws, _plan, _run_agents
 # design_from_tasks and learn_kernel stay bound here: perfbench's tracer
 # wraps these bindings
 from .selection import design_from_tasks, learn_kernel, threshold_groups  # noqa: F401
@@ -117,7 +117,7 @@ def client_fits(
     for client, y in zip(clients, rewards, strict=True):
         if y.size == 0:
             raise DataError(f"client {client} has no exploration data")
-    coeffs, reports = fit_lassos(features, rewards, lam)
+    coeffs, reports = fit_lassos(PooledDesign(features, rewards), lam)
     votes = []
     for client, y, beta, report in zip(clients, rewards, coeffs, reports):
         failed = not report.converged
@@ -171,11 +171,7 @@ def run_federated(
     plans = _plan(env, n, np.full(m, math.sqrt(n)), seed)
     record = FederatedRunRecord(seed=seed)
     record.votes = client_fits(
-        [env.grid_features[plan.drawn] for plan in plans],
-        [plan.drawn_y for plan in plans],
-        lam,
-        omega,
-        clients=[plan.task for plan in plans],
+        *_forced_draws(env, plans), lam, omega, clients=[plan.task for plan in plans]
     )
     kernels = []
     for vote in record.votes:

@@ -85,12 +85,13 @@ equicorrelation set {j : (2/N)|phi_j^T r| >= lam - TOL} are linearly
 independent, which makes the solution unique (Tibshirani 2013, Lemma 2).
 Otherwise, for instance on a singular active Gram, an exhausted step budget
 or a polytope of solutions, the fit runs the proximal-gradient iteration
-above, without a Newton attempt: a Newton point would be one arbitrary member
-of a set of solutions.
+above from a cold start (a warm start is ignored: the member of a set of
+solutions that the iteration reaches depends on where it starts), without a
+Newton attempt: a Newton point would be one arbitrary member of that set.
 
-One homotopy follows the paths of K single-task fits at once (``fit_lassos``,
-which fits every federated client in one call; ``fit_group_lasso`` runs it
-with K = 1). It works on a design's row stack, one task per fit: each step
+``fit_lassos``, the one route for single-task fits, follows the paths of a
+design's K tasks at once (every federated client in one call;
+``fit_group_lasso`` runs it with K = 1) on the design's row stack: each step
 takes every unfinished task to its own next event, solving all the tasks'
 active blocks, padded to the largest with the identity, in one batched
 solve. Each task keeps its own step
@@ -347,11 +348,11 @@ def fit_group_lasso(
 ) -> tuple[np.ndarray, SolverReport]:
     """Minimize the pooled group-lasso objective.
 
-    A single-task design goes to the exact lasso path (the batched path with
-    one task), which ignores ``x0`` and returns only a certified unique
-    solution; every other fit, and every single-task fit the path declines,
-    runs accelerated proximal gradient, which on a pooled design hands off
-    to a Newton finish on the support it has found.
+    A single-task design (m = 1) is fitted by ``fit_lassos`` with K = 1,
+    which ignores ``x0``: the exact lasso path when it can certify a unique
+    solution, and otherwise accelerated proximal gradient from a cold start.
+    Every pooled fit (m >= 2) runs accelerated proximal gradient from
+    ``x0``, handing off to a Newton finish on the support it has found.
 
     Accelerated proximal gradient uses constant step 1/L, monotone acceptance
     and momentum restart. L is the largest per-task spectral norm of
@@ -368,9 +369,8 @@ def fit_group_lasso(
     if x0 is not None and x0.shape != (design.m, design.p):
         raise ValueError("warm start does not match the design")
     if design.m == 1:
-        coeffs, (report,) = _lasso_paths(design.F, design.Y, design.rows, lam, TOL, MAX_ITER)
-        if report is not None:
-            return coeffs, report
+        coeffs, (report,) = fit_lassos(design, lam)
+        return coeffs, report
     return _apg(design, lam, TOL, MAX_ITER, x0)
 
 
@@ -592,24 +592,22 @@ def _newton_finish(
 PATH_EVENT_FLOOR = 1e-12  # smaller drop times and join closing rates are ignored
 
 
-def fit_lassos(features, rewards, lam: float) -> tuple[np.ndarray, list[SolverReport]]:
-    """Fit K single-task lassos at once, task s on ``features[s]`` (n_s, p)
-    and ``rewards[s]`` (n_s,) alone, as ``fit_group_lasso`` fits the
-    single-task design of each.
+def fit_lassos(design: PooledDesign, lam: float) -> tuple[np.ndarray, list[SolverReport]]:
+    """Fit the K tasks of ``design`` as K single-task lassos at once, each
+    on its own rows alone; ``fit_group_lasso`` fits a single-task design
+    this way, with K = 1.
 
     One homotopy follows every task's path together; a task it declines
-    runs accelerated proximal gradient on its own data. Returns the (K, p)
-    matrix whose row s holds task s's coefficients, and the K reports.
-    Raises ValueError on a task without rows, and on every block that
-    ``PooledDesign`` rejects.
+    runs accelerated proximal gradient on its own data from a cold start.
+    Returns the (K, p) matrix whose row s holds task s's coefficients, and
+    the K reports. Raises ValueError on a task without rows.
     """
     if lam < 0:
         raise ValueError("penalty weight must be nonnegative")
-    design = PooledDesign(features, rewards)
     rows = design.rows
     if not rows.all():
         raise ValueError(f"task {rows.argmin() + 1} has no rows")
-    coeffs, reports = _lasso_paths(design.F, design.Y, rows, lam, TOL, MAX_ITER)
+    coeffs, reports = _lasso_paths(design, lam, TOL, MAX_ITER)
     for s, report in enumerate(reports):
         if report is None:
             alone = PooledDesign([design.F[s, : rows[s]]], [design.Y[s, : rows[s]]])
@@ -618,10 +616,10 @@ def fit_lassos(features, rewards, lam: float) -> tuple[np.ndarray, list[SolverRe
 
 
 def _lasso_paths(
-    F: np.ndarray, Y: np.ndarray, rows: np.ndarray, lam: float, tol: float, max_steps: int
+    design: PooledDesign, lam: float, tol: float, max_steps: int
 ) -> tuple[np.ndarray, list[SolverReport | None]]:
-    """Exact single-task lassos of K tasks by one homotopy: the (K, p) path
-    points, and per task its report, or None where the path cannot certify.
+    """The exact lasso of each of a design's K tasks alone, by one homotopy:
+    the (K, p) path points, and per task its report, or None if uncertified.
 
     Task s's rows are the first ``rows[s]`` of F[s] (r, p) and Y[s] (r,),
     the rest zero. Each path starts at its lam_max with beta = 0. On the
@@ -636,6 +634,7 @@ def _lasso_paths(
     G_AA set to the identity, so one batched solve gives every d; a singular
     or non-finite solve declines that task alone.
     """
+    F, Y, rows = design.F, design.Y, design.rows
     K, _, p = F.shape
     beta = np.zeros((K, p))
     steps = np.zeros(K, dtype=int)
@@ -652,7 +651,6 @@ def _lasso_paths(
     tasks = np.arange(live.size)
     first = np.abs(corr).argmax(axis=1)
     S[tasks, first] = np.sign(corr[tasks, first])
-    active = S[:, :p] != 0.0
     signs = np.ones(2 * p)  # the sign of the bound each entry of ``joins`` reaches
     signs[p:] = -1.0
     scale, at_task = (2.0 / N)[:, None], tasks[:, None]
@@ -663,6 +661,7 @@ def _lasso_paths(
                 declined[live] = True
                 break
             k += 1
+            active = S[:, :p] != 0.0
             order = _leading_columns(active, p)
             # the active columns as rows of a (k, a, r) stack, padded slots zeroed
             FA = F_[at_task, :, np.minimum(order, p - 1)]
@@ -717,13 +716,10 @@ def _lasso_paths(
             changed = np.where(joined, join % p, order[tasks, drop])
             S[tasks, changed] = signs[join] * joined
             B[tasks, changed] = 0.0
-            active[tasks, changed] = joined
             corr -= t[:, None] * rate
             if any_finished:
                 keep = ~finished
-                live, F_, N, B, S, active, at, corr = (
-                    v[keep] for v in (live, F_, N, B, S, active, at, corr)
-                )
+                live, F_, N, B, S, at, corr = (v[keep] for v in (live, F_, N, B, S, at, corr))
                 tasks = np.arange(live.size)
                 scale, at_task = (2.0 / N)[:, None], tasks[:, None]
 

@@ -118,7 +118,7 @@ class _Plan:
     task: int
     view: TaskView
     drawn: list[int]
-    drawn_y: list[float]
+    drawn_y: np.ndarray
     noise: np.ndarray
 
 
@@ -140,9 +140,13 @@ def _plan(env, n: int, rates, seed: int) -> list[_Plan]:
         if count:
             drawn = substream(seed, STREAM_EXPLORE, s).integers(env.grid_size, size=count).tolist()
         noise = view.noise_terms(n)
-        drawn_y = [float(view.values[idx] + noise[i]) for i, idx in enumerate(drawn)]
-        plans.append(_Plan(s, view, drawn, drawn_y, noise))
+        plans.append(_Plan(s, view, drawn, view.values[drawn] + noise[:count], noise))
     return plans
+
+
+def _forced_draws(env, plans) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per planned task, the grid feature rows of its forced draws and their rewards."""
+    return [env.grid_features[plan.drawn] for plan in plans], [plan.drawn_y for plan in plans]
 
 
 def _run_agents(env, n, plans, kernels, ucb, record) -> list[TaskRecord]:
@@ -212,9 +216,7 @@ def run_lifelong(
     record = LifelongRunRecord(seed=seed)
     # every task's draws in one design, whose first s tasks the fit after
     # task s reads; task 1 always has forced draws
-    design = PooledDesign(
-        [env.grid_features[plan.drawn] for plan in plans], [plan.drawn_y for plan in plans]
-    )
+    design = PooledDesign(*_forced_draws(env, plans))
     lams = [lam / math.sqrt(s) for s in range(1, m + 1)]
     kernels = [tuple(range(1, env.p + 1))]
     for s, outcome in enumerate(learn_kernels(design, range(1, m + 1), omega, lams), start=1):

@@ -18,7 +18,7 @@ from lifelong_bandits.federated import (
     client_fits,
     run_federated,
 )
-from lifelong_bandits.group_lasso import fit_lassos
+from lifelong_bandits.group_lasso import PooledDesign, fit_lassos
 from lifelong_bandits.harness import build_config, run_experiment
 
 
@@ -161,7 +161,7 @@ class TestClientFit:
         phi, y, vote = seen[6]
         assert vote.indices == (2, 5, 10, 13, 17, 20, 21, 25, 35, 43, 48)
         assert not vote.failed
-        _, (report,) = fit_lassos([phi], [y], config.lam)
+        _, (report,) = fit_lassos(PooledDesign([phi], [y]), config.lam)
         assert report.method == "apg"
 
 

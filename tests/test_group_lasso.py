@@ -38,7 +38,7 @@ def single_task_design(phi, y):
 def lasso_path(design, lam, tol=1e-8, max_steps=10_000):
     """The lasso path of a single-task design alone, as a batch of one task:
     (coeffs, report), or None where the path declines."""
-    coeffs, (report,) = _lasso_paths(design.F, design.Y, design.rows, lam, tol, max_steps)
+    coeffs, (report,) = _lasso_paths(design, lam, tol, max_steps)
     return None if report is None else (coeffs, report)
 
 
@@ -313,7 +313,8 @@ class TestFit:
         pooled = PooledDesign([phi[:15], phi[15:]], [y[:15], y[15:]])
 
         def fits():
-            return fit_group_lasso(pooled, 0.01)[1], fit_lassos([phi], [y], 0.01)[1][0]
+            alone = PooledDesign([phi], [y])
+            return fit_group_lasso(pooled, 0.01)[1], fit_lassos(alone, 0.01)[1][0]
 
         assert all(report.converged for report in fits())
         monkeypatch.setattr(group_lasso, "MAX_ITER", 3)
@@ -526,6 +527,19 @@ class TestLassoPath:
         assert lasso_path(design, 0.05) is None
 
 
+def test_single_task_fit_ignores_the_warm_start():
+    # lam = 0 with more columns than rows: the path declines, and the
+    # iteration reaches a member of the solution set that depends on its
+    # start, so a single-task fit starts cold whatever it is given
+    design = path_design(4, 3, 5, "plain")
+    warm, warm_report = fit_group_lasso(design, 0.0, x0=np.full((1, 5), 0.5))
+    cold, cold_report = fit_group_lasso(design, 0.0)
+    batch, (batch_report,) = fit_lassos(design, 0.0)
+    assert warm_report.method == "apg"
+    assert warm.tobytes() == cold.tobytes() == batch.tobytes()
+    assert warm_report.iterations == cold_report.iterations == batch_report.iterations
+
+
 def lasso_batch(seed, K, p):
     """K single-task blocks of 1-8 rows, so rows < p and rows > p both occur,
     and the index of one whose rows all repeat one +-1 row: every column
@@ -553,7 +567,7 @@ def test_batched_path_fits_each_task_alone(seed, K, p, lam_frac):
     features, rewards, declined = lasso_batch(seed, K, p)
     phi, y = features[declined], rewards[declined]
     lam = lam_frac * 2.0 / len(y) * float(np.abs(phi.T @ y).max())
-    coeffs, reports = fit_lassos(features, rewards, lam)
+    coeffs, reports = fit_lassos(PooledDesign(features, rewards), lam)
     assert coeffs.shape == (K, p)
     for s, (phi, y) in enumerate(zip(features, rewards)):
         alone, report = fit_group_lasso(single_task_design(phi, y), lam)
@@ -582,7 +596,7 @@ def test_singular_solve_declines_only_its_task(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", failing)
-    coeffs, reports = fit_lassos(features, rewards, 0.01)
+    coeffs, reports = fit_lassos(PooledDesign(features, rewards), 0.01)
     assert [report.method for report in reports] == ["path", "apg", "apg"]
     ref, _ = _apg(single_task_design(features[1], rewards[1]), 0.01, 1e-8, 50_000, None)
     assert np.array_equal(coeffs[1], ref[0])
@@ -595,15 +609,15 @@ def test_singular_solve_declines_only_its_task(monkeypatch):
 def test_batched_path_rejects_bad_tasks():
     phi, y = np.ones((3, 2)), np.ones(3)
     with pytest.raises(ValueError, match="task 2"):
-        fit_lassos([phi, np.ones((0, 2))], [y, np.ones(0)], 0.1)
+        fit_lassos(PooledDesign([phi, np.ones((0, 2))], [y, np.ones(0)]), 0.1)
     with pytest.raises(ValueError, match="task 2"):
-        fit_lassos([phi, np.ones((3, 3))], [y, y], 0.1)
+        fit_lassos(PooledDesign([phi, np.ones((3, 3))], [y, y]), 0.1)
     with pytest.raises(ValueError, match="non-finite"):
-        fit_lassos([phi, np.full((3, 2), np.nan)], [y, y], 0.1)
+        fit_lassos(PooledDesign([phi, np.full((3, 2), np.nan)], [y, y]), 0.1)
     with pytest.raises(ValueError, match="task 1"):
-        fit_lassos([np.ones((3, 0)), np.ones((3, 0))], [y, y], 0.1)
+        fit_lassos(PooledDesign([np.ones((3, 0)), np.ones((3, 0))], [y, y]), 0.1)
     with pytest.raises(ValueError, match="task 2"):
-        fit_lassos([phi, np.float64(1.0)], [y, np.ones(1)], 0.1)
+        fit_lassos(PooledDesign([phi, np.float64(1.0)], [y, np.ones(1)]), 0.1)
 
 
 def pooled_random_design(seed, m, p, shape):

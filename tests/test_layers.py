@@ -1,12 +1,19 @@
-"""The per-layer timing script runs end to end with one repeat."""
+"""The per-layer timing script runs end to end with one repeat, and its
+``apg_only`` baselines never see the Newton hand-off."""
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+
+from lifelong_bandits import group_lasso
 
 LAYERS = Path(__file__).resolve().parents[1] / "tools" / "layers.py"
 
@@ -81,3 +88,49 @@ def timed_entries(tree, path=""):
             yield from timed_entries(value, f"{path}{key}.")
         elif f"{key}_p25" in tree:
             yield path + key, (tree[f"{key}_p25"], value, tree[f"{key}_p75"])
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    """tools/layers.py as a module; the BLAS thread count it would set for a
+    fresh process is set here only for the test's duration."""
+    if not any(os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "build, prefix_lam",
+    [("learned_fit", 0.5 / np.sqrt(19)), ("offline_warm_fit", 0.25)],
+    ids=["learned_fit", "offline_warm_fit"],
+)
+def test_apg_only_warm_start_comes_from_an_apg_only_prefix_fit(
+    layers, build, prefix_lam, monkeypatch
+):
+    design, lam, start = getattr(layers, build)()
+    starts = {}
+    fit = layers.fit_group_lasso
+
+    def recording(fitted, lam, x0=None):
+        if fitted.m == design.m:
+            starts.setdefault(group_lasso.HANDOFF_MAP_NORM > 0.0, []).append(x0)
+        return fit(fitted, lam, x0=x0)
+
+    monkeypatch.setattr(layers, "fit_group_lasso", recording)
+    for handoff in (True, False):
+        layers.time_pooled_fit(design, lam, start, 1, handoff=handoff)
+    expected = {}
+    for handoff in (True, False):
+        threshold = group_lasso.HANDOFF_MAP_NORM if handoff else 0.0
+        with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", threshold):
+            coeffs, _ = fit(design.prefix(design.m - 1), prefix_lam)
+        expected[handoff] = group_lasso.padded_warm_start(coeffs, design, lam)
+    # the two prefix fits end at different points, so the starts tell them apart
+    assert expected[True].tobytes() != expected[False].tobytes()
+    assert set(starts) == {True, False}
+    for handoff, x0s in starts.items():
+        assert len(x0s) == 3  # the warm-up, the timed run and the reported one
+        assert all(x0.tobytes() == expected[handoff].tobytes() for x0 in x0s)

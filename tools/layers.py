@@ -23,13 +23,15 @@ Layers:
   point: 20 tasks of 10 continuous uniform points, lam 0.25.
 - ``group_lasso.pooled_offline_warm``: the same fit warm-started from the
   fit over its first 19 tasks, as the offline sweep over m = 1..30 starts it.
-- Both warm starts come from ``padded_warm_start``, as the runners build
-  them: the earlier fit with a predicted row for the 20th task.
 - Each pooled fit runs twice: ``newton`` as the package runs it, handing off
   to Newton once the iteration has slowed, and ``apg_only`` with the Newton
   hand-off switched off, which iterates as the solver did before the
   hand-off existed; only its Lipschitz constant, now taken from the smaller
-  of Phi Phi^T and Phi^T Phi, costs less than it did. Each reports the time
+  of Phi Phi^T and Phi^T Phi, costs less than it did. A warm fit's start is
+  built under the same setting as the fit: ``padded_warm_start`` of an
+  untimed fit over the first 19 tasks, the earlier fit with a predicted row
+  for the 20th task, as the runners build it. So ``apg_only`` never meets a
+  Newton point, and a hand-off change leaves it as it was. Each reports the time
   per call and the APG iterations, Newton steps and Newton attempts (read
   from the fit's ``SolverReport``). ``apg_only`` also reports the time per
   iteration, the cost of one APG iteration; a ``newton`` fit does not, as
@@ -193,16 +195,17 @@ def grid_design(env: SyntheticEnvironment, draws) -> PooledDesign:
 
 
 def learned_fit():
-    """The 20-task design, penalty and warm start of a learned-like last fit."""
+    """The 20-task design and penalty of a learned-like last fit, and the
+    builder of its warm start from the 19-task fit."""
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
     draws = grid_draws(env, [100] + [4] * (TASKS - 1), np.random.default_rng(0))
     design, lam = grid_design(env, draws), 0.5 / math.sqrt(TASKS)
-    coeffs, _ = fit_group_lasso(design.prefix(TASKS - 1), 0.5 / math.sqrt(TASKS - 1))
-    return design, lam, padded_warm_start(coeffs, design, lam)
+    return design, lam, lambda: prefix_start(design, lam, 0.5 / math.sqrt(TASKS - 1))
 
 
 def offline_fit():
-    """The cold 20-task design and penalty of an offline-like sweep point."""
+    """The cold 20-task design and penalty of an offline-like sweep point,
+    without a start."""
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
     rng = np.random.default_rng(1)
     lo, hi = env.atlas.domain[:, 0], env.atlas.domain[:, 1]
@@ -218,8 +221,15 @@ def offline_warm_fit():
     """The same 20-task fit, warm-started from the 19-task one as the sweep
     over m = 1..30 starts it."""
     design, lam, _ = offline_fit()
-    coeffs, _ = fit_group_lasso(design.prefix(TASKS - 1), lam)
-    return design, lam, padded_warm_start(coeffs, design, lam)
+    return design, lam, lambda: prefix_start(design, lam, lam)
+
+
+def prefix_start(design, lam, prefix_lam):
+    """The start of a fit of ``design`` at ``lam`` as the runners build it:
+    ``padded_warm_start`` of a fit of its first m - 1 tasks at
+    ``prefix_lam``."""
+    coeffs, _ = fit_group_lasso(design.prefix(design.m - 1), prefix_lam)
+    return padded_warm_start(coeffs, design, lam)
 
 
 def solver_counts(reports) -> dict:
@@ -232,10 +242,13 @@ def solver_counts(reports) -> dict:
     }
 
 
-def time_pooled_fit(design, lam, x0, repeats: int, handoff: bool) -> dict:
-    """Time one pooled fit and split its iterations into APG and Newton."""
+def time_pooled_fit(design, lam, start, repeats: int, handoff: bool) -> dict:
+    """Time one pooled fit from the start ``start()`` builds (a cold fit when
+    ``start`` is None), with the hand-off on or off for the start and the
+    fit alike, and split its iterations into APG and Newton."""
     threshold = group_lasso.HANDOFF_MAP_NORM if handoff else 0.0
     with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", threshold):
+        x0 = start() if start else None
         seconds = seconds_of(lambda: fit_group_lasso(design, lam, x0=x0), repeats)
         _, report = fit_group_lasso(design, lam, x0=x0)
     layer = {
@@ -284,7 +297,7 @@ def wide_fit(repeats: int) -> dict:
         "rows": design.total_rows,
         "p": design.p,
         "lam": lam,
-        "newton": time_pooled_fit(design, lam, kwargs["x0"], repeats, handoff=True),
+        "newton": time_pooled_fit(design, lam, lambda: kwargs["x0"], repeats, handoff=True),
     }
 
 
@@ -357,7 +370,7 @@ def client_batch(repeats: int) -> dict:
 
     if batched() != one_by_one():
         raise RuntimeError("batched client votes differ from one-client votes")
-    _, reports = fit_lassos(features, rewards, 0.2)
+    _, reports = fit_lassos(PooledDesign(features, rewards), 0.2)
     return {
         "clients": len(clients),
         "rows": len(rewards[0]),
@@ -535,14 +548,14 @@ def main(argv=None) -> int:
         ("pooled_offline", offline_fit),
         ("pooled_offline_warm", offline_warm_fit),
     ):
-        design, lam, x0 = build()
+        design, lam, start = build()
         layers[f"group_lasso.{name}"] = {
             "tasks": design.m,
             "rows": design.total_rows,
             "lam": lam,
-            "warm": x0 is not None,
-            "newton": time_pooled_fit(design, lam, x0, args.repeats, handoff=True),
-            "apg_only": time_pooled_fit(design, lam, x0, args.repeats, handoff=False),
+            "warm": start is not None,
+            "newton": time_pooled_fit(design, lam, start, args.repeats, handoff=True),
+            "apg_only": time_pooled_fit(design, lam, start, args.repeats, handoff=False),
         }
     record, fits = lifelong_run()
     layers["group_lasso.lifelong_seed"] = lifelong_seed(fits, args.repeats)
