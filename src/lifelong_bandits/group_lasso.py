@@ -14,11 +14,11 @@ materialized. The solvers work on the tasks' rows, zero-padded to one
 a Gram is built only over a support S, as F[:, :, S]^T F[:, :, S].
 
 A ``PooledDesign`` holds F with the rewards, validated when it is built,
-and computes each task's crossterm and ||y_s||^2 then; its top eigenvalue
-waits until ``lipschitz`` asks, which a certified lasso-path fit never does.
-``prefix(k)`` takes its first k tasks as views of the same arrays, so the
-fits of a growing pool (the lifelong runner's after each task, the offline
-sweep's over m) are fits of one design's prefixes and hold each row once.
+and computes every statistic a fit reads then (each task's crossterm,
+||y_s||^2 and top Gram eigenvalue). ``prefix(k)`` takes its first k tasks
+as views of the same arrays, statistics included, so the fits of a growing
+pool (the lifelong runner's after each task, the offline sweep's over m)
+are fits of one design's prefixes and hold each row once.
 
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
@@ -130,12 +130,13 @@ class PooledDesign:
     ``F[s - 1]`` and ``Y[s - 1]`` ((m, r, p) and (m, r), r the largest n_s),
     the rest zero. They are validated and copied in when the design is
     built, and each task's crossterm Phi_s^T y_s (row s - 1 of the (m, p)
-    ``C``) and ||y_s||^2 are computed then; all are read-only. Each task's
-    top Gram eigenvalue, read only by the proximal-gradient iteration, is
-    computed when ``lipschitz`` first asks for it. ``prefix(k)`` gives the
-    design of the first k tasks as views of the same arrays, eigenvalues
-    included, so the fits over a design's prefixes share its rows and
-    compute each eigenvalue once.
+    ``C``), ||y_s||^2 and top Gram eigenvalue are computed then, the
+    eigenvalues in one batched call over the stack's Grams of side
+    min(r, p), with the running totals in task order of the row counts and
+    ||y_s||^2 that give ``total_rows`` and ``y_sq``; all are read-only.
+    ``prefix(k)`` gives the design of the first k tasks as views of the same
+    arrays, statistics included, so the fits over a design's prefixes share
+    its rows and compute no statistic again.
 
     Parameters
     ----------
@@ -167,31 +168,37 @@ class PooledDesign:
                 raise ValueError(f"task {k}: non-finite data")
             blocks.append((phi, y))
         rows = np.array([len(y) for _, y in blocks])
-        m = len(rows)
-        F, Y = np.zeros((m, rows.max(), p)), np.zeros((m, rows.max()))
+        if rows.sum() == 0:
+            raise ValueError("pooled design has no rows")
+        m, r = len(rows), rows.max()
+        F, Y = np.zeros((m, r, p)), np.zeros((m, r))
         C, y_sq = np.empty((m, p)), np.empty(m)
         for s, (phi, y) in enumerate(blocks):
             n = len(y)
             F[s, :n], Y[s, :n] = phi, y
             phi, y = F[s, :n], Y[s, :n]
             C[s], y_sq[s] = phi.T @ y, y @ y
-        self.F, self.Y, self.rows = _frozen(F), _frozen(Y), _frozen(rows)
-        self.C, self._y_sq = _frozen(C), _frozen(y_sq)
-        self._top_eig = np.full(m, np.nan)
-        if self.total_rows == 0:
-            raise ValueError("pooled design has no rows")
+        # Phi Phi^T and Phi^T Phi share their nonzero spectrum, and a task's
+        # zero rows add only zero eigenvalues, so one call covers every task
+        F_T = F.transpose(0, 2, 1)
+        gram = np.matmul(F, F_T) if r < p else np.matmul(F_T, F)
+        self._top_eig = _frozen(np.linalg.eigvalsh(gram)[:, -1])
+        self.F, self.Y, self.rows, self.C = _frozen(F), _frozen(Y), _frozen(rows), _frozen(C)
+        # running totals in task order, so a prefix reads its own
+        self._rows_to, self._y_sq_to = _frozen(np.cumsum(rows)), _frozen(np.cumsum(y_sq))
 
     def prefix(self, k: int) -> "PooledDesign":
         """The design of the first k tasks, as views of this one's arrays."""
         if not 1 <= k <= self.m:
             raise ValueError(f"prefix length must lie in 1..{self.m}")
+        if self._rows_to[k - 1] == 0:
+            raise ValueError("pooled design has no rows")
         design = object.__new__(PooledDesign)
         r = self.rows[:k].max()
         design.F, design.Y = self.F[:k, :r], self.Y[:k, :r]
         design.rows, design.C = self.rows[:k], self.C[:k]
-        design._y_sq, design._top_eig = self._y_sq[:k], self._top_eig[:k]
-        if design.total_rows == 0:
-            raise ValueError("pooled design has no rows")
+        design._rows_to, design._y_sq_to = self._rows_to[:k], self._y_sq_to[:k]
+        design._top_eig = self._top_eig[:k]
         return design
 
     @property
@@ -206,28 +213,17 @@ class PooledDesign:
 
     @property
     def total_rows(self) -> int:
-        return int(self.rows.sum())
+        return int(self._rows_to[-1])
 
     @property
     def y_sq(self) -> float:
         """The squared norm of every task's rewards together."""
-        total = 0.0
-        for v in self._y_sq.tolist():
-            total += v
-        return total
+        return float(self._y_sq_to[-1])
 
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient: the largest per-task
-        spectral norm of (2/N) Phi_s^T Phi_s. Each task's top eigenvalue is
-        computed the first time a design holding it asks."""
-        eig = self._top_eig
-        for s in np.flatnonzero(np.isnan(eig)):
-            phi = self.F[s, : self.rows[s]]
-            n, p = phi.shape
-            # Phi Phi^T and Phi^T Phi share their nonzero spectrum
-            small = phi @ phi.T if n < p else phi.T @ phi
-            eig[s] = np.linalg.eigvalsh(small)[-1] if n else 0.0
-        return max(0.0, 2.0 * float(eig.max()) / self.total_rows)
+        spectral norm of (2/N) Phi_s^T Phi_s."""
+        return max(0.0, 2.0 * float(self._top_eig.max()) / self.total_rows)
 
 
 def group_norms(coeffs: np.ndarray) -> np.ndarray:
@@ -404,15 +400,16 @@ def _apg(
         rss = (float(np.vdot(B, g)) / scale - float(np.vdot(C, B)) + y_sq) / N
         return rss + lam * float(np.add.reduce(norms))
 
-    def map_norm_at(B: np.ndarray, g: np.ndarray) -> float:
-        return float(np.linalg.norm(B - _prox_step(B, g, thresh)[0])) / step
+    def map_norm(B: np.ndarray, z: np.ndarray) -> float:
+        # ||B - z|| / step by the ddot np.linalg.norm runs, without its wrapper
+        d = B - z
+        return math.sqrt(np.vdot(d, d)) / step
 
     x = x0.copy() if x0 is not None else np.zeros((m, p))
     gx = grad_step(x)
     norms = np.sqrt(np.add.reduce(x * x))
     f_x = objective(x, gx, norms)
     history = [f_x]
-    gap = map_norm_at(x, gx)
     iterations = newton_attempts = newton_steps = 0
     method = "apg"
     # a single-task fit reaches APG only when its solution may not be
@@ -421,6 +418,9 @@ def _apg(
     handoff = m > 1 and thresh > np.finfo(float).eps and HANDOFF_MAP_NORM > 0.0
     start = (norms > 0.0).tobytes() if x0 is not None else None  # x0's nonzero columns
     tried, tried_at = None, 0.0  # support and mapping norm of the last declined attempt
+    # the start's stop test, whose prox step is iteration 1's: its momentum point is x
+    z, norms = _prox_step(x, gx, thresh)
+    gap = map_norm(x, z)
     converged = gap <= tol
     if not converged:
         y_pt, gy = x, gx
@@ -428,7 +428,8 @@ def _apg(
         for k in range(1, max_iter + 1):
             iterations = k
             base = y_pt
-            z, norms = _prox_step(y_pt, gy, thresh)
+            if k > 1:
+                z, norms = _prox_step(y_pt, gy, thresh)
             gz = grad_step(z)
             f_z = objective(z, gz, norms)
             if f_z <= f_x:
@@ -450,13 +451,13 @@ def _apg(
             # a warm fit whose first prox step keeps x0's support tries Newton at once
             warm_kept = handoff and k == 1 and support == start
             # the mapping norm at the point this iteration's prox started from
-            moved = float(np.linalg.norm(z - base)) / step if handoff else math.inf
+            moved = map_norm(z, base) if handoff else math.inf
             attempt = (moved <= HANDOFF_MAP_NORM or warm_kept) and (
                 support != tried or moved <= HANDOFF_RETRY * tried_at
             )
             if attempt or k % CHECK_EVERY == 0 or k == max_iter:
                 history.append(f_x)
-                gap = map_norm_at(x, gx)
+                gap = map_norm(x, _prox_step(x, gx, thresh)[0])
                 if gap <= tol:
                     converged = True
                     break
@@ -471,7 +472,7 @@ def _apg(
                     # the stop rule becomes the iterate, and momentum restarts
                     gz = grad_step(z)
                     f_z = objective(z, gz, np.sqrt(np.add.reduce(z * z)))
-                    gap_z = map_norm_at(z, gz)
+                    gap_z = map_norm(z, _prox_step(z, gz, thresh)[0])
                     if f_z <= f_x:
                         x, gx, f_x, gap = z, gz, f_z, gap_z
                         y_pt, gy, t = z, gz, 1.0
@@ -532,7 +533,8 @@ def _newton_finish(
     sqrt(m |S|) times the largest entry: the stop asks for half of ``tol``,
     and no more.
     """
-    S = np.flatnonzero((x * x).sum(axis=0) > 0.0)
+    # ufunc reductions throughout, without ndarray.all/any/max/sum's wrappers
+    S = (np.add.reduce(x * x) > 0.0).nonzero()[0]
     B = x[:, S]
     m = x.shape[0]
     steps = 0
@@ -549,17 +551,18 @@ def _newton_finish(
             grad_tol = tol / (2.0 * math.sqrt(m * k))
             U = None
             while True:
-                if not np.isfinite(B).all():
+                if not np.logical_and.reduce(np.isfinite(B), axis=None):
                     return None, steps
                 norms = np.sqrt(np.add.reduce(B * B))
                 U, U_prev = B / norms, U
                 dropped = ~(norms > 0.0)
                 if U_prev is not None:
                     dropped |= np.add.reduce(U * U_prev) < 0.0
-                if dropped.any():
+                if np.logical_or.reduce(dropped):
                     break
                 grad = np.matmul(GS, B[:, :, None])[:, :, 0] - CS + lam * U
-                if np.abs(grad).max() <= grad_tol or steps == NEWTON_MAX_STEPS:
+                largest = np.maximum.reduce(np.abs(grad), axis=None)
+                if largest <= grad_tol or steps == NEWTON_MAX_STEPS:
                     point = np.zeros_like(x)
                     point[:, S] = B
                     return point, steps

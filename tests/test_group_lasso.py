@@ -185,37 +185,36 @@ class TestDesignGrowth:
         with pytest.raises(ValueError, match="task 3"):
             PooledDesign([*blocks, phi], [*ys, y])
 
-    def test_top_eigenvalue_waits_for_a_fit_that_reads_it(self, monkeypatch):
-        # building or cutting a design computes no eigenvalue, and neither
-        # does a fit the path certifies; ``lipschitz`` computes each task's
-        # once, into an array the design's prefixes share
+    def test_build_computes_every_statistic_a_fit_reads(self, monkeypatch):
+        # one batched eigenvalue call when the design is built, and none from
+        # ``prefix``, ``lipschitz`` or a fit the path certifies
         blocks, ys = random_blocks(16, self.ROWS)
         shapes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
-        one = PooledDesign(blocks[:1], ys[:1])
-        assert fit_group_lasso(one, 0.1)[1].method == "path"
         full = PooledDesign(blocks, ys)
-        part = full.prefix(2)
-        assert shapes == []
-        # Phi^T Phi for task 1's 6 rows, Phi Phi^T for task 2's 2
-        a, b = blocks[0].T @ blocks[0], blocks[1] @ blocks[1].T
-        top = max(float(eigvalsh(a)[-1]), float(eigvalsh(b)[-1]))
-        assert part.lipschitz() == 2.0 * top / 8
-        assert shapes == [(4, 4), (2, 2)]
-        # the parent reads what its prefix computed; an empty task's
-        # eigenvalue is 0 without a call
-        full.lipschitz()
-        assert shapes[2:] == [(4, 4), (3, 3)]
-        full.prefix(4).lipschitz()
-        part.lipschitz()
-        assert len(shapes) == 4
-        # a prefix of a prefix reads them too
-        part.prefix(1).lipschitz()
-        assert len(shapes) == 4
-        # a design built on its own computes its own once it is asked
-        one.lipschitz()
-        assert shapes[4:] == [(4, 4)]
+        # the stack's 9 rows reach p = 4, so every task goes through Phi^T Phi
+        assert shapes == [(5, 4, 4)]
+        assert full._top_eig[2] == 0.0  # the empty task's
+        assert fit_group_lasso(full.prefix(1), 0.1)[1].method == "path"
+        # each task alone, on its unpadded rows, through the smaller Gram
+        top = [
+            float(eigvalsh(phi @ phi.T if len(phi) < 4 else phi.T @ phi)[-1]) if len(phi) else 0.0
+            for phi in blocks
+        ]
+        for k in range(1, len(blocks) + 1):
+            for part in (full.prefix(k), full.prefix(len(blocks)).prefix(k)):
+                assert part.total_rows == sum(self.ROWS[:k])
+                y_sq = 0.0
+                for y in ys[:k]:
+                    y_sq += float(y @ y)
+                assert part.y_sq == y_sq
+                # a padded task's eigenvalue comes from another matrix than
+                # its unpadded Gram (task 2's 2 rows from a 4x4 Phi^T Phi),
+                # so it agrees to rounding, not to the bit
+                expected = 2.0 * max(top[:k]) / sum(self.ROWS[:k])
+                assert part.lipschitz() == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert len(shapes) == 1
 
     def test_stored_arrays_are_read_only_copies(self):
         blocks, ys = random_blocks(15, [3, 2])
@@ -331,6 +330,26 @@ class TestFit:
         _, report = fit_group_lasso(design, lam=0.01)
         assert not report.converged
         assert report.iterations == 3
+
+    def test_start_stop_test_and_iteration_one_share_a_prox_step(self, monkeypatch):
+        # iteration 1's momentum point is the start, so the start's stop test
+        # makes its prox step
+        calls = []
+        prox_step = group_lasso._prox_step
+        monkeypatch.setattr(group_lasso, "_prox_step", lambda *a: calls.append(a) or prox_step(*a))
+        monkeypatch.setattr(group_lasso, "HANDOFF_MAP_NORM", 0.0)
+        monkeypatch.setattr(group_lasso, "MAX_ITER", 1)
+        design, lam = handoff_design(1, 6)
+        _, report = fit_group_lasso(design, lam)
+        assert (report.method, report.iterations, report.converged) == ("apg", 1, False)
+        # the start's test with iteration 1's step, then the last iteration's test
+        assert len(calls) == 2
+        # at 10 lam, above the smallest penalty with B = 0 optimal, the cold
+        # start meets the stop rule: its test is the only prox step
+        calls.clear()
+        _, report = fit_group_lasso(design, 10.0 * lam)
+        assert (report.iterations, report.converged) == (0, True)
+        assert len(calls) == 1
 
 
 class TestKkt:

@@ -51,6 +51,9 @@ def test_layer_script_one_repeat(tmp_path):
     assert seed["fits"] == seed["newton_fits"] == 19 and seed["converged"]
     assert len(seed["rows_per_task"]) == 20 and seed["rows_per_task"][-1] < 10
     assert seed["newton_steps"] > 0 and seed["newton_attempts"] >= seed["fits"]
+    sweep = layers["group_lasso.offline_seed"]
+    assert sweep["fits"] == 29 and sweep["rows_per_task"] == [10] * 30 and sweep["converged"]
+    assert 0 < sweep["newton_fits"] <= sweep["newton_attempts"] and sweep["us_per_seed"] > 0
     wide = layers["group_lasso.pooled_p2000"]
     assert (wide["tasks"], wide["rows"], wide["p"]) == (2, 8, 2000)
     assert wide["newton"]["method"] == "newton" and wide["newton"]["converged"]
@@ -76,7 +79,7 @@ def test_layer_script_one_repeat(tmp_path):
         assert all(0 < count < 2000 for count in kind["distinct"])
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))
-    assert len(times) == 27
+    assert len(times) == 28
     for key, (p25, median, p75) in times.items():
         assert 0 < p25 <= median <= p75, key
 

@@ -26,8 +26,8 @@ Layers:
 - Each pooled fit runs twice: ``newton`` as the package runs it, handing off
   to Newton once the iteration has slowed, and ``apg_only`` with the Newton
   hand-off switched off, which iterates as the solver did before the
-  hand-off existed; only its Lipschitz constant, now taken from the smaller
-  of Phi Phi^T and Phi^T Phi, costs less than it did. A warm fit's start is
+  hand-off existed; only its Lipschitz constant, which the design now
+  computes when it is built, costs it nothing. A warm fit's start is
   built under the same setting as the fit: ``padded_warm_start`` of an
   untimed fit over the first 19 tasks, the earlier fit with a predicted row
   for the 20th task, as the runners build it. So ``apg_only`` never meets a
@@ -44,10 +44,14 @@ Layers:
   4 for the later ones, where ``pooled_learned`` gives task 1 100 rows and
   every later task 4. It reports the time per seed and the APG iterations, Newton
   steps and Newton attempts summed over the fits.
-  A design copies each task's rows into its row stack and computes the
-  task's crossterm when it is built, before any fit, and the recorded
-  designs have read their top eigenvalues in the run, so these times hold
-  the iteration alone, not the design and eigen work.
+  A design copies each task's rows into its row stack and computes every
+  statistic a fit reads (the task's crossterm, ||y_s||^2 and top Gram
+  eigenvalue) when it is built, before any fit, so these times hold the
+  iteration alone, not the design and eigenvalue work.
+- ``group_lasso.offline_seed``: every pooled fit of the default ``offline``
+  sweep at seed 0 (m = 2 to 30, 10 points per task), timed as one unit on
+  the designs and starts the sweep built for them, and reported as
+  ``lifelong_seed``.
 - ``group_lasso.pooled_p2000``: the 2-task pooled fit of the ``lifelong``
   run at p=2000, m=4, n=20, seed 0, as the runner made it: two tasks of 4
   forced rows each against 2 000 groups, so every product goes through the
@@ -65,8 +69,8 @@ Layers:
   whose path is certified; the others fall back to the iterative solver.
 - ``selection.design``: the design work outside the solver: building the
   design, which copies each task's rows into the row stack and computes its
-  crossterm and ||y_s||^2, and the top eigenvalues that every pooled fit
-  reads through ``lipschitz()``.
+  crossterm, ||y_s||^2 and top Gram eigenvalue, the eigenvalues in one
+  batched call.
   ``learned_seed``: the one design of a ``learned``-like seed, which the
   lifelong runner builds before its first fit and whose prefixes every fit
   reads: 20 tasks of the runner's forced-row counts (10 for task 1, 8 down
@@ -74,8 +78,8 @@ Layers:
   environment's grid features.
   ``offline_seed_setup``: one seed of the default offline sweep
   (m = 1..30, n = 10) without its fits: ``sweep`` runs ``recovery_sweep``
-  with the fit replaced by the statistics it reads, reporting a fit that
-  did not converge, so no fit is warm-started.
+  with the fit replaced by a stand-in reporting a fit that did not
+  converge, so no fit is warm-started.
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh one-agent
@@ -285,6 +289,11 @@ def lifelong_run():
     return pooled_fits(lambda: run_lifelong(env, TASKS, 100, 0.25, 0.5, seed=0))
 
 
+def offline_sweep():
+    """The default ``offline`` sweep at seed 0: m = 1..30, n = 10."""
+    return recovery_sweep(SyntheticSpec(), range(1, 31), 10, 0.25, 0.25, 0)
+
+
 def wide_fit(repeats: int) -> dict:
     """The 2-task fit of the ``lifelong`` run at p=2000, m=4, n=20, seed 0."""
     pairs = {"p": "2000", "m": "4", "n": "20", "seeds": "0,"}
@@ -301,8 +310,8 @@ def wide_fit(repeats: int) -> dict:
     }
 
 
-def lifelong_seed(fits, repeats: int) -> dict:
-    """All pooled fits of one ``lifelong`` seed, timed as one unit."""
+def seed_fits(fits, repeats: int) -> dict:
+    """All pooled fits of one seed, timed as one unit."""
 
     def run():
         return [fit_group_lasso(design, lam, **kwargs)[1] for design, lam, kwargs in fits]
@@ -380,32 +389,20 @@ def client_batch(repeats: int) -> dict:
     }
 
 
-def fit_statistics(design) -> None:
-    """Compute what every pooled fit reads before its first iteration
-    beyond what the design computes when it is built."""
-    design.lipschitz()
-
-
 def design_learned(repeats: int) -> dict:
     env = SyntheticEnvironment(SyntheticSpec(), n_tasks=TASKS, master_seed=0)
     rows = integerize(math.sqrt(100) / np.arange(1, TASKS + 1) ** 0.25)  # LiBO's at n = 100
     draws = grid_draws(env, rows, np.random.default_rng(0))
 
-    def build():
-        fit_statistics(grid_design(env, draws))
-
     return {
         "tasks": TASKS,
         "rows": int(rows.sum()),
-        **quartiles("build_us", seconds_of(build, repeats)),
+        **quartiles("build_us", seconds_of(lambda: grid_design(env, draws), repeats)),
     }
 
 
 def design_offline(repeats: int) -> dict:
-    spec, m_values, n, seed = SyntheticSpec(), tuple(range(1, 31)), 10, 0
-
-    def statistics_only(design, omega, lam, **kwargs):
-        fit_statistics(design)
+    def stand_in(design, omega, lam, **kwargs):
         return selection.KernelSelection(
             selected=tuple(range(1, design.p + 1)),
             fallback=True,
@@ -420,15 +417,9 @@ def design_offline(repeats: int) -> dict:
             ),
         )
 
-    with mock.patch.object(selection, "learn_kernel", statistics_only):
-        sweep = seconds_of(
-            lambda: recovery_sweep(spec, m_values, n, 0.25, 0.25, seed), repeats
-        )
-    return {
-        "m_values": len(m_values),
-        "n": n,
-        **quartiles("sweep_us", sweep),
-    }
+    with mock.patch.object(selection, "learn_kernel", stand_in):
+        sweep = seconds_of(offline_sweep, repeats)
+    return {"m_values": 30, "n": 10, **quartiles("sweep_us", sweep)}
 
 
 def lockstep_seconds(env, kernels, noise, repeats: int) -> list[float]:
@@ -558,7 +549,8 @@ def main(argv=None) -> int:
             "apg_only": time_pooled_fit(design, lam, start, args.repeats, handoff=False),
         }
     record, fits = lifelong_run()
-    layers["group_lasso.lifelong_seed"] = lifelong_seed(fits, args.repeats)
+    layers["group_lasso.lifelong_seed"] = seed_fits(fits, args.repeats)
+    layers["group_lasso.offline_seed"] = seed_fits(pooled_fits(offline_sweep)[1], args.repeats)
     layers["group_lasso.pooled_p2000"] = wide_fit(args.repeats)
     layers["group_lasso.client_fit"] = client_fit(args.repeats)
     layers["federated.client_fits"] = client_batch(args.repeats)
