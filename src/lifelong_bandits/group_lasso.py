@@ -14,11 +14,12 @@ materialized. The solvers work on the tasks' rows, zero-padded to one
 a Gram is built only over a support S, as F[:, :, S]^T F[:, :, S].
 
 A ``PooledDesign`` holds F with the rewards, validated when it is built,
-and computes every statistic a fit reads then (each task's crossterm,
-||y_s||^2 and top Gram eigenvalue). ``prefix(k)`` takes its first k tasks
-as views of the same arrays, statistics included, so the fits of a growing
-pool (the lifelong runner's after each task, the offline sweep's over m)
-are fits of one design's prefixes and hold each row once.
+and computes each task's crossterm and ||y_s||^2 then; the tasks' top Gram
+eigenvalues, which only the iteration reads, wait for the first
+``lipschitz()``. ``prefix(k)`` takes its first k tasks as views of the same
+arrays, statistics included, so the fits of a growing pool (the lifelong
+runner's after each task, the offline sweep's over m) are fits of one
+design's prefixes and hold each row once.
 
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
@@ -31,12 +32,15 @@ objective is
 
 g is affine in B, so the momentum point's follows from the carried ones.
 Two batched matmuls per iteration (F·B, then F^T times it) are the only
-products, with two more when a rejected step restarts the momentum. The
-fit stops when the prox-gradient mapping norm, tested every ``CHECK_EVERY``
-iterations, falls below ``TOL``, or gives up after ``MAX_ITER`` iterations;
-both are module constants, read at each fit, and no argument or config key
-sets them. ``kkt_residuals`` provides an optimality certificate computed
-from raw residuals, independent of the solver path.
+products, with two more when a rejected step restarts the momentum. Every
+prox step measures the prox-gradient mapping norm at the point it started
+from. The fit stops when the mapping norm at its iterate is <= ``TOL`` (the
+stop rule), tested whenever the norm an iteration measured is within
+``TOL``, before each Newton attempt and at the last iteration, or gives up
+after ``MAX_ITER`` iterations; both are module constants, read at each fit,
+and no argument or config key sets them. ``kkt_residuals`` provides an
+optimality certificate computed from raw residuals, independent of the
+solver path.
 
 On a pooled design (m >= 2) the iteration identifies the support long before
 it meets ``TOL``, so it hands off to Newton's method (after the semismooth
@@ -111,7 +115,6 @@ import numpy as np
 
 TOL = 1e-8  # the stop rule's mapping norm, and the path certificate's KKT residual
 MAX_ITER = 50_000  # iterations of the proximal-gradient iteration, and steps of the lasso path
-CHECK_EVERY = 10  # iterations between stop tests
 HANDOFF_MAP_NORM = 1e-2  # largest mapping norm at which Newton is tried; 0 switches it off
 HANDOFF_RETRY = 1e-2  # fall of the mapping norm before a declined support is tried again
 NEWTON_MAX_STEPS = 30
@@ -130,10 +133,13 @@ class PooledDesign:
     ``F[s - 1]`` and ``Y[s - 1]`` ((m, r, p) and (m, r), r the largest n_s),
     the rest zero. They are validated and copied in when the design is
     built, and each task's crossterm Phi_s^T y_s (row s - 1 of the (m, p)
-    ``C``), ||y_s||^2 and top Gram eigenvalue are computed then, the
-    eigenvalues in one batched call over the stack's Grams of side
-    min(r, p), with the running totals in task order of the row counts and
-    ||y_s||^2 that give ``total_rows`` and ``y_sq``; all are read-only.
+    ``C``) and ||y_s||^2 are computed then, with the running totals in task
+    order of the row counts and ||y_s||^2 that give ``total_rows`` and
+    ``y_sq``; all are read-only. Each task's top Gram eigenvalue, which only
+    ``lipschitz()`` reads, is computed at its first call on the design or
+    on any of its prefixes: every task's at once, in one batched call over
+    the built design's Grams of side min(r, p), which every prefix then
+    shares (a fit that the lasso path certifies never asks).
     ``prefix(k)`` gives the design of the first k tasks as views of the same
     arrays, statistics included, so the fits over a design's prefixes share
     its rows and compute no statistic again.
@@ -178,12 +184,8 @@ class PooledDesign:
             F[s, :n], Y[s, :n] = phi, y
             phi, y = F[s, :n], Y[s, :n]
             C[s], y_sq[s] = phi.T @ y, y @ y
-        # Phi Phi^T and Phi^T Phi share their nonzero spectrum, and a task's
-        # zero rows add only zero eigenvalues, so one call covers every task
-        F_T = F.transpose(0, 2, 1)
-        gram = np.matmul(F, F_T) if r < p else np.matmul(F_T, F)
-        self._top_eig = _frozen(np.linalg.eigvalsh(gram)[:, -1])
         self.F, self.Y, self.rows, self.C = _frozen(F), _frozen(Y), _frozen(rows), _frozen(C)
+        self._root, self._top_eig = None, None  # the eigenvalues, once lipschitz() asks
         # running totals in task order, so a prefix reads its own
         self._rows_to, self._y_sq_to = _frozen(np.cumsum(rows)), _frozen(np.cumsum(y_sq))
 
@@ -198,7 +200,7 @@ class PooledDesign:
         design.F, design.Y = self.F[:k, :r], self.Y[:k, :r]
         design.rows, design.C = self.rows[:k], self.C[:k]
         design._rows_to, design._y_sq_to = self._rows_to[:k], self._y_sq_to[:k]
-        design._top_eig = self._top_eig[:k]
+        design._root = self._root or self  # which holds the eigenvalues of every prefix
         return design
 
     @property
@@ -223,7 +225,15 @@ class PooledDesign:
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient: the largest per-task
         spectral norm of (2/N) Phi_s^T Phi_s."""
-        return max(0.0, 2.0 * float(self._top_eig.max()) / self.total_rows)
+        root = self._root or self
+        if root._top_eig is None:
+            # Phi Phi^T and Phi^T Phi share their nonzero spectrum, and a
+            # task's zero rows add only zero eigenvalues, so one call over
+            # the built design's stack covers every task of every prefix
+            F, F_T = root.F, root.F.transpose(0, 2, 1)
+            gram = np.matmul(F, F_T) if F.shape[1] < F.shape[2] else np.matmul(F_T, F)
+            root._top_eig = _frozen(np.linalg.eigvalsh(gram)[:, -1])
+        return max(0.0, 2.0 * float(root._top_eig[: self.m].max()) / self.total_rows)
 
 
 def group_norms(coeffs: np.ndarray) -> np.ndarray:
@@ -294,8 +304,9 @@ class SolverReport:
     declined attempts too), ``newton_attempts`` and ``newton_steps`` count
     the Newton attempts and their steps, ``map_norm`` is the prox-gradient
     mapping norm at the returned point, and ``objective_history`` holds the
-    objective at the start and at every stop test (every ``CHECK_EVERY``
-    iterations and before each Newton attempt), and after each attempt whose
+    objective at the start and at every stop test (at each iteration whose
+    measured mapping norm is within ``TOL``, before each Newton attempt and
+    at the last iteration), and after each attempt whose
     point became the iterate, that point's objective: the accepted point's
     last. It is non-increasing: the iteration's monotone acceptance step
     keeps it so (up to 1e-10 float noise), and a Newton point becomes the
@@ -447,15 +458,17 @@ def _apg(
                 gz = grad_step(z)
                 y_pt, gy = z, gz
                 x, gx, f_x, t = z, gz, objective(z, gz, norms), 1.0
-            support = (norms > 0.0).tobytes()
-            # a warm fit whose first prox step keeps x0's support tries Newton at once
-            warm_kept = handoff and k == 1 and support == start
             # the mapping norm at the point this iteration's prox started from
-            moved = map_norm(z, base) if handoff else math.inf
-            attempt = (moved <= HANDOFF_MAP_NORM or warm_kept) and (
-                support != tried or moved <= HANDOFF_RETRY * tried_at
-            )
-            if attempt or k % CHECK_EVERY == 0 or k == max_iter:
+            moved = map_norm(z, base)
+            attempt = False
+            if handoff:
+                support = (norms > 0.0).tobytes()
+                # a warm fit whose first prox step keeps x0's support tries Newton at once
+                warm_kept = k == 1 and support == start
+                attempt = (moved <= HANDOFF_MAP_NORM or warm_kept) and (
+                    support != tried or moved <= HANDOFF_RETRY * tried_at
+                )
+            if attempt or moved <= tol or k == max_iter:
                 history.append(f_x)
                 gap = map_norm(x, _prox_step(x, gx, thresh)[0])
                 if gap <= tol:

@@ -185,23 +185,31 @@ class TestDesignGrowth:
         with pytest.raises(ValueError, match="task 3"):
             PooledDesign([*blocks, phi], [*ys, y])
 
-    def test_build_computes_every_statistic_a_fit_reads(self, monkeypatch):
-        # one batched eigenvalue call when the design is built, and none from
-        # ``prefix``, ``lipschitz`` or a fit the path certifies
+    @pytest.mark.parametrize("first", [(), (2,), (4, 1)], ids=["design", "prefix", "prefix_of_prefix"])
+    def test_top_eigenvalues_wait_for_the_first_lipschitz(self, monkeypatch, first):
+        # no eigenvalue call when the design is built, nor from ``prefix`` or
+        # a fit the path certifies; the first ``lipschitz()``, of the design
+        # or of any prefix, makes one batched call over the built design's
+        # stack, and every later one, of any prefix, reads it
         blocks, ys = random_blocks(16, self.ROWS)
-        shapes = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
-        full = PooledDesign(blocks, ys)
-        # the stack's 9 rows reach p = 4, so every task goes through Phi^T Phi
-        assert shapes == [(5, 4, 4)]
-        assert full._top_eig[2] == 0.0  # the empty task's
-        assert fit_group_lasso(full.prefix(1), 0.1)[1].method == "path"
         # each task alone, on its unpadded rows, through the smaller Gram
         top = [
             float(eigvalsh(phi @ phi.T if len(phi) < 4 else phi.T @ phi)[-1]) if len(phi) else 0.0
             for phi in blocks
         ]
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        full = PooledDesign(blocks, ys)
+        assert fit_group_lasso(full.prefix(1), 0.1)[1].method == "path"
+        asked = full
+        for k in first:
+            asked = asked.prefix(k)
+        assert shapes == []
+        asked.lipschitz()
+        # the stack's 9 rows reach p = 4, so every task goes through Phi^T Phi
+        assert shapes == [(5, 4, 4)]
+        assert full._top_eig[2] == 0.0  # the empty task's
         for k in range(1, len(blocks) + 1):
             for part in (full.prefix(k), full.prefix(len(blocks)).prefix(k)):
                 assert part.total_rows == sum(self.ROWS[:k])
@@ -214,6 +222,7 @@ class TestDesignGrowth:
                 # so it agrees to rounding, not to the bit
                 expected = 2.0 * max(top[:k]) / sum(self.ROWS[:k])
                 assert part.lipschitz() == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert full.lipschitz() == pytest.approx(2.0 * max(top) / sum(self.ROWS), rel=1e-12)
         assert len(shapes) == 1
 
     def test_stored_arrays_are_read_only_copies(self):
@@ -802,7 +811,9 @@ def iteration_states(design, lam):
     prox step started from and whether the iterate meets the stop rule. A fit
     cut at max_iter = k ends on iteration k, every earlier iteration as in an
     uncut fit, its last prox step before the closing stop test is iteration
-    k's, and that stop test is at iteration k's iterate."""
+    k's, and that stop test is at iteration k's iterate. The uncut fit tests
+    the stop rule at each iteration whose measured norm is within its tol,
+    so it ends at the first of them whose iterate meets the rule."""
     states, moves = [], []
     prox_step = group_lasso._prox_step
 
@@ -817,7 +828,7 @@ def iteration_states(design, lam):
             for k in itertools.count(1):
                 coeffs, report = _apg(design, lam, 1e-8, k, None)
                 states.append((coeffs, float(np.linalg.norm(moves[-2])) / step, report.converged))
-                if report.converged and k % group_lasso.CHECK_EVERY == 0:
+                if report.converged and states[-1][1] <= 1e-8:
                     return states
 
 
@@ -841,6 +852,23 @@ def handoff_schedule(states):
             tries.append(k)
             tried, tried_at = support(x), moved
     return tries
+
+
+def test_stop_rule_tested_once_the_measured_norm_is_within_tol(monkeypatch):
+    # without the hand-off, the fit tests its stop rule only at iterations
+    # whose measured mapping norm is within TOL: iteration 76's iterate
+    # already meets the rule, but its measured norm does not, so the test at
+    # iteration 77, the first whose norm does, ends the fit
+    design, lam = handoff_design(19, p=6)
+    states = iteration_states(design, lam)
+    assert len(states) == 77 and states[-2][2] and states[-2][1] > 1e-8
+    assert [k for k, (_, moved, _) in enumerate(states, start=1) if moved <= 1e-8] == [77]
+    monkeypatch.setattr(group_lasso, "HANDOFF_MAP_NORM", 0.0)
+    coeffs, report = fit_group_lasso(design, lam)
+    assert report.method == "apg" and report.converged
+    assert report.iterations == 77 and coeffs.tobytes() == states[-1][0].tobytes()
+    # the start's objective and that of the one stop test
+    assert len(report.objective_history) == 2
 
 
 def test_handoff_tries_newton_while_the_support_still_changes(monkeypatch):
@@ -949,16 +977,19 @@ def test_declined_newton_point_above_the_iterate_discarded(monkeypatch):
 
 
 def test_iterate_meeting_the_stop_rule_at_the_handoff_reports_apg(monkeypatch):
-    # at tol 1e-2 the iterate meets the stop rule by the first hand-off,
-    # before the first stop test at CHECK_EVERY: the fit ends there, on APG
+    # at tol 4e-3 the iterate meets the stop rule by the first hand-off,
+    # whose measured norm is still above tol: only the stop test before
+    # Newton can end the fit there, and it ends it on APG
     design, lam = handoff_design(2, p=4)
+    states = iteration_states(design, lam)
+    first = handoff_schedule(states)[0]
     monkeypatch.setattr(group_lasso, "_newton_finish", mock.Mock(side_effect=AssertionError))
-    monkeypatch.setattr(group_lasso, "TOL", 1e-2)
+    monkeypatch.setattr(group_lasso, "TOL", 4e-3)
     _, report = fit_group_lasso(design, lam)
     assert report.method == "apg" and report.converged
-    assert report.map_norm <= 1e-2
-    assert report.iterations < group_lasso.CHECK_EVERY
-    assert report.iterations == handoff_schedule(iteration_states(design, lam))[0]
+    assert report.map_norm <= 4e-3
+    assert all(moved > 4e-3 for _, moved, _ in states[:first])
+    assert report.iterations == first
 
 
 def test_zero_handoff_norm_never_tries_newton(monkeypatch):
