@@ -14,12 +14,11 @@ materialized. The solvers work on the tasks' rows, zero-padded to one
 a Gram is built only over a support S, as F[:, :, S]^T F[:, :, S].
 
 A ``PooledDesign`` holds F with the rewards, validated when it is built,
-and computes each task's crossterm and ||y_s||^2 then; the tasks' top Gram
-eigenvalues, which only the iteration reads, wait for the first
-``lipschitz()``. ``prefix(k)`` takes its first k tasks as views of the same
-arrays, statistics included, so the fits of a growing pool (the lifelong
-runner's after each task, the offline sweep's over m) are fits of one
-design's prefixes and hold each row once.
+and computes every statistic a fit reads then (each task's crossterm,
+||y_s||^2 and top Gram eigenvalue). ``prefix(k)`` takes its first k tasks
+as views of the same arrays, statistics included, so the fits of a growing
+pool (the lifelong runner's after each task, the offline sweep's over m)
+are fits of one design's prefixes and hold each row once.
 
 The solver is an accelerated proximal-gradient iteration with a monotone
 acceptance step and momentum restart on rejection. Each penalty group is
@@ -133,13 +132,10 @@ class PooledDesign:
     ``F[s - 1]`` and ``Y[s - 1]`` ((m, r, p) and (m, r), r the largest n_s),
     the rest zero. They are validated and copied in when the design is
     built, and each task's crossterm Phi_s^T y_s (row s - 1 of the (m, p)
-    ``C``) and ||y_s||^2 are computed then, with the running totals in task
-    order of the row counts and ||y_s||^2 that give ``total_rows`` and
-    ``y_sq``; all are read-only. Each task's top Gram eigenvalue, which only
-    ``lipschitz()`` reads, is computed at its first call on the design or
-    on any of its prefixes: every task's at once, in one batched call over
-    the built design's Grams of side min(r, p), which every prefix then
-    shares (a fit that the lasso path certifies never asks).
+    ``C``), ||y_s||^2 and top Gram eigenvalue are computed then, the
+    eigenvalues in one batched call over the stack's Grams of side
+    min(r, p), with the running totals in task order of the row counts and
+    ||y_s||^2 that give ``total_rows`` and ``y_sq``; all are read-only.
     ``prefix(k)`` gives the design of the first k tasks as views of the same
     arrays, statistics included, so the fits over a design's prefixes share
     its rows and compute no statistic again.
@@ -184,8 +180,12 @@ class PooledDesign:
             F[s, :n], Y[s, :n] = phi, y
             phi, y = F[s, :n], Y[s, :n]
             C[s], y_sq[s] = phi.T @ y, y @ y
+        # Phi Phi^T and Phi^T Phi share their nonzero spectrum, and a task's
+        # zero rows add only zero eigenvalues, so one call covers every task
+        F_T = F.transpose(0, 2, 1)
+        gram = np.matmul(F, F_T) if r < p else np.matmul(F_T, F)
+        self._top_eig = _frozen(np.linalg.eigvalsh(gram)[:, -1])
         self.F, self.Y, self.rows, self.C = _frozen(F), _frozen(Y), _frozen(rows), _frozen(C)
-        self._root, self._top_eig = None, None  # the eigenvalues, once lipschitz() asks
         # running totals in task order, so a prefix reads its own
         self._rows_to, self._y_sq_to = _frozen(np.cumsum(rows)), _frozen(np.cumsum(y_sq))
 
@@ -200,7 +200,7 @@ class PooledDesign:
         design.F, design.Y = self.F[:k, :r], self.Y[:k, :r]
         design.rows, design.C = self.rows[:k], self.C[:k]
         design._rows_to, design._y_sq_to = self._rows_to[:k], self._y_sq_to[:k]
-        design._root = self._root or self  # which holds the eigenvalues of every prefix
+        design._top_eig = self._top_eig[:k]
         return design
 
     @property
@@ -225,15 +225,7 @@ class PooledDesign:
     def lipschitz(self) -> float:
         """Lipschitz constant of the loss gradient: the largest per-task
         spectral norm of (2/N) Phi_s^T Phi_s."""
-        root = self._root or self
-        if root._top_eig is None:
-            # Phi Phi^T and Phi^T Phi share their nonzero spectrum, and a
-            # task's zero rows add only zero eigenvalues, so one call over
-            # the built design's stack covers every task of every prefix
-            F, F_T = root.F, root.F.transpose(0, 2, 1)
-            gram = np.matmul(F, F_T) if F.shape[1] < F.shape[2] else np.matmul(F_T, F)
-            root._top_eig = _frozen(np.linalg.eigvalsh(gram)[:, -1])
-        return max(0.0, 2.0 * float(root._top_eig[: self.m].max()) / self.total_rows)
+        return max(0.0, 2.0 * float(self._top_eig.max()) / self.total_rows)
 
 
 def group_norms(coeffs: np.ndarray) -> np.ndarray:

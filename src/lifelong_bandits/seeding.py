@@ -43,7 +43,4 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     if master_seed < 0:
         raise ValueError("master seed must be nonnegative")
     entropy = [int(master_seed)] + [int(x) for x in path]
-    if max(entropy) < 2**32 and min(entropy) >= 0:
-        # the same pool as the list, which SeedSequence coerces word by word in Python
-        entropy = np.array(entropy, dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -142,19 +142,6 @@ class TestClientFit:
             client_fits([phi, np.zeros((0, 5))], [np.ones(3), []], 0.1, 0.25, clients=[1, 2])
         assert fits == []
 
-    def test_certified_clients_compute_no_eigenvalue(self, monkeypatch):
-        # only the iterative solver reads the design's top eigenvalues, so
-        # clients whose paths all certify never compute them
-        features, rewards = grid_clients(5, [12, 10, 9, 11])
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        votes = client_fits(features, rewards, 0.05, 0.25, clients=[1, 2, 3, 4])
-        _, reports = fit_lassos(PooledDesign(features, rewards), 0.05)
-        assert [report.method for report in reports] == ["path"] * 4
-        assert not any(vote.failed for vote in votes)
-        assert calls == []
-
     def test_non_unique_client_fit_left_to_the_iterative_solver(self, monkeypatch):
         # Client 6 of federated seed 14 (defaults) drew a point where every
         # cosine feature is +-1. At the optimum all 50 columns are

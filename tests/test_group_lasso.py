@@ -185,31 +185,23 @@ class TestDesignGrowth:
         with pytest.raises(ValueError, match="task 3"):
             PooledDesign([*blocks, phi], [*ys, y])
 
-    @pytest.mark.parametrize("first", [(), (2,), (4, 1)], ids=["design", "prefix", "prefix_of_prefix"])
-    def test_top_eigenvalues_wait_for_the_first_lipschitz(self, monkeypatch, first):
-        # no eigenvalue call when the design is built, nor from ``prefix`` or
-        # a fit the path certifies; the first ``lipschitz()``, of the design
-        # or of any prefix, makes one batched call over the built design's
-        # stack, and every later one, of any prefix, reads it
+    def test_build_computes_every_statistic_a_fit_reads(self, monkeypatch):
+        # one batched eigenvalue call when the design is built, and none from
+        # ``prefix``, ``lipschitz`` or a fit the path certifies
         blocks, ys = random_blocks(16, self.ROWS)
+        shapes = []
         eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        full = PooledDesign(blocks, ys)
+        # the stack's 9 rows reach p = 4, so every task goes through Phi^T Phi
+        assert shapes == [(5, 4, 4)]
+        assert full._top_eig[2] == 0.0  # the empty task's
+        assert fit_group_lasso(full.prefix(1), 0.1)[1].method == "path"
         # each task alone, on its unpadded rows, through the smaller Gram
         top = [
             float(eigvalsh(phi @ phi.T if len(phi) < 4 else phi.T @ phi)[-1]) if len(phi) else 0.0
             for phi in blocks
         ]
-        shapes = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
-        full = PooledDesign(blocks, ys)
-        assert fit_group_lasso(full.prefix(1), 0.1)[1].method == "path"
-        asked = full
-        for k in first:
-            asked = asked.prefix(k)
-        assert shapes == []
-        asked.lipschitz()
-        # the stack's 9 rows reach p = 4, so every task goes through Phi^T Phi
-        assert shapes == [(5, 4, 4)]
-        assert full._top_eig[2] == 0.0  # the empty task's
         for k in range(1, len(blocks) + 1):
             for part in (full.prefix(k), full.prefix(len(blocks)).prefix(k)):
                 assert part.total_rows == sum(self.ROWS[:k])
@@ -222,7 +214,6 @@ class TestDesignGrowth:
                 # so it agrees to rounding, not to the bit
                 expected = 2.0 * max(top[:k]) / sum(self.ROWS[:k])
                 assert part.lipschitz() == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert full.lipschitz() == pytest.approx(2.0 * max(top) / sum(self.ROWS), rel=1e-12)
         assert len(shapes) == 1
 
     def test_stored_arrays_are_read_only_copies(self):

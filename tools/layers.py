@@ -26,9 +26,8 @@ Layers:
 - Each pooled fit runs twice: ``newton`` as the package runs it, handing off
   to Newton once the iteration has slowed, and ``apg_only`` with the Newton
   hand-off switched off, which iterates as the solver did before the
-  hand-off existed; only its Lipschitz constant costs it nothing: the
-  design's first ``lipschitz()`` computes it, in an untimed run before the
-  timed ones, and later fits read it. A warm fit's start is
+  hand-off existed; only its Lipschitz constant, which the design now
+  computes when it is built, costs it nothing. A warm fit's start is
   built under the same setting as the fit: ``padded_warm_start`` of an
   untimed fit over the first 19 tasks, the earlier fit with a predicted row
   for the 20th task, as the runners build it. So ``apg_only`` never meets a
@@ -45,11 +44,10 @@ Layers:
   4 for the later ones, where ``pooled_learned`` gives task 1 100 rows and
   every later task 4. It reports the time per seed and the APG iterations, Newton
   steps and Newton attempts summed over the fits.
-  A design copies each task's rows into its row stack and computes the
-  task's crossterm and ||y_s||^2 when it is built, before any fit, and every
-  task's top Gram eigenvalue at its first ``lipschitz()``, in the untimed
-  warm-up run, so these times hold the iteration alone, not the design and
-  eigenvalue work.
+  A design copies each task's rows into its row stack and computes every
+  statistic a fit reads (the task's crossterm, ||y_s||^2 and top Gram
+  eigenvalue) when it is built, before any fit, so these times hold the
+  iteration alone, not the design and eigenvalue work.
 - ``group_lasso.offline_seed``: every pooled fit of the default ``offline``
   sweep at seed 0 (m = 2 to 30, 10 points per task), timed as one unit on
   the designs and starts the sweep built for them, and reported as
@@ -62,18 +60,17 @@ Layers:
 - ``group_lasso.client_fit``: one single-task fit of 10 grid rows, sliced
   from the environment's grid features, at lam 0.2: the lasso path with
   K = 1, as the task-1 fit of a ``lifelong`` run and the m = 1 fit of an
-  ``offline`` sweep take it. ``design_us`` times the design build alone,
-  which computes no eigenvalue: the path reads none.
+  ``offline`` sweep take it. ``design_us`` times the design build alone.
 - ``federated.client_fits``: the 20 clients of the default ``federated``
   run at seed 0, with the rows and rewards the runner drew for them, fitted
   into votes: ``batched_us`` in one ``federated.client_fits`` call, as the
   runner fits them, and ``one_by_one_us`` in 20 ``federated.client_fits``
   calls of one client each. ``path_fits`` counts the clients
   whose path is certified; the others fall back to the iterative solver.
-- ``selection.design``: the design work outside the iteration: building the
+- ``selection.design``: the design work outside the solver: building the
   design, which copies each task's rows into the row stack and computes its
-  crossterm and ||y_s||^2, and the design's first ``lipschitz()``, which
-  computes every task's top Gram eigenvalue in one batched call.
+  crossterm, ||y_s||^2 and top Gram eigenvalue, the eigenvalues in one
+  batched call.
   ``learned_seed``: the one design of a ``learned``-like seed, which the
   lifelong runner builds before its first fit and whose prefixes every fit
   reads: 20 tasks of the runner's forced-row counts (10 for task 1, 8 down
@@ -81,9 +78,8 @@ Layers:
   environment's grid features.
   ``offline_seed_setup``: one seed of the default offline sweep
   (m = 1..30, n = 10) without its fits: ``sweep`` runs ``recovery_sweep``
-  with the fit replaced by a stand-in that reads the design's Lipschitz
-  constant, as a fit does, and reports a fit that did not converge, so no
-  fit is warm-started.
+  with the fit replaced by a stand-in reporting a fit that did not
+  converge, so no fit is warm-started.
 - ``gp_ucb.step_d5`` and ``gp_ucb.step_d50``: one select plus observe on the
   500-point grid, under a 5-group and the full 50-group kernel, timed over
   ``UCB_STEPS`` steps after ``UCB_WARMUP`` steps of a fresh one-agent
@@ -401,13 +397,12 @@ def design_learned(repeats: int) -> dict:
     return {
         "tasks": TASKS,
         "rows": int(rows.sum()),
-        **quartiles("build_us", seconds_of(lambda: grid_design(env, draws).lipschitz(), repeats)),
+        **quartiles("build_us", seconds_of(lambda: grid_design(env, draws), repeats)),
     }
 
 
 def design_offline(repeats: int) -> dict:
     def stand_in(design, omega, lam, **kwargs):
-        design.lipschitz()
         return selection.KernelSelection(
             selected=tuple(range(1, design.p + 1)),
             fallback=True,
