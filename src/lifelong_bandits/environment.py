@@ -22,7 +22,10 @@ all of [0, 1]; the table itself keeps its raw coordinates.
 
 Both kinds give the runners ``p``, ``grid_size`` and ``task_view(s)`` from
 one base. All randomness flows through :mod:`.seeding` substreams, so any
-single task can be replayed in isolation.
+single task can be replayed in isolation. A task's observation noise has one
+source, its view's substream: ``observe`` draws it one term at a time and
+``noise_terms`` many in one call, and the offline recovery sweep adds those
+terms to the task's values at its own off-grid points.
 
 The candidate grid and its feature table depend only on the family, p and
 the grid resolution, not on the seed, so every ``SyntheticEnvironment`` of
@@ -130,14 +133,9 @@ def _grid_table(family: BasisFamily, p: int, grid_points: int) -> tuple[np.ndarr
     return grid, features
 
 
-def optimum_on_grid(values: np.ndarray) -> tuple[int, float]:
-    """Index and value of the maximum; ties go to the lowest index."""
-    idx = int(np.argmax(values))
-    return idx, float(values[idx])
-
-
 class TaskView:
-    """One task's noiseless values on the grid plus its noise stream.
+    """One task's noiseless values on the grid, their maximum ``opt_value``,
+    and its noise stream.
 
     ``observe`` draws noise in call order from the task's own substream, so a
     fresh view replays identical observations.
@@ -147,7 +145,7 @@ class TaskView:
         self.values = values
         self.noise = noise
         self._rng = rng
-        self.opt_index, self.opt_value = optimum_on_grid(values)
+        self.opt_value = float(values.max())
 
     def observe(self, grid_index: int) -> float:
         y = float(self.values[grid_index])
@@ -223,7 +221,6 @@ class SyntheticEnvironment(_TaskGrid):
     ) -> None:
         if n_tasks < 1:
             raise ValueError("need at least one task")
-        self.spec = spec
         self.noise = spec.noise
         self.m = n_tasks
         self.master_seed = int(master_seed)
@@ -242,16 +239,6 @@ class SyntheticEnvironment(_TaskGrid):
         )
         # grid values per task, shape (G, m)
         self.values = self.grid_features @ self.coeffs.T
-
-    def rewards_at(self, s: int, features: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Noisy rewards of task s at the points whose feature rows
-        (``atlas.concat_many`` of them) are ``features``."""
-        if not 1 <= s <= self.m:
-            raise IndexError(f"task index {s} outside 1..{self.m}")
-        f = features @ self.coeffs[s - 1]
-        if self.noise > 0:
-            f = f + self.noise * rng.standard_normal(f.shape)
-        return f
 
 
 class LookupTable:
@@ -355,7 +342,6 @@ class LookupEnvironment(_TaskGrid):
         p: int = 100,
         noise: float = 0.0,
     ) -> None:
-        self.table = table
         self.master_seed = int(master_seed)
         self.noise = float(noise)
         if not (math.isfinite(self.noise) and self.noise >= 0):

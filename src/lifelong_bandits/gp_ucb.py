@@ -48,16 +48,17 @@ least-squares update theta <- theta + w (y - phi^T theta) / sqrt(q).
 array, so one batched product with phi gives inv phi, phi^T theta and
 P phi. A select is one (k, D) x (D, G) product; an observe is that
 product, one thin product with P, one (k, D) x (D, G) product for the
-variances and, once every D observations, the fold. A dense rank-one
-update would read and write the whole (k, D, D) stack at every
-observation. Each agent's gain is checked against the cap of its own
-d_j = |J_j|. A step of a single agent is bound by numpy call overhead, so
-on the 500-point grid 20 agents in lockstep cost 6.9 us per agent-step
-at d=5, 11.9 us at d=50 and 11.2 us under the 8 kernels of a learned run
-(union width 50), against 6.6, 17.4 and 17.3 us with a dense rank-one
-update per observation (``BENCH_15.json``, one BLAS thread, 2 shared
-cores). At d=5 the thin product and the fold cost a little more than the
-small dense update they replace.
+variances and, once every D observations, the fold. The fold is delayed
+because a dense rank-one update reads and writes the whole (k, D, D)
+stack at every observation: when the delay landed, it cut the cost of an
+agent-step from 17.4 to 11.9 us at d=50, and at d=5 it cost a little
+more, 6.9 against 6.6 us (``BENCH_15.json``). Each agent's gain is
+checked against the cap of its own d_j = |J_j|. A step of a single agent
+is bound by numpy call overhead, so on the 500-point grid 20 agents in
+lockstep cost 4.3 us per agent-step at d=5, 8.8 us at d=50 and 9.2 us
+under the 8 kernels of a learned run (union width 50) (``BENCH_45.json``,
+one BLAS thread, 2 shared cores, where these medians move by up to a
+third between sessions).
 
 There is no periodic refactor from scratch. The update only subtracts
 rank-one terms, and the drift stays at rounding level. Measured on the

@@ -57,8 +57,14 @@ Its point is accepted only if its own mapping norm is <= ``TOL`` and its
 objective is no higher than the iterate's. A point that fails only the
 mapping norm becomes the iterate, with momentum restarted, so the next prox
 step can bring back a column Newton dropped wrongly; a point above the iterate's
-objective is discarded. Either way the iteration carries on, and tries the
-same support again only once the norm has fallen by ``HANDOFF_RETRY``.
+objective is discarded. Either way the iteration carries on, and one factor
+rules every attempt: Newton is tried once the measured norm has fallen
+``HANDOFF_MAP_NORM``-fold from a reference. The reference is 1, except on
+the support of the last declined attempt, where it is that attempt's norm
+capped at 1 (a warm fit's first attempt can be declined at a norm above 1).
+So a new support is tried as soon as the norm is within
+``HANDOFF_MAP_NORM``, and a declined one only once the norm has fallen that
+far again.
 ``HANDOFF_MAP_NORM = 0`` switches the hand-off off. So does a penalty whose
 ratio lam / L to the Lipschitz constant is within machine epsilon: the
 Newton system is then numerically the tasks' own Gram blocks, singular for a
@@ -114,8 +120,7 @@ import numpy as np
 
 TOL = 1e-8  # the stop rule's mapping norm, and the path certificate's KKT residual
 MAX_ITER = 50_000  # iterations of the proximal-gradient iteration, and steps of the lasso path
-HANDOFF_MAP_NORM = 1e-2  # largest mapping norm at which Newton is tried; 0 switches it off
-HANDOFF_RETRY = 1e-2  # fall of the mapping norm before a declined support is tried again
+HANDOFF_MAP_NORM = 1e-2  # fall of the mapping norm before Newton is tried; 0 switches it off
 NEWTON_MAX_STEPS = 30
 
 
@@ -420,7 +425,7 @@ def _apg(
     # so would a pooled fit whose lam / L is within rounding (module docstring)
     handoff = m > 1 and thresh > np.finfo(float).eps and HANDOFF_MAP_NORM > 0.0
     start = (norms > 0.0).tobytes() if x0 is not None else None  # x0's nonzero columns
-    tried, tried_at = None, 0.0  # support and mapping norm of the last declined attempt
+    tried, tried_ref = None, 1.0  # support of the last declined attempt, and its reference
     # the start's stop test, whose prox step is iteration 1's: its momentum point is x
     z, norms = _prox_step(x, gx, thresh)
     gap = map_norm(x, z)
@@ -455,11 +460,11 @@ def _apg(
             attempt = False
             if handoff:
                 support = (norms > 0.0).tobytes()
+                # the norm must fall HANDOFF_MAP_NORM-fold from 1, or on the last
+                # declined support from that attempt's norm (module docstring)
+                ref = tried_ref if support == tried else 1.0
                 # a warm fit whose first prox step keeps x0's support tries Newton at once
-                warm_kept = k == 1 and support == start
-                attempt = (moved <= HANDOFF_MAP_NORM or warm_kept) and (
-                    support != tried or moved <= HANDOFF_RETRY * tried_at
-                )
+                attempt = moved <= HANDOFF_MAP_NORM * ref or (k == 1 and support == start)
             if attempt or moved <= tol or k == max_iter:
                 history.append(f_x)
                 gap = map_norm(x, _prox_step(x, gx, thresh)[0])
@@ -467,7 +472,7 @@ def _apg(
                     converged = True
                     break
             if attempt:
-                tried, tried_at = support, moved
+                tried, tried_ref = support, min(moved, 1.0)
                 z, steps = _newton_finish(F, C, N, lam, x, tol)
                 newton_attempts += 1
                 newton_steps += steps

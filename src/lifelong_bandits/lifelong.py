@@ -28,9 +28,9 @@ and in where the kernel comes from:
     fit turned into a vote, all tasks' fits in one batched call, and the
     server set of the vote ledger after each vote.
 
-``_plan`` integerizes the rates with a carried residue (``integerize``),
-so the realized counts track the prescribed totals within one draw at
-every prefix, and caps each count at n.
+``_plan`` integerizes the rates (``integerize``): the realized counts up to
+each task sum to the floor of the prescribed total, so they track it within
+one draw at every prefix. It then caps each count at n.
 """
 
 from __future__ import annotations
@@ -53,24 +53,17 @@ BASELINE_KERNELS = ("oracle", "full")
 
 
 def integerize(rates) -> np.ndarray:
-    """Round rates to integers while carrying the fractional residue.
+    """Round rates to integers whose every prefix sum is the floor of the
+    rates' prefix sum (``np.cumsum``): the differences of those floors.
 
-    ñ_s = floor(n_s) + floor(r + frac(n_s)), with r then reduced to its own
-    fractional part. Every prefix sum of the output stays within one of the
-    corresponding prefix sum of the input.
+    In exact arithmetic this is rounding each rate down and carrying its
+    fractional residue to the next, so every prefix sum of the output stays
+    within one below that of the input.
     """
     rates = np.asarray(rates, dtype=float)
-    if np.any(rates < 0):
-        raise ValueError("rates must be nonnegative")
-    counts = np.empty(len(rates), dtype=int)
-    r = 0.0
-    for i, rate in enumerate(rates):
-        base = math.floor(rate)
-        r += rate - base
-        carry = math.floor(r)
-        counts[i] = base + carry
-        r -= carry
-    return counts
+    if not np.all((rates >= 0) & (rates < np.inf)):  # NaN fails both
+        raise ValueError("rates must be finite and nonnegative")
+    return np.diff(np.floor(np.cumsum(rates)), prepend=0.0).astype(int)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .group_lasso import (
     group_norms,
     padded_warm_start,
 )
-from .seeding import STREAM_EXPLORE, STREAM_NOISE, substream
+from .seeding import STREAM_EXPLORE, substream
 
 
 def design_from_tasks(atlas: FeatureAtlas, tasks) -> PooledDesign:
@@ -128,11 +128,13 @@ def recovery_sweep(
 
     Draws max(m_values) tasks once, each on n points continuous-uniform over
     the atlas domain (the offline protocol), and fits the design of the first
-    m tasks for each m. Task s's points and noise come from its own
-    substreams, so the trial at m sees the same tasks 1..m whatever the other
-    entries are, and is reproducible from the seed alone. Every task's points
-    are featurised in one call, and each task's block of the result feeds
-    both its rewards and the design.
+    m tasks for each m. Task s's points come from its exploration substream
+    and its noise is ``env.task_view(s).noise_terms(n)``, the first n terms
+    a bandit run of the task would observe, so the trial at m sees the same
+    tasks 1..m whatever the other entries are, and is reproducible from the
+    seed alone. Every task's points are featurised in one call, and each
+    task's block of the result feeds both its rewards (the block times the
+    task's coefficients, plus its noise) and the design.
 
     The fits run in ``m_values`` order through ``learn_kernels``, as in
     ``run_lifelong``: the fit at m starts from the last converged fit when
@@ -153,7 +155,7 @@ def recovery_sweep(
     X = [substream(seed, STREAM_EXPLORE, s).uniform(lo, hi, size=(n, atlas.dim_in)) for s in tasks]
     features = np.split(atlas.concat_many(np.concatenate(X)), env.m)
     rewards = [
-        env.rewards_at(s, phi, substream(seed, STREAM_NOISE, s))
+        phi @ env.coeffs[s - 1] + env.task_view(s).noise_terms(n)
         for s, phi in zip(tasks, features)
     ]
     design = PooledDesign(features, rewards)

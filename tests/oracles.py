@@ -4,7 +4,8 @@ The GP-UCB agents keep a primal (feature-space) posterior and a running
 log-determinant; these are the kernel-space (dual) formulas the tests check
 them against, written from the definitions in the module docstrings. The
 harness writes its CSV files column by column; ``row_csv`` writes them row by
-row, as the harness once did, and the bytes must agree.
+row, as the harness once did, and the bytes must agree. ``carried_residue``
+rounds forced-draw rates one at a time, as ``integerize`` once did.
 """
 
 import math
@@ -57,3 +58,17 @@ def row_csv(header, rows):
     header, then one line per row, a tuple of Python scalars."""
     line = ",".join(["%s"] * (header.count(",") + 1))
     return "\n".join([header, *(line % row for row in rows)]) + "\n"
+
+
+def carried_residue(rates):
+    """Each rate rounded down, its fractional residue carried to the next:
+    count_s = floor(rate_s) + floor(r + frac(rate_s)), r then reduced to its
+    own fractional part."""
+    counts, r = [], 0.0
+    for rate in rates:
+        base = math.floor(rate)
+        r += rate - base
+        carry = math.floor(r)
+        counts.append(base + carry)
+        r -= carry
+    return counts

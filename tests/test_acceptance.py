@@ -38,7 +38,6 @@ from lifelong_bandits.lifelong import (
     run_baseline,
     run_lifelong,
 )
-from lifelong_bandits.seeding import STREAM_NOISE, substream
 from lifelong_bandits.selection import recovery_trial
 from oracles import dual_posterior
 
@@ -438,10 +437,8 @@ def test_criterion_9_environment_contracts():
         max_norm = max(max_norm, float(np.linalg.norm(beta)))
     norms_ok = min_block >= spec.beta_min - 1e-12 and max_norm <= spec.norm_bound + 1e-9
 
-    env = SyntheticEnvironment(spec, n_tasks=1, master_seed=3)
-    X = np.tile(env.grid[5], (100_000, 1))
-    y = env.rewards_at(1, env.atlas.concat_many(X), substream(3, STREAM_NOISE, 1))
-    var = float(np.var(y - env.values[5, 0], ddof=1))
+    noise = SyntheticEnvironment(spec, n_tasks=1, master_seed=3).task_view(1).noise_terms(100_000)
+    var = float(np.var(noise, ddof=1))
     noise_ok = abs(var - spec.noise**2) <= 0.05 * spec.noise**2
 
     ok = norms_ok and noise_ok

@@ -9,7 +9,6 @@ from lifelong_bandits.environment import (
     SyntheticEnvironment,
     SyntheticSpec,
     TaskView,
-    optimum_on_grid,
     sample_coefficients,
     sample_support,
     uniform_grid,
@@ -154,27 +153,14 @@ class TestOptimum:
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, p=3)
         grid = uniform_grid(atlas.domain, 101)
         values = atlas.concat_many(grid) @ np.array([2.0, 0.0, 0.0])
-        idx, val = optimum_on_grid(values)
-        assert grid[idx, 0] == 0.0
-        assert val == pytest.approx(2.0)
-
-    def test_negation_symmetry(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=50)
-        imax, vmax = optimum_on_grid(values)
-        imin, vmin = optimum_on_grid(-values)
-        assert vmin == pytest.approx(-values.min())
-        assert values[imin] == pytest.approx(values.min())
+        view = TaskView(values, 0.0, np.random.default_rng(0))
+        assert view.opt_value == pytest.approx(2.0)
+        assert view.regret(int(np.flatnonzero(grid[:, 0] == 0.0)[0])) == pytest.approx(0.0)
 
     def test_dominates_grid(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=200)
-        _, val = optimum_on_grid(values)
-        assert np.all(val >= values)
-
-    def test_tie_breaks_low_index(self):
-        idx, _ = optimum_on_grid(np.array([1.0, 3.0, 3.0, 0.0]))
-        assert idx == 1
+        values = np.random.default_rng(3).normal(size=200)
+        val = TaskView(values, 0.0, np.random.default_rng(0)).opt_value
+        assert val in values and np.all(val >= values)
 
     def test_regret_nonnegative_on_grid(self):
         spec = SyntheticSpec()

@@ -796,15 +796,16 @@ def handoff_design(seed, p):
     return design, 0.3 * 2.0 / design.total_rows * float(np.sqrt((C * C).sum(axis=0)).max())
 
 
-def iteration_states(design, lam):
-    """The iterate after every iteration of a cold fit without the hand-off,
-    up to the stop test that ends it, with the mapping norm at the point each
-    prox step started from and whether the iterate meets the stop rule. A fit
-    cut at max_iter = k ends on iteration k, every earlier iteration as in an
-    uncut fit, its last prox step before the closing stop test is iteration
-    k's, and that stop test is at iteration k's iterate. The uncut fit tests
-    the stop rule at each iteration whose measured norm is within its tol,
-    so it ends at the first of them whose iterate meets the rule."""
+def iteration_states(design, lam, x0=None):
+    """The iterate after every iteration of a fit from ``x0`` (cold by
+    default) without the hand-off, up to the stop test that ends it, with the
+    mapping norm at the point each prox step started from and whether the
+    iterate meets the stop rule. A fit cut at max_iter = k ends on iteration
+    k, every earlier iteration as in an uncut fit, its last prox step before
+    the closing stop test is iteration k's, and that stop test is at
+    iteration k's iterate. The uncut fit tests the stop rule at each
+    iteration whose measured norm is within its tol, so it ends at the first
+    of them whose iterate meets the rule."""
     states, moves = [], []
     prox_step = group_lasso._prox_step
 
@@ -817,7 +818,7 @@ def iteration_states(design, lam):
     with mock.patch.object(group_lasso, "HANDOFF_MAP_NORM", 0.0):
         with mock.patch.object(group_lasso, "_prox_step", spy):
             for k in itertools.count(1):
-                coeffs, report = _apg(design, lam, 1e-8, k, None)
+                coeffs, report = _apg(design, lam, 1e-8, k, x0)
                 states.append((coeffs, float(np.linalg.norm(moves[-2])) / step, report.converged))
                 if report.converged and states[-1][1] <= 1e-8:
                     return states
@@ -828,16 +829,14 @@ def support(x):
 
 
 def handoff_schedule(states):
-    """The iterations at which the hand-off tries Newton if every attempt is
-    declined: the mapping norm is at most HANDOFF_MAP_NORM, and it has fallen
-    HANDOFF_RETRY-fold since the last attempt if that was on the same
-    support. The stop rule is tested before Newton, so an iteration whose
-    iterate meets it ends the fit there, and is not a try."""
-    tries, tried, tried_at = [], None, 0.0
+    """The iterations at which a cold fit's hand-off tries Newton if every
+    attempt is declined: the mapping norm has fallen HANDOFF_MAP_NORM-fold
+    from 1, or from the last attempt's norm if that was on the same support.
+    The stop rule is tested before Newton, so an iteration whose iterate
+    meets it ends the fit there, and is not a try."""
+    tries, tried, tried_at = [], None, 1.0
     for k, (x, moved, converged) in enumerate(states, start=1):
-        if moved <= group_lasso.HANDOFF_MAP_NORM and (
-            support(x) != tried or moved <= group_lasso.HANDOFF_RETRY * tried_at
-        ):
+        if moved <= group_lasso.HANDOFF_MAP_NORM * (tried_at if support(x) == tried else 1.0):
             if converged:
                 break
             tries.append(k)
@@ -882,8 +881,8 @@ def test_handoff_tries_newton_while_the_support_still_changes(monkeypatch):
 
 def test_declined_support_retried_after_the_norm_falls(monkeypatch):
     # every attempt is declined: a declined support is tried again only once
-    # the mapping norm has fallen HANDOFF_RETRY-fold since, although it holds
-    # and meets the hand-off norm at the iterations in between; a new
+    # the mapping norm has fallen HANDOFF_MAP_NORM-fold since, although it
+    # holds and meets the hand-off norm at the iterations in between; a new
     # support is tried as soon as the norm is within the hand-off norm
     design, lam = handoff_design(77, p=8)
     states = iteration_states(design, lam)
@@ -892,7 +891,7 @@ def test_declined_support_retried_after_the_norm_falls(monkeypatch):
     retries = [(a, b) for a, b in pairs if support(states[a - 1][0]) == support(states[b - 1][0])]
     assert retries and len(retries) < len(pairs)
     for a, b in retries:
-        assert states[b - 1][1] <= group_lasso.HANDOFF_RETRY * states[a - 1][1]
+        assert states[b - 1][1] <= group_lasso.HANDOFF_MAP_NORM * states[a - 1][1]
         assert any(
             support(states[k - 1][0]) == support(states[a - 1][0])
             and states[k - 1][1] <= group_lasso.HANDOFF_MAP_NORM
@@ -909,6 +908,39 @@ def test_declined_support_retried_after_the_norm_falls(monkeypatch):
     assert [x.tobytes() for x in handed] == [states[k - 1][0].tobytes() for k in tries]
     assert report.method == "apg" and report.converged
     assert report.iterations == len(states) + len(tries)
+    assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
+
+
+def test_warm_attempt_declined_above_norm_one_retried_within_the_handoff_norm(monkeypatch):
+    # a warm fit whose first prox step keeps its start's columns tries Newton
+    # at iteration 1, at a mapping norm above 1. Once that attempt is
+    # declined, the support is tried again only when the norm is within
+    # HANDOFF_MAP_NORM: the reference is capped at 1, so the iterations that
+    # hold the support with the norm only within HANDOFF_MAP_NORM times the
+    # first attempt's are not tries
+    design, _ = shared_support_design(3)
+    lam = 0.01
+    x0 = 2.0 * fit_group_lasso(design, lam)[0]
+    states = iteration_states(design, lam, x0)
+    held = support(x0)
+    assert len(held) == design.p and support(states[0][0]) == held and states[0][1] > 1.0
+    H = group_lasso.HANDOFF_MAP_NORM
+    retry = next(k for k, (_, moved, _) in enumerate(states, start=1) if k > 1 and moved <= H)
+    assert support(states[retry - 1][0]) == held and not states[retry - 1][2]
+    assert any(
+        support(states[k - 1][0]) == held and states[k - 1][1] <= H * states[0][1]
+        for k in range(2, retry)
+    )
+    handed = []
+
+    def decline(F, C, N, lam, x, tol):
+        handed.append(x.copy())
+        return None, 1
+
+    monkeypatch.setattr(group_lasso, "_newton_finish", decline)
+    coeffs, report = fit_group_lasso(design, lam, x0=x0)
+    assert [x.tobytes() for x in handed[:2]] == [states[k - 1][0].tobytes() for k in (1, retry)]
+    assert report.method == "apg" and report.converged
     assert kkt_residuals(design, coeffs, lam).max() <= 1e-8
 
 

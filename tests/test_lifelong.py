@@ -27,6 +27,7 @@ from lifelong_bandits.lifelong import (
     run_lifelong,
 )
 from lifelong_bandits.seeding import STREAM_EXPLORE, substream
+from oracles import carried_residue
 
 
 def small_env(seed=0, n_tasks=8, noise=0.1, grid_points=60):
@@ -109,6 +110,31 @@ class TestIntegerize:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             integerize([1.0, -0.5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40))
+    def test_prefix_sums_are_the_floors_of_the_rates(self, rates):
+        counts = integerize(rates)
+        assert counts.dtype.kind == "i" and np.all(counts >= 0)
+        assert np.array_equal(np.cumsum(counts), np.floor(np.cumsum(rates)))
+
+    def test_matches_the_carried_residue_loop_on_the_runners_schedules(self):
+        # the floors of the prefix sums equal the carried residue in exact
+        # arithmetic; on the rates the runners use, the rounding agrees too
+        for n in range(1, 401):
+            for rates in (math.sqrt(n) / np.arange(1, 101) ** 0.25, np.full(100, math.sqrt(n))):
+                assert integerize(rates).tolist() == carried_residue(rates)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=10),
+        st.one_of(st.floats(max_value=-1e-300), st.sampled_from([math.nan, math.inf])),
+        st.integers(min_value=0, max_value=10),
+    )
+    def test_rejects_nan_inf_and_negative_rates(self, rates, bad, at):
+        rates.insert(at, bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            integerize(rates)
 
     @settings(max_examples=200, deadline=None)
     @given(

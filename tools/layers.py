@@ -217,7 +217,7 @@ def offline_fit():
     for s in range(1, TASKS + 1):
         phi = env.atlas.concat_many(rng.uniform(lo, hi, size=(10, env.atlas.dim_in)))
         features.append(phi)
-        rewards.append(env.rewards_at(s, phi, rng))
+        rewards.append(phi @ env.coeffs[s - 1] + env.noise * rng.standard_normal(10))
     return PooledDesign(features, rewards), 0.25, None
 
 
