@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    seeds_done = len(result.traces) if result.traces else len(result.recovery or {})
+    seeds_done = len(config.seeds) - len(result.failures)
     line = f"{config.kind}: {seeds_done}/{len(config.seeds)} seeds, digest {result.digest[:12]}"
     if result.failures:
         line += f", {len(result.failures)} failed"

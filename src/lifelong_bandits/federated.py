@@ -15,11 +15,11 @@ whose path is declined falls back to the iterative solver alone.
 
 ``run_federated`` plans every client's forced prefix first, with the
 planning pass of :mod:`.lifelong`; then all clients' draws are fitted into
-votes in one ``client_fits`` call, and the votes go into the ledger in
-client order. The server set after a client's own vote (or the full kernel
-when the set is empty) is the kernel of that client's agent, which is fed
-the forced draws before it selects; every agent steps in the agent pass of
-:mod:`.lifelong`.
+votes in one ``client_fits`` call, whose fit reports the run record keeps,
+and the votes go into the ledger in client order. The server set after a
+client's own vote (or the full kernel when the set is empty) is the kernel
+of that client's agent, which is fed the forced draws before it selects;
+every agent steps in the agent pass of :mod:`.lifelong`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .gp_ucb import UcbConfig
-from .group_lasso import PooledDesign, fit_lassos, group_norms
+from .group_lasso import PooledDesign, SolverReport, fit_lassos, group_norms
 from .lifelong import LifelongRunRecord, _forced_draws, _plan, _run_agents
 # design_from_tasks and learn_kernel stay bound here: perfbench's tracer
 # wraps these bindings
@@ -40,15 +40,14 @@ from .selection import design_from_tasks, learn_kernel, threshold_groups  # noqa
 
 @dataclass(frozen=True)
 class ClientVote:
-    """One client's uplink: its id, the endorsed indices, and fit metadata.
+    """One client's uplink: its id, the endorsed indices, and a fit-failure flag.
 
-    ``indices`` and ``client`` are the complete wire content; the counts and
-    flag exist for local logs only.
+    ``indices`` and ``client`` are the complete wire content; the flag is
+    for local logs only.
     """
 
     client: int
     indices: tuple[int, ...]
-    explore_count: int
     failed: bool = False
 
     def __post_init__(self):
@@ -100,9 +99,9 @@ def client_fits(
     omega: float,
     *,
     clients,
-) -> list[ClientVote]:
+) -> tuple[list[ClientVote], list[SolverReport]]:
     """Fit each client's data alone, all in one batched lasso path, and
-    return their index votes in order.
+    return their index votes and the fits' reports, both in client order.
 
     ``features[s]`` holds the feature rows of client s's points (the rows of
     the environment's grid features it drew), ``rewards[s]`` their rewards,
@@ -119,11 +118,11 @@ def client_fits(
             raise DataError(f"client {client} has no exploration data")
     coeffs, reports = fit_lassos(PooledDesign(features, rewards), lam)
     votes = []
-    for client, y, beta, report in zip(clients, rewards, coeffs, reports):
+    for client, beta, report in zip(clients, coeffs, reports):
         failed = not report.converged
         indices = () if failed else threshold_groups(group_norms(beta[None]), 1, omega)
-        votes.append(ClientVote(client=client, indices=indices, explore_count=len(y), failed=failed))
-    return votes
+        votes.append(ClientVote(client=client, indices=indices, failed=failed))
+    return votes, reports
 
 
 def client_fit(
@@ -137,7 +136,7 @@ def client_fit(
     """Fit one client's data alone and return its index vote: the
     one-client form of ``client_fits``. No runner calls it; it is kept,
     outside the package's ``__all__``, for perfbench's tracer."""
-    (vote,) = client_fits([phi], [y], lam, omega, clients=[client])
+    (vote,), _ = client_fits([phi], [y], lam, omega, clients=[client])
     return vote
 
 
@@ -170,13 +169,11 @@ def run_federated(
     ledger = VoteLedger(env.p, alpha)
     plans = _plan(env, n, np.full(m, math.sqrt(n)), seed)
     record = FederatedRunRecord(seed=seed)
-    record.votes = client_fits(
+    record.votes, record.reports = client_fits(
         *_forced_draws(env, plans), lam, omega, clients=[plan.task for plan in plans]
     )
     kernels = []
     for vote in record.votes:
-        if vote.failed:
-            record.events.append((vote.client, "solver"))
         ledger.add(vote)
         selected = ledger.selected()
         record.server_sets.append(selected)

@@ -430,11 +430,11 @@ class ExperimentResult:
     digest: str
     traces: dict[int, RegretTrace]
     summary: SummaryTable | None
-    recovery: dict[int, list[tuple[int, bool, bool, int]]] | None
+    recovery: dict[int, list[tuple[int, int, int, int]]] | None
     curve: RecoveryCurve | None
     votes: dict[int, list] | None
     failures: list[tuple[int, str]]
-    unconverged: int = 0  # the finished seeds' fits that did not converge
+    unconverged: int = 0  # the finished seeds' fits whose reports say they did not converge
 
 
 def _synthetic_spec(config: ExperimentConfig) -> SyntheticSpec:
@@ -513,8 +513,7 @@ def _write_outputs(out: Path, result: ExperimentResult) -> None:
         ]
         (out / f"votes_seed{seed}.csv").write_text(_csv("task,indices,server,failed", zip(*votes)))
     for seed, rows in (result.recovery or {}).items():
-        flags = [(m, int(exact), int(fallback), size) for m, exact, fallback, size in rows]
-        text = _csv("m,exact,fallback,selected_size", zip(*flags))
+        text = _csv("m,exact,fallback,selected_size", zip(*rows))
         (out / f"recovery_seed{seed}.csv").write_text(text)
     if result.curve is not None:
         (out / "recovery_curve.csv").write_text(result.curve.to_text())
@@ -566,27 +565,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise RuntimeError("every seed failed; first error: " + failures[0][1])
     traces, summary, recovery, curve, votes = {}, None, None, None, None
     if config.kind == "offline":
-        m_values = config.m_values
         recovery = {
-            seed: [(m, t.exact, t.fallback, len(t.selected)) for m, t in zip(m_values, trials)]
+            seed: [
+                (m, int(t.exact), int(t.fallback), len(t.selected))
+                for m, t in zip(config.m_values, trials)
+            ]
             for seed, trials in done.items()
         }
-        unconverged = sum(not t.report.converged for trials in done.values() for t in trials)
-        exact = np.array([[int(t.exact) for t in done[s]] for s in sorted(done)])
+        exact = np.array([[row[1] for row in recovery[s]] for s in sorted(recovery)])
         curve = RecoveryCurve(
-            m_values,
+            config.m_values,
             exact.mean(axis=0),
             _standard_error(exact),
             exact.sum(axis=0),
             exact.shape[0],
         )
     else:
-        # a lifelong fit that kept the previous kernel, or a failed vote
-        unconverged = sum(event == "solver" for r in done.values() for _, event in r.events)
         traces = {seed: RegretTrace.from_record(record) for seed, record in done.items()}
         summary = summarize([traces[s] for s in sorted(traces)])
         if config.kind == "federated":
             votes = {seed: list(zip(r.votes, r.server_sets)) for seed, r in done.items()}
+    unconverged = sum(
+        not report.converged
+        for outcome in done.values()
+        for report in ([t.report for t in outcome] if config.kind == "offline" else outcome.reports)
+    )
     result = ExperimentResult(
         config, config.digest(), traces, summary, recovery, curve, votes, failures, unconverged
     )

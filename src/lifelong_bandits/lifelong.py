@@ -12,8 +12,9 @@ kernel is known before any agent runs. Last, ``_run_agents`` steps every
 task in one ``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a
 prior weight over the union of the tasks' groups, with the features sliced
 once from the environment's feature table. A run uses one ``UcbConfig``,
-its ``ucb`` argument. The runners differ only in their forced-draw rates
-and in where the kernel comes from:
+its ``ucb`` argument, and its record keeps the ``SolverReport`` of each
+kernel fit it made, in fit order (none for ``run_baseline``). The runners
+differ only in their forced-draw rates and in where the kernel comes from:
 
 ``run_lifelong`` (LiBO)
     rate sqrt(n) / s^(1/4) for task s (the decreasing schedule); a pooled
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import ConfigError
 from .environment import TaskView
 from .gp_ucb import LockstepUcb, UcbConfig
-from .group_lasso import PooledDesign
+from .group_lasso import PooledDesign, SolverReport
 from .seeding import STREAM_EXPLORE, substream
 # design_from_tasks and learn_kernel stay bound here: perfbench's tracer
 # wraps these bindings
@@ -84,13 +85,14 @@ class TaskRecord:
 class LifelongRunRecord:
     """Full trace of a sequential run plus bookkeeping for the harness.
 
-    ``events`` lists (task, kind) pairs: "fallback" when thresholding kept
-    nothing and the full kernel took over, "solver" when the fit did not
-    converge and the previous kernel was kept.
+    ``reports`` holds the ``SolverReport`` of each kernel fit, in fit order.
+    ``events`` lists (task, "fallback") pairs: the task's fit converged but
+    kept no group, and the full kernel took over.
     """
 
     seed: int
     tasks: list[TaskRecord] = field(default_factory=list)
+    reports: list[SolverReport] = field(default_factory=list)
     events: list[tuple[int, str]] = field(default_factory=list)
     final_kernel: tuple[int, ...] = ()
     max_gain_slack: float = -math.inf
@@ -213,13 +215,10 @@ def run_lifelong(
     lams = [lam / math.sqrt(s) for s in range(1, m + 1)]
     kernels = [tuple(range(1, env.p + 1))]
     for s, outcome in enumerate(learn_kernels(design, range(1, m + 1), omega, lams), start=1):
-        if not outcome.report.converged:
-            record.events.append((s, "solver"))
-            kernels.append(kernels[-1])
-            continue
-        if outcome.fallback:
+        record.reports.append(outcome.report)
+        if outcome.report.converged and outcome.fallback:
             record.events.append((s, "fallback"))
-        kernels.append(outcome.selected)
+        kernels.append(outcome.selected if outcome.report.converged else kernels[-1])
     record.final_kernel = kernels.pop()
     record.tasks = _run_agents(env, n, plans, kernels, ucb, record)
     return record

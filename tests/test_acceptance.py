@@ -344,7 +344,7 @@ def test_criterion_6_schedule_laws():
 def _ledger_from(votes, p, alpha):
     ledger = VoteLedger(p, alpha)
     for k, idx in enumerate(votes):
-        ledger.add(ClientVote(client=k + 1, indices=tuple(idx), explore_count=1))
+        ledger.add(ClientVote(client=k + 1, indices=tuple(idx)))
     return ledger
 
 

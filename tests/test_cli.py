@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lifelong_bandits import group_lasso, harness, selection
+from lifelong_bandits import federated, group_lasso, harness, selection
 from lifelong_bandits.cli import main
 
 
@@ -48,24 +48,49 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "offline: 2/2 seeds" in out and "converge" not in out
 
-    def test_offline_fits_that_do_not_converge_are_counted(self, tmp_path, capsys, monkeypatch):
-        # a fit cut at its iteration budget is no ordinary trial: the status
-        # line counts every fit whose report says it did not converge (here
-        # the pooled ones; the m=1 lasso paths finish within 10 steps)
-        reports = []
-        fit = selection.fit_group_lasso
+    @pytest.mark.parametrize(
+        "kind, owner, name, sizes",
+        [
+            ("lifelong", selection, "fit_group_lasso", ["m=4", "n=20"]),
+            ("federated", federated, "fit_lassos", ["m=4", "n=20"]),
+            ("offline", selection, "fit_group_lasso", ["m_values=1,2,5,10"]),
+        ],
+        ids=["lifelong", "federated", "offline"],
+    )
+    def test_fits_that_do_not_converge_are_counted(
+        self, tmp_path, capsys, monkeypatch, kind, owner, name, sizes
+    ):
+        # a fit cut at its iteration budget is no ordinary fit: a runner's
+        # record keeps the report of each of its fits in fit order (each
+        # offline trial its own), and the status line counts every report
+        # that says the fit did not converge (here some of the pooled and
+        # client fits; the m=1 lasso paths finish within 10 steps)
+        reports, records = [], {}
+        fit, run_one_seed = getattr(owner, name), harness._run_one_seed
 
         def spy(design, lam, **kwargs):
             coeffs, report = fit(design, lam, **kwargs)
-            reports.append(report)
+            reports.extend(report if isinstance(report, list) else [report])
             return coeffs, report
 
+        def recording(config, seed, table):
+            records[seed] = run_one_seed(config, seed, table)
+            return records[seed]
+
         monkeypatch.setattr(group_lasso, "MAX_ITER", 10)
-        monkeypatch.setattr(selection, "fit_group_lasso", spy)
-        argv = ["offline", "--override", "m_values=1,2,5,10", "--seeds", "0,1"]
-        assert main([*argv, "--out", str(tmp_path)]) == 0
+        monkeypatch.setattr(owner, name, spy)
+        monkeypatch.setattr(harness, "_run_one_seed", recording)
+        overrides = [arg for pair in sizes for arg in ("--override", pair)]
+        assert main([kind, *overrides, "--seeds", "0,1", "--out", str(tmp_path)]) == 0
+        kept = [
+            report
+            for record in (records[0], records[1])
+            for report in ([t.report for t in record] if kind == "offline" else record.reports)
+        ]
+        assert len(kept) == len(reports) == 8
+        assert all(a is b for a, b in zip(kept, reports))
         unconverged = sum(not report.converged for report in reports)
-        assert len(reports) == 8 and 0 < unconverged < 8
+        assert 0 < unconverged < 8
         line = capsys.readouterr().out.rstrip("\n")
         assert line.endswith(f", wrote {tmp_path}, {unconverged} fits did not converge")
 

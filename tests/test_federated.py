@@ -26,28 +26,28 @@ class TestVoteLedger:
     def test_unanimous(self):
         ledger = VoteLedger(p=5, alpha=0.25)
         for s in range(1, 4):
-            ledger.add(ClientVote(client=s, indices=(1, 2), explore_count=4))
+            ledger.add(ClientVote(client=s, indices=(1, 2)))
         assert ledger.selected() == (1, 2)
 
     def test_majority_hand_count(self):
         ledger = VoteLedger(p=3, alpha=0.5)
         for s, vote in enumerate([(1,), (2,), (1,), (1,)], start=1):
-            ledger.add(ClientVote(client=s, indices=vote, explore_count=1))
+            ledger.add(ClientVote(client=s, indices=vote))
         # threshold 4 * 0.5 = 2; index 1 has 3 endorsements, index 2 has 1
         assert ledger.selected() == (1,)
 
     def test_alpha_zero_is_union(self):
         ledger = VoteLedger(p=6, alpha=0.0)
-        ledger.add(ClientVote(client=1, indices=(2,), explore_count=1))
-        ledger.add(ClientVote(client=2, indices=(5,), explore_count=1))
-        ledger.add(ClientVote(client=3, indices=(), explore_count=1))
+        ledger.add(ClientVote(client=1, indices=(2,)))
+        ledger.add(ClientVote(client=2, indices=(5,)))
+        ledger.add(ClientVote(client=3, indices=()))
         assert ledger.selected() == (2, 5)
 
     def test_alpha_one_is_intersection(self):
         ledger = VoteLedger(p=6, alpha=1.0)
-        ledger.add(ClientVote(client=1, indices=(1, 2, 3), explore_count=1))
-        ledger.add(ClientVote(client=2, indices=(2, 3, 4), explore_count=1))
-        ledger.add(ClientVote(client=3, indices=(2, 4, 6), explore_count=1))
+        ledger.add(ClientVote(client=1, indices=(1, 2, 3)))
+        ledger.add(ClientVote(client=2, indices=(2, 3, 4)))
+        ledger.add(ClientVote(client=3, indices=(2, 4, 6)))
         assert ledger.selected() == (2,)
 
     def test_empty_ledger_selects_nothing(self):
@@ -59,7 +59,6 @@ class TestVoteLedger:
             ClientVote(
                 client=s,
                 indices=tuple(rng.choice(8, size=rng.integers(0, 5), replace=False) + 1),
-                explore_count=1,
             )
             for s in range(1, 13)
         ]
@@ -79,7 +78,7 @@ class TestVoteLedger:
         for s in range(1, 40):
             vote = tuple(rng.choice(6, size=rng.integers(0, 4), replace=False) + 1)
             before = set(ledger.selected())
-            ledger.add(ClientVote(client=s, indices=vote, explore_count=1))
+            ledger.add(ClientVote(client=s, indices=vote))
             after = set(ledger.selected())
             for j in before & set(vote):
                 assert j in after
@@ -87,14 +86,14 @@ class TestVoteLedger:
     def test_bad_indices_rejected(self):
         ledger = VoteLedger(p=3, alpha=0.5)
         with pytest.raises(ConfigError):
-            ledger.add(ClientVote(client=1, indices=(4,), explore_count=1))
+            ledger.add(ClientVote(client=1, indices=(4,)))
         # a vote with a valid index before the bad one leaves no count behind
         ledger = VoteLedger(p=5, alpha=0.5)
         with pytest.raises(ConfigError):
-            ledger.add(ClientVote(client=1, indices=(2, 9), explore_count=1))
+            ledger.add(ClientVote(client=1, indices=(2, 9)))
         assert ledger.counts.tolist() == [0, 0, 0, 0, 0]
         assert ledger.clients_seen == 0
-        ledger.add(ClientVote(client=2, indices=(3,), explore_count=1))
+        ledger.add(ClientVote(client=2, indices=(3,)))
         assert ledger.selected() == (3,)
 
     def test_bad_alpha_rejected(self):
@@ -104,13 +103,13 @@ class TestVoteLedger:
     def test_counts_bounded_by_clients(self):
         ledger = VoteLedger(p=4, alpha=0.5)
         for s in range(1, 9):
-            ledger.add(ClientVote(client=s, indices=(1,), explore_count=1))
+            ledger.add(ClientVote(client=s, indices=(1,)))
             assert ledger.counts.max() <= ledger.clients_seen
 
 
 class TestClientVote:
     def test_indices_sorted_and_deduplicated(self):
-        vote = ClientVote(client=2, indices=(5, 1, 5, 3), explore_count=7)
+        vote = ClientVote(client=2, indices=(5, 1, 5, 3))
         assert vote.indices == (1, 3, 5)
 
 
@@ -151,18 +150,18 @@ class TestClientFit:
         seen = {}
 
         def spy(features, rewards, *args, **kwargs):
-            votes = client_fits(features, rewards, *args, **kwargs)
-            for phi, y, vote in zip(features, rewards, votes):
-                seen[vote.client] = (phi, y, vote)
-            return votes
+            votes, reports = client_fits(features, rewards, *args, **kwargs)
+            for phi, y, vote, report in zip(features, rewards, votes, reports):
+                seen[vote.client] = (phi, y, vote, report)
+            return votes, reports
 
         monkeypatch.setattr(federated, "client_fits", spy)
         run_experiment(config)
-        phi, y, vote = seen[6]
+        phi, y, vote, report = seen[6]
         assert vote.indices == (2, 5, 10, 13, 17, 20, 21, 25, 35, 43, 48)
         assert not vote.failed
-        _, (report,) = fit_lassos(PooledDesign([phi], [y]), config.lam)
-        assert report.method == "apg"
+        _, (alone,) = fit_lassos(PooledDesign([phi], [y]), config.lam)
+        assert report.method == alone.method == "apg"
 
 
 def grid_clients(seed, rows, p=8):
@@ -191,11 +190,11 @@ def test_a_clients_rows_move_no_other_vote(seed, rows, changed, new_rows):
     features, rewards = grid_clients(seed, rows)
     features[0] = np.repeat(small_env().grid_features[:1], 3, axis=0)
     rewards[0] = np.array([1.0, 0.5, 0.2])
-    votes = client_fits(features, rewards, 0.05, 0.25, clients=range(1, len(rows) + 1))
+    votes, _ = client_fits(features, rewards, 0.05, 0.25, clients=range(1, len(rows) + 1))
     changed %= len(rows)
     other_features, other_rewards = grid_clients(seed + 1, [new_rows])
     features[changed], rewards[changed] = other_features[0], other_rewards[0]
-    moved = client_fits(features, rewards, 0.05, 0.25, clients=range(1, len(rows) + 1))
+    moved, _ = client_fits(features, rewards, 0.05, 0.25, clients=range(1, len(rows) + 1))
     assert [v.client for v in votes] == [v.client for v in moved] == list(range(1, len(rows) + 1))
     for s, (before, after) in enumerate(zip(votes, moved)):
         if s != changed:

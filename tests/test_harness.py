@@ -603,9 +603,9 @@ class TestRunExperiment:
         assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
 
     def test_lifelong_fits_that_never_converge_keep_the_full_kernel(self, tmp_path, monkeypatch):
-        # one iteration converges no fit at these seeds: each records a solver
-        # event and keeps the kernel before it, so every task runs under all
-        # 50 groups
+        # one iteration converges no fit at these seeds: each report says so,
+        # and each fit keeps the kernel before it, so every task runs under
+        # all 50 groups
         monkeypatch.setattr(group_lasso, "MAX_ITER", 1)
         records = seed_records(monkeypatch)
         pairs = {"kind": "lifelong", "m": "4", "n": "20", "seeds": "0,1", "out": str(tmp_path)}
@@ -613,7 +613,8 @@ class TestRunExperiment:
         assert not result.failures and sorted(records) == [0, 1]
         assert result.unconverged == 8
         for record in records.values():
-            assert record.events == [(s, "solver") for s in range(1, 5)]
+            assert [report.converged for report in record.reports] == [False] * 4
+            assert record.events == []
             assert all(task.kernel == tuple(range(1, 51)) for task in record.tasks)
 
     def test_federated_fits_that_never_converge_vote_failed(self, tmp_path, monkeypatch):
@@ -629,7 +630,8 @@ class TestRunExperiment:
             lines = (tmp_path / f"votes_seed{seed}.csv").read_text().splitlines()
             rows = [line.split(",") for line in lines[1:]]
             assert [(row[1], row[3]) for row in rows] == [("", "1")] * 4
-            assert {name for _, name in record.events} == {"solver", "fallback"}
+            assert [report.converged for report in record.reports] == [False] * 4
+            assert record.events == [(s, "fallback") for s in range(1, 5)]
             assert all(task.kernel == tuple(range(1, 51)) for task in record.tasks)
 
     @pytest.mark.parametrize("kind", ["lifelong", "offline"])
@@ -659,9 +661,11 @@ class TestRunExperiment:
         assert [len(x0) for x0 in starts[1:]] == [2, 3, 4]
         assert np.array_equal(starts[2][:1], fits[0][0])
         assert np.array_equal(starts[3][:3], fits[2][0])
+        # the record keeps the report of each fit, the offline trials one each
+        record = records[0]
+        reports = record.reports if kind == "lifelong" else [trial.report for trial in record]
+        assert [a is b for a, (_, b) in zip(reports, fits, strict=True)] == [True] * 4
         if kind == "lifelong":
-            record = records[0]
-            assert (2, "solver") in record.events
             assert record.tasks[2].kernel == record.tasks[1].kernel
 
     @pytest.mark.parametrize("kind", ["lifelong", "offline"])

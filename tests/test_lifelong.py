@@ -196,7 +196,7 @@ class TestRunLifelong:
         assert all(t.kernel == full for t in record.tasks)
         assert record.final_kernel == full
         kinds = {kind for _, kind in record.events}
-        assert kinds <= {"fallback", "solver"} and "fallback" in kinds
+        assert kinds == {"fallback"}
 
     def test_exploration_prefix_flags(self):
         env = small_env(seed=5, n_tasks=5)
@@ -298,6 +298,11 @@ class TestBaseline:
         assert all(t.explore_count == 0 for t in record.tasks)
         assert all(not t.explored.any() for t in record.tasks)
         assert all(t.recovered is True for t in record.tasks)
+
+    @pytest.mark.parametrize("kernel", ["oracle", "full"])
+    def test_pinned_kernel_fits_nothing(self, kernel):
+        record = run_baseline(small_env(seed=13), kernel, m=3, n=15, seed=1)
+        assert record.reports == [] and record.events == []
 
     def test_constant_reward_gives_zero_regret(self):
         env = small_env(seed=14, noise=0.0)

@@ -65,8 +65,9 @@ Layers:
   run at seed 0, with the rows and rewards the runner drew for them, fitted
   into votes: ``batched_us`` in one ``federated.client_fits`` call, as the
   runner fits them, and ``one_by_one_us`` in 20 ``federated.client_fits``
-  calls of one client each. ``path_fits`` counts the clients
-  whose path is certified; the others fall back to the iterative solver.
+  calls of one client each. ``path_fits`` counts the clients whose path is
+  certified, from the reports of the batched call; the others fall back to
+  the iterative solver.
 - ``selection.design``: the design work outside the solver: building the
   design, which copies each task's rows into the row stack and computes its
   crossterm, ||y_s||^2 and top Gram eigenvalue, the eigenvalues in one
@@ -141,7 +142,6 @@ from lifelong_bandits.group_lasso import (  # noqa: E402
     PooledDesign,
     SolverReport,
     fit_group_lasso,
-    fit_lassos,
     padded_warm_start,
 )
 from lifelong_bandits.harness import (  # noqa: E402
@@ -374,12 +374,12 @@ def client_batch(repeats: int) -> dict:
         return [
             vote
             for phi, y, client in zip(features, rewards, clients)
-            for vote in federated.client_fits([phi], [y], 0.2, 0.25, clients=[client])
+            for vote in federated.client_fits([phi], [y], 0.2, 0.25, clients=[client])[0]
         ]
 
-    if batched() != one_by_one():
+    votes, reports = batched()
+    if votes != one_by_one():
         raise RuntimeError("batched client votes differ from one-client votes")
-    _, reports = fit_lassos(PooledDesign(features, rewards), 0.2)
     return {
         "clients": len(clients),
         "rows": len(rewards[0]),
