@@ -22,8 +22,10 @@ float array column once, keyed by its bits so that 0.0 and -0.0 stay apart;
 the bytes are those of formatting every cell on its own.
 
 The files of one run also share whole columns: every trace and the summary
-have the same ``step`` and ``task``, and a one-seed summary repeats its
-trace's regret columns and has two all-zero error columns. ``_write_outputs``
+have the same ``step`` and ``task`` (in memory the summary holds the first
+trace's arrays), and a one-seed summary repeats its trace's regret columns
+and has two all-zero error columns (in memory, zero-stride views that hold
+no storage). ``_write_outputs``
 formats the summary first, into one memo keyed by each int or float column's
 dtype and raw bytes, and gives each trace a copy: each summary column is
 formatted once per run, and the memo holds no more than the summary's
@@ -238,21 +240,22 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
 def _cells(column, memo: dict | None = None) -> list[str]:
     """The ``str`` of every cell of one column.
 
-    An int or float array formats each distinct value once, keyed by its
-    bits, so that 0.0 and -0.0 (and NaN payloads) stay apart; the value is
+    An int or float array of any width up to 8 bytes formats each distinct
+    value once, keyed by its bits (its view as the int of the same width),
+    so that 0.0 and -0.0 (and NaN payloads) stay apart; the value is
     formatted as a Python scalar, whose ``str`` of a float is its shortest
     round-tripping repr (a numpy scalar's repr is not a plain number). Given
     a run's ``memo``, such a column is formatted once per run: the memo maps
     its dtype and raw bytes to its cells (the dtype keeps int64 0 and float64
-    0.0, which share their bits, apart). Any other column is formatted cell
+    0.0, or int8 0 and int32 0, apart). Any other column is formatted cell
     by cell, so a Python list mixing ints and floats keeps ``1`` and ``1.0``
     apart.
     """
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf" and column.itemsize == 8:
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf" and column.itemsize <= 8:
         key = (column.dtype.str, column.tobytes())
         if memo is not None and key in memo:
             return memo[key]
-        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+        distinct, index = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
         text = np.array([str(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
         cells = text[index].tolist()
         if memo is not None:
@@ -286,25 +289,33 @@ def _columns_text(table, memo: dict | None = None) -> str:
 def _standard_error(samples: np.ndarray) -> np.ndarray:
     """Per-column sample standard deviation over the rows, over sqrt(#rows).
 
-    A single row gets a zero column.
+    A single row gets a read-only zero column that holds no storage (a
+    zero-stride view of one 0.0).
     """
     k = samples.shape[0]
     if k < 2:
-        return np.zeros(samples.shape[1])
+        return np.broadcast_to(0.0, samples.shape[1])
     return samples.std(axis=0, ddof=1) / math.sqrt(k)
 
 
 @dataclass
 class RegretTrace:
-    """Per-step regret record of one run; one row per bandit step."""
+    """Per-step regret record of one run; one row per bandit step.
 
-    step: np.ndarray
-    task: np.ndarray
-    instantaneous: np.ndarray
-    cumulative: np.ndarray
-    kernel_size: np.ndarray
-    recovered: np.ndarray
-    explored: np.ndarray
+    ``from_record`` and ``from_text`` build each column at the dtype its
+    field declares: the per-task int columns at fixed narrow widths, ``step``
+    and the regrets at 64 bits. ``from_text`` raises ``DataError`` on a
+    cell that is not a number of its column's kind or that its column's
+    dtype cannot hold. The written text does not depend on the dtypes.
+    """
+
+    step: np.ndarray = field(metadata={"dtype": np.int64})
+    task: np.ndarray = field(metadata={"dtype": np.int32})
+    instantaneous: np.ndarray = field(metadata={"dtype": np.float64})
+    cumulative: np.ndarray = field(metadata={"dtype": np.float64})
+    kernel_size: np.ndarray = field(metadata={"dtype": np.int32})
+    recovered: np.ndarray = field(metadata={"dtype": np.int8})
+    explored: np.ndarray = field(metadata={"dtype": np.int8})
 
     def __post_init__(self):
         lengths = {len(getattr(self, f.name)) for f in fields(self)}
@@ -314,19 +325,28 @@ class RegretTrace:
             raise DataError("cumulative column must be the prefix sum")
 
     @classmethod
+    def _column(cls, name: str, values) -> np.ndarray:
+        """``values`` at the dtype that field ``name`` declares."""
+        return np.asarray(values, dtype=cls.__dataclass_fields__[name].metadata["dtype"])
+
+    @classmethod
     def from_record(cls, record: LifelongRunRecord) -> "RegretTrace":
         tasks = record.tasks
         lengths = [len(t.regrets) for t in tasks]
         inst = np.concatenate([t.regrets for t in tasks])
         recovered = [-1 if t.recovered is None else int(t.recovered) for t in tasks]
+
+        def per_task(name, values):
+            return np.repeat(cls._column(name, values), lengths)
+
         return cls(
             step=np.arange(1, len(inst) + 1),
-            task=np.repeat([t.task for t in tasks], lengths),
+            task=per_task("task", [t.task for t in tasks]),
             instantaneous=inst,
             cumulative=np.cumsum(inst),
-            kernel_size=np.repeat([len(t.kernel) for t in tasks], lengths),
-            recovered=np.repeat(recovered, lengths),
-            explored=np.concatenate([t.explored.astype(int) for t in tasks]),
+            kernel_size=per_task("kernel_size", [len(t.kernel) for t in tasks]),
+            recovered=per_task("recovered", recovered),
+            explored=cls._column("explored", np.concatenate([t.explored for t in tasks])),
         )
 
     def to_text(self, memo: dict | None = None) -> str:
@@ -342,16 +362,14 @@ class RegretTrace:
             raise DataError("empty trace")
         if any(len(row) != 7 for row in cells):
             raise DataError("malformed trace row")
-        cols = list(zip(*cells))
-        return cls(
-            step=np.array([int(v) for v in cols[0]]),
-            task=np.array([int(v) for v in cols[1]]),
-            instantaneous=np.array([float(v) for v in cols[2]]),
-            cumulative=np.array([float(v) for v in cols[3]]),
-            kernel_size=np.array([int(v) for v in cols[4]]),
-            recovered=np.array([int(v) for v in cols[5]]),
-            explored=np.array([int(v) for v in cols[6]]),
-        )
+        columns = {}
+        for f, values in zip(fields(cls), zip(*cells)):
+            parse = float if f.metadata["dtype"] is np.float64 else int
+            try:
+                columns[f.name] = cls._column(f.name, [parse(v) for v in values])
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"trace column {f.name}: {exc}") from exc
+        return cls(**columns)
 
     def save(self, path, memo: dict | None = None) -> None:
         Path(path).write_text(self.to_text(memo))
@@ -378,7 +396,9 @@ def summarize(traces) -> SummaryTable:
     """Per-step mean and standard error across runs.
 
     The standard error is the sample standard deviation over runs divided
-    by sqrt(#runs); a single run gets a zero error column.
+    by sqrt(#runs); a single run gets a zero error column that holds no
+    storage (see ``_standard_error``). The table's ``step`` and ``task`` are
+    the first trace's arrays, shared, not copied.
     """
     traces = list(traces)
     if not traces:
@@ -394,8 +414,8 @@ def summarize(traces) -> SummaryTable:
     inst = np.sort(np.stack([t.instantaneous for t in traces]), axis=0)
     cum = np.sort(np.stack([t.cumulative for t in traces]), axis=0)
     return SummaryTable(
-        step=traces[0].step.copy(),
-        task=traces[0].task.copy(),
+        step=traces[0].step,
+        task=traces[0].task,
         mean_instantaneous=inst.mean(axis=0),
         se_instantaneous=_standard_error(inst),
         mean_cumulative=cum.mean(axis=0),

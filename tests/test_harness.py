@@ -327,6 +327,14 @@ class TestTrace:
         with pytest.raises(DataError):
             RegretTrace.from_text("a,b,c\n1,2,3\n")
 
+    # 128 is past int8, the explored column's dtype; the others are no int
+    @pytest.mark.parametrize("cell", ["128", "1.0", "x"])
+    def test_cell_its_column_cannot_hold_rejected(self, cell):
+        header = ",".join(f.name for f in fields(RegretTrace))
+        assert RegretTrace.from_text(f"{header}\n1,1,0.0,0.0,5,-1,127\n").explored[0] == 127
+        with pytest.raises(DataError, match="explored"):
+            RegretTrace.from_text(f"{header}\n1,1,0.0,0.0,5,-1,{cell}\n")
+
     def test_from_record(self):
         spec = SyntheticSpec(p=6, support_size=2, norm_bound=5.0, beta_min=0.5)
         env = SyntheticEnvironment(spec, n_tasks=2, master_seed=0, grid_points=40)
@@ -347,13 +355,15 @@ AWKWARD_FLOATS = [0.0, -0.0, np.nan, NAN_PAYLOAD, np.inf, -np.inf, 5e-324, 1e16,
 
 @st.composite
 def array_columns(draw):
-    """2-4 equal-length int64 or float64 columns that repeat their values."""
+    """2-4 equal-length int (8 to 64 bits) or float64 columns that repeat
+    their values."""
     rows = draw(st.integers(1, 40))
     columns = []
     for _ in range(draw(st.integers(2, 4))):
         if draw(st.booleans()):
-            pool = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5)
-            dtype = np.int64
+            dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64]))
+            bounds = np.iinfo(dtype)
+            pool = st.lists(st.integers(int(bounds.min), int(bounds.max)), min_size=1, max_size=5)
         else:
             pool = st.lists(
                 st.sampled_from(AWKWARD_FLOATS) | st.floats(), min_size=1, max_size=8
@@ -365,10 +375,23 @@ def array_columns(draw):
     return columns
 
 
-# int64 0 and 4607182418800017408 have the bits of float64 0.0 and 1.0, and
-# print apart from them only by their dtype
+# the ints of each width that have the bits of the same-width float's 0.0,
+# 1.0 and -0.0 (for int64: 0, 4607182418800017408 and -(2**63)), and print
+# apart from them only by their dtype; int8 has no float of its width, and
+# its 0 has the bits of every other width's 0 but not their length
 SHARED_FLOATS = [0.0, -0.0, 1.0, np.nan, NAN_PAYLOAD]
-SHARED_INTS = [0, 4607182418800017408, -(2**63)]
+SHARED_WIDTHS = [
+    (np.int64, np.float64),
+    (np.int32, np.float32),
+    (np.int16, np.float16),
+    (np.int8, None),
+]
+
+
+def shared_ints(dtype, float_dtype):
+    if float_dtype is None:
+        return [0, 1, int(np.iinfo(dtype).min)]
+    return np.array([0.0, 1.0, -0.0], dtype=float_dtype).view(dtype).tolist()
 
 
 def table_rows(table):
@@ -379,22 +402,22 @@ def table_rows(table):
 
 @st.composite
 def shared_bit_files(draw):
-    """1-4 files of 1-4 columns, each drawn from one small pool of int64 and
-    float64 columns, so that files share columns, and int and float columns
-    share their bits."""
+    """1-4 files of 1-4 columns, each drawn from one small pool of int and
+    float columns of every width, so that files share columns, and int and
+    float columns share their bits."""
     rows = draw(st.integers(1, 12))
     pool = []
     for _ in range(draw(st.integers(1, 6))):
-        if draw(st.booleans()):
-            values, dtype = SHARED_INTS, np.int64
+        int_dtype, float_dtype = draw(st.sampled_from(SHARED_WIDTHS))
+        if float_dtype is None or draw(st.booleans()):
+            values, dtype, other = shared_ints(int_dtype, float_dtype), int_dtype, float_dtype
         else:
-            values, dtype = SHARED_FLOATS, np.float64
+            values, dtype, other = SHARED_FLOATS, float_dtype, int_dtype
         picks = st.lists(st.sampled_from(values), min_size=rows, max_size=rows)
         column = np.array(draw(picks), dtype=dtype)
         pool.append(column)
-        if draw(st.booleans()):
+        if other is not None and draw(st.booleans()):
             # the same bits under the other dtype
-            other = np.float64 if dtype is np.int64 else np.int64
             pool.append(column.view(other))
     columns = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
     return draw(st.lists(columns, min_size=1, max_size=4))
@@ -507,6 +530,9 @@ class TestCsv:
             assert np.array_equal(getattr(again, name).view(np.int64), bits)
         for name in ("step", "task", "kernel_size", "recovered", "explored"):
             assert np.array_equal(getattr(again, name), getattr(trace, name))
+        # the parser builds every column at its declared width
+        for f in fields(RegretTrace):
+            assert getattr(again, f.name).dtype == f.metadata["dtype"], f.name
 
 
 class TestSummarize:
@@ -558,6 +584,18 @@ def tiny_lifelong_pairs(out=None, kind="lifelong"):
     if out:
         pairs["out"] = str(out)
     return {key: value for key, value in pairs.items() if key in harness.KIND_KEYS[kind]}
+
+
+def held_bytes(result) -> int:
+    """The bytes of the arrays in a result's traces and summary: each buffer
+    once, a zero-stride column as 0."""
+    buffers = {}
+    for table in [*result.traces.values(), result.summary]:
+        for f in fields(table):
+            column = getattr(table, f.name)
+            if 0 not in column.strides:
+                buffers[column.__array_interface__["data"][0]] = column.nbytes
+    return sum(buffers.values())
 
 
 class TestRunExperiment:
@@ -752,6 +790,15 @@ class TestRunExperiment:
         assert set(result.traces) == {0, 1}
         loaded = RegretTrace.load(tmp_path / "trace_seed0.csv")
         assert loaded.to_text() == result.traces[0].to_text()
+
+    def test_one_seed_result_holds_each_column_once_at_its_width(self):
+        # 2 000 steps: a trace's 68 000 bytes and the summary's two 16 000-byte
+        # means; 8-byte columns, a copied step and task and stored zero errors
+        # would hold 208 000
+        result = run_experiment(build_config("baseline_full", {"seeds": "0,"}))
+        trace, summary = result.traces[0], result.summary
+        assert np.shares_memory(summary.step, trace.step)
+        assert held_bytes(result) <= 110_000
 
     def test_byte_identical_across_runs(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

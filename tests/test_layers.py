@@ -76,6 +76,8 @@ def test_layer_script_one_repeat(tmp_path):
     assert set(outputs) == {"baseline_oracle", "federated"}
     for kind in outputs.values():
         assert kind["steps"] == 2000 and kind["text_us"] > 0
+        # a trace's 68 000 bytes and the summary's two 16 000-byte means
+        assert kind["held_bytes"] == 100_000
         assert all(0 < count < 2000 for count in kind["distinct"])
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))

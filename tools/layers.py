@@ -97,9 +97,10 @@ Layers:
   default ``lifelong`` run at seed 0, one per task, at the width ``d`` of
   their union, as the runner steps them.
 - ``trace``: write, parse and summarize a 2 000-step regret trace (20 tasks
-  of 100 steps); summarize reads 20 copies of it. Its regrets are random
-  draws, all distinct: the worst case of the column writer, which formats
-  each distinct value of a column once.
+  of 100 steps), its columns at the dtypes ``RegretTrace`` declares;
+  summarize reads 20 copies of it. Its regrets are random draws, all
+  distinct: the worst case of the column writer, which formats each
+  distinct value of a column once.
 - ``harness.outputs``: the trace and summary text of one default
   ``baseline_oracle`` and one default ``federated`` seed (seed 0), the
   traffic the writer serves, made as a run writes its files: the summary
@@ -109,7 +110,10 @@ Layers:
   columns are one all-zero column). Real traces
   also repeat their values (most instantaneous regrets are exactly 0.0).
   ``distinct`` counts the distinct values of the trace's ``instantaneous``
-  and ``cumulative`` columns.
+  and ``cumulative`` columns. ``held_bytes`` counts the bytes of the arrays
+  the one-seed result holds in its traces and summary, each buffer once (the
+  summary shares the trace's ``step`` and ``task``) and a zero-stride column
+  (a one-seed standard error) as 0.
 """
 
 from __future__ import annotations
@@ -122,6 +126,7 @@ import platform
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -470,14 +475,18 @@ def trace_io(repeats: int) -> dict:
     rng = np.random.default_rng(3)
     n = TASKS * 100
     inst = rng.exponential(size=n)
+    columns = {
+        "step": np.arange(1, n + 1),
+        "task": np.repeat(np.arange(1, TASKS + 1), 100),
+        "instantaneous": inst,
+        "cumulative": np.cumsum(inst),
+        "kernel_size": rng.integers(1, 51, size=n),
+        "recovered": rng.integers(-1, 2, size=n),
+        "explored": rng.integers(0, 2, size=n),
+    }
+    # at the dtypes the runners' traces hold
     trace = RegretTrace(
-        step=np.arange(1, n + 1),
-        task=np.repeat(np.arange(1, TASKS + 1), 100),
-        instantaneous=inst,
-        cumulative=np.cumsum(inst),
-        kernel_size=rng.integers(1, 51, size=n),
-        recovered=rng.integers(-1, 2, size=n),
-        explored=rng.integers(0, 2, size=n),
+        **{f.name: columns[f.name].astype(f.metadata["dtype"]) for f in fields(RegretTrace)}
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
@@ -492,6 +501,18 @@ def trace_io(repeats: int) -> dict:
         **quartiles("parse_us", parse),
         **quartiles("summarize_us", summ),
     }
+
+
+def held_bytes(result) -> int:
+    """The bytes of the arrays in a result's traces and summary: each buffer
+    once, a zero-stride column as 0."""
+    buffers = {}
+    for table in [*result.traces.values(), result.summary]:
+        for f in fields(table):
+            column = getattr(table, f.name)
+            if 0 not in column.strides:
+                buffers[column.__array_interface__["data"][0]] = column.nbytes
+    return sum(buffers.values())
 
 
 def outputs_text(repeats: int) -> dict:
@@ -510,6 +531,7 @@ def outputs_text(repeats: int) -> dict:
         layer[kind] = {
             "steps": len(trace.step),
             "distinct": [len(np.unique(trace.instantaneous)), len(np.unique(trace.cumulative))],
+            "held_bytes": held_bytes(result),
             **quartiles("text_us", text),
         }
     return layer
