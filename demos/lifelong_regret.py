@@ -34,11 +34,10 @@ def main() -> None:
     print(f"hidden support: {env.support}")
     print(f"{'task':>4}  {'oracle':>8}  {'learned':>8}  {'naive':>8}  "
           f"{'|kernel|':>8}  recovered")
-    for s in range(args.tasks):
-        row = learned.tasks[s]
-        print(f"{s + 1:>4}  {oracle.tasks[s].regrets.sum():>8.1f}  "
-              f"{row.regrets.sum():>8.1f}  {naive.tasks[s].regrets.sum():>8.1f}  "
-              f"{len(row.kernel):>8}  {row.recovered}")
+    for s, kernel in enumerate(learned.kernels):
+        print(f"{s + 1:>4}  {oracle.regrets[s].sum():>8.1f}  "
+              f"{learned.regrets[s].sum():>8.1f}  {naive.regrets[s].sum():>8.1f}  "
+              f"{len(kernel):>8}  {kernel == learned.support}")
     print(f"\nfinal cumulative regret:  oracle {oracle.final_regret:.1f}   "
           f"learned {learned.final_regret:.1f}   naive {naive.final_regret:.1f}")
     print(f"learned kernel after last task: {learned.final_kernel}")

@@ -36,7 +36,6 @@ from .harness import (
 )
 from .lifelong import (
     LifelongRunRecord,
-    TaskRecord,
     integerize,
     run_baseline,
     run_lifelong,
@@ -70,7 +69,6 @@ __all__ = [
     "SummaryTable",
     "SyntheticEnvironment",
     "SyntheticSpec",
-    "TaskRecord",
     "UcbConfig",
     "VoteLedger",
     "build_config",

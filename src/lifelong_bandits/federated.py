@@ -14,12 +14,14 @@ whose path is declined falls back to the iterative solver alone.
 ``client_fit``, its one-client form, is kept only for perfbench's tracer.
 
 ``run_federated`` plans every client's forced prefix first, with the
-planning pass of :mod:`.lifelong`; then all clients' draws are fitted into
-votes in one ``client_fits`` call, whose fit reports the run record keeps,
-and the votes go into the ledger in client order. The server set after a
-client's own vote (or the full kernel when the set is empty) is the kernel
-of that client's agent, which is fed the forced draws before it selects;
-every agent steps in the agent pass of :mod:`.lifelong`.
+planning pass of :mod:`.lifelong`, client s in row s-1 of the plan's
+(m, n) arrays; then all clients' draws are fitted into votes in one
+``client_fits`` call, whose fit reports the run record keeps, and the
+votes go into the ledger in client order. The server set after a client's
+own vote (or the full kernel when the set is empty) is the kernel of that
+client's agent, which is fed the forced draws before it selects; every
+agent steps in the agent pass of :mod:`.lifelong`, which writes the (m, n)
+per-step arrays of the run's record.
 """
 
 from __future__ import annotations
@@ -167,10 +169,10 @@ def run_federated(
     the GP-UCB config ``ucb``.
     """
     ledger = VoteLedger(env.p, alpha)
-    plans = _plan(env, n, np.full(m, math.sqrt(n)), seed)
+    plan = _plan(env, n, np.full(m, math.sqrt(n)), seed)
     record = FederatedRunRecord(seed=seed)
     record.votes, record.reports = client_fits(
-        *_forced_draws(env, plans), lam, omega, clients=[plan.task for plan in plans]
+        *_forced_draws(env, *plan), lam, omega, clients=range(1, m + 1)
     )
     kernels = []
     for vote in record.votes:
@@ -180,6 +182,6 @@ def run_federated(
         if not selected:
             record.events.append((vote.client, "fallback"))
         kernels.append(selected or tuple(range(1, env.p + 1)))
-    record.tasks = _run_agents(env, n, plans, kernels, ucb, record)
+    _run_agents(env, *plan, kernels, ucb, record)
     record.final_kernel = kernels[-1]
     return record

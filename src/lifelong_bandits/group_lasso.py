@@ -635,7 +635,8 @@ def _lasso_paths(
     the (K, p) path points, and per task its report, or None if uncertified.
 
     Task s's rows are the first ``rows[s]`` of F[s] (r, p) and Y[s] (r,),
-    the rest zero. Each path starts at its lam_max with beta = 0. On the
+    the rest zero. Each path starts at its lam_max with beta = 0, where the
+    correlations are (2/N) times the design's crossterms C. On the
     active set A with signs s_A, lowering lam by t moves beta_A by t * d with
     (2/N) G_AA d = s_A, so every active correlation (2/N) phi_j^T r stays at
     +-lam. A step takes every unfinished task to its own nearest event: an
@@ -652,7 +653,7 @@ def _lasso_paths(
     beta = np.zeros((K, p))
     steps = np.zeros(K, dtype=int)
     declined = np.zeros(K, dtype=bool)
-    corr = (2.0 / rows)[:, None] * np.matmul(Y[:, None, :], F)[:, 0]
+    corr = (2.0 / rows)[:, None] * design.C
     at = np.abs(corr).max(axis=1)
     live = np.flatnonzero(at > lam)
     # the unfinished tasks' data and state, compacted whenever tasks leave;

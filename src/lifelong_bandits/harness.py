@@ -331,22 +331,22 @@ class RegretTrace:
 
     @classmethod
     def from_record(cls, record: LifelongRunRecord) -> "RegretTrace":
-        tasks = record.tasks
-        lengths = [len(t.regrets) for t in tasks]
-        inst = np.concatenate([t.regrets for t in tasks])
-        recovered = [-1 if t.recovered is None else int(t.recovered) for t in tasks]
+        m, n = record.regrets.shape
+        inst = record.regrets.ravel()
+        support = record.support
+        recovered = [-1 if support is None else int(k == support) for k in record.kernels]
 
         def per_task(name, values):
-            return np.repeat(cls._column(name, values), lengths)
+            return np.repeat(cls._column(name, values), n)
 
         return cls(
-            step=np.arange(1, len(inst) + 1),
-            task=per_task("task", [t.task for t in tasks]),
+            step=np.arange(1, m * n + 1),
+            task=per_task("task", np.arange(1, m + 1)),
             instantaneous=inst,
             cumulative=np.cumsum(inst),
-            kernel_size=per_task("kernel_size", [len(t.kernel) for t in tasks]),
+            kernel_size=per_task("kernel_size", [len(k) for k in record.kernels]),
             recovered=per_task("recovered", recovered),
-            explored=cls._column("explored", np.concatenate([t.explored for t in tasks])),
+            explored=cls._column("explored", record.explored.ravel()),
         )
 
     def to_text(self, memo: dict | None = None) -> str:

@@ -1,20 +1,23 @@
 """Sequential bandit tasks with kernel learning between tasks.
 
-Every runner does the same three things. It plans its tasks with
-``_plan``, which draws, for every task, the forced prefix (uniform over the
-candidate grid, from the task's exploration substream, which a task without
-forced draws never builds) and the noise of all n observations (one draw
-from the task's noise substream, the same numbers ``TaskView.observe``
-would draw one at a time). It then learns every task's kernel, a sorted
-tuple of group indices (see :mod:`.features`): the forced draws, the votes
-and a pooled fit over forced data read nothing an agent chose, so every
-kernel is known before any agent runs. Last, ``_run_agents`` steps every
-task in one ``LockstepUcb`` (see :mod:`.gp_ucb`), each task's kernel a
-prior weight over the union of the tasks' groups, with the features sliced
-once from the environment's feature table. A run uses one ``UcbConfig``,
-its ``ucb`` argument, and its record keeps the ``SolverReport`` of each
-kernel fit it made, in fit order (none for ``run_baseline``). The runners
-differ only in their forced-draw rates and in where the kernel comes from:
+A run's m tasks of n steps are (m, n) arrays, row s-1 for task s, from
+the plan to the record. Every runner does the same three things. It plans
+its tasks with ``_plan``: each task's forced prefix (uniform over the
+candidate grid, from the task's exploration substream, which a task
+without forced draws never builds) and the noise of all n observations
+(one draw from the task's noise substream, the same numbers
+``TaskView.observe`` would draw one at a time). It then learns every
+task's kernel, a sorted tuple of group indices (see :mod:`.features`): the
+forced draws, the votes and a pooled fit over forced data read nothing an
+agent chose, so every kernel is known before any agent runs. Last,
+``_run_agents`` steps every task in one ``LockstepUcb`` (see
+:mod:`.gp_ucb`), each task's kernel a prior weight over the union of the
+tasks' groups, with the features sliced once from the environment's
+feature table, and fills the run's ``LifelongRunRecord``. A run uses one
+``UcbConfig``, its ``ucb`` argument, and its record keeps the
+``SolverReport`` of each kernel fit it made, in fit order (none for
+``run_baseline``). The runners differ only in their forced-draw rates and
+in where the kernel comes from:
 
 ``run_lifelong`` (LiBO)
     rate sqrt(n) / s^(1/4) for task s (the decreasing schedule); a pooled
@@ -42,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .environment import TaskView
 from .gp_ucb import LockstepUcb, UcbConfig
 from .group_lasso import PooledDesign, SolverReport
 from .seeding import STREAM_EXPLORE, substream
@@ -68,100 +70,88 @@ def integerize(rates) -> np.ndarray:
 
 
 @dataclass
-class TaskRecord:
-    """One task's trace: the kernel it ran under and what happened per step."""
-
-    task: int
-    kernel: tuple[int, ...]
-    explore_count: int
-    actions: np.ndarray
-    rewards: np.ndarray
-    regrets: np.ndarray
-    explored: np.ndarray
-    recovered: bool | None
-
-
-@dataclass
 class LifelongRunRecord:
-    """Full trace of a sequential run plus bookkeeping for the harness.
+    """A run's tasks, row s-1 for task s, plus bookkeeping for the harness.
 
-    ``reports`` holds the ``SolverReport`` of each kernel fit, in fit order.
-    ``events`` lists (task, "fallback") pairs: the task's fit converged but
-    kept no group, and the full kernel took over.
+    ``kernels[s-1]`` is the kernel task s ran under. ``actions``,
+    ``rewards``, ``regrets`` and ``explored`` are (m, n): per task and step,
+    the grid index taken, its observation, its regret, and whether it was a
+    forced draw. ``support`` is the environment's true support, None if it
+    has none. ``reports`` holds the ``SolverReport`` of each kernel fit, in
+    fit order. ``events`` lists (task, "fallback") pairs: the task's fit
+    converged but kept no group, and the full kernel took over.
     """
 
     seed: int
-    tasks: list[TaskRecord] = field(default_factory=list)
+    kernels: list[tuple[int, ...]] = field(default_factory=list)
+    actions: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=int))
+    rewards: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    regrets: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    explored: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=bool))
+    support: tuple[int, ...] | None = None
     reports: list[SolverReport] = field(default_factory=list)
     events: list[tuple[int, str]] = field(default_factory=list)
     final_kernel: tuple[int, ...] = ()
     max_gain_slack: float = -math.inf
 
     def cumulative_regret(self) -> np.ndarray:
-        return np.cumsum(np.concatenate([t.regrets for t in self.tasks]))
+        return np.cumsum(self.regrets)
 
     @property
     def final_regret(self) -> float:
         return float(self.cumulative_regret()[-1])
 
 
-@dataclass
-class _Plan:
-    """One planned task: its forced draws and their rewards, and the noise
-    of all its observations."""
+def _plan(env, n: int, rates, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plan tasks 1..m, one per entry of ``rates``: the (m,) forced counts,
+    the (m, n) forced grid indices (-1 past each count) and the (m, n)
+    noise terms.
 
-    task: int
-    view: TaskView
-    drawn: list[int]
-    drawn_y: np.ndarray
-    noise: np.ndarray
-
-
-def _plan(env, n: int, rates, seed: int) -> list[_Plan]:
-    """Plan tasks 1..m, one per entry of ``rates``: task s draws
-    min(n, integerize(rates)[s-1]) forced points, uniform over the grid
-    from its exploration substream (built only when the task draws from
-    it), and the noise of all n observations. Each task's numbers come from
-    its own substreams, so they do not depend on the order of the draws."""
+    Task s draws min(n, integerize(rates)[s-1]) forced points, uniform over
+    the grid from its exploration substream (built only when the task draws
+    from it), and the noise of all n observations from its view. Each task's
+    numbers come from its own substreams, so they do not depend on the order
+    of the draws."""
     m = len(rates)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if m > env.m:
         raise ConfigError("environment has too few tasks")
-    plans = []
-    for s, count in enumerate(np.minimum(integerize(rates), n).tolist(), start=1):
-        view = env.task_view(s)
-        drawn = []
+    counts = np.minimum(integerize(rates), n)
+    forced = np.full((m, n), -1)
+    noise = np.empty((m, n))
+    for s, count in enumerate(counts.tolist(), start=1):
         if count:
-            drawn = substream(seed, STREAM_EXPLORE, s).integers(env.grid_size, size=count).tolist()
-        noise = view.noise_terms(n)
-        plans.append(_Plan(s, view, drawn, view.values[drawn] + noise[:count], noise))
-    return plans
+            forced[s - 1, :count] = substream(seed, STREAM_EXPLORE, s).integers(env.grid_size, size=count)
+        noise[s - 1] = env.task_view(s).noise_terms(n)
+    return counts, forced, noise
 
 
-def _forced_draws(env, plans) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _forced_draws(env, counts, forced, noise) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per planned task, the grid feature rows of its forced draws and their rewards."""
-    return [env.grid_features[plan.drawn] for plan in plans], [plan.drawn_y for plan in plans]
+    drawn = [forced[s, :count] for s, count in enumerate(counts.tolist())]
+    return (
+        [env.grid_features[idx] for idx in drawn],
+        [env.values[idx, s] + noise[s, : len(idx)] for s, idx in enumerate(drawn)],
+    )
 
 
-def _run_agents(env, n, plans, kernels, ucb, record) -> list[TaskRecord]:
-    """Run the planned tasks, n steps each, in one ``LockstepUcb``.
+def _run_agents(env, counts, forced, noise, kernels, ucb, record) -> None:
+    """Run the planned tasks, n steps each, in one ``LockstepUcb``, and write
+    their kernels, steps and the environment's support into ``record``.
 
-    Each task's entry of ``kernels`` is its agent's kernel, and
-    ``ucb`` the config of all. Each task observes its forced draws first,
-    then its UCB choices; an observation is the task's grid value plus its
-    pre-drawn noise term.
+    Each task's entry of ``kernels`` is its agent's kernel, and ``ucb`` the
+    config of all. Each task observes its forced draws first, then its UCB
+    choices; an observation is the task's grid value plus its pre-drawn
+    noise term.
     """
+    m, n = forced.shape
     group = LockstepUcb(env.grid_features, kernels, ucb)
-    values = np.stack([plan.view.values for plan in plans])
-    noise = np.stack([plan.noise for plan in plans])
-    actions = np.empty((len(plans), n), dtype=int)
-    forced = np.full(actions.shape, -1)
-    for j, plan in enumerate(plans):
-        forced[j, : len(plan.drawn)] = plan.drawn
-    rows = np.arange(len(plans))
-    all_forced = min(len(plan.drawn) for plan in plans)
-    any_forced = max(len(plan.drawn) for plan in plans)
+    values = env.values[:, :m]
+    rows = np.arange(m)
+    actions = np.empty((m, n), dtype=int)
+    rewards = np.empty((m, n))
+    all_forced, any_forced = counts.min(), counts.max()
     for i in range(n):
         if i < all_forced:
             idx = forced[:, i]
@@ -169,22 +159,14 @@ def _run_agents(env, n, plans, kernels, ucb, record) -> list[TaskRecord]:
             idx = group.select()
             if i < any_forced:
                 np.copyto(idx, forced[:, i], where=forced[:, i] >= 0)
-        group.observe(idx, values[rows, idx] + noise[:, i])
-        actions[:, i] = idx
-    record.max_gain_slack = max(record.max_gain_slack, group.max_gain_slack.max())
-    return [
-        TaskRecord(
-            task=plan.task,
-            kernel=kernel,
-            explore_count=len(plan.drawn),
-            actions=taken,
-            rewards=plan.view.values[taken] + plan.noise,
-            regrets=plan.view.regret(taken),
-            explored=np.arange(n) < len(plan.drawn),
-            recovered=None if env.support is None else kernel == env.support,
-        )
-        for plan, kernel, taken in zip(plans, kernels, actions)
-    ]
+        y = values[idx, rows] + noise[:, i]
+        group.observe(idx, y)
+        actions[:, i], rewards[:, i] = idx, y
+    record.max_gain_slack = group.max_gain_slack.max()
+    record.kernels, record.actions, record.rewards = list(kernels), actions, rewards
+    record.regrets = values.max(axis=0)[:, None] - values[actions, rows[:, None]]
+    record.explored = forced >= 0
+    record.support = env.support
 
 
 def run_lifelong(
@@ -207,11 +189,11 @@ def run_lifelong(
     starts from the last converged one (``selection.learn_kernels``). Every
     task's agent runs under the GP-UCB config ``ucb``.
     """
-    plans = _plan(env, n, math.sqrt(n) / np.arange(1, m + 1) ** 0.25, seed)
+    plan = _plan(env, n, math.sqrt(n) / np.arange(1, m + 1) ** 0.25, seed)
     record = LifelongRunRecord(seed=seed)
     # every task's draws in one design, whose first s tasks the fit after
     # task s reads; task 1 always has forced draws
-    design = PooledDesign(*_forced_draws(env, plans))
+    design = PooledDesign(*_forced_draws(env, *plan))
     lams = [lam / math.sqrt(s) for s in range(1, m + 1)]
     kernels = [tuple(range(1, env.p + 1))]
     for s, outcome in enumerate(learn_kernels(design, range(1, m + 1), omega, lams), start=1):
@@ -220,7 +202,7 @@ def run_lifelong(
             record.events.append((s, "fallback"))
         kernels.append(outcome.selected if outcome.report.converged else kernels[-1])
     record.final_kernel = kernels.pop()
-    record.tasks = _run_agents(env, n, plans, kernels, ucb, record)
+    _run_agents(env, *plan, kernels, ucb, record)
     return record
 
 
@@ -240,7 +222,6 @@ def run_baseline(
     if kernel == "oracle" and env.support is None:
         raise ConfigError("environment does not expose a true support")
     pinned = env.support if kernel == "oracle" else tuple(range(1, env.p + 1))
-    plans = _plan(env, n, np.zeros(m), seed)
     record = LifelongRunRecord(seed=seed, final_kernel=pinned)
-    record.tasks = _run_agents(env, n, plans, [pinned] * m, ucb, record)
+    _run_agents(env, *_plan(env, n, np.zeros(m), seed), [pinned] * m, ucb, record)
     return record

@@ -218,8 +218,8 @@ def regret_study():
         # forced draws and the noise come from the seed's substreams, not
         # from the kernel, so they are the learned run's
         matched = LifelongRunRecord(seed=seed)
-        plans = _plan(env, n, np.sqrt(n) / np.arange(1, m + 1) ** 0.25, seed)
-        matched.tasks = _run_agents(env, n, plans, [env.support] * m, ucb, matched)
+        plan = _plan(env, n, np.sqrt(n) / np.arange(1, m + 1) ** 0.25, seed)
+        _run_agents(env, *plan, [env.support] * m, ucb, matched)
         records["matched"].append(matched)
     records["elapsed"] = time.time() - t0
     return records
@@ -242,18 +242,17 @@ def _mean_final(records) -> float:
 
 
 def _mean_last3(records, explored_only: bool = False) -> float:
-    def cost(t):
-        return t.regrets[t.explored].sum() if explored_only else t.regrets.sum()
+    def cost(rec):
+        regrets = rec.regrets[-3:]
+        return regrets[rec.explored[-3:]].sum() if explored_only else regrets.sum()
 
-    return float(np.mean([sum(cost(t) for t in rec.tasks[-3:]) for rec in records]))
+    return float(np.mean([cost(rec) for rec in records]))
 
 
 def _same_forced_prefix(a, b) -> bool:
     """Both runs took the same forced draws at the same steps in every task."""
-    return len(a.tasks) == len(b.tasks) and all(
-        np.array_equal(ta.explored, tb.explored)
-        and np.array_equal(ta.actions[ta.explored], tb.actions[tb.explored])
-        for ta, tb in zip(a.tasks, b.tasks)
+    return np.array_equal(a.explored, b.explored) and np.array_equal(
+        a.actions[a.explored], b.actions[b.explored]
     )
 
 
@@ -322,7 +321,7 @@ def test_criterion_6_schedule_laws():
     count_errors = 0
     for n, m in ((100, 20), (9, 7), (400, 1)):
         env = SyntheticEnvironment(spec, n_tasks=m, master_seed=0, grid_points=30)
-        got = [t.explore_count for t in run_lifelong(env, m, n, 0.25, 0.1, seed=0).tasks]
+        got = run_lifelong(env, m, n, 0.25, 0.1, seed=0).explored.sum(axis=1)
         want = np.minimum(integerize(np.sqrt(n) / np.arange(1, m + 1) ** 0.25), n)
         count_errors += int(np.sum(np.array(got) != want))
     count_ok = count_errors == 0

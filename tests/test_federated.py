@@ -223,15 +223,13 @@ class TestRunFederated:
         record = run_federated(env, m=1, n=49, omega=0.25, lam=0.05, alpha=0.5, seed=1)
         vote = record.votes[0]
         expected = vote.indices if vote.indices else tuple(range(1, 9))
-        assert record.tasks[0].kernel == expected
+        assert record.kernels == [expected]
         assert record.server_sets[0] == vote.indices
 
     def test_constant_exploration_counts(self):
         env = small_env(seed=4)
         record = run_federated(env, m=4, n=100, omega=0.25, lam=0.1, alpha=0.25, seed=0)
-        assert [t.explore_count for t in record.tasks] == [10, 10, 10, 10]
-        for t in record.tasks:
-            assert t.explored[:10].all() and not t.explored[10:].any()
+        assert np.array_equal(record.explored, np.tile(np.arange(100) < 10, (4, 1)))
 
     def test_own_vote_counts_before_exploitation(self):
         env = small_env(seed=5)
@@ -242,7 +240,7 @@ class TestRunFederated:
             expected = ledger.selected()
             assert record.server_sets[s - 1] == expected
             kernel = expected if expected else tuple(range(1, 9))
-            assert record.tasks[s - 1].kernel == kernel
+            assert record.kernels[s - 1] == kernel
 
     def test_identical_noiseless_clients_agree_immediately(self):
         atlas = FeatureAtlas(BasisFamily.COSINE_1D, 8)
@@ -262,9 +260,8 @@ class TestRunFederated:
     def test_determinism(self):
         a = run_federated(small_env(seed=7), m=3, n=25, omega=0.25, lam=0.1, alpha=0.25, seed=4)
         b = run_federated(small_env(seed=7), m=3, n=25, omega=0.25, lam=0.1, alpha=0.25, seed=4)
-        for ta, tb in zip(a.tasks, b.tasks):
-            assert np.array_equal(ta.actions, tb.actions)
-            assert np.array_equal(ta.rewards, tb.rewards)
+        assert np.array_equal(a.actions, b.actions)
+        assert np.array_equal(a.rewards, b.rewards)
         assert a.votes == b.votes
 
     def test_info_gain_within_slack(self):

@@ -345,6 +345,14 @@ class TestTrace:
         assert np.all(trace.kernel_size == 2)
         assert np.all(trace.recovered == 1)
 
+    def test_default_record_is_one_table_the_trace_ravels(self):
+        # a run's tasks are (m, n) arrays, and the trace's regret column is
+        # a view of them, not a copy
+        config = build_config(pairs={"kind": "baseline_full", "seeds": "0,"})
+        record = harness._run_one_seed(config, 0, None)
+        assert record.regrets.shape == (config.m, config.n)
+        assert np.shares_memory(RegretTrace.from_record(record).instantaneous, record.regrets)
+
 
 # floats whose text is easy to get wrong: signed zeros, NaN (a second payload
 # too), infinities, the smallest subnormal, a float past 2**53 and two whose
@@ -653,7 +661,7 @@ class TestRunExperiment:
         for record in records.values():
             assert [report.converged for report in record.reports] == [False] * 4
             assert record.events == []
-            assert all(task.kernel == tuple(range(1, 51)) for task in record.tasks)
+            assert record.kernels == [tuple(range(1, 51))] * 4
 
     def test_federated_fits_that_never_converge_vote_failed(self, tmp_path, monkeypatch):
         # every client's fit fails: its vote is empty and flagged, and with
@@ -670,7 +678,7 @@ class TestRunExperiment:
             assert [(row[1], row[3]) for row in rows] == [("", "1")] * 4
             assert [report.converged for report in record.reports] == [False] * 4
             assert record.events == [(s, "fallback") for s in range(1, 5)]
-            assert all(task.kernel == tuple(range(1, 51)) for task in record.tasks)
+            assert record.kernels == [tuple(range(1, 51))] * 4
 
     @pytest.mark.parametrize("kind", ["lifelong", "offline"])
     def test_fit_after_a_failed_fit_starts_from_the_last_converged_fit(
@@ -704,7 +712,7 @@ class TestRunExperiment:
         reports = record.reports if kind == "lifelong" else [trial.report for trial in record]
         assert [a is b for a, (_, b) in zip(reports, fits, strict=True)] == [True] * 4
         if kind == "lifelong":
-            assert record.tasks[2].kernel == record.tasks[1].kernel
+            assert record.kernels[2] == record.kernels[1]
 
     @pytest.mark.parametrize("kind", ["lifelong", "offline"])
     def test_every_converged_fit_of_a_runner_is_certified(self, monkeypatch, kind):

@@ -1,5 +1,6 @@
 """Forced-exploration counts and the sequential task runners."""
 
+import copy
 import math
 import os
 import subprocess
@@ -49,7 +50,7 @@ def run(runner, m, n, *, env=None, seed=0):
 
 
 def explore_counts(runner, m, n) -> list[int]:
-    return [task.explore_count for task in run(runner, m, n).tasks]
+    return run(runner, m, n).explored.sum(axis=1).tolist()
 
 
 def libo_rates(m, n) -> np.ndarray:
@@ -185,15 +186,15 @@ class TestRunLifelong:
             idx = int(rng.integers(env.grid_size)) if i < ne else agent.select(env.grid)
             agent.observe(idx, view.observe(idx), env.grid)
             actions.append(idx)
-        assert record.tasks[0].explore_count == ne
-        assert list(record.tasks[0].actions) == actions
-        assert record.tasks[0].kernel == tuple(range(1, env.atlas.p + 1))
+        assert record.explored.sum() == ne
+        assert record.actions.tolist() == [actions]
+        assert record.kernels == [tuple(range(1, env.atlas.p + 1))]
 
     def test_huge_omega_never_narrows_kernel(self):
         env = small_env(seed=4, n_tasks=4)
         record = run_lifelong(env, m=4, n=16, omega=1e9, lam=0.1, seed=0)
         full = tuple(range(1, env.atlas.p + 1))
-        assert all(t.kernel == full for t in record.tasks)
+        assert record.kernels == [full] * 4
         assert record.final_kernel == full
         kinds = {kind for _, kind in record.events}
         assert kinds == {"fallback"}
@@ -201,9 +202,8 @@ class TestRunLifelong:
     def test_exploration_prefix_flags(self):
         env = small_env(seed=5, n_tasks=5)
         record = run_lifelong(env, m=5, n=25, omega=0.25, lam=0.1, seed=2)
-        for t in record.tasks:
-            assert t.explored[: t.explore_count].all()
-            assert not t.explored[t.explore_count :].any()
+        counts = np.array(paper_counts("lifelong", 5, 25))
+        assert np.array_equal(record.explored, np.arange(25) < counts[:, None])
 
     def test_exploration_draws_look_uniform(self):
         spec = SyntheticSpec(p=4, support_size=1, norm_bound=5.0, beta_min=0.5)
@@ -211,8 +211,7 @@ class TestRunLifelong:
         for seed in (0, 1):
             env = SyntheticEnvironment(spec, n_tasks=25, master_seed=seed, grid_points=30)
             record = run_lifelong(env, m=25, n=36, omega=0.25, lam=0.1, seed=seed)
-            for t in record.tasks:
-                pulls.extend(t.actions[t.explored])
+            pulls.extend(record.actions[record.explored])
         counts = np.bincount(pulls, minlength=30)
         assert stats.chisquare(counts).pvalue > 0.001
 
@@ -221,28 +220,26 @@ class TestRunLifelong:
         env_b = small_env(seed=6, n_tasks=3)
         full = run_lifelong(env_a, m=3, n=20, omega=0.25, lam=0.1, seed=1)
         short = run_lifelong(env_b, m=2, n=20, omega=0.25, lam=0.1, seed=1)
-        for a, b in zip(full.tasks[:2], short.tasks):
-            assert a.kernel == b.kernel
-            assert np.array_equal(a.actions, b.actions)
-            assert np.array_equal(a.rewards, b.rewards)
+        assert full.kernels[:2] == short.kernels
+        assert np.array_equal(full.actions[:2], short.actions)
+        assert np.array_equal(full.rewards[:2], short.rewards)
 
     def test_determinism(self):
         a = run_lifelong(small_env(seed=7), m=4, n=18, omega=0.25, lam=0.1, seed=9)
         b = run_lifelong(small_env(seed=7), m=4, n=18, omega=0.25, lam=0.1, seed=9)
         assert a.final_kernel == b.final_kernel
-        for ta, tb in zip(a.tasks, b.tasks):
-            assert np.array_equal(ta.actions, tb.actions)
-            assert np.array_equal(ta.rewards, tb.rewards)
+        assert np.array_equal(a.actions, b.actions)
+        assert np.array_equal(a.rewards, b.rewards)
 
     def test_recovers_support_and_sticks(self):
         env = small_env(seed=8, n_tasks=8, noise=0.05)
         record = run_lifelong(env, m=8, n=60, omega=0.25, lam=0.1, seed=3)
         assert record.final_kernel == env.support
         # the kernel each update produced: task s+1 ran under it, the last is final
-        after = [t.kernel for t in record.tasks[1:]] + [record.final_kernel]
+        after = record.kernels[1:] + [record.final_kernel]
         hit = [s for s, kernel in enumerate(after, start=1) if kernel == env.support]
         assert hit and all(kernel == env.support for kernel in after[hit[0] - 1 :])
-        assert record.tasks[-1].recovered is True
+        assert record.kernels[-1] == record.support == env.support
 
     def test_info_gain_within_slack(self):
         record = run_lifelong(small_env(seed=9), m=3, n=24, omega=0.25, lam=0.1, seed=4)
@@ -250,9 +247,8 @@ class TestRunLifelong:
 
     def test_regrets_nonnegative_and_lengths(self):
         record = run_lifelong(small_env(seed=10), m=3, n=17, omega=0.25, lam=0.1, seed=5)
-        for t in record.tasks:
-            assert len(t.actions) == len(t.rewards) == len(t.regrets) == 17
-            assert np.all(t.regrets >= 0)
+        assert record.actions.shape == record.rewards.shape == record.regrets.shape == (3, 17)
+        assert np.all(record.regrets >= 0)
         assert len(record.cumulative_regret()) == 3 * 17
 
     def test_inv_sqrt_policy_runs(self, monkeypatch):
@@ -266,7 +262,7 @@ class TestRunLifelong:
 
         monkeypatch.setattr(selection, "learn_kernel", recording)
         record = run_lifelong(small_env(seed=11), m=3, n=16, omega=0.25, lam=0.3, seed=6)
-        assert len(record.tasks) == 3
+        assert len(record.kernels) == 3
         assert penalties == [0.3 / math.sqrt(s) for s in (1, 2, 3)]
 
     def test_every_fit_reads_a_prefix_of_one_design(self, monkeypatch):
@@ -294,10 +290,9 @@ class TestBaseline:
     def test_oracle_kernel_is_pinned(self):
         env = small_env(seed=13)
         record = run_baseline(env, "oracle", m=3, n=15, seed=1)
-        assert all(t.kernel == env.support for t in record.tasks)
-        assert all(t.explore_count == 0 for t in record.tasks)
-        assert all(not t.explored.any() for t in record.tasks)
-        assert all(t.recovered is True for t in record.tasks)
+        assert record.kernels == [env.support] * 3
+        assert record.explored.shape == (3, 15) and not record.explored.any()
+        assert record.support == env.support
 
     @pytest.mark.parametrize("kernel", ["oracle", "full"])
     def test_pinned_kernel_fits_nothing(self, kernel):
@@ -322,8 +317,7 @@ class TestBaseline:
     def test_determinism(self):
         a = run_baseline(small_env(seed=15), "full", m=2, n=12, seed=2)
         b = run_baseline(small_env(seed=15), "full", m=2, n=12, seed=2)
-        for ta, tb in zip(a.tasks, b.tasks):
-            assert np.array_equal(ta.actions, tb.actions)
+        assert np.array_equal(a.actions, b.actions)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigError):
@@ -336,20 +330,28 @@ class TestBaseline:
             run_baseline(small_env(), "oracle", m=2, n=0)
 
 
-def pinned_run(env, kernel, rates, n, *, seed, alone):
-    """Records of one task per entry of ``rates`` under one pinned kernel,
-    as one group or each alone.
-
-    Alone, each planned task's agent runs in an agent pass of its own.
-    """
+def pinned_group(env, kernel, rates, n, *, seed):
+    """The record of one task per entry of ``rates``, all under one pinned
+    kernel, run as one group."""
     record = LifelongRunRecord(seed=seed)
-    plans = _plan(env, n, rates, seed)
-    if not alone:
-        record.tasks = _run_agents(env, n, plans, [kernel] * len(plans), UcbConfig(), record)
-        return record
-    for plan in plans:
-        record.tasks += _run_agents(env, n, [plan], [kernel], UcbConfig(), record)
+    counts, forced, noise = _plan(env, n, rates, seed)
+    _run_agents(env, counts, forced, noise, [kernel] * len(rates), UcbConfig(), record)
     return record
+
+
+def pinned_alone(env, kernel, rates, n, *, seed):
+    """The records of the same tasks, each run alone: task s in an agent
+    pass of its own, on a copy of the environment that holds only its
+    values."""
+    counts, forced, noise = _plan(env, n, rates, seed)
+    records = []
+    for s in range(len(rates)):
+        alone = copy.copy(env)
+        alone.values = env.values[:, s : s + 1]
+        records.append(LifelongRunRecord(seed=seed))
+        part = slice(s, s + 1)
+        _run_agents(alone, counts[part], forced[part], noise[part], [kernel], UcbConfig(), records[-1])
+    return records
 
 
 class TestLockstep:
@@ -375,7 +377,7 @@ class TestLockstep:
             record = run_lifelong(env, self.M, self.N, 0.25, 0.5, seed=5)
         else:
             record = run_federated(env, self.M, self.N, 0.25, 0.2, 0.25, seed=5)
-        return sorted({task.kernel for task in record.tasks})
+        return sorted(set(record.kernels))
 
     @pytest.mark.parametrize("source", ["pinned", "lifelong", "federated"])
     def test_group_records_match_tasks_run_alone(self, env, source):
@@ -383,24 +385,22 @@ class TestLockstep:
         assert len(kernels) >= 2 and all(any(j % 2 for j in k) for k in kernels)
         for kernel in kernels:
             for rates in (np.zeros(self.M), libo_rates(self.M, self.N)):
-                group = pinned_run(env, kernel, rates, self.N, seed=5, alone=False)
-                alone = pinned_run(env, kernel, rates, self.N, seed=5, alone=True)
-                for a, b in zip(group.tasks, alone.tasks, strict=True):
-                    for name in ("task", "kernel", "explore_count"):
-                        assert getattr(a, name) == getattr(b, name), name
+                group = pinned_group(env, kernel, rates, self.N, seed=5)
+                alone = pinned_alone(env, kernel, rates, self.N, seed=5)
+                assert len(alone) == len(group.kernels) == self.M
+                for s, one in enumerate(alone):
+                    assert one.kernels == [group.kernels[s]]
                     for name in ("actions", "rewards", "regrets", "explored"):
-                        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+                        assert np.array_equal(getattr(group, name)[s], getattr(one, name)[0]), name
                 # the gains agree up to the rounding of the stacked products
-                assert group.max_gain_slack == pytest.approx(alone.max_gain_slack, abs=1e-12)
+                slack = max(one.max_gain_slack for one in alone)
+                assert group.max_gain_slack == pytest.approx(slack, abs=1e-12)
 
     def test_group_slack_is_the_worst_task_alone(self, env):
         kernel = env.support
-        group = pinned_run(env, kernel, np.zeros(4), 30, seed=2, alone=False)
-        slacks = [pinned_run(env, kernel, np.zeros(s), 30, seed=2, alone=True).max_gain_slack
-                  for s in range(1, 5)]
-        # a run of s tasks alone holds the worst slack of its first s tasks
-        assert slacks == sorted(slacks)
-        assert group.max_gain_slack == pytest.approx(slacks[-1], abs=1e-12)
+        group = pinned_group(env, kernel, np.zeros(4), 30, seed=2)
+        slacks = [one.max_gain_slack for one in pinned_alone(env, kernel, np.zeros(4), 30, seed=2)]
+        assert group.max_gain_slack == pytest.approx(max(slacks), abs=1e-12)
 
     def test_info_gain_check_raises_inside_a_group(self, env, monkeypatch):
         def not_constructed(*args):
@@ -438,22 +438,23 @@ class TestMirrorSymmetricRun:
             record = run_lifelong(env, self.M, self.N, 0.25, 0.5, seed=self.SEED)
         else:
             record = run_baseline(env, "oracle", self.M, self.N, seed=self.SEED)
-        assert len({task.kernel for task in record.tasks}) < self.M
-        for task in record.tasks:
-            agent = GpUcb(env.atlas, task.kernel, UcbConfig())
-            view = env.task_view(task.task)
-            rng = substream(self.SEED, STREAM_EXPLORE, task.task)
+        assert len(set(record.kernels)) < self.M
+        counts = paper_counts(runner, self.M, self.N)
+        for s, kernel in enumerate(record.kernels, start=1):
+            agent = GpUcb(env.atlas, kernel, UcbConfig())
+            view = env.task_view(s)
+            rng = substream(self.SEED, STREAM_EXPLORE, s)
             actions, rewards = [], []
             for i in range(self.N):
-                if i < task.explore_count:
+                if i < counts[s - 1]:
                     idx = int(rng.integers(env.grid_size))
                 else:
                     idx = agent.select(env.grid)
                 rewards.append(view.observe(idx))
                 agent.observe(idx, rewards[-1], env.grid)
                 actions.append(idx)
-            assert task.actions.tolist() == actions, task.task
-            assert task.rewards.tolist() == rewards, task.task
+            assert record.actions[s - 1].tolist() == actions, s
+            assert record.rewards[s - 1].tolist() == rewards, s
 
 
 def test_runtime_does_not_import_scipy():
@@ -466,7 +467,7 @@ def test_runtime_does_not_import_scipy():
         "spec = SyntheticSpec(p=6, support_size=2, norm_bound=5.0, beta_min=0.5)\n"
         "env = SyntheticEnvironment(spec, n_tasks=2, master_seed=0, grid_points=30)\n"
         "record = run_lifelong(env, m=2, n=8, omega=0.25, lam=0.1, seed=0)\n"
-        "assert len(record.tasks) == 2\n"
+        "assert record.regrets.shape == (2, 8)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(lifelong_bandits.__file__).resolve().parents[1])

@@ -584,8 +584,7 @@ def main(argv=None) -> int:
     layers["gp_ucb.step_d50"] = ucb_step(tuple(range(1, 51)), args.repeats)
     layers["gp_ucb.lockstep_d5"] = ucb_lockstep([(1, 2, 3, 4, 5)] * TASKS, args.repeats)
     layers["gp_ucb.lockstep_d50"] = ucb_lockstep([tuple(range(1, 51))] * TASKS, args.repeats)
-    kernels = [task.kernel for task in record.tasks]
-    layers["gp_ucb.lockstep_mixed"] = ucb_lockstep(kernels, args.repeats)
+    layers["gp_ucb.lockstep_mixed"] = ucb_lockstep(record.kernels, args.repeats)
     layers["trace"] = trace_io(args.repeats)
     layers["harness.outputs"] = outputs_text(args.repeats)
     result = {"machine": machine(), "repeats": args.repeats, "layers": layers}
