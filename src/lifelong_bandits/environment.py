@@ -122,6 +122,19 @@ def uniform_grid(domain: np.ndarray, points_per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def read_csv_rows(lines, dtype, **options) -> np.ndarray:
+    """The comma-separated cells of ``lines`` (strings without line ends) at
+    ``dtype``, by numpy's text reader: the one reader of the package's CSV
+    files (``LookupTable`` and ``harness.RegretTrace``), so both accept the
+    same cells. No row is a comment, so a ``#`` raises ``ValueError``, as do
+    a ``_`` digit separator, a non-ASCII digit, a cell ``dtype`` cannot hold
+    and a row whose cell count differs from the others' (or from a
+    structured ``dtype``'s). Lines holding no row make numpy warn, so callers
+    pass at least one nonempty line. ``options`` go to ``np.loadtxt``.
+    """
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, **options)
+
+
 @functools.lru_cache(maxsize=4)
 def _grid_table(family: BasisFamily, p: int, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """The candidate grid of an atlas and its feature table, both read-only."""
@@ -303,16 +316,20 @@ class LookupTable:
             raise DataError("header must start with axis columns x1, x2, ...")
         if n_axes == len(header):
             raise DataError("lookup table has no task columns")
-        rows = []
-        for k, ln in enumerate(lines[1:], start=2):
-            cells = ln.split(",")
-            if len(cells) != len(header):
+        rows = lines[1:]
+        for k, ln in enumerate(rows, start=2):
+            if ln.count(",") != len(header) - 1:
                 raise DataError(f"line {k}: expected {len(header)} cells")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise DataError(f"line {k}: {exc}") from None
-        data = np.asarray(rows)
+        try:
+            data = read_csv_rows(rows, np.float64, ndmin=2)
+        except ValueError as exc:
+            # name the first line the reader rejects on its own
+            for k, ln in enumerate(rows, start=2):
+                try:
+                    read_csv_rows([ln], np.float64)
+                except ValueError as line_exc:
+                    raise DataError(f"line {k}: {line_exc}") from None
+            raise DataError(f"lookup table: {exc}") from None
         return cls(header[:n_axes], header[n_axes:], data[:, :n_axes], data[:, n_axes:])
 
     def save(self, path) -> None:

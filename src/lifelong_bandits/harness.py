@@ -14,18 +14,21 @@ when every seed failed, after writing that file. Before its seeds run, a
 run removes every result file an earlier run left in its directory
 (``_RESULT_FILES``), so the directory holds this run's files alone. Every
 result file is CSV written by one column writer, ``_csv``. Floats are written
-as the repr of a Python float and parsed with float, so a written file
-reproduces the in-memory arrays bit for bit and identical runs produce
+as the repr of a Python float and parsed back by numpy's text reader,
+which rounds a decimal as ``float`` does, so a written file reproduces the
+in-memory arrays bit for bit and identical runs produce
 byte-identical files. A trace repeats its values (most instantaneous regrets
 are exactly 0.0), so the writer formats each distinct value of an int or
 float array column once, keyed by its bits so that 0.0 and -0.0 stay apart;
 the bytes are those of formatting every cell on its own.
 
 The files of one run also share whole columns: every trace and the summary
-have the same ``step`` and ``task`` (in memory the summary holds the first
-trace's arrays), and a one-seed summary repeats its trace's regret columns
-and has two all-zero error columns (in memory, zero-stride views that hold
-no storage). ``_write_outputs``
+have the same ``step`` and ``task`` (in memory, one read-only pair per run
+shape (m, n), built once per process by ``_layout`` and held by every trace
+of that shape and by the summary), and a one-seed summary repeats its
+trace's regret columns (in memory, the trace's own arrays) and has two
+all-zero error columns (zero-stride views that hold no storage).
+``_write_outputs``
 formats the summary first, into one memo keyed by each int or float column's
 dtype and raw bytes, and gives each trace a copy: each summary column is
 formatted once per run, and the memo holds no more than the summary's
@@ -35,6 +38,7 @@ columns and one trace's.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
@@ -43,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .environment import LookupEnvironment, LookupTable, SyntheticEnvironment, SyntheticSpec
+from .environment import read_csv_rows
 from .errors import ConfigError, DataError
 from .features import BasisFamily, FeatureAtlas
 from .federated import run_federated
@@ -304,9 +309,13 @@ class RegretTrace:
 
     ``from_record`` and ``from_text`` build each column at the dtype its
     field declares: the per-task int columns at fixed narrow widths, ``step``
-    and the regrets at 64 bits. ``from_text`` raises ``DataError`` on a
-    cell that is not a number of its column's kind or that its column's
-    dtype cannot hold. The written text does not depend on the dtypes.
+    and the regrets at 64 bits. ``from_record`` takes ``step`` and ``task``
+    from the shared read-only pair of its shape (``_layout``). ``from_text``
+    reads the rows with ``environment.read_csv_rows``, at the fields'
+    dtypes, and raises ``DataError`` on a row of other than seven cells and,
+    naming the column, on a cell that is not a number of its column's kind
+    or that its column's dtype cannot hold. The written text does not depend
+    on the dtypes.
     """
 
     step: np.ndarray = field(metadata={"dtype": np.int64})
@@ -339,9 +348,10 @@ class RegretTrace:
         def per_task(name, values):
             return np.repeat(cls._column(name, values), n)
 
+        step, task = _layout(m, n)
         return cls(
-            step=np.arange(1, m * n + 1),
-            task=per_task("task", np.arange(1, m + 1)),
+            step=step,
+            task=task,
             instantaneous=inst,
             cumulative=np.cumsum(inst),
             kernel_size=per_task("kernel_size", [len(k) for k in record.kernels]),
@@ -357,19 +367,28 @@ class RegretTrace:
         lines = [l for l in text.splitlines() if l]
         if not lines or lines[0] != ",".join(f.name for f in fields(cls)):
             raise DataError("bad trace header")
-        cells = [line.split(",") for line in lines[1:]]
-        if not cells:
+        rows = lines[1:]
+        if not rows:
             raise DataError("empty trace")
-        if any(len(row) != 7 for row in cells):
-            raise DataError("malformed trace row")
-        columns = {}
-        for f, values in zip(fields(cls), zip(*cells)):
-            parse = float if f.metadata["dtype"] is np.float64 else int
+        dtype = [(f.name, f.metadata["dtype"]) for f in fields(cls)]
+        try:
+            table = read_csv_rows(rows, dtype, ndmin=1)
+        except ValueError as exc:
+            raise DataError(f"{cls._rejected(rows)}: {exc}") from exc
+        return cls(**{f.name: table[f.name].copy() for f in fields(cls)})
+
+    @classmethod
+    def _rejected(cls, rows) -> str:
+        """What the reader rejected in ``rows``: a row of other than seven
+        cells, else the first column that does not parse at its dtype."""
+        if any(row.count(",") != 6 for row in rows):
+            return "malformed trace row"
+        for j, f in enumerate(fields(cls)):
             try:
-                columns[f.name] = cls._column(f.name, [parse(v) for v in values])
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"trace column {f.name}: {exc}") from exc
-        return cls(**columns)
+                read_csv_rows(rows, f.metadata["dtype"], usecols=j)
+            except ValueError:
+                return f"trace column {f.name}"
+        return "trace"
 
     def save(self, path, memo: dict | None = None) -> None:
         Path(path).write_text(self.to_text(memo))
@@ -377,6 +396,17 @@ class RegretTrace:
     @classmethod
     def load(cls, path) -> "RegretTrace":
         return cls.from_text(Path(path).read_text())
+
+
+@functools.lru_cache(maxsize=4)
+def _layout(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``step`` and ``task`` columns of an (m, n) run's trace, read-only:
+    every trace of that shape in a process holds these two arrays."""
+    step = RegretTrace._column("step", np.arange(1, m * n + 1))
+    task = np.repeat(RegretTrace._column("task", np.arange(1, m + 1)), n)
+    step.setflags(write=False)
+    task.setflags(write=False)
+    return step, task
 
 
 @dataclass
@@ -398,7 +428,11 @@ def summarize(traces) -> SummaryTable:
     The standard error is the sample standard deviation over runs divided
     by sqrt(#runs); a single run gets a zero error column that holds no
     storage (see ``_standard_error``). The table's ``step`` and ``task`` are
-    the first trace's arrays, shared, not copied.
+    the first trace's arrays, shared, not copied, and so are a single run's
+    means: its regret columns themselves. Those are the bits the sort and
+    mean of one run give, but for a -0.0 cell, whose mean is 0.0; no runner
+    writes one (a regret is the task's maximum less the value taken, +0.0
+    at a tie, and a cumulative regret sums such terms).
     """
     traces = list(traces)
     if not traces:
@@ -409,16 +443,22 @@ def summarize(traces) -> SummaryTable:
             raise DataError("traces must have equal length")
         if not np.array_equal(t.task, traces[0].task):
             raise DataError("traces must share the task layout")
-    # sort each step's column before reducing so the result is bitwise
-    # invariant under permutation of the input traces
-    inst = np.sort(np.stack([t.instantaneous for t in traces]), axis=0)
-    cum = np.sort(np.stack([t.cumulative for t in traces]), axis=0)
+    if len(traces) == 1:
+        only = traces[0]
+        inst, cum = only.instantaneous[None], only.cumulative[None]
+        mean_inst, mean_cum = only.instantaneous, only.cumulative
+    else:
+        # sort each step's column before reducing so the result is bitwise
+        # invariant under permutation of the input traces
+        inst = np.sort(np.stack([t.instantaneous for t in traces]), axis=0)
+        cum = np.sort(np.stack([t.cumulative for t in traces]), axis=0)
+        mean_inst, mean_cum = inst.mean(axis=0), cum.mean(axis=0)
     return SummaryTable(
         step=traces[0].step,
         task=traces[0].task,
-        mean_instantaneous=inst.mean(axis=0),
+        mean_instantaneous=mean_inst,
         se_instantaneous=_standard_error(inst),
-        mean_cumulative=cum.mean(axis=0),
+        mean_cumulative=mean_cum,
         se_cumulative=_standard_error(cum),
     )
 

@@ -217,6 +217,13 @@ class TestLookupTable:
         with pytest.raises(DataError):
             LookupTable.from_text("x1,task\n0.0,1.0\n0.5\n")
 
+    # a digit separator, a comment row, a non-ASCII digit: float() takes the
+    # first and third, the table's reader none of them
+    @pytest.mark.parametrize("row", ["0.5,1_0", "#0.5,1.0", "0.5,\uff11"])
+    def test_rejects_cell_the_reader_cannot_parse_naming_its_line(self, row):
+        with pytest.raises(DataError, match="line 3"):
+            LookupTable.from_text(f"x1,task\n0.0,1.0\n{row}\n1.0,2.0\n")
+
     def test_rejects_all_axis_header(self):
         with pytest.raises(DataError):
             LookupTable.from_text("x1,x2\n0.0,1.0\n")

@@ -2,6 +2,7 @@
 
 import tempfile
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -335,6 +336,47 @@ class TestTrace:
         with pytest.raises(DataError, match="explored"):
             RegretTrace.from_text(f"{header}\n1,1,0.0,0.0,5,-1,{cell}\n")
 
+    # a comment row, a digit separator Python's int accepts, a short row
+    @pytest.mark.parametrize(
+        "row", ["#1,1,0.0,0.0,5,-1,0", "1_0,1,0.0,0.0,5,-1,0", "1,1,0.0,0.0,5,-1"]
+    )
+    def test_row_the_reader_rejects_raises(self, row):
+        header = ",".join(f.name for f in fields(RegretTrace))
+        with pytest.raises(DataError):
+            RegretTrace.from_text(f"{header}\n1,1,0.0,0.0,5,-1,0\n{row}\n")
+
+    @pytest.mark.parametrize("cell", [" 1.5 ", "+2", "1e5", "1_0", "#1", "\uff11", "0x1", "1j"])
+    def test_trace_and_lookup_table_readers_accept_the_same_cells(self, cell):
+        def accepts(parse, text):
+            try:
+                parse(text)
+            except DataError:
+                return False
+            return True
+
+        header = ",".join(f.name for f in fields(RegretTrace))
+        trace = accepts(RegretTrace.from_text, f"{header}\n1,1,{cell},{cell},5,-1,0\n")
+        table = accepts(LookupTable.from_text, f"x1,task\n0.0,{cell}\n")
+        assert trace == table == (cell in (" 1.5 ", "+2", "1e5"))
+
+    def test_header_alone_is_an_empty_trace_without_a_warning(self):
+        header = ",".join(f.name for f in fields(RegretTrace))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="empty trace"):
+                RegretTrace.from_text(f"{header}\n\n")
+
+    def test_runs_of_one_shape_share_a_read_only_layout(self):
+        config = build_config(pairs={"kind": "baseline_oracle", "seeds": "0,"})
+        first, second = (
+            RegretTrace.from_record(harness._run_one_seed(config, seed, None)) for seed in (0, 1)
+        )
+        for name in ("step", "task"):
+            column = getattr(first, name)
+            assert np.shares_memory(column, getattr(second, name)), name
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
     def test_from_record(self):
         spec = SyntheticSpec(p=6, support_size=2, norm_bound=5.0, beta_min=0.5)
         env = SyntheticEnvironment(spec, n_tasks=2, master_seed=0, grid_points=40)
@@ -549,6 +591,16 @@ class TestSummarize:
         table = summarize([trace])
         assert np.array_equal(table.mean_cumulative, trace.cumulative)
         assert np.all(table.se_cumulative == 0.0)
+
+    def test_single_trace_means_are_its_columns_at_the_sorted_means_bits(self):
+        trace = make_trace([0.0, 5e-324, 0.1 + 0.2, 1e16, np.inf])
+        table = summarize([trace])
+        for name in ("instantaneous", "cumulative"):
+            column = getattr(trace, name)
+            mean = getattr(table, f"mean_{name}")
+            assert np.shares_memory(mean, column), name
+            sorted_mean = np.sort(column[None], axis=0).mean(axis=0)
+            assert np.array_equal(mean.view(np.int64), sorted_mean.view(np.int64)), name
 
     def test_two_constant_traces(self):
         a = make_trace([2.0, 2.0])
@@ -800,13 +852,15 @@ class TestRunExperiment:
         assert loaded.to_text() == result.traces[0].to_text()
 
     def test_one_seed_result_holds_each_column_once_at_its_width(self):
-        # 2 000 steps: a trace's 68 000 bytes and the summary's two 16 000-byte
-        # means; 8-byte columns, a copied step and task and stored zero errors
-        # would hold 208 000
+        # 2 000 steps: a trace's 68 000 bytes, which the summary shares; 8-byte
+        # columns, a copied step and task, stored zero errors and means
+        # computed apart would hold 208 000
         result = run_experiment(build_config("baseline_full", {"seeds": "0,"}))
         trace, summary = result.traces[0], result.summary
         assert np.shares_memory(summary.step, trace.step)
-        assert held_bytes(result) <= 110_000
+        assert np.shares_memory(summary.mean_instantaneous, trace.instantaneous)
+        assert np.shares_memory(summary.mean_cumulative, trace.cumulative)
+        assert held_bytes(result) <= 70_000
 
     def test_byte_identical_across_runs(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -70,14 +70,15 @@ def test_layer_script_one_repeat(tmp_path):
     mixed = layers["gp_ucb.lockstep_mixed"]
     assert mixed["tasks"] == 20 and mixed["kernels"] > 1 and 5 <= mixed["d"] <= 50
     assert all(g["us_per_task_step"] > 0 for g in lockstep + [mixed])
-    assert layers["trace"]["steps"] == 2000
-    assert all(layers["trace"][k] > 0 for k in ("write_us", "parse_us", "summarize_us"))
+    trace = layers["trace"]
+    assert trace["steps"] == 2000
+    assert all(trace[k] > 0 for k in ("write_us", "parse_us", "summarize_us", "parse_peak_kb"))
     outputs = layers["harness.outputs"]
     assert set(outputs) == {"baseline_oracle", "federated"}
     for kind in outputs.values():
         assert kind["steps"] == 2000 and kind["text_us"] > 0
-        # a trace's 68 000 bytes and the summary's two 16 000-byte means
-        assert kind["held_bytes"] == 100_000
+        # a trace's 68 000 bytes, which the summary shares
+        assert kind["held_bytes"] == 68_000
         assert all(0 < count < 2000 for count in kind["distinct"])
     # every time carries its quartiles beside its median
     times = dict(timed_entries(layers))

@@ -100,7 +100,9 @@ Layers:
   of 100 steps), its columns at the dtypes ``RegretTrace`` declares;
   summarize reads 20 copies of it. Its regrets are random draws, all
   distinct: the worst case of the column writer, which formats each
-  distinct value of a column once.
+  distinct value of a column once. ``parse_peak_kb`` is the ``tracemalloc``
+  peak of one ``RegretTrace.load`` of it: the file's text, the reader's
+  own allocations and the parsed columns.
 - ``harness.outputs``: the trace and summary text of one default
   ``baseline_oracle`` and one default ``federated`` seed (seed 0), the
   traffic the writer serves, made as a run writes its files: the summary
@@ -112,8 +114,8 @@ Layers:
   ``distinct`` counts the distinct values of the trace's ``instantaneous``
   and ``cumulative`` columns. ``held_bytes`` counts the bytes of the arrays
   the one-seed result holds in its traces and summary, each buffer once (the
-  summary shares the trace's ``step`` and ``task``) and a zero-stride column
-  (a one-seed standard error) as 0.
+  summary shares the trace's ``step``, ``task`` and, as its means, regret
+  columns) and a zero-stride column (a one-seed standard error) as 0.
 """
 
 from __future__ import annotations
@@ -126,6 +128,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -494,11 +497,16 @@ def trace_io(repeats: int) -> dict:
         parse = seconds_of(lambda: RegretTrace.load(path), repeats)
         summ = seconds_of(lambda: summarize([trace] * TASKS), repeats)
         size = path.stat().st_size
+        tracemalloc.start()
+        RegretTrace.load(path)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     return {
         "steps": n,
         "bytes": size,
         **quartiles("write_us", write),
         **quartiles("parse_us", parse),
+        "parse_peak_kb": round(parse_peak / 1024, 1),
         **quartiles("summarize_us", summ),
     }
 
