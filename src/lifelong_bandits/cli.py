@@ -71,7 +71,7 @@ def _resolve_kind(command: str, pairs: dict[str, str]) -> str:
 def _gather_pairs(args) -> dict[str, str]:
     pairs: dict[str, str] = {}
     if args.config is not None:
-        pairs.update(parse_pairs(args.config.read_text()))
+        pairs.update(parse_pairs(args.config.read_text(encoding="utf-8")))
     for item in args.override:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")

@@ -36,12 +36,13 @@ once (``_grid_table``).
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import csvio
 from .errors import ConfigError, DataError
 from .features import BasisFamily, FeatureAtlas
 from .seeding import STREAM_COEFF, STREAM_NOISE, STREAM_SUPPORT, substream
@@ -120,19 +121,6 @@ def uniform_grid(domain: np.ndarray, points_per_axis: int) -> np.ndarray:
         return axes[0].reshape(-1, 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def read_csv_rows(lines, dtype, **options) -> np.ndarray:
-    """The comma-separated cells of ``lines`` (strings without line ends) at
-    ``dtype``, by numpy's text reader: the one reader of the package's CSV
-    files (``LookupTable`` and ``harness.RegretTrace``), so both accept the
-    same cells. No row is a comment, so a ``#`` raises ``ValueError``, as do
-    a ``_`` digit separator, a non-ASCII digit, a cell ``dtype`` cannot hold
-    and a row whose cell count differs from the others' (or from a
-    structured ``dtype``'s). Lines holding no row make numpy warn, so callers
-    pass at least one nonempty line. ``options`` go to ``np.loadtxt``.
-    """
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, **options)
 
 
 @functools.lru_cache(maxsize=4)
@@ -257,9 +245,9 @@ class SyntheticEnvironment(_TaskGrid):
 class LookupTable:
     """Tabulated objectives: points plus one value column per task.
 
-    File format: delimited text (comma separated), one header row, one row
-    per grid point. Header columns ``x1..xd`` (a nonempty prefix) name the
-    axes; every remaining column is a task in order.
+    File format: UTF-8 CSV, written and read by ``csvio``: one header row,
+    one row per grid point. Header columns ``x1..xd`` (a nonempty prefix)
+    name the axes; every remaining column is a task in order.
     """
 
     def __init__(self, axis_names, task_names, points, values) -> None:
@@ -296,50 +284,33 @@ class LookupTable:
         return (self.points - lo) / span
 
     def to_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self.axis_names + self.task_names) + "\n")
-        for row_pt, row_val in zip(self.points, self.values):
-            cells = [repr(float(v)) for v in row_pt] + [repr(float(v)) for v in row_val]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        header = ",".join(self.axis_names + self.task_names)
+        return csvio.to_text(header, [*self.points.T, *self.values.T])
 
     @classmethod
     def from_text(cls, text: str) -> "LookupTable":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise DataError("lookup table needs a header and at least one row")
-        header = [c.strip() for c in lines[0].split(",")]
-        n_axes = 0
-        while n_axes < len(header) and header[n_axes] == f"x{n_axes + 1}":
-            n_axes += 1
-        if n_axes == 0:
-            raise DataError("header must start with axis columns x1, x2, ...")
-        if n_axes == len(header):
-            raise DataError("lookup table has no task columns")
-        rows = lines[1:]
-        for k, ln in enumerate(rows, start=2):
-            if ln.count(",") != len(header) - 1:
-                raise DataError(f"line {k}: expected {len(header)} cells")
-        try:
-            data = read_csv_rows(rows, np.float64, ndmin=2)
-        except ValueError as exc:
-            # name the first line the reader rejects on its own
-            for k, ln in enumerate(rows, start=2):
-                try:
-                    read_csv_rows([ln], np.float64)
-                except ValueError as line_exc:
-                    raise DataError(f"line {k}: {line_exc}") from None
-            raise DataError(f"lookup table: {exc}") from None
+        header, n_axes = [], 0
+
+        def columns(cells):
+            nonlocal n_axes
+            header.extend(c.strip() for c in cells)
+            n_axes = next((k for k, name in enumerate(header) if name != f"x{k + 1}"), len(header))
+            if n_axes == 0:
+                raise DataError("header must start with axis columns x1, x2, ...")
+            if n_axes == len(header):
+                raise DataError("lookup table has no task columns")
+            return [(name, np.float64) for name in header]
+
+        empty = "lookup table needs a header and at least one row"
+        data = np.stack(csvio.from_text(text, columns, empty), axis=1)
         return cls(header[:n_axes], header[n_axes:], data[:, :n_axes], data[:, n_axes:])
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "LookupTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
 class LookupEnvironment(_TaskGrid):

@@ -13,14 +13,8 @@ becomes a row of ``failures.csv`` and the loop goes on; the run raises only
 when every seed failed, after writing that file. Before its seeds run, a
 run removes every result file an earlier run left in its directory
 (``_RESULT_FILES``), so the directory holds this run's files alone. Every
-result file is CSV written by one column writer, ``_csv``. Floats are written
-as the repr of a Python float and parsed back by numpy's text reader,
-which rounds a decimal as ``float`` does, so a written file reproduces the
-in-memory arrays bit for bit and identical runs produce
-byte-identical files. A trace repeats its values (most instantaneous regrets
-are exactly 0.0), so the writer formats each distinct value of an int or
-float array column once, keyed by its bits so that 0.0 and -0.0 stay apart;
-the bytes are those of formatting every cell on its own.
+result file is UTF-8 CSV written by the column writer of ``csvio``, and a
+trace reads back through its reader, bit for bit.
 
 The files of one run also share whole columns: every trace and the summary
 have the same ``step`` and ``task`` (in memory, one read-only pair per run
@@ -28,11 +22,10 @@ shape (m, n), built once per process by ``_layout`` and held by every trace
 of that shape and by the summary), and a one-seed summary repeats its
 trace's regret columns (in memory, the trace's own arrays) and has two
 all-zero error columns (zero-stride views that hold no storage).
-``_write_outputs``
-formats the summary first, into one memo keyed by each int or float column's
-dtype and raw bytes, and gives each trace a copy: each summary column is
-formatted once per run, and the memo holds no more than the summary's
-columns and one trace's.
+``_write_outputs`` formats the summary first, into one memo keyed by each
+int or float column's dtype and raw bytes (``csvio.cells``), and gives each
+trace a copy: each summary column is formatted once per run, and the memo
+holds no more than the summary's columns and one trace's.
 """
 
 from __future__ import annotations
@@ -46,8 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import csvio
 from .environment import LookupEnvironment, LookupTable, SyntheticEnvironment, SyntheticSpec
-from .environment import read_csv_rows
 from .errors import ConfigError, DataError
 from .features import BasisFamily, FeatureAtlas
 from .federated import run_federated
@@ -242,53 +235,10 @@ def build_config(kind: str | None = None, pairs: dict[str, str] | None = None) -
         raise ConfigError(str(exc)) from exc
 
 
-def _cells(column, memo: dict | None = None) -> list[str]:
-    """The ``str`` of every cell of one column.
-
-    An int or float array of any width up to 8 bytes formats each distinct
-    value once, keyed by its bits (its view as the int of the same width),
-    so that 0.0 and -0.0 (and NaN payloads) stay apart; the value is
-    formatted as a Python scalar, whose ``str`` of a float is its shortest
-    round-tripping repr (a numpy scalar's repr is not a plain number). Given
-    a run's ``memo``, such a column is formatted once per run: the memo maps
-    its dtype and raw bytes to its cells (the dtype keeps int64 0 and float64
-    0.0, or int8 0 and int32 0, apart). Any other column is formatted cell
-    by cell, so a Python list mixing ints and floats keeps ``1`` and ``1.0``
-    apart.
-    """
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf" and column.itemsize <= 8:
-        key = (column.dtype.str, column.tobytes())
-        if memo is not None and key in memo:
-            return memo[key]
-        distinct, index = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
-        text = np.array([str(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
-        cells = text[index].tolist()
-        if memo is not None:
-            memo[key] = cells
-        return cells
-    return [str(v) for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
-
-
-def _csv(header: str, columns, memo: dict | None = None) -> str:
-    """CSV text: the header, then one line per row of the equal-length
-    ``columns``, assembled in one join.
-
-    The bytes are those of formatting each row's cells by ``%s``. A run's
-    ``memo`` (see ``_cells``) formats each distinct column once per run.
-    """
-    cells = [_cells(column, memo) for column in columns]
-    rows, width = len(cells[0]), 2 * len(cells)
-    parts = [","] * (rows * width)
-    for j, column in enumerate(cells):
-        parts[2 * j :: width] = column
-    parts[width - 1 :: width] = ["\n"] * rows
-    return header + "\n" + "".join(parts)
-
-
 def _columns_text(table, memo: dict | None = None) -> str:
     """CSV text of a dataclass of equal-length array columns, one row per index."""
     names = [f.name for f in fields(table)]
-    return _csv(",".join(names), [getattr(table, name) for name in names], memo)
+    return csvio.to_text(",".join(names), [getattr(table, name) for name in names], memo)
 
 
 def _standard_error(samples: np.ndarray) -> np.ndarray:
@@ -311,11 +261,10 @@ class RegretTrace:
     field declares: the per-task int columns at fixed narrow widths, ``step``
     and the regrets at 64 bits. ``from_record`` takes ``step`` and ``task``
     from the shared read-only pair of its shape (``_layout``). ``from_text``
-    reads the rows with ``environment.read_csv_rows``, at the fields'
-    dtypes, and raises ``DataError`` on a row of other than seven cells and,
-    naming the column, on a cell that is not a number of its column's kind
-    or that its column's dtype cannot hold. The written text does not depend
-    on the dtypes.
+    reads the rows with ``csvio.from_text``, at the fields' dtypes, so a
+    rejected row raises ``DataError`` naming its line and, for a cell that
+    is not a number of its column's kind or that its column's dtype cannot
+    hold, the column. The written text does not depend on the dtypes.
     """
 
     step: np.ndarray = field(metadata={"dtype": np.int64})
@@ -364,38 +313,19 @@ class RegretTrace:
 
     @classmethod
     def from_text(cls, text: str) -> "RegretTrace":
-        lines = [l for l in text.splitlines() if l]
-        if not lines or lines[0] != ",".join(f.name for f in fields(cls)):
-            raise DataError("bad trace header")
-        rows = lines[1:]
-        if not rows:
-            raise DataError("empty trace")
-        dtype = [(f.name, f.metadata["dtype"]) for f in fields(cls)]
-        try:
-            table = read_csv_rows(rows, dtype, ndmin=1)
-        except ValueError as exc:
-            raise DataError(f"{cls._rejected(rows)}: {exc}") from exc
-        return cls(**{f.name: table[f.name].copy() for f in fields(cls)})
+        def columns(header):
+            if header != [f.name for f in fields(cls)]:
+                raise DataError("bad trace header")
+            return [(f.name, f.metadata["dtype"]) for f in fields(cls)]
 
-    @classmethod
-    def _rejected(cls, rows) -> str:
-        """What the reader rejected in ``rows``: a row of other than seven
-        cells, else the first column that does not parse at its dtype."""
-        if any(row.count(",") != 6 for row in rows):
-            return "malformed trace row"
-        for j, f in enumerate(fields(cls)):
-            try:
-                read_csv_rows(rows, f.metadata["dtype"], usecols=j)
-            except ValueError:
-                return f"trace column {f.name}"
-        return "trace"
+        return cls(*csvio.from_text(text, columns, "empty trace"))
 
     def save(self, path, memo: dict | None = None) -> None:
-        Path(path).write_text(self.to_text(memo))
+        Path(path).write_text(self.to_text(memo), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "RegretTrace":
-        return cls.from_text(Path(path).read_text())
+        return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
 @functools.lru_cache(maxsize=4)
@@ -474,14 +404,9 @@ class RecoveryCurve:
     trials: int
 
     def to_text(self) -> str:
-        columns = (
-            self.m_values,
-            self.rates,
-            self.ses,
-            self.successes,
-            [self.trials] * len(self.m_values),
-        )
-        return _csv("m,rate,se,successes,trials", columns)
+        trials = [self.trials] * len(self.m_values)
+        columns = (self.m_values, self.rates, self.ses, self.successes, trials)
+        return csvio.to_text("m,rate,se,successes,trials", columns)
 
 
 @dataclass
@@ -556,7 +481,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int, table: LookupTable | None
 def _write_outputs(out: Path, result: ExperimentResult) -> None:
     """Write the result files of a run's finished seeds into ``out``.
 
-    The summary is formatted first, into the run's memo (see ``_cells``):
+    The summary is formatted first, into the run's memo (see ``csvio.cells``):
     its columns are the only ones that another file reads again. Each trace
     gets a copy of that memo, so the trace's own columns go with it.
     """
@@ -564,19 +489,20 @@ def _write_outputs(out: Path, result: ExperimentResult) -> None:
     summary = None if result.summary is None else result.summary.to_text(memo)
     for seed, trace in result.traces.items():
         trace.save(out / f"trace_seed{seed}.csv", dict(memo))
-    if summary is not None:
-        (out / "summary.csv").write_text(summary)
+    files = {} if summary is None else {"summary.csv": summary}
     for seed, rows in (result.votes or {}).items():
         votes = [
             (v.client, ";".join(map(str, v.indices)), ";".join(map(str, server)), int(v.failed))
             for v, server in rows
         ]
-        (out / f"votes_seed{seed}.csv").write_text(_csv("task,indices,server,failed", zip(*votes)))
+        files[f"votes_seed{seed}.csv"] = csvio.to_text("task,indices,server,failed", zip(*votes))
     for seed, rows in (result.recovery or {}).items():
-        text = _csv("m,exact,fallback,selected_size", zip(*rows))
-        (out / f"recovery_seed{seed}.csv").write_text(text)
+        text = csvio.to_text("m,exact,fallback,selected_size", zip(*rows))
+        files[f"recovery_seed{seed}.csv"] = text
     if result.curve is not None:
-        (out / "recovery_curve.csv").write_text(result.curve.to_text())
+        files["recovery_curve.csv"] = result.curve.to_text()
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
 
 
 # the result files a run writes, beside config.resolved.txt
@@ -611,7 +537,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for stale in out.iterdir():
             if any(fnmatch.fnmatchcase(stale.name, pattern) for pattern in _RESULT_FILES):
                 stale.unlink()
-        (out / "config.resolved.txt").write_text(config.serialize())
+        (out / "config.resolved.txt").write_text(config.serialize(), encoding="utf-8")
     done = {}
     failures: list[tuple[int, str]] = []
     for seed in config.seeds:
@@ -620,7 +546,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except Exception as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
     if out is not None and failures:
-        (out / "failures.csv").write_text(_csv("seed,error", zip(*failures)))
+        text = csvio.to_text("seed,error", zip(*failures))
+        (out / "failures.csv").write_text(text, encoding="utf-8")
     if not done:
         raise RuntimeError("every seed failed; first error: " + failures[0][1])
     traces, summary, recovery, curve, votes = {}, None, None, None, None

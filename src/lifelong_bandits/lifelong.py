@@ -150,7 +150,6 @@ def _run_agents(env, counts, forced, noise, kernels, ucb, record) -> None:
     values = env.values[:, :m]
     rows = np.arange(m)
     actions = np.empty((m, n), dtype=int)
-    rewards = np.empty((m, n))
     all_forced, any_forced = counts.min(), counts.max()
     for i in range(n):
         if i < all_forced:
@@ -159,12 +158,12 @@ def _run_agents(env, counts, forced, noise, kernels, ucb, record) -> None:
             idx = group.select()
             if i < any_forced:
                 np.copyto(idx, forced[:, i], where=forced[:, i] >= 0)
-        y = values[idx, rows] + noise[:, i]
-        group.observe(idx, y)
-        actions[:, i], rewards[:, i] = idx, y
+        group.observe(idx, values[idx, rows] + noise[:, i])
+        actions[:, i] = idx
+    taken = values[actions, rows[:, None]]
     record.max_gain_slack = group.max_gain_slack.max()
-    record.kernels, record.actions, record.rewards = list(kernels), actions, rewards
-    record.regrets = values.max(axis=0)[:, None] - values[actions, rows[:, None]]
+    record.kernels, record.actions, record.rewards = list(kernels), actions, taken + noise
+    record.regrets = values.max(axis=0)[:, None] - taken
     record.explored = forced >= 0
     record.support = env.support
 

@@ -1,10 +1,13 @@
 """Command-line interface behavior."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lifelong_bandits
 from lifelong_bandits import federated, group_lasso, harness, selection
 from lifelong_bandits.cli import main
 
@@ -238,3 +241,29 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "lifelong: 1/1 seeds" in result.stdout
+
+
+def test_config_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale without UTF-8 mode makes ASCII the default text encoding
+    cfg = tmp_path / "run.txt"
+    cfg.write_bytes("# résultats – tiny run\np = 6\nsupport_size = 2\n".encode("utf-8"))
+    src = str(Path(lifelong_bandits.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "lifelong_bandits", "lifelong",
+            "--config", str(cfg),
+            "--override", "norm_bound=5.0",
+            "--override", "m=1",
+            "--override", "n=6",
+            "--override", "grid=30",
+            "--seeds", "0,",
+            "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "p = 6\n" in (tmp_path / "out" / "config.resolved.txt").read_text(encoding="utf-8")

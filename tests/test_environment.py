@@ -224,6 +224,18 @@ class TestLookupTable:
         with pytest.raises(DataError, match="line 3"):
             LookupTable.from_text(f"x1,task\n0.0,1.0\n{row}\n1.0,2.0\n")
 
+    # blank lines count: the first rejected row is on file line 4
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.5,x", "line 4: column task cannot hold 'x' as float64"),
+            ("0.5", "line 4: expected 2 cells, found 1"),
+        ],
+    )
+    def test_rejected_row_names_its_file_line_past_blank_lines(self, row, message):
+        with pytest.raises(DataError, match=message):
+            LookupTable.from_text(f"x1,task\n\n0.0,1.0\n{row}\n")
+
     def test_rejects_all_axis_header(self):
         with pytest.raises(DataError):
             LookupTable.from_text("x1,x2\n0.0,1.0\n")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lifelong_bandits import group_lasso, harness, selection
+from lifelong_bandits import csvio, group_lasso, harness, selection
 from lifelong_bandits.environment import LookupTable, uniform_grid
 from lifelong_bandits.errors import ConfigError, DataError
 from lifelong_bandits.harness import (
@@ -20,7 +20,6 @@ from lifelong_bandits.harness import (
     ExperimentResult,
     RegretTrace,
     SummaryTable,
-    _csv,
     build_config,
     parse_pairs,
     run_experiment,
@@ -345,6 +344,14 @@ class TestTrace:
         with pytest.raises(DataError):
             RegretTrace.from_text(f"{header}\n1,1,0.0,0.0,5,-1,0\n{row}\n")
 
+    # blank lines count, before the header as after it
+    @pytest.mark.parametrize("lead, line", [("", 4), ("\n \n", 6)])
+    def test_rejected_row_names_its_file_line_past_blank_lines(self, lead, line):
+        header = ",".join(f.name for f in fields(RegretTrace))
+        text = f"{lead}{header}\n1,1,0.0,0.0,5,-1,0\n\n1,2,x,0.0,5,-1,0\n"
+        with pytest.raises(DataError, match=f"line {line}: column instantaneous cannot hold 'x'"):
+            RegretTrace.from_text(text)
+
     @pytest.mark.parametrize("cell", [" 1.5 ", "+2", "1e5", "1_0", "#1", "\uff11", "0x1", "1j"])
     def test_trace_and_lookup_table_readers_accept_the_same_cells(self, cell):
         def accepts(parse, text):
@@ -495,10 +502,16 @@ def shared_bit_trace(draw):
 class TestCsv:
     @settings(max_examples=200, deadline=None)
     @given(array_columns())
+    @example([np.array([-0.0, 1.0, 1e-300]), np.array([1e-300, -0.0, 1.0])])
     def test_array_columns_match_the_row_writer(self, columns):
         header = ",".join(f"c{j}" for j in range(len(columns)))
         expected = row_csv(header, zip(*(column.tolist() for column in columns)))
-        assert _csv(header, columns) == expected
+        assert csvio.to_text(header, columns) == expected
+        # a lookup table of such float columns, the first its axis, writes the same rows
+        if all(column.dtype == np.float64 and np.isfinite(column).all() for column in columns):
+            points, values = columns[0][:, None], np.stack(columns[1:], axis=1)
+            table = LookupTable(["c0"], header.split(",")[1:], points, values)
+            assert table.to_text() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -514,7 +527,8 @@ class TestCsv:
     @example([(1, "x"), (1.0, "y;z"), (True, "")])  # 1 and 1.0 stay apart
     def test_mixed_list_columns_are_formatted_cell_by_cell(self, rows):
         header = "value,text"
-        assert _csv(header, [list(column) for column in zip(*rows)]) == row_csv(header, rows)
+        columns = [list(column) for column in zip(*rows)]
+        assert csvio.to_text(header, columns) == row_csv(header, rows)
 
     @settings(max_examples=200, deadline=None)
     @given(shared_bit_files())
@@ -523,7 +537,7 @@ class TestCsv:
         for columns in files:
             header = ",".join(f"c{j}" for j in range(len(columns)))
             expected = row_csv(header, zip(*(column.tolist() for column in columns)))
-            assert _csv(header, columns, memo) == expected
+            assert csvio.to_text(header, columns, memo) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from([1, 3]), st.data())
@@ -547,7 +561,7 @@ class TestCsv:
         # step and task from the summary, its all-zero explored column from
         # its all-zero recovered one, and a one-seed trace its regret columns.
         sizes, hit = [], 0
-        cells = harness._cells
+        cells = csvio.cells
 
         def spying(column, memo=None):
             nonlocal hit
@@ -558,7 +572,7 @@ class TestCsv:
             sizes.append(len(memo))
             return text
 
-        monkeypatch.setattr(harness, "_cells", spying)
+        monkeypatch.setattr(csvio, "cells", spying)
         pairs = {**tiny_lifelong_pairs(tmp_path, "baseline_full"), "seeds": seeds}
         run_experiment(build_config(pairs=pairs))
         assert max(sizes) <= 6 + 7
