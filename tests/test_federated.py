@@ -268,6 +268,11 @@ class TestRunFederated:
         record = run_federated(small_env(seed=8), m=3, n=25, omega=0.25, lam=0.1, alpha=0.25, seed=5)
         assert record.max_gain_slack <= 1e-9
 
+    def test_default_run_certifies_every_client_fit_by_the_path(self):
+        env = SyntheticEnvironment(SyntheticSpec(), n_tasks=20, master_seed=0)
+        record = run_federated(env, m=20, n=100, omega=0.25, lam=0.2, alpha=0.25, seed=0)
+        assert [(r.method, r.converged) for r in record.reports] == [("path", True)] * 20
+
     def test_too_many_tasks_rejected(self):
         env = small_env(seed=9, n_tasks=2)
         with pytest.raises(ConfigError):

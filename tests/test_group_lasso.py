@@ -1017,10 +1017,13 @@ def test_iterate_meeting_the_stop_rule_at_the_handoff_reports_apg(monkeypatch):
 
 def test_zero_handoff_norm_never_tries_newton(monkeypatch):
     design, lam = handoff_design(77, p=8)
+    _, handoff = fit_group_lasso(design, lam)
     monkeypatch.setattr(group_lasso, "HANDOFF_MAP_NORM", 0.0)
     monkeypatch.setattr(group_lasso, "_newton_finish", mock.Mock(side_effect=AssertionError))
     _, report = fit_group_lasso(design, lam)
     assert report.method == "apg" and report.converged
+    # with the hand-off on, the same fit takes fewer APG iterations (15 against 79)
+    assert handoff.iterations - handoff.newton_steps < report.iterations
 
 
 def shared_support_design(seed, m=4, p=8, rows=10):

@@ -267,6 +267,20 @@ def seed_records(monkeypatch):
     return records
 
 
+def recorded_fits(monkeypatch):
+    """Each kernel fit's (design, lam, coeffs, report), in the order the
+    runners make them."""
+    fit_group_lasso, fits = selection.fit_group_lasso, []
+
+    def recording(design, lam, *, x0=None):
+        coeffs, report = fit_group_lasso(design, lam, x0=x0)
+        fits.append((design, lam, coeffs, report))
+        return coeffs, report
+
+    monkeypatch.setattr(selection, "fit_group_lasso", recording)
+    return fits
+
+
 def lookup_pairs(tmp_path):
     """Config pairs of a small lookup run on a saved 49-point 2-d table."""
     # one [low, high] row per axis
@@ -785,30 +799,36 @@ class TestRunExperiment:
         # whichever stage answered (the path, APG or a Newton attempt, warm or
         # cold), a fit the runner accepts as converged meets the KKT
         # certificate at the solver's tolerance
-        fit_group_lasso, fits = selection.fit_group_lasso, []
-
-        def recording(design, lam, *, x0=None):
-            coeffs, report = fit_group_lasso(design, lam, x0=x0)
-            fits.append((design, lam, coeffs, report))
-            return coeffs, report
-
-        monkeypatch.setattr(selection, "fit_group_lasso", recording)
+        fits = recorded_fits(monkeypatch)
+        records = seed_records(monkeypatch)
         assert not run_experiment(build_config(kind, {"seeds": "4"})).failures
         converged = [fit for fit in fits if fit[3].converged]
         assert {"path", "newton"} <= {report.method for *_, report in converged}
         for design, lam, coeffs, _ in converged:
             assert group_lasso.kkt_residuals(design, coeffs, lam).max() <= group_lasso.TOL
+        # seed 0's pooled fits (all but its single-task first fit) converge:
+        # lifelong's 19 each by Newton, offline's 29 at least once
+        record = records[0]
+        reports = record.reports if kind == "lifelong" else [trial.report for trial in record]
+        methods = [report.method for report in reports[1:] if report.converged]
+        assert len(methods) == {"lifelong": 19, "offline": 29}[kind]
+        newton = methods.count("newton")
+        assert newton == 19 if kind == "lifelong" else newton >= 1
 
-    def test_lifelong_at_p2000_completes_every_seed_in_bounded_time(self, tmp_path):
+    def test_lifelong_at_p2000_completes_every_seed_in_bounded_time(self, tmp_path, monkeypatch):
         # each task holds 4-10 forced rows against 2 000 groups, and the
         # pooled fits work on those rows: two seeds take a few seconds, where
         # a (2000, 2000) Gram per task took about a minute a seed
+        fits = recorded_fits(monkeypatch)
         pairs = {"kind": "lifelong", "m": "4", "n": "20", "p": "2000", "seeds": "0,1"}
         start = time.perf_counter()
         result = run_experiment(build_config(pairs={**pairs, "out": str(tmp_path)}))
         assert time.perf_counter() - start < 60.0
         assert not result.failures
         assert all(np.isfinite(trace.cumulative).all() for trace in result.traces.values())
+        # seed 0's 2-task fit, on (2, 4, 2000) rows, converges by Newton
+        report = next(report for design, *_, report in fits if design.m == 2)
+        assert report.converged and report.method == "newton"
 
     def test_offline_single_observation_completes_every_seed(self, tmp_path):
         pairs = {"kind": "offline", "n": "1", "seeds": "0,1", "out": str(tmp_path)}
@@ -865,16 +885,17 @@ class TestRunExperiment:
         loaded = RegretTrace.load(tmp_path / "trace_seed0.csv")
         assert loaded.to_text() == result.traces[0].to_text()
 
-    def test_one_seed_result_holds_each_column_once_at_its_width(self):
+    @pytest.mark.parametrize("kind", ["baseline_full", "baseline_oracle", "federated", "lifelong"])
+    def test_one_seed_result_holds_each_column_once_at_its_width(self, kind):
         # 2 000 steps: a trace's 68 000 bytes, which the summary shares; 8-byte
         # columns, a copied step and task, stored zero errors and means
         # computed apart would hold 208 000
-        result = run_experiment(build_config("baseline_full", {"seeds": "0,"}))
+        result = run_experiment(build_config(kind, {"seeds": "0,"}))
         trace, summary = result.traces[0], result.summary
         assert np.shares_memory(summary.step, trace.step)
         assert np.shares_memory(summary.mean_instantaneous, trace.instantaneous)
         assert np.shares_memory(summary.mean_cumulative, trace.cumulative)
-        assert held_bytes(result) <= 70_000
+        assert held_bytes(result) == 68_000
 
     def test_byte_identical_across_runs(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -55,15 +55,30 @@ def write_table(path: Path) -> None:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``0-63`` or ``3,5,9`` (or a mix) as a list of seeds."""
+    """``0-63`` or ``3,5,9`` (or a mix) as a list of seeds, at least one,
+    none repeated; an ``argparse`` type."""
     seeds = []
     for part in text.split(","):
         if "-" in part:
-            lo, hi = part.split("-")
-            seeds += range(int(lo), int(hi) + 1)
+            lo, hi = map(int, part.split("-"))
+            if lo > hi:
+                raise argparse.ArgumentTypeError(f"reversed range {part!r}")
+            seeds += range(lo, hi + 1)
         elif part:
             seeds.append(int(part))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"a seed repeats in {text!r}")
     return seeds
+
+
+def parse_pair(text: str) -> tuple[str, str]:
+    """``key=value`` as (key, value); an ``argparse`` type."""
+    key, equals, value = text.partition("=")
+    if not equals:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
 
 
 def sweep(out: Path, seeds: list[int], pairs: dict[str, str]) -> None:
@@ -83,15 +98,16 @@ def sweep(out: Path, seeds: list[int], pairs: dict[str, str]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="directory to write into")
-    parser.add_argument("--seeds", default="0-63", help="seeds, as 0-63 or 3,5,9")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+    parser.add_argument("--seeds", default="0-63", type=parse_seeds,
+                        help="seeds, as 0-63 or 3,5,9")
+    parser.add_argument("--set", action="append", default=[], type=parse_pair, metavar="KEY=VALUE",
                         help="config pair, applied to the kinds that read its key")
     args = parser.parse_args(argv)
-    pairs = dict(item.split("=", 1) for item in args.set)
+    pairs = dict(args.set)
     unread = set(pairs).difference(*KIND_KEYS.values())
     if unread:
         parser.error(f"no kind reads {', '.join(sorted(unread))}")
-    sweep(Path(args.out).resolve(), parse_seeds(args.seeds), pairs)
+    sweep(Path(args.out).resolve(), args.seeds, pairs)
     return 0
 
 
