@@ -35,7 +35,7 @@ def main() -> None:
         shown = vote.indices if not vote.failed else "(failed fit)"
         print(f"{vote.client:>5}  {str(shown):<22}  {server}")
     print(f"\nfinal cumulative regret {record.final_regret:.1f}; "
-          f"kernel {record.final_kernel}")
+          f"last task's kernel {record.kernels[-1]}")
 
 
 if __name__ == "__main__":

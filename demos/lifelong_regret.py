@@ -40,7 +40,7 @@ def main() -> None:
               f"{len(kernel):>8}  {kernel == learned.support}")
     print(f"\nfinal cumulative regret:  oracle {oracle.final_regret:.1f}   "
           f"learned {learned.final_regret:.1f}   naive {naive.final_regret:.1f}")
-    print(f"learned kernel after last task: {learned.final_kernel}")
+    print(f"learned kernel of the last task: {learned.kernels[-1]}")
 
 
 if __name__ == "__main__":

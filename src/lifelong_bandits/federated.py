@@ -183,5 +183,4 @@ def run_federated(
             record.events.append((vote.client, "fallback"))
         kernels.append(selected or tuple(range(1, env.p + 1)))
     _run_agents(env, *plan, kernels, ucb, record)
-    record.final_kernel = kernels[-1]
     return record

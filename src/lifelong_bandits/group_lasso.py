@@ -17,7 +17,7 @@ A ``PooledDesign`` holds F with the rewards, validated when it is built,
 and computes every statistic a fit reads then (each task's crossterm,
 ||y_s||^2 and top Gram eigenvalue). ``prefix(k)`` takes its first k tasks
 as views of the same arrays, statistics included, so the fits of a growing
-pool (the lifelong runner's after each task, the offline sweep's over m)
+pool (the lifelong runner's between tasks, the offline sweep's over m)
 are fits of one design's prefixes and hold each row once.
 
 The solver is an accelerated proximal-gradient iteration with a monotone

@@ -20,11 +20,11 @@ feature table, and fills the run's ``LifelongRunRecord``. A run uses one
 in where the kernel comes from:
 
 ``run_lifelong`` (LiBO)
-    rate sqrt(n) / s^(1/4) for task s (the decreasing schedule); a pooled
-    group-lasso fit over the forced draws of the tasks so far, at penalty
-    lam / sqrt(s) after task s: one ``PooledDesign`` holds every task's
-    draws, and ``selection.learn_kernels`` fits its first s tasks for each
-    s, each fit from the last converged one;
+    rate sqrt(n) / s^(1/4) for task s (the decreasing schedule); task 1
+    under the full kernel, task s+1 under a pooled group-lasso fit over the
+    forced draws of tasks 1..s at penalty lam / sqrt(s): one ``PooledDesign``
+    holds every task's draws, and ``selection.learn_kernels`` fits its first
+    s tasks for each s < m, each fit from the last converged one;
 ``run_baseline``
     no forced draws; a pinned kernel (the true support or every group);
 ``run_federated`` (in :mod:`.federated`, F-LiBO)
@@ -78,8 +78,8 @@ class LifelongRunRecord:
     the grid index taken, its observation, its regret, and whether it was a
     forced draw. ``support`` is the environment's true support, None if it
     has none. ``reports`` holds the ``SolverReport`` of each kernel fit, in
-    fit order. ``events`` lists (task, "fallback") pairs: the task's fit
-    converged but kept no group, and the full kernel took over.
+    fit order. ``events`` lists (task, "fallback") pairs: the fit that set
+    the task's kernel converged with no group, so it ran under the full one.
     """
 
     seed: int
@@ -91,7 +91,6 @@ class LifelongRunRecord:
     support: tuple[int, ...] | None = None
     reports: list[SolverReport] = field(default_factory=list)
     events: list[tuple[int, str]] = field(default_factory=list)
-    final_kernel: tuple[int, ...] = ()
     max_gain_slack: float = -math.inf
 
     def cumulative_regret(self) -> np.ndarray:
@@ -178,7 +177,7 @@ def run_lifelong(
     ucb: UcbConfig = UcbConfig(),
     seed: int = 0,
 ) -> LifelongRunRecord:
-    """Run LiBO: m tasks with forced exploration and a kernel update after each.
+    """Run LiBO: m tasks with forced exploration, and m - 1 kernel updates.
 
     Task s draws its forced points on the decreasing schedule. Task 1 runs
     under the full kernel. Task s > 1 runs under the kernel learned after
@@ -190,17 +189,16 @@ def run_lifelong(
     """
     plan = _plan(env, n, math.sqrt(n) / np.arange(1, m + 1) ** 0.25, seed)
     record = LifelongRunRecord(seed=seed)
-    # every task's draws in one design, whose first s tasks the fit after
-    # task s reads; task 1 always has forced draws
+    # every task's draws in one design, whose first s tasks the fit that
+    # sets task s+1's kernel reads; task 1 always has forced draws
     design = PooledDesign(*_forced_draws(env, *plan))
-    lams = [lam / math.sqrt(s) for s in range(1, m + 1)]
+    lams = [lam / math.sqrt(s) for s in range(1, m)]
     kernels = [tuple(range(1, env.p + 1))]
-    for s, outcome in enumerate(learn_kernels(design, range(1, m + 1), omega, lams), start=1):
+    for s, outcome in enumerate(learn_kernels(design, range(1, m), omega, lams), start=1):
         record.reports.append(outcome.report)
         if outcome.report.converged and outcome.fallback:
-            record.events.append((s, "fallback"))
+            record.events.append((s + 1, "fallback"))
         kernels.append(outcome.selected if outcome.report.converged else kernels[-1])
-    record.final_kernel = kernels.pop()
     _run_agents(env, *plan, kernels, ucb, record)
     return record
 
@@ -221,6 +219,6 @@ def run_baseline(
     if kernel == "oracle" and env.support is None:
         raise ConfigError("environment does not expose a true support")
     pinned = env.support if kernel == "oracle" else tuple(range(1, env.p + 1))
-    record = LifelongRunRecord(seed=seed, final_kernel=pinned)
+    record = LifelongRunRecord(seed=seed)
     _run_agents(env, *_plan(env, n, np.zeros(m), seed), [pinned] * m, ucb, record)
     return record

@@ -7,11 +7,12 @@ is the learned kernel, the average of the surviving basis kernels (see
 (1, ..., p), and the fallback is flagged so run records can surface it.
 
 ``learn_kernels`` fits a run of prefixes of one design, each fit starting
-from the last converged one over fewer tasks; ``run_lifelong`` fits the
-prefix of its first s tasks after task s with it, and so does the offline
-recovery sweep, used to estimate support-recovery rates over seeds, for
-each m of its config. The sweep draws one seed's tasks once and builds one
-design of them; a single recovery trial is the sweep at one m, fitted cold.
+from the last converged one over fewer tasks; ``run_lifelong`` fits with
+it the prefix of its first s tasks for task s+1's kernel, for each s < m,
+and so does the offline recovery sweep, used to estimate support-recovery
+rates over seeds, for each m of its config. The sweep draws one seed's
+tasks once and builds one design of them; a single recovery trial is the
+sweep at one m, fitted cold.
 """
 
 from __future__ import annotations

@@ -442,12 +442,28 @@ class TestLockstepUcb:
         group = LockstepUcb(features, [(1,), (1,)], UcbConfig(nu=10.0))
         assert group.select().tolist() == [1, 1]
 
-    def test_info_gain_cap_enforced(self):
+    def test_negative_variance_gives_no_exploration_bonus(self):
+        # a variance drifted below 0 scores as 0, not as its magnitude
+        group = LockstepUcb(np.array([[1.0], [0.5], [0.25]]), [(1,)], UcbConfig(nu=10.0))
+        group.var[0, 0] = -1.0
+        assert group.select().tolist() == [1]
+
+    @pytest.mark.parametrize("excess, raises", [(1e-4, True), (1e-7, False)])
+    def test_info_gain_cap_enforced(self, excess, raises):
+        # the gate forgives rounding, 1e-6 above the cap, and nothing more:
+        # on a fresh group, the cap after one observation sits ``excess``
+        # below the realized gain (1/2) log q, q = 1 + phi^T A^-1 phi
         atlas, kernel, grid, _ = make_agent()
         group = LockstepUcb(atlas.concat_many(grid), [kernel] * 3, UcbConfig())
-        group.cap_weight[:] = 0.0  # a cap of 0
-        with pytest.raises(RuntimeError, match="exceeds its cap"):
-            group.observe(np.array([0, 5, 9]), np.zeros(3))
+        indices = np.array([0, 5, 9])
+        q = 1.0 + group.var[np.arange(3), indices] / group.config.lam**2
+        group.cap_weight[:] = (0.5 * np.log(q) - excess) / np.log1p(1.0 / group.cap_scale)
+        if raises:
+            with pytest.raises(RuntimeError, match="exceeds its cap"):
+                group.observe(indices, np.zeros(3))
+        else:
+            group.observe(indices, np.zeros(3))
+            assert group.max_gain_slack == pytest.approx([excess] * 3, rel=1e-6)
 
     def test_nan_gain_fails_the_cap(self):
         # a posterior gone NaN must not pass the gate as a False comparison

@@ -189,15 +189,15 @@ class TestRunLifelong:
         assert record.explored.sum() == ne
         assert record.actions.tolist() == [actions]
         assert record.kernels == [tuple(range(1, env.atlas.p + 1))]
+        assert record.reports == []  # one task sets no kernel, so nothing is fitted
 
     def test_huge_omega_never_narrows_kernel(self):
         env = small_env(seed=4, n_tasks=4)
         record = run_lifelong(env, m=4, n=16, omega=1e9, lam=0.1, seed=0)
         full = tuple(range(1, env.atlas.p + 1))
         assert record.kernels == [full] * 4
-        assert record.final_kernel == full
-        kinds = {kind for _, kind in record.events}
-        assert kinds == {"fallback"}
+        # each of the 3 fits fell back, and names the task it set
+        assert record.events == [(2, "fallback"), (3, "fallback"), (4, "fallback")]
 
     def test_exploration_prefix_flags(self):
         env = small_env(seed=5, n_tasks=5)
@@ -227,16 +227,15 @@ class TestRunLifelong:
     def test_determinism(self):
         a = run_lifelong(small_env(seed=7), m=4, n=18, omega=0.25, lam=0.1, seed=9)
         b = run_lifelong(small_env(seed=7), m=4, n=18, omega=0.25, lam=0.1, seed=9)
-        assert a.final_kernel == b.final_kernel
+        assert a.kernels == b.kernels
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.rewards, b.rewards)
 
     def test_recovers_support_and_sticks(self):
         env = small_env(seed=8, n_tasks=8, noise=0.05)
         record = run_lifelong(env, m=8, n=60, omega=0.25, lam=0.1, seed=3)
-        assert record.final_kernel == env.support
-        # the kernel each update produced: task s+1 ran under it, the last is final
-        after = record.kernels[1:] + [record.final_kernel]
+        # the kernel each update produced: task s+1 ran under it
+        after = record.kernels[1:]
         hit = [s for s, kernel in enumerate(after, start=1) if kernel == env.support]
         assert hit and all(kernel == env.support for kernel in after[hit[0] - 1 :])
         assert record.kernels[-1] == record.support == env.support
@@ -261,13 +260,14 @@ class TestRunLifelong:
             return learn_kernel(design, omega, lam, **kwargs)
 
         monkeypatch.setattr(selection, "learn_kernel", recording)
-        record = run_lifelong(small_env(seed=11), m=3, n=16, omega=0.25, lam=0.3, seed=6)
-        assert len(record.kernels) == 3
+        record = run_lifelong(small_env(seed=11), m=4, n=16, omega=0.25, lam=0.3, seed=6)
+        assert len(record.kernels) == 4
         assert penalties == [0.3 / math.sqrt(s) for s in (1, 2, 3)]
 
     def test_every_fit_reads_a_prefix_of_one_design(self, monkeypatch):
-        # the fit after task s reads the first s tasks of one design, so the
-        # pool holds each task's forced rows once
+        # the fit after task s < m reads the first s tasks of one design, so
+        # the pool holds each task's forced rows once; the last task sets no
+        # kernel, so it is fitted in no prefix
         stacks = []
         learn_kernel = selection.learn_kernel
 
@@ -276,8 +276,9 @@ class TestRunLifelong:
             return learn_kernel(design, *args, **kwargs)
 
         monkeypatch.setattr(selection, "learn_kernel", recording)
-        run_lifelong(small_env(seed=12), m=4, n=16, omega=0.25, lam=0.1, seed=7)
+        record = run_lifelong(small_env(seed=12), m=5, n=16, omega=0.25, lam=0.1, seed=7)
         assert [len(F) for F in stacks] == [1, 2, 3, 4]
+        assert len(record.reports) == 4
         assert all(np.shares_memory(F, stacks[0]) for F in stacks[1:])
 
     def test_too_many_tasks_rejected(self):

@@ -80,6 +80,15 @@ class TestRecoveryTrial:
         assert result.exact
         assert result.selected == result.truth
 
+    def test_superset_of_the_support_is_not_exact(self):
+        # "exact" recovery means the selected groups equal the true ones: a
+        # fit that keeps every true group plus two more did not recover it
+        result = recovery_trial(SyntheticSpec(), 10, 10, 0.05, 0.25, 0)
+        assert not result.fallback
+        assert set(result.selected) > set(result.truth) == {16, 25, 28, 42, 48}
+        assert len(result.selected) == 7
+        assert not result.exact
+
     def test_reproducible(self):
         spec = SyntheticSpec()
         a = recovery_trial(spec, m=4, n=10, omega=0.25, lam=0.25, seed=3)

@@ -68,7 +68,8 @@ def test_tracer_spans_every_runner_and_restores_every_binding(tmp_path, capsys):
             assert vars(owner)[name] is not before[(id(owner), name)]
         spans = {}
         for kind, pairs in (
-            ("lifelong", {"m": "2", "n": "10"}),
+            # three tasks: the second of lifelong's two fits starts warm
+            ("lifelong", {"m": "3", "n": "10"}),
             ("federated", {"m": "2", "n": "10"}),
             ("offline", {"m_values": "1,2"}),
         ):
